@@ -13,40 +13,10 @@ import numpy as np
 
 from . import documents as docs
 from . import harness
-from .eta import (solve_eta_full, solve_eta_mixed, solve_eta_three,
-                  solve_eta_two)
 from .qcore import ETAS
 from .qmatrix import DimensionError
 from .solvers import Inconsistent
-from .solvers.five_term import solve_five_term
-from .solvers.master import solve_master
-from .solvers.specials import solve_mixed_system, solve_three_term_system
-from .solvers.two_term import solve_two_term
-
-DEFAULT_TOL = 1e-9
-
-
-def _solve_dispatch(variant, inst, tol, branch):
-    if variant == "master":
-        return solve_master(inst, tol, branch)
-    if variant == "three-term":
-        return solve_three_term_system(inst, tol, branch)
-    if variant == "mixed":
-        return solve_mixed_system(inst, tol)
-    if variant == "two-term":
-        return solve_two_term(inst.C3, inst.D3, inst.C4, inst.D4, inst.E1, tol)
-    if variant == "five-term":
-        return solve_five_term(inst, tol, branch)
-    if variant == "eta-full":
-        return solve_eta_full(inst, tol, branch)
-    if variant == "eta-three":
-        return solve_eta_three(inst, tol, branch)
-    if variant == "eta-two":
-        return solve_eta_two(inst.B1, inst.C1, inst.D1, inst.eta, tol)
-    if variant == "eta-mixed":
-        return solve_eta_mixed(inst.A1, inst.C1, inst.B1, inst.D1,
-                               inst.A2, inst.A3, inst.D3, inst.eta, tol)
-    raise docs.ParseError(f"unknown variant {variant!r}")
+from .solvers.basic import DEFAULT_TOL
 
 
 def _print_solvability(report):
@@ -72,13 +42,12 @@ def _print_residuals(report):
 def _load_instance(args):
     doc = docs.load_json(args.instance)
     variant = args.variant or doc.get("variant")
-    return docs.instance_from_doc(doc, variant, eta_default=args.eta), \
-        variant or doc.get("variant")
+    return docs.instance_from_doc(doc, variant, eta_default=args.eta), variant
 
 
 def cmd_check(args) -> int:
     inst, variant = _load_instance(args)
-    report = harness._check_instance(variant, inst, args.tol)
+    report = harness.VARIANT_TABLE[variant].check(inst, args.tol)
     _print_solvability(report)
     if args.out:
         docs.dump_json(args.out, {"format": "qsylv-solvability-report",
@@ -88,7 +57,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     inst, variant = _load_instance(args)
-    result = _solve_dispatch(variant, inst, args.tol, args.branch)
+    result = harness.VARIANT_TABLE[variant].solve(inst, args.tol, args.branch)
     if isinstance(result, Inconsistent):
         print("inconsistent; failing conditions:")
         for name in result.failing_conditions:

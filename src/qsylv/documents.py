@@ -12,36 +12,21 @@ re-parse to bit-identical matrices.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
-from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
-                  EtaTwoInstance)
+from .harness import VARIANT_TABLE, VARIANTS
 from .qcore import ETAS
 from .qmatrix import QMatrix
-from .solvers.five_term import FiveTermInstance
-from .solvers.master import MasterInstance
-from .solvers.specials import MixedInstance, ThreeTermInstance
-from .solvers.two_term import TwoTermInstance
 
 
 class ParseError(ValueError):
     """A document is malformed; the message names the offending key."""
 
 
-VARIANTS = ("master", "three-term", "mixed", "two-term", "five-term",
-            "eta-full", "eta-three", "eta-two", "eta-mixed")
-
-_KEYS = {
-    "master": tuple(f"{s}{i}" for s in "ABCDEF" for i in range(1, 5)) + ("Cc",),
-    "three-term": tuple(f"{s}{i}" for s in "ABCDEF" for i in range(1, 4)) + ("C",),
-    "mixed": ("A1", "B1", "C1", "C2", "A2", "B2", "C3", "C4",
-              "A3", "B3", "A4", "B4", "Cc"),
-    "two-term": ("C3", "D3", "C4", "D4", "E1"),
-    "five-term": ("A1", "B1", "A2", "B2", "A3", "B3", "A4", "B4", "B"),
-    "eta-full": tuple(f"{s}{i}" for s in "ACE" for i in range(1, 5)) + ("Cc",),
-    "eta-three": tuple(f"{s}{i}" for s in "ACE" for i in range(1, 4)) + ("C",),
-    "eta-two": ("B1", "C1", "D1"),
-    "eta-mixed": ("A1", "C1", "B1", "D1", "A2", "A3", "D3"),
-}
+# matrix keys in document order: the instance fields, minus eta
+_KEYS = {name: tuple(f.name for f in fields(v.instance_type)
+                     if f.name != "eta")
+         for name, v in VARIANT_TABLE.items()}
 
 # alternative labels accepted on input, normalized on load
 _ALIASES = {
@@ -52,17 +37,7 @@ _ALIASES = {
 
 _RESERVED = ("variant", "eta", "format", "_notes", "seed")
 
-SOLUTION_KEYS = {
-    "master": ("U", "V", "X", "Y", "Z"),
-    "three-term": ("X", "Y", "Z"),
-    "mixed": ("X1", "X2"),
-    "two-term": ("X3", "X4"),
-    "five-term": ("X1", "X2", "Y1", "Y2", "Y3"),
-    "eta-full": ("U", "X", "Y", "Z"),
-    "eta-three": ("X", "Y", "Z"),
-    "eta-two": ("Y", "Z"),
-    "eta-mixed": ("X", "Y"),
-}
+SOLUTION_KEYS = {name: v.unknowns for name, v in VARIANT_TABLE.items()}
 
 
 def matrix_to_doc(m: QMatrix) -> dict:
@@ -263,43 +238,16 @@ def instance_from_doc(doc: dict, variant: str | None = None,
     variant = variant or doc.get("variant")
     if variant not in VARIANTS:
         raise ParseError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    inst_type = VARIANT_TABLE[variant].instance_type
     mats = _load_matrices(doc, variant)
-    if variant == "master":
-        return MasterInstance(**mats)
-    if variant == "three-term":
-        return ThreeTermInstance(**mats)
-    if variant == "mixed":
-        return MixedInstance(**mats)
-    if variant == "two-term":
-        return TwoTermInstance(**mats)
-    if variant == "five-term":
-        return FiveTermInstance(**mats)
-    eta = _doc_eta(doc, eta_default)
-    if variant == "eta-full":
-        return EtaFullInstance(eta=eta, **mats)
-    if variant == "eta-three":
-        return EtaThreeInstance(eta=eta, **mats)
-    if variant == "eta-two":
-        return EtaTwoInstance(eta=eta, **mats)
-    return EtaMixedInstance(eta=eta, **mats)
-
-
-_INSTANCE_TYPES = {
-    "master": MasterInstance,
-    "three-term": ThreeTermInstance,
-    "mixed": MixedInstance,
-    "two-term": TwoTermInstance,
-    "five-term": FiveTermInstance,
-    "eta-full": EtaFullInstance,
-    "eta-three": EtaThreeInstance,
-    "eta-two": EtaTwoInstance,
-    "eta-mixed": EtaMixedInstance,
-}
+    if "eta" in inst_type.__dataclass_fields__:
+        mats["eta"] = _doc_eta(doc, eta_default)
+    return inst_type(**mats)
 
 
 def variant_of(inst) -> str:
-    for name, cls in _INSTANCE_TYPES.items():
-        if type(inst) is cls:
+    for name, v in VARIANT_TABLE.items():
+        if type(inst) is v.instance_type:
             return name
     raise ParseError(f"unsupported instance type {type(inst).__name__}")
 

@@ -456,16 +456,21 @@ class _EtaMixedWork:
         ]
 
 
-def check_eta_mixed(inst: EtaMixedInstance,
-                    tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    _require_eta_hermitian(inst.D3, inst.eta, "D3")
-    work = _EtaMixedWork(inst)
+def _eta_mixed_report(work: _EtaMixedWork, inner: _EtaTwoWork,
+                      tol: float) -> SolvabilityReport:
     compat, mp = work.side_conditions(tol)
-    inner = _EtaTwoWork(EtaTwoInstance(inst.eta, work.B4, work.C4, work.D4))
     inner_rep = inner.report(tol)
     return SolvabilityReport.build(
         compat, mp + inner_rep.mp_conditions,
         work.side_ranks() + inner_rep.rank_conditions)
+
+
+def check_eta_mixed(inst: EtaMixedInstance,
+                    tol: float = DEFAULT_TOL) -> SolvabilityReport:
+    _require_eta_hermitian(inst.D3, inst.eta, "D3")
+    work = _EtaMixedWork(inst)
+    inner = _EtaTwoWork(EtaTwoInstance(inst.eta, work.B4, work.C4, work.D4))
+    return _eta_mixed_report(work, inner, tol)
 
 
 def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
@@ -478,12 +483,8 @@ def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
     inst = EtaMixedInstance(eta, a1, c1, b1, d1, a2, a3, d3)
     _require_eta_hermitian(d3, eta, "D3")
     work = _EtaMixedWork(inst)
-    compat, mp = work.side_conditions(tol)
     inner_work = _EtaTwoWork(EtaTwoInstance(eta, work.B4, work.C4, work.D4))
-    inner_rep = inner_work.report(tol)
-    report = SolvabilityReport.build(
-        compat, mp + inner_rep.mp_conditions,
-        work.side_ranks() + inner_rep.rank_conditions)
+    report = _eta_mixed_report(work, inner_work, tol)
     if not report.consistent:
         return Inconsistent(report)
     inner = inner_work.family()

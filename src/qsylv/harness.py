@@ -10,19 +10,24 @@ yield bit-identical instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, check_eta_full, check_eta_mixed,
-                  check_eta_three, check_eta_two, symmetrize)
+                  check_eta_three, check_eta_two, solve_eta_full,
+                  solve_eta_mixed, solve_eta_three, solve_eta_two, symmetrize)
 from .qmatrix import DimensionError, QMatrix
 from .solvers.basic import DEFAULT_TOL
-from .solvers.five_term import FiveTermInstance, check_five_term
-from .solvers.master import MasterInstance, MasterSolution, check_master
+from .solvers.five_term import (FiveTermInstance, check_five_term,
+                                solve_five_term)
+from .solvers.master import (MasterInstance, MasterSolution, check_master,
+                             solve_master)
 from .solvers.specials import (MixedInstance, ThreeTermInstance, check_mixed,
-                               check_three_term)
-from .solvers.two_term import TwoTermInstance, check_two_term
+                               check_three_term, solve_mixed_system,
+                               solve_three_term_system)
+from .solvers.two_term import TwoTermInstance, check_two_term, solve_two_term
 
 MAX_BLOCK_DIM = 16
 
@@ -149,17 +154,27 @@ def gen_inconsistent(profile: DimensionProfile, retries: int = 8,
     lands consistent (the coupling reaches everything, which the
     default profiles avoid by using rectangular deficient blocks)."""
     inst, _ = gen_consistent(profile)
-    rng = _rng(profile.seed ^ 0x9E3779B97F4A7C15)
-    scale = max(1.0, inst.Cc.norm())
+    return _perturb_rhs(inst, "Cc", check_master, profile.seed, retries, tol)
+
+
+def _perturb_rhs(inst, rhs: str, check, seed: int, retries: int, tol: float):
+    """inst with field ``rhs`` plus a random perturbation of the same
+    norm scale, redrawn until ``check`` rejects it.  Eta instances get
+    eta-Hermitian perturbations, so the precondition still holds."""
+    rng = _rng(seed ^ 0x9E3779B97F4A7C15)
+    target = getattr(inst, rhs)
+    eta = getattr(inst, "eta", None)
+    scale = max(1.0, target.norm())
     for _ in range(retries):
-        pert = rand_qmatrix(rng, inst.Cc.rows, inst.Cc.cols)
+        pert = rand_qmatrix(rng, target.rows, target.cols)
+        if eta is not None:
+            pert = symmetrize(pert, eta)
         pert = pert * (scale / pert.norm())
-        candidate = replace(inst, Cc=inst.Cc + pert)
-        report = check_master(candidate, tol)
-        if not report.consistent:
+        candidate = replace(inst, **{rhs: target + pert})
+        if not check(candidate, tol).consistent:
             return candidate
     raise RuntimeError(
-        "perturbations stayed consistent; the profile's coupling "
+        "perturbations stayed consistent; the instance's coupling "
         "equation spans its whole target space")
 
 
@@ -252,9 +267,13 @@ def gen_two_term(size: int, seed: int, deficient: bool = False):
 
 def gen_five_term(size: int, seed: int, wide_rhs: bool = False):
     # wide_rhs makes the target space strictly larger than the coupling
-    # map's reach, so perturbed right sides can actually be inconsistent
+    # map's reach, so perturbed right sides can actually be inconsistent;
+    # from size 6 on, 2 * size + 3 rows no longer suffice
     rng = _rng(seed)
-    p = q = (2 * size + 3) if wide_rhs else (size + 2)
+    if wide_rhs:
+        p = q = 2 * size + 3 + 2 * max(0, size - 5)
+    else:
+        p = q = size + 2
     a1, b1 = size, size
     inner = size if wide_rhs else size + 1
     mats = {}
@@ -340,84 +359,86 @@ def gen_eta_mixed(size: int, seed: int, eta: str = "i"):
     return inst, (x, y)
 
 
-_GEN = {
-    "master": lambda size, seed, eta: gen_consistent(
-        DimensionProfile.cube(size, seed)),
-    "three-term": lambda size, seed, eta: gen_three_term(size, seed),
-    "mixed": lambda size, seed, eta: gen_mixed(size, seed),
-    "two-term": lambda size, seed, eta: gen_two_term(size, seed),
-    "five-term": lambda size, seed, eta: gen_five_term(size, seed),
-    "eta-full": gen_eta_full,
-    "eta-three": gen_eta_three,
-    "eta-two": gen_eta_two,
-    "eta-mixed": gen_eta_mixed,
-}
+@dataclass(frozen=True)
+class Variant:
+    """One system of the hierarchy: the single place that knows it.
 
-VARIANTS = tuple(_GEN)
+    ``rhs`` is the right-hand-side field that ``gen_unsolvable``
+    perturbs and ``unknowns`` names the solution blocks in order.
+    ``check(inst, tol)`` and ``solve(inst, tol, branch)`` take an
+    ``instance_type`` value (systems with one closed form ignore
+    ``branch``); ``planted(size, seed, eta)`` returns (instance,
+    witness).  ``unsolvable_base``, same signature, is the planted
+    generator ``gen_unsolvable`` starts from when the default shapes let
+    the coupling reach its whole target space.
+    """
+
+    name: str
+    instance_type: type
+    rhs: str
+    unknowns: tuple
+    check: Callable
+    solve: Callable
+    planted: Callable
+    unsolvable_base: Callable | None = None
+
+
+def _two_term_args(inst):
+    return inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
+
+
+VARIANT_TABLE = {v.name: v for v in (
+    Variant("master", MasterInstance, "Cc", ("U", "V", "X", "Y", "Z"),
+            check_master, solve_master,
+            lambda size, seed, eta: gen_consistent(
+                DimensionProfile.cube(size, seed))),
+    Variant("three-term", ThreeTermInstance, "C", ("X", "Y", "Z"),
+            check_three_term, solve_three_term_system,
+            lambda size, seed, eta: gen_three_term(size, seed)),
+    Variant("mixed", MixedInstance, "Cc", ("X1", "X2"),
+            check_mixed,
+            lambda inst, tol, branch: solve_mixed_system(inst, tol),
+            lambda size, seed, eta: gen_mixed(size, seed)),
+    Variant("two-term", TwoTermInstance, "E1", ("X3", "X4"),
+            lambda inst, tol: check_two_term(*_two_term_args(inst), tol=tol),
+            lambda inst, tol, branch: solve_two_term(*_two_term_args(inst),
+                                                     tol),
+            lambda size, seed, eta: gen_two_term(size, seed),
+            lambda size, seed, eta: gen_two_term(size, seed, deficient=True)),
+    Variant("five-term", FiveTermInstance, "B",
+            ("X1", "X2", "Y1", "Y2", "Y3"),
+            check_five_term, solve_five_term,
+            lambda size, seed, eta: gen_five_term(size, seed),
+            lambda size, seed, eta: gen_five_term(size, seed, wide_rhs=True)),
+    Variant("eta-full", EtaFullInstance, "Cc", ("U", "X", "Y", "Z"),
+            check_eta_full, solve_eta_full, gen_eta_full),
+    Variant("eta-three", EtaThreeInstance, "C", ("X", "Y", "Z"),
+            check_eta_three, solve_eta_three, gen_eta_three),
+    Variant("eta-two", EtaTwoInstance, "D1", ("Y", "Z"),
+            check_eta_two,
+            lambda inst, tol, branch: solve_eta_two(
+                inst.B1, inst.C1, inst.D1, inst.eta, tol),
+            gen_eta_two),
+    Variant("eta-mixed", EtaMixedInstance, "D3", ("X", "Y"),
+            check_eta_mixed,
+            lambda inst, tol, branch: solve_eta_mixed(
+                inst.A1, inst.C1, inst.B1, inst.D1, inst.A2, inst.A3,
+                inst.D3, inst.eta, tol),
+            gen_eta_mixed),
+)}
+
+VARIANTS = tuple(VARIANT_TABLE)
+
+
+def _variant(name: str) -> Variant:
+    if name not in VARIANT_TABLE:
+        raise ValueError(f"unknown variant {name!r}")
+    return VARIANT_TABLE[name]
 
 
 def gen_planted(variant: str, size: int, seed: int, eta: str = "i"):
     """(instance, witness) for any variant, consistent by construction."""
-    if variant not in _GEN:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _GEN[variant](size, seed, eta)
-
-
-def _check_instance(variant, inst, tol):
-    if variant == "master":
-        return check_master(inst, tol)
-    if variant == "three-term":
-        return check_three_term(inst, tol)
-    if variant == "mixed":
-        return check_mixed(inst, tol)
-    if variant == "two-term":
-        return check_two_term(inst.C3, inst.D3, inst.C4, inst.D4, inst.E1,
-                              tol=tol)
-    if variant == "five-term":
-        return check_five_term(inst, tol)
-    if variant == "eta-full":
-        return check_eta_full(inst, tol)
-    if variant == "eta-three":
-        return check_eta_three(inst, tol)
-    if variant == "eta-two":
-        return check_eta_two(inst, tol)
-    if variant == "eta-mixed":
-        return check_eta_mixed(inst, tol)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _perturb_rhs(variant, inst, pert):
-    if variant == "master":
-        return replace(inst, Cc=inst.Cc + pert)
-    if variant in ("three-term", "eta-three"):
-        return replace(inst, C=inst.C + pert)
-    if variant in ("mixed",):
-        return replace(inst, Cc=inst.Cc + pert)
-    if variant == "two-term":
-        return replace(inst, E1=inst.E1 + pert)
-    if variant == "five-term":
-        return replace(inst, B=inst.B + pert)
-    if variant == "eta-full":
-        return replace(inst, Cc=inst.Cc + pert)
-    if variant == "eta-two":
-        return replace(inst, D1=inst.D1 + pert)
-    if variant == "eta-mixed":
-        return replace(inst, D3=inst.D3 + pert)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _rhs_matrix(variant, inst):
-    if variant in ("master", "mixed", "eta-full"):
-        return inst.Cc
-    if variant in ("three-term", "eta-three"):
-        return inst.C
-    if variant == "two-term":
-        return inst.E1
-    if variant == "five-term":
-        return inst.B
-    if variant == "eta-two":
-        return inst.D1
-    return inst.D3
+    return _variant(variant).planted(size, seed, eta)
 
 
 def gen_unsolvable(variant: str, size: int, seed: int, eta: str = "i",
@@ -426,23 +447,6 @@ def gen_unsolvable(variant: str, size: int, seed: int, eta: str = "i",
 
     For eta variants the perturbation is symmetrized so the instance
     still meets the eta-Hermicity precondition."""
-    if variant == "five-term":
-        inst, _ = gen_five_term(size, seed, wide_rhs=True)
-    elif variant == "two-term":
-        inst, _ = gen_two_term(size, seed, deficient=True)
-    else:
-        inst, _ = gen_planted(variant, size, seed, eta)
-    rng = _rng(seed ^ 0x9E3779B97F4A7C15)
-    rhs = _rhs_matrix(variant, inst)
-    scale = max(1.0, rhs.norm())
-    for _ in range(retries):
-        pert = rand_qmatrix(rng, rhs.rows, rhs.cols)
-        if variant in ("eta-full", "eta-three", "eta-two", "eta-mixed"):
-            pert = symmetrize(pert, eta)
-        pert = pert * (scale / pert.norm())
-        candidate = _perturb_rhs(variant, inst, pert)
-        if not _check_instance(variant, candidate, tol).consistent:
-            return candidate
-    raise RuntimeError(
-        "perturbations stayed consistent; the instance's coupling "
-        "equation spans its whole target space")
+    v = _variant(variant)
+    inst, _ = (v.unsolvable_base or v.planted)(size, seed, eta)
+    return _perturb_rhs(inst, v.rhs, v.check, seed, retries, tol)

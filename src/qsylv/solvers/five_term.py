@@ -22,6 +22,7 @@ from .basic import DEFAULT_TOL
 from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
                        SolvabilityReport, cascade_floor, rank_condition,
                        residual_condition)
+from .two_term import TwoTermKernel
 
 FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
                          "U11", "U12", "U21", "U31", "U32", "U33", "U41", "U42")
@@ -142,26 +143,25 @@ class _FiveTermWork:
         self.B22 = inst.B3 @ lb1
         self.B33 = inst.B4 @ lb1
         self.T1 = ra1 @ inst.B @ lb1
-        self.bA11, self.bA22 = pv(self.A11), pv(self.A22)
-        self.bB11, self.bB22 = pv(self.B11), pv(self.B22)
-        self.N1 = self.B22 @ self.bB11.proj_left
-        self.M1 = self.bA11.proj_right @ self.A22
-        self.bN1, self.bM1 = pv(self.N1), pv(self.M1)
-        self.S1 = self.A22 @ self.bM1.proj_left
-        self.bS1 = pv(self.S1)
-        self.C = self.bM1.proj_right @ self.bA11.proj_right
+        # (Y1, Y2) solve A11 Y1 B11 + A22 Y2 B22 = T1 - A33 Y3 B33
+        y = self.y12 = TwoTermKernel(self.A11, self.B11, self.A22,
+                                     self.B22, pv)
+        self.M1, self.N1, self.S1 = y.m, y.n, y.s
+        ra11, ra22 = y.bc3.proj_right, y.bc4.proj_right
+        lb11, lb22 = y.bd3.proj_left, y.bd4.proj_left
+        self.C = y.bm.proj_right @ ra11
         self.C1 = self.C @ self.A33
-        self.C2 = self.bA11.proj_right @ self.A33
-        self.C3 = self.bA22.proj_right @ self.A33
+        self.C2 = ra11 @ self.A33
+        self.C3 = ra22 @ self.A33
         self.C4 = self.A33
-        self.D = self.bB11.proj_left @ self.bN1.proj_left
+        self.D = lb11 @ y.bn.proj_left
         self.D1 = self.B33
-        self.D2 = self.B33 @ self.bB22.proj_left
-        self.D3 = self.B33 @ self.bB11.proj_left
+        self.D2 = self.B33 @ lb22
+        self.D3 = self.B33 @ lb11
         self.D4 = self.B33 @ self.D
         self.E1 = self.C @ self.T1
-        self.E2 = self.bA11.proj_right @ self.T1 @ self.bB22.proj_left
-        self.E3 = self.bA22.proj_right @ self.T1 @ self.bB11.proj_left
+        self.E2 = ra11 @ self.T1 @ lb22
+        self.E3 = ra22 @ self.T1 @ lb11
         self.E4 = self.T1 @ self.D
         self.bC = [pv(c) for c in (self.C1, self.C2, self.C3, self.C4)]
         self.bD = [pv(d) for d in (self.D1, self.D2, self.D3, self.D4)]
@@ -182,15 +182,11 @@ class _FiveTermWork:
         self.E22 = self.bC11.proj_right @ self.C33
         self.E33 = self.D22 @ self.bD11.proj_left
         self.E44 = self.D33 @ self.bD11.proj_left
-        self.bE11, self.bE22 = pv(self.E11), pv(self.E22)
-        self.bE33, self.bE44 = pv(self.E33), pv(self.E44)
-        self.M = self.bE11.proj_right @ self.E22
-        self.N = self.E44 @ self.bE33.proj_left
-        self.bM, self.bN = pv(self.M), pv(self.N)
+        # (V3, W3) solve E11 V3 E33 + E22 W3 E44 = F
+        self.vw3 = TwoTermKernel(self.E11, self.E33, self.E22, self.E44, pv)
+        self.M, self.N, self.S = self.vw3.m, self.vw3.n, self.vw3.s
         self.F = self.F2 - self.F1
         self.E = self.bC11.proj_right @ self.F @ self.bD11.proj_left
-        self.S = self.E22 @ self.bM.proj_left
-        self.bS = pv(self.S)
         self.G1 = (self.E2 - self.C2 @ self.bC[0].pinv @ self.E1
                    @ self.bD[0].pinv @ self.D2)
         self.G2 = (self.E4 - self.C4 @ self.bC[2].pinv @ self.E3
@@ -227,7 +223,8 @@ class _FiveTermWork:
                 getattr(self, f"E{i + 1}") @ self.bD[i].proj_left, threshold))
         out.append(residual_condition(
             "R_E22*E*L_E33",
-            self.bE22.proj_right @ self.E @ self.bE33.proj_left, threshold))
+            self.vw3.bc4.proj_right @ self.E @ self.vw3.bd3.proj_left,
+            threshold))
         return out
 
     def rank_conditions(self) -> list:
@@ -317,20 +314,8 @@ class _FiveTermWork:
     def assemble(self, vals: dict, branch: str):
         inst = self.inst
         m, n = inst.A4.cols, inst.B4.rows
-        v3 = (self.bE11.pinv @ self.F @ self.bE33.pinv
-              - self.bE11.pinv @ self.E22 @ self.bM.pinv @ self.F
-              @ self.bE33.pinv
-              - self.bE11.pinv @ self.S @ self.bE22.pinv @ self.F
-              @ self.bN.pinv @ self.E44 @ self.bE33.pinv
-              - self.bE11.pinv @ self.S @ vals["U31"] @ self.bN.proj_right
-              @ self.E44 @ self.bE33.pinv
-              + self.bE11.proj_left @ vals["U32"]
-              + vals["U33"] @ self.bE33.proj_right)
-        w3 = (self.bM.pinv @ self.F @ self.bE44.pinv
-              + self.bS.pinv @ self.S @ self.bE22.pinv @ self.F @ self.bN.pinv
-              + self.bM.proj_left @ self.bS.proj_left @ vals["U41"]
-              + self.bM.proj_left @ vals["U31"] @ self.bN.proj_right
-              + vals["U42"] @ self.bE44.proj_right)
+        v3, w3 = self.vw3.solve(self.F, vals["U31"], vals["U32"],
+                                vals["U33"], vals["U41"], vals["U42"])
         g = self.F - self.C22 @ v3 @ self.D22 - self.C33 @ w3 @ self.D33
         # selector products (I, 0) / (0, I) realized as row/column halves
         cg = self.bC11.pinv @ g
@@ -347,26 +332,13 @@ class _FiveTermWork:
             y3 = (self.F1 + self.bC[1].proj_left @ v1
                   + v2 @ self.bD[0].proj_right
                   + self.bC[0].proj_left @ v3 @ self.bD[1].proj_right)
-        elif branch == "second":
+        else:
             y3 = (self.F2 - self.bC[3].proj_left @ w1
                   - w2 @ self.bD[2].proj_right
                   - self.bC[2].proj_left @ w3 @ self.bD[3].proj_right)
-        else:
-            raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
         t = self.T1 - self.A33 @ y3 @ self.B33
-        y1 = (self.bA11.pinv @ t @ self.bB11.pinv
-              - self.bA11.pinv @ self.A22 @ self.bM1.pinv @ t @ self.bB11.pinv
-              - self.bA11.pinv @ self.S1 @ self.bA22.pinv @ t @ self.bN1.pinv
-              @ self.B22 @ self.bB11.pinv
-              - self.bA11.pinv @ self.S1 @ vals["U4"] @ self.bN1.proj_right
-              @ self.B22 @ self.bB11.pinv
-              + self.bA11.proj_left @ vals["U5"]
-              + vals["U6"] @ self.bB11.proj_right)
-        y2 = (self.bM1.pinv @ t @ self.bB22.pinv
-              + self.bS1.pinv @ self.S1 @ self.bA22.pinv @ t @ self.bN1.pinv
-              + self.bM1.proj_left @ self.bS1.proj_left @ vals["U7"]
-              + vals["U8"] @ self.bB22.proj_right
-              + self.bM1.proj_left @ vals["U4"] @ self.bN1.proj_right)
+        y1, y2 = self.y12.solve(t, vals["U4"], vals["U5"], vals["U6"],
+                               vals["U7"], vals["U8"])
         k = (inst.B - inst.A2 @ y1 @ inst.B2 - inst.A3 @ y2 @ inst.B3
              - inst.A4 @ y3 @ inst.B4)
         x1 = (self.bA1.pinv @ k - self.bA1.pinv @ vals["U1"] @ inst.B1

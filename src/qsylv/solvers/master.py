@@ -259,7 +259,8 @@ class _MasterWork:
                 getattr(five, f"E{i + 1}") @ five.bD[i].proj_left, threshold))
         out.append(residual_condition(
             "R_E22*E*L_E33",
-            five.bE22.proj_right @ five.E @ five.bE33.proj_left, threshold))
+            five.vw3.bc4.proj_right @ five.E @ five.vw3.bd3.proj_left,
+            threshold))
         return out
 
     def rank_conditions(self) -> list:

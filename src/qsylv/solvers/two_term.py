@@ -42,36 +42,71 @@ def _check_dims(c3, d3, c4, d4, e1):
         raise DimensionError("D3, D4 and E1 must have the same column count")
 
 
-class _TwoTermWork:
+class TwoTermKernel:
+    """Closed-form general solution of C3 X3 D3 + C4 X4 D4 = E1.
+
+    With M = R_C3 C4, N = D4 L_D3 and S = C4 L_M, the seven pinv
+    bundles (C3, C4, D3, D4, M, N, S) depend only on the coefficients;
+    ``pv`` builds each one, so the caller keeps its rank tolerance and
+    cascade floor.  ``solve`` evaluates the solution for any right side
+    and free parameters Y11..Y15 (Y11 is shared between the unknowns).
+    """
+
+    def __init__(self, c3, d3, c4, d4, pv):
+        self.c3, self.d3, self.c4, self.d4 = c3, d3, c4, d4
+        self.bc3, self.bc4 = pv(c3), pv(c4)
+        self.bd3, self.bd4 = pv(d3), pv(d4)
+        self.m = self.bc3.proj_right @ c4
+        self.n = d4 @ self.bd3.proj_left
+        self.bm, self.bn = pv(self.m), pv(self.n)
+        self.s = c4 @ self.bm.proj_left
+        self.bs = pv(self.s)
+
+    def solve(self, e1, y11, y12, y13, y14, y15):
+        """(X3, X4) for right side e1 and free parameters Y11..Y15."""
+        c4, d4, s = self.c4, self.d4, self.s
+        bc3, bc4, bd3, bd4 = self.bc3, self.bc4, self.bd3, self.bd4
+        bm, bn, bs = self.bm, self.bn, self.bs
+        x3 = (bc3.pinv @ e1 @ bd3.pinv
+              - bc3.pinv @ c4 @ bm.pinv @ e1 @ bd3.pinv
+              - bc3.pinv @ s @ bc4.pinv @ e1 @ bn.pinv @ d4 @ bd3.pinv
+              - bc3.pinv @ s @ y11 @ bn.proj_right @ d4 @ bd3.pinv
+              + bc3.proj_left @ y12
+              + y13 @ bd3.proj_right)
+        x4 = (bm.pinv @ e1 @ bd4.pinv
+              + bs.pinv @ s @ bc4.pinv @ e1 @ bn.pinv
+              + bm.proj_left @ bs.proj_left @ y14
+              + y15 @ bd4.proj_right
+              + bm.proj_left @ y11 @ bn.proj_right)
+        return x3, x4
+
+
+class _TwoTermWork(TwoTermKernel):
+    """The kernel for one right side E1, with both certificates."""
+
     def __init__(self, c3, d3, c4, d4, e1, rank_tol=None):
         _check_dims(c3, d3, c4, d4, e1)
-        self.c3, self.d3, self.c4, self.d4, self.e1 = c3, d3, c4, d4, e1
+        self.e1 = e1
         self.rank_tol = rank_tol
         self.floor = cascade_floor(c3, d3, c4, d4, e1)
-        pv = lambda m: pinv(m, rank_tol, floor=self.floor)
-        self.b3, self.b4 = pv(c3), pv(c4)
-        self.e3, self.e4 = pv(d3), pv(d4)
-        self.m1 = self.b3.proj_right @ c4
-        self.n1 = d4 @ self.e3.proj_left
-        self.bm, self.bn = pv(self.m1), pv(self.n1)
-        self.s1 = c4 @ self.bm.proj_left
-        self.bs = pv(self.s1)
+        super().__init__(c3, d3, c4, d4,
+                         lambda m: pinv(m, rank_tol, floor=self.floor))
 
     def report(self, tol: float) -> SolvabilityReport:
         threshold = tol * (1.0 + self.e1.norm())
         c3, d3, c4, d4, e1 = self.c3, self.d3, self.c4, self.d4, self.e1
         mp = [
             residual_condition("R_M1*R_C3*E1",
-                               self.bm.proj_right @ (self.b3.proj_right @ e1),
+                               self.bm.proj_right @ (self.bc3.proj_right @ e1),
                                threshold),
             residual_condition("R_C3*E1*L_D4",
-                               self.b3.proj_right @ e1 @ self.e4.proj_left,
+                               self.bc3.proj_right @ e1 @ self.bd4.proj_left,
                                threshold),
             residual_condition("E1*L_D3*L_N1",
-                               e1 @ self.e3.proj_left @ self.bn.proj_left,
+                               e1 @ self.bd3.proj_left @ self.bn.proj_left,
                                threshold),
             residual_condition("R_C4*E1*L_D3",
-                               self.b4.proj_right @ e1 @ self.e3.proj_left,
+                               self.bc4.proj_right @ e1 @ self.bd3.proj_left,
                                threshold),
         ]
         r = lambda m: rank(m, self.rank_tol, floor=self.floor)
@@ -82,48 +117,29 @@ class _TwoTermWork:
                            r(vstack([d3, e1, d4])), r(vstack([d3, d4]))),
             rank_condition("r([C3,E1;0,D4])=r(C3)+r(D4)",
                            r(block([[c3, e1], [None, d4]])),
-                           self.b3.rank + self.e4.rank),
+                           self.bc3.rank + self.bd4.rank),
             rank_condition("r([D3,0;E1,C4])=r(D3)+r(C4)",
                            r(block([[d3, None], [e1, c4]])),
-                           self.e3.rank + self.b4.rank),
+                           self.bd3.rank + self.bc4.rank),
         ]
         return SolvabilityReport.build([], mp, ranks)
 
     def family(self) -> LinearSolutionFamily:
-        c3, d3, c4, d4, e1 = self.c3, self.d3, self.c4, self.d4, self.e1
-        b3, b4, e3, e4 = self.b3, self.b4, self.e3, self.e4
-        bm, bn, bs, s1 = self.bm, self.bn, self.bs, self.s1
-        x3_base = (b3.pinv @ e1 @ e3.pinv
-                   - b3.pinv @ c4 @ bm.pinv @ e1 @ e3.pinv
-                   - b3.pinv @ s1 @ b4.pinv @ e1 @ bn.pinv @ d4 @ e3.pinv)
-        x4_base = bm.pinv @ e1 @ e4.pinv + bs.pinv @ s1 @ b4.pinv @ e1 @ bn.pinv
-        shape3 = (c3.cols, d3.rows)
-        shape4 = (c4.cols, d4.rows)
+        shape3 = (self.c3.cols, self.d3.rows)
+        shape4 = (self.c4.cols, self.d4.rows)
         params = (FreeParam("Y11", shape4), FreeParam("Y12", shape3),
                   FreeParam("Y13", shape3), FreeParam("Y14", shape4),
                   FreeParam("Y15", shape4))
 
         def assemble(vals):
-            x3 = (x3_base
-                  - b3.pinv @ s1 @ vals["Y11"] @ bn.proj_right @ d4 @ e3.pinv
-                  + b3.proj_left @ vals["Y12"]
-                  + vals["Y13"] @ e3.proj_right)
-            x4 = (x4_base
-                  + bm.proj_left @ bs.proj_left @ vals["Y14"]
-                  + vals["Y15"] @ e4.proj_right
-                  + bm.proj_left @ vals["Y11"] @ bn.proj_right)
-            return (x3, x4)
+            return self.solve(self.e1, *(vals[p.name] for p in params))
 
         return LinearSolutionFamily(("X3", "X4"), params, assemble)
 
 
-def _two_term_report(c3, d3, c4, d4, e1, tol=DEFAULT_TOL) -> SolvabilityReport:
-    return _TwoTermWork(c3, d3, c4, d4, e1).report(tol)
-
-
 def check_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
                    e1: QMatrix, tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    return _two_term_report(c3, d3, c4, d4, e1, tol)
+    return _TwoTermWork(c3, d3, c4, d4, e1).report(tol)
 
 
 def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,

@@ -34,6 +34,22 @@ def test_inconsistent_exit_codes(tmp_path):
     assert main(["solve", ipath]) == 2
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_second_branch_and_inconsistent_exit_codes(variant, tmp_path):
+    ipath = str(tmp_path / "inst.json")
+    spath = str(tmp_path / "sol.json")
+    bpath = str(tmp_path / "bad.json")
+    assert main(["gen", "--variant", variant, "--size", "2", "--seed", "6",
+                 "--eta", "k", "--out", ipath]) == 0
+    assert main(["solve", ipath, "--branch", "second", "--free", "random",
+                 "--out", spath]) == 0
+    assert main(["verify", ipath, spath]) == 0
+    assert main(["gen", "--variant", variant, "--size", "2", "--seed", "6",
+                 "--eta", "k", "--inconsistent", "--out", bpath]) == 0
+    assert main(["check", bpath]) == 2
+    assert main(["solve", bpath, "--branch", "second"]) == 2
+
+
 def test_zero_solution_fails_verify(tmp_path):
     ipath = str(tmp_path / "inst.json")
     spath = str(tmp_path / "zero.json")

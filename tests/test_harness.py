@@ -3,10 +3,11 @@ import dataclasses
 import pytest
 
 from qsylv import zeros
-from qsylv.harness import (VARIANTS, DimensionProfile, _check_instance,
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_inconsistent, gen_planted,
                            gen_unsolvable, verify_solution)
 from qsylv.qmatrix import DimensionError
+from qsylv.solvers.five_term import check_five_term
 from qsylv.solvers.master import check_master, solve_master
 
 
@@ -89,11 +90,22 @@ def test_verify_zero_solution_fails_with_rhs_norm():
 def test_every_variant_generator(variant, rng):
     inst, wit = gen_planted(variant, 2, seed=13, eta="j")
     assert verify_solution(inst, wit).passed
-    rep = _check_instance(variant, inst, 1e-9)
+    assert tuple(inst.unknown_shapes()) == VARIANT_TABLE[variant].unknowns
+    check = VARIANT_TABLE[variant].check
+    rep = check(inst, 1e-9)
     assert rep.consistent, (variant, rep.failing())
     bad = gen_unsolvable(variant, 2, seed=13, eta="j")
-    rep = _check_instance(variant, bad, 1e-9)
+    rep = check(bad, 1e-9)
     assert not rep.consistent and rep.forms_agree
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_five_term_unsolvable_at_every_size(size):
+    # the widened target must outgrow the coupling map's reach at size 6+
+    for seed in (0, 1, 2):
+        bad = gen_unsolvable("five-term", size, seed)
+        rep = check_five_term(bad)
+        assert not rep.consistent and rep.forms_agree
 
 
 def test_solve_master_on_generated_batch(rng):
