@@ -57,7 +57,11 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     inst, variant = _load_instance(args)
-    result = harness.VARIANT_TABLE[variant].solve(inst, args.tol, args.branch)
+    entry = harness.VARIANT_TABLE[variant]
+    if args.branch == "second" and entry.one_closed_form:
+        print(f"note: {variant} has one closed form; --branch second is "
+              "ignored", file=sys.stderr)
+    result = entry.solve(inst, args.tol, args.branch)
     if isinstance(result, Inconsistent):
         print("inconsistent; failing conditions:")
         for name in result.failing_conditions:

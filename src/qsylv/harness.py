@@ -366,11 +366,11 @@ class Variant:
     ``rhs`` is the right-hand-side field that ``gen_unsolvable``
     perturbs and ``unknowns`` names the solution blocks in order.
     ``check(inst, tol)`` and ``solve(inst, tol, branch)`` take an
-    ``instance_type`` value (systems with one closed form ignore
-    ``branch``); ``planted(size, seed, eta)`` returns (instance,
-    witness).  ``unsolvable_base``, same signature, is the planted
-    generator ``gen_unsolvable`` starts from when the default shapes let
-    the coupling reach its whole target space.
+    ``instance_type`` value; ``one_closed_form`` marks the systems whose
+    ``solve`` ignores ``branch``.  ``planted(size, seed, eta)`` returns
+    (instance, witness).  ``unsolvable_base``, same signature, is the
+    planted generator ``gen_unsolvable`` starts from when the default
+    shapes let the coupling reach its whole target space.
     """
 
     name: str
@@ -381,6 +381,7 @@ class Variant:
     solve: Callable
     planted: Callable
     unsolvable_base: Callable | None = None
+    one_closed_form: bool = False
 
 
 def _two_term_args(inst):
@@ -398,13 +399,15 @@ VARIANT_TABLE = {v.name: v for v in (
     Variant("mixed", MixedInstance, "Cc", ("X1", "X2"),
             check_mixed,
             lambda inst, tol, branch: solve_mixed_system(inst, tol),
-            lambda size, seed, eta: gen_mixed(size, seed)),
+            lambda size, seed, eta: gen_mixed(size, seed),
+            one_closed_form=True),
     Variant("two-term", TwoTermInstance, "E1", ("X3", "X4"),
             lambda inst, tol: check_two_term(*_two_term_args(inst), tol=tol),
             lambda inst, tol, branch: solve_two_term(*_two_term_args(inst),
                                                      tol),
             lambda size, seed, eta: gen_two_term(size, seed),
-            lambda size, seed, eta: gen_two_term(size, seed, deficient=True)),
+            lambda size, seed, eta: gen_two_term(size, seed, deficient=True),
+            one_closed_form=True),
     Variant("five-term", FiveTermInstance, "B",
             ("X1", "X2", "Y1", "Y2", "Y3"),
             check_five_term, solve_five_term,
@@ -418,13 +421,13 @@ VARIANT_TABLE = {v.name: v for v in (
             check_eta_two,
             lambda inst, tol, branch: solve_eta_two(
                 inst.B1, inst.C1, inst.D1, inst.eta, tol),
-            gen_eta_two),
+            gen_eta_two, one_closed_form=True),
     Variant("eta-mixed", EtaMixedInstance, "D3", ("X", "Y"),
             check_eta_mixed,
             lambda inst, tol, branch: solve_eta_mixed(
                 inst.A1, inst.C1, inst.B1, inst.D1, inst.A2, inst.A3,
                 inst.D3, inst.eta, tol),
-            gen_eta_mixed),
+            gen_eta_mixed, one_closed_form=True),
 )}
 
 VARIANTS = tuple(VARIANT_TABLE)

@@ -66,10 +66,6 @@ class QMatrix:
         return cls(np.eye(n))
 
     @classmethod
-    def from_real(cls, arr) -> "QMatrix":
-        return cls(np.atleast_2d(np.asarray(arr, dtype=float)))
-
-    @classmethod
     def from_entries(cls, entries: Sequence[Sequence]) -> "QMatrix":
         """Build from a nested sequence of Quaternion / scalar / 4-sequences."""
         rows = len(entries)
@@ -111,10 +107,6 @@ class QMatrix:
     @property
     def cols(self) -> int:
         return self.w.shape[1]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.w.size == 0
 
     def entry(self, p: int, q: int) -> Quaternion:
         return Quaternion(self.w[p, q], self.x[p, q], self.y[p, q], self.z[p, q])
@@ -223,16 +215,6 @@ class QMatrix:
                          + self.y.ravel() @ self.y.ravel()
                          + self.z.ravel() @ self.z.ravel())
 
-    def max_abs(self) -> float:
-        if self.is_empty:
-            return 0.0
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2).max())
-
-    def is_eta_hermitian(self, eta, tol=1e-9) -> bool:
-        if self.rows != self.cols:
-            return False
-        return (self - self.eta_conj_transpose(eta)).norm() <= tol * (1.0 + self.norm())
-
     def submatrix(self, row_slice, col_slice) -> "QMatrix":
         return QMatrix(self.w[row_slice, col_slice].copy(),
                        self.x[row_slice, col_slice].copy(),
@@ -256,18 +238,6 @@ class QMatrix:
 
 def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     return a @ b
-
-
-def mat_add(a: QMatrix, b: QMatrix) -> QMatrix:
-    return a + b
-
-
-def mat_sub(a: QMatrix, b: QMatrix) -> QMatrix:
-    return a - b
-
-
-def scalar_mul(q, a: QMatrix) -> QMatrix:
-    return q * a
 
 
 def conj_transpose(a: QMatrix) -> QMatrix:
@@ -394,12 +364,17 @@ def block(grid: Sequence[Sequence]) -> QMatrix:
                 raise DimensionError(f"block column {q} width mismatch")
     if any(h is None for h in heights) or any(w is None for w in widths):
         raise DimensionError("zero block with undetermined size")
-    rows = []
+    if not ncols:
+        raise DimensionError("block of nothing")
+    out = QMatrix.zeros(sum(heights), sum(widths))
+    r0 = 0
     for p in range(nrows):
-        cells = []
+        c0 = 0
         for q in range(ncols):
             cell = grid[p][q]
-            cells.append(cell if cell is not None
-                         else QMatrix.zeros(heights[p], widths[q]))
-        rows.append(hstack(cells))
-    return vstack(rows)
+            if cell is not None:
+                for dst, src in zip(out.components(), cell.components()):
+                    dst[r0:r0 + heights[p], c0:c0 + widths[q]] = src
+            c0 += widths[q]
+        r0 += heights[p]
+    return out

@@ -125,6 +125,80 @@ class FiveTermIntermediates:
     F22: QMatrix
 
 
+def _bordered(ks, forms) -> list:
+    """Block grid with the copies ``ks`` of K on its diagonal, bordered by
+    ``forms``: (tops, corner, sides) with one top and one side per copy
+    (``None`` for a zero block) and the corners on the diagonal."""
+    n = len(forms)
+    grid = [[k if j == i else None for j in range(len(ks))]
+            + [tops[i] for tops, _, _ in forms] for i, k in enumerate(ks)]
+    grid += [list(sides) + [g if j == i else None for j in range(n)]
+             for i, (_, g, sides) in enumerate(forms)]
+    return grid
+
+
+def _bordered_rank(name, r, ks, lefts, rights):
+    """r([[K, T], [S, G]]) against the rank of the left forms without
+    the K columns plus the rank of the right forms without the K rows."""
+    c = len(ks)
+    lhs = r(block(_bordered(ks, lefts + rights)))
+    rhs = (r(block([row[c:] for row in _bordered(ks, lefts)]))
+           + r(block(_bordered(ks, rights)[c:])))
+    return rank_condition(name, lhs, rhs)
+
+
+def block_rank_conditions(r, k, a, b, c, d, e, f) -> list:
+    """The rank certificate R1-R9 of
+
+        K = E0 U + V F0 + E2 W2 F2 + E3 W3 F3 + E4 W4 F4,
+        A0 U = C0,  V B0 = D0,  Ai Wi = Ci,  Wi Bi = Di  (i = 2, 3, 4).
+
+    ``a`` .. ``f`` are four-element lists: A0, B0, C0, D0, E0, F0 at
+    index 0 and the blocks of W2, W3, W4 at indices 1-3; ``r`` is the
+    rank function.  Each unknown borders K in one of two forms, given as
+    (top, corner, side): on the left side as (E, A, C F), which U always
+    takes as (E0, A0, C0), or on the right side as (E D, B, F), which V
+    always takes as (D0, B0, F0).  Every condition compares the rank of
+    [[K, tops], [sides, diag(corners)]] with the rank of the left forms
+    without the K column plus that of the right forms without the K row.
+
+    R(n+1), n = 0..7, puts W3 on the right side when bit 0 of n is set,
+    W2 for bit 1 and W4 for bit 2.  R9 borders two copies of K, the
+    first with W2 left and W3 right, the second the other way round,
+    and joins them through W4: its left form has top E4 in both copies
+    and side C4 F4 in the second; its right form has top E4 D4 in the
+    first and sides (F4, -F4).  The master system passes its own blocks,
+    the five-term equation empty side blocks; the three-term and
+    eta-Hermitian systems reach this rule through the master system.
+    """
+    u = ((e[0],), a[0], (c[0],))
+    v = ((d[0],), b[0], (f[0],))
+    left = [u] + [((e[i],), a[i], (c[i] @ f[i],)) for i in (1, 2, 3)]
+    right = [v] + [((e[i] @ d[i],), b[i], (f[i],)) for i in (1, 2, 3)]
+
+    def split(moved, ws=(1, 2, 3)):
+        return ([u] + [left[i] for i in ws if i not in moved],
+                [right[i] for i in ws if i in moved] + [v])
+
+    out = []
+    for n in range(8):
+        moved = [i for i, bit in ((2, 1), (1, 2), (3, 4)) if n & bit]
+        out.append(_bordered_rank(f"R{n + 1}", r, [k], *split(moved)))
+
+    def in_copy(forms, i):
+        pad = lambda x: (x[0], None) if i == 0 else (None, x[0])
+        return [(pad(tops), g, pad(sides)) for tops, g, sides in forms]
+
+    (la, ra), (lb, rb) = split([2], (1, 2)), split([1], (1, 2))
+    (e4,), a4, (c4f4,) = left[3]
+    (e4d4,), b4, (f4,) = right[3]
+    out.append(_bordered_rank(
+        "R9", r, [k, k],
+        in_copy(la, 0) + in_copy(lb, 1) + [((e4, e4), a4, (None, c4f4))],
+        in_copy(ra, 0) + in_copy(rb, 1) + [((e4d4, None), b4, (f4, -f4))]))
+    return out
+
+
 class _FiveTermWork:
     """Shared pseudoinverse bundles and intermediates for one instance."""
 
@@ -210,82 +284,39 @@ class _FiveTermWork:
 
     # -- certificates ----------------------------------------------------
 
+    def mp_terms(self, letters: str = "CDE") -> list:
+        """(name, value) of the nine residual conditions, each of which
+        must vanish; ``letters`` name C, D and E (the master system
+        calls them G, H and L)."""
+        c, d, e = letters
+        out = []
+        for i in range(1, 5):
+            ei = getattr(self, f"E{i}")
+            out.append((f"R_{c}{i}*{e}{i}", self.bC[i - 1].proj_right @ ei))
+            out.append((f"{e}{i}*L_{d}{i}", ei @ self.bD[i - 1].proj_left))
+        out.append(("R_E22*E*L_E33",
+                    self.vw3.bc4.proj_right @ self.E @ self.vw3.bd3.proj_left))
+        return out
+
     def mp_conditions(self, tol: float) -> list:
         threshold = tol * (1.0 + self.inst.coefficient_norm()
                            + self.inst.B.norm())
-        out = []
-        for i in range(4):
-            out.append(residual_condition(
-                f"R_C{i + 1}*E{i + 1}",
-                self.bC[i].proj_right @ getattr(self, f"E{i + 1}"), threshold))
-            out.append(residual_condition(
-                f"E{i + 1}*L_D{i + 1}",
-                getattr(self, f"E{i + 1}") @ self.bD[i].proj_left, threshold))
-        out.append(residual_condition(
-            "R_E22*E*L_E33",
-            self.vw3.bc4.proj_right @ self.E @ self.vw3.bd3.proj_left,
-            threshold))
-        return out
+        return [residual_condition(name, value, threshold)
+                for name, value in self.mp_terms()]
 
     def rank_conditions(self) -> list:
-        inst, rt = self.inst, self.rank_tol
-        a1, a2, a3, a4 = inst.A1, inst.A2, inst.A3, inst.A4
-        b1, b2, b3, b4 = inst.B1, inst.B2, inst.B3, inst.B4
-        b = inst.B
-        r = lambda m: rank(m, rt, floor=self.floor)
-        out = [
-            rank_condition("R1", r(block([[b, a2, a3, a4, a1],
-                                          [b1, None, None, None, None]])),
-                           r(b1) + r(hstack([a2, a3, a4, a1]))),
-            rank_condition("R2", r(block([[b, a2, a4, a1],
-                                          [b3, None, None, None],
-                                          [b1, None, None, None]])),
-                           r(hstack([a2, a4, a1])) + r(vstack([b3, b1]))),
-            rank_condition("R3", r(block([[b, a3, a4, a1],
-                                          [b2, None, None, None],
-                                          [b1, None, None, None]])),
-                           r(hstack([a3, a4, a1])) + r(vstack([b2, b1]))),
-            rank_condition("R4", r(block([[b, a4, a1],
-                                          [b2, None, None],
-                                          [b3, None, None],
-                                          [b1, None, None]])),
-                           r(vstack([b2, b3, b1])) + r(hstack([a4, a1]))),
-            rank_condition("R5", r(block([[b, a2, a3, a1],
-                                          [b4, None, None, None],
-                                          [b1, None, None, None]])),
-                           r(hstack([a2, a3, a1])) + r(vstack([b4, b1]))),
-            rank_condition("R6", r(block([[b, a2, a1],
-                                          [b3, None, None],
-                                          [b4, None, None],
-                                          [b1, None, None]])),
-                           r(vstack([b3, b4, b1])) + r(hstack([a2, a1]))),
-            rank_condition("R7", r(block([[b, a3, a1],
-                                          [b2, None, None],
-                                          [b4, None, None],
-                                          [b1, None, None]])),
-                           r(vstack([b2, b4, b1])) + r(hstack([a3, a1]))),
-            rank_condition("R8", r(block([[b, a1],
-                                          [b2, None],
-                                          [b3, None],
-                                          [b4, None],
-                                          [b1, None]])),
-                           r(vstack([b2, b3, b4, b1])) + r(a1)),
-        ]
-        lhs9 = block([
-            [b, a2, a1, None, None, None, a4],
-            [b3, None, None, None, None, None, None],
-            [b1, None, None, None, None, None, None],
-            [None, None, None, -b, a3, a1, a4],
-            [None, None, None, b2, None, None, None],
-            [None, None, None, b1, None, None, None],
-            [b4, None, None, b4, None, None, None]])
-        rhs9_left = block([[b3, None], [b1, None], [None, b2],
-                           [None, b1], [b4, b4]])
-        rhs9_right = block([[a2, a1, None, None, a4],
-                            [None, None, a3, a1, a4]])
-        out.append(rank_condition("R9", r(lhs9),
-                                  r(rhs9_left) + r(rhs9_right)))
-        return out
+        inst = self.inst
+        p, q = inst.B.shape
+        es = [inst.A1, inst.A2, inst.A3, inst.A4]
+        fs = [inst.B1, inst.B2, inst.B3, inst.B4]
+        # no side equations: zero-row A, C and zero-column B, D blocks
+        a = [QMatrix.zeros(0, e.cols) for e in es]
+        b = [QMatrix.zeros(f.rows, 0) for f in fs]
+        c = [QMatrix.zeros(0, q)] + [QMatrix.zeros(0, f.rows) for f in fs[1:]]
+        d = [QMatrix.zeros(p, 0)] + [QMatrix.zeros(e.cols, 0) for e in es[1:]]
+        return block_rank_conditions(
+            lambda m: rank(m, self.rank_tol, floor=self.floor),
+            inst.B, a, b, c, d, es, fs)
 
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build([], self.mp_conditions(tol),

@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from ..decomp import pinv, rank
-from ..qmatrix import DimensionError, QMatrix, block, hstack, vstack
+from ..qmatrix import DimensionError, QMatrix, hstack, vstack
 from .basic import DEFAULT_TOL
 from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
                        SolvabilityReport, cascade_floor, rank_condition,
                        residual_condition)
-from .five_term import FIVE_TERM_PARAM_NAMES, FiveTermInstance, _FiveTermWork
+from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
+                        _FiveTermWork, block_rank_conditions)
 
 # five-term parameter names as they appear in the master solution display
 MASTER_PARAM_NAMES = ("W11", "W12", "W13") + FIVE_TERM_PARAM_NAMES[3:]
@@ -214,13 +215,15 @@ class _MasterWork:
                for i in range(4)]
         bii = [self.bB[i].proj_right @ getattr(inst, f"F{i + 1}")
                for i in range(4)]
-        t1 = (inst.Cc - inst.E1 @ (self.bA[0].pinv @ inst.C1)
-              - inst.D1 @ self.bB[0].pinv @ inst.F1)
+        # particular solutions of the side equations: U, V, X, Y, Z
+        self.part = [self.bA[0].pinv @ inst.C1, inst.D1 @ self.bB[0].pinv]
+        t1 = inst.Cc - inst.E1 @ self.part[0] - self.part[1] @ inst.F1
         for i in (1, 2, 3):
             ai, bi = self.bA[i], self.bB[i]
             ci, di = getattr(inst, f"C{i + 1}"), getattr(inst, f"D{i + 1}")
             ei, fi = getattr(inst, f"E{i + 1}"), getattr(inst, f"F{i + 1}")
-            t1 = t1 - ei @ (ai.pinv @ ci + ai.proj_left @ di @ bi.pinv) @ fi
+            self.part.append(ai.pinv @ ci + ai.proj_left @ di @ bi.pinv)
+            t1 = t1 - ei @ self.part[i + 1] @ fi
         self.t1 = t1
         self.reduced = FiveTermInstance(aii[0], bii[0], aii[1], bii[1],
                                         aii[2], bii[2], aii[3], bii[3], t1)
@@ -242,26 +245,13 @@ class _MasterWork:
     def mp_conditions(self, tol: float) -> list:
         inst = self.inst
         threshold = tol * (1.0 + inst.coefficient_norm())
-        out = []
+        terms = []
         for i in range(4):
             c, d = getattr(inst, f"C{i + 1}"), getattr(inst, f"D{i + 1}")
-            out.append(residual_condition(
-                f"R_A{i + 1}*C{i + 1}", self.bA[i].proj_right @ c, threshold))
-            out.append(residual_condition(
-                f"D{i + 1}*L_B{i + 1}", d @ self.bB[i].proj_left, threshold))
-        five = self.five
-        for i in range(4):
-            out.append(residual_condition(
-                f"R_G{i + 1}*L{i + 1}",
-                five.bC[i].proj_right @ getattr(five, f"E{i + 1}"), threshold))
-            out.append(residual_condition(
-                f"L{i + 1}*L_H{i + 1}",
-                getattr(five, f"E{i + 1}") @ five.bD[i].proj_left, threshold))
-        out.append(residual_condition(
-            "R_E22*E*L_E33",
-            five.vw3.bc4.proj_right @ five.E @ five.vw3.bd3.proj_left,
-            threshold))
-        return out
+            terms.append((f"R_A{i + 1}*C{i + 1}", self.bA[i].proj_right @ c))
+            terms.append((f"D{i + 1}*L_B{i + 1}", d @ self.bB[i].proj_left))
+        return [residual_condition(name, value, threshold)
+                for name, value in terms + self.five.mp_terms("GHL")]
 
     def rank_conditions(self) -> list:
         inst, rt = self.inst, self.rank_tol
@@ -274,148 +264,9 @@ class _MasterWork:
                                       r(hstack([c, a])), self.bA[i].rank))
             out.append(rank_condition(f"r(D{i + 1};B{i + 1})=r(B{i + 1})",
                                       r(vstack([d, b])), self.bB[i].rank))
-        a1, a2, a3, a4 = inst.A1, inst.A2, inst.A3, inst.A4
-        b1, b2, b3, b4 = inst.B1, inst.B2, inst.B3, inst.B4
-        c1 = inst.C1
-        d1 = inst.D1
-        e1, e2, e3, e4 = inst.E1, inst.E2, inst.E3, inst.E4
-        f1, f2, f3, f4 = inst.F1, inst.F2, inst.F3, inst.F4
-        cc = inst.Cc
-        c2f2 = inst.C2 @ f2
-        c3f3 = inst.C3 @ f3
-        c4f4 = inst.C4 @ f4
-        e2d2 = e2 @ inst.D2
-        e3d3 = e3 @ inst.D3
-        e4d4 = e4 @ inst.D4
-
-        out.append(rank_condition(
-            "R1",
-            r(block([[cc, e1, e2, e3, e4, d1],
-                     [f1, None, None, None, None, b1],
-                     [c1, a1, None, None, None, None],
-                     [c2f2, None, a2, None, None, None],
-                     [c3f3, None, None, a3, None, None],
-                     [c4f4, None, None, None, a4, None]])),
-            r(block([[e1, e2, e3, e4],
-                     [a1, None, None, None],
-                     [None, a2, None, None],
-                     [None, None, a3, None],
-                     [None, None, None, a4]])) + r(hstack([f1, b1]))))
-        out.append(rank_condition(
-            "R2",
-            r(block([[cc, e1, e2, e4, e3d3, d1],
-                     [c1, a1, None, None, None, None],
-                     [c2f2, None, a2, None, None, None],
-                     [c4f4, None, None, a4, None, None],
-                     [f3, None, None, None, b3, None],
-                     [f1, None, None, None, None, b1]])),
-            r(block([[e1, e2, e4],
-                     [a1, None, None],
-                     [None, a2, None],
-                     [None, None, a4]]))
-            + r(block([[f3, b3, None], [f1, None, b1]]))))
-        out.append(rank_condition(
-            "R3",
-            r(block([[cc, e1, e3, e4, e2d2, d1],
-                     [c1, a1, None, None, None, None],
-                     [c3f3, None, a3, None, None, None],
-                     [c4f4, None, None, a4, None, None],
-                     [f2, None, None, None, b2, None],
-                     [f1, None, None, None, None, b1]])),
-            r(block([[e1, e3, e4],
-                     [a1, None, None],
-                     [None, a3, None],
-                     [None, None, a4]]))
-            + r(block([[f2, b2, None], [f1, None, b1]]))))
-        out.append(rank_condition(
-            "R4",
-            r(block([[cc, e4, e1, e2d2, e3d3, d1],
-                     [f2, None, None, b2, None, None],
-                     [f3, None, None, None, b3, None],
-                     [f1, None, None, None, None, b1],
-                     [c4f4, a4, None, None, None, None],
-                     [c1, None, a1, None, None, None]])),
-            r(block([[f2, b2, None, None],
-                     [f3, None, b3, None],
-                     [f1, None, None, b1]]))
-            + r(block([[e4, e1], [a4, None], [None, a1]]))))
-        out.append(rank_condition(
-            "R5",
-            r(block([[cc, e1, e2, e3, e4d4, d1],
-                     [c1, a1, None, None, None, None],
-                     [c2f2, None, a2, None, None, None],
-                     [c3f3, None, None, a3, None, None],
-                     [f4, None, None, None, b4, None],
-                     [f1, None, None, None, None, b1]])),
-            r(block([[e1, e2, e3],
-                     [a1, None, None],
-                     [None, a2, None],
-                     [None, None, a3]]))
-            + r(block([[f4, b4, None], [f1, None, b1]]))))
-        out.append(rank_condition(
-            "R6",
-            r(block([[cc, e2, e1, e3d3, e4d4, d1],
-                     [f3, None, None, b3, None, None],
-                     [f4, None, None, None, b4, None],
-                     [f1, None, None, None, None, b1],
-                     [c2f2, a2, None, None, None, None],
-                     [c1, None, a1, None, None, None]])),
-            r(block([[f3, b3, None, None],
-                     [f4, None, b4, None],
-                     [f1, None, None, b1]]))
-            + r(block([[e2, e1], [a2, None], [None, a1]]))))
-        out.append(rank_condition(
-            "R7",
-            r(block([[cc, e3, e1, e2d2, e4d4, d1],
-                     [f2, None, None, b2, None, None],
-                     [f4, None, None, None, b4, None],
-                     [f1, None, None, None, None, b1],
-                     [c3f3, a3, None, None, None, None],
-                     [c1, None, a1, None, None, None]])),
-            r(block([[f2, b2, None, None],
-                     [f4, None, b4, None],
-                     [f1, None, None, b1]]))
-            + r(block([[e3, e1], [a3, None], [None, a1]]))))
-        out.append(rank_condition(
-            "R8",
-            r(block([[cc, e1, e4d4, e2d2, e3d3, d1],
-                     [f4, None, b4, None, None, None],
-                     [f2, None, None, b2, None, None],
-                     [f3, None, None, None, b3, None],
-                     [f1, None, None, None, None, b1],
-                     [c1, a1, None, None, None, None]])),
-            r(block([[f4, b4, None, None, None],
-                     [f2, None, b2, None, None],
-                     [f3, None, None, b3, None],
-                     [f1, None, None, None, b1]]))
-            + r(vstack([e1, a1]))))
-        lhs9 = block([
-            [cc, e2, e1, None, None, None, e4, e3d3, d1, None, None, e4d4],
-            [f3, None, None, None, None, None, None, b3, None, None, None, None],
-            [f1, None, None, None, None, None, None, None, b1, None, None, None],
-            [None, None, None, cc, e3, e1, e4, None, None, e2d2, d1, None],
-            [None, None, None, f2, None, None, None, None, None, b2, None, None],
-            [None, None, None, f1, None, None, None, None, None, None, b1, None],
-            [f4, None, None, -f4, None, None, None, None, None, None, None, b4],
-            [c2f2, a2, None, None, None, None, None, None, None, None, None, None],
-            [c1, None, a1, None, None, None, None, None, None, None, None, None],
-            [None, None, None, c3f3, a3, None, None, None, None, None, None, None],
-            [None, None, None, c1, None, a1, None, None, None, None, None, None],
-            [None, None, None, c4f4, None, None, a4, None, None, None, None, None]])
-        rhs9 = (r(block([[f3, None, b3, None, None, None, None],
-                         [f1, None, None, b1, None, None, None],
-                         [None, f2, None, None, b2, None, None],
-                         [None, f1, None, None, None, b1, None],
-                         [f4, f4, None, None, None, None, b4]]))
-                + r(block([[e2, e1, None, None, e4],
-                           [None, None, e3, e1, e4],
-                           [a2, None, None, None, None],
-                           [None, a1, None, None, None],
-                           [None, None, a3, None, None],
-                           [None, None, None, a1, None],
-                           [None, None, None, None, a4]])))
-        out.append(rank_condition("R9", r(lhs9), rhs9))
-        return out
+        blocks = [[getattr(inst, f"{x}{i}") for i in (1, 2, 3, 4)]
+                  for x in "ABCDEF"]
+        return out + block_rank_conditions(r, inst.Cc, *blocks)
 
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build(self.compat_conditions(tol),
@@ -423,7 +274,7 @@ class _MasterWork:
                                        self.rank_conditions())
 
     def intermediates(self) -> MasterIntermediates:
-        inst, five = self.inst, self.five
+        five = self.five
         return MasterIntermediates(
             A11=self.reduced.A1, A22=self.reduced.A2, A33=self.reduced.A3,
             A44=self.reduced.A4, B11=self.reduced.B1, B22=self.reduced.B2,
@@ -450,19 +301,15 @@ class _MasterWork:
         return tuple(renamed)
 
     def assemble(self, vals: dict, branch: str):
-        inst = self.inst
         five_vals = {old: vals[new] for new, old in
                      zip(MASTER_PARAM_NAMES, FIVE_TERM_PARAM_NAMES)}
         s1, s2, w1, w2, w3 = self.five.assemble(five_vals, branch)
-        u = self.bA[0].pinv @ inst.C1 + self.bA[0].proj_left @ s1
-        v = inst.D1 @ self.bB[0].pinv + s2 @ self.bB[0].proj_right
-        inner = (w1, w2, w3)
+        u = self.part[0] + self.bA[0].proj_left @ s1
+        v = self.part[1] + s2 @ self.bB[0].proj_right
         out = [u, v]
-        for i, w in zip((1, 2, 3), inner):
-            ai, bi = self.bA[i], self.bB[i]
-            ci, di = getattr(inst, f"C{i + 1}"), getattr(inst, f"D{i + 1}")
-            out.append(ai.pinv @ ci + ai.proj_left @ di @ bi.pinv
-                       + ai.proj_left @ w @ bi.proj_right)
+        for i, w in zip((1, 2, 3), (w1, w2, w3)):
+            out.append(self.part[i + 1]
+                       + self.bA[i].proj_left @ w @ self.bB[i].proj_right)
         return tuple(out)
 
 

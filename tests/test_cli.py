@@ -35,14 +35,22 @@ def test_inconsistent_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_second_branch_and_inconsistent_exit_codes(variant, tmp_path):
+def test_second_branch_and_inconsistent_exit_codes(variant, tmp_path,
+                                                   capsys):
     ipath = str(tmp_path / "inst.json")
     spath = str(tmp_path / "sol.json")
     bpath = str(tmp_path / "bad.json")
     assert main(["gen", "--variant", variant, "--size", "2", "--seed", "6",
                  "--eta", "k", "--out", ipath]) == 0
+    capsys.readouterr()
     assert main(["solve", ipath, "--branch", "second", "--free", "random",
                  "--out", spath]) == 0
+    note = (f"note: {variant} has one closed form; --branch second is "
+            "ignored\n")
+    if variant in ("mixed", "two-term", "eta-two", "eta-mixed"):
+        assert capsys.readouterr().err == note
+    else:
+        assert "note:" not in capsys.readouterr().err
     assert main(["verify", ipath, spath]) == 0
     assert main(["gen", "--variant", variant, "--size", "2", "--seed", "6",
                  "--eta", "k", "--inconsistent", "--out", bpath]) == 0
