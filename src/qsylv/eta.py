@@ -24,7 +24,7 @@ from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix, block, hstack, vstack
 from .solvers.basic import DEFAULT_TOL
 from .solvers.families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                               SolvabilityReport, cascade_floor,
+                               SolvabilityReport, cascade_floor, decide,
                                rank_condition, residual_condition)
 from .solvers.master import MasterInstance, check_master, solve_master
 
@@ -269,11 +269,10 @@ class _EtaTwoWork:
         self.S = inst.C1 @ self.bM.proj_left
         self.bS = pv(self.S)
 
-    def report(self, tol: float) -> SolvabilityReport:
-        inst, et = self.inst, self.inst.eta
-        b1, c1, d1 = inst.B1, inst.C1, inst.D1
+    def mp_conditions(self, tol: float) -> list:
+        et, d1 = self.inst.eta, self.inst.D1
         threshold = tol * (1.0 + d1.norm())
-        mp = [
+        return [
             residual_condition("R_M*R_B1*D1",
                                self.bM.proj_right @ (self.bB.proj_right @ d1),
                                threshold),
@@ -282,8 +281,12 @@ class _EtaTwoWork:
                                @ self.bC.proj_right.eta_conj_transpose(et),
                                threshold),
         ]
+
+    def rank_conditions(self) -> list:
+        inst, et = self.inst, self.inst.eta
+        b1, c1, d1 = inst.B1, inst.C1, inst.D1
         r = lambda m: rank(m, self.rank_tol, floor=self.floor)
-        ranks = [
+        return [
             rank_condition("r([B1,D1;0,C1^eta*])=r(B1)+r(C1)",
                            r(block([[b1, d1],
                                     [None, c1.eta_conj_transpose(et)]])),
@@ -291,7 +294,10 @@ class _EtaTwoWork:
             rank_condition("r(B1,C1,D1)=r(B1,C1)",
                            r(hstack([b1, c1, d1])), r(hstack([b1, c1]))),
         ]
-        return SolvabilityReport.build([], mp, ranks)
+
+    def report(self, tol: float) -> SolvabilityReport:
+        return SolvabilityReport.build([], self.mp_conditions(tol),
+                                       self.rank_conditions())
 
     def family(self) -> LinearSolutionFamily:
         inst, et = self.inst, self.inst.eta
@@ -345,10 +351,8 @@ def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
     inst = EtaTwoInstance(eta, b1, c1, d1)
     _require_eta_hermitian(d1, eta, "D1")
     work = _EtaTwoWork(inst)
-    report = work.report(tol)
-    if not report.consistent:
-        return Inconsistent(report)
-    return work.family()
+    return decide([], work.mp_conditions(tol), work.rank_conditions,
+                  work.family, inst.residual_terms, tol)
 
 
 # -- mixed one-sided / two-sided eta system --------------------------------
@@ -423,8 +427,13 @@ class _EtaMixedWork:
         self.C4 = inst.A3 @ ec(self.bB1.proj_right)
         self.D4 = (inst.D3 - inst.A2 @ self.x_part @ ec(inst.A2)
                    - inst.A3 @ self.y_part @ ec(inst.A3))
+        self.inner = _EtaTwoWork(EtaTwoInstance(et, self.B4, self.C4,
+                                                self.D4))
 
-    def side_conditions(self, tol: float):
+    def conditions(self, tol: float):
+        """(compat, mp): the side conditions, then the residual
+        certificate of the side equations and of the reduced eta-two
+        equation."""
         inst, et = self.inst, self.inst.eta
         ec = lambda m: m.eta_conj_transpose(et)
         threshold = tol * (1.0 + inst.C1.norm() + inst.D1.norm()
@@ -443,9 +452,9 @@ class _EtaMixedWork:
             residual_condition("D1*L_B1", inst.D1 @ self.bB1.proj_left,
                                threshold),
         ]
-        return compat, mp
+        return compat, mp + self.inner.mp_conditions(tol)
 
-    def side_ranks(self):
+    def rank_conditions(self) -> list:
         inst = self.inst
         r = lambda m: rank(m, self.rank_tol, floor=self.floor)
         return [
@@ -453,24 +462,15 @@ class _EtaMixedWork:
                            r(hstack([inst.A1, inst.C1])), self.bA1.rank),
             rank_condition("r(D1;B1)=r(B1)",
                            r(vstack([inst.D1, inst.B1])), self.bB1.rank),
-        ]
-
-
-def _eta_mixed_report(work: _EtaMixedWork, inner: _EtaTwoWork,
-                      tol: float) -> SolvabilityReport:
-    compat, mp = work.side_conditions(tol)
-    inner_rep = inner.report(tol)
-    return SolvabilityReport.build(
-        compat, mp + inner_rep.mp_conditions,
-        work.side_ranks() + inner_rep.rank_conditions)
+        ] + self.inner.rank_conditions()
 
 
 def check_eta_mixed(inst: EtaMixedInstance,
                     tol: float = DEFAULT_TOL) -> SolvabilityReport:
     _require_eta_hermitian(inst.D3, inst.eta, "D3")
     work = _EtaMixedWork(inst)
-    inner = _EtaTwoWork(EtaTwoInstance(inst.eta, work.B4, work.C4, work.D4))
-    return _eta_mixed_report(work, inner, tol)
+    return SolvabilityReport.build(*work.conditions(tol),
+                                   work.rank_conditions())
 
 
 def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
@@ -483,11 +483,7 @@ def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
     inst = EtaMixedInstance(eta, a1, c1, b1, d1, a2, a3, d3)
     _require_eta_hermitian(d3, eta, "D3")
     work = _EtaMixedWork(inst)
-    inner_work = _EtaTwoWork(EtaTwoInstance(eta, work.B4, work.C4, work.D4))
-    report = _eta_mixed_report(work, inner_work, tol)
-    if not report.consistent:
-        return Inconsistent(report)
-    inner = inner_work.family()
+    inner = work.inner.family()
     ec = lambda m: m.eta_conj_transpose(eta)
     la1 = work.bA1.proj_left
     rb1 = work.bB1.proj_right
@@ -502,4 +498,6 @@ def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
         y = work.y_part + ec(rb1) @ w @ rb1
         return (x, y)
 
-    return LinearSolutionFamily(("X", "Y"), params, assemble)
+    return decide(*work.conditions(tol), work.rank_conditions,
+                  lambda: LinearSolutionFamily(("X", "Y"), params, assemble),
+                  inst.residual_terms, tol)

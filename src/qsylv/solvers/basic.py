@@ -2,17 +2,17 @@
 
 solve_left treats A X = C, solve_right treats X A = C, and solve_pair
 treats the simultaneous pair A X = C, X B = D.  Inconsistency is a
-result, not an error; each solver reports both the residual certificate
-and the equivalent rank certificate.
+result, not an error; each solver decides by the rule of
+:func:`.families.decide`, and an ``Inconsistent`` reports both the
+residual certificate and the equivalent rank certificate.
 """
 
 from __future__ import annotations
 
 from ..decomp import pinv, rank
 from ..qmatrix import DimensionError, QMatrix, hstack, vstack
-from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                       SolvabilityReport, cascade_floor, rank_condition,
-                       residual_condition)
+from .families import (FreeParam, LinearSolutionFamily, cascade_floor,
+                       decide, rank_condition, residual_condition)
 
 DEFAULT_TOL = 1e-9
 
@@ -25,18 +25,18 @@ def solve_left(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
     ba = pinv(a, floor=floor)
     threshold = tol * (1.0 + c.norm())
     mp = [residual_condition("R_A*C", c - a @ (ba.pinv @ c), threshold)]
-    ranks = [rank_condition("r(C,A)=r(A)",
-                            rank(hstack([c, a]), floor=floor), ba.rank)]
-    report = SolvabilityReport.build([], mp, ranks)
-    if not report.consistent:
-        return Inconsistent(report)
     particular = ba.pinv @ c
     params = (FreeParam("U1", (a.cols, c.cols)),)
 
     def assemble(vals):
         return (particular + ba.proj_left @ vals["U1"],)
 
-    return LinearSolutionFamily(("X",), params, assemble)
+    return decide(
+        [], mp,
+        lambda: [rank_condition("r(C,A)=r(A)",
+                                rank(hstack([c, a]), floor=floor), ba.rank)],
+        lambda: LinearSolutionFamily(("X",), params, assemble),
+        lambda sol: [("A*X=C", a @ sol[0] - c, c.norm())], tol)
 
 
 def solve_right(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
@@ -47,18 +47,18 @@ def solve_right(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
     ba = pinv(a, floor=floor)
     threshold = tol * (1.0 + c.norm())
     mp = [residual_condition("C*L_A", c - (c @ ba.pinv) @ a, threshold)]
-    ranks = [rank_condition("r(C;A)=r(A)",
-                            rank(vstack([c, a]), floor=floor), ba.rank)]
-    report = SolvabilityReport.build([], mp, ranks)
-    if not report.consistent:
-        return Inconsistent(report)
     particular = c @ ba.pinv
     params = (FreeParam("U1", (c.rows, a.rows)),)
 
     def assemble(vals):
         return (particular + vals["U1"] @ ba.proj_right,)
 
-    return LinearSolutionFamily(("X",), params, assemble)
+    return decide(
+        [], mp,
+        lambda: [rank_condition("r(C;A)=r(A)",
+                                rank(vstack([c, a]), floor=floor), ba.rank)],
+        lambda: LinearSolutionFamily(("X",), params, assemble),
+        lambda sol: [("X*A=C", sol[0] @ a - c, c.norm())], tol)
 
 
 def solve_pair(a: QMatrix, c: QMatrix, b: QMatrix, d: QMatrix,
@@ -82,17 +82,18 @@ def solve_pair(a: QMatrix, c: QMatrix, b: QMatrix, d: QMatrix,
     compat = [residual_condition("A*D=C*B", a @ d - c @ b, scale)]
     mp = [residual_condition("R_A*C", ba.proj_right @ c, scale),
           residual_condition("D*L_B", d @ bb.proj_left, scale)]
-    ranks = [rank_condition("r(C,A)=r(A)",
-                            rank(hstack([c, a]), floor=floor), ba.rank),
-             rank_condition("r(D;B)=r(B)",
-                            rank(vstack([d, b]), floor=floor), bb.rank)]
-    report = SolvabilityReport.build(compat, mp, ranks)
-    if not report.consistent:
-        return Inconsistent(report)
     particular = ba.pinv @ c + ba.proj_left @ d @ bb.pinv
     params = (FreeParam("U1", (a.cols, b.rows)),)
 
     def assemble(vals):
         return (particular + ba.proj_left @ vals["U1"] @ bb.proj_right,)
 
-    return LinearSolutionFamily(("X",), params, assemble)
+    return decide(
+        compat, mp,
+        lambda: [rank_condition("r(C,A)=r(A)",
+                                rank(hstack([c, a]), floor=floor), ba.rank),
+                 rank_condition("r(D;B)=r(B)",
+                                rank(vstack([d, b]), floor=floor), bb.rank)],
+        lambda: LinearSolutionFamily(("X",), params, assemble),
+        lambda sol: [("A*X=C", a @ sol[0] - c, c.norm()),
+                     ("X*B=D", sol[0] @ b - d, d.norm())], tol)

@@ -75,6 +75,9 @@ class SolvabilityReport:
     ``consistent`` requires all three lists to pass; ``forms_agree``
     records whether the residual-based verdict and the rank-based
     verdict coincide (they are equivalent in exact arithmetic).
+    ``check_*`` always computes both forms.  ``solve_*`` builds this
+    report only when it does not return a family (see :func:`decide`),
+    so an ``Inconsistent`` carries the same report ``check_*`` gives.
     """
 
     mp_conditions: list = field(default_factory=list)
@@ -129,6 +132,30 @@ class Inconsistent:
     @property
     def failing_conditions(self) -> list:
         return self.report.failing()
+
+
+def decide(compat, mp, ranks, family, residual_terms, tol: float):
+    """The decision rule of every ``solve_*``: a family or Inconsistent.
+
+    ``compat`` and ``mp`` are the evaluated compatibility and residual
+    certificate lists.  When both pass, the family's particular solution
+    is accepted if every ``(name, defect, scale)`` entry of
+    ``residual_terms(solution)`` has ``|defect| <= tol * scale``; the
+    particular solution is linear in the right sides, so this test does
+    not depend on their scale.  An accepted family is returned without
+    building the rank certificate.  Otherwise ``ranks()`` builds the
+    rank list and the verdict is the full report's: the family when it
+    is consistent, else ``Inconsistent`` with that report.  ``family``
+    is called at most once.
+    """
+    built = None
+    if all(c.passed for c in compat) and all(c.passed for c in mp):
+        built = family()
+        if all(defect.norm() <= tol * scale
+               for _, defect, scale in residual_terms(built.particular)):
+            return built
+    report = SolvabilityReport.build(compat, mp, ranks())
+    return built if report.consistent else Inconsistent(report)
 
 
 class LinearSolutionFamily:

@@ -9,7 +9,9 @@ which one the family assembles ("first" is the default).
 
 Consistency is certified both by residual conditions and by nine rank
 equalities; the two certificates agree in exact arithmetic and the
-report records both.
+report of check_five_term records both.  solve_five_term builds the
+rank list only when the residual conditions and a verified particular
+solution do not already decide (see :func:`.families.decide`).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, fields
 from ..decomp import pinv, rank
 from ..qmatrix import DimensionError, QMatrix, block, hstack, vstack
 from .basic import DEFAULT_TOL
-from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                       SolvabilityReport, cascade_floor, rank_condition,
+from .families import (FreeParam, LinearSolutionFamily, SolvabilityReport,
+                       cascade_floor, decide, rank_condition,
                        residual_condition)
 from .two_term import TwoTermKernel
 
@@ -397,12 +399,11 @@ def solve_five_term(inst: FiveTermInstance, tol: float = DEFAULT_TOL,
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     work = _FiveTermWork(inst)
-    report = work.report(tol)
-    if not report.consistent:
-        return Inconsistent(report)
 
     def assemble(vals):
         return work.assemble(vals, branch)
 
-    return LinearSolutionFamily(("X1", "X2", "Y1", "Y2", "Y3"),
-                                work.param_specs(), assemble)
+    return decide([], work.mp_conditions(tol), work.rank_conditions,
+                  lambda: LinearSolutionFamily(("X1", "X2", "Y1", "Y2", "Y3"),
+                                               work.param_specs(), assemble),
+                  inst.residual_terms, tol)

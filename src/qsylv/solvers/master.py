@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 from ..decomp import pinv, rank
 from ..qmatrix import DimensionError, QMatrix, hstack, vstack
 from .basic import DEFAULT_TOL
-from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                       SolvabilityReport, cascade_floor, rank_condition,
+from .families import (FreeParam, LinearSolutionFamily, SolvabilityReport,
+                       cascade_floor, decide, rank_condition,
                        residual_condition)
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         _FiveTermWork, block_rank_conditions)
@@ -327,16 +327,20 @@ def check_master(inst: MasterInstance,
 
 def solve_master(inst: MasterInstance, tol: float = DEFAULT_TOL,
                  branch: str = "first"):
-    """General solution family (U, V, X, Y, Z), or Inconsistent."""
+    """General solution family (U, V, X, Y, Z), or Inconsistent.
+
+    The rank certificate is built only when the compatibility and
+    residual conditions and a verified particular solution do not
+    already decide (see :func:`.families.decide`)."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     work = _MasterWork(inst)
-    report = work.report(tol)
-    if not report.consistent:
-        return Inconsistent(report)
 
     def assemble(vals):
         return work.assemble(vals, branch)
 
-    return LinearSolutionFamily(("U", "V", "X", "Y", "Z"),
-                                work.param_specs(), assemble)
+    return decide(work.compat_conditions(tol), work.mp_conditions(tol),
+                  work.rank_conditions,
+                  lambda: LinearSolutionFamily(("U", "V", "X", "Y", "Z"),
+                                               work.param_specs(), assemble),
+                  inst.residual_terms, tol)

@@ -16,8 +16,8 @@ from ..decomp import pinv, rank
 from ..qmatrix import DimensionError, QMatrix, block, hstack, vstack
 from .basic import DEFAULT_TOL
 from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                       SolvabilityReport, cascade_floor, rank_condition,
-                       residual_condition)
+                       SolvabilityReport, cascade_floor, decide,
+                       rank_condition, residual_condition)
 from .master import MasterInstance, check_master, solve_master
 from .two_term import _TwoTermWork
 
@@ -183,8 +183,12 @@ class _MixedWork:
                   - self.A @ inst.C2 @ self.bB1.pinv @ inst.B3
                   - inst.A4 @ (self.bA2.pinv @ inst.C3) @ inst.B4
                   - self.Cm @ inst.C4 @ self.bB2.pinv @ inst.B4)
+        self.inner = _TwoTermWork(self.A, self.Bb, self.Cm, self.D, self.E)
 
-    def pair_conditions(self, tol: float):
+    def conditions(self, tol: float):
+        """(compat, mp): the pair conditions, then the residual
+        certificate of the pair conditions and of the reduced two-term
+        equation."""
         inst = self.inst
         threshold = tol * (1.0 + sum(m.norm() for m in inst.blocks()))
         compat = [
@@ -205,7 +209,7 @@ class _MixedWork:
             residual_condition("C4*L_B2", inst.C4 @ self.bB2.proj_left,
                                threshold),
         ]
-        return compat, mp
+        return compat, mp + self.inner.mp_conditions(tol)
 
     def rank_conditions(self):
         inst = self.inst
@@ -250,19 +254,11 @@ class _MixedWork:
         return out
 
 
-def _mixed_report(work: _MixedWork, inner: "_TwoTermWork",
-                  tol: float) -> SolvabilityReport:
-    compat, mp = work.pair_conditions(tol)
-    inner_rep = inner.report(tol)
-    return SolvabilityReport.build(compat, mp + inner_rep.mp_conditions,
-                                   work.rank_conditions())
-
-
 def check_mixed(inst: MixedInstance,
                 tol: float = DEFAULT_TOL) -> SolvabilityReport:
     work = _MixedWork(inst)
-    inner = _TwoTermWork(work.A, work.Bb, work.Cm, work.D, work.E)
-    return _mixed_report(work, inner, tol)
+    return SolvabilityReport.build(*work.conditions(tol),
+                                   work.rank_conditions())
 
 
 def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
@@ -272,12 +268,7 @@ def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
     substituting these into the coupling equation leaves a two-term
     two-sided equation that the two-term solver parametrizes."""
     work = _MixedWork(inst)
-    inner = _TwoTermWork(work.A, work.Bb, work.Cm, work.D, work.E)
-    report = _mixed_report(work, inner, tol)
-    if not report.consistent:
-        return Inconsistent(report)
-    inner_family = inner.family()
-
+    inner_family = work.inner.family()
     x_shape = inst.unknown_shapes()["X1"]
     y_shape = inst.unknown_shapes()["X2"]
     params = (FreeParam("U", x_shape), FreeParam("V", y_shape),
@@ -295,4 +286,6 @@ def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
         y = y_part + work.bA2.proj_left @ yt @ work.bB2.proj_right
         return (x, y)
 
-    return LinearSolutionFamily(("X1", "X2"), params, assemble)
+    return decide(*work.conditions(tol), work.rank_conditions,
+                  lambda: LinearSolutionFamily(("X1", "X2"), params, assemble),
+                  inst.residual_terms, tol)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from ..decomp import pinv, rank
 from ..qmatrix import DimensionError, QMatrix, block, hstack, vstack
-from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                       SolvabilityReport, cascade_floor, rank_condition,
+from .families import (FreeParam, LinearSolutionFamily, SolvabilityReport,
+                       cascade_floor, decide, rank_condition,
                        residual_condition)
 from .basic import DEFAULT_TOL
 
@@ -92,10 +92,10 @@ class _TwoTermWork(TwoTermKernel):
         super().__init__(c3, d3, c4, d4,
                          lambda m: pinv(m, rank_tol, floor=self.floor))
 
-    def report(self, tol: float) -> SolvabilityReport:
+    def mp_conditions(self, tol: float) -> list:
         threshold = tol * (1.0 + self.e1.norm())
-        c3, d3, c4, d4, e1 = self.c3, self.d3, self.c4, self.d4, self.e1
-        mp = [
+        e1 = self.e1
+        return [
             residual_condition("R_M1*R_C3*E1",
                                self.bm.proj_right @ (self.bc3.proj_right @ e1),
                                threshold),
@@ -109,8 +109,11 @@ class _TwoTermWork(TwoTermKernel):
                                self.bc4.proj_right @ e1 @ self.bd3.proj_left,
                                threshold),
         ]
+
+    def rank_conditions(self) -> list:
+        c3, d3, c4, d4, e1 = self.c3, self.d3, self.c4, self.d4, self.e1
         r = lambda m: rank(m, self.rank_tol, floor=self.floor)
-        ranks = [
+        return [
             rank_condition("r(C3,E1,C4)=r(C3,C4)",
                            r(hstack([c3, e1, c4])), r(hstack([c3, c4]))),
             rank_condition("r(D3;E1;D4)=r(D3;D4)",
@@ -122,7 +125,10 @@ class _TwoTermWork(TwoTermKernel):
                            r(block([[d3, None], [e1, c4]])),
                            self.bd3.rank + self.bc4.rank),
         ]
-        return SolvabilityReport.build([], mp, ranks)
+
+    def report(self, tol: float) -> SolvabilityReport:
+        return SolvabilityReport.build([], self.mp_conditions(tol),
+                                       self.rank_conditions())
 
     def family(self) -> LinearSolutionFamily:
         shape3 = (self.c3.cols, self.d3.rows)
@@ -146,12 +152,13 @@ def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
                    e1: QMatrix, tol: float = DEFAULT_TOL):
     """General solution (X3, X4) of C3 X3 D3 + C4 X4 D4 = E1.
 
-    Consistency is decided by four rank equalities cross-checked by the
-    residual certificate; the family carries five free parameters
-    Y11..Y15 (Y11 is shared between the two unknowns).
+    Consistency is decided by the four residual conditions together with
+    a verified particular solution; the four rank equalities are built
+    only when that fails (see :func:`.families.decide`).  The family
+    carries five free parameters Y11..Y15 (Y11 is shared between the two
+    unknowns).
     """
     work = _TwoTermWork(c3, d3, c4, d4, e1)
-    report = work.report(tol)
-    if not report.consistent:
-        return Inconsistent(report)
-    return work.family()
+    inst = TwoTermInstance(c3, d3, c4, d4, e1)
+    return decide([], work.mp_conditions(tol), work.rank_conditions,
+                  work.family, inst.residual_terms, tol)

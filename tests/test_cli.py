@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -137,3 +138,19 @@ def test_example_instance_checks_and_solves(data_dir, tmp_path):
     assert main(["verify", ipath, spath, "--tol", "1e-3"]) == 0
     out = str(tmp_path / "sol.json")
     assert main(["solve", ipath, "--out", out, "--tol", "1e-8"]) == 0
+
+
+def test_solve_scaled_master_exits_zero(tmp_path):
+    # right sides x1e8: the rank certificate fails (check exits 2), but
+    # the particular solution verifies, so solve returns the family
+    ipath = str(tmp_path / "inst.json")
+    spath = str(tmp_path / "sol.json")
+    assert main(["gen", "--variant", "master", "--size", "2", "--seed", "0",
+                 "--out", ipath]) == 0
+    inst = docs.instance_from_doc(docs.load_json(ipath))
+    rhs = ("C1", "C2", "C3", "C4", "D1", "D2", "D3", "D4", "Cc")
+    inst = replace(inst, **{f: getattr(inst, f) * 1e8 for f in rhs})
+    docs.dump_json(ipath, docs.instance_to_doc(inst))
+    assert main(["solve", ipath, "--out", spath]) == 0
+    assert main(["verify", ipath, spath]) == 0
+    assert main(["check", ipath]) == 2

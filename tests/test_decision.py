@@ -1,0 +1,138 @@
+"""The solve decision rule: residual certificate plus a verified
+particular solution, with the rank certificate only as the fallback.
+
+Every ``solve_*`` returns a family only for a solvable instance, every
+family's particular solution verifies, every ``Inconsistent`` carries
+exactly the report ``check_*`` gives, and ``solve`` agrees with
+``check`` wherever the two certificate forms agree.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import qsylv
+from qsylv import verify_solution
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
+                           gen_consistent, gen_inconsistent, gen_planted,
+                           gen_unsolvable)
+from qsylv.solvers import Inconsistent
+
+TOL = 1e-9
+
+# every right side of the systems the benchmark sweeps over scales
+RHS_FIELDS = {
+    "master": ("C1", "C2", "C3", "C4", "D1", "D2", "D3", "D4", "Cc"),
+    "two-term": ("E1",),
+    "five-term": ("B",),
+    "eta-full": ("C1", "C2", "C3", "C4", "Cc"),
+    "eta-two": ("D1",),
+}
+SCALE_EXPONENTS = (-12, -8, -4, 0, 4, 8, 12)
+
+
+def _scaled(variant, inst, factor):
+    return replace(inst, **{f: getattr(inst, f) * factor
+                            for f in RHS_FIELDS[variant]})
+
+
+def _decide_and_compare(variant, inst, solvable):
+    """Solve on every branch and check the rule's guarantees; returns
+    the solve results."""
+    entry = VARIANT_TABLE[variant]
+    report = entry.check(inst, TOL)
+    branches = ("first",) if entry.one_closed_form else ("first", "second")
+    results = []
+    for branch in branches:
+        res = entry.solve(inst, TOL, branch)
+        if isinstance(res, Inconsistent):
+            assert res.report.to_dict() == report.to_dict()
+        else:
+            assert solvable, "family returned for an unsolvable instance"
+            assert verify_solution(inst, res.assemble(), TOL).passed
+        if report.forms_agree:
+            assert (not isinstance(res, Inconsistent)) == report.consistent
+        results.append(res)
+    return results
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decision_rule_on_planted_and_unsolvable(variant):
+    etas = "ijk" if variant.startswith("eta-") else "i"
+    for size in (1, 2, 3, 4):
+        for seed in (0, 1, 2):
+            for eta in etas:
+                planted, _ = gen_planted(variant, size, seed, eta)
+                for res in _decide_and_compare(variant, planted, True):
+                    assert not isinstance(res, Inconsistent)
+                twin = gen_unsolvable(variant, size, seed, eta)
+                _decide_and_compare(variant, twin, False)
+
+
+@pytest.mark.parametrize("variant", tuple(RHS_FIELDS))
+def test_decision_rule_on_scaled_right_sides(variant):
+    for size in (2, 4):
+        for seed in (0, 1, 2):
+            planted, _ = gen_planted(variant, size, seed, "j")
+            twin = gen_unsolvable(variant, size, seed, "j")
+            for exp in SCALE_EXPONENTS:
+                factor = 10.0 ** exp
+                results = _decide_and_compare(
+                    variant, _scaled(variant, planted, factor), True)
+                # up to x1e8 every planted instance gets a verified
+                # family; at x1e8 the rank certificate alone rejects it
+                if exp <= 8:
+                    assert not any(isinstance(r, Inconsistent)
+                                   for r in results), (size, seed, exp)
+                _decide_and_compare(variant, _scaled(variant, twin, factor),
+                                    False)
+
+
+def test_scaled_master_family_despite_failing_rank_certificate():
+    inst, _ = gen_consistent(DimensionProfile.cube(2, 0))
+    inst = _scaled("master", inst, 1e8)
+    report = qsylv.check_master(inst)
+    assert not report.consistent and not report.forms_agree
+    assert not any(c.passed for c in report.rank_conditions[-9:])
+    family = qsylv.solve_master(inst)
+    assert not isinstance(family, Inconsistent)
+    rng = np.random.default_rng(3)
+    for sol in (family.assemble(), family.assemble(family.random_params(rng))):
+        assert verify_solution(inst, sol, TOL).passed
+
+
+class _SvdCounter:
+    """Counts numpy.linalg.svd calls by compute_uv (True: a pinv bundle,
+    False: a values-only rank evaluation)."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {True: 0, False: 0}
+        real = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            self.counts[kwargs.get("compute_uv", True)] += 1
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+    def take(self):
+        out = (self.counts[True], self.counts[False])
+        self.counts = {True: 0, False: 0}
+        return out
+
+
+def test_solve_master_svd_counts(monkeypatch):
+    profile = DimensionProfile.cube(2, 0)
+    planted, _ = gen_consistent(profile)
+    unsolvable = gen_inconsistent(profile)
+    counter = _SvdCounter(monkeypatch)
+    family = qsylv.solve_master(planted)
+    assert not isinstance(family, Inconsistent)
+    assert counter.take() == (34, 0)
+    family.assemble()
+    assert counter.take() == (0, 0)
+    assert isinstance(qsylv.solve_master(unsolvable), Inconsistent)
+    assert counter.take() == (34, 35)
+    qsylv.check_master(planted)
+    assert counter.take() == (34, 35)
