@@ -4,9 +4,11 @@ A matrix is stored as {"rows": m, "cols": n, "entries": [[[w,x,y,z],
 ...], ...]} with row-major nested arrays of 4-component reals.  An
 instance document carries the matrices under their coefficient names at
 the top level plus "variant" (and "eta" for eta variants); absent
-optional blocks mean empty matrices, whose dimensions are inferred from
-the present ones.  Serialization uses plain floats, so documents
-re-parse to bit-identical matrices.
+optional blocks mean empty matrices.  Their dimensions come from the
+instance type's ``SHAPES`` table: each named dimension takes its value
+from the present blocks that carry it, and is 0 when none does; present
+blocks that disagree raise ParseError.  Serialization uses plain
+floats, so documents re-parse to bit-identical matrices.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import fields
 
 from .harness import VARIANT_TABLE, VARIANTS
 from .qcore import ETAS
-from .qmatrix import QMatrix
+from .qmatrix import DimensionError, QMatrix, named_dims
 
 
 class ParseError(ValueError):
@@ -76,133 +78,6 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
     return out
 
 
-class _Dims:
-    """Named dimensions collected from present matrices; conflicts are
-    reported against the keys that disagree, absences default to 0."""
-
-    def __init__(self):
-        self.values = {}
-        self.sources = {}
-
-    def feed(self, name, value, key):
-        if name in self.values:
-            if self.values[name] != value:
-                raise ParseError(
-                    f"key {key!r} implies {name} = {value}, but "
-                    f"{self.sources[name]!r} implies {self.values[name]}")
-        else:
-            self.values[name] = value
-            self.sources[name] = key
-
-    def get(self, name, default=0):
-        return self.values.get(name, default)
-
-
-def _collect(present: dict, rules, dims: _Dims):
-    # rules: key -> ((row_dim_name, col_dim_name))
-    for key, (rname, cname) in rules.items():
-        if key in present:
-            m = present[key]
-            dims.feed(rname, m.rows, key)
-            dims.feed(cname, m.cols, key)
-
-
-def _materialize(present: dict, rules, dims: _Dims) -> dict:
-    out = {}
-    for key, (rname, cname) in rules.items():
-        if key in present:
-            out[key] = present[key]
-        else:
-            out[key] = QMatrix.zeros(dims.get(rname), dims.get(cname))
-    return out
-
-
-def _master_rules():
-    rules = {"Cc": ("cr", "cc")}
-    for i in (1, 2, 3, 4):
-        rules[f"A{i}"] = (f"q{i}", f"p{i}")
-        rules[f"B{i}"] = (f"r{i}", f"s{i}")
-        rules[f"E{i}"] = ("cr", f"p{i}")
-        rules[f"F{i}"] = (f"r{i}", "cc")
-        if i == 1:
-            rules["C1"] = ("q1", "cc")
-            rules["D1"] = ("cr", "s1")
-        else:
-            rules[f"C{i}"] = (f"q{i}", f"r{i}")
-            rules[f"D{i}"] = (f"p{i}", f"s{i}")
-    return rules
-
-
-def _three_term_rules():
-    rules = {"C": ("cr", "cc")}
-    for i in (1, 2, 3):
-        rules[f"A{i}"] = (f"q{i}", f"p{i}")
-        rules[f"B{i}"] = (f"r{i}", f"s{i}")
-        rules[f"C{i}"] = (f"q{i}", f"r{i}")
-        rules[f"D{i}"] = (f"p{i}", f"s{i}")
-        rules[f"E{i}"] = ("cr", f"p{i}")
-        rules[f"F{i}"] = (f"r{i}", "cc")
-    return rules
-
-
-def _mixed_rules():
-    return {
-        "Cc": ("cr", "cc"),
-        "A1": ("q1", "p1"), "B1": ("t1", "s1"),
-        "C1": ("q1", "t1"), "C2": ("p1", "s1"),
-        "A2": ("q2", "p2"), "B2": ("t2", "s2"),
-        "C3": ("q2", "t2"), "C4": ("p2", "s2"),
-        "A3": ("cr", "p1"), "B3": ("t1", "cc"),
-        "A4": ("cr", "p2"), "B4": ("t2", "cc"),
-    }
-
-
-def _two_term_rules():
-    return {"E1": ("p", "q"), "C3": ("p", "m3"), "D3": ("n3", "q"),
-            "C4": ("p", "m4"), "D4": ("n4", "q")}
-
-
-def _five_term_rules():
-    rules = {"B": ("p", "q")}
-    for i in (1, 2, 3, 4):
-        rules[f"A{i}"] = ("p", f"a{i}")
-        rules[f"B{i}"] = (f"b{i}", "q")
-    return rules
-
-
-def _eta_full_rules():
-    rules = {"Cc": ("n", "n")}
-    for i in (1, 2, 3, 4):
-        rules[f"A{i}"] = (f"q{i}", f"p{i}")
-        rules[f"E{i}"] = ("n", f"p{i}")
-        rules[f"C{i}"] = (f"q{i}", "n" if i == 1 else f"p{i}")
-    return rules
-
-
-def _eta_three_rules():
-    rules = {"C": ("n", "n")}
-    for i in (1, 2, 3):
-        rules[f"A{i}"] = (f"q{i}", f"p{i}")
-        rules[f"E{i}"] = ("n", f"p{i}")
-        rules[f"C{i}"] = (f"q{i}", f"p{i}")
-    return rules
-
-
-_RULES = {
-    "master": _master_rules(),
-    "three-term": _three_term_rules(),
-    "mixed": _mixed_rules(),
-    "two-term": _two_term_rules(),
-    "five-term": _five_term_rules(),
-    "eta-full": _eta_full_rules(),
-    "eta-three": _eta_three_rules(),
-    "eta-two": {"D1": ("d", "d"), "B1": ("d", "nb"), "C1": ("d", "nc")},
-    "eta-mixed": {"D3": ("d", "d"), "A1": ("q1", "nx"), "C1": ("q1", "nx"),
-                  "B1": ("ny", "s1"), "D1": ("ny", "s1"),
-                  "A2": ("d", "nx"), "A3": ("d", "ny")},
-}
-
-
 def _load_matrices(doc: dict, variant: str) -> dict:
     keys = _KEYS[variant]
     aliases = _ALIASES.get(variant, {})
@@ -217,10 +92,14 @@ def _load_matrices(doc: dict, variant: str) -> dict:
         if name in present:
             raise ParseError(f"matrix {name!r} given twice (alias {key!r})")
         present[name] = matrix_from_doc(value, key)
-    rules = _RULES[variant]
-    dims = _Dims()
-    _collect(present, rules, dims)
-    return _materialize(present, rules, dims)
+    shapes = VARIANT_TABLE[variant].instance_type.SHAPES
+    try:
+        dims = named_dims(shapes, present)
+    except DimensionError as exc:
+        raise ParseError(str(exc)) from exc
+    return {key: present[key] if key in present
+            else QMatrix.zeros(dims.get(rname, 0), dims.get(cname, 0))
+            for key, (rname, cname) in shapes.items() if key in keys}
 
 
 def _doc_eta(doc: dict, default: str = "i") -> str:

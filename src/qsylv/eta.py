@@ -24,8 +24,9 @@ from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix, block, hstack, vstack
 from .solvers.basic import DEFAULT_TOL
 from .solvers.families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                               SolvabilityReport, cascade_floor, decide,
-                               rank_condition, residual_condition)
+                               ShapedInstance, SolvabilityReport,
+                               cascade_floor, decide, rank_condition,
+                               residual_condition)
 from .solvers.master import MasterInstance, check_master, solve_master
 
 PRECONDITION_TOL = 1e-9
@@ -49,15 +50,33 @@ def _require_eta_hermitian(m: QMatrix, eta: str, name: str):
             "to symmetrize input data silently")
 
 
+class _EtaInstance(ShapedInstance):
+    """Instance types with an eta field, checked before the shapes."""
+
+    def __post_init__(self):
+        check_eta(self.eta)
+        super().__post_init__()
+
+
 def _herm_terms(eta, named):
     return [(f"{name}={name}^eta*", m - m.eta_conj_transpose(eta), m.norm())
             for name, m in named]
 
 
 @dataclass(frozen=True)
-class EtaFullInstance:
+class EtaFullInstance(_EtaInstance):
     """A1 U = C1; Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
     E1 U + (E1 U)^{eta*} + sum_i Ei W Ei^{eta*} = Cc."""
+
+    SHAPES = {
+        "Cc": ("n", "n"),
+        "A1": ("q1", "p1"), "E1": ("n", "p1"), "C1": ("q1", "n"),
+        "A2": ("q2", "p2"), "E2": ("n", "p2"), "C2": ("q2", "p2"),
+        "A3": ("q3", "p3"), "E3": ("n", "p3"), "C3": ("q3", "p3"),
+        "A4": ("q4", "p4"), "E4": ("n", "p4"), "C4": ("q4", "p4"),
+        "U": ("p1", "n"), "X": ("p2", "p2"), "Y": ("p3", "p3"),
+        "Z": ("p4", "p4"),
+    }
 
     eta: str
     A1: QMatrix
@@ -73,32 +92,6 @@ class EtaFullInstance:
     E3: QMatrix
     E4: QMatrix
     Cc: QMatrix
-
-    def __post_init__(self):
-        check_eta(self.eta)
-        cr, cc = self.Cc.shape
-        if cr != cc:
-            raise DimensionError("Cc must be square")
-        for i in (1, 2, 3, 4):
-            a = getattr(self, f"A{i}")
-            c = getattr(self, f"C{i}")
-            e = getattr(self, f"E{i}")
-            if e.rows != cr:
-                raise DimensionError(f"E{i} must have {cr} rows")
-            if e.cols != a.cols:
-                raise DimensionError(f"E{i} and A{i} must have equal columns")
-            if c.rows != a.rows:
-                raise DimensionError(f"C{i} and A{i} must have equal rows")
-            want = cr if i == 1 else a.cols
-            if c.cols != want:
-                raise DimensionError(f"C{i} must have {want} columns")
-
-    def unknown_shapes(self) -> dict:
-        n = self.Cc.rows
-        return {"U": (self.A1.cols, n),
-                "X": (self.A2.cols, self.A2.cols),
-                "Y": (self.A3.cols, self.A3.cols),
-                "Z": (self.A4.cols, self.A4.cols)}
 
     def to_master(self) -> MasterInstance:
         """The doubled system, with right-side blocks eta-conjugated."""
@@ -131,9 +124,17 @@ class EtaFullInstance:
 
 
 @dataclass(frozen=True)
-class EtaThreeInstance:
+class EtaThreeInstance(_EtaInstance):
     """Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
     sum_i Ei W Ei^{eta*} = C."""
+
+    SHAPES = {
+        "C": ("n", "n"),
+        "A1": ("q1", "p1"), "E1": ("n", "p1"), "C1": ("q1", "p1"),
+        "A2": ("q2", "p2"), "E2": ("n", "p2"), "C2": ("q2", "p2"),
+        "A3": ("q3", "p3"), "E3": ("n", "p3"), "C3": ("q3", "p3"),
+        "X": ("p1", "p1"), "Y": ("p2", "p2"), "Z": ("p3", "p3"),
+    }
 
     eta: str
     A1: QMatrix
@@ -157,11 +158,6 @@ class EtaThreeInstance:
             A3=self.A2, C3=self.C2, E3=self.E2,
             A4=self.A3, C4=self.C3, E4=self.E3,
             Cc=self.C)
-
-    def unknown_shapes(self) -> dict:
-        return {"X": (self.A1.cols, self.A1.cols),
-                "Y": (self.A2.cols, self.A2.cols),
-                "Z": (self.A3.cols, self.A3.cols)}
 
     def residual_terms(self, sol) -> list:
         full = self.to_full()
@@ -226,25 +222,16 @@ def solve_eta_three(inst: EtaThreeInstance, tol: float = DEFAULT_TOL,
 # -- two-term equation with eta-Hermitian unknowns -------------------------
 
 @dataclass(frozen=True)
-class EtaTwoInstance:
+class EtaTwoInstance(_EtaInstance):
     """B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 with Y, Z eta-Hermitian."""
+
+    SHAPES = {"D1": ("d", "d"), "B1": ("d", "nb"), "C1": ("d", "nc"),
+              "Y": ("nb", "nb"), "Z": ("nc", "nc")}
 
     eta: str
     B1: QMatrix
     C1: QMatrix
     D1: QMatrix
-
-    def __post_init__(self):
-        check_eta(self.eta)
-        d = self.D1
-        if d.rows != d.cols:
-            raise DimensionError("D1 must be square")
-        if self.B1.rows != d.rows or self.C1.rows != d.rows:
-            raise DimensionError("B1, C1 and D1 must have equal row counts")
-
-    def unknown_shapes(self) -> dict:
-        return {"Y": (self.B1.cols, self.B1.cols),
-                "Z": (self.C1.cols, self.C1.cols)}
 
     def residual_terms(self, sol) -> list:
         y, z = sol
@@ -257,11 +244,10 @@ class EtaTwoInstance:
 
 
 class _EtaTwoWork:
-    def __init__(self, inst: EtaTwoInstance, rank_tol=None):
+    def __init__(self, inst: EtaTwoInstance):
         self.inst = inst
-        self.rank_tol = rank_tol
-        self.floor = cascade_floor(inst.B1, inst.C1, inst.D1)
-        pv = lambda m: pinv(m, rank_tol, floor=self.floor)
+        self.floor = cascade_floor(*inst.blocks())
+        pv = lambda m: pinv(m, floor=self.floor)
         self.bB = pv(inst.B1)
         self.bC = pv(inst.C1)
         self.M = self.bB.proj_right @ inst.C1
@@ -285,7 +271,7 @@ class _EtaTwoWork:
     def rank_conditions(self) -> list:
         inst, et = self.inst, self.inst.eta
         b1, c1, d1 = inst.B1, inst.C1, inst.D1
-        r = lambda m: rank(m, self.rank_tol, floor=self.floor)
+        r = lambda m: rank(m, floor=self.floor)
         return [
             rank_condition("r([B1,D1;0,C1^eta*])=r(B1)+r(C1)",
                            r(block([[b1, d1],
@@ -305,9 +291,9 @@ class _EtaTwoWork:
         b1, c1, d1 = inst.B1, inst.C1, inst.D1
         bB, bC, bM, bS = self.bB, self.bC, self.bM, self.bS
         s = self.S
-        nb, nc = b1.cols, c1.cols
+        y_shape, z_shape = inst.unknown_shapes().values()
         eye_d = QMatrix.identity(d1.rows)
-        eye_c = QMatrix.identity(nc)
+        eye_c = QMatrix.identity(c1.cols)
         y_base = (bB.pinv @ d1 @ ec(bB.pinv)
                   - 0.5 * (bB.pinv @ c1 @ bM.pinv @ d1
                            @ (eye_d + ec(bC.pinv) @ ec(s)) @ ec(bB.pinv))
@@ -317,9 +303,8 @@ class _EtaTwoWork:
                          @ (eye_c + ec(bS.pinv @ s)))
                   + 0.5 * ((eye_c + bS.pinv @ s) @ bC.pinv @ d1
                           @ ec(bM.pinv)))
-        params = (FreeParam("W1", (nc, nc)), FreeParam("U", (nb, nb)),
-                  FreeParam("V", (nc, nc)),
-                  FreeParam("W2", (nc, nc), eta=et))
+        params = (FreeParam("W1", z_shape), FreeParam("U", y_shape),
+                  FreeParam("V", z_shape), FreeParam("W2", z_shape, eta=et))
 
         def assemble(vals):
             w1, u, v, w2 = (vals["W1"], vals["U"], vals["V"], vals["W2"])
@@ -358,9 +343,14 @@ def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
 # -- mixed one-sided / two-sided eta system --------------------------------
 
 @dataclass(frozen=True)
-class EtaMixedInstance:
+class EtaMixedInstance(_EtaInstance):
     """A1 X = C1, Y B1 = D1, A2 X A2^{eta*} + A3 Y A3^{eta*} = D3,
     with X, Y eta-Hermitian."""
+
+    SHAPES = {"D3": ("d", "d"), "A1": ("q1", "nx"), "C1": ("q1", "nx"),
+              "B1": ("ny", "s1"), "D1": ("ny", "s1"),
+              "A2": ("d", "nx"), "A3": ("d", "ny"),
+              "X": ("nx", "nx"), "Y": ("ny", "ny")}
 
     eta: str
     A1: QMatrix
@@ -370,30 +360,6 @@ class EtaMixedInstance:
     A2: QMatrix
     A3: QMatrix
     D3: QMatrix
-
-    def __post_init__(self):
-        check_eta(self.eta)
-        if self.D3.rows != self.D3.cols:
-            raise DimensionError("D3 must be square")
-        checks = [
-            ("C1", self.C1.rows, self.A1.rows),
-            ("C1", self.C1.cols, self.A1.cols),
-            ("D1", self.D1.rows, self.B1.rows),
-            ("D1", self.D1.cols, self.B1.cols),
-            ("A2", self.A2.rows, self.D3.rows),
-            ("A2", self.A2.cols, self.A1.cols),
-            ("A3", self.A3.rows, self.D3.rows),
-            ("A3", self.A3.cols, self.B1.rows),
-        ]
-        for name, got, want in checks:
-            if got != want:
-                raise DimensionError(
-                    f"block {name} has incompatible dimensions "
-                    f"(got {got}, expected {want})")
-
-    def unknown_shapes(self) -> dict:
-        return {"X": (self.A1.cols, self.A1.cols),
-                "Y": (self.B1.rows, self.B1.rows)}
 
     def residual_terms(self, sol) -> list:
         x, y = sol
@@ -408,14 +374,12 @@ class EtaMixedInstance:
 
 
 class _EtaMixedWork:
-    def __init__(self, inst: EtaMixedInstance, rank_tol=None):
+    def __init__(self, inst: EtaMixedInstance):
         self.inst = inst
         et = inst.eta
         ec = lambda m: m.eta_conj_transpose(et)
-        self.floor = cascade_floor(inst.A1, inst.C1, inst.B1, inst.D1,
-                                   inst.A2, inst.A3, inst.D3)
-        pv = lambda m: pinv(m, rank_tol, floor=self.floor)
-        self.rank_tol = rank_tol
+        self.floor = cascade_floor(*inst.blocks())
+        pv = lambda m: pinv(m, floor=self.floor)
         self.bA1, self.bB1 = pv(inst.A1), pv(inst.B1)
         p1 = self.bA1.pinv @ inst.C1
         self.x_part = (p1 + ec(p1)
@@ -456,7 +420,7 @@ class _EtaMixedWork:
 
     def rank_conditions(self) -> list:
         inst = self.inst
-        r = lambda m: rank(m, self.rank_tol, floor=self.floor)
+        r = lambda m: rank(m, floor=self.floor)
         return [
             rank_condition("r(A1,C1)=r(A1)",
                            r(hstack([inst.A1, inst.C1])), self.bA1.rank),
@@ -487,9 +451,9 @@ def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
     ec = lambda m: m.eta_conj_transpose(eta)
     la1 = work.bA1.proj_left
     rb1 = work.bB1.proj_right
-    nx, ny = a1.cols, b1.rows
-    params = (FreeParam("U3", (ny, ny)), FreeParam("U4", (nx, nx)),
-              FreeParam("U5", (ny, ny)), FreeParam("U6", (ny, ny), eta=eta))
+    x_shape, y_shape = inst.unknown_shapes().values()
+    params = (FreeParam("U3", y_shape), FreeParam("U4", x_shape),
+              FreeParam("U5", y_shape), FreeParam("U6", y_shape, eta=eta))
 
     def assemble(vals):
         v, w = inner.assemble({"W1": vals["U3"], "U": vals["U4"],

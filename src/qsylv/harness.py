@@ -364,7 +364,8 @@ class Variant:
     """One system of the hierarchy: the single place that knows it.
 
     ``rhs`` is the right-hand-side field that ``gen_unsolvable``
-    perturbs and ``unknowns`` names the solution blocks in order.
+    perturbs; ``unknowns`` names the solution blocks in order, as the
+    instance type's ``SHAPES`` lists them.
     ``check(inst, tol)`` and ``solve(inst, tol, branch)`` take an
     ``instance_type`` value; ``one_closed_form`` marks the systems whose
     ``solve`` ignores ``branch``.  ``planted(size, seed, eta)`` returns
@@ -376,12 +377,15 @@ class Variant:
     name: str
     instance_type: type
     rhs: str
-    unknowns: tuple
     check: Callable
     solve: Callable
     planted: Callable
     unsolvable_base: Callable | None = None
     one_closed_form: bool = False
+
+    @property
+    def unknowns(self) -> tuple:
+        return self.instance_type.unknown_names()
 
 
 def _two_term_args(inst):
@@ -389,41 +393,36 @@ def _two_term_args(inst):
 
 
 VARIANT_TABLE = {v.name: v for v in (
-    Variant("master", MasterInstance, "Cc", ("U", "V", "X", "Y", "Z"),
-            check_master, solve_master,
+    Variant("master", MasterInstance, "Cc", check_master, solve_master,
             lambda size, seed, eta: gen_consistent(
                 DimensionProfile.cube(size, seed))),
-    Variant("three-term", ThreeTermInstance, "C", ("X", "Y", "Z"),
+    Variant("three-term", ThreeTermInstance, "C",
             check_three_term, solve_three_term_system,
             lambda size, seed, eta: gen_three_term(size, seed)),
-    Variant("mixed", MixedInstance, "Cc", ("X1", "X2"),
-            check_mixed,
+    Variant("mixed", MixedInstance, "Cc", check_mixed,
             lambda inst, tol, branch: solve_mixed_system(inst, tol),
             lambda size, seed, eta: gen_mixed(size, seed),
             one_closed_form=True),
-    Variant("two-term", TwoTermInstance, "E1", ("X3", "X4"),
+    Variant("two-term", TwoTermInstance, "E1",
             lambda inst, tol: check_two_term(*_two_term_args(inst), tol=tol),
             lambda inst, tol, branch: solve_two_term(*_two_term_args(inst),
                                                      tol),
             lambda size, seed, eta: gen_two_term(size, seed),
             lambda size, seed, eta: gen_two_term(size, seed, deficient=True),
             one_closed_form=True),
-    Variant("five-term", FiveTermInstance, "B",
-            ("X1", "X2", "Y1", "Y2", "Y3"),
-            check_five_term, solve_five_term,
+    Variant("five-term", FiveTermInstance, "B", check_five_term,
+            solve_five_term,
             lambda size, seed, eta: gen_five_term(size, seed),
             lambda size, seed, eta: gen_five_term(size, seed, wide_rhs=True)),
-    Variant("eta-full", EtaFullInstance, "Cc", ("U", "X", "Y", "Z"),
-            check_eta_full, solve_eta_full, gen_eta_full),
-    Variant("eta-three", EtaThreeInstance, "C", ("X", "Y", "Z"),
-            check_eta_three, solve_eta_three, gen_eta_three),
-    Variant("eta-two", EtaTwoInstance, "D1", ("Y", "Z"),
-            check_eta_two,
+    Variant("eta-full", EtaFullInstance, "Cc", check_eta_full, solve_eta_full,
+            gen_eta_full),
+    Variant("eta-three", EtaThreeInstance, "C", check_eta_three,
+            solve_eta_three, gen_eta_three),
+    Variant("eta-two", EtaTwoInstance, "D1", check_eta_two,
             lambda inst, tol, branch: solve_eta_two(
                 inst.B1, inst.C1, inst.D1, inst.eta, tol),
             gen_eta_two, one_closed_form=True),
-    Variant("eta-mixed", EtaMixedInstance, "D3", ("X", "Y"),
-            check_eta_mixed,
+    Variant("eta-mixed", EtaMixedInstance, "D3", check_eta_mixed,
             lambda inst, tol, branch: solve_eta_mixed(
                 inst.A1, inst.C1, inst.B1, inst.D1, inst.A2, inst.A3,
                 inst.D3, inst.eta, tol),

@@ -28,6 +28,23 @@ class DimensionError(ValueError):
     """Operands have incompatible shapes."""
 
 
+def named_dims(shapes, blocks) -> dict:
+    """Values of the named dimensions of ``shapes`` (key -> (row name,
+    column name)), read from the keys present in ``blocks``, in table
+    order.  Raises DimensionError naming both blocks when two disagree."""
+    dims, source = {}, {}
+    for key, names in shapes.items():
+        if key not in blocks:
+            continue
+        for name, value in zip(names, blocks[key].shape):
+            if dims.setdefault(name, value) != value:
+                raise DimensionError(
+                    f"block {key!r} implies {name} = {value}, but "
+                    f"{source[name]!r} implies {dims[name]}")
+            source.setdefault(name, key)
+    return dims
+
+
 class StructureError(ValueError):
     """A complex matrix does not carry the adjoint block structure."""
 

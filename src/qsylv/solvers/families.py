@@ -1,13 +1,14 @@
-"""Solution families, free parameters and solvability reports."""
+"""Instance shape tables, solution families, free parameters and
+solvability reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..qmatrix import DimensionError, QMatrix
+from ..qmatrix import DimensionError, QMatrix, named_dims
 
 # Absolute truncation floor for pseudoinverses inside solver cascades.
 # Reduction intermediates frequently vanish in exact arithmetic; ranking
@@ -18,6 +19,35 @@ CASCADE_EPS = 256.0 * float(np.finfo(np.float64).eps)
 
 def cascade_floor(*mats) -> float:
     return CASCADE_EPS * max([1.0] + [m.norm() for m in mats])
+
+
+class ShapedInstance:
+    """Base of the instance types: the one place that knows a system's
+    shapes.
+
+    ``SHAPES`` maps every coefficient block (a field) and every unknown
+    to a pair of named dimensions, so a repeated name means equal sizes
+    (``("n", "n")`` is a square block).  Construction checks the blocks
+    against it; ``unknown_shapes`` and the document parser read it too.
+    """
+
+    SHAPES: dict = {}
+
+    def __post_init__(self):
+        named_dims(self.SHAPES, vars(self))
+
+    @classmethod
+    def unknown_names(cls) -> tuple:
+        return tuple(k for k in cls.SHAPES
+                     if k not in cls.__dataclass_fields__)
+
+    def unknown_shapes(self) -> dict:
+        dims = named_dims(self.SHAPES, vars(self))
+        return {k: tuple(dims[n] for n in self.SHAPES[k])
+                for k in self.unknown_names()}
+
+    def blocks(self) -> list:
+        return [getattr(self, f.name) for f in fields(self) if f.name != "eta"]
 
 
 @dataclass(frozen=True)

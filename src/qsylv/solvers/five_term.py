@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from ..decomp import pinv, rank
-from ..qmatrix import DimensionError, QMatrix, block, hstack, vstack
+from ..qmatrix import QMatrix, block, hstack, vstack
 from .basic import DEFAULT_TOL
-from .families import (FreeParam, LinearSolutionFamily, SolvabilityReport,
-                       cascade_floor, decide, rank_condition,
-                       residual_condition)
+from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
+                       SolvabilityReport, cascade_floor, decide,
+                       rank_condition, residual_condition)
 from .two_term import TwoTermKernel
 
 FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
@@ -31,8 +31,18 @@ FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
 
 
 @dataclass(frozen=True)
-class FiveTermInstance:
+class FiveTermInstance(ShapedInstance):
     """Coefficients of A1 X1 + X2 B1 + sum_i A_{i+1} Y_i B_{i+1} = B."""
+
+    SHAPES = {
+        "B": ("p", "q"),
+        "A1": ("p", "a1"), "B1": ("b1", "q"),
+        "A2": ("p", "a2"), "B2": ("b2", "q"),
+        "A3": ("p", "a3"), "B3": ("b3", "q"),
+        "A4": ("p", "a4"), "B4": ("b4", "q"),
+        "X1": ("a1", "q"), "X2": ("p", "b1"), "Y1": ("a2", "b2"),
+        "Y2": ("a3", "b3"), "Y3": ("a4", "b4"),
+    }
 
     A1: QMatrix
     B1: QMatrix
@@ -44,28 +54,9 @@ class FiveTermInstance:
     B4: QMatrix
     B: QMatrix
 
-    def __post_init__(self):
-        p, q = self.B.shape
-        for name in ("A1", "A2", "A3", "A4"):
-            if getattr(self, name).rows != p:
-                raise DimensionError(f"{name} must have {p} rows")
-        for name in ("B1", "B2", "B3", "B4"):
-            if getattr(self, name).cols != q:
-                raise DimensionError(f"{name} must have {q} columns")
-
     def coefficient_norm(self) -> float:
         return sum(getattr(self, f.name).norm()
                    for f in fields(self) if f.name != "B")
-
-    def unknown_shapes(self) -> dict:
-        p, q = self.B.shape
-        return {
-            "X1": (self.A1.cols, q),
-            "X2": (p, self.B1.rows),
-            "Y1": (self.A2.cols, self.B2.rows),
-            "Y2": (self.A3.cols, self.B3.rows),
-            "Y3": (self.A4.cols, self.B4.rows),
-        }
 
     def residual(self, sol) -> QMatrix:
         x1, x2, y1, y2, y3 = sol
@@ -204,12 +195,11 @@ def block_rank_conditions(r, k, a, b, c, d, e, f) -> list:
 class _FiveTermWork:
     """Shared pseudoinverse bundles and intermediates for one instance."""
 
-    def __init__(self, inst: FiveTermInstance, rank_tol=None):
+    def __init__(self, inst: FiveTermInstance):
         self.inst = inst
-        self.rank_tol = rank_tol
         self.floor = cascade_floor(inst.A1, inst.B1, inst.A2, inst.B2,
                                    inst.A3, inst.B3, inst.A4, inst.B4, inst.B)
-        pv = lambda m: pinv(m, rank_tol, floor=self.floor)
+        pv = lambda m: pinv(m, floor=self.floor)
         self.bA1, self.bB1 = pv(inst.A1), pv(inst.B1)
         ra1, lb1 = self.bA1.proj_right, self.bB1.proj_left
         self.A11 = ra1 @ inst.A2
@@ -317,7 +307,7 @@ class _FiveTermWork:
         c = [QMatrix.zeros(0, q)] + [QMatrix.zeros(0, f.rows) for f in fs[1:]]
         d = [QMatrix.zeros(p, 0)] + [QMatrix.zeros(e.cols, 0) for e in es[1:]]
         return block_rank_conditions(
-            lambda m: rank(m, self.rank_tol, floor=self.floor),
+            lambda m: rank(m, floor=self.floor),
             inst.B, a, b, c, d, es, fs)
 
     def report(self, tol: float) -> SolvabilityReport:
@@ -327,16 +317,10 @@ class _FiveTermWork:
     # -- family assembly -------------------------------------------------
 
     def param_specs(self):
-        inst = self.inst
-        p, q = inst.B.shape
-        a1, b1 = inst.A1.cols, inst.B1.rows
-        a2, b2 = inst.A2.cols, inst.B2.rows
-        a3, b3 = inst.A3.cols, inst.B3.rows
-        m, n = inst.A4.cols, inst.B4.rows
+        x1, x2, y1, y2, (m, n) = self.inst.unknown_shapes().values()
         shapes = {
-            "U1": (p, b1), "U2": (a1, q), "U3": (p, b1),
-            "U4": (a3, b3), "U5": (a2, b2), "U6": (a2, b2),
-            "U7": (a3, b3), "U8": (a3, b3),
+            "U1": x2, "U2": x1, "U3": x2, "U4": y2, "U5": y1, "U6": y1,
+            "U7": y2, "U8": y2,
             "U11": (m, 2 * n), "U12": (2 * m, n), "U21": (m, 2 * n),
             "U31": (m, n), "U32": (m, n), "U33": (m, n),
             "U41": (m, n), "U42": (m, n),
@@ -346,7 +330,7 @@ class _FiveTermWork:
 
     def assemble(self, vals: dict, branch: str):
         inst = self.inst
-        m, n = inst.A4.cols, inst.B4.rows
+        m, n = inst.unknown_shapes()["Y3"]
         v3, w3 = self.vw3.solve(self.F, vals["U31"], vals["U32"],
                                 vals["U33"], vals["U41"], vals["U42"])
         g = self.F - self.C22 @ v3 @ self.D22 - self.C33 @ w3 @ self.D33
@@ -382,10 +366,9 @@ class _FiveTermWork:
         return (x1, x2, y1, y2, y3)
 
 
-def five_term_intermediates(inst: FiveTermInstance,
-                            rank_tol=None) -> FiveTermIntermediates:
+def five_term_intermediates(inst: FiveTermInstance) -> FiveTermIntermediates:
     """All derived matrices of the reduction, computed from scratch."""
-    return _FiveTermWork(inst, rank_tol).intermediates()
+    return _FiveTermWork(inst).intermediates()
 
 
 def check_five_term(inst: FiveTermInstance,

@@ -13,14 +13,14 @@ empty (zero-dimension) rather than through separate code paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..decomp import pinv, rank
-from ..qmatrix import DimensionError, QMatrix, hstack, vstack
+from ..qmatrix import QMatrix, hstack, vstack
 from .basic import DEFAULT_TOL
-from .families import (FreeParam, LinearSolutionFamily, SolvabilityReport,
-                       cascade_floor, decide, rank_condition,
-                       residual_condition)
+from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
+                       SolvabilityReport, cascade_floor, decide,
+                       rank_condition, residual_condition)
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         _FiveTermWork, block_rank_conditions)
 
@@ -29,9 +29,27 @@ MASTER_PARAM_NAMES = ("W11", "W12", "W13") + FIVE_TERM_PARAM_NAMES[3:]
 
 
 @dataclass(frozen=True)
-class MasterInstance:
+class MasterInstance(ShapedInstance):
     """Coefficient blocks of the nine-equation system; any block may be
     empty, which is how the specializations are expressed."""
+
+    SHAPES = {
+        "Cc": ("cr", "cc"),
+        "A1": ("q1", "p1"), "B1": ("r1", "s1"),
+        "E1": ("cr", "p1"), "F1": ("r1", "cc"),
+        "C1": ("q1", "cc"), "D1": ("cr", "s1"),
+        "A2": ("q2", "p2"), "B2": ("r2", "s2"),
+        "E2": ("cr", "p2"), "F2": ("r2", "cc"),
+        "C2": ("q2", "r2"), "D2": ("p2", "s2"),
+        "A3": ("q3", "p3"), "B3": ("r3", "s3"),
+        "E3": ("cr", "p3"), "F3": ("r3", "cc"),
+        "C3": ("q3", "r3"), "D3": ("p3", "s3"),
+        "A4": ("q4", "p4"), "B4": ("r4", "s4"),
+        "E4": ("cr", "p4"), "F4": ("r4", "cc"),
+        "C4": ("q4", "r4"), "D4": ("p4", "s4"),
+        "U": ("p1", "cc"), "V": ("cr", "r1"), "X": ("p2", "r2"),
+        "Y": ("p3", "r3"), "Z": ("p4", "r4"),
+    }
 
     A1: QMatrix
     A2: QMatrix
@@ -58,45 +76,6 @@ class MasterInstance:
     F3: QMatrix
     F4: QMatrix
     Cc: QMatrix
-
-    def __post_init__(self):
-        cr, cc = self.Cc.shape
-        checks = [
-            ("E1", self.E1.rows, cr), ("C1", self.C1.cols, cc),
-            ("C1", self.C1.rows, self.A1.rows),
-            ("E1", self.E1.cols, self.A1.cols),
-            ("D1", self.D1.rows, cr), ("F1", self.F1.cols, cc),
-            ("D1", self.D1.cols, self.B1.cols),
-            ("F1", self.F1.rows, self.B1.rows),
-        ]
-        for i in (2, 3, 4):
-            a, b = getattr(self, f"A{i}"), getattr(self, f"B{i}")
-            c, d = getattr(self, f"C{i}"), getattr(self, f"D{i}")
-            e, f = getattr(self, f"E{i}"), getattr(self, f"F{i}")
-            checks += [
-                (f"C{i}", c.rows, a.rows), (f"C{i}", c.cols, b.rows),
-                (f"D{i}", d.rows, a.cols), (f"D{i}", d.cols, b.cols),
-                (f"E{i}", e.rows, cr), (f"E{i}", e.cols, a.cols),
-                (f"F{i}", f.rows, b.rows), (f"F{i}", f.cols, cc),
-            ]
-        for name, got, want in checks:
-            if got != want:
-                raise DimensionError(
-                    f"block {name} has incompatible dimensions "
-                    f"(got {got}, expected {want})")
-
-    def unknown_shapes(self) -> dict:
-        cr, cc = self.Cc.shape
-        return {
-            "U": (self.A1.cols, cc),
-            "V": (cr, self.B1.rows),
-            "X": (self.A2.cols, self.B2.rows),
-            "Y": (self.A3.cols, self.B3.rows),
-            "Z": (self.A4.cols, self.B4.rows),
-        }
-
-    def blocks(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
 
     def coefficient_norm(self) -> float:
         return sum(m.norm() for m in self.blocks())
@@ -204,11 +183,10 @@ class _MasterWork:
     """Side-equation bundles plus the reduced five-term work, shared by
     check_master and solve_master."""
 
-    def __init__(self, inst: MasterInstance, rank_tol=None):
+    def __init__(self, inst: MasterInstance):
         self.inst = inst
-        self.rank_tol = rank_tol
         self.floor = cascade_floor(*inst.blocks())
-        pv = lambda m: pinv(m, rank_tol, floor=self.floor)
+        pv = lambda m: pinv(m, floor=self.floor)
         self.bA = [pv(getattr(inst, f"A{i}")) for i in (1, 2, 3, 4)]
         self.bB = [pv(getattr(inst, f"B{i}")) for i in (1, 2, 3, 4)]
         aii = [getattr(inst, f"E{i + 1}") @ self.bA[i].proj_left
@@ -227,7 +205,7 @@ class _MasterWork:
         self.t1 = t1
         self.reduced = FiveTermInstance(aii[0], bii[0], aii[1], bii[1],
                                         aii[2], bii[2], aii[3], bii[3], t1)
-        self.five = _FiveTermWork(self.reduced, rank_tol)
+        self.five = _FiveTermWork(self.reduced)
 
     # -- certificate lists -------------------------------------------------
 
@@ -254,8 +232,8 @@ class _MasterWork:
                 for name, value in terms + self.five.mp_terms("GHL")]
 
     def rank_conditions(self) -> list:
-        inst, rt = self.inst, self.rank_tol
-        r = lambda m: rank(m, rt, floor=self.floor)
+        inst = self.inst
+        r = lambda m: rank(m, floor=self.floor)
         out = []
         for i in range(4):
             a, b = getattr(inst, f"A{i + 1}"), getattr(inst, f"B{i + 1}")
@@ -313,9 +291,8 @@ class _MasterWork:
         return tuple(out)
 
 
-def master_intermediates(inst: MasterInstance,
-                         rank_tol=None) -> MasterIntermediates:
-    return _MasterWork(inst, rank_tol).intermediates()
+def master_intermediates(inst: MasterInstance) -> MasterIntermediates:
+    return _MasterWork(inst).intermediates()
 
 
 def check_master(inst: MasterInstance,

@@ -10,21 +10,35 @@ two-term solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..decomp import pinv, rank
-from ..qmatrix import DimensionError, QMatrix, block, hstack, vstack
+from ..qmatrix import QMatrix, block, hstack, vstack
 from .basic import DEFAULT_TOL
 from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                       SolvabilityReport, cascade_floor, decide,
-                       rank_condition, residual_condition)
+                       ShapedInstance, SolvabilityReport, cascade_floor,
+                       decide, rank_condition, residual_condition)
 from .master import MasterInstance, check_master, solve_master
-from .two_term import _TwoTermWork
+from .two_term import TwoTermInstance, _TwoTermWork
 
 
 @dataclass(frozen=True)
-class ThreeTermInstance:
+class ThreeTermInstance(ShapedInstance):
     """A1 X = C1, X B1 = D1, ..., E1 X F1 + E2 Y F2 + E3 Z F3 = C."""
+
+    SHAPES = {
+        "C": ("cr", "cc"),
+        "A1": ("q1", "p1"), "B1": ("r1", "s1"),
+        "C1": ("q1", "r1"), "D1": ("p1", "s1"),
+        "E1": ("cr", "p1"), "F1": ("r1", "cc"),
+        "A2": ("q2", "p2"), "B2": ("r2", "s2"),
+        "C2": ("q2", "r2"), "D2": ("p2", "s2"),
+        "E2": ("cr", "p2"), "F2": ("r2", "cc"),
+        "A3": ("q3", "p3"), "B3": ("r3", "s3"),
+        "C3": ("q3", "r3"), "D3": ("p3", "s3"),
+        "E3": ("cr", "p3"), "F3": ("r3", "cc"),
+        "X": ("p1", "r1"), "Y": ("p2", "r2"), "Z": ("p3", "r3"),
+    }
 
     A1: QMatrix
     A2: QMatrix
@@ -60,13 +74,6 @@ class ThreeTermInstance:
             A4=self.A3, B4=self.B3, C4=self.C3, D4=self.D3,
             E4=self.E3, F4=self.F3,
             Cc=self.C)
-
-    def unknown_shapes(self) -> dict:
-        return {
-            "X": (self.A1.cols, self.B1.rows),
-            "Y": (self.A2.cols, self.B2.rows),
-            "Z": (self.A3.cols, self.B3.rows),
-        }
 
     def residual_terms(self, sol) -> list:
         x, y, z = sol
@@ -107,9 +114,20 @@ def solve_three_term_system(inst: ThreeTermInstance,
 
 
 @dataclass(frozen=True)
-class MixedInstance:
+class MixedInstance(ShapedInstance):
     """A1 X = C1, X B1 = C2, A2 Y = C3, Y B2 = C4,
     A3 X B3 + A4 Y B4 = Cc."""
+
+    SHAPES = {
+        "Cc": ("cr", "cc"),
+        "A1": ("q1", "p1"), "B1": ("t1", "s1"),
+        "C1": ("q1", "t1"), "C2": ("p1", "s1"),
+        "A2": ("q2", "p2"), "B2": ("t2", "s2"),
+        "C3": ("q2", "t2"), "C4": ("p2", "s2"),
+        "A3": ("cr", "p1"), "B3": ("t1", "cc"),
+        "A4": ("cr", "p2"), "B4": ("t2", "cc"),
+        "X1": ("p1", "t1"), "X2": ("p2", "t2"),
+    }
 
     A1: QMatrix
     B1: QMatrix
@@ -125,35 +143,6 @@ class MixedInstance:
     B4: QMatrix
     Cc: QMatrix
 
-    def __post_init__(self):
-        cr, cc = self.Cc.shape
-        checks = [
-            ("C1", self.C1.rows, self.A1.rows),
-            ("C1", self.C1.cols, self.B1.rows),
-            ("C2", self.C2.rows, self.A1.cols),
-            ("C2", self.C2.cols, self.B1.cols),
-            ("C3", self.C3.rows, self.A2.rows),
-            ("C3", self.C3.cols, self.B2.rows),
-            ("C4", self.C4.rows, self.A2.cols),
-            ("C4", self.C4.cols, self.B2.cols),
-            ("A3", self.A3.rows, cr), ("A3", self.A3.cols, self.A1.cols),
-            ("B3", self.B3.rows, self.B1.rows), ("B3", self.B3.cols, cc),
-            ("A4", self.A4.rows, cr), ("A4", self.A4.cols, self.A2.cols),
-            ("B4", self.B4.rows, self.B2.rows), ("B4", self.B4.cols, cc),
-        ]
-        for name, got, want in checks:
-            if got != want:
-                raise DimensionError(
-                    f"block {name} has incompatible dimensions "
-                    f"(got {got}, expected {want})")
-
-    def unknown_shapes(self) -> dict:
-        return {"X1": (self.A1.cols, self.B1.rows),
-                "X2": (self.A2.cols, self.B2.rows)}
-
-    def blocks(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
-
     def residual_terms(self, sol) -> list:
         x, y = sol
         return [
@@ -167,11 +156,10 @@ class MixedInstance:
 
 
 class _MixedWork:
-    def __init__(self, inst: MixedInstance, rank_tol=None):
+    def __init__(self, inst: MixedInstance):
         self.inst = inst
-        self.rank_tol = rank_tol
         self.floor = cascade_floor(*inst.blocks())
-        pv = lambda m: pinv(m, rank_tol, floor=self.floor)
+        pv = lambda m: pinv(m, floor=self.floor)
         self.bA1, self.bB1 = pv(inst.A1), pv(inst.B1)
         self.bA2, self.bB2 = pv(inst.A2), pv(inst.B2)
         self.A = inst.A3 @ self.bA1.proj_left
@@ -183,7 +171,8 @@ class _MixedWork:
                   - self.A @ inst.C2 @ self.bB1.pinv @ inst.B3
                   - inst.A4 @ (self.bA2.pinv @ inst.C3) @ inst.B4
                   - self.Cm @ inst.C4 @ self.bB2.pinv @ inst.B4)
-        self.inner = _TwoTermWork(self.A, self.Bb, self.Cm, self.D, self.E)
+        self.inner = _TwoTermWork(TwoTermInstance(self.A, self.Bb, self.Cm,
+                                                  self.D, self.E))
 
     def conditions(self, tol: float):
         """(compat, mp): the pair conditions, then the residual
@@ -213,7 +202,7 @@ class _MixedWork:
 
     def rank_conditions(self):
         inst = self.inst
-        r = lambda m: rank(m, self.rank_tol, floor=self.floor)
+        r = lambda m: rank(m, floor=self.floor)
         a1, b1, c1, c2 = inst.A1, inst.B1, inst.C1, inst.C2
         a2, b2, c3, c4 = inst.A2, inst.B2, inst.C3, inst.C4
         a3, b3, a4, b4, cc = inst.A3, inst.B3, inst.A4, inst.B4, inst.Cc
@@ -269,8 +258,7 @@ def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
     two-sided equation that the two-term solver parametrizes."""
     work = _MixedWork(inst)
     inner_family = work.inner.family()
-    x_shape = inst.unknown_shapes()["X1"]
-    y_shape = inst.unknown_shapes()["X2"]
+    x_shape, y_shape = inst.unknown_shapes().values()
     params = (FreeParam("U", x_shape), FreeParam("V", y_shape),
               FreeParam("W", y_shape), FreeParam("Z", x_shape))
     x_part = (work.bA1.pinv @ inst.C1

@@ -5,16 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv, rank
-from ..qmatrix import DimensionError, QMatrix, block, hstack, vstack
-from .families import (FreeParam, LinearSolutionFamily, SolvabilityReport,
-                       cascade_floor, decide, rank_condition,
-                       residual_condition)
+from ..qmatrix import QMatrix, block, hstack, vstack
+from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
+                       SolvabilityReport, cascade_floor, decide,
+                       rank_condition, residual_condition)
 from .basic import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
-class TwoTermInstance:
+class TwoTermInstance(ShapedInstance):
     """Coefficients of C3 X3 D3 + C4 X4 D4 = E1 as one value."""
+
+    SHAPES = {"E1": ("p", "q"), "C3": ("p", "m3"), "D3": ("n3", "q"),
+              "C4": ("p", "m4"), "D4": ("n4", "q"),
+              "X3": ("m3", "n3"), "X4": ("m4", "n4")}
 
     C3: QMatrix
     D3: QMatrix
@@ -22,24 +26,10 @@ class TwoTermInstance:
     D4: QMatrix
     E1: QMatrix
 
-    def __post_init__(self):
-        _check_dims(self.C3, self.D3, self.C4, self.D4, self.E1)
-
-    def unknown_shapes(self) -> dict:
-        return {"X3": (self.C3.cols, self.D3.rows),
-                "X4": (self.C4.cols, self.D4.rows)}
-
     def residual_terms(self, sol) -> list:
         x3, x4 = sol
         defect = self.C3 @ x3 @ self.D3 + self.C4 @ x4 @ self.D4 - self.E1
         return [("coupling=E1", defect, self.E1.norm())]
-
-
-def _check_dims(c3, d3, c4, d4, e1):
-    if c3.rows != e1.rows or c4.rows != e1.rows:
-        raise DimensionError("C3, C4 and E1 must have the same row count")
-    if d3.cols != e1.cols or d4.cols != e1.cols:
-        raise DimensionError("D3, D4 and E1 must have the same column count")
 
 
 class TwoTermKernel:
@@ -82,15 +72,15 @@ class TwoTermKernel:
 
 
 class _TwoTermWork(TwoTermKernel):
-    """The kernel for one right side E1, with both certificates."""
+    """The kernel for one instance's right side E1, with both
+    certificates."""
 
-    def __init__(self, c3, d3, c4, d4, e1, rank_tol=None):
-        _check_dims(c3, d3, c4, d4, e1)
-        self.e1 = e1
-        self.rank_tol = rank_tol
-        self.floor = cascade_floor(c3, d3, c4, d4, e1)
-        super().__init__(c3, d3, c4, d4,
-                         lambda m: pinv(m, rank_tol, floor=self.floor))
+    def __init__(self, inst: TwoTermInstance):
+        self.inst = inst
+        self.e1 = inst.E1
+        self.floor = cascade_floor(*inst.blocks())
+        super().__init__(inst.C3, inst.D3, inst.C4, inst.D4,
+                         lambda m: pinv(m, floor=self.floor))
 
     def mp_conditions(self, tol: float) -> list:
         threshold = tol * (1.0 + self.e1.norm())
@@ -112,7 +102,7 @@ class _TwoTermWork(TwoTermKernel):
 
     def rank_conditions(self) -> list:
         c3, d3, c4, d4, e1 = self.c3, self.d3, self.c4, self.d4, self.e1
-        r = lambda m: rank(m, self.rank_tol, floor=self.floor)
+        r = lambda m: rank(m, floor=self.floor)
         return [
             rank_condition("r(C3,E1,C4)=r(C3,C4)",
                            r(hstack([c3, e1, c4])), r(hstack([c3, c4]))),
@@ -131,8 +121,7 @@ class _TwoTermWork(TwoTermKernel):
                                        self.rank_conditions())
 
     def family(self) -> LinearSolutionFamily:
-        shape3 = (self.c3.cols, self.d3.rows)
-        shape4 = (self.c4.cols, self.d4.rows)
+        shape3, shape4 = self.inst.unknown_shapes().values()
         params = (FreeParam("Y11", shape4), FreeParam("Y12", shape3),
                   FreeParam("Y13", shape3), FreeParam("Y14", shape4),
                   FreeParam("Y15", shape4))
@@ -145,7 +134,7 @@ class _TwoTermWork(TwoTermKernel):
 
 def check_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
                    e1: QMatrix, tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    return _TwoTermWork(c3, d3, c4, d4, e1).report(tol)
+    return _TwoTermWork(TwoTermInstance(c3, d3, c4, d4, e1)).report(tol)
 
 
 def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
@@ -158,7 +147,7 @@ def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
     carries five free parameters Y11..Y15 (Y11 is shared between the two
     unknowns).
     """
-    work = _TwoTermWork(c3, d3, c4, d4, e1)
     inst = TwoTermInstance(c3, d3, c4, d4, e1)
+    work = _TwoTermWork(inst)
     return decide([], work.mp_conditions(tol), work.rank_conditions,
                   work.family, inst.residual_terms, tol)

@@ -1,0 +1,71 @@
+"""Each instance type's SHAPES table: construction, unknown shapes and
+document parsing all follow it."""
+
+import dataclasses
+
+import pytest
+
+from qsylv import documents as docs
+from qsylv import zeros
+from qsylv.harness import VARIANTS, gen_planted
+from qsylv.qmatrix import DimensionError
+
+
+def _block_names(inst):
+    return [f.name for f in dataclasses.fields(inst) if f.name != "eta"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_conflicting_block_is_named(variant):
+    inst, _ = gen_planted(variant, 2, seed=4, eta="j")
+    for name in _block_names(inst):
+        m = getattr(inst, name)
+        bad = zeros(m.rows + 1, m.cols + 1)
+        with pytest.raises(DimensionError, match=rf"\b{name}\b"):
+            dataclasses.replace(inst, **{name: bad})
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dropped_blocks_come_back_as_zeros(variant):
+    inst, _ = gen_planted(variant, 2, seed=5, eta="k")
+    shapes = type(inst).SHAPES
+    names = _block_names(inst)
+    determined = 0
+    for name in names:
+        others = {dim for k in names if k != name for dim in shapes[k]}
+        doc = docs.instance_to_doc(inst)
+        del doc[name]
+        got = getattr(docs.instance_from_doc(doc), name)
+        assert got.norm() == 0.0
+        # a dimension no remaining block carries defaults to 0
+        want = tuple(n if dim in others else 0
+                     for n, dim in zip(getattr(inst, name).shape,
+                                       shapes[name]))
+        assert got.shape == want, name
+        determined += want == getattr(inst, name).shape
+    assert determined > 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_conflicting_document_block_is_named(variant):
+    inst, _ = gen_planted(variant, 2, seed=5, eta="i")
+    for name in _block_names(inst):
+        m = getattr(inst, name)
+        doc = docs.instance_to_doc(inst)
+        doc[name] = docs.matrix_to_doc(zeros(m.rows + 1, m.cols + 1))
+        with pytest.raises(docs.ParseError, match=rf"\b{name}\b"):
+            docs.instance_from_doc(doc)
+
+
+def test_solution_keys_keep_their_order():
+    assert docs.SOLUTION_KEYS == {
+        "master": ("U", "V", "X", "Y", "Z"),
+        "three-term": ("X", "Y", "Z"),
+        "mixed": ("X1", "X2"),
+        "two-term": ("X3", "X4"),
+        "five-term": ("X1", "X2", "Y1", "Y2", "Y3"),
+        "eta-full": ("U", "X", "Y", "Z"),
+        "eta-three": ("X", "Y", "Z"),
+        "eta-two": ("Y", "Z"),
+        "eta-mixed": ("X", "Y"),
+    }
