@@ -3,7 +3,10 @@
 Everything is computed through the complex adjoint embedding: the
 embedded matrix has singular values in equal pairs, one representative
 per pair is kept (pair averaging symmetrizes rounding), and the rank of
-the embedding is twice the quaternion rank.
+the embedding is twice the quaternion rank.  Every ``rank`` and every
+``pinv`` takes exactly one SVD of the embedding; ``pinv`` builds the
+inverse and both projectors from its factors, reading each quaternion
+result off the top block row of its embedded image.
 
 Singular vectors are recovered by unembedding structure-projected
 columns of the complex factors.  Clusters of (numerically) equal
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import Quaternion
-from .qmatrix import QMatrix, block, hstack, unembed_projected
+from .qmatrix import QMatrix, block, hstack
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -88,11 +91,15 @@ def rank(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> int:
 
 
 def pinv(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> PinvBundle:
-    """Moore-Penrose inverse with projectors, via the complex embedding.
+    """Moore-Penrose inverse with projectors, from one SVD of the embedding.
 
     Singular values are truncated jointly per embedded pair at the rank
     tolerance (default max(m, n) * sigma_max * eps).  ``floor`` is an
-    absolute lower bound on the threshold; see :func:`rank`.
+    absolute lower bound on the threshold; see :func:`rank`.  With the
+    kept factors U_r, S_r, V_r of the embedding, A^+ = V_r S_r^+ U_r^*,
+    L_A = I - V_r V_r^* and R_A = I - U_r U_r^*; each is an adjoint
+    image, so only the top block row of each product is formed, and it
+    is (X1, X2) of the quaternion result.
     """
     m, n = a.shape
     if m == 0 or n == 0:
@@ -109,14 +116,18 @@ def pinv(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> PinvBundle
     tol = max(tol, floor)
     r = int(np.count_nonzero(sig > tol))
     if r == 0:
-        p = np.zeros((2 * n, 2 * m), dtype=complex)
-    else:
-        inv = np.repeat(1.0 / sig[:r], 2)
-        p = (vh[: 2 * r].conj().T * inv) @ uc[:, : 2 * r].conj().T
-    apinv = unembed_projected(p)
-    proj_left = QMatrix.identity(n) - apinv @ a
-    proj_right = QMatrix.identity(m) - a @ apinv
-    return PinvBundle(apinv, proj_left, proj_right, r, tol)
+        return PinvBundle(QMatrix.zeros(n, m), QMatrix.identity(n),
+                          QMatrix.identity(m), 0, tol)
+    uh = uc[:, : 2 * r].conj().T
+    v = vh[: 2 * r].conj().T
+    top_pinv = (v[:n] * np.repeat(1.0 / sig[:r], 2)) @ uh
+    top_left = -(v[:n] @ vh[: 2 * r])
+    top_right = -(uc[:m, : 2 * r] @ uh)
+    top_left[:, :n] += np.eye(n)
+    top_right[:, :m] += np.eye(m)
+    halves = lambda top, k: QMatrix._pair(top[:, :k], top[:, k:])
+    return PinvBundle(halves(top_pinv, m), halves(top_left, n),
+                      halves(top_right, m), r, tol)
 
 
 def pinv_matrix(a: QMatrix, tol: float | None = None) -> QMatrix:
@@ -128,9 +139,7 @@ def pinv_matrix(a: QMatrix, tol: float | None = None) -> QMatrix:
 def _lift_cols(cmat: np.ndarray, idx) -> QMatrix:
     """Lift embedding columns (2m complex) to quaternion columns (m)."""
     half = cmat.shape[0] // 2
-    a = cmat[:half, idx]
-    b = cmat[half:, idx]
-    return QMatrix(a.real.copy(), a.imag.copy(), -b.real, b.imag.copy())
+    return QMatrix._pair(cmat[:half, idx], -np.conj(cmat[half:, idx]))
 
 
 def _col(mat: QMatrix, j: int) -> QMatrix:
@@ -283,87 +292,57 @@ def svd(a: QMatrix, tol: float | None = None):
 
 # -- one-sided Jacobi in quaternion arithmetic ----------------------------
 
-def _col_dot(w, x, y, z, p, q):
-    """Quaternion inner product conj(col_p) . col_q of component arrays."""
-    re = float(w[:, p] @ w[:, q] + x[:, p] @ x[:, q]
-               + y[:, p] @ y[:, q] + z[:, p] @ z[:, q])
-    ci = float(w[:, p] @ x[:, q] - x[:, p] @ w[:, q]
-               - y[:, p] @ z[:, q] + z[:, p] @ y[:, q])
-    cj = float(w[:, p] @ y[:, q] + x[:, p] @ z[:, q]
-               - y[:, p] @ w[:, q] - z[:, p] @ x[:, q])
-    ck = float(w[:, p] @ z[:, q] - x[:, p] @ y[:, q]
-               + y[:, p] @ x[:, q] - z[:, p] @ w[:, q])
-    return re, ci, cj, ck
-
-
-def _col_rmul(w, x, y, z, j, quat):
-    """col_j * quat for component arrays; returns new component columns."""
-    qw, qx, qy, qz = quat
-    cw, cx, cy, cz = w[:, j], x[:, j], y[:, j], z[:, j]
-    return (cw * qw - cx * qx - cy * qy - cz * qz,
-            cw * qx + cx * qw + cy * qz - cz * qy,
-            cw * qy - cx * qz + cy * qw + cz * qx,
-            cw * qz + cx * qy - cy * qx + cz * qw)
-
-
 def _jacobi_svd(a: QMatrix, max_sweeps: int = 100):
     """One-sided Jacobi SVD; gap-insensitive fallback route."""
     m, n = a.shape
     if m < n:
         u, sig, v = _jacobi_svd(a.conj_transpose(), max_sweeps)
         return v, sig, u
-    ww, wx, wy, wz = (c.copy() for c in a.components())
-    vmat = QMatrix.identity(n)
-    vw, vx, vy, vz = vmat.components()
+    wmat, vmat = a.copy(), QMatrix.identity(n)
     conv = 8.0 * _EPS
     for _ in range(max_sweeps):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
-                app = float(ww[:, p] @ ww[:, p] + wx[:, p] @ wx[:, p]
-                            + wy[:, p] @ wy[:, p] + wz[:, p] @ wz[:, p])
-                aqq = float(ww[:, q] @ ww[:, q] + wx[:, q] @ wx[:, q]
-                            + wy[:, q] @ wy[:, q] + wz[:, q] @ wz[:, q])
+                p1, p2 = wmat.a1[:, p], wmat.a2[:, p]
+                q1, q2 = wmat.a1[:, q], wmat.a2[:, q]
+                app = np.vdot(p1, p1).real + np.vdot(p2, p2).real
+                aqq = np.vdot(q1, q1).real + np.vdot(q2, q2).real
                 if app == 0.0 or aqq == 0.0:
                     continue
-                gw, gx, gy, gz = _col_dot(ww, wx, wy, wz, p, q)
-                gabs = math.sqrt(gw * gw + gx * gx + gy * gy + gz * gz)
+                # quaternion inner product conj(col_p) . col_q = g1 + g2 j
+                g1 = np.vdot(p1, q1) + np.vdot(q2, p2)
+                g2 = np.vdot(p1, q2) - np.vdot(q1, p2)
+                gabs = math.sqrt(abs(g1) ** 2 + abs(g2) ** 2)
                 rel = gabs / math.sqrt(app * aqq)
                 off = max(off, rel)
                 if rel <= conv:
                     continue
-                # unit quaternion making the 2x2 Gram real, then a real
-                # Givens rotation zeroing its off-diagonal
-                uw, ux, uy, uz = (gw / gabs, gx / gabs, gy / gabs, gz / gabs)
+                # col_q * conj(u) with the unit u = g / |g| makes the 2x2
+                # Gram real, then a real Givens rotation zeroes its
+                # off-diagonal
+                u1, u2 = g1 / gabs, g2 / gabs
                 tau = (aqq - app) / (2.0 * gabs)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 sn = t * c
-                # conj(u) * s
-                ws = (uw * sn, -ux * sn, -uy * sn, -uz * sn)
-                wc = (uw * c, -ux * c, -uy * c, -uz * c)
-                for cols in ((ww, wx, wy, wz), (vw, vx, vy, vz)):
-                    a0, a1, a2, a3 = cols
-                    qs = _col_rmul(a0, a1, a2, a3, q, ws)
-                    qc = _col_rmul(a0, a1, a2, a3, q, wc)
-                    newp = (a0[:, p] * c - qs[0], a1[:, p] * c - qs[1],
-                            a2[:, p] * c - qs[2], a3[:, p] * c - qs[3])
-                    newq = (a0[:, p] * sn + qc[0], a1[:, p] * sn + qc[1],
-                            a2[:, p] * sn + qc[2], a3[:, p] * sn + qc[3])
-                    for comp, np_, nq_ in zip(cols, newp, newq):
-                        comp[:, p] = np_
-                        comp[:, q] = nq_
+                for x1, x2 in ((wmat.a1, wmat.a2), (vmat.a1, vmat.a2)):
+                    t1 = x1[:, q] * np.conj(u1) + x2[:, q] * np.conj(u2)
+                    t2 = x2[:, q] * u1 - x1[:, q] * u2
+                    new1, new2 = x1[:, p] * c - t1 * sn, x2[:, p] * c - t2 * sn
+                    x1[:, q] = x1[:, p] * sn + t1 * c
+                    x2[:, q] = x2[:, p] * sn + t2 * c
+                    x1[:, p], x2[:, p] = new1, new2
         if off <= conv:
             break
     else:
         raise NumericError("one-sided Jacobi did not converge in "
                            f"{max_sweeps} sweeps")
-    norms = np.sqrt((ww**2 + wx**2 + wy**2 + wz**2).sum(axis=0))
+    norms = np.sqrt((np.abs(wmat.a1) ** 2 + np.abs(wmat.a2) ** 2).sum(axis=0))
     order = np.argsort(-norms, kind="stable")
     sig = norms[order]
     smax = float(sig[0]) if sig.size else 0.0
     ztol = 32.0 * max(m, n) * _EPS * smax
-    wmat = QMatrix(ww, wx, wy, wz)
     ucols = []
     for j in order:
         colnorm = norms[j]
@@ -387,7 +366,6 @@ def _jacobi_svd(a: QMatrix, max_sweeps: int = 100):
             ucols[j] = col
     u = hstack(ucols)
     vperm = hstack([_col(vmat, int(j)) for j in order])
-    # columns of vmat were updated in place through the component views
     return u, sig, vperm
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 
+import numpy as np
+
 from .harness import VARIANT_TABLE, VARIANTS
 from .qcore import ETAS
 from .qmatrix import DimensionError, QMatrix, named_dims
@@ -43,8 +45,7 @@ SOLUTION_KEYS = {name: v.unknowns for name, v in VARIANT_TABLE.items()}
 
 
 def matrix_to_doc(m: QMatrix) -> dict:
-    entries = [[[m.w[p, q], m.x[p, q], m.y[p, q], m.z[p, q]]
-                for q in range(m.cols)] for p in range(m.rows)]
+    entries = np.stack(m.components(), axis=-1).tolist()
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
@@ -60,7 +61,7 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
         raise ParseError(f"matrix {key!r} has negative dimensions")
     if len(entries) != rows:
         raise ParseError(f"matrix {key!r}: expected {rows} entry rows")
-    out = QMatrix.zeros(rows, cols)
+    flat = []
     for p, row in enumerate(entries):
         if len(row) != cols:
             raise ParseError(f"matrix {key!r}: row {p} has {len(row)} entries,"
@@ -70,12 +71,13 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
                 raise ParseError(f"matrix {key!r}: entry ({p},{q}) must have "
                                  "4 components")
             try:
-                out.w[p, q], out.x[p, q], out.y[p, q], out.z[p, q] = (
-                    float(val[0]), float(val[1]), float(val[2]), float(val[3]))
+                flat += (float(val[0]), float(val[1]),
+                         float(val[2]), float(val[3]))
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"matrix {key!r}: entry ({p},{q}) is not "
                                  "numeric") from exc
-    return out
+    planes = np.array(flat, dtype=float).reshape(rows, cols, 4)
+    return QMatrix(*np.moveaxis(planes, -1, 0))
 
 
 def _load_matrices(doc: dict, variant: str) -> dict:

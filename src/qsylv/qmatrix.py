@@ -1,17 +1,24 @@
 """Dense quaternion matrices.
 
-A QMatrix stores the four real component planes (w, x, y, z) as float64
-ndarrays of identical shape.  Zero-dimension matrices (0 x n, m x 0) are
-legal values throughout; products with compatible empty operands follow
-the usual empty-sum conventions, which numpy implements natively.
+A QMatrix A = A1 + A2*j stores its complex pair (A1, A2) as two
+complex128 ndarrays of identical shape; the real planes (w, x, y, z) of
+A = w + x*i + y*j + z*k are writable views of their real and imaginary
+parts.  Zero-dimension matrices (0 x n, m x 0) are legal values
+throughout; products with compatible empty operands follow the usual
+empty-sum conventions, which numpy implements natively.
 
-The complex adjoint embedding writes A = A1 + A2*j with complex A1, A2
-and represents A by the 2m x 2n complex block matrix
+On the pair the Hamilton product is four complex products,
+
+    (A1 + A2 j)(B1 + B2 j) = (A1 B1 - A2 conj(B2)) + (A1 B2 + A2 conj(B1)) j,
+
+and the complex adjoint embedding is one block copy into the 2m x 2n
+complex matrix
 
     [[A1, A2], [-conj(A2), conj(A1)]].
 
 The embedding is a ring homomorphism and doubles ranks, which is the
-computational route used by the decompositions in :mod:`qsylv.decomp`.
+computational route used by the decompositions in :mod:`qsylv.decomp`
+(Zhang, "Quaternions and matrices of quaternions", LAA 251, 1997).
 """
 
 from __future__ import annotations
@@ -50,37 +57,46 @@ class StructureError(ValueError):
 
 
 class QMatrix:
-    """Dense m x n quaternion matrix."""
+    """Dense m x n quaternion matrix A = A1 + A2*j.
 
-    __slots__ = ("w", "x", "y", "z")
+    ``a1`` and ``a2`` are complex128 arrays of one shape; ``w``, ``x``,
+    ``y`` and ``z`` are writable views of their real and imaginary parts.
+    """
+
+    __slots__ = ("a1", "a2")
 
     def __init__(self, w, x=None, y=None, z=None):
         w = np.asarray(w, dtype=float)
         if w.ndim != 2:
             raise DimensionError("component arrays must be 2-dimensional")
-        self.w = w
-        self.x = self._plane(x, w.shape)
-        self.y = self._plane(y, w.shape)
-        self.z = self._plane(z, w.shape)
+        self.a1 = np.zeros(w.shape, dtype=complex)
+        self.a2 = np.zeros(w.shape, dtype=complex)
+        for dst, arr in zip(self.components(), (w, x, y, z)):
+            if arr is not None:
+                arr = np.asarray(arr, dtype=float)
+                if arr.shape != w.shape:
+                    raise DimensionError(
+                        f"component shape {arr.shape} != {w.shape}")
+                dst[...] = arr
 
-    @staticmethod
-    def _plane(arr, shape):
-        if arr is None:
-            return np.zeros(shape)
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != shape:
-            raise DimensionError(f"component shape {arr.shape} != {shape}")
-        return arr
+    @classmethod
+    def _pair(cls, a1, a2) -> "QMatrix":
+        """Wrap two complex arrays of one shape, without copying."""
+        out = object.__new__(cls)
+        out.a1, out.a2 = a1, a2
+        return out
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(np.zeros((rows, cols)))
+        return cls._pair(np.zeros((rows, cols), dtype=complex),
+                         np.zeros((rows, cols), dtype=complex))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(np.eye(n))
+        return cls._pair(np.eye(n, dtype=complex),
+                         np.zeros((n, n), dtype=complex))
 
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence]) -> "QMatrix":
@@ -100,7 +116,8 @@ class QMatrix:
                     c = tuple(float(v) for v in e)
                     if len(c) != 4:
                         raise DimensionError("entries must have 4 components")
-                out.w[p, q], out.x[p, q], out.y[p, q], out.z[p, q] = c
+                out.a1[p, q] = complex(c[0], c[1])
+                out.a2[p, q] = complex(c[2], c[3])
         return out
 
     @classmethod
@@ -109,34 +126,52 @@ class QMatrix:
         a2 = np.asarray(a2, dtype=complex)
         if a1.shape != a2.shape:
             raise DimensionError("complex pair shapes differ")
-        return cls(a1.real.copy(), a1.imag.copy(), a2.real.copy(), a2.imag.copy())
+        return cls(a1.real, a1.imag, a2.real, a2.imag)
 
     # -- basic queries ------------------------------------------------
 
     @property
     def shape(self):
-        return self.w.shape
+        return self.a1.shape
 
     @property
     def rows(self) -> int:
-        return self.w.shape[0]
+        return self.a1.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.w.shape[1]
+        return self.a1.shape[1]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.a1.real
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.a1.imag
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.a2.real
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.a2.imag
 
     def entry(self, p: int, q: int) -> Quaternion:
-        return Quaternion(self.w[p, q], self.x[p, q], self.y[p, q], self.z[p, q])
+        e1, e2 = self.a1[p, q], self.a2[p, q]
+        return Quaternion(e1.real, e1.imag, e2.real, e2.imag)
 
     def entries(self):
         """Row-major list of entries as Quaternion values."""
         return [self.entry(p, q) for p in range(self.rows) for q in range(self.cols)]
 
     def copy(self) -> "QMatrix":
-        return QMatrix(self.w.copy(), self.x.copy(), self.y.copy(), self.z.copy())
+        return QMatrix._pair(self.a1.copy(), self.a2.copy())
 
     def components(self):
-        return (self.w, self.x, self.y, self.z)
+        """The planes (w, x, y, z) as writable views."""
+        return (self.a1.real, self.a1.imag, self.a2.real, self.a2.imag)
 
     def __repr__(self):
         return f"QMatrix(shape={self.shape})"
@@ -149,30 +184,23 @@ class QMatrix:
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._check_same_shape(other)
-        return QMatrix(self.w + other.w, self.x + other.x,
-                       self.y + other.y, self.z + other.z)
+        return QMatrix._pair(self.a1 + other.a1, self.a2 + other.a2)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         self._check_same_shape(other)
-        return QMatrix(self.w - other.w, self.x - other.x,
-                       self.y - other.y, self.z - other.z)
+        return QMatrix._pair(self.a1 - other.a1, self.a2 - other.a2)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.w, -self.x, -self.y, -self.z)
+        return QMatrix._pair(-self.a1, -self.a2)
 
     def __mul__(self, scalar) -> "QMatrix":
         """Right scalar multiplication A * q (entrywise a_pq * q)."""
         if isinstance(scalar, (int, float)):
-            return QMatrix(self.w * scalar, self.x * scalar,
-                           self.y * scalar, self.z * scalar)
+            return QMatrix._pair(self.a1 * scalar, self.a2 * scalar)
         if isinstance(scalar, Quaternion):
-            w, x, y, z = scalar.components()
-            return QMatrix(
-                self.w * w - self.x * x - self.y * y - self.z * z,
-                self.w * x + self.x * w + self.y * z - self.z * y,
-                self.w * y - self.x * z + self.y * w + self.z * x,
-                self.w * z + self.x * y - self.y * x + self.z * w,
-            )
+            q1, q2 = complex(scalar.w, scalar.x), complex(scalar.y, scalar.z)
+            return QMatrix._pair(self.a1 * q1 - self.a2 * q2.conjugate(),
+                                 self.a1 * q2 + self.a2 * q1.conjugate())
         return NotImplemented
 
     def __rmul__(self, scalar) -> "QMatrix":
@@ -180,75 +208,63 @@ class QMatrix:
         if isinstance(scalar, (int, float)):
             return self * scalar
         if isinstance(scalar, Quaternion):
-            w, x, y, z = scalar.components()
-            return QMatrix(
-                w * self.w - x * self.x - y * self.y - z * self.z,
-                w * self.x + x * self.w + y * self.z - z * self.y,
-                w * self.y - x * self.z + y * self.w + z * self.x,
-                w * self.z + x * self.y - y * self.x + z * self.w,
-            )
+            q1, q2 = complex(scalar.w, scalar.x), complex(scalar.y, scalar.z)
+            return QMatrix._pair(q1 * self.a1 - q2 * np.conj(self.a2),
+                                 q1 * self.a2 + q2 * np.conj(self.a1))
         return NotImplemented
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
+        """(A1 + A2 j)(B1 + B2 j) = (A1 B1 - A2 conj(B2))
+        + (A1 B2 + A2 conj(B1)) j: four complex products."""
         if self.cols != other.rows:
             raise DimensionError(
                 f"matmul mismatch: {self.shape} @ {other.shape}")
-        aw, ax, ay, az = self.components()
-        bw, bx, by, bz = other.components()
-        return QMatrix(
-            aw @ bw - ax @ bx - ay @ by - az @ bz,
-            aw @ bx + ax @ bw + ay @ bz - az @ by,
-            aw @ by - ax @ bz + ay @ bw + az @ bx,
-            aw @ bz + ax @ by - ay @ bx + az @ bw,
-        )
+        a1, a2, b1, b2 = self.a1, self.a2, other.a1, other.a2
+        return QMatrix._pair(a1 @ b1 - a2 @ b2.conj(),
+                             a1 @ b2 + a2 @ b1.conj())
 
     # -- transposes and norms -------------------------------------------
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.w.T.copy(), self.x.T.copy(),
-                       self.y.T.copy(), self.z.T.copy())
+        return QMatrix._pair(self.a1.T.copy(), self.a2.T.copy())
 
     def conj(self) -> "QMatrix":
-        return QMatrix(self.w, -self.x, -self.y, -self.z)
+        return QMatrix._pair(self.a1.conj(), -self.a2)
 
     def conj_transpose(self) -> "QMatrix":
-        return QMatrix(self.w.T.copy(), -self.x.T, -self.y.T, -self.z.T)
+        return QMatrix._pair(self.a1.T.conj(), -self.a2.T)
 
     def eta_conj_transpose(self, eta: str) -> "QMatrix":
-        """Return -eta * A^* * eta, the eta-conjugate transpose."""
+        """Return -eta * A^* * eta, the eta-conjugate transpose: the
+        transpose with the eta component negated."""
         check_eta(eta)
-        x, y, z = self.x.T.copy(), self.y.T.copy(), self.z.T.copy()
+        a1, a2 = self.a1.T, self.a2.T
         if eta == "i":
-            x = -x
-        elif eta == "j":
-            y = -y
-        else:
-            z = -z
-        return QMatrix(self.w.T.copy(), x, y, z)
+            return QMatrix._pair(a1.conj(), a2.copy())
+        return QMatrix._pair(a1.copy(), -a2.conj() if eta == "j" else a2.conj())
 
     def norm(self) -> float:
-        return math.sqrt(self.w.ravel() @ self.w.ravel()
-                         + self.x.ravel() @ self.x.ravel()
-                         + self.y.ravel() @ self.y.ravel()
-                         + self.z.ravel() @ self.z.ravel())
+        return math.sqrt(np.vdot(self.a1, self.a1).real
+                         + np.vdot(self.a2, self.a2).real)
 
     def submatrix(self, row_slice, col_slice) -> "QMatrix":
-        return QMatrix(self.w[row_slice, col_slice].copy(),
-                       self.x[row_slice, col_slice].copy(),
-                       self.y[row_slice, col_slice].copy(),
-                       self.z[row_slice, col_slice].copy())
+        return QMatrix._pair(self.a1[row_slice, col_slice].copy(),
+                             self.a2[row_slice, col_slice].copy())
 
     # -- complex adjoint embedding --------------------------------------
 
     def complex_pair(self):
-        """Return (A1, A2) with A = A1 + A2*j as complex ndarrays."""
-        return (self.w + 1j * self.x, self.y + 1j * self.z)
+        """Return (A1, A2) with A = A1 + A2*j: the stored arrays."""
+        return self.a1, self.a2
 
     def embed(self) -> np.ndarray:
-        a1, a2 = self.complex_pair()
-        top = np.hstack([a1, a2])
-        bottom = np.hstack([-np.conj(a2), np.conj(a1)])
-        return np.vstack([top, bottom])
+        m, n = self.shape
+        out = np.empty((2 * m, 2 * n), dtype=complex)
+        out[:m, :n] = self.a1
+        out[:m, n:] = self.a2
+        np.negative(self.a2.conj(), out=out[m:, :n])
+        np.conjugate(self.a1, out=out[m:, n:])
+        return out
 
 
 # -- module-level operation aliases -------------------------------------
@@ -296,14 +312,14 @@ def structure_defect(m: np.ndarray) -> float:
                      + np.linalg.norm(m12 + np.conj(m21)) ** 2) / math.sqrt(2.0)
 
 
+def _projected_pair(m: np.ndarray):
+    m11, m12, m21, m22 = _adjoint_blocks(np.asarray(m, dtype=complex))
+    return QMatrix._pair(0.5 * (m11 + np.conj(m22)), 0.5 * (m12 - np.conj(m21)))
+
+
 def structure_project(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the adjoint-structured subspace."""
-    m11, m12, m21, m22 = _adjoint_blocks(np.asarray(m, dtype=complex))
-    a1 = 0.5 * (m11 + np.conj(m22))
-    a2 = 0.5 * (m12 - np.conj(m21))
-    top = np.hstack([a1, a2])
-    bottom = np.hstack([-np.conj(a2), np.conj(a1)])
-    return np.vstack([top, bottom])
+    return _projected_pair(m).embed()
 
 
 def unembed(m: np.ndarray, tol: float = 1e-10) -> QMatrix:
@@ -313,21 +329,15 @@ def unembed(m: np.ndarray, tol: float = 1e-10) -> QMatrix:
     tol * ||m||_F ("not an adjoint image").
     """
     m = np.asarray(m, dtype=complex)
-    m11, m12, m21, m22 = _adjoint_blocks(m)
     scale = np.linalg.norm(m)
     if structure_defect(m) > tol * max(scale, 1e-300):
         raise StructureError("not an adjoint image")
-    a1 = 0.5 * (m11 + np.conj(m22))
-    a2 = 0.5 * (m12 - np.conj(m21))
-    return QMatrix.from_complex_pair(a1, a2)
+    return _projected_pair(m)
 
 
 def unembed_projected(m: np.ndarray) -> QMatrix:
     """Unembed after forcing the adjoint symmetry (no tolerance check)."""
-    m11, m12, m21, m22 = _adjoint_blocks(np.asarray(m, dtype=complex))
-    a1 = 0.5 * (m11 + np.conj(m22))
-    a2 = 0.5 * (m12 - np.conj(m21))
-    return QMatrix.from_complex_pair(a1, a2)
+    return _projected_pair(m)
 
 
 # -- block assembly ------------------------------------------------------
@@ -339,8 +349,8 @@ def hstack(mats: Iterable[QMatrix]) -> QMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack row mismatch")
-    return QMatrix(*(np.hstack([getattr(m, c) for m in mats])
-                     for c in ("w", "x", "y", "z")))
+    return QMatrix._pair(np.hstack([m.a1 for m in mats]),
+                         np.hstack([m.a2 for m in mats]))
 
 
 def vstack(mats: Iterable[QMatrix]) -> QMatrix:
@@ -350,8 +360,8 @@ def vstack(mats: Iterable[QMatrix]) -> QMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack column mismatch")
-    return QMatrix(*(np.vstack([getattr(m, c) for m in mats])
-                     for c in ("w", "x", "y", "z")))
+    return QMatrix._pair(np.vstack([m.a1 for m in mats]),
+                         np.vstack([m.a2 for m in mats]))
 
 
 def block(grid: Sequence[Sequence]) -> QMatrix:
@@ -390,8 +400,9 @@ def block(grid: Sequence[Sequence]) -> QMatrix:
         for q in range(ncols):
             cell = grid[p][q]
             if cell is not None:
-                for dst, src in zip(out.components(), cell.components()):
-                    dst[r0:r0 + heights[p], c0:c0 + widths[q]] = src
+                rs, cs = slice(r0, r0 + heights[p]), slice(c0, c0 + widths[q])
+                out.a1[rs, cs] = cell.a1
+                out.a2[rs, cs] = cell.a2
             c0 += widths[q]
         r0 += heights[p]
     return out

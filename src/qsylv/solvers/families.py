@@ -194,7 +194,8 @@ class LinearSolutionFamily:
     assemble() maps a full choice of free-parameter matrices (sequence in
     declared order, or mapping by name; omitted entries are zero) to the
     concrete solution tuple.  assemble() with no arguments returns the
-    particular solution.
+    particular solution; it is assembled once, and each call returns a
+    copy, so editing a returned matrix in place changes no later result.
     """
 
     def __init__(self, unknowns: Sequence[str], params: Sequence[FreeParam],
@@ -202,6 +203,7 @@ class LinearSolutionFamily:
         self.unknowns = tuple(unknowns)
         self.free_params = tuple(params)
         self._assemble = assemble_fn
+        self._particular = None
 
     @property
     def free_param_shapes(self) -> list:
@@ -236,7 +238,11 @@ class LinearSolutionFamily:
         return values
 
     def assemble(self, params=None) -> tuple:
-        return self._assemble(self._full_params(params))
+        if params is not None:
+            return self._assemble(self._full_params(params))
+        if self._particular is None:
+            self._particular = self._assemble(self._full_params(None))
+        return tuple(m.copy() for m in self._particular)
 
     def random_params(self, rng, scale: float = 1.0) -> list:
         """Draw one matrix per free parameter (eta-constrained slots are

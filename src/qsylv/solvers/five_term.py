@@ -253,14 +253,11 @@ class _FiveTermWork:
         self.M, self.N, self.S = self.vw3.m, self.vw3.n, self.vw3.s
         self.F = self.F2 - self.F1
         self.E = self.bC11.proj_right @ self.F @ self.bD11.proj_left
-        self.G1 = (self.E2 - self.C2 @ self.bC[0].pinv @ self.E1
-                   @ self.bD[0].pinv @ self.D2)
-        self.G2 = (self.E4 - self.C4 @ self.bC[2].pinv @ self.E3
-                   @ self.bD[2].pinv @ self.D4)
-        self.F11 = self.C2 @ self.bC[0].proj_left
-        self.F22 = self.C4 @ self.bC[2].proj_left
 
     def intermediates(self) -> FiveTermIntermediates:
+        """Every derived matrix; G1, G2, F11 and F22 are formed only
+        here, since no certificate or assembly reads them."""
+        bC, bD = self.bC, self.bD
         return FiveTermIntermediates(
             A11=self.A11, A22=self.A22, A33=self.A33,
             B11=self.B11, B22=self.B22, B33=self.B33,
@@ -272,7 +269,9 @@ class _FiveTermWork:
             C33=self.C33, D33=self.D33, F1=self.F1, F2=self.F2,
             E11=self.E11, E22=self.E22, E33=self.E33, E44=self.E44,
             M=self.M, N=self.N, F=self.F, E=self.E, S=self.S,
-            G1=self.G1, G2=self.G2, F11=self.F11, F22=self.F22)
+            G1=self.E2 - self.C2 @ bC[0].pinv @ self.E1 @ bD[0].pinv @ self.D2,
+            G2=self.E4 - self.C4 @ bC[2].pinv @ self.E3 @ bD[2].pinv @ self.D4,
+            F11=self.C2 @ bC[0].proj_left, F22=self.C4 @ bC[2].proj_left)
 
     # -- certificates ----------------------------------------------------
 

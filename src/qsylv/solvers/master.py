@@ -252,7 +252,7 @@ class _MasterWork:
                                        self.rank_conditions())
 
     def intermediates(self) -> MasterIntermediates:
-        five = self.five
+        five = self.five.intermediates()
         return MasterIntermediates(
             A11=self.reduced.A1, A22=self.reduced.A2, A33=self.reduced.A3,
             A44=self.reduced.A4, B11=self.reduced.B1, B22=self.reduced.B2,

@@ -136,3 +136,30 @@ def test_solve_master_svd_counts(monkeypatch):
     assert counter.take() == (34, 35)
     qsylv.check_master(planted)
     assert counter.take() == (34, 35)
+
+
+def test_particular_solution_is_assembled_once(monkeypatch):
+    planted, _ = gen_consistent(DimensionProfile.cube(2, 0))
+    family = qsylv.solve_master(planted)
+    assert not isinstance(family, Inconsistent)
+    calls = []
+    matmul = qsylv.QMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(qsylv.QMatrix, "__matmul__", counted)
+    particular = family.assemble()
+    assert not calls
+    assert verify_solution(planted, particular, TOL).passed
+    # a returned copy edited in place leaves the cached solution intact
+    particular[0].w[...] = 0.0
+    for a, b in zip(family.particular, family.assemble()):
+        assert a.norm() > 0.0 and (a - b).norm() == 0.0
+    zeros = [qsylv.zeros(*p.shape) for p in family.free_params]
+    calls.clear()
+    fresh = family.assemble(zeros)
+    assert calls
+    for a, b in zip(fresh, family.particular):
+        assert (a - b).norm() == 0.0

@@ -128,6 +128,37 @@ def test_penrose_identities_batch(rng, rand_q):
         assert embedded_rank == 2 * bundle.rank
 
 
+@pytest.mark.parametrize("build,floor,want_rank", [
+    (lambda r: r(5, 3), 0.0, 3),                        # full column rank
+    (lambda r: r(2, 6), 0.0, 2),                        # full row rank
+    (lambda r: r(1, 1), 0.0, 1),
+    (lambda r: r(5, 2) @ r(2, 4), 0.0, 2),              # rank deficient
+    (lambda r: r(3, 4, scale=1e-12), 1e-6, 0),          # below the floor
+    (lambda r: zeros(3, 3), 0.0, 0),
+    (lambda r: zeros(0, 3), 0.0, 0),
+    (lambda r: zeros(4, 0), 0.0, 0),
+])
+def test_pinv_bundle_contract(build, floor, want_rank, rand_q):
+    a = build(rand_q)
+    bundle = pinv(a, floor=floor)
+    m, n = a.shape
+    assert bundle.rank == want_rank
+    assert bundle.pinv.shape == (n, m)
+    assert bundle.proj_left.shape == (n, n)
+    assert bundle.proj_right.shape == (m, m)
+    tol = 1e-12 * (1.0 + a.norm()) * (1.0 + bundle.pinv.norm())
+    if want_rank == 0:
+        assert bundle.pinv.norm() == 0.0
+        assert (bundle.proj_left - identity(n)).norm() == 0.0
+        assert (bundle.proj_right - identity(m)).norm() == 0.0
+    else:
+        # the four Penrose conditions, idempotent Hermitian projectors
+        assert penrose_defect(a, bundle) <= tol
+    p = bundle.pinv
+    assert (bundle.proj_left - (identity(n) - p @ a)).norm() <= tol
+    assert (bundle.proj_right - (identity(m) - a @ p)).norm() <= tol
+
+
 def test_eta_projector_identity(rand_q):
     # (L_A)^{eta*} = R_{A^{eta*}} and its mirror
     for eta in ETAS:

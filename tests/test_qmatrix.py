@@ -3,7 +3,8 @@ import pytest
 
 from qsylv import (DimensionError, QMatrix, Quaternion, StructureError, block,
                    hstack, identity, unembed, vstack, zeros)
-from qsylv.qcore import I, J, K
+from qsylv.qcore import (ETAS, I, J, K, quat_conj, quat_eta_conj,
+                         quat_mul)
 from qsylv.qmatrix import structure_project, unembed_projected
 
 
@@ -65,6 +66,61 @@ def test_embed_examples():
     assert np.array_equal(one.embed(), np.eye(2))
     jm = QMatrix.from_entries([[J]])
     assert np.array_equal(jm.embed(), np.array([[0, 1], [-1, 0]], dtype=complex))
+
+
+# (rows of A, cols of A = rows of B, cols of B), empty and 1 x 1 included
+PRODUCT_SHAPES = [(3, 2, 4), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1),
+                  (4, 5, 3)]
+
+
+def _entrywise(m, fn):
+    return [[fn(m.entry(p, q)) for q in range(m.cols)] for p in range(m.rows)]
+
+
+def _assert_entries(m, shape, expected, tol=1e-13):
+    assert m.shape == shape
+    for p, row in enumerate(expected):
+        for q, want in enumerate(row):
+            assert abs(m.entry(p, q) - want) <= tol * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("m,k,n", PRODUCT_SHAPES)
+def test_matmul_matches_scalar_reference(m, k, n, rand_q):
+    a, b = rand_q(m, k), rand_q(k, n)
+    want = [[sum((quat_mul(a.entry(p, t), b.entry(t, q)) for t in range(k)),
+                 Quaternion()) for q in range(n)] for p in range(m)]
+    _assert_entries(a @ b, (m, n), want)
+    lhs, rhs = (a @ b).embed(), a.embed() @ b.embed()
+    assert lhs.shape == (2 * m, 2 * n)
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
+
+
+@pytest.mark.parametrize("m,k", [(3, 4), (0, 3), (3, 0), (1, 1)])
+def test_unary_operations_match_scalar_reference(m, k, rand_q):
+    a = rand_q(m, k)
+    q = Quaternion(0.3, -1.2, 0.7, 2.1)
+    _assert_entries(a * q, (m, k), _entrywise(a, lambda e: quat_mul(e, q)))
+    _assert_entries(q * a, (m, k), _entrywise(a, lambda e: quat_mul(q, e)))
+    _assert_entries(a.conj(), (m, k), _entrywise(a, quat_conj), 0.0)
+    trans = lambda rows: [list(col) for col in zip(*rows)]
+    _assert_entries(a.conj_transpose(), (k, m),
+                    trans(_entrywise(a, quat_conj)), 0.0)
+    for eta in ETAS:
+        _assert_entries(a.eta_conj_transpose(eta), (k, m), trans(_entrywise(
+            a, lambda e: quat_eta_conj(e, eta))), 0.0)
+
+
+def test_plane_views_write_through():
+    a = zeros(2, 3)
+    a.w[0, 1], a.x[1, 0], a.y[1, 2], a.z[0, 0] = 1.0, 2.0, 3.0, 4.0
+    assert a.entry(0, 1) == Quaternion(1, 0, 0, 0)
+    assert a.entry(1, 0) == Quaternion(0, 2, 0, 0)
+    assert a.entry(1, 2) == Quaternion(0, 0, 3, 0)
+    assert a.entry(0, 0) == Quaternion(0, 0, 0, 4)
+    for plane in a.components():
+        plane[1, 1] = -1.0
+    assert a.entry(1, 1) == Quaternion(-1, -1, -1, -1)
+    assert a.embed()[2 + 1, 3 + 1] == complex(-1, 1)
 
 
 def test_embed_is_ring_homomorphism(rand_q):

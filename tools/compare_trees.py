@@ -1,0 +1,174 @@
+"""Compare the verdicts of two source trees on one fixed corpus.
+
+The corpus is generated once, by one tree, and stored as raw component
+planes, so both trees judge bit-identical inputs:
+
+    PYTHONPATH=<tree A>/src python tools/compare_trees.py gen corpus.pkl
+    PYTHONPATH=<tree A>/src python tools/compare_trees.py run corpus.pkl a.pkl
+    PYTHONPATH=<tree B>/src python tools/compare_trees.py run corpus.pkl b.pkl
+    python tools/compare_trees.py compare a.pkl b.pkl
+
+The corpus holds all nine variants at sizes 1-4, seeds 0-2, eta i/j/k
+for the eta variants, planted instances and their ``gen_unsolvable``
+twins, with every right side scaled by 1e-8, 1 and 1e8.  ``run``
+records, per instance, every ``check_*`` verdict (``consistent``,
+``forms_agree``, each condition's ``passed``, each rank ``lhs``/``rhs``)
+and every ``solve_*`` outcome per branch, plus whether the family's
+particular solution and one random member pass ``verify_solution``.
+``compare`` exits 1 when any recorded verdict differs or any family
+member fails to verify.
+"""
+
+from __future__ import annotations
+
+import pickle
+import sys
+
+import numpy as np
+
+SIZES = (1, 2, 3, 4)
+SEEDS = (0, 1, 2)
+SCALES = (1e-8, 1.0, 1e8)
+
+# the right-hand-side blocks of each system
+RHS_FIELDS = {
+    "master": ("C1", "C2", "C3", "C4", "D1", "D2", "D3", "D4", "Cc"),
+    "three-term": ("C1", "C2", "C3", "D1", "D2", "D3", "C"),
+    "mixed": ("C1", "C2", "C3", "C4", "Cc"),
+    "two-term": ("E1",),
+    "five-term": ("B",),
+    "eta-full": ("C1", "C2", "C3", "C4", "Cc"),
+    "eta-three": ("C1", "C2", "C3", "C"),
+    "eta-two": ("D1",),
+    "eta-mixed": ("C1", "D1", "D3"),
+}
+
+
+def generate(path):
+    from dataclasses import fields, replace
+
+    from qsylv.harness import VARIANT_TABLE, gen_planted, gen_unsolvable
+
+    corpus, skipped = [], 0
+    for variant, entry in VARIANT_TABLE.items():
+        etas = ("i", "j", "k") if variant.startswith("eta") else ("i",)
+        for size in SIZES:
+            for seed in SEEDS:
+                for eta in etas:
+                    twins = [("planted", gen_planted(variant, size, seed, eta)[0])]
+                    try:
+                        twins.append(("unsolvable", gen_unsolvable(
+                            variant, size, seed, eta)))
+                    except RuntimeError:
+                        skipped += 1
+                    for truth, inst in twins:
+                        for scale in SCALES:
+                            scaled = replace(inst, **{
+                                f: getattr(inst, f) * scale
+                                for f in RHS_FIELDS[variant]})
+                            planes = {f.name: tuple(
+                                c.copy() for c in getattr(scaled, f.name)
+                                .components())
+                                for f in fields(scaled) if f.name != "eta"}
+                            corpus.append({
+                                "label": f"{variant} s{size} seed{seed} "
+                                         f"eta={eta} {truth} x{scale:g}",
+                                "variant": variant, "eta": eta,
+                                "planes": planes})
+    with open(path, "wb") as fh:
+        pickle.dump(corpus, fh)
+    print(f"{len(corpus)} instances written, {skipped} unsolvable twins "
+          "could not be generated")
+
+
+def _verdict(report) -> dict:
+    return {
+        "consistent": report.consistent,
+        "forms_agree": report.forms_agree,
+        "conditions": [(c.name, c.passed) for c in
+                       report.compat_conditions + report.mp_conditions],
+        "ranks": [(c.name, c.lhs, c.rhs, c.passed)
+                  for c in report.rank_conditions],
+    }
+
+
+def run(corpus_path, out_path):
+    from qsylv import QMatrix, verify_solution
+    from qsylv.harness import VARIANT_TABLE
+    from qsylv.solvers import Inconsistent
+    from qsylv.solvers.basic import DEFAULT_TOL
+
+    with open(corpus_path, "rb") as fh:
+        corpus = pickle.load(fh)
+    results = {}
+    for case in corpus:
+        entry = VARIANT_TABLE[case["variant"]]
+        blocks = {k: QMatrix(*v) for k, v in case["planes"].items()}
+        if "eta" in entry.instance_type.__dataclass_fields__:
+            blocks["eta"] = case["eta"]
+        inst = entry.instance_type(**blocks)
+        rec = {"check": _verdict(entry.check(inst, DEFAULT_TOL))}
+        branches = ("first",) if entry.one_closed_form else ("first", "second")
+        for branch in branches:
+            res = entry.solve(inst, DEFAULT_TOL, branch)
+            if isinstance(res, Inconsistent):
+                rec[branch] = {"outcome": "inconsistent",
+                               **_verdict(res.report)}
+                continue
+            rng = np.random.default_rng(7)
+            member = res.assemble(res.random_params(rng))
+            rec[branch] = {
+                "outcome": "family",
+                "particular_verifies": verify_solution(
+                    inst, res.assemble(), DEFAULT_TOL).passed,
+                "member_verifies": verify_solution(
+                    inst, member, DEFAULT_TOL).passed,
+            }
+        results[case["label"]] = rec
+    with open(out_path, "wb") as fh:
+        pickle.dump(results, fh)
+    print(f"{len(results)} instances judged")
+
+
+def compare(a_path, b_path) -> int:
+    with open(a_path, "rb") as fh:
+        a = pickle.load(fh)
+    with open(b_path, "rb") as fh:
+        b = pickle.load(fh)
+    if a.keys() != b.keys():
+        print("the two runs judged different corpora")
+        return 1
+    diffs, unverified, families = 0, 0, 0
+    for label in a:
+        if a[label] != b[label]:
+            diffs += 1
+            print(f"differs: {label}")
+        for rec in (a[label], b[label]):
+            for branch in ("first", "second"):
+                res = rec.get(branch)
+                if res and res["outcome"] == "family":
+                    families += 1
+                    if not (res["particular_verifies"]
+                            and res["member_verifies"]):
+                        unverified += 1
+                        print(f"family fails to verify: {label} {branch}")
+    print(f"{len(a)} instances, {diffs} with a differing verdict; "
+          f"{families} families, {unverified} failing verification")
+    return 1 if diffs or unverified else 0
+
+
+def main(argv):
+    if len(argv) == 3 and argv[1] == "gen":
+        generate(argv[2])
+        return 0
+    if len(argv) == 4 and argv[1] == "run":
+        run(argv[2], argv[3])
+        return 0
+    if len(argv) == 4 and argv[1] == "compare":
+        return compare(argv[2], argv[3])
+    print(__doc__)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
