@@ -59,17 +59,18 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
         raise ParseError(f"matrix {key!r} needs rows, cols, entries") from exc
     if rows < 0 or cols < 0:
         raise ParseError(f"matrix {key!r} has negative dimensions")
-    if len(entries) != rows:
-        raise ParseError(f"matrix {key!r}: expected {rows} entry rows")
+    if not isinstance(entries, list) or len(entries) != rows:
+        raise ParseError(f"matrix {key!r}: entries must be a list of "
+                         f"{rows} rows")
     flat = []
     for p, row in enumerate(entries):
-        if len(row) != cols:
-            raise ParseError(f"matrix {key!r}: row {p} has {len(row)} entries,"
-                             f" expected {cols}")
+        if not isinstance(row, list) or len(row) != cols:
+            raise ParseError(f"matrix {key!r}: row {p} must be a list of "
+                             f"{cols} entries")
         for q, val in enumerate(row):
-            if len(val) != 4:
-                raise ParseError(f"matrix {key!r}: entry ({p},{q}) must have "
-                                 "4 components")
+            if not isinstance(val, list) or len(val) != 4:
+                raise ParseError(f"matrix {key!r}: entry ({p},{q}) must be a "
+                                 "list of 4 components")
             try:
                 flat += (float(val[0]), float(val[1]),
                          float(val[2]), float(val[3]))

@@ -268,8 +268,8 @@ class _EtaTwoWork:
                                threshold),
         ]
 
-    def rank_conditions(self) -> list:
-        inst, et = self.inst, self.inst.eta
+    def rank_conditions(self, inst: EtaTwoInstance) -> list:
+        et = inst.eta
         b1, c1, d1 = inst.B1, inst.C1, inst.D1
         r = lambda m: rank(m, floor=self.floor)
         return [
@@ -283,7 +283,7 @@ class _EtaTwoWork:
 
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions())
+                                       self.rank_conditions(self.inst))
 
     def family(self) -> LinearSolutionFamily:
         inst, et = self.inst, self.inst.eta
@@ -337,7 +337,7 @@ def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
     _require_eta_hermitian(d1, eta, "D1")
     work = _EtaTwoWork(inst)
     return decide([], work.mp_conditions(tol), work.rank_conditions,
-                  work.family, inst.residual_terms, tol)
+                  work.family, inst.residual_terms, tol, (inst,))
 
 
 # -- mixed one-sided / two-sided eta system --------------------------------
@@ -418,15 +418,16 @@ class _EtaMixedWork:
         ]
         return compat, mp + self.inner.mp_conditions(tol)
 
-    def rank_conditions(self) -> list:
-        inst = self.inst
+    def rank_conditions(self, inst: EtaMixedInstance) -> list:
+        """The side equations' ranks on ``inst``, then the reduced
+        eta-two equation's (its blocks are this work's own products)."""
         r = lambda m: rank(m, floor=self.floor)
         return [
             rank_condition("r(A1,C1)=r(A1)",
                            r(hstack([inst.A1, inst.C1])), self.bA1.rank),
             rank_condition("r(D1;B1)=r(B1)",
                            r(vstack([inst.D1, inst.B1])), self.bB1.rank),
-        ] + self.inner.rank_conditions()
+        ] + self.inner.rank_conditions(self.inner.inst)
 
 
 def check_eta_mixed(inst: EtaMixedInstance,
@@ -434,7 +435,7 @@ def check_eta_mixed(inst: EtaMixedInstance,
     _require_eta_hermitian(inst.D3, inst.eta, "D3")
     work = _EtaMixedWork(inst)
     return SolvabilityReport.build(*work.conditions(tol),
-                                   work.rank_conditions())
+                                   work.rank_conditions(inst))
 
 
 def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
@@ -464,4 +465,4 @@ def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
 
     return decide(*work.conditions(tol), work.rank_conditions,
                   lambda: LinearSolutionFamily(("X", "Y"), params, assemble),
-                  inst.residual_terms, tol)
+                  inst.residual_terms, tol, (inst,))

@@ -4,7 +4,9 @@ solve_left treats A X = C, solve_right treats X A = C, and solve_pair
 treats the simultaneous pair A X = C, X B = D.  Inconsistency is a
 result, not an error; each solver decides by the rule of
 :func:`.families.decide`, and an ``Inconsistent`` reports both the
-residual certificate and the equivalent rank certificate.
+residual certificate and the equivalent rank certificate.  When a
+residual or compatibility condition fails, its rank list is built on
+first read, from the matrices as given to the solver.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ def solve_left(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
     floor = cascade_floor(a, c)
     ba = pinv(a, floor=floor)
     threshold = tol * (1.0 + c.norm())
-    mp = [residual_condition("R_A*C", c - a @ (ba.pinv @ c), threshold)]
     particular = ba.pinv @ c
+    mp = [residual_condition("R_A*C", c - a @ particular, threshold)]
     params = (FreeParam("U1", (a.cols, c.cols)),)
 
     def assemble(vals):
@@ -33,10 +35,11 @@ def solve_left(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
 
     return decide(
         [], mp,
-        lambda: [rank_condition("r(C,A)=r(A)",
-                                rank(hstack([c, a]), floor=floor), ba.rank)],
+        lambda a, c: [rank_condition("r(C,A)=r(A)",
+                                     rank(hstack([c, a]), floor=floor),
+                                     ba.rank)],
         lambda: LinearSolutionFamily(("X",), params, assemble),
-        lambda sol: [("A*X=C", a @ sol[0] - c, c.norm())], tol)
+        lambda sol: [("A*X=C", a @ sol[0] - c, c.norm())], tol, (a, c))
 
 
 def solve_right(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
@@ -46,8 +49,8 @@ def solve_right(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
     floor = cascade_floor(a, c)
     ba = pinv(a, floor=floor)
     threshold = tol * (1.0 + c.norm())
-    mp = [residual_condition("C*L_A", c - (c @ ba.pinv) @ a, threshold)]
     particular = c @ ba.pinv
+    mp = [residual_condition("C*L_A", c - particular @ a, threshold)]
     params = (FreeParam("U1", (c.rows, a.rows)),)
 
     def assemble(vals):
@@ -55,10 +58,11 @@ def solve_right(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
 
     return decide(
         [], mp,
-        lambda: [rank_condition("r(C;A)=r(A)",
-                                rank(vstack([c, a]), floor=floor), ba.rank)],
+        lambda a, c: [rank_condition("r(C;A)=r(A)",
+                                     rank(vstack([c, a]), floor=floor),
+                                     ba.rank)],
         lambda: LinearSolutionFamily(("X",), params, assemble),
-        lambda sol: [("X*A=C", sol[0] @ a - c, c.norm())], tol)
+        lambda sol: [("X*A=C", sol[0] @ a - c, c.norm())], tol, (a, c))
 
 
 def solve_pair(a: QMatrix, c: QMatrix, b: QMatrix, d: QMatrix,
@@ -90,10 +94,11 @@ def solve_pair(a: QMatrix, c: QMatrix, b: QMatrix, d: QMatrix,
 
     return decide(
         compat, mp,
-        lambda: [rank_condition("r(C,A)=r(A)",
-                                rank(hstack([c, a]), floor=floor), ba.rank),
-                 rank_condition("r(D;B)=r(B)",
-                                rank(vstack([d, b]), floor=floor), bb.rank)],
+        lambda a, c, b, d: [
+            rank_condition("r(C,A)=r(A)",
+                           rank(hstack([c, a]), floor=floor), ba.rank),
+            rank_condition("r(D;B)=r(B)",
+                           rank(vstack([d, b]), floor=floor), bb.rank)],
         lambda: LinearSolutionFamily(("X",), params, assemble),
         lambda sol: [("A*X=C", a @ sol[0] - c, c.norm()),
-                     ("X*B=D", sol[0] @ b - d, d.norm())], tol)
+                     ("X*B=D", sol[0] @ b - d, d.norm())], tol, (a, c, b, d))

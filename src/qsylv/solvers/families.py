@@ -3,7 +3,7 @@ solvability reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -48,6 +48,11 @@ class ShapedInstance:
 
     def blocks(self) -> list:
         return [getattr(self, f.name) for f in fields(self) if f.name != "eta"]
+
+    def copy(self):
+        """The same instance over copies of its blocks."""
+        return replace(self, **{f.name: getattr(self, f.name).copy()
+                                for f in fields(self) if f.name != "eta"})
 
 
 @dataclass(frozen=True)
@@ -98,36 +103,81 @@ def rank_condition(name: str, lhs: int, rhs: int) -> RankCondition:
     return RankCondition(name, lhs, rhs, lhs == rhs)
 
 
-@dataclass
 class SolvabilityReport:
     """Outcome of both certificate forms for one instance.
 
     ``consistent`` requires all three lists to pass; ``forms_agree``
     records whether the residual-based verdict and the rank-based
     verdict coincide (they are equivalent in exact arithmetic).
-    ``check_*`` always computes both forms.  ``solve_*`` builds this
-    report only when it does not return a family (see :func:`decide`),
-    so an ``Inconsistent`` carries the same report ``check_*`` gives.
+
+    The compatibility and residual lists are held as built.  The rank
+    list is given either as a list or as a zero-argument builder of it.
+    A builder runs at most once, on the first read of
+    ``rank_conditions``, ``forms_agree``, ``failing()``, ``to_dict()``,
+    ``==`` or ``repr``, and is dropped afterwards.  ``forms_agree=None``
+    derives ``forms_agree`` from the lists on first read.
+
+    ``check_*`` always builds both forms before it returns.  ``solve_*``
+    builds a report only when it does not return a family (see
+    :func:`decide`), so an ``Inconsistent`` carries the report
+    ``check_*`` gives; when a compatibility or residual condition fails,
+    its rank list is built on first read, from the inputs as given to
+    ``solve_*``.
     """
 
-    mp_conditions: list = field(default_factory=list)
-    rank_conditions: list = field(default_factory=list)
-    compat_conditions: list = field(default_factory=list)
-    consistent: bool = True
-    forms_agree: bool = True
+    def __init__(self, mp_conditions=(), rank_conditions=(),
+                 compat_conditions=(), consistent: bool = True,
+                 forms_agree: Optional[bool] = True):
+        self.mp_conditions = list(mp_conditions)
+        self._ranks = (rank_conditions if callable(rank_conditions)
+                       else list(rank_conditions))
+        self.compat_conditions = list(compat_conditions)
+        self.consistent = consistent
+        self._forms_agree = forms_agree
 
     @classmethod
     def build(cls, compat, mp, ranks) -> "SolvabilityReport":
-        compat_ok = all(c.passed for c in compat)
-        mp_ok = all(c.passed for c in mp)
-        rank_ok = all(c.passed for c in ranks)
-        return cls(
-            mp_conditions=list(mp),
-            rank_conditions=list(ranks),
-            compat_conditions=list(compat),
-            consistent=compat_ok and mp_ok and rank_ok,
-            forms_agree=(compat_ok and mp_ok) == (compat_ok and rank_ok),
-        )
+        """The report of the three lists; ``ranks`` may be a builder,
+        which runs here only if every compatibility and residual
+        condition passes, since only then does the verdict need it."""
+        report = cls(mp, ranks, compat, forms_agree=None)
+        report.consistent = (report._residual_verdict()
+                             and all(c.passed for c in report.rank_conditions))
+        return report
+
+    def _residual_verdict(self) -> bool:
+        return (all(c.passed for c in self.compat_conditions)
+                and all(c.passed for c in self.mp_conditions))
+
+    @property
+    def rank_conditions(self) -> list:
+        if callable(self._ranks):
+            self._ranks = list(self._ranks())
+        return self._ranks
+
+    @property
+    def forms_agree(self) -> bool:
+        if self._forms_agree is None:
+            compat_ok = all(c.passed for c in self.compat_conditions)
+            rank_ok = all(c.passed for c in self.rank_conditions)
+            self._forms_agree = (self._residual_verdict()
+                                 == (compat_ok and rank_ok))
+        return self._forms_agree
+
+    def _fields(self) -> tuple:
+        return (self.mp_conditions, self.rank_conditions,
+                self.compat_conditions, self.consistent, self.forms_agree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        names = ("mp_conditions", "rank_conditions", "compat_conditions",
+                 "consistent", "forms_agree")
+        return "SolvabilityReport(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(names, self._fields())) + ")"
 
     def failing(self) -> list:
         names = [c.name for c in self.compat_conditions if not c.passed]
@@ -164,27 +214,40 @@ class Inconsistent:
         return self.report.failing()
 
 
-def decide(compat, mp, ranks, family, residual_terms, tol: float):
+def decide(compat, mp, ranks, family, residual_terms, tol: float, inputs):
     """The decision rule of every ``solve_*``: a family or Inconsistent.
 
     ``compat`` and ``mp`` are the evaluated compatibility and residual
-    certificate lists.  When both pass, the family's particular solution
-    is accepted if every ``(name, defect, scale)`` entry of
+    certificate lists.  ``ranks(*inputs)`` builds the rank list; it
+    reads the caller's matrices only through ``inputs``, a tuple of
+    QMatrix or instance values.
+
+    When a compatibility or residual condition fails, the verdict is
+    ``Inconsistent`` and no family or rank list is built here: the
+    report's rank list is built on first read, from copies of
+    ``inputs`` taken now, so it equals the list ``check_*`` gives on the
+    inputs as they were at this call even if the caller edits them in
+    place later.
+
+    When both lists pass, the family's particular solution is accepted
+    if every ``(name, defect, scale)`` entry of
     ``residual_terms(solution)`` has ``|defect| <= tol * scale``; the
     particular solution is linear in the right sides, so this test does
     not depend on their scale.  An accepted family is returned without
-    building the rank certificate.  Otherwise ``ranks()`` builds the
-    rank list and the verdict is the full report's: the family when it
-    is consistent, else ``Inconsistent`` with that report.  ``family``
-    is called at most once.
+    building the rank certificate.  Otherwise the rank list is built
+    now and the verdict is the full report's: the family when it is
+    consistent, else ``Inconsistent`` with that report.  ``family`` is
+    called at most once.
     """
-    built = None
-    if all(c.passed for c in compat) and all(c.passed for c in mp):
-        built = family()
-        if all(defect.norm() <= tol * scale
-               for _, defect, scale in residual_terms(built.particular)):
-            return built
-    report = SolvabilityReport.build(compat, mp, ranks())
+    if not (all(c.passed for c in compat) and all(c.passed for c in mp)):
+        frozen = tuple(x.copy() for x in inputs)
+        return Inconsistent(SolvabilityReport.build(
+            compat, mp, lambda: ranks(*frozen)))
+    built = family()
+    if all(defect.norm() <= tol * scale
+           for _, defect, scale in residual_terms(built.particular)):
+        return built
+    report = SolvabilityReport.build(compat, mp, ranks(*inputs))
     return built if report.consistent else Inconsistent(report)
 
 

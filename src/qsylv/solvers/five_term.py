@@ -11,7 +11,9 @@ Consistency is certified both by residual conditions and by nine rank
 equalities; the two certificates agree in exact arithmetic and the
 report of check_five_term records both.  solve_five_term builds the
 rank list only when the residual conditions and a verified particular
-solution do not already decide (see :func:`.families.decide`).
+solution do not already decide (see :func:`.families.decide`).  When a
+residual condition fails, the ``Inconsistent`` report's rank list is
+built on first read, from the instance as given to solve_five_term.
 """
 
 from __future__ import annotations
@@ -295,8 +297,7 @@ class _FiveTermWork:
         return [residual_condition(name, value, threshold)
                 for name, value in self.mp_terms()]
 
-    def rank_conditions(self) -> list:
-        inst = self.inst
+    def rank_conditions(self, inst: FiveTermInstance) -> list:
         p, q = inst.B.shape
         es = [inst.A1, inst.A2, inst.A3, inst.A4]
         fs = [inst.B1, inst.B2, inst.B3, inst.B4]
@@ -311,7 +312,7 @@ class _FiveTermWork:
 
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions())
+                                       self.rank_conditions(self.inst))
 
     # -- family assembly -------------------------------------------------
 
@@ -388,4 +389,4 @@ def solve_five_term(inst: FiveTermInstance, tol: float = DEFAULT_TOL,
     return decide([], work.mp_conditions(tol), work.rank_conditions,
                   lambda: LinearSolutionFamily(("X1", "X2", "Y1", "Y2", "Y3"),
                                                work.param_specs(), assemble),
-                  inst.residual_terms, tol)
+                  inst.residual_terms, tol, (inst,))

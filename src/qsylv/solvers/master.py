@@ -231,8 +231,7 @@ class _MasterWork:
         return [residual_condition(name, value, threshold)
                 for name, value in terms + self.five.mp_terms("GHL")]
 
-    def rank_conditions(self) -> list:
-        inst = self.inst
+    def rank_conditions(self, inst: MasterInstance) -> list:
         r = lambda m: rank(m, floor=self.floor)
         out = []
         for i in range(4):
@@ -249,7 +248,7 @@ class _MasterWork:
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build(self.compat_conditions(tol),
                                        self.mp_conditions(tol),
-                                       self.rank_conditions())
+                                       self.rank_conditions(self.inst))
 
     def intermediates(self) -> MasterIntermediates:
         five = self.five.intermediates()
@@ -308,7 +307,9 @@ def solve_master(inst: MasterInstance, tol: float = DEFAULT_TOL,
 
     The rank certificate is built only when the compatibility and
     residual conditions and a verified particular solution do not
-    already decide (see :func:`.families.decide`)."""
+    already decide (see :func:`.families.decide`).  When a compatibility
+    or residual condition fails, the ``Inconsistent`` report's rank list
+    is built on first read, from the instance as given here."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     work = _MasterWork(inst)
@@ -320,4 +321,4 @@ def solve_master(inst: MasterInstance, tol: float = DEFAULT_TOL,
                   work.rank_conditions,
                   lambda: LinearSolutionFamily(("U", "V", "X", "Y", "Z"),
                                                work.param_specs(), assemble),
-                  inst.residual_terms, tol)
+                  inst.residual_terms, tol, (inst,))

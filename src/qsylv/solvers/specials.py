@@ -200,8 +200,7 @@ class _MixedWork:
         ]
         return compat, mp + self.inner.mp_conditions(tol)
 
-    def rank_conditions(self):
-        inst = self.inst
+    def rank_conditions(self, inst: MixedInstance) -> list:
         r = lambda m: rank(m, floor=self.floor)
         a1, b1, c1, c2 = inst.A1, inst.B1, inst.C1, inst.C2
         a2, b2, c3, c4 = inst.A2, inst.B2, inst.C3, inst.C4
@@ -247,7 +246,7 @@ def check_mixed(inst: MixedInstance,
                 tol: float = DEFAULT_TOL) -> SolvabilityReport:
     work = _MixedWork(inst)
     return SolvabilityReport.build(*work.conditions(tol),
-                                   work.rank_conditions())
+                                   work.rank_conditions(inst))
 
 
 def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
@@ -276,4 +275,4 @@ def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
 
     return decide(*work.conditions(tol), work.rank_conditions,
                   lambda: LinearSolutionFamily(("X1", "X2"), params, assemble),
-                  inst.residual_terms, tol)
+                  inst.residual_terms, tol, (inst,))

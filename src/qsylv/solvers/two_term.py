@@ -100,8 +100,8 @@ class _TwoTermWork(TwoTermKernel):
                                threshold),
         ]
 
-    def rank_conditions(self) -> list:
-        c3, d3, c4, d4, e1 = self.c3, self.d3, self.c4, self.d4, self.e1
+    def rank_conditions(self, inst: TwoTermInstance) -> list:
+        c3, d3, c4, d4, e1 = inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
         r = lambda m: rank(m, floor=self.floor)
         return [
             rank_condition("r(C3,E1,C4)=r(C3,C4)",
@@ -118,7 +118,7 @@ class _TwoTermWork(TwoTermKernel):
 
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions())
+                                       self.rank_conditions(self.inst))
 
     def family(self) -> LinearSolutionFamily:
         shape3, shape4 = self.inst.unknown_shapes().values()
@@ -150,4 +150,4 @@ def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
     inst = TwoTermInstance(c3, d3, c4, d4, e1)
     work = _TwoTermWork(inst)
     return decide([], work.mp_conditions(tol), work.rank_conditions,
-                  work.family, inst.residual_terms, tol)
+                  work.family, inst.residual_terms, tol, (inst,))

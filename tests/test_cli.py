@@ -35,6 +35,20 @@ def test_inconsistent_exit_codes(tmp_path):
     assert main(["solve", ipath]) == 2
 
 
+def test_malformed_entry_is_a_message_not_a_traceback(data_dir, tmp_path,
+                                                      capsys):
+    with open(data_dir / "example51.json") as fh:
+        doc = json.load(fh)
+    doc["A1"]["entries"][0][0] = {"w": 1, "x": 0, "y": 0, "z": 0}
+    ipath = str(tmp_path / "bad.json")
+    with open(ipath, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["check", ipath]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix 'A1': entry (0,0)")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_second_branch_and_inconsistent_exit_codes(variant, tmp_path,
                                                    capsys):

@@ -4,7 +4,9 @@ particular solution, with the rank certificate only as the fallback.
 Every ``solve_*`` returns a family only for a solvable instance, every
 family's particular solution verifies, every ``Inconsistent`` carries
 exactly the report ``check_*`` gives, and ``solve`` agrees with
-``check`` wherever the two certificate forms agree.
+``check`` wherever the two certificate forms agree.  When a residual
+condition fails, the report's rank list is built on first read, from
+the inputs as given to ``solve``.
 """
 
 from dataclasses import replace
@@ -132,8 +134,11 @@ def test_solve_master_svd_counts(monkeypatch):
     assert counter.take() == (34, 0)
     family.assemble()
     assert counter.take() == (0, 0)
-    assert isinstance(qsylv.solve_master(unsolvable), Inconsistent)
-    assert counter.take() == (34, 35)
+    res = qsylv.solve_master(unsolvable)
+    assert isinstance(res, Inconsistent)
+    assert counter.take() == (34, 0)
+    res.report.forms_agree
+    assert counter.take() == (0, 35)
     qsylv.check_master(planted)
     assert counter.take() == (34, 35)
 
@@ -163,3 +168,61 @@ def test_particular_solution_is_assembled_once(monkeypatch):
     assert calls
     for a, b in zip(fresh, family.particular):
         assert (a - b).norm() == 0.0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rank_list_of_a_residual_rejection_is_built_on_first_read(
+        variant, monkeypatch):
+    entry = VARIANT_TABLE[variant]
+    twin = gen_unsolvable(variant, 2, 0, "j")
+    counter = _SvdCounter(monkeypatch)
+    report = entry.check(twin, TOL)
+    _, check_ranks = counter.take()
+    assert check_ranks > 0
+    assert not all(c.passed for c in
+                   report.compat_conditions + report.mp_conditions)
+    res = entry.solve(twin, TOL, "first")
+    assert isinstance(res, Inconsistent) and not res.report.consistent
+    assert counter.take()[1] == 0
+    res.report.forms_agree
+    assert counter.take()[1] == check_ranks
+    res.report.forms_agree
+    assert res.report == report
+    assert res.report.to_dict() == report.to_dict()
+    assert repr(res.report) == repr(report)
+    assert res.failing_conditions == report.failing()
+    assert counter.take() == (0, 0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_deferred_rank_list_reads_the_inputs_as_given(variant):
+    entry = VARIANT_TABLE[variant]
+    twin = gen_unsolvable(variant, 2, 1, "j")
+    before = entry.check(twin, TOL)
+    res = entry.solve(twin, TOL, "first")
+    assert isinstance(res, Inconsistent)
+    for m in twin.blocks():
+        for plane in m.components():
+            plane[...] = 0.0
+    # the edit changes what check_* reports, so the deferred list must
+    # come from the inputs as they were at the solve call
+    assert entry.check(twin, TOL).rank_conditions != before.rank_conditions
+    assert res.report == before
+    assert res.report.to_dict() == before.to_dict()
+
+
+@pytest.mark.parametrize("solver, shapes", [
+    (qsylv.solve_left, ((4, 2), (4, 3))),
+    (qsylv.solve_right, ((2, 4), (3, 4))),
+    (qsylv.solve_pair, ((4, 2), (4, 3), (3, 5), (2, 5))),
+])
+def test_one_unknown_solvers_defer_ranks_of_the_inputs_as_given(
+        solver, shapes, rand_q):
+    mats = [rand_q(*shape) for shape in shapes]
+    expected = solver(*[m.copy() for m in mats]).report.rank_conditions
+    res = solver(*mats)
+    assert isinstance(res, Inconsistent)
+    for plane in mats[0].components():
+        plane[...] = 0.0
+    assert solver(*mats).report.rank_conditions != expected
+    assert res.report.rank_conditions == expected

@@ -29,6 +29,19 @@ def test_matrix_errors():
                              "A1")
 
 
+@pytest.mark.parametrize("entries, where", [
+    ([[{"w": 1, "x": 0, "y": 0, "z": 0}]], r"entry \(0,0\)"),
+    ([[7]], r"entry \(0,0\)"),
+    ([7], "row 0"),
+    (7, "entries"),
+    ("abcd", "entries"),
+])
+def test_malformed_entries_raise_parse_error(entries, where):
+    doc = {"rows": 1, "cols": 1, "entries": entries}
+    with pytest.raises(docs.ParseError, match=f"'A1'.*{where}"):
+        docs.matrix_from_doc(doc, "A1")
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_instance_round_trip(variant):
     inst, _ = gen_planted(variant, 2, seed=3, eta="k")
