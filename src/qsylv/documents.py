@@ -49,16 +49,22 @@ def matrix_to_doc(m: QMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def matrix_from_doc(doc, key: str) -> QMatrix:
     if not isinstance(doc, dict):
         raise ParseError(f"matrix {key!r} must be an object")
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    except KeyError as exc:
         raise ParseError(f"matrix {key!r} needs rows, cols, entries") from exc
-    if rows < 0 or cols < 0:
-        raise ParseError(f"matrix {key!r} has negative dimensions")
+    for name, n in (("rows", rows), ("cols", cols)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ParseError(f"matrix {key!r}: {name} must be a "
+                             "non-negative integer")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"matrix {key!r}: entries must be a list of "
                          f"{rows} rows")
@@ -71,12 +77,10 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
             if not isinstance(val, list) or len(val) != 4:
                 raise ParseError(f"matrix {key!r}: entry ({p},{q}) must be a "
                                  "list of 4 components")
-            try:
-                flat += (float(val[0]), float(val[1]),
-                         float(val[2]), float(val[3]))
-            except (TypeError, ValueError) as exc:
+            if not all(map(_is_number, val)):
                 raise ParseError(f"matrix {key!r}: entry ({p},{q}) is not "
-                                 "numeric") from exc
+                                 "numeric")
+            flat += val
     planes = np.array(flat, dtype=float).reshape(rows, cols, 4)
     return QMatrix(*np.moveaxis(planes, -1, 0))
 

@@ -58,11 +58,6 @@ class _EtaInstance(ShapedInstance):
         super().__post_init__()
 
 
-def _herm_terms(eta, named):
-    return [(f"{name}={name}^eta*", m - m.eta_conj_transpose(eta), m.norm())
-            for name, m in named]
-
-
 @dataclass(frozen=True)
 class EtaFullInstance(_EtaInstance):
     """A1 U = C1; Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
@@ -77,6 +72,14 @@ class EtaFullInstance(_EtaInstance):
         "U": ("p1", "n"), "X": ("p2", "p2"), "Y": ("p3", "p3"),
         "Z": ("p4", "p4"),
     }
+    TERMS = {
+        "C1": (("A1", "U", None, False),), "C2": (("A2", "X", None, False),),
+        "C3": (("A3", "Y", None, False),), "C4": (("A4", "Z", None, False),),
+        "Cc": (("E1", "U", None, False), ("E1", "U", None, True),
+               ("E2", "X", "E2^eta*", False), ("E3", "Y", "E3^eta*", False),
+               ("E4", "Z", "E4^eta*", False)),
+    }
+    ETA_HERMITIAN = ("X", "Y", "Z")
 
     eta: str
     A1: QMatrix
@@ -106,22 +109,6 @@ class EtaFullInstance(_EtaInstance):
             F1=ec(self.E1), F2=ec(self.E2), F3=ec(self.E3), F4=ec(self.E4),
             Cc=self.Cc)
 
-    def residual_terms(self, sol) -> list:
-        u, x, y, z = sol
-        et = self.eta
-        ec = lambda m: m.eta_conj_transpose(et)
-        out = [("A1*U=C1", self.A1 @ u - self.C1, self.C1.norm()),
-               ("A2*X=C2", self.A2 @ x - self.C2, self.C2.norm()),
-               ("A3*Y=C3", self.A3 @ y - self.C3, self.C3.norm()),
-               ("A4*Z=C4", self.A4 @ z - self.C4, self.C4.norm())]
-        e1u = self.E1 @ u
-        coupling = (e1u + ec(e1u) + self.E2 @ x @ ec(self.E2)
-                    + self.E3 @ y @ ec(self.E3) + self.E4 @ z @ ec(self.E4)
-                    - self.Cc)
-        out.append(("coupling=Cc", coupling, self.Cc.norm()))
-        out.extend(_herm_terms(et, [("X", x), ("Y", y), ("Z", z)]))
-        return out
-
 
 @dataclass(frozen=True)
 class EtaThreeInstance(_EtaInstance):
@@ -135,6 +122,13 @@ class EtaThreeInstance(_EtaInstance):
         "A3": ("q3", "p3"), "E3": ("n", "p3"), "C3": ("q3", "p3"),
         "X": ("p1", "p1"), "Y": ("p2", "p2"), "Z": ("p3", "p3"),
     }
+    TERMS = {
+        "C1": (("A1", "X", None, False),), "C2": (("A2", "Y", None, False),),
+        "C3": (("A3", "Z", None, False),),
+        "C": (("E1", "X", "E1^eta*", False), ("E2", "Y", "E2^eta*", False),
+              ("E3", "Z", "E3^eta*", False)),
+    }
+    ETA_HERMITIAN = ("X", "Y", "Z")
 
     eta: str
     A1: QMatrix
@@ -158,15 +152,6 @@ class EtaThreeInstance(_EtaInstance):
             A3=self.A2, C3=self.C2, E3=self.E2,
             A4=self.A3, C4=self.C3, E4=self.E3,
             Cc=self.C)
-
-    def residual_terms(self, sol) -> list:
-        full = self.to_full()
-        u = QMatrix.zeros(0, self.C.rows)
-        terms = full.residual_terms((u,) + tuple(sol))
-        renames = {"A2*X=C2": "A1*X=C1", "A3*Y=C3": "A2*Y=C2",
-                   "A4*Z=C4": "A3*Z=C3", "coupling=Cc": "coupling=C"}
-        return [(renames.get(n, n), d, s) for n, d, s in terms
-                if n != "A1*U=C1"]
 
 
 def check_eta_full(inst: EtaFullInstance,
@@ -227,20 +212,14 @@ class EtaTwoInstance(_EtaInstance):
 
     SHAPES = {"D1": ("d", "d"), "B1": ("d", "nb"), "C1": ("d", "nc"),
               "Y": ("nb", "nb"), "Z": ("nc", "nc")}
+    TERMS = {"D1": (("B1", "Y", "B1^eta*", False),
+                    ("C1", "Z", "C1^eta*", False))}
+    ETA_HERMITIAN = ("Y", "Z")
 
     eta: str
     B1: QMatrix
     C1: QMatrix
     D1: QMatrix
-
-    def residual_terms(self, sol) -> list:
-        y, z = sol
-        et = self.eta
-        ec = lambda m: m.eta_conj_transpose(et)
-        coupling = (self.B1 @ y @ ec(self.B1) + self.C1 @ z @ ec(self.C1)
-                    - self.D1)
-        return ([("coupling=D1", coupling, self.D1.norm())]
-                + _herm_terms(et, [("Y", y), ("Z", z)]))
 
 
 class _EtaTwoWork:
@@ -351,6 +330,11 @@ class EtaMixedInstance(_EtaInstance):
               "B1": ("ny", "s1"), "D1": ("ny", "s1"),
               "A2": ("d", "nx"), "A3": ("d", "ny"),
               "X": ("nx", "nx"), "Y": ("ny", "ny")}
+    TERMS = {"C1": (("A1", "X", None, False),),
+             "D1": ((None, "Y", "B1", False),),
+             "D3": (("A2", "X", "A2^eta*", False),
+                    ("A3", "Y", "A3^eta*", False))}
+    ETA_HERMITIAN = ("X", "Y")
 
     eta: str
     A1: QMatrix
@@ -360,17 +344,6 @@ class EtaMixedInstance(_EtaInstance):
     A2: QMatrix
     A3: QMatrix
     D3: QMatrix
-
-    def residual_terms(self, sol) -> list:
-        x, y = sol
-        et = self.eta
-        ec = lambda m: m.eta_conj_transpose(et)
-        coupling = (self.A2 @ x @ ec(self.A2) + self.A3 @ y @ ec(self.A3)
-                    - self.D3)
-        return ([("A1*X=C1", self.A1 @ x - self.C1, self.C1.norm()),
-                 ("Y*B1=D1", y @ self.B1 - self.D1, self.D1.norm()),
-                 ("coupling=D3", coupling, self.D3.norm())]
-                + _herm_terms(et, [("X", x), ("Y", y)]))
 
 
 class _EtaMixedWork:

@@ -1,5 +1,5 @@
-"""Instance shape tables, solution families, free parameters and
-solvability reports."""
+"""Instance shape and equation tables, solution families, free
+parameters and solvability reports."""
 
 from __future__ import annotations
 
@@ -21,17 +21,64 @@ def cascade_floor(*mats) -> float:
     return CASCADE_EPS * max([1.0] + [m.norm() for m in mats])
 
 
+ETA_STAR = "^eta*"
+
+
+def _factor(vals: dict, name: str, eta):
+    if name.endswith(ETA_STAR):
+        return vals[name[:-len(ETA_STAR)]].eta_conj_transpose(eta)
+    return vals[name]
+
+
+def _left_side(terms, vals: dict, eta) -> QMatrix:
+    """Sum of an equation's terms over ``vals`` (blocks and unknowns by
+    name), left to right.  A product that recurs, as in ``E1 U +
+    (E1 U)^{eta*}``, is formed once."""
+    products, total = {}, None
+    for left, unknown, right, eta_conj in terms:
+        p = products.get((left, unknown, right))
+        if p is None:
+            p = vals[unknown]
+            if left is not None:
+                p = _factor(vals, left, eta) @ p
+            if right is not None:
+                p = p @ _factor(vals, right, eta)
+            products[left, unknown, right] = p
+        if eta_conj:
+            p = p.eta_conj_transpose(eta)
+        total = p if total is None else total + p
+    return total
+
+
+def _equation_name(rhs: str, terms) -> str:
+    if len(terms) > 1:
+        return f"coupling={rhs}"
+    return "*".join(n for n in terms[0][:3] if n is not None) + "=" + rhs
+
+
 class ShapedInstance:
     """Base of the instance types: the one place that knows a system's
-    shapes.
+    shapes and equations.
 
     ``SHAPES`` maps every coefficient block (a field) and every unknown
     to a pair of named dimensions, so a repeated name means equal sizes
     (``("n", "n")`` is a square block).  Construction checks the blocks
     against it; ``unknown_shapes`` and the document parser read it too.
+
+    ``TERMS`` maps each equation's right-side field to the terms summed
+    on its left, in order.  A term ``(left, unknown, right, eta_conj)``
+    is the product ``left @ unknown @ right``: ``None`` leaves a factor
+    out, a name ending in ``^eta*`` stands for that block's
+    eta-conjugate transpose, and ``eta_conj`` takes the eta-conjugate
+    transpose of the whole product.  The last equation is the coupling
+    equation.  ``ETA_HERMITIAN`` names the unknowns that must equal
+    their eta-conjugate transpose.  ``residual_terms``, ``from_witness``
+    and ``rhs_names`` are derived from these tables.
     """
 
     SHAPES: dict = {}
+    TERMS: dict = {}
+    ETA_HERMITIAN: tuple = ()
 
     def __post_init__(self):
         named_dims(self.SHAPES, vars(self))
@@ -40,6 +87,43 @@ class ShapedInstance:
     def unknown_names(cls) -> tuple:
         return tuple(k for k in cls.SHAPES
                      if k not in cls.__dataclass_fields__)
+
+    @classmethod
+    def rhs_names(cls) -> tuple:
+        """The right-side fields, one per equation; the coupling last."""
+        return tuple(cls.TERMS)
+
+    @classmethod
+    def from_witness(cls, witness, **blocks):
+        """The instance over the coefficient ``blocks`` (and ``eta``)
+        whose every right side is its equation's left side at
+        ``witness``, the unknowns in ``SHAPES`` order; so ``witness``
+        solves it."""
+        vals = dict(blocks)
+        vals.update(zip(cls.unknown_names(), witness))
+        eta = blocks.get("eta")
+        return cls(**blocks, **{rhs: _left_side(terms, vals, eta)
+                                for rhs, terms in cls.TERMS.items()})
+
+    def residual_terms(self, sol) -> list:
+        """``(name, defect, scale)`` for every equation, left side minus
+        right side with the right side's norm as the scale, then
+        ``(W=W^eta*, W - W^{eta*}, |W|)`` for every eta-Hermitian
+        unknown W.  A one-term equation is named by its product
+        (``A1*U=C1``), a longer one ``coupling=<right side>``."""
+        vals = dict(vars(self))
+        vals.update(zip(self.unknown_names(), sol))
+        eta = vals.get("eta")
+        out = []
+        for rhs, terms in self.TERMS.items():
+            target = vals[rhs]
+            out.append((_equation_name(rhs, terms),
+                        _left_side(terms, vals, eta) - target, target.norm()))
+        for name in self.ETA_HERMITIAN:
+            m = vals[name]
+            out.append((f"{name}={name}{ETA_STAR}",
+                        m - m.eta_conj_transpose(eta), m.norm()))
+        return out
 
     def unknown_shapes(self) -> dict:
         dims = named_dims(self.SHAPES, vars(self))

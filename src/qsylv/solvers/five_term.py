@@ -45,6 +45,9 @@ class FiveTermInstance(ShapedInstance):
         "X1": ("a1", "q"), "X2": ("p", "b1"), "Y1": ("a2", "b2"),
         "Y2": ("a3", "b3"), "Y3": ("a4", "b4"),
     }
+    TERMS = {"B": (("A1", "X1", None, False), (None, "X2", "B1", False),
+                   ("A2", "Y1", "B2", False), ("A3", "Y2", "B3", False),
+                   ("A4", "Y3", "B4", False))}
 
     A1: QMatrix
     B1: QMatrix
@@ -59,14 +62,6 @@ class FiveTermInstance(ShapedInstance):
     def coefficient_norm(self) -> float:
         return sum(getattr(self, f.name).norm()
                    for f in fields(self) if f.name != "B")
-
-    def residual(self, sol) -> QMatrix:
-        x1, x2, y1, y2, y3 = sol
-        return (self.A1 @ x1 + x2 @ self.B1 + self.A2 @ y1 @ self.B2
-                + self.A3 @ y2 @ self.B3 + self.A4 @ y3 @ self.B4 - self.B)
-
-    def residual_terms(self, sol) -> list:
-        return [("coupling=B", self.residual(sol), self.B.norm())]
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,15 @@ class MasterInstance(ShapedInstance):
         "U": ("p1", "cc"), "V": ("cr", "r1"), "X": ("p2", "r2"),
         "Y": ("p3", "r3"), "Z": ("p4", "r4"),
     }
+    TERMS = {
+        "C1": (("A1", "U", None, False),), "D1": ((None, "V", "B1", False),),
+        "C2": (("A2", "X", None, False),), "D2": ((None, "X", "B2", False),),
+        "C3": (("A3", "Y", None, False),), "D3": ((None, "Y", "B3", False),),
+        "C4": (("A4", "Z", None, False),), "D4": ((None, "Z", "B4", False),),
+        "Cc": (("E1", "U", None, False), (None, "V", "F1", False),
+               ("E2", "X", "F2", False), ("E3", "Y", "F3", False),
+               ("E4", "Z", "F4", False)),
+    }
 
     A1: QMatrix
     A2: QMatrix
@@ -79,24 +88,6 @@ class MasterInstance(ShapedInstance):
 
     def coefficient_norm(self) -> float:
         return sum(m.norm() for m in self.blocks())
-
-    def residual_terms(self, sol) -> list:
-        """(name, defect, scale) for all nine equations."""
-        u, v, x, y, z = sol
-        out = [
-            ("A1*U=C1", self.A1 @ u - self.C1, self.C1.norm()),
-            ("V*B1=D1", v @ self.B1 - self.D1, self.D1.norm()),
-            ("A2*X=C2", self.A2 @ x - self.C2, self.C2.norm()),
-            ("X*B2=D2", x @ self.B2 - self.D2, self.D2.norm()),
-            ("A3*Y=C3", self.A3 @ y - self.C3, self.C3.norm()),
-            ("Y*B3=D3", y @ self.B3 - self.D3, self.D3.norm()),
-            ("A4*Z=C4", self.A4 @ z - self.C4, self.C4.norm()),
-            ("Z*B4=D4", z @ self.B4 - self.D4, self.D4.norm()),
-        ]
-        coupling = (self.E1 @ u + v @ self.F1 + self.E2 @ x @ self.F2
-                    + self.E3 @ y @ self.F3 + self.E4 @ z @ self.F4 - self.Cc)
-        out.append(("coupling=Cc", coupling, self.Cc.norm()))
-        return out
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,13 @@ class ThreeTermInstance(ShapedInstance):
         "E3": ("cr", "p3"), "F3": ("r3", "cc"),
         "X": ("p1", "r1"), "Y": ("p2", "r2"), "Z": ("p3", "r3"),
     }
+    TERMS = {
+        "C1": (("A1", "X", None, False),), "D1": ((None, "X", "B1", False),),
+        "C2": (("A2", "Y", None, False),), "D2": ((None, "Y", "B2", False),),
+        "C3": (("A3", "Z", None, False),), "D3": ((None, "Z", "B3", False),),
+        "C": (("E1", "X", "F1", False), ("E2", "Y", "F2", False),
+              ("E3", "Z", "F3", False)),
+    }
 
     A1: QMatrix
     A2: QMatrix
@@ -74,20 +81,6 @@ class ThreeTermInstance(ShapedInstance):
             A4=self.A3, B4=self.B3, C4=self.C3, D4=self.D3,
             E4=self.E3, F4=self.F3,
             Cc=self.C)
-
-    def residual_terms(self, sol) -> list:
-        x, y, z = sol
-        out = [
-            ("A1*X=C1", self.A1 @ x - self.C1, self.C1.norm()),
-            ("X*B1=D1", x @ self.B1 - self.D1, self.D1.norm()),
-            ("A2*Y=C2", self.A2 @ y - self.C2, self.C2.norm()),
-            ("Y*B2=D2", y @ self.B2 - self.D2, self.D2.norm()),
-            ("A3*Z=C3", self.A3 @ z - self.C3, self.C3.norm()),
-            ("Z*B3=D3", z @ self.B3 - self.D3, self.D3.norm()),
-            ("coupling=C", self.E1 @ x @ self.F1 + self.E2 @ y @ self.F2
-             + self.E3 @ z @ self.F3 - self.C, self.C.norm()),
-        ]
-        return out
 
 
 def check_three_term(inst: ThreeTermInstance,
@@ -128,6 +121,11 @@ class MixedInstance(ShapedInstance):
         "A4": ("cr", "p2"), "B4": ("t2", "cc"),
         "X1": ("p1", "t1"), "X2": ("p2", "t2"),
     }
+    TERMS = {
+        "C1": (("A1", "X1", None, False),), "C2": ((None, "X1", "B1", False),),
+        "C3": (("A2", "X2", None, False),), "C4": ((None, "X2", "B2", False),),
+        "Cc": (("A3", "X1", "B3", False), ("A4", "X2", "B4", False)),
+    }
 
     A1: QMatrix
     B1: QMatrix
@@ -142,17 +140,6 @@ class MixedInstance(ShapedInstance):
     A4: QMatrix
     B4: QMatrix
     Cc: QMatrix
-
-    def residual_terms(self, sol) -> list:
-        x, y = sol
-        return [
-            ("A1*X1=C1", self.A1 @ x - self.C1, self.C1.norm()),
-            ("X1*B1=C2", x @ self.B1 - self.C2, self.C2.norm()),
-            ("A2*X2=C3", self.A2 @ y - self.C3, self.C3.norm()),
-            ("X2*B2=C4", y @ self.B2 - self.C4, self.C4.norm()),
-            ("coupling=Cc", self.A3 @ x @ self.B3 + self.A4 @ y @ self.B4
-             - self.Cc, self.Cc.norm()),
-        ]
 
 
 class _MixedWork:

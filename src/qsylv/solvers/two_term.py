@@ -19,17 +19,13 @@ class TwoTermInstance(ShapedInstance):
     SHAPES = {"E1": ("p", "q"), "C3": ("p", "m3"), "D3": ("n3", "q"),
               "C4": ("p", "m4"), "D4": ("n4", "q"),
               "X3": ("m3", "n3"), "X4": ("m4", "n4")}
+    TERMS = {"E1": (("C3", "X3", "D3", False), ("C4", "X4", "D4", False))}
 
     C3: QMatrix
     D3: QMatrix
     C4: QMatrix
     D4: QMatrix
     E1: QMatrix
-
-    def residual_terms(self, sol) -> list:
-        x3, x4 = sol
-        defect = self.C3 @ x3 @ self.D3 + self.C4 @ x4 @ self.D4 - self.E1
-        return [("coupling=E1", defect, self.E1.norm())]
 
 
 class TwoTermKernel:

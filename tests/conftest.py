@@ -28,3 +28,9 @@ def rand_q(rng):
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+def worst_rel(inst, sol):
+    """The largest relative defect ``|defect| / (1 + scale)`` over an
+    instance's residual terms at ``sol``."""
+    return max(d.norm() / (1.0 + s) for _, d, s in inst.residual_terms(sol))

@@ -25,6 +25,8 @@ from qsylv.harness import (DimensionProfile, gen_consistent, gen_eta_full,
                            gen_three_term, gen_two_term)
 from qsylv.solvers.master import check_master
 
+from tests.conftest import worst_rel
+
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
@@ -38,10 +40,6 @@ def make_rand(rng):
 def verdict(num, ok, text):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {text}")
     assert ok, f"criterion {num}: {text}"
-
-
-def worst_rel(inst, sol):
-    return max(d.norm() / (1.0 + s) for _, d, s in inst.residual_terms(sol))
 
 
 EXPECTED_RANK_TABLE = {

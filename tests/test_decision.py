@@ -24,13 +24,9 @@ from qsylv.solvers import Inconsistent
 TOL = 1e-9
 
 # every right side of the systems the benchmark sweeps over scales
-RHS_FIELDS = {
-    "master": ("C1", "C2", "C3", "C4", "D1", "D2", "D3", "D4", "Cc"),
-    "two-term": ("E1",),
-    "five-term": ("B",),
-    "eta-full": ("C1", "C2", "C3", "C4", "Cc"),
-    "eta-two": ("D1",),
-}
+RHS_FIELDS = {v: VARIANT_TABLE[v].instance_type.rhs_names()
+              for v in ("master", "two-term", "five-term", "eta-full",
+                        "eta-two")}
 SCALE_EXPONENTS = (-12, -8, -4, 0, 4, 8, 12)
 
 

@@ -35,9 +35,18 @@ def test_matrix_errors():
     ([7], "row 0"),
     (7, "entries"),
     ("abcd", "entries"),
+    ([[[1, 0, "2.5", 0]]], r"entry \(0,0\) is not numeric"),
+    ([[[1, 0, True, 0]]], r"entry \(0,0\) is not numeric"),
+    # a dict replaces a dimension of a well-formed document instead
+    ({"rows": 1.9}, "rows"),
+    ({"rows": True}, "rows"),
+    ({"cols": True}, "cols"),
+    ({"cols": "1"}, "cols"),
 ])
 def test_malformed_entries_raise_parse_error(entries, where):
     doc = {"rows": 1, "cols": 1, "entries": entries}
+    if isinstance(entries, dict):
+        doc = {"rows": 1, "cols": 1, "entries": [[[1, 0, 0, 0]]], **entries}
     with pytest.raises(docs.ParseError, match=f"'A1'.*{where}"):
         docs.matrix_from_doc(doc, "A1")
 

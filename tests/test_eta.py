@@ -10,13 +10,11 @@ from qsylv.harness import (gen_eta_full, gen_eta_mixed, gen_eta_three,
                            gen_eta_two, verify_solution)
 from qsylv.solvers.master import solve_master
 
+from tests.conftest import worst_rel
+
 
 def herm_defect(m, eta):
     return (m - m.eta_conj_transpose(eta)).norm()
-
-
-def worst_rel(inst, sol):
-    return max(d.norm() / (1.0 + s) for _, d, s in inst.residual_terms(sol))
 
 
 class TestSymmetrize:

@@ -8,6 +8,13 @@ from qsylv.solvers import (check_five_term, five_term_intermediates,
 from qsylv.solvers.five_term import FIVE_TERM_PARAM_NAMES
 
 
+def coupling_defect(inst, sol):
+    """|A1 X1 + X2 B1 + A2 Y1 B2 + A3 Y2 B3 + A4 Y3 B4 - B|, the norm of
+    the system's one residual term."""
+    (_, defect, _), = inst.residual_terms(sol)
+    return defect.norm()
+
+
 def planted(rand_q, p, q, dims):
     (a1, b1), (a2, b2), (a3, b3), (a4, b4) = dims
     mats = dict(
@@ -69,7 +76,7 @@ class TestSolve:
         fam = solve_five_term(inst)
         for _ in range(3):
             sol = fam.assemble(fam.random_params(rng))
-            assert inst.residual(sol).norm() <= 1e-10
+            assert coupling_defect(inst, sol) <= 1e-10
             assert sol[2].shape == (0, 0)
 
     def test_planted_parameter_sweep_both_branches(self, rng, rand_q):
@@ -83,7 +90,7 @@ class TestSolve:
                 list(FIVE_TERM_PARAM_NAMES)
             for _ in range(5):
                 sol = fam.assemble(fam.random_params(rng))
-                assert inst.residual(sol).norm() <= 1e-8 * scale
+                assert coupling_defect(inst, sol) <= 1e-8 * scale
 
     def test_branch_difference_stays_in_kernel(self, rng, rand_q):
         inst, _ = planted(rand_q, 4, 4, [(2, 2)] * 4)
@@ -91,8 +98,8 @@ class TestSolve:
         sol1 = solve_five_term(inst, branch="first").assemble(params)
         sol2 = solve_five_term(inst, branch="second").assemble(params)
         scale = 1.0 + inst.B.norm()
-        assert inst.residual(sol1).norm() <= 1e-9 * scale
-        assert inst.residual(sol2).norm() <= 1e-9 * scale
+        assert coupling_defect(inst, sol1) <= 1e-9 * scale
+        assert coupling_defect(inst, sol2) <= 1e-9 * scale
         # both are solutions, so the difference is annihilated
         diff = tuple(a - b for a, b in zip(sol1, sol2))
         hom = (inst.A1 @ diff[0] + diff[1] @ inst.B1

@@ -10,9 +10,7 @@ from qsylv.harness import (DimensionProfile, gen_consistent, gen_inconsistent,
                            gen_mixed, gen_three_term, verify_solution)
 from qsylv.solvers.master import MASTER_PARAM_NAMES, master_intermediates
 
-
-def worst_rel(inst, sol):
-    return max(d.norm() / (1.0 + s) for _, d, s in inst.residual_terms(sol))
+from tests.conftest import worst_rel
 
 
 class TestCheckMaster:

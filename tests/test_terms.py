@@ -1,0 +1,107 @@
+"""Each instance type's TERMS table: it names real blocks and unknowns,
+its products have the shapes of their right sides, and the residual
+list, the planted right sides and the coupling field all follow it."""
+
+import dataclasses
+
+import pytest
+
+from qsylv.harness import VARIANT_TABLE, VARIANTS, gen_planted, gen_unsolvable
+from qsylv.solvers.families import ETA_STAR
+
+CASES = [(v, eta) for v in VARIANTS
+         for eta in ("ijk" if v.startswith("eta-") else "i")]
+
+# the entry names that ``verify`` reports and the CLI print, in order
+RESIDUAL_NAMES = {
+    "master": ("A1*U=C1", "V*B1=D1", "A2*X=C2", "X*B2=D2", "A3*Y=C3",
+               "Y*B3=D3", "A4*Z=C4", "Z*B4=D4", "coupling=Cc"),
+    "three-term": ("A1*X=C1", "X*B1=D1", "A2*Y=C2", "Y*B2=D2", "A3*Z=C3",
+                   "Z*B3=D3", "coupling=C"),
+    "mixed": ("A1*X1=C1", "X1*B1=C2", "A2*X2=C3", "X2*B2=C4",
+              "coupling=Cc"),
+    "two-term": ("coupling=E1",),
+    "five-term": ("coupling=B",),
+    "eta-full": ("A1*U=C1", "A2*X=C2", "A3*Y=C3", "A4*Z=C4", "coupling=Cc",
+                 "X=X^eta*", "Y=Y^eta*", "Z=Z^eta*"),
+    "eta-three": ("A1*X=C1", "A2*Y=C2", "A3*Z=C3", "coupling=C",
+                  "X=X^eta*", "Y=Y^eta*", "Z=Z^eta*"),
+    "eta-two": ("coupling=D1", "Y=Y^eta*", "Z=Z^eta*"),
+    "eta-mixed": ("A1*X=C1", "Y*B1=D1", "coupling=D3", "X=X^eta*",
+                  "Y=Y^eta*"),
+}
+
+
+def _block_names(cls):
+    return {f.name for f in dataclasses.fields(cls) if f.name != "eta"}
+
+
+def _factor_shape(cls, name):
+    """The named dimensions of a factor; ``^eta*`` transposes them."""
+    if name.endswith(ETA_STAR):
+        rows, cols = cls.SHAPES[name[:-len(ETA_STAR)]]
+        return cols, rows
+    return cls.SHAPES[name]
+
+
+@pytest.mark.parametrize("variant, eta", CASES)
+def test_terms_name_real_blocks_and_unknowns(variant, eta):
+    cls = VARIANT_TABLE[variant].instance_type
+    blocks, unknowns = _block_names(cls), set(cls.unknown_names())
+    assert cls.TERMS
+    for rhs, terms in cls.TERMS.items():
+        assert rhs in blocks, rhs
+        for left, unknown, right, eta_conj in terms:
+            assert unknown in unknowns, (rhs, unknown)
+            for factor in (left, right):
+                if factor is not None:
+                    assert factor.removesuffix(ETA_STAR) in blocks, factor
+            assert isinstance(eta_conj, bool)
+    assert set(cls.ETA_HERMITIAN) <= unknowns
+    uses_eta = bool(cls.ETA_HERMITIAN) or any(
+        t[3] or ETA_STAR in f"{t[0]}{t[2]}"
+        for terms in cls.TERMS.values() for t in terms)
+    assert uses_eta == ("eta" in cls.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("variant, eta", CASES)
+def test_every_product_has_its_right_sides_shape(variant, eta):
+    cls = VARIANT_TABLE[variant].instance_type
+    for rhs, terms in cls.TERMS.items():
+        for left, unknown, right, eta_conj in terms:
+            rows, cols = cls.SHAPES[unknown]
+            if left is not None:
+                l_rows, l_cols = _factor_shape(cls, left)
+                assert l_cols == rows, (rhs, left, unknown)
+                rows = l_rows
+            if right is not None:
+                r_rows, r_cols = _factor_shape(cls, right)
+                assert r_rows == cols, (rhs, unknown, right)
+                cols = r_cols
+            if eta_conj:
+                rows, cols = cols, rows
+            assert (rows, cols) == cls.SHAPES[rhs], (rhs, left, unknown, right)
+
+
+@pytest.mark.parametrize("variant, eta", CASES)
+def test_residual_names_are_pinned_and_witnesses_solve(variant, eta):
+    tol = 1e-12
+    for size in (1, 2, 3):
+        for seed in (0, 1):
+            inst, wit = gen_planted(variant, size, seed, eta)
+            wit = wit.as_tuple() if hasattr(wit, "as_tuple") else wit
+            terms = inst.residual_terms(wit)
+            assert tuple(n for n, _, _ in terms) == RESIDUAL_NAMES[variant]
+            for name, defect, scale in terms:
+                assert defect.norm() <= tol * scale, (name, size, seed)
+
+
+@pytest.mark.parametrize("variant, eta", CASES)
+def test_unsolvable_twin_moves_only_the_coupling_right_side(variant, eta):
+    entry = VARIANT_TABLE[variant]
+    coupling = entry.instance_type.rhs_names()[-1]
+    base, _ = (entry.unsolvable_base or entry.planted)(2, 1, eta)
+    twin = gen_unsolvable(variant, 2, 1, eta)
+    moved = {name for name in _block_names(type(twin))
+             if (getattr(twin, name) - getattr(base, name)).norm() != 0.0}
+    assert moved == {coupling}

@@ -30,20 +30,6 @@ SIZES = (1, 2, 3, 4)
 SEEDS = (0, 1, 2)
 SCALES = (1e-8, 1.0, 1e8)
 
-# the right-hand-side blocks of each system
-RHS_FIELDS = {
-    "master": ("C1", "C2", "C3", "C4", "D1", "D2", "D3", "D4", "Cc"),
-    "three-term": ("C1", "C2", "C3", "D1", "D2", "D3", "C"),
-    "mixed": ("C1", "C2", "C3", "C4", "Cc"),
-    "two-term": ("E1",),
-    "five-term": ("B",),
-    "eta-full": ("C1", "C2", "C3", "C4", "Cc"),
-    "eta-three": ("C1", "C2", "C3", "C"),
-    "eta-two": ("D1",),
-    "eta-mixed": ("C1", "D1", "D3"),
-}
-
-
 def generate(path):
     from dataclasses import fields, replace
 
@@ -51,6 +37,7 @@ def generate(path):
 
     corpus, skipped = [], 0
     for variant, entry in VARIANT_TABLE.items():
+        rhs_fields = entry.instance_type.rhs_names()
         etas = ("i", "j", "k") if variant.startswith("eta") else ("i",)
         for size in SIZES:
             for seed in SEEDS:
@@ -65,7 +52,7 @@ def generate(path):
                         for scale in SCALES:
                             scaled = replace(inst, **{
                                 f: getattr(inst, f) * scale
-                                for f in RHS_FIELDS[variant]})
+                                for f in rhs_fields})
                             planes = {f.name: tuple(
                                 c.copy() for c in getattr(scaled, f.name)
                                 .components())
