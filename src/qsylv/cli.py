@@ -40,9 +40,9 @@ def _print_residuals(report):
 
 
 def _load_instance(args):
-    doc = docs.load_json(args.instance)
-    variant = args.variant or doc.get("variant")
-    return docs.instance_from_doc(doc, variant, eta_default=args.eta), variant
+    inst = docs.instance_from_doc(docs.load_json(args.instance), args.variant,
+                                  eta_default=args.eta)
+    return inst, docs.variant_of(inst)
 
 
 def cmd_check(args) -> int:

@@ -7,7 +7,10 @@ X = X^{eta*} turns into the pair A X = C, X A^{eta*} = C^{eta*}, which
 maps the whole system onto the master system; averaging a solution of
 the doubled system with its eta-conjugate yields an eta-Hermitian
 solution, and the two directions of this reduction are inverse to each
-other on solution sets.
+other on solution sets.  Eta-three lifts onto eta-full with its first
+slot empty, and eta-mixed onto eta-three: for an eta-Hermitian Y the
+constraint Y B1 = D1 is B1^{eta*} Y = D1^{eta*}, and the third slot is
+empty.  Only eta-two keeps a direct closed form.
 
 Right sides may arrive under either the C or the B naming convention;
 the instance types normalize to C names.  Eta-Hermicity of the given
@@ -21,12 +24,12 @@ from dataclasses import dataclass
 
 from .decomp import pinv, rank
 from .qcore import check_eta
-from .qmatrix import DimensionError, QMatrix, block, hstack, vstack
+from .qmatrix import DimensionError, QMatrix, block, hstack
 from .solvers.basic import DEFAULT_TOL
-from .solvers.families import (FreeParam, Inconsistent, LinearSolutionFamily,
+from .solvers.families import (FreeParam, LinearSolutionFamily,
                                ShapedInstance, SolvabilityReport,
-                               cascade_floor, decide, rank_condition,
-                               residual_condition)
+                               cascade_floor, decide, lifted_family,
+                               rank_condition, residual_condition)
 from .solvers.master import MasterInstance, check_master, solve_master
 
 PRECONDITION_TOL = 1e-9
@@ -171,19 +174,16 @@ def solve_eta_full(inst: EtaFullInstance, tol: float = DEFAULT_TOL,
                    branch: str = "first"):
     """Family (U, X, Y, Z) with X, Y, Z eta-Hermitian by construction."""
     _require_eta_hermitian(inst.Cc, inst.eta, "Cc")
-    res = solve_master(inst.to_master(), tol, branch)
-    if isinstance(res, Inconsistent):
-        return res
     et = inst.eta
 
-    def assemble(vals):
-        u1, u2, xt, yt, zt = res.assemble(vals)
+    def project(sol):
+        u1, u2, xt, yt, zt = sol
         u = (u1 + u2.eta_conj_transpose(et)) * 0.5
         return (u, symmetrize(xt, et), symmetrize(yt, et),
                 symmetrize(zt, et))
 
-    return LinearSolutionFamily(("U", "X", "Y", "Z"), res.free_params,
-                                assemble)
+    return lifted_family(solve_master(inst.to_master(), tol, branch),
+                         ("U", "X", "Y", "Z"), project)
 
 
 def check_eta_three(inst: EtaThreeInstance,
@@ -194,14 +194,8 @@ def check_eta_three(inst: EtaThreeInstance,
 def solve_eta_three(inst: EtaThreeInstance, tol: float = DEFAULT_TOL,
                     branch: str = "first"):
     """Family (X, Y, Z), all eta-Hermitian."""
-    res = solve_eta_full(inst.to_full(), tol, branch)
-    if isinstance(res, Inconsistent):
-        return res
-
-    def assemble(vals):
-        return res.assemble(vals)[1:]
-
-    return LinearSolutionFamily(("X", "Y", "Z"), res.free_params, assemble)
+    return lifted_family(solve_eta_full(inst.to_full(), tol, branch),
+                         ("X", "Y", "Z"), lambda sol: sol[1:])
 
 
 # -- two-term equation with eta-Hermitian unknowns -------------------------
@@ -345,97 +339,32 @@ class EtaMixedInstance(_EtaInstance):
     A3: QMatrix
     D3: QMatrix
 
-
-class _EtaMixedWork:
-    def __init__(self, inst: EtaMixedInstance):
-        self.inst = inst
-        et = inst.eta
-        ec = lambda m: m.eta_conj_transpose(et)
-        self.floor = cascade_floor(*inst.blocks())
-        pv = lambda m: pinv(m, floor=self.floor)
-        self.bA1, self.bB1 = pv(inst.A1), pv(inst.B1)
-        p1 = self.bA1.pinv @ inst.C1
-        self.x_part = (p1 + ec(p1)
-                       - self.bA1.pinv @ inst.A1 @ ec(inst.C1) @ ec(self.bA1.pinv))
-        p2 = inst.D1 @ self.bB1.pinv
-        self.y_part = (p2 + ec(p2)
-                       - ec(self.bB1.pinv) @ ec(inst.B1) @ inst.D1 @ self.bB1.pinv)
-        self.B4 = inst.A2 @ self.bA1.proj_left
-        self.C4 = inst.A3 @ ec(self.bB1.proj_right)
-        self.D4 = (inst.D3 - inst.A2 @ self.x_part @ ec(inst.A2)
-                   - inst.A3 @ self.y_part @ ec(inst.A3))
-        self.inner = _EtaTwoWork(EtaTwoInstance(et, self.B4, self.C4,
-                                                self.D4))
-
-    def conditions(self, tol: float):
-        """(compat, mp): the side conditions, then the residual
-        certificate of the side equations and of the reduced eta-two
-        equation."""
-        inst, et = self.inst, self.inst.eta
-        ec = lambda m: m.eta_conj_transpose(et)
-        threshold = tol * (1.0 + inst.C1.norm() + inst.D1.norm()
-                           + inst.D3.norm())
-        compat = [
-            residual_condition("A1*C1^eta*=C1*A1^eta*",
-                               inst.A1 @ ec(inst.C1) - inst.C1 @ ec(inst.A1),
-                               threshold),
-            residual_condition("B1^eta**D1=D1^eta**B1",
-                               ec(inst.B1) @ inst.D1 - ec(inst.D1) @ inst.B1,
-                               threshold),
-        ]
-        mp = [
-            residual_condition("R_A1*C1", self.bA1.proj_right @ inst.C1,
-                               threshold),
-            residual_condition("D1*L_B1", inst.D1 @ self.bB1.proj_left,
-                               threshold),
-        ]
-        return compat, mp + self.inner.mp_conditions(tol)
-
-    def rank_conditions(self, inst: EtaMixedInstance) -> list:
-        """The side equations' ranks on ``inst``, then the reduced
-        eta-two equation's (its blocks are this work's own products)."""
-        r = lambda m: rank(m, floor=self.floor)
-        return [
-            rank_condition("r(A1,C1)=r(A1)",
-                           r(hstack([inst.A1, inst.C1])), self.bA1.rank),
-            rank_condition("r(D1;B1)=r(B1)",
-                           r(vstack([inst.D1, inst.B1])), self.bB1.rank),
-        ] + self.inner.rank_conditions(self.inner.inst)
+    def to_three(self) -> EtaThreeInstance:
+        """Lift with X in the first slot, Y in the second under
+        B1^{eta*} Y = D1^{eta*}, and the third slot empty."""
+        n = self.D3.rows
+        ec = lambda m: m.eta_conj_transpose(self.eta)
+        z = QMatrix.zeros
+        return EtaThreeInstance(
+            eta=self.eta,
+            A1=self.A1, C1=self.C1, E1=self.A2,
+            A2=ec(self.B1), C2=ec(self.D1), E2=self.A3,
+            A3=z(0, 0), C3=z(0, 0), E3=z(n, 0),
+            C=self.D3)
 
 
 def check_eta_mixed(inst: EtaMixedInstance,
                     tol: float = DEFAULT_TOL) -> SolvabilityReport:
+    """Eta-three certificates on the lifted instance, under master
+    names."""
     _require_eta_hermitian(inst.D3, inst.eta, "D3")
-    work = _EtaMixedWork(inst)
-    return SolvabilityReport.build(*work.conditions(tol),
-                                   work.rank_conditions(inst))
+    return check_eta_three(inst.to_three(), tol)
 
 
 def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
-    """Eta-Hermitian pair (X, Y) for the mixed system.
-
-    Substituting the general eta-Hermitian solutions of the two
-    one-sided equations into the two-sided one leaves an equation of the
-    eta-two form in the projected free blocks (V, W); its family is
-    embedded back.  Free parameters: U3, U4, U5 and eta-Hermitian U6."""
+    """Eta-Hermitian pair (X, Y) for the mixed system, or Inconsistent,
+    with the eta-three family's free parameters."""
     inst = EtaMixedInstance(eta, a1, c1, b1, d1, a2, a3, d3)
     _require_eta_hermitian(d3, eta, "D3")
-    work = _EtaMixedWork(inst)
-    inner = work.inner.family()
-    ec = lambda m: m.eta_conj_transpose(eta)
-    la1 = work.bA1.proj_left
-    rb1 = work.bB1.proj_right
-    x_shape, y_shape = inst.unknown_shapes().values()
-    params = (FreeParam("U3", y_shape), FreeParam("U4", x_shape),
-              FreeParam("U5", y_shape), FreeParam("U6", y_shape, eta=eta))
-
-    def assemble(vals):
-        v, w = inner.assemble({"W1": vals["U3"], "U": vals["U4"],
-                               "V": vals["U5"], "W2": vals["U6"]})
-        x = work.x_part + la1 @ v @ ec(la1)
-        y = work.y_part + ec(rb1) @ w @ rb1
-        return (x, y)
-
-    return decide(*work.conditions(tol), work.rank_conditions,
-                  lambda: LinearSolutionFamily(("X", "Y"), params, assemble),
-                  inst.residual_terms, tol, (inst,))
+    return lifted_family(solve_eta_three(inst.to_three(), tol),
+                         ("X", "Y"), lambda sol: sol[:2])

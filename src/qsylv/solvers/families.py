@@ -335,6 +335,22 @@ def decide(compat, mp, ranks, family, residual_terms, tol: float, inputs):
     return built if report.consistent else Inconsistent(report)
 
 
+def lifted_family(res, unknowns: Sequence[str], project: Callable):
+    """The ``solve_*`` result of a system solved through a lift.
+
+    ``res`` is what the lifted system's ``solve_*`` returned.  An
+    ``Inconsistent`` passes through; a family keeps its free parameters
+    and maps each assembled tuple of the lifted unknowns through
+    ``project`` to a tuple of ``unknowns``.  Its particular solution is
+    the projection of the one the lifted solve already assembled."""
+    if isinstance(res, Inconsistent):
+        return res
+    family = LinearSolutionFamily(unknowns, res.free_params,
+                                  lambda vals: project(res.assemble(vals)))
+    family._particular = project(res.particular)
+    return family
+
+
 class LinearSolutionFamily:
     """Particular solution plus free parameters spanning the general one.
 

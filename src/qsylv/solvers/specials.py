@@ -1,25 +1,21 @@
 """Specializations of the master system.
 
-The three-unknown two-sided system is the master system with the first
-unknown pair absent; it is solved by lifting to a MasterInstance with
-empty blocks and delegating.  The mixed system (two constrained
-unknowns coupled by one two-sided equation) is solved by eliminating
-the pair constraints and delegating the residual coupling to the
-two-term solver.
+Both systems here are the master system with some blocks empty, and
+both are solved by lifting to a MasterInstance and delegating: the
+three-unknown two-sided system leaves the first unknown pair (U, V)
+empty, and the mixed system (two constrained unknowns coupled by one
+two-sided equation) takes the X and Y slots and leaves U, V and Z
+empty.  Their certificates are the master lists under master names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..decomp import pinv, rank
-from ..qmatrix import QMatrix, block, hstack, vstack
+from ..qmatrix import QMatrix
 from .basic import DEFAULT_TOL
-from .families import (FreeParam, Inconsistent, LinearSolutionFamily,
-                       ShapedInstance, SolvabilityReport, cascade_floor,
-                       decide, rank_condition, residual_condition)
+from .families import ShapedInstance, SolvabilityReport, lifted_family
 from .master import MasterInstance, check_master, solve_master
-from .two_term import TwoTermInstance, _TwoTermWork
 
 
 @dataclass(frozen=True)
@@ -96,14 +92,8 @@ def check_three_term(inst: ThreeTermInstance,
 def solve_three_term_system(inst: ThreeTermInstance,
                             tol: float = DEFAULT_TOL, branch: str = "first"):
     """General solution family (X, Y, Z), or Inconsistent."""
-    res = solve_master(inst.to_master(), tol, branch)
-    if isinstance(res, Inconsistent):
-        return res
-
-    def assemble(vals):
-        return res.assemble(vals)[2:]
-
-    return LinearSolutionFamily(("X", "Y", "Z"), res.free_params, assemble)
+    return lifted_family(solve_master(inst.to_master(), tol, branch),
+                         ("X", "Y", "Z"), lambda sol: sol[2:])
 
 
 @dataclass(frozen=True)
@@ -141,125 +131,32 @@ class MixedInstance(ShapedInstance):
     B4: QMatrix
     Cc: QMatrix
 
-
-class _MixedWork:
-    def __init__(self, inst: MixedInstance):
-        self.inst = inst
-        self.floor = cascade_floor(*inst.blocks())
-        pv = lambda m: pinv(m, floor=self.floor)
-        self.bA1, self.bB1 = pv(inst.A1), pv(inst.B1)
-        self.bA2, self.bB2 = pv(inst.A2), pv(inst.B2)
-        self.A = inst.A3 @ self.bA1.proj_left
-        self.Bb = self.bB1.proj_right @ inst.B3
-        self.Cm = inst.A4 @ self.bA2.proj_left
-        self.D = self.bB2.proj_right @ inst.B4
-        self.E = (inst.Cc
-                  - inst.A3 @ (self.bA1.pinv @ inst.C1) @ inst.B3
-                  - self.A @ inst.C2 @ self.bB1.pinv @ inst.B3
-                  - inst.A4 @ (self.bA2.pinv @ inst.C3) @ inst.B4
-                  - self.Cm @ inst.C4 @ self.bB2.pinv @ inst.B4)
-        self.inner = _TwoTermWork(TwoTermInstance(self.A, self.Bb, self.Cm,
-                                                  self.D, self.E))
-
-    def conditions(self, tol: float):
-        """(compat, mp): the pair conditions, then the residual
-        certificate of the pair conditions and of the reduced two-term
-        equation."""
-        inst = self.inst
-        threshold = tol * (1.0 + sum(m.norm() for m in inst.blocks()))
-        compat = [
-            residual_condition("A1*C2=C1*B1",
-                               inst.A1 @ inst.C2 - inst.C1 @ inst.B1,
-                               threshold),
-            residual_condition("A2*C4=C3*B2",
-                               inst.A2 @ inst.C4 - inst.C3 @ inst.B2,
-                               threshold),
-        ]
-        mp = [
-            residual_condition("R_A1*C1", self.bA1.proj_right @ inst.C1,
-                               threshold),
-            residual_condition("C2*L_B1", inst.C2 @ self.bB1.proj_left,
-                               threshold),
-            residual_condition("R_A2*C3", self.bA2.proj_right @ inst.C3,
-                               threshold),
-            residual_condition("C4*L_B2", inst.C4 @ self.bB2.proj_left,
-                               threshold),
-        ]
-        return compat, mp + self.inner.mp_conditions(tol)
-
-    def rank_conditions(self, inst: MixedInstance) -> list:
-        r = lambda m: rank(m, floor=self.floor)
-        a1, b1, c1, c2 = inst.A1, inst.B1, inst.C1, inst.C2
-        a2, b2, c3, c4 = inst.A2, inst.B2, inst.C3, inst.C4
-        a3, b3, a4, b4, cc = inst.A3, inst.B3, inst.A4, inst.B4, inst.Cc
-        out = [
-            rank_condition("r(A1,C1)=r(A1)", r(hstack([a1, c1])), self.bA1.rank),
-            rank_condition("r(A2,C3)=r(A2)", r(hstack([a2, c3])), self.bA2.rank),
-            rank_condition("r(C2;B1)=r(B1)", r(vstack([c2, b1])), self.bB1.rank),
-            rank_condition("r(C4;B2)=r(B2)", r(vstack([c4, b2])), self.bB2.rank),
-            rank_condition(
-                "R1",
-                r(block([[a1, None, c1 @ b3],
-                         [a3, a4 @ c4, cc],
-                         [None, b2, b4]])),
-                r(block([[a1, None, None],
-                         [a3, None, None],
-                         [None, b2, b4]]))),
-            rank_condition(
-                "R2",
-                r(block([[a2, None, c3 @ b4],
-                         [a4, a3 @ c2, cc],
-                         [None, b1, b3]])),
-                r(block([[a2, None, None],
-                         [a4, None, None],
-                         [None, b1, b3]]))),
-            rank_condition(
-                "R3",
-                r(block([[b1, None, b3],
-                         [None, b2, b4],
-                         [a3 @ c2, a4 @ c4, cc]])),
-                r(block([[b1, None, b3], [None, b2, b4]]))),
-            rank_condition(
-                "R4",
-                r(block([[c1 @ b3, a1, None],
-                         [c3 @ b4, None, a2],
-                         [cc, a3, a4]])),
-                r(block([[a1, None], [None, a2], [a3, a4]]))),
-        ]
-        return out
+    def to_master(self) -> MasterInstance:
+        """Lift with X1 in the master X slot, X2 in the Y slot and the
+        U, V and Z slots empty."""
+        cr, cc = self.Cc.shape
+        z = QMatrix.zeros
+        return MasterInstance(
+            A1=z(0, 0), B1=z(0, 0), C1=z(0, cc), D1=z(cr, 0),
+            E1=z(cr, 0), F1=z(0, cc),
+            A2=self.A1, B2=self.B1, C2=self.C1, D2=self.C2,
+            E2=self.A3, F2=self.B3,
+            A3=self.A2, B3=self.B2, C3=self.C3, D3=self.C4,
+            E3=self.A4, F3=self.B4,
+            A4=z(0, 0), B4=z(0, 0), C4=z(0, 0), D4=z(0, 0),
+            E4=z(cr, 0), F4=z(0, cc),
+            Cc=self.Cc)
 
 
 def check_mixed(inst: MixedInstance,
                 tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    work = _MixedWork(inst)
-    return SolvabilityReport.build(*work.conditions(tol),
-                                   work.rank_conditions(inst))
+    """Master certificate lists on the lifted instance, under master
+    names; the conditions of the empty slots are vacuous."""
+    return check_master(inst.to_master(), tol)
 
 
 def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
-    """General solution family (X1, X2) with free parameters U, V, W, Z.
-
-    The pair constraints pin each unknown up to a projected free block;
-    substituting these into the coupling equation leaves a two-term
-    two-sided equation that the two-term solver parametrizes."""
-    work = _MixedWork(inst)
-    inner_family = work.inner.family()
-    x_shape, y_shape = inst.unknown_shapes().values()
-    params = (FreeParam("U", x_shape), FreeParam("V", y_shape),
-              FreeParam("W", y_shape), FreeParam("Z", x_shape))
-    x_part = (work.bA1.pinv @ inst.C1
-              + work.bA1.proj_left @ inst.C2 @ work.bB1.pinv)
-    y_part = (work.bA2.pinv @ inst.C3
-              + work.bA2.proj_left @ inst.C4 @ work.bB2.pinv)
-
-    def assemble(vals):
-        xt, yt = inner_family.assemble({"Y11": vals["V"], "Y12": vals["U"],
-                                        "Y13": vals["Z"], "Y14": vals["V"],
-                                        "Y15": vals["W"]})
-        x = x_part + work.bA1.proj_left @ xt @ work.bB1.proj_right
-        y = y_part + work.bA2.proj_left @ yt @ work.bB2.proj_right
-        return (x, y)
-
-    return decide(*work.conditions(tol), work.rank_conditions,
-                  lambda: LinearSolutionFamily(("X1", "X2"), params, assemble),
-                  inst.residual_terms, tol, (inst,))
+    """General solution family (X1, X2), or Inconsistent, with the
+    master family's free parameters."""
+    return lifted_family(solve_master(inst.to_master(), tol),
+                         ("X1", "X2"), lambda sol: sol[2:4])

@@ -168,3 +168,16 @@ def test_solve_scaled_master_exits_zero(tmp_path):
     assert main(["solve", ipath, "--out", spath]) == 0
     assert main(["verify", ipath, spath]) == 0
     assert main(["check", ipath]) == 2
+
+
+@pytest.mark.parametrize("command", ("check", "solve", "verify"))
+@pytest.mark.parametrize("doc", ([], "x", 3))
+def test_non_object_document_is_a_message(doc, command, tmp_path, capsys):
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(json.dumps(doc))
+    argv = [command, str(ipath)]
+    if command == "verify":
+        argv.append(str(ipath))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: instance document must be a JSON object\n"

@@ -160,7 +160,10 @@ class TestMixed:
         for _ in range(4):
             sol = fam.assemble(fam.random_params(rng))
             assert worst_rel(inst, sol) <= 1e-9
-        assert [p.name for p in fam.free_params] == ["U", "V", "W", "Z"]
+        # the master family's parameters, passed through the lift
+        assert [p.name for p in fam.free_params] == [
+            "W11", "W12", "W13", "U4", "U5", "U6", "U7", "U8", "U11", "U12",
+            "U21", "U31", "U32", "U33", "U41", "U42"]
 
     def test_zero_rhs(self):
         inst, _ = gen_mixed(2, seed=22)

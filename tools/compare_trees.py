@@ -15,8 +15,11 @@ records, per instance, every ``check_*`` verdict (``consistent``,
 ``forms_agree``, each condition's ``passed``, each rank ``lhs``/``rhs``)
 and every ``solve_*`` outcome per branch, plus whether the family's
 particular solution and one random member pass ``verify_solution``.
-``compare`` exits 1 when any recorded verdict differs or any family
-member fails to verify.
+``compare`` counts, per variant, the instances whose verdicts differ
+(``consistent``, ``forms_agree``, a solve outcome or a verification)
+and those that differ only in their condition lists (names, order or
+rank pairs); it exits 1 when either count or the number of family
+members that fail to verify is not zero.
 """
 
 from __future__ import annotations
@@ -117,6 +120,16 @@ def run(corpus_path, out_path):
     print(f"{len(results)} instances judged")
 
 
+# the verdict of a record: check's and each solve branch's, without the
+# condition lists, which a renaming may change while every verdict holds
+_LISTS = ("conditions", "ranks")
+
+
+def _verdicts(rec) -> dict:
+    return {part: {k: v for k, v in res.items() if k not in _LISTS}
+            for part, res in rec.items()}
+
+
 def compare(a_path, b_path) -> int:
     with open(a_path, "rb") as fh:
         a = pickle.load(fh)
@@ -125,11 +138,16 @@ def compare(a_path, b_path) -> int:
     if a.keys() != b.keys():
         print("the two runs judged different corpora")
         return 1
-    diffs, unverified, families = 0, 0, 0
+    counts = {}  # variant -> [instances, verdicts, lists only, unverified]
+    families = 0
     for label in a:
-        if a[label] != b[label]:
-            diffs += 1
-            print(f"differs: {label}")
+        row = counts.setdefault(label.split()[0], [0, 0, 0, 0])
+        row[0] += 1
+        if _verdicts(a[label]) != _verdicts(b[label]):
+            row[1] += 1
+            print(f"verdict differs: {label}")
+        elif a[label] != b[label]:
+            row[2] += 1
         for rec in (a[label], b[label]):
             for branch in ("first", "second"):
                 res = rec.get(branch)
@@ -137,11 +155,18 @@ def compare(a_path, b_path) -> int:
                     families += 1
                     if not (res["particular_verifies"]
                             and res["member_verifies"]):
-                        unverified += 1
+                        row[3] += 1
                         print(f"family fails to verify: {label} {branch}")
-    print(f"{len(a)} instances, {diffs} with a differing verdict; "
-          f"{families} families, {unverified} failing verification")
-    return 1 if diffs or unverified else 0
+    print(f"{'variant':12s} {'instances':>9s} {'verdicts':>9s} "
+          f"{'lists only':>10s} {'unverified':>10s}")
+    for variant, row in counts.items():
+        print(f"{variant:12s} " + " ".join(
+            f"{n:{w}d}" for n, w in zip(row, (9, 9, 10, 10))))
+    total = [sum(col) for col in zip(*counts.values())]
+    print(f"{len(a)} instances: {total[1]} with a differing verdict, "
+          f"{total[2]} differing only in condition lists; {families} "
+          f"families, {total[3]} failing verification")
+    return 1 if total[1] or total[2] or total[3] else 0
 
 
 def main(argv):
