@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Quaternion
 from .qmatrix import QMatrix, block, hstack
 
 _EPS = float(np.finfo(np.float64).eps)

@@ -29,7 +29,8 @@ from .solvers.basic import DEFAULT_TOL
 from .solvers.families import (FreeParam, LinearSolutionFamily,
                                ShapedInstance, SolvabilityReport,
                                cascade_floor, decide, lifted_family,
-                               rank_condition, residual_condition)
+                               rank_condition, residual_condition,
+                               shared_work)
 from .solvers.master import MasterInstance, check_master, solve_master
 
 PRECONDITION_TOL = 1e-9
@@ -241,7 +242,8 @@ class _EtaTwoWork:
                                threshold),
         ]
 
-    def rank_conditions(self, inst: EtaTwoInstance) -> list:
+    def rank_conditions(self) -> list:
+        inst = self.inst
         et = inst.eta
         b1, c1, d1 = inst.B1, inst.C1, inst.D1
         r = lambda m: rank(m, floor=self.floor)
@@ -256,7 +258,7 @@ class _EtaTwoWork:
 
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions(self.inst))
+                                       self.rank_conditions())
 
     def family(self) -> LinearSolutionFamily:
         inst, et = self.inst, self.inst.eta
@@ -297,7 +299,7 @@ class _EtaTwoWork:
 def check_eta_two(inst: EtaTwoInstance,
                   tol: float = DEFAULT_TOL) -> SolvabilityReport:
     _require_eta_hermitian(inst.D1, inst.eta, "D1")
-    return _EtaTwoWork(inst).report(tol)
+    return shared_work(_EtaTwoWork, inst).report(tol)
 
 
 def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
@@ -305,12 +307,14 @@ def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
     """Eta-Hermitian pair (Y, Z) solving B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1.
 
     D1 must be eta-Hermitian (precondition).  Free parameters are W1, U,
-    V and the eta-Hermitian W2."""
+    V and the eta-Hermitian W2.  The reduction is shared with a
+    check_eta_two on equal content just before (see
+    :func:`.solvers.families.shared_work`)."""
     inst = EtaTwoInstance(eta, b1, c1, d1)
     _require_eta_hermitian(d1, eta, "D1")
-    work = _EtaTwoWork(inst)
+    work = shared_work(_EtaTwoWork, inst)
     return decide([], work.mp_conditions(tol), work.rank_conditions,
-                  work.family, inst.residual_terms, tol, (inst,))
+                  work.family, inst.residual_terms, tol, ())
 
 
 # -- mixed one-sided / two-sided eta system --------------------------------

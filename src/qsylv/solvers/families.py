@@ -1,5 +1,7 @@
 """Instance shape and equation tables, solution families, free
-parameters and solvability reports."""
+parameters and solvability reports, and the one-slot memo through
+which ``check_*`` and ``solve_*`` share the reduction of an instance
+(:func:`shared_work`)."""
 
 from __future__ import annotations
 
@@ -137,6 +139,53 @@ class ShapedInstance:
         """The same instance over copies of its blocks."""
         return replace(self, **{f.name: getattr(self, f.name).copy()
                                 for f in fields(self) if f.name != "eta"})
+
+
+# The last reduction built by shared_work, as the one item of a list
+# that is never rebound: it is read and replaced whole.
+_SLOT = [None]
+
+
+def _same_content(a, b) -> bool:
+    """Whether two instances have one type, one ``eta`` and blocks of
+    equal shape, dtype and bytes."""
+    if type(a) is not type(b):
+        return False
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "eta":
+            if x != y:
+                return False
+            continue
+        for p, q in ((x.a1, y.a1), (x.a2, y.a2)):
+            if (p.shape != q.shape or p.dtype != q.dtype
+                    or p.tobytes() != q.tobytes()):
+                return False
+    return True
+
+
+def shared_work(cls, inst):
+    """The reduction ``cls(inst)``, shared with the previous call on an
+    instance of equal content.
+
+    The slot holds the last work built.  It is returned when it is a
+    ``cls`` work and its own copy of the instance equals ``inst`` byte
+    for byte, so ``check_*`` then ``solve_*`` (or the reverse) on one
+    instance build the cascade once, also when a lift is rebuilt between
+    the calls.  On a miss the slot is emptied first, so two works are
+    never alive at once, and the new work owns a copy of ``inst``:
+    editing the caller's matrices in place afterwards misses the slot
+    and cannot reach a family or report already handed out.  Everything
+    that depends on ``tol`` or on the branch is computed by the caller
+    on every call, so a hit gives bit-identical results.  The slot is
+    read and replaced whole, so concurrent callers can at worst miss."""
+    work = _SLOT[0]
+    if type(work) is cls and _same_content(work.inst, inst):
+        return work
+    # free the old work before the new one is built
+    work = _SLOT[0] = None
+    _SLOT[0] = work = cls(inst.copy())
+    return work
 
 
 @dataclass(frozen=True)
@@ -304,7 +353,8 @@ def decide(compat, mp, ranks, family, residual_terms, tol: float, inputs):
     ``compat`` and ``mp`` are the evaluated compatibility and residual
     certificate lists.  ``ranks(*inputs)`` builds the rank list; it
     reads the caller's matrices only through ``inputs``, a tuple of
-    QMatrix or instance values.
+    QMatrix or instance values.  A solver whose work owns a copy of its
+    instance (see :func:`shared_work`) passes no inputs.
 
     When a compatibility or residual condition fails, the verdict is
     ``Inconsistent`` and no family or rank list is built here: the

@@ -14,6 +14,8 @@ rank list only when the residual conditions and a verified particular
 solution do not already decide (see :func:`.families.decide`).  When a
 residual condition fails, the ``Inconsistent`` report's rank list is
 built on first read, from the instance as given to solve_five_term.
+check_five_term and solve_five_term on equal content share one
+reduction (see :func:`.families.shared_work`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..qmatrix import QMatrix, block, hstack, vstack
 from .basic import DEFAULT_TOL
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        SolvabilityReport, cascade_floor, decide,
-                       rank_condition, residual_condition)
+                       rank_condition, residual_condition, shared_work)
 from .two_term import TwoTermKernel
 
 FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
@@ -190,7 +192,8 @@ def block_rank_conditions(r, k, a, b, c, d, e, f) -> list:
 
 
 class _FiveTermWork:
-    """Shared pseudoinverse bundles and intermediates for one instance."""
+    """Pseudoinverse bundles and intermediates for one instance, shared
+    by check_five_term and solve_five_term."""
 
     def __init__(self, inst: FiveTermInstance):
         self.inst = inst
@@ -292,7 +295,8 @@ class _FiveTermWork:
         return [residual_condition(name, value, threshold)
                 for name, value in self.mp_terms()]
 
-    def rank_conditions(self, inst: FiveTermInstance) -> list:
+    def rank_conditions(self) -> list:
+        inst = self.inst
         p, q = inst.B.shape
         es = [inst.A1, inst.A2, inst.A3, inst.A4]
         fs = [inst.B1, inst.B2, inst.B3, inst.B4]
@@ -307,7 +311,7 @@ class _FiveTermWork:
 
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions(self.inst))
+                                       self.rank_conditions())
 
     # -- family assembly -------------------------------------------------
 
@@ -368,7 +372,7 @@ def five_term_intermediates(inst: FiveTermInstance) -> FiveTermIntermediates:
 
 def check_five_term(inst: FiveTermInstance,
                     tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    return _FiveTermWork(inst).report(tol)
+    return shared_work(_FiveTermWork, inst).report(tol)
 
 
 def solve_five_term(inst: FiveTermInstance, tol: float = DEFAULT_TOL,
@@ -376,7 +380,7 @@ def solve_five_term(inst: FiveTermInstance, tol: float = DEFAULT_TOL,
     """General solution family (X1, X2, Y1, Y2, Y3), or Inconsistent."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
-    work = _FiveTermWork(inst)
+    work = shared_work(_FiveTermWork, inst)
 
     def assemble(vals):
         return work.assemble(vals, branch)
@@ -384,4 +388,4 @@ def solve_five_term(inst: FiveTermInstance, tol: float = DEFAULT_TOL,
     return decide([], work.mp_conditions(tol), work.rank_conditions,
                   lambda: LinearSolutionFamily(("X1", "X2", "Y1", "Y2", "Y3"),
                                                work.param_specs(), assemble),
-                  inst.residual_terms, tol, (inst,))
+                  inst.residual_terms, tol, ())

@@ -20,7 +20,7 @@ from ..qmatrix import QMatrix, hstack, vstack
 from .basic import DEFAULT_TOL
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        SolvabilityReport, cascade_floor, decide,
-                       rank_condition, residual_condition)
+                       rank_condition, residual_condition, shared_work)
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         _FiveTermWork, block_rank_conditions)
 
@@ -172,7 +172,10 @@ class MasterIntermediates:
 
 class _MasterWork:
     """Side-equation bundles plus the reduced five-term work, shared by
-    check_master and solve_master."""
+    check_master and solve_master of one instance (see
+    :func:`.families.shared_work`).  The reduced work is built here
+    directly, so it does not take the master work's place in the
+    slot."""
 
     def __init__(self, inst: MasterInstance):
         self.inst = inst
@@ -222,7 +225,8 @@ class _MasterWork:
         return [residual_condition(name, value, threshold)
                 for name, value in terms + self.five.mp_terms("GHL")]
 
-    def rank_conditions(self, inst: MasterInstance) -> list:
+    def rank_conditions(self) -> list:
+        inst = self.inst
         r = lambda m: rank(m, floor=self.floor)
         out = []
         for i in range(4):
@@ -239,7 +243,7 @@ class _MasterWork:
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build(self.compat_conditions(tol),
                                        self.mp_conditions(tol),
-                                       self.rank_conditions(self.inst))
+                                       self.rank_conditions())
 
     def intermediates(self) -> MasterIntermediates:
         five = self.five.intermediates()
@@ -288,8 +292,10 @@ def master_intermediates(inst: MasterInstance) -> MasterIntermediates:
 def check_master(inst: MasterInstance,
                  tol: float = DEFAULT_TOL) -> SolvabilityReport:
     """Evaluate the compatibility products, the residual certificate and
-    the rank certificate; fills forms_agree."""
-    return _MasterWork(inst).report(tol)
+    the rank certificate; fills forms_agree.  The reduction cascade is
+    shared with a solve_master on equal content just before (see
+    :func:`.families.shared_work`); the lists are computed per call."""
+    return shared_work(_MasterWork, inst).report(tol)
 
 
 def solve_master(inst: MasterInstance, tol: float = DEFAULT_TOL,
@@ -300,10 +306,12 @@ def solve_master(inst: MasterInstance, tol: float = DEFAULT_TOL,
     residual conditions and a verified particular solution do not
     already decide (see :func:`.families.decide`).  When a compatibility
     or residual condition fails, the ``Inconsistent`` report's rank list
-    is built on first read, from the instance as given here."""
+    is built on first read, from the instance as given here.  The
+    reduction cascade is shared with a check_master on equal content
+    just before (see :func:`.families.shared_work`)."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
-    work = _MasterWork(inst)
+    work = shared_work(_MasterWork, inst)
 
     def assemble(vals):
         return work.assemble(vals, branch)
@@ -312,4 +320,4 @@ def solve_master(inst: MasterInstance, tol: float = DEFAULT_TOL,
                   work.rank_conditions,
                   lambda: LinearSolutionFamily(("U", "V", "X", "Y", "Z"),
                                                work.param_specs(), assemble),
-                  inst.residual_terms, tol, (inst,))
+                  inst.residual_terms, tol, ())

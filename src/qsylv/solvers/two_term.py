@@ -8,7 +8,7 @@ from ..decomp import pinv, rank
 from ..qmatrix import QMatrix, block, hstack, vstack
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        SolvabilityReport, cascade_floor, decide,
-                       rank_condition, residual_condition)
+                       rank_condition, residual_condition, shared_work)
 from .basic import DEFAULT_TOL
 
 
@@ -96,7 +96,8 @@ class _TwoTermWork(TwoTermKernel):
                                threshold),
         ]
 
-    def rank_conditions(self, inst: TwoTermInstance) -> list:
+    def rank_conditions(self) -> list:
+        inst = self.inst
         c3, d3, c4, d4, e1 = inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
         r = lambda m: rank(m, floor=self.floor)
         return [
@@ -114,7 +115,7 @@ class _TwoTermWork(TwoTermKernel):
 
     def report(self, tol: float) -> SolvabilityReport:
         return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions(self.inst))
+                                       self.rank_conditions())
 
     def family(self) -> LinearSolutionFamily:
         shape3, shape4 = self.inst.unknown_shapes().values()
@@ -130,7 +131,8 @@ class _TwoTermWork(TwoTermKernel):
 
 def check_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
                    e1: QMatrix, tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    return _TwoTermWork(TwoTermInstance(c3, d3, c4, d4, e1)).report(tol)
+    return shared_work(_TwoTermWork,
+                       TwoTermInstance(c3, d3, c4, d4, e1)).report(tol)
 
 
 def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
@@ -141,9 +143,10 @@ def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
     a verified particular solution; the four rank equalities are built
     only when that fails (see :func:`.families.decide`).  The family
     carries five free parameters Y11..Y15 (Y11 is shared between the two
-    unknowns).
+    unknowns).  The kernel is shared with a check_two_term on equal
+    content just before (see :func:`.families.shared_work`).
     """
     inst = TwoTermInstance(c3, d3, c4, d4, e1)
-    work = _TwoTermWork(inst)
+    work = shared_work(_TwoTermWork, inst)
     return decide([], work.mp_conditions(tol), work.rank_conditions,
-                  work.family, inst.residual_terms, tol, (inst,))
+                  work.family, inst.residual_terms, tol, ())

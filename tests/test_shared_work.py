@@ -1,0 +1,194 @@
+"""check_* and solve_* on one instance share one reduction.
+
+The solvers keep the work of the last instance in one slot keyed by its
+content (``solvers.families.shared_work``).  A warm call must give
+exactly what a cold one gives, in either order; an instance edited in
+place must miss; and a family or deferred rank list handed out must not
+see a later edit of the instance whose work it shares.
+"""
+
+import sys
+import threading
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import qsylv
+from qsylv import QMatrix
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
+                           gen_consistent, gen_planted, gen_unsolvable)
+from qsylv.solvers import Inconsistent
+
+from tests.test_decision import _SvdCounter
+
+TOL = 1e-9
+SCALES = (1e-8, 1.0, 1e8)
+
+
+def _evict():
+    """Fill the slot with an unrelated instance, so the next call on
+    any test instance is cold."""
+    e = QMatrix.identity(1)
+    qsylv.check_two_term(e, e, e, e, e)
+
+
+def _scaled(variant, inst, factor):
+    rhs = VARIANT_TABLE[variant].instance_type.rhs_names()
+    return replace(inst, **{f: getattr(inst, f) * factor for f in rhs})
+
+
+def _planes(sol):
+    return [(m.shape, m.a1.tobytes(), m.a2.tobytes()) for m in sol]
+
+
+def _solved(res):
+    """What a solve result shows: the report, or the particular solution
+    and one seeded random member, as bytes."""
+    if isinstance(res, Inconsistent):
+        return ("inconsistent", res.report.to_dict())
+    rng = np.random.default_rng(7)
+    return ("family", _planes(res.assemble()),
+            _planes(res.assemble(res.random_params(rng))))
+
+
+def _cold(entry, inst, branch):
+    _evict()
+    report = entry.check(inst, TOL).to_dict()
+    _evict()
+    return report, _solved(entry.solve(inst, TOL, branch))
+
+
+def _cases(variant):
+    planted, _ = gen_planted(variant, 2, 0, "j")
+    for truth, inst in (("planted", planted),
+                        ("unsolvable", gen_unsolvable(variant, 2, 0, "j"))):
+        for scale in SCALES:
+            yield f"{truth} x{scale:g}", _scaled(variant, inst, scale)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_warm_calls_equal_cold_calls(variant, monkeypatch):
+    entry = VARIANT_TABLE[variant]
+    branches = ("first",) if entry.one_closed_form else ("first", "second")
+    counter = _SvdCounter(monkeypatch)
+    for label, inst in _cases(variant):
+        for branch in branches:
+            cold = _cold(entry, inst, branch)
+
+            _evict()
+            report = entry.check(inst, TOL).to_dict()
+            counter.take()
+            solved = _solved(entry.solve(inst, TOL, branch))
+            assert counter.take()[0] == 0, (label, "solve after check")
+            assert (report, solved) == cold, (label, branch)
+
+            _evict()
+            solved = _solved(entry.solve(inst, TOL, branch))
+            counter.take()
+            report = entry.check(inst, TOL).to_dict()
+            assert counter.take()[0] == 0, (label, "check after solve")
+            assert (report, solved) == cold, (label, branch)
+
+
+def test_warm_master_svd_counts(monkeypatch):
+    planted, _ = gen_consistent(DimensionProfile.cube(2, 1))
+    _evict()
+    counter = _SvdCounter(monkeypatch)
+    qsylv.check_master(planted)
+    assert counter.take() == (34, 35)
+    family = qsylv.solve_master(planted)
+    assert not isinstance(family, Inconsistent)
+    family.assemble()
+    assert counter.take() == (0, 0)
+
+    _evict()
+    counter.take()
+    qsylv.solve_master(planted)
+    assert counter.take() == (34, 0)
+    qsylv.check_master(planted)
+    assert counter.take() == (0, 35)
+
+
+def test_eta_full_hits_through_the_lift(monkeypatch):
+    inst, _ = gen_planted("eta-full", 2, 0, "k")
+    _evict()
+    counter = _SvdCounter(monkeypatch)
+    assert not isinstance(qsylv.solve_eta_full(inst), Inconsistent)
+    pinvs, _ = counter.take()
+    assert pinvs > 0
+    report = qsylv.check_eta_full(inst)
+    assert report.consistent
+    assert counter.take() == (0, 35)
+
+
+def test_in_place_edit_misses(monkeypatch):
+    inst, _ = gen_consistent(DimensionProfile.cube(2, 2))
+    _evict()
+    qsylv.check_master(inst)
+    inst.C2.a1[0, 0] += 1.0
+    counter = _SvdCounter(monkeypatch)
+    solved = _solved(qsylv.solve_master(inst))
+    assert counter.take()[0] == 34
+    report = qsylv.check_master(inst).to_dict()
+    assert (report, solved) == _cold(VARIANT_TABLE["master"], inst, "first")
+
+
+@pytest.mark.parametrize("variant", ("master", "five-term", "two-term"))
+def test_equal_content_shares_work_but_not_edits(variant, monkeypatch):
+    entry = VARIANT_TABLE[variant]
+    planted, _ = gen_planted(variant, 2, 0)
+    twin = gen_unsolvable(variant, 2, 1)
+    counter = _SvdCounter(monkeypatch)
+    for first in (planted, twin):
+        expected = _cold(entry, first, "first")[1]
+        second = first.copy()
+        _evict()
+        entry.check(first, TOL)
+        counter.take()
+        res = entry.solve(second, TOL, "first")
+        assert counter.take()[0] == 0
+        # the family and the deferred rank list of the second instance
+        # do not read the first one's matrices
+        for m in first.blocks():
+            for plane in m.components():
+                plane[...] = 0.0
+        assert _solved(res) == expected
+
+
+def test_threads_never_get_another_instances_work():
+    variants = ("two-term", "five-term", "master", "eta-two")
+    cases = [(VARIANT_TABLE[v], inst) for v in variants
+             for inst in (gen_planted(v, 1, 0)[0], gen_unsolvable(v, 1, 0))]
+    expected = [_cold(entry, inst, "first") for entry, inst in cases]
+    failures = []
+
+    def worker(offset):
+        for k in range(40):
+            i = (offset + k) % len(cases)
+            entry, inst = cases[i]
+            try:
+                if k % 2:
+                    got = (entry.check(inst, TOL).to_dict(),
+                           _solved(entry.solve(inst, TOL, "first")))
+                else:
+                    solved = _solved(entry.solve(inst, TOL, "first"))
+                    got = (entry.check(inst, TOL).to_dict(), solved)
+            except Exception as exc:
+                got = exc
+            if got != expected[i]:
+                failures.append((i, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
