@@ -10,11 +10,15 @@ solution, and the two directions of this reduction are inverse to each
 other on solution sets.  Eta-three lifts onto eta-full with its first
 slot empty, and eta-mixed onto eta-three: for an eta-Hermitian Y the
 constraint Y B1 = D1 is B1^{eta*} Y = D1^{eta*}, and the third slot is
-empty.  Only eta-two keeps a direct closed form.
+empty.  Only eta-two keeps a direct closed form, its own reduction
+``EtaTwoInstance.WORK``.  The other three ``lift()`` themselves, and the
+one driver (:func:`.solvers.families.check`,
+:func:`.solvers.families.solve`) decides every one of them.
 
 Right sides may arrive under either the C or the B naming convention;
-the instance types normalize to C names.  Eta-Hermicity of the given
-right side (Cc, D1, D3) is enforced as a precondition rather than
+the instance types normalize to C names.  Eta-Hermicity of the
+coupling right side (Cc, C, D1, D3) is each type's ``require()``: a
+precondition checked under the type's own field name rather than
 silently symmetrized.
 """
 
@@ -25,13 +29,10 @@ from dataclasses import dataclass
 from .decomp import pinv, rank
 from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix, block, hstack
-from .solvers.basic import DEFAULT_TOL
-from .solvers.families import (FreeParam, LinearSolutionFamily,
-                               ShapedInstance, SolvabilityReport,
-                               cascade_floor, decide, lifted_family,
-                               rank_condition, residual_condition,
-                               shared_work)
-from .solvers.master import MasterInstance, check_master, solve_master
+from .solvers.families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
+                               ShapedInstance, cascade_floor, check,
+                               rank_condition, residual_condition, solve)
+from .solvers.master import MasterInstance
 
 PRECONDITION_TOL = 1e-9
 
@@ -44,28 +45,37 @@ def symmetrize(x: QMatrix, eta: str) -> QMatrix:
     return (x + x.eta_conj_transpose(eta)) * 0.5
 
 
-def _require_eta_hermitian(m: QMatrix, eta: str, name: str):
-    if m.rows != m.cols:
-        raise ValueError(f"{name} must be square to be eta-Hermitian")
-    defect = (m - m.eta_conj_transpose(eta)).norm()
-    if defect > PRECONDITION_TOL * (1.0 + m.norm()):
-        raise ValueError(
-            f"{name} is not eta-Hermitian (defect {defect:.3e}); refusing "
-            "to symmetrize input data silently")
-
-
 class _EtaInstance(ShapedInstance):
-    """Instance types with an eta field, checked before the shapes."""
+    """Instance types with an eta field, checked before the shapes, and
+    an eta-Hermitian coupling right side (square by ``SHAPES``)."""
 
     def __post_init__(self):
         check_eta(self.eta)
         super().__post_init__()
 
+    def require(self):
+        """Refuse a coupling right side that is not eta-Hermitian."""
+        name = self.rhs_names()[-1]
+        m = getattr(self, name)
+        defect = (m - m.eta_conj_transpose(self.eta)).norm()
+        if defect > PRECONDITION_TOL * (1.0 + m.norm()):
+            raise ValueError(
+                f"{name} is not eta-Hermitian (defect {defect:.3e}); "
+                "refusing to symmetrize input data silently")
+
 
 @dataclass(frozen=True)
 class EtaFullInstance(_EtaInstance):
     """A1 U = C1; Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
-    E1 U + (E1 U)^{eta*} + sum_i Ei W Ei^{eta*} = Cc."""
+    E1 U + (E1 U)^{eta*} + sum_i Ei W Ei^{eta*} = Cc.
+
+    Lifted onto the doubled master system.  By the eta-symmetry of the
+    doubled blocks, the master residual list collapses pairwise onto
+    this system's own list (for example the final condition equals
+    R_E22 E (R_E22)^{eta*} = 0), and the rank certificate's two halves
+    carry equal ranks, realizing the doubled "= 2 r(...)" form.  The
+    family's U averages the master U with the eta-conjugate of V, and
+    X, Y, Z are eta-Hermitian by construction."""
 
     SHAPES = {
         "Cc": ("n", "n"),
@@ -113,11 +123,24 @@ class EtaFullInstance(_EtaInstance):
             F1=ec(self.E1), F2=ec(self.E2), F3=ec(self.E3), F4=ec(self.E4),
             Cc=self.Cc)
 
+    def lift(self):
+        et = self.eta
+
+        def project(sol):
+            u1, u2, xt, yt, zt = sol
+            u = (u1 + u2.eta_conj_transpose(et)) * 0.5
+            return (u, symmetrize(xt, et), symmetrize(yt, et),
+                    symmetrize(zt, et))
+
+        return self.to_master(), project
+
 
 @dataclass(frozen=True)
 class EtaThreeInstance(_EtaInstance):
     """Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
-    sum_i Ei W Ei^{eta*} = C."""
+    sum_i Ei W Ei^{eta*} = C.
+
+    Lifted onto eta-full with its first slot (U) empty."""
 
     SHAPES = {
         "C": ("n", "n"),
@@ -157,53 +180,18 @@ class EtaThreeInstance(_EtaInstance):
             A4=self.A3, C4=self.C3, E4=self.E3,
             Cc=self.C)
 
-
-def check_eta_full(inst: EtaFullInstance,
-                   tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    """Certificates via the doubled system.
-
-    By the eta-symmetry of the doubled blocks, the master residual list
-    collapses pairwise onto this system's own list (for example the
-    final condition equals R_E22 E (R_E22)^{eta*} = 0), and the rank
-    certificate's two halves carry equal ranks, realizing the doubled
-    "= 2 r(...)" form."""
-    _require_eta_hermitian(inst.Cc, inst.eta, "Cc")
-    return check_master(inst.to_master(), tol)
-
-
-def solve_eta_full(inst: EtaFullInstance, tol: float = DEFAULT_TOL,
-                   branch: str = "first"):
-    """Family (U, X, Y, Z) with X, Y, Z eta-Hermitian by construction."""
-    _require_eta_hermitian(inst.Cc, inst.eta, "Cc")
-    et = inst.eta
-
-    def project(sol):
-        u1, u2, xt, yt, zt = sol
-        u = (u1 + u2.eta_conj_transpose(et)) * 0.5
-        return (u, symmetrize(xt, et), symmetrize(yt, et),
-                symmetrize(zt, et))
-
-    return lifted_family(solve_master(inst.to_master(), tol, branch),
-                         ("U", "X", "Y", "Z"), project)
-
-
-def check_eta_three(inst: EtaThreeInstance,
-                    tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    return check_eta_full(inst.to_full(), tol)
-
-
-def solve_eta_three(inst: EtaThreeInstance, tol: float = DEFAULT_TOL,
-                    branch: str = "first"):
-    """Family (X, Y, Z), all eta-Hermitian."""
-    return lifted_family(solve_eta_full(inst.to_full(), tol, branch),
-                         ("X", "Y", "Z"), lambda sol: sol[1:])
+    def lift(self):
+        return self.to_full(), lambda sol: sol[1:]
 
 
 # -- two-term equation with eta-Hermitian unknowns -------------------------
 
 @dataclass(frozen=True)
 class EtaTwoInstance(_EtaInstance):
-    """B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 with Y, Z eta-Hermitian."""
+    """B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 with Y, Z eta-Hermitian.
+
+    Solved by its own closed form, with free parameters W1, U, V and the
+    eta-Hermitian W2."""
 
     SHAPES = {"D1": ("d", "d"), "B1": ("d", "nb"), "C1": ("d", "nc"),
               "Y": ("nb", "nb"), "Z": ("nc", "nc")}
@@ -218,6 +206,8 @@ class EtaTwoInstance(_EtaInstance):
 
 
 class _EtaTwoWork:
+    """The reduction of one eta-two instance."""
+
     def __init__(self, inst: EtaTwoInstance):
         self.inst = inst
         self.floor = cascade_floor(*inst.blocks())
@@ -228,6 +218,9 @@ class _EtaTwoWork:
         self.bM = pv(self.M)
         self.S = inst.C1 @ self.bM.proj_left
         self.bS = pv(self.S)
+
+    def compat_conditions(self, tol: float) -> list:
+        return []
 
     def mp_conditions(self, tol: float) -> list:
         et, d1 = self.inst.eta, self.inst.D1
@@ -256,11 +249,8 @@ class _EtaTwoWork:
                            r(hstack([b1, c1, d1])), r(hstack([b1, c1]))),
         ]
 
-    def report(self, tol: float) -> SolvabilityReport:
-        return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions())
-
-    def family(self) -> LinearSolutionFamily:
+    def family(self, branch: str) -> LinearSolutionFamily:
+        """The one closed form; ``branch`` is not read."""
         inst, et = self.inst, self.inst.eta
         ec = lambda m: m.eta_conj_transpose(et)
         b1, c1, d1 = inst.B1, inst.C1, inst.D1
@@ -293,28 +283,17 @@ class _EtaTwoWork:
                  + ec(w1) @ ec(bS.proj_left) @ ec(bM.proj_left))
             return (y, z)
 
-        return LinearSolutionFamily(("Y", "Z"), params, assemble)
+        return LinearSolutionFamily(inst.unknown_names(), params, assemble)
 
 
-def check_eta_two(inst: EtaTwoInstance,
-                  tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    _require_eta_hermitian(inst.D1, inst.eta, "D1")
-    return shared_work(_EtaTwoWork, inst).report(tol)
+EtaTwoInstance.WORK = _EtaTwoWork
 
 
 def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
                   tol: float = DEFAULT_TOL):
-    """Eta-Hermitian pair (Y, Z) solving B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1.
-
-    D1 must be eta-Hermitian (precondition).  Free parameters are W1, U,
-    V and the eta-Hermitian W2.  The reduction is shared with a
-    check_eta_two on equal content just before (see
-    :func:`.solvers.families.shared_work`)."""
-    inst = EtaTwoInstance(eta, b1, c1, d1)
-    _require_eta_hermitian(d1, eta, "D1")
-    work = shared_work(_EtaTwoWork, inst)
-    return decide([], work.mp_conditions(tol), work.rank_conditions,
-                  work.family, inst.residual_terms, tol, ())
+    """Eta-Hermitian pair (Y, Z) solving B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1,
+    or Inconsistent; D1 must be eta-Hermitian."""
+    return solve(EtaTwoInstance(eta, b1, c1, d1), tol)
 
 
 # -- mixed one-sided / two-sided eta system --------------------------------
@@ -322,7 +301,10 @@ def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
 @dataclass(frozen=True)
 class EtaMixedInstance(_EtaInstance):
     """A1 X = C1, Y B1 = D1, A2 X A2^{eta*} + A3 Y A3^{eta*} = D3,
-    with X, Y eta-Hermitian."""
+    with X, Y eta-Hermitian.
+
+    Lifted onto eta-three; its certificates carry master names, and the
+    family has one closed form."""
 
     SHAPES = {"D3": ("d", "d"), "A1": ("q1", "nx"), "C1": ("q1", "nx"),
               "B1": ("ny", "s1"), "D1": ("ny", "s1"),
@@ -356,19 +338,14 @@ class EtaMixedInstance(_EtaInstance):
             A3=z(0, 0), C3=z(0, 0), E3=z(n, 0),
             C=self.D3)
 
+    def lift(self):
+        return self.to_three(), lambda sol: sol[:2]
 
-def check_eta_mixed(inst: EtaMixedInstance,
-                    tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    """Eta-three certificates on the lifted instance, under master
-    names."""
-    _require_eta_hermitian(inst.D3, inst.eta, "D3")
-    return check_eta_three(inst.to_three(), tol)
+
+check_eta_full = check_eta_three = check_eta_two = check_eta_mixed = check
+solve_eta_full = solve_eta_three = solve
 
 
 def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
-    """Eta-Hermitian pair (X, Y) for the mixed system, or Inconsistent,
-    with the eta-three family's free parameters."""
-    inst = EtaMixedInstance(eta, a1, c1, b1, d1, a2, a3, d3)
-    _require_eta_hermitian(d3, eta, "D3")
-    return lifted_family(solve_eta_three(inst.to_three(), tol),
-                         ("X", "Y"), lambda sol: sol[:2])
+    """Eta-Hermitian pair (X, Y) for the mixed system, or Inconsistent."""
+    return solve(EtaMixedInstance(eta, a1, c1, b1, d1, a2, a3, d3), tol)

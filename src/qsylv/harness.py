@@ -15,19 +15,13 @@ from typing import Callable
 import numpy as np
 
 from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
-                  EtaTwoInstance, check_eta_full, check_eta_mixed,
-                  check_eta_three, check_eta_two, solve_eta_full,
-                  solve_eta_mixed, solve_eta_three, solve_eta_two, symmetrize)
+                  EtaTwoInstance, symmetrize)
 from .qmatrix import DimensionError, QMatrix
-from .solvers.basic import DEFAULT_TOL
-from .solvers.five_term import (FiveTermInstance, check_five_term,
-                                solve_five_term)
-from .solvers.master import (MasterInstance, MasterSolution, check_master,
-                             solve_master)
-from .solvers.specials import (MixedInstance, ThreeTermInstance, check_mixed,
-                               check_three_term, solve_mixed_system,
-                               solve_three_term_system)
-from .solvers.two_term import TwoTermInstance, check_two_term, solve_two_term
+from .solvers.families import DEFAULT_TOL, check, solve
+from .solvers.five_term import FiveTermInstance
+from .solvers.master import MasterInstance, MasterSolution
+from .solvers.specials import MixedInstance, ThreeTermInstance
+from .solvers.two_term import TwoTermInstance
 
 MAX_BLOCK_DIM = 16
 
@@ -133,7 +127,7 @@ def gen_inconsistent(profile: DimensionProfile, retries: int = 8,
     lands consistent (the coupling reaches everything, which the
     default profiles avoid by using rectangular deficient blocks)."""
     inst, _ = gen_consistent(profile)
-    return _perturb_rhs(inst, check_master, profile.seed, retries, tol)
+    return _perturb_rhs(inst, check, profile.seed, retries, tol)
 
 
 def _perturb_rhs(inst, check, seed: int, retries: int, tol: float):
@@ -299,67 +293,51 @@ class Variant:
     """One system of the hierarchy: the single place that knows it.
 
     ``unknowns`` names the solution blocks in order, as the instance
-    type's ``SHAPES`` lists them.
-    ``check(inst, tol)`` and ``solve(inst, tol, branch)`` take an
-    ``instance_type`` value; ``one_closed_form`` marks the systems whose
-    ``solve`` ignores ``branch``.  ``planted(size, seed, eta)`` returns
-    (instance, witness).  ``unsolvable_base``, same signature, is the
-    planted generator ``gen_unsolvable`` starts from when the default
-    shapes let the coupling reach its whole target space.
+    type's ``SHAPES`` lists them.  ``check(inst, tol)`` and
+    ``solve(inst, tol, branch)`` are the one driver of every system
+    (:mod:`.solvers.families`); ``one_closed_form`` marks the systems
+    whose families do not depend on ``branch``.  ``planted(size, seed,
+    eta)`` returns (instance, witness).  ``unsolvable_base``, same
+    signature, is the planted generator ``gen_unsolvable`` starts from
+    when the default shapes let the coupling reach its whole target
+    space.
     """
 
     name: str
     instance_type: type
-    check: Callable
-    solve: Callable
     planted: Callable
     unsolvable_base: Callable | None = None
     one_closed_form: bool = False
+
+    check = staticmethod(check)
+    solve = staticmethod(solve)
 
     @property
     def unknowns(self) -> tuple:
         return self.instance_type.unknown_names()
 
 
-def _two_term_args(inst):
-    return inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
-
-
 VARIANT_TABLE = {v.name: v for v in (
-    Variant("master", MasterInstance, check_master, solve_master,
+    Variant("master", MasterInstance,
             lambda size, seed, eta: gen_consistent(
                 DimensionProfile.cube(size, seed))),
     Variant("three-term", ThreeTermInstance,
-            check_three_term, solve_three_term_system,
             lambda size, seed, eta: gen_three_term(size, seed)),
-    Variant("mixed", MixedInstance, check_mixed,
-            lambda inst, tol, branch: solve_mixed_system(inst, tol),
+    Variant("mixed", MixedInstance,
             lambda size, seed, eta: gen_mixed(size, seed),
             one_closed_form=True),
     Variant("two-term", TwoTermInstance,
-            lambda inst, tol: check_two_term(*_two_term_args(inst), tol=tol),
-            lambda inst, tol, branch: solve_two_term(*_two_term_args(inst),
-                                                     tol),
             lambda size, seed, eta: gen_two_term(size, seed),
             lambda size, seed, eta: gen_two_term(size, seed, deficient=True),
             one_closed_form=True),
-    Variant("five-term", FiveTermInstance, check_five_term,
-            solve_five_term,
+    Variant("five-term", FiveTermInstance,
             lambda size, seed, eta: gen_five_term(size, seed),
             lambda size, seed, eta: gen_five_term(size, seed, wide_rhs=True)),
-    Variant("eta-full", EtaFullInstance, check_eta_full, solve_eta_full,
-            gen_eta_full),
-    Variant("eta-three", EtaThreeInstance, check_eta_three,
-            solve_eta_three, gen_eta_three),
-    Variant("eta-two", EtaTwoInstance, check_eta_two,
-            lambda inst, tol, branch: solve_eta_two(
-                inst.B1, inst.C1, inst.D1, inst.eta, tol),
-            gen_eta_two, one_closed_form=True),
-    Variant("eta-mixed", EtaMixedInstance, check_eta_mixed,
-            lambda inst, tol, branch: solve_eta_mixed(
-                inst.A1, inst.C1, inst.B1, inst.D1, inst.A2, inst.A3,
-                inst.D3, inst.eta, tol),
-            gen_eta_mixed, one_closed_form=True),
+    Variant("eta-full", EtaFullInstance, gen_eta_full),
+    Variant("eta-three", EtaThreeInstance, gen_eta_three),
+    Variant("eta-two", EtaTwoInstance, gen_eta_two, one_closed_form=True),
+    Variant("eta-mixed", EtaMixedInstance, gen_eta_mixed,
+            one_closed_form=True),
 )}
 
 VARIANTS = tuple(VARIANT_TABLE)

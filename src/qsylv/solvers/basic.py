@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from ..decomp import pinv, rank
 from ..qmatrix import DimensionError, QMatrix, hstack, vstack
-from .families import (FreeParam, LinearSolutionFamily, cascade_floor,
-                       decide, rank_condition, residual_condition)
-
-DEFAULT_TOL = 1e-9
+from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
+                       cascade_floor, decide, rank_condition,
+                       residual_condition)
 
 
 def solve_left(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):

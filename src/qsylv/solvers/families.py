@@ -1,7 +1,16 @@
 """Instance shape and equation tables, solution families, free
-parameters and solvability reports, and the one-slot memo through
-which ``check_*`` and ``solve_*`` share the reduction of an instance
-(:func:`shared_work`)."""
+parameters and solvability reports, and the one driver that decides
+every system of the hierarchy.
+
+Each instance type either names its own reduction as ``WORK`` (the
+master, five-term, two-term and eta-two systems) or ``lift()``s itself
+onto a larger system with some blocks empty.  :func:`check` and
+:func:`solve` follow the lifts to a type with a ``WORK``, take its
+reduction from a one-slot memo (:func:`shared_work`), build the
+certificates from it and, for ``solve``, map the family back through
+the lifts.  The public ``check_*`` and ``solve_*`` of the nine systems
+are this pair or calls of it; the one-unknown solvers of :mod:`.basic`
+use :func:`decide` directly."""
 
 from __future__ import annotations
 
@@ -17,6 +26,8 @@ from ..qmatrix import DimensionError, QMatrix, named_dims
 # their rounding noise would amplify it by 1/eps, so anything below
 # CASCADE_EPS times the instance scale is treated as zero.
 CASCADE_EPS = 256.0 * float(np.finfo(np.float64).eps)
+
+DEFAULT_TOL = 1e-9
 
 
 def cascade_floor(*mats) -> float:
@@ -76,11 +87,18 @@ class ShapedInstance:
     equation.  ``ETA_HERMITIAN`` names the unknowns that must equal
     their eta-conjugate transpose.  ``residual_terms``, ``from_witness``
     and ``rhs_names`` are derived from these tables.
+
+    ``WORK`` is the reduction class of a system solved in its own
+    right.  A system without one defines ``lift()``, which returns the
+    larger instance it is solved through and the map from that
+    instance's solution tuples to its own.  ``require()`` raises
+    ``ValueError`` when a precondition on the data fails.
     """
 
     SHAPES: dict = {}
     TERMS: dict = {}
     ETA_HERMITIAN: tuple = ()
+    WORK = None
 
     def __post_init__(self):
         named_dims(self.SHAPES, vars(self))
@@ -126,6 +144,9 @@ class ShapedInstance:
             out.append((f"{name}={name}{ETA_STAR}",
                         m - m.eta_conj_transpose(eta), m.norm()))
         return out
+
+    def require(self):
+        """No precondition beyond the shapes."""
 
     def unknown_shapes(self) -> dict:
         dims = named_dims(self.SHAPES, vars(self))
@@ -385,22 +406,6 @@ def decide(compat, mp, ranks, family, residual_terms, tol: float, inputs):
     return built if report.consistent else Inconsistent(report)
 
 
-def lifted_family(res, unknowns: Sequence[str], project: Callable):
-    """The ``solve_*`` result of a system solved through a lift.
-
-    ``res`` is what the lifted system's ``solve_*`` returned.  An
-    ``Inconsistent`` passes through; a family keeps its free parameters
-    and maps each assembled tuple of the lifted unknowns through
-    ``project`` to a tuple of ``unknowns``.  Its particular solution is
-    the projection of the one the lifted solve already assembled."""
-    if isinstance(res, Inconsistent):
-        return res
-    family = LinearSolutionFamily(unknowns, res.free_params,
-                                  lambda vals: project(res.assemble(vals)))
-    family._particular = project(res.particular)
-    return family
-
-
 class LinearSolutionFamily:
     """Particular solution plus free parameters spanning the general one.
 
@@ -471,3 +476,62 @@ class LinearSolutionFamily:
         names = ",".join(self.unknowns)
         return (f"LinearSolutionFamily(unknowns=({names}), "
                 f"{len(self.free_params)} free parameters)")
+
+
+def _reduced(inst):
+    """The instance with a ``WORK`` that ``inst`` lifts onto (``inst``
+    itself when it has one), and the maps back, outermost first."""
+    maps = []
+    while inst.WORK is None:
+        inst, project = inst.lift()
+        maps.append(project)
+    return inst, maps
+
+
+def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
+    """Both certificate forms of any instance: the compatibility
+    products, the residual certificate and the rank certificate of its
+    reduction, with ``forms_agree`` filled.  A lifted system reports the
+    lists of the system it lifts onto, under that system's names.  The
+    reduction is shared with a ``solve`` on equal content just before
+    (see :func:`shared_work`); the lists are computed per call."""
+    inst.require()
+    root, _ = _reduced(inst)
+    work = shared_work(root.WORK, root)
+    return SolvabilityReport.build(work.compat_conditions(tol),
+                                   work.mp_conditions(tol),
+                                   work.rank_conditions())
+
+
+def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
+    """General solution family of any instance, or Inconsistent.
+
+    ``branch`` picks one of the two closed forms of the five-term
+    system's last unknown, which every system through the master or
+    five-term reduction inherits; the others have one closed form and
+    accept either name.  The verdict follows :func:`decide`.  A lifted
+    system's family keeps the free parameters of the family it lifts
+    onto that have no zero dimension, and maps each assembled tuple
+    back through the lifts."""
+    if branch not in ("first", "second"):
+        raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
+    inst.require()
+    root, maps = _reduced(inst)
+    work = shared_work(root.WORK, root)
+    res = decide(work.compat_conditions(tol), work.mp_conditions(tol),
+                 work.rank_conditions, lambda: work.family(branch),
+                 root.residual_terms, tol, ())
+    if not maps or isinstance(res, Inconsistent):
+        return res
+
+    def project(sol):
+        for back in reversed(maps):
+            sol = back(sol)
+        return sol
+
+    family = LinearSolutionFamily(
+        inst.unknown_names(),
+        [p for p in res.free_params if 0 not in p.shape],
+        lambda vals: project(res.assemble(vals)))
+    family._particular = project(res.particular)
+    return family

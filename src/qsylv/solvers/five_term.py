@@ -8,14 +8,10 @@ one unknown.  Y3 has two equivalent closed forms; ``branch`` selects
 which one the family assembles ("first" is the default).
 
 Consistency is certified both by residual conditions and by nine rank
-equalities; the two certificates agree in exact arithmetic and the
-report of check_five_term records both.  solve_five_term builds the
-rank list only when the residual conditions and a verified particular
-solution do not already decide (see :func:`.families.decide`).  When a
-residual condition fails, the ``Inconsistent`` report's rank list is
-built on first read, from the instance as given to solve_five_term.
-check_five_term and solve_five_term on equal content share one
-reduction (see :func:`.families.shared_work`).
+equalities; the two certificates agree in exact arithmetic.  The
+reduction is ``FiveTermInstance.WORK``; check_five_term and
+solve_five_term are the driver, :func:`.families.check` and
+:func:`.families.solve`.
 """
 
 from __future__ import annotations
@@ -24,10 +20,9 @@ from dataclasses import dataclass, fields
 
 from ..decomp import pinv, rank
 from ..qmatrix import QMatrix, block, hstack, vstack
-from .basic import DEFAULT_TOL
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
-                       SolvabilityReport, cascade_floor, decide,
-                       rank_condition, residual_condition, shared_work)
+                       cascade_floor, check, rank_condition,
+                       residual_condition, solve)
 from .two_term import TwoTermKernel
 
 FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
@@ -192,8 +187,8 @@ def block_rank_conditions(r, k, a, b, c, d, e, f) -> list:
 
 
 class _FiveTermWork:
-    """Pseudoinverse bundles and intermediates for one instance, shared
-    by check_five_term and solve_five_term."""
+    """Pseudoinverse bundles and intermediates: the reduction of one
+    five-term instance."""
 
     def __init__(self, inst: FiveTermInstance):
         self.inst = inst
@@ -289,6 +284,9 @@ class _FiveTermWork:
                     self.vw3.bc4.proj_right @ self.E @ self.vw3.bd3.proj_left))
         return out
 
+    def compat_conditions(self, tol: float) -> list:
+        return []
+
     def mp_conditions(self, tol: float) -> list:
         threshold = tol * (1.0 + self.inst.coefficient_norm()
                            + self.inst.B.norm())
@@ -309,10 +307,6 @@ class _FiveTermWork:
             lambda m: rank(m, floor=self.floor),
             inst.B, a, b, c, d, es, fs)
 
-    def report(self, tol: float) -> SolvabilityReport:
-        return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions())
-
     # -- family assembly -------------------------------------------------
 
     def param_specs(self):
@@ -326,6 +320,11 @@ class _FiveTermWork:
         }
         return tuple(FreeParam(name, shapes[name])
                      for name in FIVE_TERM_PARAM_NAMES)
+
+    def family(self, branch: str) -> LinearSolutionFamily:
+        return LinearSolutionFamily(self.inst.unknown_names(),
+                                    self.param_specs(),
+                                    lambda vals: self.assemble(vals, branch))
 
     def assemble(self, vals: dict, branch: str):
         inst = self.inst
@@ -365,27 +364,13 @@ class _FiveTermWork:
         return (x1, x2, y1, y2, y3)
 
 
+FiveTermInstance.WORK = _FiveTermWork
+
+
 def five_term_intermediates(inst: FiveTermInstance) -> FiveTermIntermediates:
     """All derived matrices of the reduction, computed from scratch."""
     return _FiveTermWork(inst).intermediates()
 
 
-def check_five_term(inst: FiveTermInstance,
-                    tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    return shared_work(_FiveTermWork, inst).report(tol)
-
-
-def solve_five_term(inst: FiveTermInstance, tol: float = DEFAULT_TOL,
-                    branch: str = "first"):
-    """General solution family (X1, X2, Y1, Y2, Y3), or Inconsistent."""
-    if branch not in ("first", "second"):
-        raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
-    work = shared_work(_FiveTermWork, inst)
-
-    def assemble(vals):
-        return work.assemble(vals, branch)
-
-    return decide([], work.mp_conditions(tol), work.rank_conditions,
-                  lambda: LinearSolutionFamily(("X1", "X2", "Y1", "Y2", "Y3"),
-                                               work.param_specs(), assemble),
-                  inst.residual_terms, tol, ())
+check_five_term = check
+solve_five_term = solve

@@ -4,11 +4,14 @@
     Ai X = Ci,  X Bi = Di           (i = 2, 3, 4; unknowns X, Y, Z)
     E1 U + V F1 + E2 X F2 + E3 Y F3 + E4 Z F4 = Cc
 
-Solving proceeds by (a) solving the eight side equations, (b) reducing
-the coupling equation to a five-term equation in the side equations'
-free parameters, (c) solving that with :mod:`.five_term`, and (d)
-assembling (U, V, X, Y, Z).  Specializations arise by letting blocks be
-empty (zero-dimension) rather than through separate code paths.
+Its reduction (``MasterInstance.WORK``) solves the eight side
+equations, reduces the coupling equation to a five-term equation in the
+side equations' free parameters, reduces that with :mod:`.five_term`,
+and assembles (U, V, X, Y, Z).  The specializations lift onto this
+system by letting blocks be empty rather than through separate code
+paths, and every system is decided by the one driver,
+:func:`.families.check` and :func:`.families.solve`, which
+``check_master`` and ``solve_master`` are.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from dataclasses import dataclass
 
 from ..decomp import pinv, rank
 from ..qmatrix import QMatrix, hstack, vstack
-from .basic import DEFAULT_TOL
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
-                       SolvabilityReport, cascade_floor, decide,
-                       rank_condition, residual_condition, shared_work)
+                       cascade_floor, check, rank_condition,
+                       residual_condition, solve)
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         _FiveTermWork, block_rank_conditions)
 
@@ -171,11 +173,10 @@ class MasterIntermediates:
 
 
 class _MasterWork:
-    """Side-equation bundles plus the reduced five-term work, shared by
-    check_master and solve_master of one instance (see
-    :func:`.families.shared_work`).  The reduced work is built here
-    directly, so it does not take the master work's place in the
-    slot."""
+    """Side-equation bundles plus the reduced five-term work: the
+    reduction of one master instance.  The reduced work is built here
+    directly, so it does not take the master work's place in the slot
+    of :func:`.families.shared_work`."""
 
     def __init__(self, inst: MasterInstance):
         self.inst = inst
@@ -240,11 +241,6 @@ class _MasterWork:
                   for x in "ABCDEF"]
         return out + block_rank_conditions(r, inst.Cc, *blocks)
 
-    def report(self, tol: float) -> SolvabilityReport:
-        return SolvabilityReport.build(self.compat_conditions(tol),
-                                       self.mp_conditions(tol),
-                                       self.rank_conditions())
-
     def intermediates(self) -> MasterIntermediates:
         five = self.five.intermediates()
         return MasterIntermediates(
@@ -266,11 +262,11 @@ class _MasterWork:
 
     # -- family assembly ----------------------------------------------------
 
-    def param_specs(self):
-        five_specs = self.five.param_specs()
-        renamed = [FreeParam(new, p.shape) for new, p in
-                   zip(MASTER_PARAM_NAMES, five_specs)]
-        return tuple(renamed)
+    def family(self, branch: str) -> LinearSolutionFamily:
+        params = tuple(FreeParam(new, p.shape) for new, p in
+                       zip(MASTER_PARAM_NAMES, self.five.param_specs()))
+        return LinearSolutionFamily(self.inst.unknown_names(), params,
+                                    lambda vals: self.assemble(vals, branch))
 
     def assemble(self, vals: dict, branch: str):
         five_vals = {old: vals[new] for new, old in
@@ -285,39 +281,12 @@ class _MasterWork:
         return tuple(out)
 
 
+MasterInstance.WORK = _MasterWork
+
+
 def master_intermediates(inst: MasterInstance) -> MasterIntermediates:
     return _MasterWork(inst).intermediates()
 
 
-def check_master(inst: MasterInstance,
-                 tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    """Evaluate the compatibility products, the residual certificate and
-    the rank certificate; fills forms_agree.  The reduction cascade is
-    shared with a solve_master on equal content just before (see
-    :func:`.families.shared_work`); the lists are computed per call."""
-    return shared_work(_MasterWork, inst).report(tol)
-
-
-def solve_master(inst: MasterInstance, tol: float = DEFAULT_TOL,
-                 branch: str = "first"):
-    """General solution family (U, V, X, Y, Z), or Inconsistent.
-
-    The rank certificate is built only when the compatibility and
-    residual conditions and a verified particular solution do not
-    already decide (see :func:`.families.decide`).  When a compatibility
-    or residual condition fails, the ``Inconsistent`` report's rank list
-    is built on first read, from the instance as given here.  The
-    reduction cascade is shared with a check_master on equal content
-    just before (see :func:`.families.shared_work`)."""
-    if branch not in ("first", "second"):
-        raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
-    work = shared_work(_MasterWork, inst)
-
-    def assemble(vals):
-        return work.assemble(vals, branch)
-
-    return decide(work.compat_conditions(tol), work.mp_conditions(tol),
-                  work.rank_conditions,
-                  lambda: LinearSolutionFamily(("U", "V", "X", "Y", "Z"),
-                                               work.param_specs(), assemble),
-                  inst.residual_terms, tol, ())
+check_master = check
+solve_master = solve

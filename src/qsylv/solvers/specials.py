@@ -1,11 +1,11 @@
 """Specializations of the master system.
 
-Both systems here are the master system with some blocks empty, and
-both are solved by lifting to a MasterInstance and delegating: the
-three-unknown two-sided system leaves the first unknown pair (U, V)
-empty, and the mixed system (two constrained unknowns coupled by one
-two-sided equation) takes the X and Y slots and leaves U, V and Z
-empty.  Their certificates are the master lists under master names.
+Both systems here are the master system with some blocks empty: each
+``lift()``s itself onto a MasterInstance, and the one driver
+(:func:`.families.check`, :func:`.families.solve`) decides it through
+the master reduction.  Their certificates are the master lists under
+master names; their families keep the master family's free parameters
+that are not empty.
 """
 
 from __future__ import annotations
@@ -13,14 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..qmatrix import QMatrix
-from .basic import DEFAULT_TOL
-from .families import ShapedInstance, SolvabilityReport, lifted_family
-from .master import MasterInstance, check_master, solve_master
+from .families import DEFAULT_TOL, ShapedInstance, check, solve
+from .master import MasterInstance
 
 
 @dataclass(frozen=True)
 class ThreeTermInstance(ShapedInstance):
-    """A1 X = C1, X B1 = D1, ..., E1 X F1 + E2 Y F2 + E3 Z F3 = C."""
+    """A1 X = C1, X B1 = D1, ..., E1 X F1 + E2 Y F2 + E3 Z F3 = C.
+
+    Lifted onto the master system with the first unknown pair (U, V)
+    empty.  The master conditions then collapse to exactly the rank and
+    residual lists stated for this system (the conditions tied to the
+    absent block become vacuous)."""
 
     SHAPES = {
         "C": ("cr", "cc"),
@@ -78,28 +82,18 @@ class ThreeTermInstance(ShapedInstance):
             E4=self.E3, F4=self.F3,
             Cc=self.C)
 
-
-def check_three_term(inst: ThreeTermInstance,
-                     tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    """Master certificate lists on the lifted instance.
-
-    With the first block empty, the master conditions collapse to
-    exactly the rank and residual lists stated for this system (the
-    conditions tied to the absent block become vacuous)."""
-    return check_master(inst.to_master(), tol)
-
-
-def solve_three_term_system(inst: ThreeTermInstance,
-                            tol: float = DEFAULT_TOL, branch: str = "first"):
-    """General solution family (X, Y, Z), or Inconsistent."""
-    return lifted_family(solve_master(inst.to_master(), tol, branch),
-                         ("X", "Y", "Z"), lambda sol: sol[2:])
+    def lift(self):
+        return self.to_master(), lambda sol: sol[2:]
 
 
 @dataclass(frozen=True)
 class MixedInstance(ShapedInstance):
     """A1 X = C1, X B1 = C2, A2 Y = C3, Y B2 = C4,
-    A3 X B3 + A4 Y B4 = Cc."""
+    A3 X B3 + A4 Y B4 = Cc.
+
+    Lifted onto the master system with X1 and X2 in its X and Y slots;
+    the conditions of the empty U, V and Z slots are vacuous, and the
+    family has one closed form."""
 
     SHAPES = {
         "Cc": ("cr", "cc"),
@@ -147,16 +141,14 @@ class MixedInstance(ShapedInstance):
             E4=z(cr, 0), F4=z(0, cc),
             Cc=self.Cc)
 
+    def lift(self):
+        return self.to_master(), lambda sol: sol[2:4]
 
-def check_mixed(inst: MixedInstance,
-                tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    """Master certificate lists on the lifted instance, under master
-    names; the conditions of the empty slots are vacuous."""
-    return check_master(inst.to_master(), tol)
+
+check_three_term = check_mixed = check
+solve_three_term_system = solve
 
 
 def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
-    """General solution family (X1, X2), or Inconsistent, with the
-    master family's free parameters."""
-    return lifted_family(solve_master(inst.to_master(), tol),
-                         ("X1", "X2"), lambda sol: sol[2:4])
+    """General solution family (X1, X2), or Inconsistent."""
+    return solve(inst, tol)

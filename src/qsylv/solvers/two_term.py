@@ -6,15 +6,18 @@ from dataclasses import dataclass
 
 from ..decomp import pinv, rank
 from ..qmatrix import QMatrix, block, hstack, vstack
-from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
-                       SolvabilityReport, cascade_floor, decide,
-                       rank_condition, residual_condition, shared_work)
-from .basic import DEFAULT_TOL
+from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
+                       ShapedInstance, SolvabilityReport, cascade_floor,
+                       check, rank_condition, residual_condition, solve)
 
 
 @dataclass(frozen=True)
 class TwoTermInstance(ShapedInstance):
-    """Coefficients of C3 X3 D3 + C4 X4 D4 = E1 as one value."""
+    """Coefficients of C3 X3 D3 + C4 X4 D4 = E1 as one value.
+
+    Consistency is decided by four residual conditions and four rank
+    equalities.  The family has one closed form, with five free
+    parameters Y11..Y15 (Y11 is shared between the two unknowns)."""
 
     SHAPES = {"E1": ("p", "q"), "C3": ("p", "m3"), "D3": ("n3", "q"),
               "C4": ("p", "m4"), "D4": ("n4", "q"),
@@ -69,7 +72,7 @@ class TwoTermKernel:
 
 class _TwoTermWork(TwoTermKernel):
     """The kernel for one instance's right side E1, with both
-    certificates."""
+    certificates: the reduction of a two-term instance."""
 
     def __init__(self, inst: TwoTermInstance):
         self.inst = inst
@@ -77,6 +80,9 @@ class _TwoTermWork(TwoTermKernel):
         self.floor = cascade_floor(*inst.blocks())
         super().__init__(inst.C3, inst.D3, inst.C4, inst.D4,
                          lambda m: pinv(m, floor=self.floor))
+
+    def compat_conditions(self, tol: float) -> list:
+        return []
 
     def mp_conditions(self, tol: float) -> list:
         threshold = tol * (1.0 + self.e1.norm())
@@ -113,11 +119,8 @@ class _TwoTermWork(TwoTermKernel):
                            self.bd3.rank + self.bc4.rank),
         ]
 
-    def report(self, tol: float) -> SolvabilityReport:
-        return SolvabilityReport.build([], self.mp_conditions(tol),
-                                       self.rank_conditions())
-
-    def family(self) -> LinearSolutionFamily:
+    def family(self, branch: str) -> LinearSolutionFamily:
+        """The one closed form; ``branch`` is not read."""
         shape3, shape4 = self.inst.unknown_shapes().values()
         params = (FreeParam("Y11", shape4), FreeParam("Y12", shape3),
                   FreeParam("Y13", shape3), FreeParam("Y14", shape4),
@@ -126,27 +129,20 @@ class _TwoTermWork(TwoTermKernel):
         def assemble(vals):
             return self.solve(self.e1, *(vals[p.name] for p in params))
 
-        return LinearSolutionFamily(("X3", "X4"), params, assemble)
+        return LinearSolutionFamily(self.inst.unknown_names(), params,
+                                    assemble)
+
+
+TwoTermInstance.WORK = _TwoTermWork
 
 
 def check_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
                    e1: QMatrix, tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    return shared_work(_TwoTermWork,
-                       TwoTermInstance(c3, d3, c4, d4, e1)).report(tol)
+    return check(TwoTermInstance(c3, d3, c4, d4, e1), tol)
 
 
 def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
                    e1: QMatrix, tol: float = DEFAULT_TOL):
-    """General solution (X3, X4) of C3 X3 D3 + C4 X4 D4 = E1.
-
-    Consistency is decided by the four residual conditions together with
-    a verified particular solution; the four rank equalities are built
-    only when that fails (see :func:`.families.decide`).  The family
-    carries five free parameters Y11..Y15 (Y11 is shared between the two
-    unknowns).  The kernel is shared with a check_two_term on equal
-    content just before (see :func:`.families.shared_work`).
-    """
-    inst = TwoTermInstance(c3, d3, c4, d4, e1)
-    work = shared_work(_TwoTermWork, inst)
-    return decide([], work.mp_conditions(tol), work.rank_conditions,
-                  work.family, inst.residual_terms, tol, ())
+    """General solution (X3, X4) of C3 X3 D3 + C4 X4 D4 = E1, or
+    Inconsistent."""
+    return solve(TwoTermInstance(c3, d3, c4, d4, e1), tol)

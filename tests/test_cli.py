@@ -170,6 +170,19 @@ def test_solve_scaled_master_exits_zero(tmp_path):
     assert main(["check", ipath]) == 2
 
 
+@pytest.mark.parametrize("command", ("check", "solve"))
+def test_eta_three_precondition_names_c(command, tmp_path, capsys):
+    ipath = str(tmp_path / "inst.json")
+    assert main(["gen", "--variant", "eta-three", "--out", ipath]) == 0
+    doc = docs.load_json(ipath)
+    doc["C"]["entries"][0][1][0] += 1.0
+    docs.dump_json(ipath, doc)
+    capsys.readouterr()
+    assert main([command, ipath]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: C is not eta-Hermitian (defect")
+
+
 @pytest.mark.parametrize("command", ("check", "solve", "verify"))
 @pytest.mark.parametrize("doc", ([], "x", 3))
 def test_non_object_document_is_a_message(doc, command, tmp_path, capsys):

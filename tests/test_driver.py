@@ -1,0 +1,100 @@
+"""The one check/solve driver behind every public ``check_*``/``solve_*``.
+
+Each public entry point, called with its own signature, gives exactly
+what the driver gives; ``solve`` names its branches for every system;
+and an eta system whose coupling right side is not eta-Hermitian is
+refused under that system's own field name.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import qsylv
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
+                           gen_unsolvable, rand_qmatrix)
+from qsylv.solvers import Inconsistent
+from qsylv.solvers.families import check, solve
+
+TOL = 1e-9
+
+
+def _two_term_args(i):
+    return i.C3, i.D3, i.C4, i.D4, i.E1
+
+
+# variant -> (public check call, public solve call), each with the
+# signature its public name has
+PUBLIC = {
+    "master": (lambda i: qsylv.check_master(i, TOL),
+               lambda i: qsylv.solve_master(i, TOL)),
+    "three-term": (lambda i: qsylv.check_three_term(i, TOL),
+                   lambda i: qsylv.solve_three_term_system(i, TOL)),
+    "mixed": (lambda i: qsylv.check_mixed(i, TOL),
+              lambda i: qsylv.solve_mixed_system(i, TOL)),
+    "two-term": (lambda i: qsylv.check_two_term(*_two_term_args(i), tol=TOL),
+                 lambda i: qsylv.solve_two_term(*_two_term_args(i), TOL)),
+    "five-term": (lambda i: qsylv.check_five_term(i, TOL),
+                  lambda i: qsylv.solve_five_term(i, TOL)),
+    "eta-full": (lambda i: qsylv.check_eta_full(i, TOL),
+                 lambda i: qsylv.solve_eta_full(i, TOL)),
+    "eta-three": (lambda i: qsylv.check_eta_three(i, TOL),
+                  lambda i: qsylv.solve_eta_three(i, TOL)),
+    "eta-two": (lambda i: qsylv.check_eta_two(i, TOL),
+                lambda i: qsylv.solve_eta_two(i.B1, i.C1, i.D1, i.eta, TOL)),
+    "eta-mixed": (lambda i: qsylv.check_eta_mixed(i, TOL),
+                  lambda i: qsylv.solve_eta_mixed(i.A1, i.C1, i.B1, i.D1,
+                                                  i.A2, i.A3, i.D3, i.eta,
+                                                  TOL)),
+}
+
+ETA_VARIANTS = ("eta-full", "eta-three", "eta-two", "eta-mixed")
+
+
+def _shown(res):
+    """What a solve result shows: the report, or the free parameter
+    names and the particular solution as bytes."""
+    if isinstance(res, Inconsistent):
+        return ("inconsistent", res.report.to_dict())
+    return ("family", [p.name for p in res.free_params],
+            [(m.shape, m.a1.tobytes(), m.a2.tobytes())
+             for m in res.assemble()])
+
+
+@pytest.mark.parametrize("truth", ("planted", "unsolvable"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_public_names_equal_the_driver(variant, truth):
+    if truth == "planted":
+        inst, _ = gen_planted(variant, 2, 1, "k")
+    else:
+        inst = gen_unsolvable(variant, 2, 1, "k")
+    check_public, solve_public = PUBLIC[variant]
+    assert check_public(inst).to_dict() == check(inst, TOL).to_dict()
+    assert _shown(solve_public(inst)) == _shown(solve(inst, TOL))
+    assert isinstance(solve(inst, TOL), Inconsistent) == (truth != "planted")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_rejects_an_unknown_branch(variant):
+    inst, _ = gen_planted(variant, 1, 0)
+    with pytest.raises(ValueError, match="branch must be 'first' or "
+                                         "'second', got 'bogus'"):
+        VARIANT_TABLE[variant].solve(inst, TOL, "bogus")
+
+
+@pytest.mark.parametrize("op", ("check", "solve"))
+@pytest.mark.parametrize("variant", ETA_VARIANTS)
+def test_eta_precondition_names_the_types_own_field(variant, op):
+    inst, _ = gen_planted(variant, 2, 0, "j")
+    rhs = inst.rhs_names()[-1]
+    target = getattr(inst, rhs)
+    rng = np.random.default_rng(3)
+    bad = replace(inst, **{rhs: target + rand_qmatrix(rng, *target.shape)})
+    calls = {"check": (VARIANT_TABLE[variant].check, PUBLIC[variant][0]),
+             "solve": (VARIANT_TABLE[variant].solve, PUBLIC[variant][1])}
+    driver, public = calls[op]
+    for call in (lambda: driver(bad, TOL), lambda: public(bad)):
+        with pytest.raises(ValueError,
+                           match=rf"^{rhs} is not eta-Hermitian \(defect"):
+            call()
