@@ -10,9 +10,9 @@ solution, and the two directions of this reduction are inverse to each
 other on solution sets.  Eta-three lifts onto eta-full with its first
 slot empty, and eta-mixed onto eta-three: for an eta-Hermitian Y the
 constraint Y B1 = D1 is B1^{eta*} Y = D1^{eta*}, and the third slot is
-empty.  Only eta-two keeps a direct closed form, its own reduction
-``EtaTwoInstance.WORK``.  The other three ``lift()`` themselves, and the
-one driver (:func:`.solvers.families.check`,
+empty.  Eta-two lifts onto the two-term system, whose solutions the
+same averaging maps onto its own.  Every eta type ``lift()``s itself,
+and the one driver (:func:`.solvers.families.check`,
 :func:`.solvers.families.solve`) decides every one of them.
 
 Right sides may arrive under either the C or the B naming convention;
@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomp import pinv, rank
 from .qcore import check_eta
-from .qmatrix import DimensionError, QMatrix, block, hstack
-from .solvers.families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
-                               ShapedInstance, cascade_floor, check,
-                               rank_condition, residual_condition, solve)
+from .qmatrix import DimensionError, QMatrix
+from .solvers.families import DEFAULT_TOL, ShapedInstance, check, solve
 from .solvers.master import MasterInstance
+from .solvers.two_term import TwoTermInstance
 
 PRECONDITION_TOL = 1e-9
 
@@ -54,11 +52,12 @@ class _EtaInstance(ShapedInstance):
         super().__post_init__()
 
     def require(self):
-        """Refuse a coupling right side that is not eta-Hermitian."""
+        """Refuse a coupling right side whose eta-Hermitian defect
+        exceeds ``PRECONDITION_TOL`` times its own norm."""
         name = self.rhs_names()[-1]
         m = getattr(self, name)
         defect = (m - m.eta_conj_transpose(self.eta)).norm()
-        if defect > PRECONDITION_TOL * (1.0 + m.norm()):
+        if defect > PRECONDITION_TOL * m.norm():
             raise ValueError(
                 f"{name} is not eta-Hermitian (defect {defect:.3e}); "
                 "refusing to symmetrize input data silently")
@@ -190,8 +189,12 @@ class EtaThreeInstance(_EtaInstance):
 class EtaTwoInstance(_EtaInstance):
     """B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 with Y, Z eta-Hermitian.
 
-    Solved by its own closed form, with free parameters W1, U, V and the
-    eta-Hermitian W2."""
+    Lifted onto the two-term system C3 X3 D3 + C4 X4 D4 = E1 with
+    C3 = B1, D3 = B1^{eta*}, C4 = C1, D4 = C1^{eta*}, E1 = D1.  Since
+    D1 is eta-Hermitian, the eta-conjugate transpose of a two-term
+    solution solves it too, so the map back symmetrizes both blocks.
+    The certificates carry two-term names, and the family's free
+    parameters are the two-term Y11..Y15."""
 
     SHAPES = {"D1": ("d", "d"), "B1": ("d", "nb"), "C1": ("d", "nc"),
               "Y": ("nb", "nb"), "Z": ("nc", "nc")}
@@ -204,89 +207,15 @@ class EtaTwoInstance(_EtaInstance):
     C1: QMatrix
     D1: QMatrix
 
+    def to_two_term(self) -> TwoTermInstance:
+        ec = lambda m: m.eta_conj_transpose(self.eta)
+        return TwoTermInstance(C3=self.B1, D3=ec(self.B1), C4=self.C1,
+                               D4=ec(self.C1), E1=self.D1)
 
-class _EtaTwoWork:
-    """The reduction of one eta-two instance."""
-
-    def __init__(self, inst: EtaTwoInstance):
-        self.inst = inst
-        self.floor = cascade_floor(*inst.blocks())
-        pv = lambda m: pinv(m, floor=self.floor)
-        self.bB = pv(inst.B1)
-        self.bC = pv(inst.C1)
-        self.M = self.bB.proj_right @ inst.C1
-        self.bM = pv(self.M)
-        self.S = inst.C1 @ self.bM.proj_left
-        self.bS = pv(self.S)
-
-    def compat_conditions(self, tol: float) -> list:
-        return []
-
-    def mp_conditions(self, tol: float) -> list:
-        et, d1 = self.inst.eta, self.inst.D1
-        threshold = tol * (1.0 + d1.norm())
-        return [
-            residual_condition("R_M*R_B1*D1",
-                               self.bM.proj_right @ (self.bB.proj_right @ d1),
-                               threshold),
-            residual_condition("R_B1*D1*(R_C1)^eta*",
-                               self.bB.proj_right @ d1
-                               @ self.bC.proj_right.eta_conj_transpose(et),
-                               threshold),
-        ]
-
-    def rank_conditions(self) -> list:
-        inst = self.inst
-        et = inst.eta
-        b1, c1, d1 = inst.B1, inst.C1, inst.D1
-        r = lambda m: rank(m, floor=self.floor)
-        return [
-            rank_condition("r([B1,D1;0,C1^eta*])=r(B1)+r(C1)",
-                           r(block([[b1, d1],
-                                    [None, c1.eta_conj_transpose(et)]])),
-                           self.bB.rank + self.bC.rank),
-            rank_condition("r(B1,C1,D1)=r(B1,C1)",
-                           r(hstack([b1, c1, d1])), r(hstack([b1, c1]))),
-        ]
-
-    def family(self, branch: str) -> LinearSolutionFamily:
-        """The one closed form; ``branch`` is not read."""
-        inst, et = self.inst, self.inst.eta
-        ec = lambda m: m.eta_conj_transpose(et)
-        b1, c1, d1 = inst.B1, inst.C1, inst.D1
-        bB, bC, bM, bS = self.bB, self.bC, self.bM, self.bS
-        s = self.S
-        y_shape, z_shape = inst.unknown_shapes().values()
-        eye_d = QMatrix.identity(d1.rows)
-        eye_c = QMatrix.identity(c1.cols)
-        y_base = (bB.pinv @ d1 @ ec(bB.pinv)
-                  - 0.5 * (bB.pinv @ c1 @ bM.pinv @ d1
-                           @ (eye_d + ec(bC.pinv) @ ec(s)) @ ec(bB.pinv))
-                  - 0.5 * (bB.pinv @ (eye_d + s @ bC.pinv) @ d1
-                           @ ec(bM.pinv) @ ec(c1) @ ec(bB.pinv)))
-        z_base = (0.5 * (bM.pinv @ d1 @ ec(bC.pinv)
-                         @ (eye_c + ec(bS.pinv @ s)))
-                  + 0.5 * ((eye_c + bS.pinv @ s) @ bC.pinv @ d1
-                          @ ec(bM.pinv)))
-        params = (FreeParam("W1", z_shape), FreeParam("U", y_shape),
-                  FreeParam("V", z_shape), FreeParam("W2", z_shape, eta=et))
-
-        def assemble(vals):
-            w1, u, v, w2 = (vals["W1"], vals["U"], vals["V"], vals["W2"])
-            y = (y_base
-                 - bB.pinv @ s @ w2 @ ec(s) @ ec(bB.pinv)
-                 + bB.proj_left @ u + ec(u) @ ec(bB.proj_left))
-            z = (z_base
-                 + bM.proj_left @ w2 @ ec(bM.proj_left)
-                 + v @ ec(bC.proj_left) + bC.proj_left @ ec(v)
-                 + bM.proj_left @ bS.proj_left @ w1
-                 + ec(w1) @ ec(bS.proj_left) @ ec(bM.proj_left))
-            return (y, z)
-
-        return LinearSolutionFamily(inst.unknown_names(), params, assemble)
-
-
-EtaTwoInstance.WORK = _EtaTwoWork
+    def lift(self):
+        et = self.eta
+        return self.to_two_term(), lambda sol: tuple(
+            symmetrize(x, et) for x in sol)
 
 
 def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,

@@ -3,8 +3,9 @@ parameters and solvability reports, and the one driver that decides
 every system of the hierarchy.
 
 Each instance type either names its own reduction as ``WORK`` (the
-master, five-term, two-term and eta-two systems) or ``lift()``s itself
-onto a larger system with some blocks empty.  :func:`check` and
+master, five-term and two-term systems) or ``lift()``s itself onto a
+larger system, with some blocks empty or, for the eta types, doubled
+and symmetrized back.  :func:`check` and
 :func:`solve` follow the lifts to a type with a ``WORK``, take its
 reduction from a one-slot memo (:func:`shared_work`), build the
 certificates from it and, for ``solve``, map the family back through
@@ -211,15 +212,10 @@ def shared_work(cls, inst):
 
 @dataclass(frozen=True)
 class FreeParam:
-    """One free parameter slot of a solution family.
-
-    When eta is set the parameter ranges over eta-Hermitian matrices;
-    assemble() symmetrizes whatever is supplied for that slot.
-    """
+    """One free parameter slot of a solution family."""
 
     name: str
     shape: tuple
-    eta: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -240,12 +236,6 @@ class RankCondition:
     lhs: int
     rhs: int
     passed: bool
-
-
-def _symmetrize_param(value: QMatrix, eta):
-    if eta is None:
-        return value
-    return (value + value.eta_conj_transpose(eta)) * 0.5
 
 
 def residual_condition(name: str, value: QMatrix, threshold: float) -> Condition:
@@ -452,7 +442,7 @@ class LinearSolutionFamily:
                 raise DimensionError(
                     f"parameter {name} has shape {value.shape}, "
                     f"expected {spec.shape}")
-            values[name] = _symmetrize_param(value, spec.eta)
+            values[name] = value
         return values
 
     def assemble(self, params=None) -> tuple:
@@ -463,8 +453,7 @@ class LinearSolutionFamily:
         return tuple(m.copy() for m in self._particular)
 
     def random_params(self, rng, scale: float = 1.0) -> list:
-        """Draw one matrix per free parameter (eta-constrained slots are
-        symmetrized on assembly, so plain draws are admissible)."""
+        """Draw one matrix per free parameter."""
         out = []
         for p in self.free_params:
             rows, cols = p.shape

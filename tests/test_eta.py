@@ -3,12 +3,13 @@ import dataclasses
 import pytest
 
 from qsylv import ETAS, Inconsistent, QMatrix, symmetrize, zeros
-from qsylv.eta import (EtaMixedInstance,                        EtaTwoInstance, check_eta_full, check_eta_three,
+from qsylv.eta import (check_eta_full, check_eta_three, check_eta_two,
                        solve_eta_full, solve_eta_mixed, solve_eta_three,
                        solve_eta_two)
 from qsylv.harness import (gen_eta_full, gen_eta_mixed, gen_eta_three,
                            gen_eta_two, verify_solution)
 from qsylv.solvers.master import solve_master
+from qsylv.solvers.two_term import check_two_term
 
 from tests.conftest import worst_rel
 
@@ -156,6 +157,27 @@ class TestEtaTwo:
     def test_precondition(self, eta, rand_q):
         with pytest.raises(ValueError):
             solve_eta_two(rand_q(3, 2), rand_q(3, 2), rand_q(3, 3), eta)
+
+    def test_precondition_is_scale_relative(self, eta, rand_q):
+        inst, _ = gen_eta_two(2, seed=52, eta=eta)
+        bad = inst.D1 + rand_q(*inst.D1.shape)
+        for scale in (1.0, 1e-12):
+            with pytest.raises(ValueError, match="^D1 is not eta-Hermitian"):
+                solve_eta_two(inst.B1, inst.C1, bad * scale, eta)
+        fam = solve_eta_two(inst.B1, inst.C1, zeros(*inst.D1.shape), eta)
+        assert not isinstance(fam, Inconsistent)
+
+    def test_reports_and_family_are_the_two_term_lift(self, eta):
+        # B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 is decided as the
+        # two-term equation C3 X3 D3 + C4 X4 D4 = E1
+        inst, _ = gen_eta_two(2, seed=53, eta=eta)
+        ec = lambda m: m.eta_conj_transpose(eta)
+        lifted = check_two_term(inst.B1, ec(inst.B1), inst.C1, ec(inst.C1),
+                                inst.D1)
+        assert check_eta_two(inst).to_dict() == lifted.to_dict()
+        fam = solve_eta_two(inst.B1, inst.C1, inst.D1, eta)
+        assert [p.name for p in fam.free_params] == [
+            "Y11", "Y12", "Y13", "Y14", "Y15"]
 
 
 @pytest.mark.parametrize("eta", ETAS)

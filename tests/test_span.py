@@ -74,11 +74,20 @@ def _eta_mixed(eta, rng):
         wit, eta=eta, **blocks)
 
 
-BUILD = {"mixed": _mixed, "eta-mixed": _eta_mixed}
+def _eta_two(eta, rng):
+    # B1 and C1 are 2 x 3, so the two-term lift's projectors are live
+    blocks = {"B1": rand_qmatrix(rng, 2, 3), "C1": rand_qmatrix(rng, 2, 3)}
+    wit = tuple(symmetrize(rand_qmatrix(rng, 3, 3), eta) for _ in range(2))
+    return VARIANT_TABLE["eta-two"].instance_type.from_witness(
+        wit, eta=eta, **blocks)
+
+
+BUILD = {"mixed": _mixed, "eta-mixed": _eta_mixed, "eta-two": _eta_two}
 
 
 @pytest.mark.parametrize("variant, eta, dim", [
-    ("mixed", "i", 28), *(("eta-mixed", eta, 17) for eta in "ijk")])
+    ("mixed", "i", 28), *(("eta-mixed", eta, 17) for eta in "ijk"),
+    *(("eta-two", eta, 32) for eta in "ijk")])
 def test_family_spans_the_solution_set(variant, eta, dim):
     inst = BUILD[variant](eta, np.random.default_rng(5))
     fam = VARIANT_TABLE[variant].solve(inst, 1e-9, "first")
