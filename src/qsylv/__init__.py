@@ -1,12 +1,8 @@
 """Dense quaternion matrix computations and Sylvester-type equation solvers."""
 
 from .qcore import ETAS, Quaternion, quat_eta_conj, quat_mul
-from .qmatrix import (DimensionError, QMatrix, StructureError, block,
-                      conj_transpose, embed, eta_conj_transpose,
-                      frobenius_norm, hstack, identity, mat_mul, unembed,
-                      vstack, zeros)
-from .decomp import (NumericError, PinvBundle, pinv, pinv_matrix, rank,
-                     rank_block_oracle, singular_values, svd)
+from .qmatrix import DimensionError, QMatrix, block, hstack, vstack
+from .decomp import NumericError, PinvBundle, pinv, rank, singular_values
 from .solvers import (FiveTermInstance, Inconsistent, LinearSolutionFamily,
                       MasterInstance, MasterSolution, MixedInstance,
                       SolvabilityReport, ThreeTermInstance, TwoTermInstance,
@@ -26,11 +22,8 @@ from .harness import (DimensionProfile, ResidualReport, gen_consistent,
 
 __all__ = [
     "ETAS", "Quaternion", "quat_mul", "quat_eta_conj",
-    "QMatrix", "DimensionError", "StructureError", "block", "hstack",
-    "vstack", "identity", "zeros", "mat_mul", "conj_transpose",
-    "eta_conj_transpose", "frobenius_norm", "embed", "unembed",
-    "NumericError", "PinvBundle", "pinv", "pinv_matrix", "rank",
-    "rank_block_oracle", "singular_values", "svd",
+    "QMatrix", "DimensionError", "block", "hstack", "vstack",
+    "NumericError", "PinvBundle", "pinv", "rank", "singular_values",
     "Inconsistent", "LinearSolutionFamily", "SolvabilityReport",
     "solve_left", "solve_right", "solve_pair",
     "TwoTermInstance", "check_two_term", "solve_two_term",

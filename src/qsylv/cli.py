@@ -16,7 +16,7 @@ from . import harness
 from .qcore import ETAS
 from .qmatrix import DimensionError
 from .solvers import Inconsistent
-from .solvers.basic import DEFAULT_TOL
+from .solvers.families import DEFAULT_TOL
 
 
 def _print_solvability(report):

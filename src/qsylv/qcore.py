@@ -68,9 +68,6 @@ class Quaternion:
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def eta_conjugate(self, eta: str) -> "Quaternion":
-        return quat_eta_conj(self, eta)
-
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 

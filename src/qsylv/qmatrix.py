@@ -52,10 +52,6 @@ def named_dims(shapes, blocks) -> dict:
     return dims
 
 
-class StructureError(ValueError):
-    """A complex matrix does not carry the adjoint block structure."""
-
-
 class QMatrix:
     """Dense m x n quaternion matrix A = A1 + A2*j.
 
@@ -119,14 +115,6 @@ class QMatrix:
                 out.a1[p, q] = complex(c[0], c[1])
                 out.a2[p, q] = complex(c[2], c[3])
         return out
-
-    @classmethod
-    def from_complex_pair(cls, a1, a2) -> "QMatrix":
-        a1 = np.asarray(a1, dtype=complex)
-        a2 = np.asarray(a2, dtype=complex)
-        if a1.shape != a2.shape:
-            raise DimensionError("complex pair shapes differ")
-        return cls(a1.real, a1.imag, a2.real, a2.imag)
 
     # -- basic queries ------------------------------------------------
 
@@ -253,10 +241,6 @@ class QMatrix:
 
     # -- complex adjoint embedding --------------------------------------
 
-    def complex_pair(self):
-        """Return (A1, A2) with A = A1 + A2*j: the stored arrays."""
-        return self.a1, self.a2
-
     def embed(self) -> np.ndarray:
         m, n = self.shape
         out = np.empty((2 * m, 2 * n), dtype=complex)
@@ -265,79 +249,6 @@ class QMatrix:
         np.negative(self.a2.conj(), out=out[m:, :n])
         np.conjugate(self.a1, out=out[m:, n:])
         return out
-
-
-# -- module-level operation aliases -------------------------------------
-
-def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    return a @ b
-
-
-def conj_transpose(a: QMatrix) -> QMatrix:
-    return a.conj_transpose()
-
-
-def eta_conj_transpose(a: QMatrix, eta: str) -> QMatrix:
-    return a.eta_conj_transpose(eta)
-
-
-def frobenius_norm(a: QMatrix) -> float:
-    return a.norm()
-
-
-def identity(n: int) -> QMatrix:
-    return QMatrix.identity(n)
-
-
-def zeros(rows: int, cols: int) -> QMatrix:
-    return QMatrix.zeros(rows, cols)
-
-
-def embed(a: QMatrix) -> np.ndarray:
-    return a.embed()
-
-
-def _adjoint_blocks(m: np.ndarray):
-    rows, cols = m.shape
-    if rows % 2 or cols % 2:
-        raise StructureError(f"adjoint image must have even dimensions, got {m.shape}")
-    mr, nc = rows // 2, cols // 2
-    return m[:mr, :nc], m[:mr, nc:], m[mr:, :nc], m[mr:, nc:]
-
-
-def structure_defect(m: np.ndarray) -> float:
-    """Frobenius distance of a complex matrix from the adjoint structure."""
-    m11, m12, m21, m22 = _adjoint_blocks(np.asarray(m, dtype=complex))
-    return math.sqrt(np.linalg.norm(m11 - np.conj(m22)) ** 2
-                     + np.linalg.norm(m12 + np.conj(m21)) ** 2) / math.sqrt(2.0)
-
-
-def _projected_pair(m: np.ndarray):
-    m11, m12, m21, m22 = _adjoint_blocks(np.asarray(m, dtype=complex))
-    return QMatrix._pair(0.5 * (m11 + np.conj(m22)), 0.5 * (m12 - np.conj(m21)))
-
-
-def structure_project(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the adjoint-structured subspace."""
-    return _projected_pair(m).embed()
-
-
-def unembed(m: np.ndarray, tol: float = 1e-10) -> QMatrix:
-    """Invert the adjoint embedding; left inverse of :func:`embed`.
-
-    Raises StructureError when the block symmetry is violated beyond
-    tol * ||m||_F ("not an adjoint image").
-    """
-    m = np.asarray(m, dtype=complex)
-    scale = np.linalg.norm(m)
-    if structure_defect(m) > tol * max(scale, 1e-300):
-        raise StructureError("not an adjoint image")
-    return _projected_pair(m)
-
-
-def unembed_projected(m: np.ndarray) -> QMatrix:
-    """Unembed after forcing the adjoint symmetry (no tolerance check)."""
-    return _projected_pair(m)
 
 
 # -- block assembly ------------------------------------------------------

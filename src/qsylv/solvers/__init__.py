@@ -1,9 +1,9 @@
 """Solver hierarchy for Sylvester-type quaternion matrix systems."""
 
-from .families import (CASCADE_EPS, Condition, FreeParam, Inconsistent,
-                       LinearSolutionFamily, RankCondition, SolvabilityReport,
-                       cascade_floor)
-from .basic import DEFAULT_TOL, solve_left, solve_pair, solve_right
+from .families import (CASCADE_EPS, DEFAULT_TOL, Condition, FreeParam,
+                       Inconsistent, LinearSolutionFamily, RankCondition,
+                       SolvabilityReport, cascade_floor)
+from .basic import solve_left, solve_pair, solve_right
 from .two_term import TwoTermInstance, check_two_term, solve_two_term
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         FiveTermIntermediates, check_five_term,

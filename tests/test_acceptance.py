@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from qsylv import (Inconsistent, QMatrix, documents as docs, pinv,
-                   rank_block_oracle, solve_five_term, solve_left,
-                   solve_master, solve_mixed_system, solve_pair, solve_right,
+                   solve_five_term, solve_left, solve_master,
+                   solve_mixed_system, solve_pair, solve_right,
                    solve_three_term_system, solve_two_term, symmetrize)
 from qsylv.cli import main as cli_main
 from qsylv.decomp import _embedded_svdvals, default_rank_tol
@@ -25,7 +25,7 @@ from qsylv.harness import (DimensionProfile, gen_consistent, gen_eta_full,
                            gen_three_term, gen_two_term)
 from qsylv.solvers.master import check_master
 
-from tests.conftest import worst_rel
+from tests.conftest import rank_block_oracle, worst_rel
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 

@@ -80,8 +80,8 @@ def test_zero_solution_fails_verify(tmp_path):
                  "--out", ipath]) == 0
     doc = docs.load_json(ipath)
     inst = docs.instance_from_doc(doc)
-    from qsylv import zeros
-    zero = tuple(zeros(*s) for s in inst.unknown_shapes().values())
+    from qsylv import QMatrix
+    zero = tuple(QMatrix.zeros(*s) for s in inst.unknown_shapes().values())
     docs.dump_json(spath, docs.solution_to_doc("two-term", zero))
     assert main(["verify", ipath, spath]) == 2
 

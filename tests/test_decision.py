@@ -161,7 +161,7 @@ def test_particular_solution_is_assembled_once(monkeypatch):
     particular[0].w[...] = 0.0
     for a, b in zip(family.particular, family.assemble()):
         assert a.norm() > 0.0 and (a - b).norm() == 0.0
-    zeros = [qsylv.zeros(*p.shape) for p in family.free_params]
+    zeros = [qsylv.QMatrix.zeros(*p.shape) for p in family.free_params]
     calls.clear()
     fresh = family.assemble(zeros)
     assert calls

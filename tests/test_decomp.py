@@ -1,95 +1,60 @@
 import numpy as np
 import pytest
 
-from qsylv import (QMatrix, Quaternion, identity, pinv, rank,
-                   rank_block_oracle, singular_values, svd, zeros)
-from qsylv.decomp import (_jacobi_svd, default_rank_tol,
-                          eta_projector_identity_defect, real_diag)
-from qsylv.qcore import ETAS, J
+from qsylv import QMatrix, Quaternion, pinv, rank, singular_values
+from qsylv.decomp import default_rank_tol
+from qsylv.qcore import ETAS
+
+from tests.conftest import rank_block_oracle
 
 
-def svd_defects(a):
-    u, sig, v = svd(a)
-    k = len(sig)
-    recon = (a - u @ real_diag(sig) @ v.conj_transpose()).norm()
-    ortho = max((u.conj_transpose() @ u - identity(k)).norm(),
-                (v.conj_transpose() @ v - identity(k)).norm())
-    return sig, recon, ortho
+def real_representation(a):
+    """The real 4m x 4n representation [[W,-X,-Y,-Z], [X,W,-Z,Y],
+    [Y,Z,W,-X], [Z,-Y,X,W]] of A = W + X i + Y j + Z k (Zhang, LAA 251,
+    1997), in which each singular value of A appears four times."""
+    w, x, y, z = a.components()
+    return np.block([[w, -x, -y, -z], [x, w, -z, y],
+                     [y, z, w, -x], [z, -y, x, w]])
 
 
-def test_svd_examples():
-    sig, recon, ortho = svd_defects(QMatrix.from_entries([[3.0, 0], [0, 1.0]]))
-    assert np.allclose(sig, [3.0, 1.0])
-    sig, recon, ortho = svd_defects(QMatrix.from_entries([[J]]))
-    assert np.allclose(sig, [1.0])
-    assert recon <= 1e-12 and ortho <= 1e-12
-
-
-def test_svd_random_reconstruction(rand_q):
-    a = rand_q(5, 3)
-    sig, recon, ortho = svd_defects(a)
-    assert recon <= 1e-12 * max(1.0, a.norm())
-    assert ortho <= 1e-12
-    assert (np.diff(sig) <= 0).all() and (sig >= 0).all()
-
-
-@pytest.mark.parametrize("build", [
-    lambda r: identity(4),
-    lambda r: identity(3) * 2.5,
-    lambda r: r(5, 2) @ r(2, 5),           # rank deficient
-    lambda r: zeros(3, 3),
-    lambda r: r(2, 6),                      # wide
-    lambda r: r(6, 2),                      # tall
+@pytest.mark.parametrize("build,want_rank", [
+    (lambda r: r(5, 3), 3),
+    (lambda r: r(2, 6), 2),
+    (lambda r: r(4, 4), 4),
+    (lambda r: r(1, 1), 1),
+    (lambda r: r(5, 2) @ r(2, 4), 2),       # rank deficient
 ])
-def test_svd_contract_on_degenerate_shapes(build, rand_q):
+def test_singular_values_match_real_representation(build, want_rank, rand_q):
     a = build(rand_q)
-    sig, recon, ortho = svd_defects(a)
-    assert recon <= 1e-12 * max(1.0, a.norm())
-    assert ortho <= 1e-12
-
-
-def test_svd_near_degenerate_gaps(rand_q):
-    # distinct singular values separated by tiny gaps exercise the
-    # Jacobi fallback route
-    u, _, _ = svd(rand_q(5, 4))
-    v, _, _ = svd(rand_q(4, 4))
-    for gaps in ([1, 1 + 3e-8, 2, 3], [1, 1 + 1e-12, 2, 3],
-                 [1, 1e-7, 1e-7, 1e-13]):
-        a = u @ real_diag(sorted(gaps, reverse=True)) @ v.conj_transpose()
-        sig, recon, ortho = svd_defects(a)
-        assert recon <= 1e-12 * max(1.0, a.norm())
-        assert ortho <= 1e-12
-
-
-def test_svd_empty():
-    u, sig, v = svd(zeros(0, 3))
-    assert u.shape == (0, 0) and v.shape == (3, 0) and sig.size == 0
-
-
-def test_jacobi_agrees_with_embedding_route(rand_q):
-    a = rand_q(5, 3)
-    sig_e = singular_values(a)
-    _, sig_j, _ = _jacobi_svd(a)
-    assert np.allclose(sig_e, sig_j, rtol=0, atol=1e-12 * max(1, sig_e[0]))
+    sig = singular_values(a)
+    s = np.linalg.svd(real_representation(a), compute_uv=False)
+    assert s.size == 4 * sig.size
+    groups = s.reshape(-1, 4)
+    assert np.ptp(groups, axis=1).max() <= 1e-12 * s[0]
+    assert np.abs(groups.mean(axis=1) - sig).max() <= 1e-12 * s[0]
+    assert rank(a) == want_rank
+    real_rank = int((s > default_rank_tol(4 * a.rows, 4 * a.cols,
+                                          float(s[0]))).sum())
+    assert real_rank == 4 * want_rank
 
 
 def test_rank_examples(rand_q):
-    assert rank(zeros(3, 2)) == 0
-    assert rank(zeros(0, 5)) == 0
+    assert rank(QMatrix.zeros(3, 2)) == 0
+    assert rank(QMatrix.zeros(0, 5)) == 0
     u, v = rand_q(4, 1), rand_q(1, 3)
     assert rank(u @ v) == 1
-    assert rank(identity(4)) == 4
+    assert rank(QMatrix.identity(4)) == 4
 
 
 def test_pinv_examples():
-    b = pinv(identity(3))
-    assert (b.pinv - identity(3)).norm() <= 1e-14
+    b = pinv(QMatrix.identity(3))
+    assert (b.pinv - QMatrix.identity(3)).norm() <= 1e-14
     assert b.rank == 3
     assert b.proj_left.norm() <= 1e-14 and b.proj_right.norm() <= 1e-14
-    z = pinv(zeros(2, 3))
+    z = pinv(QMatrix.zeros(2, 3))
     assert z.pinv.shape == (3, 2) and z.rank == 0
-    assert (z.proj_left - identity(3)).norm() == 0.0
-    assert (z.proj_right - identity(2)).norm() == 0.0
+    assert (z.proj_left - QMatrix.identity(3)).norm() == 0.0
+    assert (z.proj_right - QMatrix.identity(2)).norm() == 0.0
     # scalar oracle: q^+ = conj(q)/|q|^2
     two_i = QMatrix.from_entries([[Quaternion(0, 2, 0, 0)]])
     got = pinv(two_i).pinv.entry(0, 0)
@@ -134,9 +99,9 @@ def test_penrose_identities_batch(rng, rand_q):
     (lambda r: r(1, 1), 0.0, 1),
     (lambda r: r(5, 2) @ r(2, 4), 0.0, 2),              # rank deficient
     (lambda r: r(3, 4, scale=1e-12), 1e-6, 0),          # below the floor
-    (lambda r: zeros(3, 3), 0.0, 0),
-    (lambda r: zeros(0, 3), 0.0, 0),
-    (lambda r: zeros(4, 0), 0.0, 0),
+    (lambda r: QMatrix.zeros(3, 3), 0.0, 0),
+    (lambda r: QMatrix.zeros(0, 3), 0.0, 0),
+    (lambda r: QMatrix.zeros(4, 0), 0.0, 0),
 ])
 def test_pinv_bundle_contract(build, floor, want_rank, rand_q):
     a = build(rand_q)
@@ -149,31 +114,31 @@ def test_pinv_bundle_contract(build, floor, want_rank, rand_q):
     tol = 1e-12 * (1.0 + a.norm()) * (1.0 + bundle.pinv.norm())
     if want_rank == 0:
         assert bundle.pinv.norm() == 0.0
-        assert (bundle.proj_left - identity(n)).norm() == 0.0
-        assert (bundle.proj_right - identity(m)).norm() == 0.0
+        assert (bundle.proj_left - QMatrix.identity(n)).norm() == 0.0
+        assert (bundle.proj_right - QMatrix.identity(m)).norm() == 0.0
     else:
         # the four Penrose conditions, idempotent Hermitian projectors
         assert penrose_defect(a, bundle) <= tol
     p = bundle.pinv
-    assert (bundle.proj_left - (identity(n) - p @ a)).norm() <= tol
-    assert (bundle.proj_right - (identity(m) - a @ p)).norm() <= tol
+    assert (bundle.proj_left - (QMatrix.identity(n) - p @ a)).norm() <= tol
+    assert (bundle.proj_right - (QMatrix.identity(m) - a @ p)).norm() <= tol
 
 
 def test_eta_projector_identity(rand_q):
     # (L_A)^{eta*} = R_{A^{eta*}} and its mirror
     for eta in ETAS:
         a = rand_q(4, 3)
-        assert eta_projector_identity_defect(a, eta) <= 1e-10
         other = pinv(a.eta_conj_transpose(eta))
         mine = pinv(a)
+        assert (mine.proj_left.eta_conj_transpose(eta)
+                - other.proj_right).norm() <= 1e-10
         assert (mine.proj_right.eta_conj_transpose(eta)
                 - other.proj_left).norm() <= 1e-10
 
 
 def test_rank_block_oracle_trivial(rand_q):
-    z = zeros(2, 2)
-    lhs, rhs = rank_block_oracle(z, zeros(2, 3), zeros(4, 2),
-                                 zeros(3, 3), zeros(4, 2))
+    z = QMatrix.zeros
+    lhs, rhs = rank_block_oracle(z(2, 2), z(2, 3), z(4, 2), z(3, 3), z(4, 2))
     assert (lhs, rhs) == (0, 0)
     # D, E square invertible: L_D = 0, R_E = 0 so both sides are r(A)
     a = rand_q(3, 3)

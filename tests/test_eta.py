@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from qsylv import ETAS, Inconsistent, QMatrix, symmetrize, zeros
+from qsylv import ETAS, Inconsistent, QMatrix, symmetrize
 from qsylv.eta import (check_eta_full, check_eta_three, check_eta_two,
                        solve_eta_full, solve_eta_mixed, solve_eta_three,
                        solve_eta_two)
@@ -53,10 +53,9 @@ class TestEtaFull:
 
     def test_zero_instance(self, eta):
         inst, _ = gen_eta_full(2, seed=32, eta=eta)
-        zero = dataclasses.replace(
-            inst, C1=zeros(*inst.C1.shape), C2=zeros(*inst.C2.shape),
-            C3=zeros(*inst.C3.shape), C4=zeros(*inst.C4.shape),
-            Cc=zeros(*inst.Cc.shape))
+        zero = dataclasses.replace(inst, **{
+            f: QMatrix.zeros(*getattr(inst, f).shape)
+            for f in ("C1", "C2", "C3", "C4", "Cc")})
         fam = solve_eta_full(zero)
         assert all(m.norm() <= 1e-12 for m in fam.particular)
 
@@ -131,7 +130,7 @@ class TestEtaThree:
 class TestEtaTwo:
     def test_zero_rhs(self, eta, rand_q):
         b1, c1 = rand_q(4, 3), rand_q(4, 2)
-        fam = solve_eta_two(b1, c1, zeros(4, 4), eta)
+        fam = solve_eta_two(b1, c1, QMatrix.zeros(4, 4), eta)
         y, z = fam.particular
         assert y.norm() == 0.0 and z.norm() == 0.0
 
@@ -139,7 +138,7 @@ class TestEtaTwo:
         b1 = rand_q(3, 3)
         yw = symmetrize(rand_q(3, 3), eta)
         d1 = b1 @ yw @ b1.eta_conj_transpose(eta)
-        fam = solve_eta_two(b1, zeros(3, 0), d1, eta)
+        fam = solve_eta_two(b1, QMatrix.zeros(3, 0), d1, eta)
         y, z = fam.particular
         assert (y - yw).norm() <= 1e-10 * (1 + yw.norm())
         assert z.shape == (0, 0)
@@ -164,7 +163,8 @@ class TestEtaTwo:
         for scale in (1.0, 1e-12):
             with pytest.raises(ValueError, match="^D1 is not eta-Hermitian"):
                 solve_eta_two(inst.B1, inst.C1, bad * scale, eta)
-        fam = solve_eta_two(inst.B1, inst.C1, zeros(*inst.D1.shape), eta)
+        fam = solve_eta_two(inst.B1, inst.C1,
+                            QMatrix.zeros(*inst.D1.shape), eta)
         assert not isinstance(fam, Inconsistent)
 
     def test_reports_and_family_are_the_two_term_lift(self, eta):
@@ -205,9 +205,9 @@ class TestEtaMixed:
 
     def test_zero_instance(self, eta):
         inst, _ = gen_eta_mixed(2, seed=63, eta=eta)
-        zero = dataclasses.replace(
-            inst, C1=zeros(*inst.C1.shape), D1=zeros(*inst.D1.shape),
-            D3=zeros(*inst.D3.shape))
+        zero = dataclasses.replace(inst, **{
+            f: QMatrix.zeros(*getattr(inst, f).shape)
+            for f in ("C1", "D1", "D3")})
         fam = solve_eta_mixed(zero.A1, zero.C1, zero.B1, zero.D1,
                               zero.A2, zero.A3, zero.D3, eta)
         assert all(m.norm() <= 1e-12 for m in fam.particular)

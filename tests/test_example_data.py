@@ -2,8 +2,8 @@
 
 import pytest
 
-from qsylv import (Inconsistent, documents as docs, pinv, rank, solve_left,
-                   solve_master, solve_pair, zeros)
+from qsylv import (Inconsistent, QMatrix, documents as docs, pinv, rank,
+                   solve_left, solve_master, solve_pair)
 from qsylv.harness import verify_solution
 
 
@@ -45,7 +45,7 @@ def test_printed_solution_verifies_at_print_precision(example, data_dir):
 
 
 def test_zero_solution_fails(example):
-    zero = tuple(zeros(*s) for s in example.unknown_shapes().values())
+    zero = tuple(QMatrix.zeros(*s) for s in example.unknown_shapes().values())
     assert not verify_solution(example, zero, tol=1e-3).passed
 
 

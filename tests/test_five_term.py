@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from qsylv import FiveTermInstance, Inconsistent, zeros
+from qsylv import FiveTermInstance, Inconsistent, QMatrix
 from qsylv.solvers import (check_five_term, five_term_intermediates,
                            solve_five_term)
 from qsylv.solvers.five_term import FIVE_TERM_PARAM_NAMES
@@ -32,8 +32,9 @@ def planted(rand_q, p, q, dims):
 
 class TestIntermediates:
     def test_data_carrying_fields_vanish_for_zero_coefficients(self):
-        z, zb = zeros(3, 2), zeros(2, 3)
-        inst = FiveTermInstance(z, zb, z, zb, z, zb, z, zb, zeros(3, 3))
+        z, zb = QMatrix.zeros(3, 2), QMatrix.zeros(2, 3)
+        inst = FiveTermInstance(z, zb, z, zb, z, zb, z, zb,
+                                QMatrix.zeros(3, 3))
         ints = five_term_intermediates(inst)
         # projector-valued intermediates degenerate to identities, the
         # data-carrying ones must vanish exactly
@@ -63,16 +64,17 @@ class TestSolve:
     def test_zero_rhs_zero_particular(self, rand_q):
         inst = FiveTermInstance(rand_q(3, 2), rand_q(2, 3), rand_q(3, 2),
                                 rand_q(2, 3), rand_q(3, 2), rand_q(2, 3),
-                                rand_q(3, 2), rand_q(2, 3), zeros(3, 3))
+                                rand_q(3, 2), rand_q(2, 3),
+                                QMatrix.zeros(3, 3))
         fam = solve_five_term(inst)
         assert all(m.norm() == 0.0 for m in fam.particular)
 
     def test_reduces_to_roth_equation(self, rng, rand_q):
         a1, b1 = rand_q(3, 2), rand_q(2, 4)
         x1, x2 = rand_q(2, 4), rand_q(3, 2)
-        inst = FiveTermInstance(a1, b1, zeros(3, 0), zeros(0, 4),
-                                zeros(3, 0), zeros(0, 4), zeros(3, 0),
-                                zeros(0, 4), a1 @ x1 + x2 @ b1)
+        z, zb = QMatrix.zeros(3, 0), QMatrix.zeros(0, 4)
+        inst = FiveTermInstance(a1, b1, z, zb, z, zb, z, zb,
+                                a1 @ x1 + x2 @ b1)
         fam = solve_five_term(inst)
         for _ in range(3):
             sol = fam.assemble(fam.random_params(rng))
@@ -127,6 +129,6 @@ class TestSolve:
         inst, _ = planted(rand_q, 3, 3, [(2, 2)] * 4)
         fam = solve_five_term(inst)
         with pytest.raises(Exception):
-            fam.assemble({"U1": zeros(1, 1)})
+            fam.assemble({"U1": QMatrix.zeros(1, 1)})
         with pytest.raises(KeyError):
-            fam.assemble({"nope": zeros(1, 1)})
+            fam.assemble({"nope": QMatrix.zeros(1, 1)})

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from qsylv import zeros
+from qsylv import QMatrix
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_inconsistent, gen_planted,
                            gen_unsolvable, verify_solution)
@@ -72,14 +72,14 @@ def test_verify_solution_shape_errors():
     with pytest.raises(DimensionError):
         verify_solution(inst, wit.as_tuple()[:3])
     bad = list(wit.as_tuple())
-    bad[0] = zeros(1, 1)
+    bad[0] = QMatrix.zeros(1, 1)
     with pytest.raises(DimensionError):
         verify_solution(inst, tuple(bad))
 
 
 def test_verify_zero_solution_fails_with_rhs_norm():
     inst, _ = gen_consistent(DimensionProfile.cube(2, seed=8))
-    zero = tuple(zeros(*s) for s in inst.unknown_shapes().values())
+    zero = tuple(QMatrix.zeros(*s) for s in inst.unknown_shapes().values())
     report = verify_solution(inst, zero)
     assert not report.passed
     coupling = [e for e in report.entries if e.name == "coupling=Cc"][0]

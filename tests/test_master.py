@@ -2,10 +2,9 @@ import dataclasses
 
 import pytest
 
-from qsylv import (Inconsistent, MasterInstance, check_master,
-                   check_mixed, check_three_term, identity,
-                   solve_master, solve_mixed_system, solve_three_term_system,
-                   zeros)
+from qsylv import (Inconsistent, MasterInstance, QMatrix, check_master,
+                   check_mixed, check_three_term, solve_master,
+                   solve_mixed_system, solve_three_term_system)
 from qsylv.harness import (DimensionProfile, gen_consistent, gen_inconsistent,
                            gen_mixed, gen_three_term, verify_solution)
 from qsylv.solvers.master import MASTER_PARAM_NAMES, master_intermediates
@@ -21,7 +20,7 @@ class TestCheckMaster:
         assert verify_solution(inst, wit).passed
 
     def test_all_empty_trivially_consistent(self):
-        z = zeros(0, 0)
+        z = QMatrix.zeros(0, 0)
         inst = MasterInstance(*([z] * 24), Cc=z)
         rep = check_master(inst)
         assert rep.consistent
@@ -57,9 +56,9 @@ class TestSolveMaster:
 
     def test_single_identity_block(self, rand_q):
         c2 = rand_q(2, 2)
-        e = zeros
+        e = QMatrix.zeros
         inst = MasterInstance(
-            A1=e(0, 0), A2=identity(2), A3=e(0, 0), A4=e(0, 0),
+            A1=e(0, 0), A2=QMatrix.identity(2), A3=e(0, 0), A4=e(0, 0),
             B1=e(0, 0), B2=e(2, 0), B3=e(0, 0), B4=e(0, 0),
             C1=e(0, 3), C2=c2, C3=e(0, 0), C4=e(0, 0),
             D1=e(1, 0), D2=e(2, 0), D3=e(0, 0), D4=e(0, 0),
@@ -91,7 +90,7 @@ class TestSolveMaster:
         from qsylv import solve_pair
         a, b = rand_q(2, 4), rand_q(3, 2)
         x0 = rand_q(4, 3)
-        e = zeros
+        e = QMatrix.zeros
         inst = MasterInstance(
             A1=e(0, 0), A2=a, A3=e(0, 0), A4=e(0, 0),
             B1=e(0, 0), B2=b, B3=e(0, 0), B4=e(0, 0),
@@ -127,10 +126,10 @@ class TestThreeTerm:
         inst, _ = gen_three_term(2, seed=12)
         zero = dataclasses.replace(
             inst,
-            C1=zeros(*inst.C1.shape), C2=zeros(*inst.C2.shape),
-            C3=zeros(*inst.C3.shape), D1=zeros(*inst.D1.shape),
-            D2=zeros(*inst.D2.shape), D3=zeros(*inst.D3.shape),
-            C=zeros(*inst.C.shape))
+            C1=QMatrix.zeros(*inst.C1.shape), C2=QMatrix.zeros(*inst.C2.shape),
+            C3=QMatrix.zeros(*inst.C3.shape), D1=QMatrix.zeros(*inst.D1.shape),
+            D2=QMatrix.zeros(*inst.D2.shape), D3=QMatrix.zeros(*inst.D3.shape),
+            C=QMatrix.zeros(*inst.C.shape))
         fam = solve_three_term_system(zero)
         assert all(m.norm() <= 1e-12 for m in fam.particular)
 
@@ -170,9 +169,9 @@ class TestMixed:
         inst, _ = gen_mixed(2, seed=22)
         zero = dataclasses.replace(
             inst,
-            C1=zeros(*inst.C1.shape), C2=zeros(*inst.C2.shape),
-            C3=zeros(*inst.C3.shape), C4=zeros(*inst.C4.shape),
-            Cc=zeros(*inst.Cc.shape))
+            C1=QMatrix.zeros(*inst.C1.shape), C2=QMatrix.zeros(*inst.C2.shape),
+            C3=QMatrix.zeros(*inst.C3.shape), C4=QMatrix.zeros(*inst.C4.shape),
+            Cc=QMatrix.zeros(*inst.Cc.shape))
         fam = solve_mixed_system(zero)
         assert all(m.norm() <= 1e-12 for m in fam.particular)
 

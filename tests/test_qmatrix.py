@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from qsylv import (DimensionError, QMatrix, Quaternion, StructureError, block,
-                   hstack, identity, unembed, vstack, zeros)
+from qsylv import DimensionError, QMatrix, Quaternion, block, hstack, vstack
 from qsylv.qcore import (ETAS, I, J, K, quat_conj, quat_eta_conj,
                          quat_mul)
-from qsylv.qmatrix import structure_project, unembed_projected
 
 
 def test_matmul_lifts_scalar_product():
@@ -16,9 +14,9 @@ def test_matmul_lifts_scalar_product():
 
 def test_identity_and_empty_products(rand_q):
     a = rand_q(2, 5)
-    assert ((identity(2) @ a) - a).norm() == 0.0
+    assert ((QMatrix.identity(2) @ a) - a).norm() == 0.0
     left = rand_q(3, 0)
-    right = zeros(0, 4)
+    right = QMatrix.zeros(0, 4)
     prod = left @ right
     assert prod.shape == (3, 4) and prod.norm() == 0.0
 
@@ -111,7 +109,7 @@ def test_unary_operations_match_scalar_reference(m, k, rand_q):
 
 
 def test_plane_views_write_through():
-    a = zeros(2, 3)
+    a = QMatrix.zeros(2, 3)
     a.w[0, 1], a.x[1, 0], a.y[1, 2], a.z[0, 0] = 1.0, 2.0, 3.0, 4.0
     assert a.entry(0, 1) == Quaternion(1, 0, 0, 0)
     assert a.entry(1, 0) == Quaternion(0, 2, 0, 0)
@@ -132,25 +130,6 @@ def test_embed_is_ring_homomorphism(rand_q):
     assert np.linalg.norm((a + c).embed() - (a.embed() + c.embed())) == 0.0
     assert np.linalg.norm(a.conj_transpose().embed()
                           - a.embed().conj().T) <= 1e-15
-
-
-def test_unembed_round_trip(rand_q):
-    a = rand_q(4, 3)
-    assert (unembed(a.embed()) - a).norm() == 0.0
-    assert (unembed(np.eye(2)) - identity(1)).norm() == 0.0
-
-
-def test_unembed_structure_violation():
-    bad = np.array([[0, 0], [1, 0]], dtype=complex)
-    with pytest.raises(StructureError):
-        unembed(bad)
-    with pytest.raises(StructureError):
-        unembed(np.zeros((3, 2)))
-    # projection repairs the structure
-    fixed = structure_project(bad)
-    got = unembed(fixed)
-    assert got.shape == (1, 1)
-    assert (unembed_projected(bad) - got).norm() == 0.0
 
 
 def test_block_assembly_round_trip(rand_q):
@@ -189,8 +168,8 @@ def test_norms(rand_q):
     a = rand_q(3, 3)
     emb = np.linalg.norm(a.embed()) / np.sqrt(2.0)
     assert abs(a.norm() - emb) <= 1e-12 * (1 + emb)
-    assert zeros(2, 2).norm() == 0.0
-    assert zeros(0, 3).norm() == 0.0
+    assert QMatrix.zeros(2, 2).norm() == 0.0
+    assert QMatrix.zeros(0, 3).norm() == 0.0
 
 
 def test_entries_round_trip():

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from qsylv import documents as docs
-from qsylv import zeros
+from qsylv import QMatrix
 from qsylv.harness import VARIANTS, gen_planted
 from qsylv.qmatrix import DimensionError
 
@@ -20,7 +20,7 @@ def test_conflicting_block_is_named(variant):
     inst, _ = gen_planted(variant, 2, seed=4, eta="j")
     for name in _block_names(inst):
         m = getattr(inst, name)
-        bad = zeros(m.rows + 1, m.cols + 1)
+        bad = QMatrix.zeros(m.rows + 1, m.cols + 1)
         with pytest.raises(DimensionError, match=rf"\b{name}\b"):
             dataclasses.replace(inst, **{name: bad})
 
@@ -52,7 +52,7 @@ def test_conflicting_document_block_is_named(variant):
     for name in _block_names(inst):
         m = getattr(inst, name)
         doc = docs.instance_to_doc(inst)
-        doc[name] = docs.matrix_to_doc(zeros(m.rows + 1, m.cols + 1))
+        doc[name] = docs.matrix_to_doc(QMatrix.zeros(m.rows + 1, m.cols + 1))
         with pytest.raises(docs.ParseError, match=rf"\b{name}\b"):
             docs.instance_from_doc(doc)
 

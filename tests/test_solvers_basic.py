@@ -1,7 +1,7 @@
 import pytest
 
-from qsylv import (DimensionError, Inconsistent, identity,
-                   solve_left, solve_pair, solve_right, solve_two_term, zeros)
+from qsylv import (DimensionError, Inconsistent, QMatrix, solve_left,
+                   solve_pair, solve_right, solve_two_term)
 from qsylv.solvers.two_term import TwoTermInstance
 
 
@@ -12,7 +12,7 @@ def residual(terms):
 class TestSolveLeft:
     def test_identity_coefficient(self, rand_q):
         c = rand_q(3, 2)
-        fam = solve_left(identity(3), c)
+        fam = solve_left(QMatrix.identity(3), c)
         (x,) = fam.particular
         assert (x - c).norm() <= 1e-14
         # L_A = 0: the one free parameter does not move the solution
@@ -21,7 +21,7 @@ class TestSolveLeft:
         assert (x2 - c).norm() <= 1e-13
 
     def test_zero_coefficient_full_freedom(self, rand_q):
-        fam = solve_left(zeros(2, 2), zeros(2, 3))
+        fam = solve_left(QMatrix.zeros(2, 2), QMatrix.zeros(2, 3))
         (x,) = fam.particular
         assert x.norm() == 0.0
         u = rand_q(2, 3)
@@ -67,7 +67,7 @@ class TestSolveRight:
 class TestSolvePair:
     def test_identity_pair(self, rand_q):
         c = rand_q(3, 3)
-        fam = solve_pair(identity(3), c, identity(3), c)
+        fam = solve_pair(QMatrix.identity(3), c, QMatrix.identity(3), c)
         (x,) = fam.particular
         assert (x - c).norm() <= 1e-13
 
@@ -91,20 +91,21 @@ class TestSolveTwoTerm:
     def test_zero_rhs(self, rand_q):
         c3, d3 = rand_q(4, 3), rand_q(2, 5)
         c4, d4 = rand_q(4, 2), rand_q(3, 5)
-        fam = solve_two_term(c3, d3, c4, d4, zeros(4, 5))
+        fam = solve_two_term(c3, d3, c4, d4, QMatrix.zeros(4, 5))
         x3, x4 = fam.particular
         assert x3.norm() == 0.0 and x4.norm() == 0.0
 
     def test_degenerate_single_term(self, rng, rand_q):
         # empty C4/D4 reduces to C3 X3 D3 = E1
         c3, d3, x0 = rand_q(4, 3), rand_q(2, 5), rand_q(3, 2)
-        fam = solve_two_term(c3, d3, zeros(4, 0), zeros(0, 5), c3 @ x0 @ d3)
+        z, zb = QMatrix.zeros(4, 0), QMatrix.zeros(0, 5)
+        fam = solve_two_term(c3, d3, z, zb, c3 @ x0 @ d3)
         for _ in range(3):
             x3, x4 = fam.assemble(fam.random_params(rng))
             assert (c3 @ x3 @ d3 - c3 @ x0 @ d3).norm() <= 1e-9
             assert x4.shape == (0, 0)
         # inconsistent once the right side leaves the reachable set
-        res = solve_two_term(c3, d3, zeros(4, 0), zeros(0, 5), rand_q(4, 5))
+        res = solve_two_term(c3, d3, z, zb, rand_q(4, 5))
         assert isinstance(res, Inconsistent)
 
     def test_planted_with_sweeps(self, rng, rand_q):

@@ -86,7 +86,7 @@ def run(corpus_path, out_path):
     from qsylv import QMatrix, verify_solution
     from qsylv.harness import VARIANT_TABLE
     from qsylv.solvers import Inconsistent
-    from qsylv.solvers.basic import DEFAULT_TOL
+    from qsylv.solvers.families import DEFAULT_TOL
 
     with open(corpus_path, "rb") as fh:
         corpus = pickle.load(fh)
