@@ -5,12 +5,12 @@ from .qmatrix import DimensionError, QMatrix, block, hstack, vstack
 from .decomp import NumericError, PinvBundle, pinv, rank, singular_values
 from .solvers import (FiveTermInstance, Inconsistent, LinearSolutionFamily,
                       MasterInstance, MasterSolution, MixedInstance,
-                      SolvabilityReport, ThreeTermInstance, TwoTermInstance,
-                      check_five_term, check_master, check_mixed,
-                      check_three_term, check_two_term, solve_five_term,
-                      solve_left, solve_master, solve_mixed_system,
-                      solve_pair, solve_right, solve_three_term_system,
-                      solve_two_term)
+                      PairInstance, SolvabilityReport, ThreeTermInstance,
+                      TwoTermInstance, check_five_term, check_master,
+                      check_mixed, check_pair, check_three_term,
+                      check_two_term, solve_five_term, solve_left,
+                      solve_master, solve_mixed_system, solve_pair,
+                      solve_right, solve_three_term_system, solve_two_term)
 from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, check_eta_full, check_eta_mixed,
                   check_eta_three, check_eta_two, solve_eta_full,
@@ -25,7 +25,7 @@ __all__ = [
     "QMatrix", "DimensionError", "block", "hstack", "vstack",
     "NumericError", "PinvBundle", "pinv", "rank", "singular_values",
     "Inconsistent", "LinearSolutionFamily", "SolvabilityReport",
-    "solve_left", "solve_right", "solve_pair",
+    "PairInstance", "check_pair", "solve_left", "solve_right", "solve_pair",
     "TwoTermInstance", "check_two_term", "solve_two_term",
     "FiveTermInstance", "check_five_term", "solve_five_term",
     "MasterInstance", "MasterSolution", "check_master", "solve_master",

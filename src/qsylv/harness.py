@@ -17,6 +17,7 @@ import numpy as np
 from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, symmetrize)
 from .qmatrix import DimensionError, QMatrix
+from .solvers.basic import PairInstance
 from .solvers.families import DEFAULT_TOL, check, solve
 from .solvers.five_term import FiveTermInstance
 from .solvers.master import MasterInstance, MasterSolution
@@ -180,6 +181,16 @@ def verify_solution(inst, sol, tol: float = DEFAULT_TOL) -> ResidualReport:
 
 # -- specialization generators ----------------------------------------------
 
+def gen_pair(size: int, seed: int, deficient: bool = False):
+    # A wide and B tall leave the family freedom; with A tall and B wide
+    # (deficient) a perturbed D can leave the reach of X B
+    rng = _rng(seed)
+    q, p = (size + 1, size) if deficient else (size, size + 1)
+    blocks = {"A": rand_qmatrix(rng, q, p), "B": rand_qmatrix(rng, p, q)}
+    wit = (rand_qmatrix(rng, p, p),)
+    return PairInstance.from_witness(wit, **blocks), wit
+
+
 def gen_three_term(size: int, seed: int):
     rng = _rng(seed)
     cr = cc = size + 2
@@ -318,6 +329,10 @@ class Variant:
 
 
 VARIANT_TABLE = {v.name: v for v in (
+    Variant("pair", PairInstance,
+            lambda size, seed, eta: gen_pair(size, seed),
+            lambda size, seed, eta: gen_pair(size, seed, deficient=True),
+            one_closed_form=True),
     Variant("master", MasterInstance,
             lambda size, seed, eta: gen_consistent(
                 DimensionProfile.cube(size, seed))),

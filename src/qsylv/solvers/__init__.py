@@ -3,7 +3,8 @@
 from .families import (CASCADE_EPS, DEFAULT_TOL, Condition, FreeParam,
                        Inconsistent, LinearSolutionFamily, RankCondition,
                        SolvabilityReport, cascade_floor)
-from .basic import solve_left, solve_pair, solve_right
+from .basic import (PairInstance, check_pair, solve_left, solve_pair,
+                    solve_right)
 from .two_term import TwoTermInstance, check_two_term, solve_two_term
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         FiveTermIntermediates, check_five_term,
@@ -19,7 +20,7 @@ __all__ = [
     "Condition", "RankCondition", "SolvabilityReport", "FreeParam",
     "Inconsistent", "LinearSolutionFamily", "DEFAULT_TOL", "CASCADE_EPS",
     "cascade_floor",
-    "solve_left", "solve_right", "solve_pair",
+    "PairInstance", "check_pair", "solve_left", "solve_right", "solve_pair",
     "TwoTermInstance", "check_two_term", "solve_two_term",
     "FiveTermInstance", "FiveTermIntermediates", "FIVE_TERM_PARAM_NAMES",
     "five_term_intermediates", "check_five_term", "solve_five_term",

@@ -3,15 +3,14 @@ parameters and solvability reports, and the one driver that decides
 every system of the hierarchy.
 
 Each instance type either names its own reduction as ``WORK`` (the
-master, five-term and two-term systems) or ``lift()``s itself onto a
-larger system, with some blocks empty or, for the eta types, doubled
-and symmetrized back.  :func:`check` and
+master, five-term, two-term and pair systems) or ``lift()``s itself
+onto a larger system, with some blocks empty or, for the eta types,
+doubled and symmetrized back.  :func:`check` and
 :func:`solve` follow the lifts to a type with a ``WORK``, take its
 reduction from a one-slot memo (:func:`shared_work`), build the
 certificates from it and, for ``solve``, map the family back through
-the lifts.  The public ``check_*`` and ``solve_*`` of the nine systems
-are this pair or calls of it; the one-unknown solvers of :mod:`.basic`
-use :func:`decide` directly."""
+the lifts.  The public ``check_*`` and ``solve_*`` of every system are
+this pair or calls of it."""
 
 from __future__ import annotations
 
@@ -263,10 +262,9 @@ class SolvabilityReport:
 
     ``check_*`` always builds both forms before it returns.  ``solve_*``
     builds a report only when it does not return a family (see
-    :func:`decide`), so an ``Inconsistent`` carries the report
+    :func:`solve`), so an ``Inconsistent`` carries the report
     ``check_*`` gives; when a compatibility or residual condition fails,
-    its rank list is built on first read, from the inputs as given to
-    ``solve_*``.
+    its rank list is built on first read.
     """
 
     def __init__(self, mp_conditions=(), rank_conditions=(),
@@ -356,44 +354,6 @@ class Inconsistent:
     @property
     def failing_conditions(self) -> list:
         return self.report.failing()
-
-
-def decide(compat, mp, ranks, family, residual_terms, tol: float, inputs):
-    """The decision rule of every ``solve_*``: a family or Inconsistent.
-
-    ``compat`` and ``mp`` are the evaluated compatibility and residual
-    certificate lists.  ``ranks(*inputs)`` builds the rank list; it
-    reads the caller's matrices only through ``inputs``, a tuple of
-    QMatrix or instance values.  A solver whose work owns a copy of its
-    instance (see :func:`shared_work`) passes no inputs.
-
-    When a compatibility or residual condition fails, the verdict is
-    ``Inconsistent`` and no family or rank list is built here: the
-    report's rank list is built on first read, from copies of
-    ``inputs`` taken now, so it equals the list ``check_*`` gives on the
-    inputs as they were at this call even if the caller edits them in
-    place later.
-
-    When both lists pass, the family's particular solution is accepted
-    if every ``(name, defect, scale)`` entry of
-    ``residual_terms(solution)`` has ``|defect| <= tol * scale``; the
-    particular solution is linear in the right sides, so this test does
-    not depend on their scale.  An accepted family is returned without
-    building the rank certificate.  Otherwise the rank list is built
-    now and the verdict is the full report's: the family when it is
-    consistent, else ``Inconsistent`` with that report.  ``family`` is
-    called at most once.
-    """
-    if not (all(c.passed for c in compat) and all(c.passed for c in mp)):
-        frozen = tuple(x.copy() for x in inputs)
-        return Inconsistent(SolvabilityReport.build(
-            compat, mp, lambda: ranks(*frozen)))
-    built = family()
-    if all(defect.norm() <= tol * scale
-           for _, defect, scale in residual_terms(built.particular)):
-        return built
-    report = SolvabilityReport.build(compat, mp, ranks(*inputs))
-    return built if report.consistent else Inconsistent(report)
 
 
 class LinearSolutionFamily:
@@ -498,19 +458,33 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     ``branch`` picks one of the two closed forms of the five-term
     system's last unknown, which every system through the master or
     five-term reduction inherits; the others have one closed form and
-    accept either name.  The verdict follows :func:`decide`.  A lifted
-    system's family keeps the free parameters of the family it lifts
-    onto that have no zero dimension, and maps each assembled tuple
-    back through the lifts."""
+    accept either name.
+
+    The verdict: ``Inconsistent`` when a compatibility or residual
+    condition fails, with the rank list built on first read from the
+    work's own copy of the instance (:func:`shared_work`), so editing
+    the caller's blocks in place later cannot change it.  Otherwise the
+    family, without a rank list, when every ``residual_terms`` entry of
+    its particular solution has ``|defect| <= tol * scale`` (linear in
+    the right sides, so independent of their scale); otherwise the full
+    report's verdict.  A lifted system's family keeps the free
+    parameters of the family it lifts onto that have no zero dimension,
+    and maps each assembled tuple back through the lifts."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     inst.require()
     root, maps = _reduced(inst)
     work = shared_work(root.WORK, root)
-    res = decide(work.compat_conditions(tol), work.mp_conditions(tol),
-                 work.rank_conditions, lambda: work.family(branch),
-                 root.residual_terms, tol, ())
-    if not maps or isinstance(res, Inconsistent):
+    compat, mp = work.compat_conditions(tol), work.mp_conditions(tol)
+    res = (work.family(branch) if all(c.passed for c in compat + mp)
+           else None)
+    if res is None or not all(
+            defect.norm() <= tol * scale
+            for _, defect, scale in root.residual_terms(res.particular)):
+        report = SolvabilityReport.build(compat, mp, work.rank_conditions)
+        if not report.consistent:
+            return Inconsistent(report)
+    if not maps:
         return res
 
     def project(sol):

@@ -62,7 +62,7 @@ def test_second_branch_and_inconsistent_exit_codes(variant, tmp_path,
                  "--out", spath]) == 0
     note = (f"note: {variant} has one closed form; --branch second is "
             "ignored\n")
-    if variant in ("mixed", "two-term", "eta-two", "eta-mixed"):
+    if variant in ("pair", "mixed", "two-term", "eta-two", "eta-mixed"):
         assert capsys.readouterr().err == note
     else:
         assert "note:" not in capsys.readouterr().err

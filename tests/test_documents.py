@@ -1,10 +1,13 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from qsylv import QMatrix, documents as docs
-from qsylv.harness import VARIANT_TABLE, VARIANTS, gen_planted
+from qsylv import Inconsistent, QMatrix, documents as docs
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_pair, gen_planted,
+                           gen_unsolvable, rand_qmatrix)
+from qsylv.solvers.families import solve
 from qsylv.solvers.master import MasterInstance
 
 
@@ -129,3 +132,47 @@ def test_variant_dispatch_errors():
         docs.instance_from_doc({})
     with pytest.raises(docs.ParseError):
         docs.instance_from_doc({"variant": "eta-two", "eta": "q"})
+
+
+def _one_sided(inst, dropped):
+    """The instance parsed back from ``inst``'s document without the
+    ``dropped`` blocks."""
+    doc = json.loads(json.dumps(docs.instance_to_doc(inst)))
+    for key in dropped:
+        del doc[key]
+    return docs.instance_from_doc(doc)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_pair_documents_without_one_equation_are_one_sided(seed, rng):
+    inst, _ = gen_planted("pair", 3, seed)
+    left = _one_sided(inst, ("B", "D"))
+    assert left.B.shape == (left.C.cols, 0)
+    assert left.D.shape == (left.A.cols, 0)
+    right = _one_sided(inst, ("A", "C"))
+    assert right.A.shape == (0, right.D.rows)
+    assert right.C.shape == (0, right.B.rows)
+    left_fam, right_fam = solve(left), solve(right)
+    for params in (None, left_fam.random_params(rng)):
+        (x,) = left_fam.assemble(params)
+        assert (left.A @ x - left.C).norm() <= 1e-10 * (1 + left.C.norm())
+    for params in (None, right_fam.random_params(rng)):
+        (x,) = right_fam.assemble(params)
+        assert (x @ right.B - right.D).norm() <= 1e-10 * (1 + right.D.norm())
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_one_sided_pair_documents_can_be_inconsistent(seed):
+    # the twin perturbs D, and its B is wide: X B = D alone is unsolvable
+    right = _one_sided(gen_unsolvable("pair", 3, seed), ("A", "C"))
+    res = solve(right)
+    assert isinstance(res, Inconsistent)
+    assert res.failing_conditions == ["D*L_B", "r(D;B)=r(B)"]
+    # the twin's C is unperturbed, so A X = C takes a random C against
+    # the deficient (tall) A
+    inst, _ = gen_pair(3, seed, deficient=True)
+    c = rand_qmatrix(np.random.default_rng(1000 + seed), *inst.C.shape)
+    left = _one_sided(dataclasses.replace(inst, C=c), ("B", "D"))
+    res = solve(left)
+    assert isinstance(res, Inconsistent)
+    assert res.failing_conditions == ["R_A*C", "r(C,A)=r(A)"]

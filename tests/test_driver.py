@@ -27,6 +27,8 @@ def _two_term_args(i):
 # variant -> (public check call, public solve call), each with the
 # signature its public name has
 PUBLIC = {
+    "pair": (lambda i: qsylv.check_pair(i, TOL),
+             lambda i: qsylv.solve_pair(i.A, i.C, i.B, i.D, TOL)),
     "master": (lambda i: qsylv.check_master(i, TOL),
                lambda i: qsylv.solve_master(i, TOL)),
     "three-term": (lambda i: qsylv.check_three_term(i, TOL),

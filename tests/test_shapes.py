@@ -59,6 +59,7 @@ def test_conflicting_document_block_is_named(variant):
 
 def test_solution_keys_keep_their_order():
     assert docs.SOLUTION_KEYS == {
+        "pair": ("X",),
         "master": ("U", "V", "X", "Y", "Z"),
         "three-term": ("X", "Y", "Z"),
         "mixed": ("X1", "X2"),

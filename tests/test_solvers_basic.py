@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from qsylv import (DimensionError, Inconsistent, QMatrix, solve_left,
+from qsylv import (DimensionError, Inconsistent, QMatrix, pinv, solve_left,
                    solve_pair, solve_right, solve_two_term)
 from qsylv.solvers.two_term import TwoTermInstance
 
@@ -62,6 +63,34 @@ class TestSolveRight:
     def test_inconsistent(self, rand_q):
         assert isinstance(solve_right(rand_q(2, 4), rand_q(3, 4)),
                           Inconsistent)
+
+
+def bitwise_equal(x, y):
+    return np.array_equal(x.a1, y.a1) and np.array_equal(x.a2, y.a2)
+
+
+# A wide (any C is consistent) and A tall (C planted in its range)
+@pytest.mark.parametrize("rows, cols", [(3, 5), (5, 3)])
+def test_one_sided_closed_forms_survive_the_empty_equation(rows, cols, rng,
+                                                           rand_q):
+    a = rand_q(rows, cols)
+    ba = pinv(a)
+    # A X = C: X = A^+ C + L_A U1
+    c = a @ rand_q(cols, 2)
+    fam = solve_left(a, c)
+    assert bitwise_equal(fam.particular[0], ba.pinv @ c)
+    assert fam.free_param_shapes == [(cols, 2)]
+    (u1,) = fam.random_params(rng)
+    (x,) = fam.assemble([u1])
+    assert (x - (ba.pinv @ c + ba.proj_left @ u1)).norm() <= 1e-13
+    # X A = C: X = C A^+ + U1 R_A
+    c = rand_q(2, rows) @ a
+    fam = solve_right(a, c)
+    assert bitwise_equal(fam.particular[0], c @ ba.pinv)
+    assert fam.free_param_shapes == [(2, rows)]
+    (u1,) = fam.random_params(rng)
+    (x,) = fam.assemble([u1])
+    assert (x - (c @ ba.pinv + u1 @ ba.proj_right)).norm() <= 1e-13
 
 
 class TestSolvePair:

@@ -14,6 +14,7 @@ CASES = [(v, eta) for v in VARIANTS
 
 # the entry names that ``verify`` reports and the CLI print, in order
 RESIDUAL_NAMES = {
+    "pair": ("A*X=C", "X*B=D"),
     "master": ("A1*U=C1", "V*B1=D1", "A2*X=C2", "X*B2=D2", "A3*Y=C3",
                "Y*B3=D3", "A4*Z=C4", "Z*B4=D4", "coupling=Cc"),
     "three-term": ("A1*X=C1", "X*B1=D1", "A2*Y=C2", "Y*B2=D2", "A3*Z=C3",

@@ -8,7 +8,7 @@ planes, so both trees judge bit-identical inputs:
     PYTHONPATH=<tree B>/src python tools/compare_trees.py run corpus.pkl b.pkl
     python tools/compare_trees.py compare a.pkl b.pkl
 
-The corpus holds all nine variants at sizes 1-4, seeds 0-2, eta i/j/k
+The corpus holds all ten variants at sizes 1-4, seeds 0-2, eta i/j/k
 for the eta variants, planted instances and their ``gen_unsolvable``
 twins, with every right side scaled by 1e-8, 1 and 1e8.  ``run``
 records, per instance, every ``check_*`` verdict (``consistent``,
