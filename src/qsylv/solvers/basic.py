@@ -4,6 +4,8 @@ Consistency requires R_A C = 0, D L_B = 0 and A D = C B; then
 X = pinv(A) C + L_A D pinv(B) + L_A U1 R_B.  A X = C and X A = C are
 the pair with one equation empty: its pinv takes no SVD, its
 conditions are vacuous and its projector is the identity.
+:class:`PairKernel` is this closed form; the master system solves its
+five side equations with it too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from ..decomp import pinv, rank
 from ..qmatrix import QMatrix, hstack, vstack
 from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
                        ShapedInstance, cascade_floor, check, rank_condition,
-                       residual_condition, solve)
+                       solve)
 
 
 @dataclass(frozen=True)
@@ -32,42 +34,60 @@ class PairInstance(ShapedInstance):
     D: QMatrix
 
 
-class _PairWork:
-    """The pinv bundles of A and B, with both certificates: the
+class PairKernel:
+    """Closed-form general solution of A X = C, X B = D.
+
+    ``pv`` builds the pinv bundles ``ba`` and ``bb`` of A and B, so the
+    caller keeps its cascade floor.  ``particular`` is
+    pinv(A) C + L_A D pinv(B), and ``member(w)`` adds L_A w R_B.  Every
+    condition name ends its block names with ``suffix`` (``A2*D2=C2*B2``
+    for the master's second side equation)."""
+
+    def __init__(self, a, c, b, d, pv, suffix: str = ""):
+        self.a, self.c, self.b, self.d, self.suffix = a, c, b, d, suffix
+        self.ba, self.bb = pv(a), pv(b)
+        self.particular = (self.ba.pinv @ c
+                           + self.ba.proj_left @ d @ self.bb.pinv)
+
+    def member(self, w):
+        return self.particular + self.ba.proj_left @ w @ self.bb.proj_right
+
+    def compat_terms(self) -> list:
+        i = self.suffix
+        return [(f"A{i}*D{i}=C{i}*B{i}", self.a @ self.d - self.c @ self.b)]
+
+    def mp_terms(self) -> list:
+        i = self.suffix
+        return [(f"R_A{i}*C{i}", self.ba.proj_right @ self.c),
+                (f"D{i}*L_B{i}", self.d @ self.bb.proj_left)]
+
+    def ranks(self, r) -> list:
+        """The two rank conditions, with ``r`` the rank function."""
+        i = self.suffix
+        return [rank_condition(f"r(C{i},A{i})=r(A{i})",
+                               r(hstack([self.c, self.a])), self.ba.rank),
+                rank_condition(f"r(D{i};B{i})=r(B{i})",
+                               r(vstack([self.d, self.b])), self.bb.rank)]
+
+
+class _PairWork(PairKernel):
+    """The kernel of one pair instance, with both certificates: the
     reduction of a pair instance."""
 
     def __init__(self, inst: PairInstance):
         self.inst = inst
         self.floor = cascade_floor(*inst.blocks())
-        self.ba = pinv(inst.A, floor=self.floor)
-        self.bb = pinv(inst.B, floor=self.floor)
+        super().__init__(*inst.blocks(), lambda m: pinv(m, floor=self.floor))
         self.scale = 1.0 + inst.C.norm() + inst.D.norm()
 
-    def compat_conditions(self, tol: float) -> list:
-        a, c, b, d = self.inst.blocks()
-        return [residual_condition("A*D=C*B", a @ d - c @ b,
-                                   tol * self.scale)]
-
-    def mp_conditions(self, tol: float) -> list:
-        _, c, _, d = self.inst.blocks()
-        threshold = tol * self.scale
-        return [residual_condition("R_A*C", self.ba.proj_right @ c, threshold),
-                residual_condition("D*L_B", d @ self.bb.proj_left, threshold)]
-
     def rank_conditions(self) -> list:
-        a, c, b, d = self.inst.blocks()
-        r = lambda m: rank(m, floor=self.floor)
-        return [rank_condition("r(C,A)=r(A)", r(hstack([c, a])), self.ba.rank),
-                rank_condition("r(D;B)=r(B)", r(vstack([d, b])), self.bb.rank)]
+        return self.ranks(lambda m: rank(m, floor=self.floor))
 
     def family(self, branch: str) -> LinearSolutionFamily:
         """The one closed form; ``branch`` is not read."""
-        ba, bb = self.ba, self.bb
-        _, c, _, d = self.inst.blocks()
-        particular = ba.pinv @ c + ba.proj_left @ d @ bb.pinv
         params = (FreeParam("U1", self.inst.unknown_shapes()["X"]),)
         return LinearSolutionFamily(("X",), params, lambda vals: (
-            particular + ba.proj_left @ vals["U1"] @ bb.proj_right,))
+            self.member(vals["U1"]),))
 
 
 PairInstance.WORK = _PairWork

@@ -10,12 +10,20 @@ doubled and symmetrized back.  :func:`check` and
 reduction from a one-slot memo (:func:`shared_work`), build the
 certificates from it and, for ``solve``, map the family back through
 the lifts.  The public ``check_*`` and ``solve_*`` of every system are
-this pair or calls of it."""
+this pair or calls of it.
+
+A reduction (a work) is built from one instance.  Its
+``compat_terms()`` and ``mp_terms()`` give the ``(name, value)`` of
+every compatibility product and residual term, each of which must
+vanish, and this module alone tests each at ``tol * scale``, with the
+work's ``scale``.  It also gives ``rank_conditions()`` and
+``family(branch)``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -255,10 +263,11 @@ class SolvabilityReport:
 
     The compatibility and residual lists are held as built.  The rank
     list is given either as a list or as a zero-argument builder of it.
-    A builder runs at most once, on the first read of
+    A builder runs here only if every compatibility and residual
+    condition passes, since only then does the verdict need it;
+    otherwise it runs at most once, on the first read of
     ``rank_conditions``, ``forms_agree``, ``failing()``, ``to_dict()``,
-    ``==`` or ``repr``, and is dropped afterwards.  ``forms_agree=None``
-    derives ``forms_agree`` from the lists on first read.
+    ``==`` or ``repr``, and is dropped afterwards.
 
     ``check_*`` always builds both forms before it returns.  ``solve_*``
     builds a report only when it does not return a family (see
@@ -267,25 +276,12 @@ class SolvabilityReport:
     its rank list is built on first read.
     """
 
-    def __init__(self, mp_conditions=(), rank_conditions=(),
-                 compat_conditions=(), consistent: bool = True,
-                 forms_agree: Optional[bool] = True):
-        self.mp_conditions = list(mp_conditions)
-        self._ranks = (rank_conditions if callable(rank_conditions)
-                       else list(rank_conditions))
-        self.compat_conditions = list(compat_conditions)
-        self.consistent = consistent
-        self._forms_agree = forms_agree
-
-    @classmethod
-    def build(cls, compat, mp, ranks) -> "SolvabilityReport":
-        """The report of the three lists; ``ranks`` may be a builder,
-        which runs here only if every compatibility and residual
-        condition passes, since only then does the verdict need it."""
-        report = cls(mp, ranks, compat, forms_agree=None)
-        report.consistent = (report._residual_verdict()
-                             and all(c.passed for c in report.rank_conditions))
-        return report
+    def __init__(self, compat, mp, ranks):
+        self.compat_conditions = list(compat)
+        self.mp_conditions = list(mp)
+        self._ranks = ranks if callable(ranks) else list(ranks)
+        self.consistent = (self._residual_verdict()
+                           and all(c.passed for c in self.rank_conditions))
 
     def _residual_verdict(self) -> bool:
         return (all(c.passed for c in self.compat_conditions)
@@ -299,12 +295,9 @@ class SolvabilityReport:
 
     @property
     def forms_agree(self) -> bool:
-        if self._forms_agree is None:
-            compat_ok = all(c.passed for c in self.compat_conditions)
-            rank_ok = all(c.passed for c in self.rank_conditions)
-            self._forms_agree = (self._residual_verdict()
-                                 == (compat_ok and rank_ok))
-        return self._forms_agree
+        rank_ok = all(c.passed for c in self.rank_conditions)
+        compat_ok = all(c.passed for c in self.compat_conditions)
+        return self._residual_verdict() == (compat_ok and rank_ok)
 
     def _fields(self) -> tuple:
         return (self.mp_conditions, self.rank_conditions,
@@ -437,6 +430,14 @@ def _reduced(inst):
     return inst, maps
 
 
+def _residual_lists(work, tol: float) -> tuple:
+    """The compatibility and residual lists: each term at tol * scale."""
+    threshold = tol * work.scale
+    return tuple([residual_condition(name, value, threshold)
+                  for name, value in terms]
+                 for terms in (work.compat_terms(), work.mp_terms()))
+
+
 def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     """Both certificate forms of any instance: the compatibility
     products, the residual certificate and the rank certificate of its
@@ -447,9 +448,8 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     inst.require()
     root, _ = _reduced(inst)
     work = shared_work(root.WORK, root)
-    return SolvabilityReport.build(work.compat_conditions(tol),
-                                   work.mp_conditions(tol),
-                                   work.rank_conditions())
+    return SolvabilityReport(*_residual_lists(work, tol),
+                             work.rank_conditions())
 
 
 def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
@@ -475,13 +475,13 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     inst.require()
     root, maps = _reduced(inst)
     work = shared_work(root.WORK, root)
-    compat, mp = work.compat_conditions(tol), work.mp_conditions(tol)
+    compat, mp = _residual_lists(work, tol)
     res = (work.family(branch) if all(c.passed for c in compat + mp)
            else None)
     if res is None or not all(
             defect.norm() <= tol * scale
             for _, defect, scale in root.residual_terms(res.particular)):
-        report = SolvabilityReport.build(compat, mp, work.rank_conditions)
+        report = SolvabilityReport(compat, mp, work.rank_conditions)
         if not report.consistent:
             return Inconsistent(report)
     if not maps:

@@ -16,13 +16,12 @@ solve_five_term are the driver, :func:`.families.check` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..decomp import pinv, rank
 from ..qmatrix import QMatrix, block, hstack, vstack
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
-                       cascade_floor, check, rank_condition,
-                       residual_condition, solve)
+                       cascade_floor, check, rank_condition, solve)
 from .two_term import TwoTermKernel
 
 FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
@@ -55,10 +54,6 @@ class FiveTermInstance(ShapedInstance):
     A4: QMatrix
     B4: QMatrix
     B: QMatrix
-
-    def coefficient_norm(self) -> float:
-        return sum(getattr(self, f.name).norm()
-                   for f in fields(self) if f.name != "B")
 
 
 @dataclass(frozen=True)
@@ -194,6 +189,9 @@ class _FiveTermWork:
         self.inst = inst
         self.floor = cascade_floor(inst.A1, inst.B1, inst.A2, inst.B2,
                                    inst.A3, inst.B3, inst.A4, inst.B4, inst.B)
+        # B is added last; a reordered sum moves every threshold an ulp
+        self.scale = (1.0 + sum(m.norm() for m in inst.blocks()[:-1])
+                      + inst.B.norm())
         pv = lambda m: pinv(m, floor=self.floor)
         self.bA1, self.bB1 = pv(inst.A1), pv(inst.B1)
         ra1, lb1 = self.bA1.proj_right, self.bB1.proj_left
@@ -284,14 +282,8 @@ class _FiveTermWork:
                     self.vw3.bc4.proj_right @ self.E @ self.vw3.bd3.proj_left))
         return out
 
-    def compat_conditions(self, tol: float) -> list:
+    def compat_terms(self) -> list:
         return []
-
-    def mp_conditions(self, tol: float) -> list:
-        threshold = tol * (1.0 + self.inst.coefficient_norm()
-                           + self.inst.B.norm())
-        return [residual_condition(name, value, threshold)
-                for name, value in self.mp_terms()]
 
     def rank_conditions(self) -> list:
         inst = self.inst

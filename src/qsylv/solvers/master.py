@@ -4,14 +4,14 @@
     Ai X = Ci,  X Bi = Di           (i = 2, 3, 4; unknowns X, Y, Z)
     E1 U + V F1 + E2 X F2 + E3 Y F3 + E4 Z F4 = Cc
 
-Its reduction (``MasterInstance.WORK``) solves the eight side
-equations, reduces the coupling equation to a five-term equation in the
-side equations' free parameters, reduces that with :mod:`.five_term`,
-and assembles (U, V, X, Y, Z).  The specializations lift onto this
-system by letting blocks be empty rather than through separate code
-paths, and every system is decided by the one driver,
-:func:`.families.check` and :func:`.families.solve`, which
-``check_master`` and ``solve_master`` are.
+Its reduction (``MasterInstance.WORK``) solves the side equations of
+U, V, X, Y and Z with one :class:`.basic.PairKernel` each, reduces the
+coupling equation to a five-term equation in their free parameters,
+reduces that with :mod:`.five_term`, and assembles (U, V, X, Y, Z).
+The specializations lift onto this system by letting blocks be empty
+rather than through separate code paths, and every system is decided
+by the one driver, :func:`.families.check` and :func:`.families.solve`,
+which ``check_master`` and ``solve_master`` are.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv, rank
-from ..qmatrix import QMatrix, hstack, vstack
+from ..qmatrix import QMatrix
+from .basic import PairKernel
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
-                       cascade_floor, check, rank_condition,
-                       residual_condition, solve)
+                       cascade_floor, check, solve)
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         _FiveTermWork, block_rank_conditions)
 
@@ -87,9 +87,6 @@ class MasterInstance(ShapedInstance):
     F3: QMatrix
     F4: QMatrix
     Cc: QMatrix
-
-    def coefficient_norm(self) -> float:
-        return sum(m.norm() for m in self.blocks())
 
 
 @dataclass(frozen=True)
@@ -173,73 +170,57 @@ class MasterIntermediates:
 
 
 class _MasterWork:
-    """Side-equation bundles plus the reduced five-term work: the
-    reduction of one master instance.  The reduced work is built here
-    directly, so it does not take the master work's place in the slot
-    of :func:`.families.shared_work`."""
+    """The five side equations as pair kernels plus the reduced
+    five-term work: the reduction of one master instance.  The reduced
+    work is built here directly, so it does not take the master work's
+    place in the slot of :func:`.families.shared_work`."""
 
     def __init__(self, inst: MasterInstance):
         self.inst = inst
         self.floor = cascade_floor(*inst.blocks())
         pv = lambda m: pinv(m, floor=self.floor)
-        self.bA = [pv(getattr(inst, f"A{i}")) for i in (1, 2, 3, 4)]
-        self.bB = [pv(getattr(inst, f"B{i}")) for i in (1, 2, 3, 4)]
-        aii = [getattr(inst, f"E{i + 1}") @ self.bA[i].proj_left
-               for i in range(4)]
-        bii = [self.bB[i].proj_right @ getattr(inst, f"F{i + 1}")
-               for i in range(4)]
-        # particular solutions of the side equations: U, V, X, Y, Z
-        self.part = [self.bA[0].pinv @ inst.C1, inst.D1 @ self.bB[0].pinv]
-        t1 = inst.Cc - inst.E1 @ self.part[0] - self.part[1] @ inst.F1
-        for i in (1, 2, 3):
-            ai, bi = self.bA[i], self.bB[i]
-            ci, di = getattr(inst, f"C{i + 1}"), getattr(inst, f"D{i + 1}")
-            ei, fi = getattr(inst, f"E{i + 1}"), getattr(inst, f"F{i + 1}")
-            self.part.append(ai.pinv @ ci + ai.proj_left @ di @ bi.pinv)
-            t1 = t1 - ei @ self.part[i + 1] @ fi
+        a1, c1, b1, d1 = inst.A1, inst.C1, inst.B1, inst.D1
+        empty = QMatrix.zeros
+        # U and V solve one-sided pairs, whose empty halves take no SVD
+        self.sides = [
+            PairKernel(a1, c1, empty(c1.cols, 0), empty(a1.cols, 0), pv, "1"),
+            PairKernel(empty(0, d1.rows), empty(0, b1.rows), b1, d1, pv, "1")]
+        self.sides += [PairKernel(*(getattr(inst, f"{x}{i}") for x in "ACBD"),
+                                  pv, str(i)) for i in (2, 3, 4)]
+        u, v, *xyz = self.sides
+        es, fs = ([getattr(inst, f"{x}{i}") for i in (1, 2, 3, 4)]
+                  for x in "EF")
+        t1 = inst.Cc - es[0] @ u.particular - v.particular @ fs[0]
+        for e, k, f in zip(es[1:], xyz, fs[1:]):
+            t1 = t1 - e @ k.particular @ f
         self.t1 = t1
-        self.reduced = FiveTermInstance(aii[0], bii[0], aii[1], bii[1],
-                                        aii[2], bii[2], aii[3], bii[3], t1)
+        # the reduced blocks E_i L_Ai and R_Bi F_i; U has no B, V no A
+        blocks = []
+        for e, f, left, right in zip(es, fs, [u] + xyz, [v] + xyz):
+            blocks += [e @ left.ba.proj_left, right.bb.proj_right @ f]
+        self.reduced = FiveTermInstance(*blocks, t1)
         self.five = _FiveTermWork(self.reduced)
+        self.scale = 1.0 + sum(m.norm() for m in inst.blocks())
 
     # -- certificate lists -------------------------------------------------
 
-    def compat_conditions(self, tol: float) -> list:
-        inst = self.inst
-        threshold = tol * (1.0 + inst.coefficient_norm())
-        out = []
-        for i in (2, 3, 4):
-            a, b = getattr(inst, f"A{i}"), getattr(inst, f"B{i}")
-            c, d = getattr(inst, f"C{i}"), getattr(inst, f"D{i}")
-            out.append(residual_condition(f"A{i}*D{i}=C{i}*B{i}",
-                                          a @ d - c @ b, threshold))
-        return out
+    def compat_terms(self) -> list:
+        return [t for k in self.sides[2:] for t in k.compat_terms()]
 
-    def mp_conditions(self, tol: float) -> list:
-        inst = self.inst
-        threshold = tol * (1.0 + inst.coefficient_norm())
-        terms = []
-        for i in range(4):
-            c, d = getattr(inst, f"C{i + 1}"), getattr(inst, f"D{i + 1}")
-            terms.append((f"R_A{i + 1}*C{i + 1}", self.bA[i].proj_right @ c))
-            terms.append((f"D{i + 1}*L_B{i + 1}", d @ self.bB[i].proj_left))
-        return [residual_condition(name, value, threshold)
-                for name, value in terms + self.five.mp_terms("GHL")]
+    def mp_terms(self) -> list:
+        u, v, *xyz = self.sides
+        return (u.mp_terms()[:1] + v.mp_terms()[1:]
+                + [t for k in xyz for t in k.mp_terms()]
+                + self.five.mp_terms("GHL"))
 
     def rank_conditions(self) -> list:
-        inst = self.inst
         r = lambda m: rank(m, floor=self.floor)
-        out = []
-        for i in range(4):
-            a, b = getattr(inst, f"A{i + 1}"), getattr(inst, f"B{i + 1}")
-            c, d = getattr(inst, f"C{i + 1}"), getattr(inst, f"D{i + 1}")
-            out.append(rank_condition(f"r(C{i + 1},A{i + 1})=r(A{i + 1})",
-                                      r(hstack([c, a])), self.bA[i].rank))
-            out.append(rank_condition(f"r(D{i + 1};B{i + 1})=r(B{i + 1})",
-                                      r(vstack([d, b])), self.bB[i].rank))
-        blocks = [[getattr(inst, f"{x}{i}") for i in (1, 2, 3, 4)]
+        u, v, *xyz = self.sides
+        blocks = [[getattr(self.inst, f"{x}{i}") for i in (1, 2, 3, 4)]
                   for x in "ABCDEF"]
-        return out + block_rank_conditions(r, inst.Cc, *blocks)
+        return (u.ranks(r)[:1] + v.ranks(r)[1:]
+                + [c for k in xyz for c in k.ranks(r)]
+                + block_rank_conditions(r, self.inst.Cc, *blocks))
 
     def intermediates(self) -> MasterIntermediates:
         five = self.five.intermediates()
@@ -271,14 +252,8 @@ class _MasterWork:
     def assemble(self, vals: dict, branch: str):
         five_vals = {old: vals[new] for new, old in
                      zip(MASTER_PARAM_NAMES, FIVE_TERM_PARAM_NAMES)}
-        s1, s2, w1, w2, w3 = self.five.assemble(five_vals, branch)
-        u = self.part[0] + self.bA[0].proj_left @ s1
-        v = self.part[1] + s2 @ self.bB[0].proj_right
-        out = [u, v]
-        for i, w in zip((1, 2, 3), (w1, w2, w3)):
-            out.append(self.part[i + 1]
-                       + self.bA[i].proj_left @ w @ self.bB[i].proj_right)
-        return tuple(out)
+        return tuple(k.member(w) for k, w in
+                     zip(self.sides, self.five.assemble(five_vals, branch)))
 
 
 MasterInstance.WORK = _MasterWork

@@ -8,7 +8,7 @@ from ..decomp import pinv, rank
 from ..qmatrix import QMatrix, block, hstack, vstack
 from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
                        ShapedInstance, SolvabilityReport, cascade_floor,
-                       check, rank_condition, residual_condition, solve)
+                       check, rank_condition, solve)
 
 
 @dataclass(frozen=True)
@@ -77,29 +77,21 @@ class _TwoTermWork(TwoTermKernel):
     def __init__(self, inst: TwoTermInstance):
         self.inst = inst
         self.e1 = inst.E1
+        self.scale = 1.0 + inst.E1.norm()
         self.floor = cascade_floor(*inst.blocks())
         super().__init__(inst.C3, inst.D3, inst.C4, inst.D4,
                          lambda m: pinv(m, floor=self.floor))
 
-    def compat_conditions(self, tol: float) -> list:
+    def compat_terms(self) -> list:
         return []
 
-    def mp_conditions(self, tol: float) -> list:
-        threshold = tol * (1.0 + self.e1.norm())
+    def mp_terms(self) -> list:
         e1 = self.e1
         return [
-            residual_condition("R_M1*R_C3*E1",
-                               self.bm.proj_right @ (self.bc3.proj_right @ e1),
-                               threshold),
-            residual_condition("R_C3*E1*L_D4",
-                               self.bc3.proj_right @ e1 @ self.bd4.proj_left,
-                               threshold),
-            residual_condition("E1*L_D3*L_N1",
-                               e1 @ self.bd3.proj_left @ self.bn.proj_left,
-                               threshold),
-            residual_condition("R_C4*E1*L_D3",
-                               self.bc4.proj_right @ e1 @ self.bd3.proj_left,
-                               threshold),
+            ("R_M1*R_C3*E1", self.bm.proj_right @ (self.bc3.proj_right @ e1)),
+            ("R_C3*E1*L_D4", self.bc3.proj_right @ e1 @ self.bd4.proj_left),
+            ("E1*L_D3*L_N1", e1 @ self.bd3.proj_left @ self.bn.proj_left),
+            ("R_C4*E1*L_D3", self.bc4.proj_right @ e1 @ self.bd3.proj_left),
         ]
 
     def rank_conditions(self) -> list:

@@ -14,7 +14,8 @@ import pytest
 import qsylv
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
                            gen_unsolvable, rand_qmatrix)
-from qsylv.solvers import Inconsistent
+from qsylv.solvers import (FiveTermInstance, Inconsistent, MasterInstance,
+                           PairInstance, TwoTermInstance)
 from qsylv.solvers.families import check, solve
 
 TOL = 1e-9
@@ -100,3 +101,33 @@ def test_eta_precondition_names_the_types_own_field(variant, op):
         with pytest.raises(ValueError,
                            match=rf"^{rhs} is not eta-Hermitian \(defect"):
             call()
+
+
+def _threshold_scale(inst):
+    """The data norm every compatibility and residual condition of
+    ``inst`` is thresholded against, from the instance its lifts end
+    at: all blocks for master and five-term, the right sides for
+    two-term and the pair."""
+    while inst.WORK is None:
+        inst, _ = inst.lift()
+    if isinstance(inst, (MasterInstance, FiveTermInstance)):
+        return 1.0 + sum(m.norm() for m in inst.blocks())
+    if isinstance(inst, TwoTermInstance):
+        return 1.0 + inst.E1.norm()
+    assert isinstance(inst, PairInstance)
+    return 1.0 + inst.C.norm() + inst.D.norm()
+
+
+@pytest.mark.parametrize("factor", (1.0, 1e8))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_thresholds_are_tol_times_the_root_scale(variant, factor):
+    rhs = VARIANT_TABLE[variant].instance_type.rhs_names()
+    for seed in (0, 1):
+        inst, _ = gen_planted(variant, 3, seed, "j")
+        inst = replace(inst, **{f: getattr(inst, f) * factor for f in rhs})
+        want = TOL * _threshold_scale(inst)
+        report = check(inst, TOL)
+        conditions = report.compat_conditions + report.mp_conditions
+        assert conditions
+        for c in conditions:
+            assert abs(c.threshold - want) <= 1e-15 * want, c.name

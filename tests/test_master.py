@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from qsylv import (Inconsistent, MasterInstance, QMatrix, check_master,
@@ -10,6 +11,10 @@ from qsylv.harness import (DimensionProfile, gen_consistent, gen_inconsistent,
 from qsylv.solvers.master import MASTER_PARAM_NAMES, master_intermediates
 
 from tests.conftest import worst_rel
+
+
+def _same_bits(p, q):
+    return np.array_equal(p.a1, q.a1) and np.array_equal(p.a2, q.a2)
 
 
 class TestCheckMaster:
@@ -86,7 +91,7 @@ class TestSolveMaster:
 
     def test_single_pair_block_reduces_to_solve_pair(self, rng, rand_q):
         # with everything else empty, the master solution of the one
-        # remaining pair matches the paired-equation solver
+        # remaining pair is the paired-equation solver's, bit for bit
         from qsylv import solve_pair
         a, b = rand_q(2, 4), rand_q(3, 2)
         x0 = rand_q(4, 3)
@@ -102,13 +107,45 @@ class TestSolveMaster:
         pair = solve_pair(a, a @ x0, b, x0 @ b)
         x_master = fam.particular[2]
         (x_pair,) = pair.particular
-        assert (x_master - x_pair).norm() <= 1e-12
+        assert _same_bits(x_master, x_pair)
         # the pair freedom L_A U R_B is reachable through W-parameters:
         # both particular solutions already agree, and every master
         # assembly stays a pair solution
         sol = fam.assemble(fam.random_params(rng))
         assert (a @ sol[2] - a @ x0).norm() <= 1e-9
         assert (sol[2] @ b - x0 @ b).norm() <= 1e-9
+
+    def test_lone_left_side_equation_is_solve_left(self, rand_q):
+        # A1 U = C1 alone: U is the one-sided solver's, bit for bit
+        from qsylv import solve_left
+        a, u0 = rand_q(2, 4), rand_q(4, 3)
+        e = QMatrix.zeros
+        inst = MasterInstance(
+            A1=a, A2=e(0, 0), A3=e(0, 0), A4=e(0, 0),
+            B1=e(0, 0), B2=e(0, 0), B3=e(0, 0), B4=e(0, 0),
+            C1=a @ u0, C2=e(0, 0), C3=e(0, 0), C4=e(0, 0),
+            D1=e(0, 0), D2=e(0, 0), D3=e(0, 0), D4=e(0, 0),
+            E1=e(0, 4), E2=e(0, 0), E3=e(0, 0), E4=e(0, 0),
+            F1=e(0, 3), F2=e(0, 3), F3=e(0, 3), F4=e(0, 3), Cc=e(0, 3))
+        u_master = solve_master(inst).particular[0]
+        (u_left,) = solve_left(a, a @ u0).particular
+        assert _same_bits(u_master, u_left)
+
+    def test_lone_right_side_equation_is_solve_right(self, rand_q):
+        # V B1 = D1 alone: V is the one-sided solver's, bit for bit
+        from qsylv import solve_right
+        b, v0 = rand_q(3, 2), rand_q(4, 3)
+        e = QMatrix.zeros
+        inst = MasterInstance(
+            A1=e(0, 0), A2=e(0, 0), A3=e(0, 0), A4=e(0, 0),
+            B1=b, B2=e(0, 0), B3=e(0, 0), B4=e(0, 0),
+            C1=e(0, 0), C2=e(0, 0), C3=e(0, 0), C4=e(0, 0),
+            D1=v0 @ b, D2=e(0, 0), D3=e(0, 0), D4=e(0, 0),
+            E1=e(4, 0), E2=e(4, 0), E3=e(4, 0), E4=e(4, 0),
+            F1=e(3, 0), F2=e(0, 0), F3=e(0, 0), F4=e(0, 0), Cc=e(4, 0))
+        v_master = solve_master(inst).particular[1]
+        (v_right,) = solve_right(b, v0 @ b).particular
+        assert _same_bits(v_master, v_right)
 
 
 class TestThreeTerm:

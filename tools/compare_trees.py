@@ -1,4 +1,5 @@
-"""Compare the verdicts of two source trees on one fixed corpus.
+"""Compare the verdicts, reports and families of two source trees on
+one fixed corpus.
 
 The corpus is generated once, by one tree, and stored as raw component
 planes, so both trees judge bit-identical inputs:
@@ -13,13 +14,17 @@ for the eta variants, planted instances and their ``gen_unsolvable``
 twins, with every right side scaled by 1e-8, 1 and 1e8.  ``run``
 records, per instance, every ``check_*`` verdict (``consistent``,
 ``forms_agree``, each condition's ``passed``, each rank ``lhs``/``rhs``)
-and every ``solve_*`` outcome per branch, plus whether the family's
-particular solution and one random member pass ``verify_solution``.
-``compare`` counts, per variant, the instances whose verdicts differ
-(``consistent``, ``forms_agree``, a solve outcome or a verification)
-and those that differ only in their condition lists (names, order or
-rank pairs); it exits 1 when either count or the number of family
-members that fail to verify is not zero.
+and full report (``to_dict()``: every residual and threshold), and
+every ``solve_*`` outcome per branch: an ``Inconsistent``'s report, or
+the family's free-parameter names and shapes, the component bytes of
+its particular solution and of one seeded random member, and whether
+both pass ``verify_solution``.  ``compare`` counts, per variant, the
+instances whose verdicts differ (``consistent``, ``forms_agree``, a
+solve outcome or a verification), those that differ only in their
+condition lists (names, order or rank pairs, as after a renaming) and
+those that differ in any other bit (a residual, a threshold, a
+parameter or a solution); it exits 1 when any of these counts or the
+number of family members that fail to verify is not zero.
 """
 
 from __future__ import annotations
@@ -79,7 +84,14 @@ def _verdict(report) -> dict:
                        report.compat_conditions + report.mp_conditions],
         "ranks": [(c.name, c.lhs, c.rhs, c.passed)
                   for c in report.rank_conditions],
+        "report": report.to_dict(),
     }
+
+
+def _bytes(sol) -> list:
+    """The shape and component bytes of every matrix of a solution."""
+    return [(m.shape, tuple(c.tobytes() for c in m.components()))
+            for m in sol]
 
 
 def run(corpus_path, out_path):
@@ -107,12 +119,16 @@ def run(corpus_path, out_path):
                 continue
             rng = np.random.default_rng(7)
             member = res.assemble(res.random_params(rng))
+            particular = res.assemble()
             rec[branch] = {
                 "outcome": "family",
                 "particular_verifies": verify_solution(
-                    inst, res.assemble(), DEFAULT_TOL).passed,
+                    inst, particular, DEFAULT_TOL).passed,
                 "member_verifies": verify_solution(
                     inst, member, DEFAULT_TOL).passed,
+                "params": [(p.name, p.shape) for p in res.free_params],
+                "particular": _bytes(particular),
+                "member": _bytes(member),
             }
         results[case["label"]] = rec
     with open(out_path, "wb") as fh:
@@ -121,12 +137,14 @@ def run(corpus_path, out_path):
 
 
 # the verdict of a record: check's and each solve branch's, without the
-# condition lists, which a renaming may change while every verdict holds
+# condition lists, which a renaming may change while every verdict holds,
+# and without the bit-level fields
 _LISTS = ("conditions", "ranks")
+_BITS = ("report", "params", "particular", "member")
 
 
-def _verdicts(rec) -> dict:
-    return {part: {k: v for k, v in res.items() if k not in _LISTS}
+def _without(rec, keys) -> dict:
+    return {part: {k: v for k, v in res.items() if k not in keys}
             for part, res in rec.items()}
 
 
@@ -138,16 +156,22 @@ def compare(a_path, b_path) -> int:
     if a.keys() != b.keys():
         print("the two runs judged different corpora")
         return 1
-    counts = {}  # variant -> [instances, verdicts, lists only, unverified]
+    # variant -> [instances, verdicts, lists only, bits, unverified]
+    counts = {}
     families = 0
     for label in a:
-        row = counts.setdefault(label.split()[0], [0, 0, 0, 0])
+        row = counts.setdefault(label.split()[0], [0, 0, 0, 0, 0])
         row[0] += 1
-        if _verdicts(a[label]) != _verdicts(b[label]):
+        differs = lambda keys: _without(a[label], keys) != _without(
+            b[label], keys)
+        if differs(_LISTS + _BITS):
             row[1] += 1
             print(f"verdict differs: {label}")
-        elif a[label] != b[label]:
+        elif differs(_BITS):
             row[2] += 1
+        elif differs(()):
+            row[3] += 1
+            print(f"bits differ: {label}")
         for rec in (a[label], b[label]):
             for branch in ("first", "second"):
                 res = rec.get(branch)
@@ -155,18 +179,19 @@ def compare(a_path, b_path) -> int:
                     families += 1
                     if not (res["particular_verifies"]
                             and res["member_verifies"]):
-                        row[3] += 1
+                        row[4] += 1
                         print(f"family fails to verify: {label} {branch}")
     print(f"{'variant':12s} {'instances':>9s} {'verdicts':>9s} "
-          f"{'lists only':>10s} {'unverified':>10s}")
+          f"{'lists only':>10s} {'bits':>9s} {'unverified':>10s}")
     for variant, row in counts.items():
         print(f"{variant:12s} " + " ".join(
-            f"{n:{w}d}" for n, w in zip(row, (9, 9, 10, 10))))
+            f"{n:{w}d}" for n, w in zip(row, (9, 9, 10, 9, 10))))
     total = [sum(col) for col in zip(*counts.values())]
     print(f"{len(a)} instances: {total[1]} with a differing verdict, "
-          f"{total[2]} differing only in condition lists; {families} "
-          f"families, {total[3]} failing verification")
-    return 1 if total[1] or total[2] or total[3] else 0
+          f"{total[2]} differing only in condition lists, {total[3]} "
+          f"differing in other bits; {families} families, {total[4]} "
+          "failing verification")
+    return 1 if any(total[1:]) else 0
 
 
 def main(argv):
