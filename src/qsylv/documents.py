@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +74,15 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"matrix {key!r}: row {p} must be a list of "
                              f"{cols} entries")
+        # one pass over the row's entries and one over its components;
+        # the entry loop below runs only on a row it cannot vouch for,
+        # to name the first bad entry or accept list, int and float
+        # subclasses
+        if {list} >= set(map(type, row)) and {4} >= set(map(len, row)):
+            components = list(chain.from_iterable(row))
+            if {int, float} >= set(map(type, components)):
+                flat += components
+                continue
         for q, val in enumerate(row):
             if not isinstance(val, list) or len(val) != 4:
                 raise ParseError(f"matrix {key!r}: entry ({p},{q}) must be a "

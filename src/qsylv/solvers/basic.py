@@ -37,15 +37,16 @@ class PairInstance(ShapedInstance):
 class PairKernel:
     """Closed-form general solution of A X = C, X B = D.
 
-    ``pv`` builds the pinv bundles ``ba`` and ``bb`` of A and B, so the
-    caller keeps its cascade floor.  ``particular`` is
+    ``bundles`` are the pinv bundles ``ba`` and ``bb`` of A and B, built
+    by the caller at its cascade floor; they depend on the coefficients
+    alone, so one pair serves every right side.  ``particular`` is
     pinv(A) C + L_A D pinv(B), and ``member(w)`` adds L_A w R_B.  Every
     condition name ends its block names with ``suffix`` (``A2*D2=C2*B2``
     for the master's second side equation)."""
 
-    def __init__(self, a, c, b, d, pv, suffix: str = ""):
+    def __init__(self, a, c, b, d, bundles, suffix: str = ""):
         self.a, self.c, self.b, self.d, self.suffix = a, c, b, d, suffix
-        self.ba, self.bb = pv(a), pv(b)
+        self.ba, self.bb = bundles
         self.particular = (self.ba.pinv @ c
                            + self.ba.proj_left @ d @ self.bb.pinv)
 
@@ -70,18 +71,28 @@ class PairKernel:
                                r(vstack([self.d, self.b])), self.bb.rank)]
 
 
-class _PairWork(PairKernel):
-    """The kernel of one pair instance, with both certificates: the
-    reduction of a pair instance."""
+class _PairFactors:
+    """The pinv bundles of A and B at their cascade floor."""
 
     def __init__(self, inst: PairInstance):
+        self.floor = cascade_floor(inst.A, inst.B)
+        self.bundles = (pinv(inst.A, floor=self.floor),
+                        pinv(inst.B, floor=self.floor))
+
+
+class _PairWork(PairKernel):
+    """The kernel of one pair instance over the bundles of its
+    coefficients, with both certificates: the reduction of a pair
+    instance."""
+
+    def __init__(self, inst: PairInstance, factors=None):
         self.inst = inst
-        self.floor = cascade_floor(*inst.blocks())
-        super().__init__(*inst.blocks(), lambda m: pinv(m, floor=self.floor))
+        self.factors = factors or _PairFactors(inst)
+        super().__init__(*inst.blocks(), self.factors.bundles)
         self.scale = 1.0 + inst.C.norm() + inst.D.norm()
 
     def rank_conditions(self) -> list:
-        return self.ranks(lambda m: rank(m, floor=self.floor))
+        return self.ranks(lambda m: rank(m, floor=self.factors.floor))
 
     def family(self, branch: str) -> LinearSolutionFamily:
         """The one closed form; ``branch`` is not read."""

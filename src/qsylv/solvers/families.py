@@ -12,11 +12,22 @@ certificates from it and, for ``solve``, map the family back through
 the lifts.  The public ``check_*`` and ``solve_*`` of every system are
 this pair or calls of it.
 
-A reduction (a work) is built from one instance.  Its
-``compat_terms()`` and ``mp_terms()`` give the ``(name, value)`` of
-every compatibility product and residual term, each of which must
-vanish, and this module alone tests each at ``tol * scale``, with the
-work's ``scale``.  It also gives ``rank_conditions()`` and
+A reduction (a work) is built from one instance in two parts.  Its
+``factors`` are the coefficient factorization: every pinv bundle and
+intermediate that is a function of the coefficient blocks alone (the
+fields not in ``rhs_names()``), with the cascade floor, plus the
+coefficient-only rank panels, computed on the first rank list.  The
+work itself is the right-side pass over them: the particular solutions,
+the right-side intermediates and every certificate entry that reads a
+right side.  ``cls(inst)`` builds both; ``cls(inst, factors)`` builds
+only the pass, on factors of equal coefficients.  The general solution
+is linear in the right sides, so one factorization serves every right
+side.
+
+A work's ``compat_terms()`` and ``mp_terms()`` give the ``(name,
+value)`` of every compatibility product and residual term, each of
+which must vanish, and this module alone tests each at ``tol * scale``,
+with the work's ``scale``.  It also gives ``rank_conditions()`` and
 ``family(branch)``.
 """
 
@@ -29,10 +40,12 @@ import numpy as np
 
 from ..qmatrix import DimensionError, QMatrix, named_dims
 
-# Absolute truncation floor for pseudoinverses inside solver cascades.
-# Reduction intermediates frequently vanish in exact arithmetic; ranking
-# their rounding noise would amplify it by 1/eps, so anything below
-# CASCADE_EPS times the instance scale is treated as zero.
+# Absolute truncation floor for pseudoinverses and ranks inside solver
+# cascades.  Reduction intermediates frequently vanish in exact
+# arithmetic; ranking their rounding noise would amplify it by 1/eps, so
+# anything below CASCADE_EPS times the largest coefficient block norm
+# (at least 1) is treated as zero.  The right sides do not enter it, so
+# the whole factorization is a function of the coefficients.
 CASCADE_EPS = 256.0 * float(np.finfo(np.float64).eps)
 
 DEFAULT_TOL = 1e-9
@@ -122,6 +135,14 @@ class ShapedInstance:
         return tuple(cls.TERMS)
 
     @classmethod
+    def coefficient_names(cls) -> tuple:
+        """The coefficient fields: every block field but the right
+        sides, in field order."""
+        rhs = cls.rhs_names()
+        return tuple(f.name for f in fields(cls)
+                     if f.name != "eta" and f.name not in rhs)
+
+    @classmethod
     def from_witness(cls, witness, **blocks):
         """The instance over the coefficient ``blocks`` (and ``eta``)
         whose every right side is its equation's left side at
@@ -175,17 +196,11 @@ class ShapedInstance:
 _SLOT = [None]
 
 
-def _same_content(a, b) -> bool:
-    """Whether two instances have one type, one ``eta`` and blocks of
-    equal shape, dtype and bytes."""
-    if type(a) is not type(b):
-        return False
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "eta":
-            if x != y:
-                return False
-            continue
+def _same_blocks(a, b, names) -> bool:
+    """Whether the blocks ``names`` of two instances have equal shape,
+    dtype and bytes."""
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
         for p, q in ((x.a1, y.a1), (x.a2, y.a2)):
             if (p.shape != q.shape or p.dtype != q.dtype
                     or p.tobytes() != q.tobytes()):
@@ -194,26 +209,45 @@ def _same_content(a, b) -> bool:
 
 
 def shared_work(cls, inst):
-    """The reduction ``cls(inst)``, shared with the previous call on an
-    instance of equal content.
+    """The reduction ``cls(inst)``, sharing what it can with the previous
+    call.
 
-    The slot holds the last work built.  It is returned when it is a
-    ``cls`` work and its own copy of the instance equals ``inst`` byte
-    for byte, so ``check_*`` then ``solve_*`` (or the reverse) on one
-    instance build the cascade once, also when a lift is rebuilt between
-    the calls.  On a miss the slot is emptied first, so two works are
-    never alive at once, and the new work owns a copy of ``inst``:
-    editing the caller's matrices in place afterwards misses the slot
-    and cannot reach a family or report already handed out.  Everything
-    that depends on ``tol`` or on the branch is computed by the caller
-    on every call, so a hit gives bit-identical results.  The slot is
+    The slot holds the last work built, with its own copy of its
+    instance.  When that work is a ``cls`` work whose copy has the type,
+    ``eta`` and coefficient bytes of ``inst``:
+
+    - and equal right sides too, the work itself is returned, so
+      ``check_*`` then ``solve_*`` (or the reverse) on one instance build
+      the cascade once, also when a lift is rebuilt between the calls;
+    - otherwise a new right-side pass is built on its factorization
+      (``cls(copy, work.factors)``), so a new right side over the same
+      coefficients takes no pinv SVD and no coefficient-only rank SVD
+      once the panels are known.
+
+    On any other miss the whole work is built cold.  The slot is emptied
+    before a new work is built, so two passes are never alive at once,
+    and the new work owns a copy of the right sides (and of the
+    coefficients on a cold build): editing the caller's matrices in
+    place afterwards misses the slot and cannot reach a family or report
+    already handed out.  A factorization is a function of the
+    coefficient bytes alone, and everything that depends on ``tol`` or on
+    the branch is computed by the caller on every call, so a hit or a
+    new pass gives bit-identical results to a cold call.  The slot is
     read and replaced whole, so concurrent callers can at worst miss."""
     work = _SLOT[0]
-    if type(work) is cls and _same_content(work.inst, inst):
-        return work
-    # free the old work before the new one is built
+    rhs = inst.rhs_names()
+    if (type(work) is cls and type(work.inst) is type(inst)
+            and getattr(work.inst, "eta", None) == getattr(inst, "eta", None)
+            and _same_blocks(work.inst, inst, inst.coefficient_names())):
+        if _same_blocks(work.inst, inst, rhs):
+            return work
+        factors = work.factors
+        inst = replace(work.inst, **{n: getattr(inst, n).copy() for n in rhs})
+    else:
+        factors, inst = None, inst.copy()
+    # free the old pass before the new one is built
     work = _SLOT[0] = None
-    _SLOT[0] = work = cls(inst.copy())
+    _SLOT[0] = work = cls(inst, factors)
     return work
 
 
@@ -443,8 +477,10 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     products, the residual certificate and the rank certificate of its
     reduction, with ``forms_agree`` filled.  A lifted system reports the
     lists of the system it lifts onto, under that system's names.  The
-    reduction is shared with a ``solve`` on equal content just before
-    (see :func:`shared_work`); the lists are computed per call."""
+    reduction is shared with a ``solve`` on equal content just before,
+    and its coefficient factorization with the call before on equal
+    coefficients (see :func:`shared_work`); the lists are computed per
+    call."""
     inst.require()
     root, _ = _reduced(inst)
     work = shared_work(root.WORK, root)

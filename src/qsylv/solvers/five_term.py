@@ -119,17 +119,7 @@ def _bordered(ks, forms) -> list:
     return grid
 
 
-def _bordered_rank(name, r, ks, lefts, rights):
-    """r([[K, T], [S, G]]) against the rank of the left forms without
-    the K columns plus the rank of the right forms without the K rows."""
-    c = len(ks)
-    lhs = r(block(_bordered(ks, lefts + rights)))
-    rhs = (r(block([row[c:] for row in _bordered(ks, lefts)]))
-           + r(block(_bordered(ks, rights)[c:])))
-    return rank_condition(name, lhs, rhs)
-
-
-def block_rank_conditions(r, k, a, b, c, d, e, f) -> list:
+def block_rank_conditions(r, factors, k, a, b, c, d, e, f) -> list:
     """The rank certificate R1-R9 of
 
         K = E0 U + V F0 + E2 W2 F2 + E3 W3 F3 + E4 W4 F4,
@@ -143,6 +133,10 @@ def block_rank_conditions(r, k, a, b, c, d, e, f) -> list:
     always takes as (D0, B0, F0).  Every condition compares the rank of
     [[K, tops], [sides, diag(corners)]] with the rank of the left forms
     without the K column plus that of the right forms without the K row.
+    Those two panels hold the tops and corners of the left forms and the
+    sides and corners of the right ones: coefficient blocks only.  So
+    their sums, one per condition, are ``factors.panels``: ranked on the
+    first call, when it is ``None``, and read afterwards.
 
     R(n+1), n = 0..7, puts W3 on the right side when bit 0 of n is set,
     W2 for bit 1 and W4 for bit 2.  R9 borders two copies of K, the
@@ -162,10 +156,10 @@ def block_rank_conditions(r, k, a, b, c, d, e, f) -> list:
         return ([u] + [left[i] for i in ws if i not in moved],
                 [right[i] for i in ws if i in moved] + [v])
 
-    out = []
+    grids = []
     for n in range(8):
         moved = [i for i, bit in ((2, 1), (1, 2), (3, 4)) if n & bit]
-        out.append(_bordered_rank(f"R{n + 1}", r, [k], *split(moved)))
+        grids.append(([k], *split(moved)))
 
     def in_copy(forms, i):
         pad = lambda x: (x[0], None) if i == 0 else (None, x[0])
@@ -174,54 +168,56 @@ def block_rank_conditions(r, k, a, b, c, d, e, f) -> list:
     (la, ra), (lb, rb) = split([2], (1, 2)), split([1], (1, 2))
     (e4,), a4, (c4f4,) = left[3]
     (e4d4,), b4, (f4,) = right[3]
-    out.append(_bordered_rank(
-        "R9", r, [k, k],
+    grids.append((
+        [k, k],
         in_copy(la, 0) + in_copy(lb, 1) + [((e4, e4), a4, (None, c4f4))],
         in_copy(ra, 0) + in_copy(rb, 1) + [((e4d4, None), b4, (f4, -f4))]))
-    return out
+    if factors.panels is None:
+        factors.panels = [
+            r(block([row[len(ks):] for row in _bordered(ks, lefts)]))
+            + r(block(_bordered(ks, rights)[len(ks):]))
+            for ks, lefts, rights in grids]
+    return [rank_condition(f"R{n}", r(block(_bordered(ks, lefts + rights))),
+                           panel)
+            for n, ((ks, lefts, rights), panel)
+            in enumerate(zip(grids, factors.panels), 1)]
 
 
-class _FiveTermWork:
-    """Pseudoinverse bundles and intermediates: the reduction of one
-    five-term instance."""
+class _FiveTermFactors:
+    """Every pinv bundle and coefficient-only intermediate of the
+    five-term reduction over the coefficient blocks ``A1, B1, .., A4,
+    B4`` (field order), at their cascade floor; ``panels`` is the rank
+    certificate's panel list once a rank list has been built."""
 
-    def __init__(self, inst: FiveTermInstance):
-        self.inst = inst
-        self.floor = cascade_floor(inst.A1, inst.B1, inst.A2, inst.B2,
-                                   inst.A3, inst.B3, inst.A4, inst.B4, inst.B)
-        # B is added last; a reordered sum moves every threshold an ulp
-        self.scale = (1.0 + sum(m.norm() for m in inst.blocks()[:-1])
-                      + inst.B.norm())
+    def __init__(self, coefficients):
+        a1, b1, a2, b2, a3, b3, a4, b4 = coefficients
+        self.floor = cascade_floor(*coefficients)
+        self.panels = None
         pv = lambda m: pinv(m, floor=self.floor)
-        self.bA1, self.bB1 = pv(inst.A1), pv(inst.B1)
+        self.bA1, self.bB1 = pv(a1), pv(b1)
         ra1, lb1 = self.bA1.proj_right, self.bB1.proj_left
-        self.A11 = ra1 @ inst.A2
-        self.A22 = ra1 @ inst.A3
-        self.A33 = ra1 @ inst.A4
-        self.B11 = inst.B2 @ lb1
-        self.B22 = inst.B3 @ lb1
-        self.B33 = inst.B4 @ lb1
-        self.T1 = ra1 @ inst.B @ lb1
+        self.A11 = ra1 @ a2
+        self.A22 = ra1 @ a3
+        self.A33 = ra1 @ a4
+        self.B11 = b2 @ lb1
+        self.B22 = b3 @ lb1
+        self.B33 = b4 @ lb1
         # (Y1, Y2) solve A11 Y1 B11 + A22 Y2 B22 = T1 - A33 Y3 B33
         y = self.y12 = TwoTermKernel(self.A11, self.B11, self.A22,
                                      self.B22, pv)
         self.M1, self.N1, self.S1 = y.m, y.n, y.s
-        ra11, ra22 = y.bc3.proj_right, y.bc4.proj_right
-        lb11, lb22 = y.bd3.proj_left, y.bd4.proj_left
-        self.C = y.bm.proj_right @ ra11
+        self.ra11, self.ra22 = y.bc3.proj_right, y.bc4.proj_right
+        self.lb11, self.lb22 = y.bd3.proj_left, y.bd4.proj_left
+        self.C = y.bm.proj_right @ self.ra11
         self.C1 = self.C @ self.A33
-        self.C2 = ra11 @ self.A33
-        self.C3 = ra22 @ self.A33
+        self.C2 = self.ra11 @ self.A33
+        self.C3 = self.ra22 @ self.A33
         self.C4 = self.A33
-        self.D = lb11 @ y.bn.proj_left
+        self.D = self.lb11 @ y.bn.proj_left
         self.D1 = self.B33
-        self.D2 = self.B33 @ lb22
-        self.D3 = self.B33 @ lb11
+        self.D2 = self.B33 @ self.lb22
+        self.D3 = self.B33 @ self.lb11
         self.D4 = self.B33 @ self.D
-        self.E1 = self.C @ self.T1
-        self.E2 = ra11 @ self.T1 @ lb22
-        self.E3 = ra22 @ self.T1 @ lb11
-        self.E4 = self.T1 @ self.D
         self.bC = [pv(c) for c in (self.C1, self.C2, self.C3, self.C4)]
         self.bD = [pv(d) for d in (self.D1, self.D2, self.D3, self.D4)]
         self.C11 = hstack([self.bC[1].proj_left, self.bC[3].proj_left])
@@ -231,12 +227,6 @@ class _FiveTermWork:
         self.C33 = self.bC[2].proj_left
         self.D33 = self.bD[3].proj_right
         self.bC11, self.bD11 = pv(self.C11), pv(self.D11)
-        self.F1 = (self.bC[0].pinv @ self.E1 @ self.bD[0].pinv
-                   + self.bC[0].proj_left @ self.bC[1].pinv @ self.E2
-                   @ self.bD[1].pinv)
-        self.F2 = (self.bC[2].pinv @ self.E3 @ self.bD[2].pinv
-                   + self.bC[2].proj_left @ self.bC[3].pinv @ self.E4
-                   @ self.bD[3].pinv)
         self.E11 = self.bC11.proj_right @ self.C22
         self.E22 = self.bC11.proj_right @ self.C33
         self.E33 = self.D22 @ self.bD11.proj_left
@@ -244,27 +234,51 @@ class _FiveTermWork:
         # (V3, W3) solve E11 V3 E33 + E22 W3 E44 = F
         self.vw3 = TwoTermKernel(self.E11, self.E33, self.E22, self.E44, pv)
         self.M, self.N, self.S = self.vw3.m, self.vw3.n, self.vw3.s
+
+
+class _FiveTermWork:
+    """The right-side pass of one five-term instance over the
+    factorization of its coefficients: the reduction of one five-term
+    instance."""
+
+    def __init__(self, inst: FiveTermInstance, factors=None):
+        self.inst = inst
+        k = self.factors = factors or _FiveTermFactors(
+            [getattr(inst, n) for n in inst.coefficient_names()])
+        # B is added last; a reordered sum moves every threshold an ulp
+        self.scale = (1.0 + sum(m.norm() for m in inst.blocks()[:-1])
+                      + inst.B.norm())
+        self.T1 = k.bA1.proj_right @ inst.B @ k.bB1.proj_left
+        self.E1 = k.C @ self.T1
+        self.E2 = k.ra11 @ self.T1 @ k.lb22
+        self.E3 = k.ra22 @ self.T1 @ k.lb11
+        self.E4 = self.T1 @ k.D
+        bC, bD = k.bC, k.bD
+        self.F1 = (bC[0].pinv @ self.E1 @ bD[0].pinv
+                   + bC[0].proj_left @ bC[1].pinv @ self.E2 @ bD[1].pinv)
+        self.F2 = (bC[2].pinv @ self.E3 @ bD[2].pinv
+                   + bC[2].proj_left @ bC[3].pinv @ self.E4 @ bD[3].pinv)
         self.F = self.F2 - self.F1
-        self.E = self.bC11.proj_right @ self.F @ self.bD11.proj_left
+        self.E = k.bC11.proj_right @ self.F @ k.bD11.proj_left
 
     def intermediates(self) -> FiveTermIntermediates:
         """Every derived matrix; G1, G2, F11 and F22 are formed only
         here, since no certificate or assembly reads them."""
-        bC, bD = self.bC, self.bD
+        k = self.factors
+        bC, bD = k.bC, k.bD
         return FiveTermIntermediates(
-            A11=self.A11, A22=self.A22, A33=self.A33,
-            B11=self.B11, B22=self.B22, B33=self.B33,
-            T1=self.T1, N1=self.N1, M1=self.M1, S1=self.S1,
-            C=self.C, C1=self.C1, C2=self.C2, C3=self.C3, C4=self.C4,
-            D=self.D, D1=self.D1, D2=self.D2, D3=self.D3, D4=self.D4,
+            A11=k.A11, A22=k.A22, A33=k.A33, B11=k.B11, B22=k.B22, B33=k.B33,
+            T1=self.T1, N1=k.N1, M1=k.M1, S1=k.S1,
+            C=k.C, C1=k.C1, C2=k.C2, C3=k.C3, C4=k.C4,
+            D=k.D, D1=k.D1, D2=k.D2, D3=k.D3, D4=k.D4,
             E1=self.E1, E2=self.E2, E3=self.E3, E4=self.E4,
-            C11=self.C11, D11=self.D11, C22=self.C22, D22=self.D22,
-            C33=self.C33, D33=self.D33, F1=self.F1, F2=self.F2,
-            E11=self.E11, E22=self.E22, E33=self.E33, E44=self.E44,
-            M=self.M, N=self.N, F=self.F, E=self.E, S=self.S,
-            G1=self.E2 - self.C2 @ bC[0].pinv @ self.E1 @ bD[0].pinv @ self.D2,
-            G2=self.E4 - self.C4 @ bC[2].pinv @ self.E3 @ bD[2].pinv @ self.D4,
-            F11=self.C2 @ bC[0].proj_left, F22=self.C4 @ bC[2].proj_left)
+            C11=k.C11, D11=k.D11, C22=k.C22, D22=k.D22,
+            C33=k.C33, D33=k.D33, F1=self.F1, F2=self.F2,
+            E11=k.E11, E22=k.E22, E33=k.E33, E44=k.E44,
+            M=k.M, N=k.N, F=self.F, E=self.E, S=k.S,
+            G1=self.E2 - k.C2 @ bC[0].pinv @ self.E1 @ bD[0].pinv @ k.D2,
+            G2=self.E4 - k.C4 @ bC[2].pinv @ self.E3 @ bD[2].pinv @ k.D4,
+            F11=k.C2 @ bC[0].proj_left, F22=k.C4 @ bC[2].proj_left)
 
     # -- certificates ----------------------------------------------------
 
@@ -272,21 +286,22 @@ class _FiveTermWork:
         """(name, value) of the nine residual conditions, each of which
         must vanish; ``letters`` name C, D and E (the master system
         calls them G, H and L)."""
+        k = self.factors
         c, d, e = letters
         out = []
         for i in range(1, 5):
             ei = getattr(self, f"E{i}")
-            out.append((f"R_{c}{i}*{e}{i}", self.bC[i - 1].proj_right @ ei))
-            out.append((f"{e}{i}*L_{d}{i}", ei @ self.bD[i - 1].proj_left))
+            out.append((f"R_{c}{i}*{e}{i}", k.bC[i - 1].proj_right @ ei))
+            out.append((f"{e}{i}*L_{d}{i}", ei @ k.bD[i - 1].proj_left))
         out.append(("R_E22*E*L_E33",
-                    self.vw3.bc4.proj_right @ self.E @ self.vw3.bd3.proj_left))
+                    k.vw3.bc4.proj_right @ self.E @ k.vw3.bd3.proj_left))
         return out
 
     def compat_terms(self) -> list:
         return []
 
     def rank_conditions(self) -> list:
-        inst = self.inst
+        inst, k = self.inst, self.factors
         p, q = inst.B.shape
         es = [inst.A1, inst.A2, inst.A3, inst.A4]
         fs = [inst.B1, inst.B2, inst.B3, inst.B4]
@@ -295,9 +310,8 @@ class _FiveTermWork:
         b = [QMatrix.zeros(f.rows, 0) for f in fs]
         c = [QMatrix.zeros(0, q)] + [QMatrix.zeros(0, f.rows) for f in fs[1:]]
         d = [QMatrix.zeros(p, 0)] + [QMatrix.zeros(e.cols, 0) for e in es[1:]]
-        return block_rank_conditions(
-            lambda m: rank(m, floor=self.floor),
-            inst.B, a, b, c, d, es, fs)
+        return block_rank_conditions(lambda m: rank(m, floor=k.floor), k,
+                                     inst.B, a, b, c, d, es, fs)
 
     # -- family assembly -------------------------------------------------
 
@@ -319,40 +333,38 @@ class _FiveTermWork:
                                     lambda vals: self.assemble(vals, branch))
 
     def assemble(self, vals: dict, branch: str):
-        inst = self.inst
+        inst, k = self.inst, self.factors
+        bC, bD, bC11, bD11 = k.bC, k.bD, k.bC11, k.bD11
         m, n = inst.unknown_shapes()["Y3"]
-        v3, w3 = self.vw3.solve(self.F, vals["U31"], vals["U32"],
-                                vals["U33"], vals["U41"], vals["U42"])
-        g = self.F - self.C22 @ v3 @ self.D22 - self.C33 @ w3 @ self.D33
+        v3, w3 = k.vw3.solve(self.F, vals["U31"], vals["U32"],
+                             vals["U33"], vals["U41"], vals["U42"])
+        g = self.F - k.C22 @ v3 @ k.D22 - k.C33 @ w3 @ k.D33
         # selector products (I, 0) / (0, I) realized as row/column halves
-        cg = self.bC11.pinv @ g
-        uu = (self.bC11.pinv @ vals["U11"] @ self.D11
-              - self.bC11.proj_left @ vals["U12"])
+        cg = bC11.pinv @ g
+        uu = bC11.pinv @ vals["U11"] @ k.D11 - bC11.proj_left @ vals["U12"]
         v1 = (cg - uu).submatrix(slice(0, m), slice(None))
         w1 = (cg - uu).submatrix(slice(m, 2 * m), slice(None))
-        rgd = self.bC11.proj_right @ g @ self.bD11.pinv
-        cu = (self.C11 @ self.bC11.pinv @ vals["U11"]
-              + vals["U21"] @ self.bD11.proj_right)
+        rgd = bC11.proj_right @ g @ bD11.pinv
+        cu = (k.C11 @ bC11.pinv @ vals["U11"]
+              + vals["U21"] @ bD11.proj_right)
         v2 = (rgd + cu).submatrix(slice(None), slice(0, n))
         w2 = (rgd + cu).submatrix(slice(None), slice(n, 2 * n))
         if branch == "first":
-            y3 = (self.F1 + self.bC[1].proj_left @ v1
-                  + v2 @ self.bD[0].proj_right
-                  + self.bC[0].proj_left @ v3 @ self.bD[1].proj_right)
+            y3 = (self.F1 + bC[1].proj_left @ v1 + v2 @ bD[0].proj_right
+                  + bC[0].proj_left @ v3 @ bD[1].proj_right)
         else:
-            y3 = (self.F2 - self.bC[3].proj_left @ w1
-                  - w2 @ self.bD[2].proj_right
-                  - self.bC[2].proj_left @ w3 @ self.bD[3].proj_right)
-        t = self.T1 - self.A33 @ y3 @ self.B33
-        y1, y2 = self.y12.solve(t, vals["U4"], vals["U5"], vals["U6"],
-                               vals["U7"], vals["U8"])
-        k = (inst.B - inst.A2 @ y1 @ inst.B2 - inst.A3 @ y2 @ inst.B3
+            y3 = (self.F2 - bC[3].proj_left @ w1 - w2 @ bD[2].proj_right
+                  - bC[2].proj_left @ w3 @ bD[3].proj_right)
+        t = self.T1 - k.A33 @ y3 @ k.B33
+        y1, y2 = k.y12.solve(t, vals["U4"], vals["U5"], vals["U6"],
+                             vals["U7"], vals["U8"])
+        r = (inst.B - inst.A2 @ y1 @ inst.B2 - inst.A3 @ y2 @ inst.B3
              - inst.A4 @ y3 @ inst.B4)
-        x1 = (self.bA1.pinv @ k - self.bA1.pinv @ vals["U1"] @ inst.B1
-              + self.bA1.proj_left @ vals["U2"])
-        x2 = (self.bA1.proj_right @ k @ self.bB1.pinv
-              + inst.A1 @ self.bA1.pinv @ vals["U1"]
-              + vals["U3"] @ self.bB1.proj_right)
+        x1 = (k.bA1.pinv @ r - k.bA1.pinv @ vals["U1"] @ inst.B1
+              + k.bA1.proj_left @ vals["U2"])
+        x2 = (k.bA1.proj_right @ r @ k.bB1.pinv
+              + inst.A1 @ k.bA1.pinv @ vals["U1"]
+              + vals["U3"] @ k.bB1.proj_right)
         return (x1, x2, y1, y2, y3)
 
 

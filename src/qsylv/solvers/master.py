@@ -24,7 +24,8 @@ from .basic import PairKernel
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        cascade_floor, check, solve)
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
-                        _FiveTermWork, block_rank_conditions)
+                        _FiveTermFactors, _FiveTermWork,
+                        block_rank_conditions)
 
 # five-term parameter names as they appear in the master solution display
 MASTER_PARAM_NAMES = ("W11", "W12", "W13") + FIVE_TERM_PARAM_NAMES[3:]
@@ -169,37 +170,63 @@ class MasterIntermediates:
     F44: QMatrix
 
 
-class _MasterWork:
-    """The five side equations as pair kernels plus the reduced
-    five-term work: the reduction of one master instance.  The reduced
-    work is built here directly, so it does not take the master work's
-    place in the slot of :func:`.families.shared_work`."""
+class _MasterFactors:
+    """Everything of the master reduction that reads the coefficient
+    blocks (A, B, E, F) alone, at their cascade floor: the pinv bundles
+    of the five side equations, the reduced five-term blocks E_i L_Ai
+    and R_Bi F_i with their factorization, and ``panels``, the rank
+    certificate's panel list once a rank list has been built."""
 
     def __init__(self, inst: MasterInstance):
-        self.inst = inst
-        self.floor = cascade_floor(*inst.blocks())
+        self.floor = cascade_floor(*(getattr(inst, n)
+                                     for n in inst.coefficient_names()))
+        self.panels = None
         pv = lambda m: pinv(m, floor=self.floor)
-        a1, c1, b1, d1 = inst.A1, inst.C1, inst.B1, inst.D1
+        a1, b1 = inst.A1, inst.B1
         empty = QMatrix.zeros
         # U and V solve one-sided pairs, whose empty halves take no SVD
-        self.sides = [
-            PairKernel(a1, c1, empty(c1.cols, 0), empty(a1.cols, 0), pv, "1"),
-            PairKernel(empty(0, d1.rows), empty(0, b1.rows), b1, d1, pv, "1")]
-        self.sides += [PairKernel(*(getattr(inst, f"{x}{i}") for x in "ACBD"),
-                                  pv, str(i)) for i in (2, 3, 4)]
+        self.coefficients = [(a1, empty(inst.F1.cols, 0)),
+                             (empty(0, inst.E1.rows), b1)]
+        self.coefficients += [(getattr(inst, f"A{i}"), getattr(inst, f"B{i}"))
+                              for i in (2, 3, 4)]
+        self.bundles = [(pv(a), pv(b)) for a, b in self.coefficients]
+        u, v, *xyz = self.bundles
+        # the reduced blocks E_i L_Ai and R_Bi F_i; U has no B, V no A
+        self.reduced = []
+        for i, (ba, _), (_, bb) in zip((1, 2, 3, 4), [u] + xyz, [v] + xyz):
+            self.reduced += [getattr(inst, f"E{i}") @ ba.proj_left,
+                             bb.proj_right @ getattr(inst, f"F{i}")]
+        self.five = _FiveTermFactors(self.reduced)
+
+
+class _MasterWork:
+    """The right-side pass of one master instance over the
+    factorization of its coefficients: the five side equations as pair
+    kernels plus the reduced five-term pass, the reduction of one master
+    instance.  The reduced work is built here directly, so it does not
+    take the master work's place in the slot of
+    :func:`.families.shared_work`."""
+
+    def __init__(self, inst: MasterInstance, factors=None):
+        self.inst = inst
+        k = self.factors = factors or _MasterFactors(inst)
+        empty = QMatrix.zeros
+        rhs = [(inst.C1, empty(inst.A1.cols, 0)),
+               (empty(0, inst.B1.rows), inst.D1)]
+        rhs += [(getattr(inst, f"C{i}"), getattr(inst, f"D{i}"))
+                for i in (2, 3, 4)]
+        self.sides = [PairKernel(a, c, b, d, bundles, i)
+                      for (a, b), (c, d), bundles, i
+                      in zip(k.coefficients, rhs, k.bundles, "11234")]
         u, v, *xyz = self.sides
         es, fs = ([getattr(inst, f"{x}{i}") for i in (1, 2, 3, 4)]
                   for x in "EF")
         t1 = inst.Cc - es[0] @ u.particular - v.particular @ fs[0]
-        for e, k, f in zip(es[1:], xyz, fs[1:]):
-            t1 = t1 - e @ k.particular @ f
+        for e, w, f in zip(es[1:], xyz, fs[1:]):
+            t1 = t1 - e @ w.particular @ f
         self.t1 = t1
-        # the reduced blocks E_i L_Ai and R_Bi F_i; U has no B, V no A
-        blocks = []
-        for e, f, left, right in zip(es, fs, [u] + xyz, [v] + xyz):
-            blocks += [e @ left.ba.proj_left, right.bb.proj_right @ f]
-        self.reduced = FiveTermInstance(*blocks, t1)
-        self.five = _FiveTermWork(self.reduced)
+        self.reduced = FiveTermInstance(*k.reduced, t1)
+        self.five = _FiveTermWork(self.reduced, k.five)
         self.scale = 1.0 + sum(m.norm() for m in inst.blocks())
 
     # -- certificate lists -------------------------------------------------
@@ -214,13 +241,14 @@ class _MasterWork:
                 + self.five.mp_terms("GHL"))
 
     def rank_conditions(self) -> list:
-        r = lambda m: rank(m, floor=self.floor)
+        r = lambda m: rank(m, floor=self.factors.floor)
         u, v, *xyz = self.sides
         blocks = [[getattr(self.inst, f"{x}{i}") for i in (1, 2, 3, 4)]
                   for x in "ABCDEF"]
         return (u.ranks(r)[:1] + v.ranks(r)[1:]
                 + [c for k in xyz for c in k.ranks(r)]
-                + block_rank_conditions(r, self.inst.Cc, *blocks))
+                + block_rank_conditions(r, self.factors, self.inst.Cc,
+                                        *blocks))
 
     def intermediates(self) -> MasterIntermediates:
         five = self.five.intermediates()

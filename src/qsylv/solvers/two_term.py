@@ -70,45 +70,57 @@ class TwoTermKernel:
         return x3, x4
 
 
-class _TwoTermWork(TwoTermKernel):
-    """The kernel for one instance's right side E1, with both
-    certificates: the reduction of a two-term instance."""
+class _TwoTermFactors(TwoTermKernel):
+    """The kernel of one instance's coefficients at their cascade floor;
+    ``panels`` is (r(C3,C4), r(D3;D4)) once a rank list has been built."""
 
     def __init__(self, inst: TwoTermInstance):
-        self.inst = inst
-        self.e1 = inst.E1
-        self.scale = 1.0 + inst.E1.norm()
-        self.floor = cascade_floor(*inst.blocks())
+        self.floor = cascade_floor(inst.C3, inst.D3, inst.C4, inst.D4)
+        self.panels = None
         super().__init__(inst.C3, inst.D3, inst.C4, inst.D4,
                          lambda m: pinv(m, floor=self.floor))
+
+
+class _TwoTermWork:
+    """The right-side pass of one two-term instance over the kernel of
+    its coefficients, with both certificates: the reduction of a
+    two-term instance."""
+
+    def __init__(self, inst: TwoTermInstance, factors=None):
+        self.inst = inst
+        self.factors = factors or _TwoTermFactors(inst)
+        self.scale = 1.0 + inst.E1.norm()
 
     def compat_terms(self) -> list:
         return []
 
     def mp_terms(self) -> list:
-        e1 = self.e1
+        k, e1 = self.factors, self.inst.E1
         return [
-            ("R_M1*R_C3*E1", self.bm.proj_right @ (self.bc3.proj_right @ e1)),
-            ("R_C3*E1*L_D4", self.bc3.proj_right @ e1 @ self.bd4.proj_left),
-            ("E1*L_D3*L_N1", e1 @ self.bd3.proj_left @ self.bn.proj_left),
-            ("R_C4*E1*L_D3", self.bc4.proj_right @ e1 @ self.bd3.proj_left),
+            ("R_M1*R_C3*E1", k.bm.proj_right @ (k.bc3.proj_right @ e1)),
+            ("R_C3*E1*L_D4", k.bc3.proj_right @ e1 @ k.bd4.proj_left),
+            ("E1*L_D3*L_N1", e1 @ k.bd3.proj_left @ k.bn.proj_left),
+            ("R_C4*E1*L_D3", k.bc4.proj_right @ e1 @ k.bd3.proj_left),
         ]
 
     def rank_conditions(self) -> list:
-        inst = self.inst
+        k, inst = self.factors, self.inst
         c3, d3, c4, d4, e1 = inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
-        r = lambda m: rank(m, floor=self.floor)
+        r = lambda m: rank(m, floor=k.floor)
+        if k.panels is None:
+            k.panels = r(hstack([c3, c4])), r(vstack([d3, d4]))
+        rc, rd = k.panels
         return [
             rank_condition("r(C3,E1,C4)=r(C3,C4)",
-                           r(hstack([c3, e1, c4])), r(hstack([c3, c4]))),
+                           r(hstack([c3, e1, c4])), rc),
             rank_condition("r(D3;E1;D4)=r(D3;D4)",
-                           r(vstack([d3, e1, d4])), r(vstack([d3, d4]))),
+                           r(vstack([d3, e1, d4])), rd),
             rank_condition("r([C3,E1;0,D4])=r(C3)+r(D4)",
                            r(block([[c3, e1], [None, d4]])),
-                           self.bc3.rank + self.bd4.rank),
+                           k.bc3.rank + k.bd4.rank),
             rank_condition("r([D3,0;E1,C4])=r(D3)+r(C4)",
                            r(block([[d3, None], [e1, c4]])),
-                           self.bd3.rank + self.bc4.rank),
+                           k.bd3.rank + k.bc4.rank),
         ]
 
     def family(self, branch: str) -> LinearSolutionFamily:
@@ -119,7 +131,8 @@ class _TwoTermWork(TwoTermKernel):
                   FreeParam("Y15", shape4))
 
         def assemble(vals):
-            return self.solve(self.e1, *(vals[p.name] for p in params))
+            return self.factors.solve(self.inst.E1,
+                                      *(vals[p.name] for p in params))
 
         return LinearSolutionFamily(self.inst.unknown_names(), params,
                                     assemble)

@@ -54,6 +54,38 @@ def test_malformed_entries_raise_parse_error(entries, where):
         docs.matrix_from_doc(doc, "A1")
 
 
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+@pytest.mark.parametrize("entry", [
+    [np.float64(1.5), 0, 0, 0], [_Int(2), 0.5, 0, 0],
+    _List([1, 2, 3, 4]), [1, 2, 3, float("inf")]])
+def test_number_and_list_subclasses_are_accepted(entry):
+    doc = {"rows": 2, "cols": 2,
+           "entries": [[[1, 0, 0, 0], [0, 1, 0, 0]], [entry, [0, 0, 0, 1]]]}
+    m = docs.matrix_from_doc(doc, "A1")
+    assert [c[1, 0] for c in m.components()] == [float(v) for v in entry]
+
+
+@pytest.mark.parametrize("second_row, message", [
+    ([[1, 0, 0, 0], [0, 1, False, 0]], r"entry \(1,1\) is not numeric$"),
+    ([[1, 0, 0, None], [0, 1, 0]], r"entry \(1,0\) is not numeric$"),
+    ([[1, 0, 0], [0, 1, "x", 0]], r"entry \(1,0\) must be a list of 4"),
+    ([[1, 0, 0, 0]], r"row 1 must be a list of 2 entries$"),
+])
+def test_first_bad_entry_is_named(second_row, message):
+    doc = {"rows": 3, "cols": 2,
+           "entries": [[[1, 0, 0, 0], [0, 1, 0, 0]], second_row,
+                       [[1, 0, 0, True], [0]]]}
+    with pytest.raises(docs.ParseError, match=f"^matrix 'A1': {message}"):
+        docs.matrix_from_doc(doc, "A1")
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_instance_round_trip(variant):
     inst, _ = gen_planted(variant, 2, seed=3, eta="k")

@@ -1,10 +1,13 @@
-"""check_* and solve_* on one instance share one reduction.
+"""check_* and solve_* on one instance share one reduction, and
+instances with equal coefficients share its factorization.
 
 The solvers keep the work of the last instance in one slot keyed by its
-content (``solvers.families.shared_work``).  A warm call must give
-exactly what a cold one gives, in either order; an instance edited in
-place must miss; and a family or deferred rank list handed out must not
-see a later edit of the instance whose work it shares.
+content (``solvers.families.shared_work``); a new right side over equal
+coefficients gets a new right-side pass on the held factorization.  A
+warm call must give exactly what a cold one gives, in either order; an
+instance whose coefficients are edited in place must miss; and a family
+or deferred rank list handed out must not see a later edit of the
+instance whose work it shares.
 """
 
 import sys
@@ -13,12 +16,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qsylv
 from qsylv import QMatrix
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_planted, gen_unsolvable)
-from qsylv.solvers import Inconsistent
+from qsylv.solvers import Inconsistent, basic, five_term, master, two_term
+from qsylv.solvers.families import _reduced
 
 from tests.test_decision import _SvdCounter
 
@@ -123,15 +128,95 @@ def test_eta_full_hits_through_the_lift(monkeypatch):
 
 
 def test_in_place_edit_misses(monkeypatch):
+    """An in-place edit of a right side misses the work but reuses its
+    factorization; an edit of a coefficient block misses both."""
     inst, _ = gen_consistent(DimensionProfile.cube(2, 2))
-    _evict()
-    qsylv.check_master(inst)
-    inst.C2.a1[0, 0] += 1.0
     counter = _SvdCounter(monkeypatch)
-    solved = _solved(qsylv.solve_master(inst))
-    assert counter.take()[0] == 34
-    report = qsylv.check_master(inst).to_dict()
-    assert (report, solved) == _cold(VARIANT_TABLE["master"], inst, "first")
+    for block, pinvs in (("C2", 0), ("A2", 34)):
+        _evict()
+        qsylv.check_master(inst)
+        getattr(inst, block).a1[0, 0] += 1.0
+        counter.take()
+        solved = _solved(qsylv.solve_master(inst))
+        assert counter.take()[0] == pinvs, block
+        report = qsylv.check_master(inst).to_dict()
+        assert (report, solved) == _cold(VARIANT_TABLE["master"], inst,
+                                         "first"), block
+
+
+def test_right_side_change_reuses_factorization(monkeypatch):
+    planted, _ = gen_consistent(DimensionProfile.cube(2, 1))
+    _evict()
+    counter = _SvdCounter(monkeypatch)
+    qsylv.check_master(planted)
+    assert counter.take() == (34, 35)
+    for factor in SCALES:
+        scaled = _scaled("master", planted, factor * 3.0)
+        qsylv.solve_master(scaled)
+        assert counter.take() == (0, 0)
+        # the 18 panel ranks are known; the 17 that read a right side
+        # are taken again
+        qsylv.check_master(scaled)
+        assert counter.take() == (0, 17)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_passes_on_held_factorization_equal_cold_calls(variant, monkeypatch):
+    """All cases in order without eviction: every call after the first
+    on one set of coefficients takes no pinv SVD, and every result
+    equals a cold call's."""
+    entry = VARIANT_TABLE[variant]
+    branches = ("first",) if entry.one_closed_form else ("first", "second")
+    coefficients = entry.instance_type.coefficient_names()
+    cases = list(_cases(variant))
+    cold = {(label, branch): _cold(entry, inst, branch)
+            for label, inst in cases for branch in branches}
+    _evict()
+    counter = _SvdCounter(monkeypatch)
+    previous = None
+    for label, inst in cases:
+        shared = previous is not None and all(
+            _planes([getattr(previous, n)]) == _planes([getattr(inst, n)])
+            for n in coefficients)
+        for branch in branches:
+            counter.take()
+            solved = _solved(entry.solve(inst, TOL, branch))
+            pinvs = counter.take()[0]
+            report = entry.check(inst, TOL).to_dict()
+            assert (report, solved) == cold[label, branch], (label, branch)
+            if shared:
+                assert pinvs == 0, label
+            shared = True
+        previous = inst
+
+
+def _bundles(inst) -> list:
+    """rank, tol_used and component bytes of every pinv bundle a cold
+    reduction of ``inst`` builds, in order."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (basic, two_term, five_term, master):
+            def recorded(m, *args, real=mod.pinv, **kwargs):
+                b = real(m, *args, **kwargs)
+                out.append((b.rank, b.tol_used,
+                            _planes([b.pinv, b.proj_left, b.proj_right])))
+                return b
+            mp.setattr(mod, "pinv", recorded)
+        root, _ = _reduced(inst)
+        root.WORK(root)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), seed=st.integers(0, 3),
+       exponent=st.floats(-12.0, 12.0))
+def test_pinv_bundles_ignore_right_side_scale(variant, seed, exponent):
+    """Every pinv bundle of a reduction is a function of the
+    coefficients alone, also in its truncation floor."""
+    inst, _ = gen_planted(variant, 2, seed, "j")
+    base = _bundles(inst)
+    assert base
+    assert _bundles(_scaled(variant, inst, 10.0 ** exponent)) == base
 
 
 @pytest.mark.parametrize("variant", ("master", "five-term", "two-term"))
@@ -157,9 +242,12 @@ def test_equal_content_shares_work_but_not_edits(variant, monkeypatch):
 
 
 def test_threads_never_get_another_instances_work():
+    # each base also scaled: instances that share their coefficients
+    # but not their right sides
     variants = ("two-term", "five-term", "master", "eta-two")
-    cases = [(VARIANT_TABLE[v], inst) for v in variants
-             for inst in (gen_planted(v, 1, 0)[0], gen_unsolvable(v, 1, 0))]
+    cases = [(VARIANT_TABLE[v], _scaled(v, inst, factor)) for v in variants
+             for inst in (gen_planted(v, 1, 0)[0], gen_unsolvable(v, 1, 0))
+             for factor in (1.0, 1e4)]
     expected = [_cold(entry, inst, "first") for entry, inst in cases]
     failures = []
 
