@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, embed_block
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -42,8 +42,14 @@ def default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
     return max(rows, cols) * sigma_max * _EPS
 
 
-def _embedded_svdvals(a: QMatrix) -> np.ndarray:
-    m = a.embed()
+def _embedding(a) -> np.ndarray:
+    """The embedding of ``a``: a QMatrix, or a block grid as
+    :func:`.qmatrix.block` takes it, written straight from its cells
+    (:func:`.qmatrix.embed_block`)."""
+    return a.embed() if isinstance(a, QMatrix) else embed_block(a)
+
+
+def _svdvals(m: np.ndarray) -> np.ndarray:
     if min(m.shape) == 0:
         return np.zeros(0)
     try:
@@ -52,24 +58,35 @@ def _embedded_svdvals(a: QMatrix) -> np.ndarray:
         raise NumericError("complex SVD of the embedding did not converge") from exc
 
 
+def _embedded_svdvals(a) -> np.ndarray:
+    """Singular values of the embedding of ``a`` (see :func:`_embedding`)."""
+    return _svdvals(_embedding(a))
+
+
 def singular_values(a: QMatrix) -> np.ndarray:
     """Pair-collapsed singular values of a quaternion matrix (descending)."""
     s = _embedded_svdvals(a)
     return 0.5 * (s[0::2] + s[1::2])
 
 
-def rank(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> int:
+def rank(a, tol: float | None = None, floor: float = 0.0) -> int:
     """Numerical rank; for an empty matrix this is 0.
 
-    ``floor`` is an absolute lower bound on the truncation threshold,
-    used by the solver cascade so that intermediates that vanish in
-    exact arithmetic are not ranked on their rounding noise.
+    ``a`` is a QMatrix or a block grid of them (``None`` for a zero
+    block, as :func:`.qmatrix.block` takes it); a grid is ranked without
+    forming its block matrix, with the same result.  ``floor`` is an
+    absolute lower bound on the truncation threshold, used by the solver
+    cascade so that intermediates that vanish in exact arithmetic are
+    not ranked on their rounding noise.
     """
-    sig = singular_values(a)
-    if sig.size == 0:
+    m = _embedding(a)
+    s = _svdvals(m)
+    if s.size == 0:
         return 0
+    sig = 0.5 * (s[0::2] + s[1::2])
     if tol is None:
-        tol = default_rank_tol(a.rows, a.cols, float(sig[0]))
+        tol = default_rank_tol(m.shape[0] // 2, m.shape[1] // 2,
+                               float(sig[0]))
     return int(np.count_nonzero(sig > max(tol, floor)))
 
 

@@ -18,7 +18,7 @@ from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, symmetrize)
 from .qmatrix import DimensionError, QMatrix
 from .solvers.basic import PairInstance
-from .solvers.families import DEFAULT_TOL, check, solve
+from .solvers.families import DEFAULT_TOL, Inconsistent, check, solve
 from .solvers.five_term import FiveTermInstance
 from .solvers.master import MasterInstance, MasterSolution
 from .solvers.specials import MixedInstance, ThreeTermInstance
@@ -128,14 +128,16 @@ def gen_inconsistent(profile: DimensionProfile, retries: int = 8,
     lands consistent (the coupling reaches everything, which the
     default profiles avoid by using rectangular deficient blocks)."""
     inst, _ = gen_consistent(profile)
-    return _perturb_rhs(inst, check, profile.seed, retries, tol)
+    return _perturb_rhs(inst, profile.seed, retries, tol)
 
 
-def _perturb_rhs(inst, check, seed: int, retries: int, tol: float):
+def _perturb_rhs(inst, seed: int, retries: int, tol: float):
     """inst with its coupling right side (the last of ``rhs_names()``)
     plus a random perturbation of the same norm scale, redrawn until
-    ``check`` rejects it.  Eta instances get eta-Hermitian
-    perturbations, so the precondition still holds."""
+    ``solve`` returns ``Inconsistent``, which it decides from the
+    residual certificate without building a rank list.  Eta instances
+    get eta-Hermitian perturbations, so the precondition still
+    holds."""
     rng = _rng(seed ^ 0x9E3779B97F4A7C15)
     rhs = inst.rhs_names()[-1]
     target = getattr(inst, rhs)
@@ -147,7 +149,7 @@ def _perturb_rhs(inst, check, seed: int, retries: int, tol: float):
             pert = symmetrize(pert, eta)
         pert = pert * (scale / pert.norm())
         candidate = replace(inst, **{rhs: target + pert})
-        if not check(candidate, tol).consistent:
+        if isinstance(solve(candidate, tol), Inconsistent):
             return candidate
     raise RuntimeError(
         "perturbations stayed consistent; the instance's coupling "
@@ -377,4 +379,4 @@ def gen_unsolvable(variant: str, size: int, seed: int, eta: str = "i",
     still meets the eta-Hermicity precondition."""
     v = _variant(variant)
     inst, _ = (v.unsolvable_base or v.planted)(size, seed, eta)
-    return _perturb_rhs(inst, v.check, seed, retries, tol)
+    return _perturb_rhs(inst, seed, retries, tol)

@@ -246,9 +246,16 @@ class QMatrix:
         out = np.empty((2 * m, 2 * n), dtype=complex)
         out[:m, :n] = self.a1
         out[:m, n:] = self.a2
-        np.negative(self.a2.conj(), out=out[m:, :n])
-        np.conjugate(self.a1, out=out[m:, n:])
+        _lower_half(out)
         return out
+
+
+def _lower_half(out: np.ndarray):
+    """Fill the lower block row of an embedding from its upper one,
+    [A1, A2]: it is [-conj(A2), conj(A1)]."""
+    m, n = out.shape[0] // 2, out.shape[1] // 2
+    np.negative(out[:m, n:].conj(), out=out[m:, :n])
+    np.conjugate(out[:m, :n], out=out[m:, n:])
 
 
 # -- block assembly ------------------------------------------------------
@@ -275,12 +282,9 @@ def vstack(mats: Iterable[QMatrix]) -> QMatrix:
                          np.vstack([m.a2 for m in mats]))
 
 
-def block(grid: Sequence[Sequence]) -> QMatrix:
-    """Assemble a block matrix from a grid of QMatrix entries.
-
-    ``None`` entries stand for zero blocks whose dimensions are inferred
-    from the other blocks in the same row and column of the grid.
-    """
+def _layout(grid: Sequence[Sequence]):
+    """(rows, cols, cells) of the block matrix of ``grid``: its size and
+    each non-``None`` cell with the row and column of its corner."""
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
     if any(len(r) != ncols for r in grid):
@@ -304,16 +308,43 @@ def block(grid: Sequence[Sequence]) -> QMatrix:
         raise DimensionError("zero block with undetermined size")
     if not ncols:
         raise DimensionError("block of nothing")
-    out = QMatrix.zeros(sum(heights), sum(widths))
-    r0 = 0
+    cells, r0 = [], 0
     for p in range(nrows):
         c0 = 0
         for q in range(ncols):
-            cell = grid[p][q]
-            if cell is not None:
-                rs, cs = slice(r0, r0 + heights[p]), slice(c0, c0 + widths[q])
-                out.a1[rs, cs] = cell.a1
-                out.a2[rs, cs] = cell.a2
+            if grid[p][q] is not None:
+                cells.append((r0, c0, grid[p][q]))
             c0 += widths[q]
         r0 += heights[p]
+    return r0, c0, cells
+
+
+def block(grid: Sequence[Sequence]) -> QMatrix:
+    """Assemble a block matrix from a grid of QMatrix entries.
+
+    ``None`` entries stand for zero blocks whose dimensions are inferred
+    from the other blocks in the same row and column of the grid.
+    """
+    rows, cols, cells = _layout(grid)
+    out = QMatrix.zeros(rows, cols)
+    _place(cells, out.a1, out.a2)
     return out
+
+
+def embed_block(grid: Sequence[Sequence]) -> np.ndarray:
+    """``block(grid).embed()``, byte for byte, written straight from the
+    cells into the upper block row of the embedding, so the block
+    matrix is never formed."""
+    rows, cols, cells = _layout(grid)
+    out = np.zeros((2 * rows, 2 * cols), dtype=complex)
+    _place(cells, out[:rows, :cols], out[:rows, cols:])
+    _lower_half(out)
+    return out
+
+
+def _place(cells, a1: np.ndarray, a2: np.ndarray):
+    """Copy each cell's planes into ``a1`` and ``a2`` at its corner."""
+    for r0, c0, cell in cells:
+        rs, cs = slice(r0, r0 + cell.rows), slice(c0, c0 + cell.cols)
+        a1[rs, cs] = cell.a1
+        a2[rs, cs] = cell.a2

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv, rank
-from ..qmatrix import QMatrix, hstack, vstack
+from ..qmatrix import QMatrix
 from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
                        ShapedInstance, cascade_floor, check, rank_condition,
                        solve)
@@ -63,12 +63,13 @@ class PairKernel:
                 (f"D{i}*L_B{i}", self.d @ self.bb.proj_left)]
 
     def ranks(self, r) -> list:
-        """The two rank conditions, with ``r`` the rank function."""
+        """The two rank conditions, with ``r`` the rank function of a block
+        grid."""
         i = self.suffix
         return [rank_condition(f"r(C{i},A{i})=r(A{i})",
-                               r(hstack([self.c, self.a])), self.ba.rank),
+                               r([[self.c, self.a]]), self.ba.rank),
                 rank_condition(f"r(D{i};B{i})=r(B{i})",
-                               r(vstack([self.d, self.b])), self.bb.rank)]
+                               r([[self.d], [self.b]]), self.bb.rank)]
 
 
 class _PairFactors:

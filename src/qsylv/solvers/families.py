@@ -13,9 +13,10 @@ the lifts.  The public ``check_*`` and ``solve_*`` of every system are
 this pair or calls of it.
 
 A reduction (a work) is built from one instance in two parts.  Its
-``factors`` are the coefficient factorization: every pinv bundle and
-intermediate that is a function of the coefficient blocks alone (the
-fields not in ``rhs_names()``), with the cascade floor, plus the
+``factors`` are the coefficient factorization: every pinv bundle,
+intermediate and left-to-right product prefix of the closed forms that
+is a function of the coefficient blocks alone (the fields not in
+``rhs_names()``), with the cascade floor, plus the
 coefficient-only rank panels, computed on the first rank list.  The
 work itself is the right-side pass over them: the particular solutions,
 the right-side intermediates and every certificate entry that reads a
@@ -27,8 +28,13 @@ side.
 A work's ``compat_terms()`` and ``mp_terms()`` give the ``(name,
 value)`` of every compatibility product and residual term, each of
 which must vanish, and this module alone tests each at ``tol * scale``,
-with the work's ``scale``.  It also gives ``rank_conditions()`` and
-``family(branch)``.
+with the work's ``scale``: it takes their norms once per work and holds
+them on it (``work.norms``), so a ``solve`` after a ``check`` on the
+same instance forms none of those products again.  A work also gives
+``rank_conditions()`` and ``family(branch)``.  A family's closed form
+reads its free parameters as given; one that ``assemble`` is not given
+is a zero that costs no product (:class:`_Zero`), so the particular
+solution pays only for the right side.
 """
 
 from __future__ import annotations
@@ -279,11 +285,6 @@ class RankCondition:
     passed: bool
 
 
-def residual_condition(name: str, value: QMatrix, threshold: float) -> Condition:
-    r = value.norm()
-    return Condition(name, r, threshold, r <= threshold)
-
-
 def rank_condition(name: str, lhs: int, rhs: int) -> RankCondition:
     return RankCondition(name, lhs, rhs, lhs == rhs)
 
@@ -383,6 +384,59 @@ class Inconsistent:
         return self.report.failing()
 
 
+# the one entry of every _Zero's planes: a read-only complex zero
+_ZERO_ENTRY = bytes(16)
+
+
+class _Zero(QMatrix):
+    """An all-zero matrix that is never multiplied: the value of a free
+    parameter that ``assemble`` is not given.
+
+    A product with it is a zero of the product's shape, without a
+    matmul.  A sum or difference with another matrix x is formed as
+    ``x + 0.0``, ``x - 0.0`` or ``0.0 - x``: the IEEE results of the same
+    operation on a stored zero matrix, signed zeros included.  (A BLAS
+    product with a stored zero may leave -0.0 entries, which differ from
+    these only where x holds a zero as well.)  Its planes are one
+    read-only complex zero broadcast to its shape, so every other
+    operation (``copy``, ``submatrix``, negation, ...) reads it as a
+    zero matrix and returns a plain ``QMatrix``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, rows: int, cols: int):
+        self.a1 = self.a2 = np.ndarray((rows, cols), complex, _ZERO_ENTRY,
+                                       0, (0, 0))
+
+    def __matmul__(self, other: QMatrix) -> QMatrix:
+        if self.cols != other.rows:
+            raise DimensionError(
+                f"matmul mismatch: {self.shape} @ {other.shape}")
+        return _Zero(self.rows, other.cols)
+
+    def __rmatmul__(self, other: QMatrix) -> QMatrix:
+        if other.cols != self.rows:
+            raise DimensionError(
+                f"matmul mismatch: {other.shape} @ {self.shape}")
+        return _Zero(other.rows, self.cols)
+
+    def __add__(self, other: QMatrix) -> QMatrix:
+        """0 + x, which is x + 0.0 in IEEE arithmetic."""
+        self._check_same_shape(other)
+        return QMatrix._pair(other.a1 + 0.0, other.a2 + 0.0)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: QMatrix) -> QMatrix:
+        self._check_same_shape(other)
+        return QMatrix._pair(0.0 - other.a1, 0.0 - other.a2)
+
+    def __rsub__(self, other: QMatrix) -> QMatrix:
+        self._check_same_shape(other)
+        return QMatrix._pair(other.a1 - 0.0, other.a2 - 0.0)
+
+
 class LinearSolutionFamily:
     """Particular solution plus free parameters spanning the general one.
 
@@ -391,6 +445,12 @@ class LinearSolutionFamily:
     concrete solution tuple.  assemble() with no arguments returns the
     particular solution; it is assembled once, and each call returns a
     copy, so editing a returned matrix in place changes no later result.
+
+    An omitted parameter enters the one closed form of the family as a
+    zero that costs no product (the particular solution omits them
+    all), with the sums of a stored zero.  Every unknown's closed form
+    has a term that reads the right side, so every returned matrix is a
+    plain, writable ``QMatrix``.
     """
 
     def __init__(self, unknowns: Sequence[str], params: Sequence[FreeParam],
@@ -409,7 +469,7 @@ class LinearSolutionFamily:
         return self.assemble()
 
     def _full_params(self, params) -> dict:
-        values = {p.name: QMatrix.zeros(*p.shape) for p in self.free_params}
+        values = {p.name: _Zero(*p.shape) for p in self.free_params}
         if params is None:
             items = {}
         elif isinstance(params, Mapping):
@@ -465,11 +525,18 @@ def _reduced(inst):
 
 
 def _residual_lists(work, tol: float) -> tuple:
-    """The compatibility and residual lists: each term at tol * scale."""
+    """The compatibility and residual lists: each term's norm against
+    tol * scale.  The ``(name, norm)`` of every term is taken on the
+    first call on a work and held on it as ``work.norms``; only the
+    thresholds are computed per call."""
+    norms = getattr(work, "norms", None)
+    if norms is None:
+        norms = work.norms = tuple(
+            [(name, value.norm()) for name, value in terms]
+            for terms in (work.compat_terms(), work.mp_terms()))
     threshold = tol * work.scale
-    return tuple([residual_condition(name, value, threshold)
-                  for name, value in terms]
-                 for terms in (work.compat_terms(), work.mp_terms()))
+    return tuple([Condition(name, r, threshold, r <= threshold)
+                  for name, r in terms] for terms in norms)
 
 
 def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
@@ -479,8 +546,9 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     lists of the system it lifts onto, under that system's names.  The
     reduction is shared with a ``solve`` on equal content just before,
     and its coefficient factorization with the call before on equal
-    coefficients (see :func:`shared_work`); the lists are computed per
-    call."""
+    coefficients (see :func:`shared_work`).  The norms of the
+    compatibility and residual terms are held on the work; the lists
+    and their thresholds are built per call at ``tol * scale``."""
     inst.require()
     root, _ = _reduced(inst)
     work = shared_work(root.WORK, root)

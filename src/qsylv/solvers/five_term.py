@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv, rank
-from ..qmatrix import QMatrix, block, hstack, vstack
+from ..qmatrix import QMatrix, hstack, vstack
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        cascade_floor, check, rank_condition, solve)
 from .two_term import TwoTermKernel
@@ -127,10 +127,11 @@ def block_rank_conditions(r, factors, k, a, b, c, d, e, f) -> list:
 
     ``a`` .. ``f`` are four-element lists: A0, B0, C0, D0, E0, F0 at
     index 0 and the blocks of W2, W3, W4 at indices 1-3; ``r`` is the
-    rank function.  Each unknown borders K in one of two forms, given as
-    (top, corner, side): on the left side as (E, A, C F), which U always
-    takes as (E0, A0, C0), or on the right side as (E D, B, F), which V
-    always takes as (D0, B0, F0).  Every condition compares the rank of
+    rank function, given each bordered matrix as its block grid, which
+    it embeds without forming the matrix.  Each unknown borders K in one
+    of two forms, given as (top, corner, side): on the left side as
+    (E, A, C F), which U always takes as (E0, A0, C0), or on the right
+    side as (E D, B, F), which V always takes as (D0, B0, F0).  Every condition compares the rank of
     [[K, tops], [sides, diag(corners)]] with the rank of the left forms
     without the K column plus that of the right forms without the K row.
     Those two panels hold the tops and corners of the left forms and the
@@ -174,10 +175,10 @@ def block_rank_conditions(r, factors, k, a, b, c, d, e, f) -> list:
         in_copy(ra, 0) + in_copy(rb, 1) + [((e4d4, None), b4, (f4, -f4))]))
     if factors.panels is None:
         factors.panels = [
-            r(block([row[len(ks):] for row in _bordered(ks, lefts)]))
-            + r(block(_bordered(ks, rights)[len(ks):]))
+            r([row[len(ks):] for row in _bordered(ks, lefts)])
+            + r(_bordered(ks, rights)[len(ks):])
             for ks, lefts, rights in grids]
-    return [rank_condition(f"R{n}", r(block(_bordered(ks, lefts + rights))),
+    return [rank_condition(f"R{n}", r(_bordered(ks, lefts + rights)),
                            panel)
             for n, ((ks, lefts, rights), panel)
             in enumerate(zip(grids, factors.panels), 1)]
@@ -186,8 +187,11 @@ def block_rank_conditions(r, factors, k, a, b, c, d, e, f) -> list:
 class _FiveTermFactors:
     """Every pinv bundle and coefficient-only intermediate of the
     five-term reduction over the coefficient blocks ``A1, B1, .., A4,
-    B4`` (field order), at their cascade floor; ``panels`` is the rank
-    certificate's panel list once a rank list has been built."""
+    B4`` (field order), at their cascade floor, with the coefficient-only
+    left-to-right prefixes of the pass's and the assembly's products
+    (``a1_pa1`` is A1 pinv(A1), ``lc1_pc2`` is L_C1 pinv(C2), and so
+    on); ``panels`` is the rank certificate's panel list once a rank
+    list has been built."""
 
     def __init__(self, coefficients):
         a1, b1, a2, b2, a3, b3, a4, b4 = coefficients
@@ -195,6 +199,7 @@ class _FiveTermFactors:
         self.panels = None
         pv = lambda m: pinv(m, floor=self.floor)
         self.bA1, self.bB1 = pv(a1), pv(b1)
+        self.a1_pa1 = a1 @ self.bA1.pinv
         ra1, lb1 = self.bA1.proj_right, self.bB1.proj_left
         self.A11 = ra1 @ a2
         self.A22 = ra1 @ a3
@@ -220,6 +225,8 @@ class _FiveTermFactors:
         self.D4 = self.B33 @ self.D
         self.bC = [pv(c) for c in (self.C1, self.C2, self.C3, self.C4)]
         self.bD = [pv(d) for d in (self.D1, self.D2, self.D3, self.D4)]
+        self.lc1_pc2 = self.bC[0].proj_left @ self.bC[1].pinv
+        self.lc3_pc4 = self.bC[2].proj_left @ self.bC[3].pinv
         self.C11 = hstack([self.bC[1].proj_left, self.bC[3].proj_left])
         self.D11 = vstack([self.bD[0].proj_right, self.bD[2].proj_right])
         self.C22 = self.bC[0].proj_left
@@ -227,6 +234,7 @@ class _FiveTermFactors:
         self.C33 = self.bC[2].proj_left
         self.D33 = self.bD[3].proj_right
         self.bC11, self.bD11 = pv(self.C11), pv(self.D11)
+        self.c11_pc11 = self.C11 @ self.bC11.pinv
         self.E11 = self.bC11.proj_right @ self.C22
         self.E22 = self.bC11.proj_right @ self.C33
         self.E33 = self.D22 @ self.bD11.proj_left
@@ -255,9 +263,9 @@ class _FiveTermWork:
         self.E4 = self.T1 @ k.D
         bC, bD = k.bC, k.bD
         self.F1 = (bC[0].pinv @ self.E1 @ bD[0].pinv
-                   + bC[0].proj_left @ bC[1].pinv @ self.E2 @ bD[1].pinv)
+                   + k.lc1_pc2 @ self.E2 @ bD[1].pinv)
         self.F2 = (bC[2].pinv @ self.E3 @ bD[2].pinv
-                   + bC[2].proj_left @ bC[3].pinv @ self.E4 @ bD[3].pinv)
+                   + k.lc3_pc4 @ self.E4 @ bD[3].pinv)
         self.F = self.F2 - self.F1
         self.E = k.bC11.proj_right @ self.F @ k.bD11.proj_left
 
@@ -342,13 +350,14 @@ class _FiveTermWork:
         # selector products (I, 0) / (0, I) realized as row/column halves
         cg = bC11.pinv @ g
         uu = bC11.pinv @ vals["U11"] @ k.D11 - bC11.proj_left @ vals["U12"]
-        v1 = (cg - uu).submatrix(slice(0, m), slice(None))
-        w1 = (cg - uu).submatrix(slice(m, 2 * m), slice(None))
+        vw1 = cg - uu
+        v1 = vw1.submatrix(slice(0, m), slice(None))
+        w1 = vw1.submatrix(slice(m, 2 * m), slice(None))
         rgd = bC11.proj_right @ g @ bD11.pinv
-        cu = (k.C11 @ bC11.pinv @ vals["U11"]
-              + vals["U21"] @ bD11.proj_right)
-        v2 = (rgd + cu).submatrix(slice(None), slice(0, n))
-        w2 = (rgd + cu).submatrix(slice(None), slice(n, 2 * n))
+        cu = k.c11_pc11 @ vals["U11"] + vals["U21"] @ bD11.proj_right
+        vw2 = rgd + cu
+        v2 = vw2.submatrix(slice(None), slice(0, n))
+        w2 = vw2.submatrix(slice(None), slice(n, 2 * n))
         if branch == "first":
             y3 = (self.F1 + bC[1].proj_left @ v1 + v2 @ bD[0].proj_right
                   + bC[0].proj_left @ v3 @ bD[1].proj_right)
@@ -363,7 +372,7 @@ class _FiveTermWork:
         x1 = (k.bA1.pinv @ r - k.bA1.pinv @ vals["U1"] @ inst.B1
               + k.bA1.proj_left @ vals["U2"])
         x2 = (k.bA1.proj_right @ r @ k.bB1.pinv
-              + inst.A1 @ k.bA1.pinv @ vals["U1"]
+              + k.a1_pa1 @ vals["U1"]
               + vals["U3"] @ k.bB1.proj_right)
         return (x1, x2, y1, y2, y3)
 

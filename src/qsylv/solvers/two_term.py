@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv, rank
-from ..qmatrix import QMatrix, block, hstack, vstack
+from ..qmatrix import QMatrix
 from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
                        ShapedInstance, SolvabilityReport, cascade_floor,
                        check, rank_condition, solve)
@@ -37,8 +37,12 @@ class TwoTermKernel:
     With M = R_C3 C4, N = D4 L_D3 and S = C4 L_M, the seven pinv
     bundles (C3, C4, D3, D4, M, N, S) depend only on the coefficients;
     ``pv`` builds each one, so the caller keeps its rank tolerance and
-    cascade floor.  ``solve`` evaluates the solution for any right side
-    and free parameters Y11..Y15 (Y11 is shared between the unknowns).
+    cascade floor.  The left-to-right prefixes of the solution's
+    products that read no right side (pinv(C3) C4 pinv(M), pinv(C3) S,
+    pinv(C3) S pinv(C4), pinv(S) S pinv(C4) and L_M L_S) are formed here
+    once; ``@`` is left-associative, so each product keeps its bits.
+    ``solve`` evaluates the solution for any right side and free
+    parameters Y11..Y15 (Y11 is shared between the unknowns).
     """
 
     def __init__(self, c3, d3, c4, d4, pv):
@@ -50,21 +54,26 @@ class TwoTermKernel:
         self.bm, self.bn = pv(self.m), pv(self.n)
         self.s = c4 @ self.bm.proj_left
         self.bs = pv(self.s)
+        pc3, pc4 = self.bc3.pinv, self.bc4.pinv
+        self.pc3_c4_pm = pc3 @ c4 @ self.bm.pinv
+        self.pc3_s = pc3 @ self.s
+        self.pc3_s_pc4 = self.pc3_s @ pc4
+        self.ps_s_pc4 = self.bs.pinv @ self.s @ pc4
+        self.lm_ls = self.bm.proj_left @ self.bs.proj_left
 
     def solve(self, e1, y11, y12, y13, y14, y15):
         """(X3, X4) for right side e1 and free parameters Y11..Y15."""
-        c4, d4, s = self.c4, self.d4, self.s
-        bc3, bc4, bd3, bd4 = self.bc3, self.bc4, self.bd3, self.bd4
-        bm, bn, bs = self.bm, self.bn, self.bs
+        d4, bc3, bd3, bd4 = self.d4, self.bc3, self.bd3, self.bd4
+        bm, bn = self.bm, self.bn
         x3 = (bc3.pinv @ e1 @ bd3.pinv
-              - bc3.pinv @ c4 @ bm.pinv @ e1 @ bd3.pinv
-              - bc3.pinv @ s @ bc4.pinv @ e1 @ bn.pinv @ d4 @ bd3.pinv
-              - bc3.pinv @ s @ y11 @ bn.proj_right @ d4 @ bd3.pinv
+              - self.pc3_c4_pm @ e1 @ bd3.pinv
+              - self.pc3_s_pc4 @ e1 @ bn.pinv @ d4 @ bd3.pinv
+              - self.pc3_s @ y11 @ bn.proj_right @ d4 @ bd3.pinv
               + bc3.proj_left @ y12
               + y13 @ bd3.proj_right)
         x4 = (bm.pinv @ e1 @ bd4.pinv
-              + bs.pinv @ s @ bc4.pinv @ e1 @ bn.pinv
-              + bm.proj_left @ bs.proj_left @ y14
+              + self.ps_s_pc4 @ e1 @ bn.pinv
+              + self.lm_ls @ y14
               + y15 @ bd4.proj_right
               + bm.proj_left @ y11 @ bn.proj_right)
         return x3, x4
@@ -108,18 +117,18 @@ class _TwoTermWork:
         c3, d3, c4, d4, e1 = inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
         r = lambda m: rank(m, floor=k.floor)
         if k.panels is None:
-            k.panels = r(hstack([c3, c4])), r(vstack([d3, d4]))
+            k.panels = r([[c3, c4]]), r([[d3], [d4]])
         rc, rd = k.panels
         return [
             rank_condition("r(C3,E1,C4)=r(C3,C4)",
-                           r(hstack([c3, e1, c4])), rc),
+                           r([[c3, e1, c4]]), rc),
             rank_condition("r(D3;E1;D4)=r(D3;D4)",
-                           r(vstack([d3, e1, d4])), rd),
+                           r([[d3], [e1], [d4]]), rd),
             rank_condition("r([C3,E1;0,D4])=r(C3)+r(D4)",
-                           r(block([[c3, e1], [None, d4]])),
+                           r([[c3, e1], [None, d4]]),
                            k.bc3.rank + k.bd4.rank),
             rank_condition("r([D3,0;E1,C4])=r(D3)+r(C4)",
-                           r(block([[d3, None], [e1, c4]])),
+                           r([[d3, None], [e1, c4]]),
                            k.bd3.rank + k.bc4.rank),
         ]
 

@@ -24,7 +24,10 @@ solve outcome or a verification), those that differ only in their
 condition lists (names, order or rank pairs, as after a renaming) and
 those that differ in any other bit (a residual, a threshold, a
 parameter or a solution); it exits 1 when any of these counts or the
-number of family members that fail to verify is not zero.
+number of family members that fail to verify is not zero.  Each "bits
+differ" line names the first differing field (``check report``,
+``first particular``, ...) and says when a solution differs only in
+the sign of zero entries.
 """
 
 from __future__ import annotations
@@ -148,6 +151,29 @@ def _without(rec, keys) -> dict:
             for part, res in rec.items()}
 
 
+def _zero_signs_only(u, v) -> bool:
+    """Whether two solutions' planes (as ``_bytes`` gives them) hold
+    equal numbers, so that only the signs of zero entries differ."""
+    if [shape for shape, _ in u] != [shape for shape, _ in v]:
+        return False
+    return all(np.array_equal(np.frombuffer(p), np.frombuffer(q),
+                              equal_nan=True)
+               for (_, ps), (_, qs) in zip(u, v) for p, q in zip(ps, qs))
+
+
+def _first_difference(a, b) -> str:
+    """The first part and bit-level field in which two records differ."""
+    for part in a:
+        for key in _BITS:
+            u, v = a[part].get(key), b[part].get(key)
+            if u != v:
+                zeros = (key in ("particular", "member")
+                         and _zero_signs_only(u, v))
+                return f"{part} {key}" + (
+                    " (only the sign of zeros)" if zeros else "")
+    return "unknown field"
+
+
 def compare(a_path, b_path) -> int:
     with open(a_path, "rb") as fh:
         a = pickle.load(fh)
@@ -171,7 +197,8 @@ def compare(a_path, b_path) -> int:
             row[2] += 1
         elif differs(()):
             row[3] += 1
-            print(f"bits differ: {label}")
+            print(f"bits differ: {label}: "
+                  f"{_first_difference(a[label], b[label])}")
         for rec in (a[label], b[label]):
             for branch in ("first", "second"):
                 res = rec.get(branch)
