@@ -7,11 +7,9 @@ from .basic import (PairInstance, check_pair, solve_left, solve_pair,
                     solve_right)
 from .two_term import TwoTermInstance, check_two_term, solve_two_term
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
-                        FiveTermIntermediates, check_five_term,
-                        five_term_intermediates, solve_five_term)
-from .master import (MASTER_PARAM_NAMES, MasterInstance, MasterIntermediates,
-                     MasterSolution, check_master, master_intermediates,
-                     solve_master)
+                        check_five_term, solve_five_term)
+from .master import (MASTER_PARAM_NAMES, MasterInstance, MasterSolution,
+                     check_master, solve_master)
 from .specials import (MixedInstance, ThreeTermInstance, check_mixed,
                        check_three_term, solve_mixed_system,
                        solve_three_term_system)
@@ -22,10 +20,9 @@ __all__ = [
     "cascade_floor",
     "PairInstance", "check_pair", "solve_left", "solve_right", "solve_pair",
     "TwoTermInstance", "check_two_term", "solve_two_term",
-    "FiveTermInstance", "FiveTermIntermediates", "FIVE_TERM_PARAM_NAMES",
-    "five_term_intermediates", "check_five_term", "solve_five_term",
-    "MasterInstance", "MasterIntermediates", "MasterSolution",
-    "MASTER_PARAM_NAMES", "master_intermediates", "check_master",
+    "FiveTermInstance", "FIVE_TERM_PARAM_NAMES", "check_five_term",
+    "solve_five_term",
+    "MasterInstance", "MasterSolution", "MASTER_PARAM_NAMES", "check_master",
     "solve_master",
     "ThreeTermInstance", "check_three_term", "solve_three_term_system",
     "MixedInstance", "check_mixed", "solve_mixed_system",

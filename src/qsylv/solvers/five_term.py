@@ -56,57 +56,6 @@ class FiveTermInstance(ShapedInstance):
     B: QMatrix
 
 
-@dataclass(frozen=True)
-class FiveTermIntermediates:
-    """Every derived matrix of the reduction cascade, by its role."""
-
-    A11: QMatrix
-    A22: QMatrix
-    A33: QMatrix
-    B11: QMatrix
-    B22: QMatrix
-    B33: QMatrix
-    T1: QMatrix
-    N1: QMatrix
-    M1: QMatrix
-    S1: QMatrix
-    C: QMatrix
-    C1: QMatrix
-    C2: QMatrix
-    C3: QMatrix
-    C4: QMatrix
-    D: QMatrix
-    D1: QMatrix
-    D2: QMatrix
-    D3: QMatrix
-    D4: QMatrix
-    E1: QMatrix
-    E2: QMatrix
-    E3: QMatrix
-    E4: QMatrix
-    C11: QMatrix
-    D11: QMatrix
-    C22: QMatrix
-    D22: QMatrix
-    C33: QMatrix
-    D33: QMatrix
-    F1: QMatrix
-    F2: QMatrix
-    E11: QMatrix
-    E22: QMatrix
-    E33: QMatrix
-    E44: QMatrix
-    M: QMatrix
-    N: QMatrix
-    F: QMatrix
-    E: QMatrix
-    S: QMatrix
-    G1: QMatrix
-    G2: QMatrix
-    F11: QMatrix
-    F22: QMatrix
-
-
 def _bordered(ks, forms) -> list:
     """Block grid with the copies ``ks`` of K on its diagonal, bordered by
     ``forms``: (tops, corner, sides) with one top and one side per copy
@@ -185,10 +134,14 @@ def block_rank_conditions(r, factors, k, a, b, c, d, e, f) -> list:
 
 
 class _FiveTermFactors:
-    """Every pinv bundle and coefficient-only intermediate of the
-    five-term reduction over the coefficient blocks ``A1, B1, .., A4,
-    B4`` (field order), at their cascade floor, with the coefficient-only
-    left-to-right prefixes of the pass's and the assembly's products
+    """The factorization of the five-term reduction over the coefficient
+    blocks ``A1, B1, .., A4, B4`` (field order), at their cascade floor:
+    the pinv bundles ``bA1``, ``bB1``, ``bC`` (of C1-C4), ``bD`` (of
+    D1-D4), ``bC11`` and ``bD11``, the two-term kernels ``y12`` and
+    ``vw3``, and what the pass, the certificates and the assembly read
+    of the rest: A33, B33, C, D, C11, D11, C22, D22, C33, D33, the
+    projectors ``ra11``, ``ra22``, ``lb11``, ``lb22`` and the
+    coefficient-only left-to-right prefixes of their products
     (``a1_pa1`` is A1 pinv(A1), ``lc1_pc2`` is L_C1 pinv(C2), and so
     on); ``panels`` is the rank certificate's panel list once a rank
     list has been built."""
@@ -201,30 +154,26 @@ class _FiveTermFactors:
         self.bA1, self.bB1 = pv(a1), pv(b1)
         self.a1_pa1 = a1 @ self.bA1.pinv
         ra1, lb1 = self.bA1.proj_right, self.bB1.proj_left
-        self.A11 = ra1 @ a2
-        self.A22 = ra1 @ a3
+        a11 = ra1 @ a2
+        a22 = ra1 @ a3
         self.A33 = ra1 @ a4
-        self.B11 = b2 @ lb1
-        self.B22 = b3 @ lb1
+        b11 = b2 @ lb1
+        b22 = b3 @ lb1
         self.B33 = b4 @ lb1
         # (Y1, Y2) solve A11 Y1 B11 + A22 Y2 B22 = T1 - A33 Y3 B33
-        y = self.y12 = TwoTermKernel(self.A11, self.B11, self.A22,
-                                     self.B22, pv)
-        self.M1, self.N1, self.S1 = y.m, y.n, y.s
+        y = self.y12 = TwoTermKernel(a11, b11, a22, b22, pv)
         self.ra11, self.ra22 = y.bc3.proj_right, y.bc4.proj_right
         self.lb11, self.lb22 = y.bd3.proj_left, y.bd4.proj_left
         self.C = y.bm.proj_right @ self.ra11
-        self.C1 = self.C @ self.A33
-        self.C2 = self.ra11 @ self.A33
-        self.C3 = self.ra22 @ self.A33
-        self.C4 = self.A33
+        c1 = self.C @ self.A33
+        c2 = self.ra11 @ self.A33
+        c3 = self.ra22 @ self.A33
         self.D = self.lb11 @ y.bn.proj_left
-        self.D1 = self.B33
-        self.D2 = self.B33 @ self.lb22
-        self.D3 = self.B33 @ self.lb11
-        self.D4 = self.B33 @ self.D
-        self.bC = [pv(c) for c in (self.C1, self.C2, self.C3, self.C4)]
-        self.bD = [pv(d) for d in (self.D1, self.D2, self.D3, self.D4)]
+        d2 = self.B33 @ self.lb22
+        d3 = self.B33 @ self.lb11
+        d4 = self.B33 @ self.D
+        self.bC = [pv(c) for c in (c1, c2, c3, self.A33)]
+        self.bD = [pv(d) for d in (self.B33, d2, d3, d4)]
         self.lc1_pc2 = self.bC[0].proj_left @ self.bC[1].pinv
         self.lc3_pc4 = self.bC[2].proj_left @ self.bC[3].pinv
         self.C11 = hstack([self.bC[1].proj_left, self.bC[3].proj_left])
@@ -235,13 +184,14 @@ class _FiveTermFactors:
         self.D33 = self.bD[3].proj_right
         self.bC11, self.bD11 = pv(self.C11), pv(self.D11)
         self.c11_pc11 = self.C11 @ self.bC11.pinv
-        self.E11 = self.bC11.proj_right @ self.C22
-        self.E22 = self.bC11.proj_right @ self.C33
-        self.E33 = self.D22 @ self.bD11.proj_left
-        self.E44 = self.D33 @ self.bD11.proj_left
-        # (V3, W3) solve E11 V3 E33 + E22 W3 E44 = F
-        self.vw3 = TwoTermKernel(self.E11, self.E33, self.E22, self.E44, pv)
-        self.M, self.N, self.S = self.vw3.m, self.vw3.n, self.vw3.s
+        e11 = self.bC11.proj_right @ self.C22
+        e22 = self.bC11.proj_right @ self.C33
+        e33 = self.D22 @ self.bD11.proj_left
+        e44 = self.D33 @ self.bD11.proj_left
+        # (V3, W3) solve E11 V3 E33 + E22 W3 E44 = F.  Its M = R_E11 E22
+        # is 0 in exact arithmetic: C1 = R_M1 R_A11 A33 = R_[A11, A22] A33,
+        # so null(C3) is in null(C1), so range(E22) is in range(E11).
+        self.vw3 = TwoTermKernel(e11, e33, e22, e44, pv)
 
 
 class _FiveTermWork:
@@ -268,25 +218,6 @@ class _FiveTermWork:
                    + k.lc3_pc4 @ self.E4 @ bD[3].pinv)
         self.F = self.F2 - self.F1
         self.E = k.bC11.proj_right @ self.F @ k.bD11.proj_left
-
-    def intermediates(self) -> FiveTermIntermediates:
-        """Every derived matrix; G1, G2, F11 and F22 are formed only
-        here, since no certificate or assembly reads them."""
-        k = self.factors
-        bC, bD = k.bC, k.bD
-        return FiveTermIntermediates(
-            A11=k.A11, A22=k.A22, A33=k.A33, B11=k.B11, B22=k.B22, B33=k.B33,
-            T1=self.T1, N1=k.N1, M1=k.M1, S1=k.S1,
-            C=k.C, C1=k.C1, C2=k.C2, C3=k.C3, C4=k.C4,
-            D=k.D, D1=k.D1, D2=k.D2, D3=k.D3, D4=k.D4,
-            E1=self.E1, E2=self.E2, E3=self.E3, E4=self.E4,
-            C11=k.C11, D11=k.D11, C22=k.C22, D22=k.D22,
-            C33=k.C33, D33=k.D33, F1=self.F1, F2=self.F2,
-            E11=k.E11, E22=k.E22, E33=k.E33, E44=k.E44,
-            M=k.M, N=k.N, F=self.F, E=self.E, S=k.S,
-            G1=self.E2 - k.C2 @ bC[0].pinv @ self.E1 @ bD[0].pinv @ k.D2,
-            G2=self.E4 - k.C4 @ bC[2].pinv @ self.E3 @ bD[2].pinv @ k.D4,
-            F11=k.C2 @ bC[0].proj_left, F22=k.C4 @ bC[2].proj_left)
 
     # -- certificates ----------------------------------------------------
 
@@ -378,11 +309,6 @@ class _FiveTermWork:
 
 
 FiveTermInstance.WORK = _FiveTermWork
-
-
-def five_term_intermediates(inst: FiveTermInstance) -> FiveTermIntermediates:
-    """All derived matrices of the reduction, computed from scratch."""
-    return _FiveTermWork(inst).intermediates()
 
 
 check_five_term = check

@@ -104,72 +104,6 @@ class MasterSolution:
         return (self.U, self.V, self.X, self.Y, self.Z)
 
 
-@dataclass(frozen=True)
-class MasterIntermediates:
-    """Derived matrices of the master reduction.
-
-    The S1 field is the reduction intermediate; the solution display
-    reuses the same letter for the first unknown of the reduced
-    equation, which is a distinct object (the X1 slot of the five-term
-    family, driven by the W11/W12/W13 parameters here).
-    """
-
-    A11: QMatrix
-    A22: QMatrix
-    A33: QMatrix
-    A44: QMatrix
-    B11: QMatrix
-    B22: QMatrix
-    B33: QMatrix
-    B44: QMatrix
-    B21: QMatrix
-    B31: QMatrix
-    B41: QMatrix
-    T1: QMatrix
-    A12: QMatrix
-    A13: QMatrix
-    A14: QMatrix
-    N1: QMatrix
-    M1: QMatrix
-    S1: QMatrix
-    T2: QMatrix
-    G: QMatrix
-    G1: QMatrix
-    G2: QMatrix
-    G3: QMatrix
-    G4: QMatrix
-    H: QMatrix
-    H1: QMatrix
-    H2: QMatrix
-    H3: QMatrix
-    H4: QMatrix
-    L1: QMatrix
-    L2: QMatrix
-    L3: QMatrix
-    L4: QMatrix
-    C11: QMatrix
-    D11: QMatrix
-    C22: QMatrix
-    D22: QMatrix
-    C33: QMatrix
-    D33: QMatrix
-    E11: QMatrix
-    E22: QMatrix
-    E33: QMatrix
-    E44: QMatrix
-    M: QMatrix
-    N: QMatrix
-    F: QMatrix
-    E: QMatrix
-    S: QMatrix
-    F11: QMatrix
-    G11: QMatrix
-    F22: QMatrix
-    G22: QMatrix
-    F33: QMatrix
-    F44: QMatrix
-
-
 class _MasterFactors:
     """Everything of the master reduction that reads the coefficient
     blocks (A, B, E, F) alone, at their cascade floor: the pinv bundles
@@ -224,7 +158,6 @@ class _MasterWork:
         t1 = inst.Cc - es[0] @ u.particular - v.particular @ fs[0]
         for e, w, f in zip(es[1:], xyz, fs[1:]):
             t1 = t1 - e @ w.particular @ f
-        self.t1 = t1
         self.reduced = FiveTermInstance(*k.reduced, t1)
         self.five = _FiveTermWork(self.reduced, k.five)
         self.scale = 1.0 + sum(m.norm() for m in inst.blocks())
@@ -250,25 +183,6 @@ class _MasterWork:
                 + block_rank_conditions(r, self.factors, self.inst.Cc,
                                         *blocks))
 
-    def intermediates(self) -> MasterIntermediates:
-        five = self.five.intermediates()
-        return MasterIntermediates(
-            A11=self.reduced.A1, A22=self.reduced.A2, A33=self.reduced.A3,
-            A44=self.reduced.A4, B11=self.reduced.B1, B22=self.reduced.B2,
-            B33=self.reduced.B3, B44=self.reduced.B4,
-            B21=five.B11, B31=five.B22, B41=five.B33, T1=self.t1,
-            A12=five.A11, A13=five.A22, A14=five.A33,
-            N1=five.N1, M1=five.M1, S1=five.S1, T2=five.T1,
-            G=five.C, G1=five.C1, G2=five.C2, G3=five.C3, G4=five.C4,
-            H=five.D, H1=five.D1, H2=five.D2, H3=five.D3, H4=five.D4,
-            L1=five.E1, L2=five.E2, L3=five.E3, L4=five.E4,
-            C11=five.C11, D11=five.D11, C22=five.C22, D22=five.D22,
-            C33=five.C33, D33=five.D33,
-            E11=five.E11, E22=five.E22, E33=five.E33, E44=five.E44,
-            M=five.M, N=five.N, F=five.F, E=five.E, S=five.S,
-            F11=five.F11, G11=five.G1, F22=five.F22, G22=five.G2,
-            F33=five.F1, F44=five.F2)
-
     # -- family assembly ----------------------------------------------------
 
     def family(self, branch: str) -> LinearSolutionFamily:
@@ -285,10 +199,6 @@ class _MasterWork:
 
 
 MasterInstance.WORK = _MasterWork
-
-
-def master_intermediates(inst: MasterInstance) -> MasterIntermediates:
-    return _MasterWork(inst).intermediates()
 
 
 check_master = check

@@ -9,7 +9,6 @@ import pathlib
 import time
 
 import numpy as np
-import pytest
 
 from qsylv import (Inconsistent, QMatrix, documents as docs, pinv,
                    solve_five_term, solve_left, solve_master,

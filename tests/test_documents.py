@@ -8,7 +8,6 @@ from qsylv import Inconsistent, QMatrix, documents as docs
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_pair, gen_planted,
                            gen_unsolvable, rand_qmatrix)
 from qsylv.solvers.families import solve
-from qsylv.solvers.master import MasterInstance
 
 
 def test_matrix_round_trip(rand_q):

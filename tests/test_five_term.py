@@ -1,10 +1,7 @@
-import dataclasses
-
 import pytest
 
-from qsylv import FiveTermInstance, Inconsistent, QMatrix
-from qsylv.solvers import (check_five_term, five_term_intermediates,
-                           solve_five_term)
+from qsylv import FiveTermInstance, Inconsistent, QMatrix, verify_solution
+from qsylv.solvers import check_five_term, solve_five_term
 from qsylv.solvers.five_term import FIVE_TERM_PARAM_NAMES
 
 
@@ -30,36 +27,6 @@ def planted(rand_q, p, q, dims):
     return FiveTermInstance(B=rhs, **mats), wit
 
 
-class TestIntermediates:
-    def test_data_carrying_fields_vanish_for_zero_coefficients(self):
-        z, zb = QMatrix.zeros(3, 2), QMatrix.zeros(2, 3)
-        inst = FiveTermInstance(z, zb, z, zb, z, zb, z, zb,
-                                QMatrix.zeros(3, 3))
-        ints = five_term_intermediates(inst)
-        # projector-valued intermediates degenerate to identities, the
-        # data-carrying ones must vanish exactly
-        for name in ("A11", "A22", "A33", "B11", "B22", "B33", "T1", "N1",
-                     "M1", "S1", "C1", "C2", "C3", "C4", "D1", "D2", "D3",
-                     "D4", "E1", "E2", "E3", "E4", "F1", "F2", "E", "G1",
-                     "G2", "F11", "F22"):
-            assert getattr(ints, name).norm() == 0.0, name
-
-    def test_invertible_a1_kills_left_cascade(self, rand_q):
-        inst = FiveTermInstance(rand_q(3, 3), rand_q(2, 3), rand_q(3, 2),
-                                rand_q(2, 3), rand_q(3, 2), rand_q(2, 3),
-                                rand_q(3, 2), rand_q(2, 3), rand_q(3, 3))
-        ints = five_term_intermediates(inst)
-        for name in ("A11", "A22", "A33"):
-            assert getattr(ints, name).norm() <= 1e-12
-
-    def test_recompute_idempotent(self, rand_q):
-        inst, _ = planted(rand_q, 4, 4, [(2, 2)] * 4)
-        i1 = five_term_intermediates(inst)
-        i2 = five_term_intermediates(inst)
-        for f in dataclasses.fields(i1):
-            assert (getattr(i1, f.name) - getattr(i2, f.name)).norm() == 0.0
-
-
 class TestSolve:
     def test_zero_rhs_zero_particular(self, rand_q):
         inst = FiveTermInstance(rand_q(3, 2), rand_q(2, 3), rand_q(3, 2),
@@ -68,6 +35,28 @@ class TestSolve:
                                 QMatrix.zeros(3, 3))
         fam = solve_five_term(inst)
         assert all(m.norm() == 0.0 for m in fam.particular)
+
+    def test_zero_coefficients_decide_by_the_right_side(self, rand_q):
+        z, zb = QMatrix.zeros(3, 2), QMatrix.zeros(2, 3)
+        inst = FiveTermInstance(z, zb, z, zb, z, zb, z, zb,
+                                QMatrix.zeros(3, 3))
+        report = check_five_term(inst)
+        assert report.consistent and report.forms_agree
+        for branch in ("first", "second"):
+            fam = solve_five_term(inst, branch=branch)
+            assert all(m.norm() == 0.0 for m in fam.particular)
+        bad = FiveTermInstance(z, zb, z, zb, z, zb, z, zb, rand_q(3, 3))
+        assert isinstance(solve_five_term(bad), Inconsistent)
+
+    def test_invertible_a1_reaches_every_right_side(self, rng, rand_q):
+        for _ in range(10):
+            inst = FiveTermInstance(rand_q(3, 3), rand_q(2, 3), rand_q(3, 2),
+                                    rand_q(2, 3), rand_q(3, 2), rand_q(2, 3),
+                                    rand_q(3, 2), rand_q(2, 3), rand_q(3, 3))
+            assert check_five_term(inst).consistent
+            fam = solve_five_term(inst)
+            sol = fam.assemble(fam.random_params(rng))
+            assert verify_solution(inst, sol).passed
 
     def test_reduces_to_roth_equation(self, rng, rand_q):
         a1, b1 = rand_q(3, 2), rand_q(2, 4)

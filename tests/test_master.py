@@ -1,14 +1,13 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from qsylv import (Inconsistent, MasterInstance, QMatrix, check_master,
                    check_mixed, check_three_term, solve_master,
                    solve_mixed_system, solve_three_term_system)
 from qsylv.harness import (DimensionProfile, gen_consistent, gen_inconsistent,
                            gen_mixed, gen_three_term, verify_solution)
-from qsylv.solvers.master import MASTER_PARAM_NAMES, master_intermediates
+from qsylv.solvers.master import MASTER_PARAM_NAMES
 
 from tests.conftest import worst_rel
 
@@ -81,13 +80,6 @@ class TestSolveMaster:
         res = solve_master(bad)
         assert isinstance(res, Inconsistent)
         assert res.failing_conditions == check_master(bad).failing()
-
-    def test_intermediates_recompute(self):
-        inst, _ = gen_consistent(DimensionProfile.cube(2, seed=7))
-        i1 = master_intermediates(inst)
-        i2 = master_intermediates(inst)
-        for f in dataclasses.fields(i1):
-            assert (getattr(i1, f.name) - getattr(i2, f.name)).norm() == 0.0
 
     def test_single_pair_block_reduces_to_solve_pair(self, rng, rand_q):
         # with everything else empty, the master solution of the one
