@@ -7,17 +7,36 @@ the embedding is twice the quaternion rank.  Every ``rank`` and every
 ``pinv`` takes exactly one SVD of the embedding; ``pinv`` builds the
 inverse and both projectors from its factors, reading each quaternion
 result off the top block row of its embedded image.
+
+``ranks`` ranks a list of block grids, each with the arithmetic of
+``rank``.  When BLAS is pinned to one thread, the process may run on at
+least two CPUs and the largest embedding has at least
+``_HELPER_MIN_ENTRIES`` complex entries, one short-lived helper thread
+embeds and ranks the largest grid while the calling thread ranks the
+rest.  Half of the bidiagonalization's flops are BLAS-2, memory-bound
+once the matrix outgrows the cache (Golub and Van Loan, *Matrix
+Computations*, section 5.4.8), so that SVD overlaps with the others;
+BLAS-3 work on two threads of one process does not.  The helper is
+joined before ``ranks`` returns or raises.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import QMatrix, embed_block
+from .qmatrix import BlockGrid, QMatrix, embed_block
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Gates of the rank helper (see :func:`ranks`): the environment
+# variables that pin BLAS threads, read in this order, and the smallest
+# embedding (complex entries, 4 MiB) that is ranked beside the others.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+_HELPER_MIN_ENTRIES = 1 << 18
 
 
 class NumericError(RuntimeError):
@@ -88,6 +107,55 @@ def rank(a, tol: float | None = None, floor: float = 0.0) -> int:
         tol = default_rank_tol(m.shape[0] // 2, m.shape[1] // 2,
                                float(sig[0]))
     return int(np.count_nonzero(sig > max(tol, floor)))
+
+
+def _helper_allowed(entries: int) -> bool:
+    """Whether :func:`ranks` may rank an embedding of ``entries``
+    complex entries on a helper thread: it is at least
+    ``_HELPER_MIN_ENTRIES``, the first of ``_BLAS_THREAD_VARS`` that is
+    set is ``"1"``, and at least two CPUs are allowed."""
+    if entries < _HELPER_MIN_ENTRIES:
+        return False
+    blas = next((os.environ[var] for var in _BLAS_THREAD_VARS
+                 if var in os.environ), None)
+    return (blas == "1" and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def ranks(grids, floor: float) -> list:
+    """``[rank(g, floor=floor) for g in grids]`` for block grids, each
+    laid out once.
+
+    When :func:`_helper_allowed` admits the largest embedding, one
+    helper thread ranks that grid while this thread ranks the rest in
+    order; the helper is joined before this returns or raises, and an
+    error in it is raised here.  Every rank takes the same SVD of the
+    same embedding either way, so the results are the same.
+    """
+    laid = [BlockGrid(g) for g in grids]
+    sizes = [4 * g.rows * g.cols for g in laid]
+    big = max(range(len(laid)), key=sizes.__getitem__, default=None)
+    if big is None or not _helper_allowed(sizes[big]):
+        return [rank(g, floor=floor) for g in laid]
+    out, failed = [None] * len(laid), []
+
+    def helper():
+        try:
+            out[big] = rank(laid[big], floor=floor)
+        except Exception as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="qsylv-rank")
+    thread.start()
+    try:
+        for i, g in enumerate(laid):
+            if i != big:
+                out[i] = rank(g, floor=floor)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return out
 
 
 def pinv(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> PinvBundle:

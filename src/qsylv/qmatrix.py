@@ -254,7 +254,9 @@ def _lower_half(out: np.ndarray):
     """Fill the lower block row of an embedding from its upper one,
     [A1, A2]: it is [-conj(A2), conj(A1)]."""
     m, n = out.shape[0] // 2, out.shape[1] // 2
-    np.negative(out[:m, n:].conj(), out=out[m:, :n])
+    lower_left = out[m:, :n]
+    np.conjugate(out[:m, n:], out=lower_left)
+    np.negative(lower_left, out=lower_left)
     np.conjugate(out[:m, :n], out=out[m:, n:])
 
 
@@ -331,13 +333,28 @@ def block(grid: Sequence[Sequence]) -> QMatrix:
     return out
 
 
+class BlockGrid(list):
+    """A block grid, the list of rows :func:`block` takes, laid out once:
+    ``rows`` and ``cols`` of its block matrix and its ``cells``, as
+    :func:`_layout` gives them."""
+
+    __slots__ = ("rows", "cols", "cells")
+
+    def __init__(self, grid: Sequence[Sequence]):
+        super().__init__(grid)
+        self.rows, self.cols, self.cells = _layout(self)
+
+
 def embed_block(grid: Sequence[Sequence]) -> np.ndarray:
     """``block(grid).embed()``, byte for byte, written straight from the
     cells into the upper block row of the embedding, so the block
-    matrix is never formed."""
-    rows, cols, cells = _layout(grid)
+    matrix is never formed.  A :class:`BlockGrid` is not laid out
+    again."""
+    if not isinstance(grid, BlockGrid):
+        grid = BlockGrid(grid)
+    rows, cols = grid.rows, grid.cols
     out = np.zeros((2 * rows, 2 * cols), dtype=complex)
-    _place(cells, out[:rows, :cols], out[:rows, cols:])
+    _place(grid.cells, out[:rows, :cols], out[:rows, cols:])
     _lower_half(out)
     return out
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..decomp import pinv, rank
+from ..decomp import pinv, ranks
 from ..qmatrix import QMatrix, hstack, vstack
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        cascade_floor, check, rank_condition, solve)
@@ -68,25 +68,27 @@ def _bordered(ks, forms) -> list:
     return grid
 
 
-def block_rank_conditions(r, factors, k, a, b, c, d, e, f) -> list:
+def block_rank_conditions(factors, k, a, b, c, d, e, f) -> list:
     """The rank certificate R1-R9 of
 
         K = E0 U + V F0 + E2 W2 F2 + E3 W3 F3 + E4 W4 F4,
         A0 U = C0,  V B0 = D0,  Ai Wi = Ci,  Wi Bi = Di  (i = 2, 3, 4).
 
     ``a`` .. ``f`` are four-element lists: A0, B0, C0, D0, E0, F0 at
-    index 0 and the blocks of W2, W3, W4 at indices 1-3; ``r`` is the
-    rank function, given each bordered matrix as its block grid, which
-    it embeds without forming the matrix.  Each unknown borders K in one
-    of two forms, given as (top, corner, side): on the left side as
-    (E, A, C F), which U always takes as (E0, A0, C0), or on the right
-    side as (E D, B, F), which V always takes as (D0, B0, F0).  Every condition compares the rank of
+    index 0 and the blocks of W2, W3, W4 at indices 1-3.  Each unknown
+    borders K in one of two forms, given as (top, corner, side): on the
+    left side as (E, A, C F), which U always takes as (E0, A0, C0), or on
+    the right side as (E D, B, F), which V always takes as (D0, B0, F0).
+    Every condition compares the rank of
     [[K, tops], [sides, diag(corners)]] with the rank of the left forms
     without the K column plus that of the right forms without the K row.
     Those two panels hold the tops and corners of the left forms and the
     sides and corners of the right ones: coefficient blocks only.  So
     their sums, one per condition, are ``factors.panels``: ranked on the
-    first call, when it is ``None``, and read afterwards.
+    first call, when it is ``None``, and read afterwards.  Every matrix
+    is ranked from its block grid, at ``factors.floor``, in one
+    :func:`.decomp.ranks` call, which embeds each grid without forming
+    the matrix.
 
     R(n+1), n = 0..7, puts W3 on the right side when bit 0 of n is set,
     W2 for bit 1 and W4 for bit 2.  R9 borders two copies of K, the
@@ -122,15 +124,17 @@ def block_rank_conditions(r, factors, k, a, b, c, d, e, f) -> list:
         [k, k],
         in_copy(la, 0) + in_copy(lb, 1) + [((e4, e4), a4, (None, c4f4))],
         in_copy(ra, 0) + in_copy(rb, 1) + [((e4d4, None), b4, (f4, -f4))]))
-    if factors.panels is None:
-        factors.panels = [
-            r([row[len(ks):] for row in _bordered(ks, lefts)])
-            + r(_bordered(ks, rights)[len(ks):])
-            for ks, lefts, rights in grids]
-    return [rank_condition(f"R{n}", r(_bordered(ks, lefts + rights)),
-                           panel)
-            for n, ((ks, lefts, rights), panel)
-            in enumerate(zip(grids, factors.panels), 1)]
+    halves = [] if factors.panels is not None else [
+        half for ks, lefts, rights in grids
+        for half in ([row[len(ks):] for row in _bordered(ks, lefts)],
+                     _bordered(ks, rights)[len(ks):])]
+    got = ranks(halves + [_bordered(ks, lefts + rights)
+                          for ks, lefts, rights in grids], factors.floor)
+    h = len(halves)
+    if h:
+        factors.panels = [x + y for x, y in zip(got[0:h:2], got[1:h:2])]
+    return [rank_condition(f"R{n}", lhs, panel) for n, (lhs, panel)
+            in enumerate(zip(got[h:], factors.panels), 1)]
 
 
 class _FiveTermFactors:
@@ -249,8 +253,7 @@ class _FiveTermWork:
         b = [QMatrix.zeros(f.rows, 0) for f in fs]
         c = [QMatrix.zeros(0, q)] + [QMatrix.zeros(0, f.rows) for f in fs[1:]]
         d = [QMatrix.zeros(p, 0)] + [QMatrix.zeros(e.cols, 0) for e in es[1:]]
-        return block_rank_conditions(lambda m: rank(m, floor=k.floor), k,
-                                     inst.B, a, b, c, d, es, fs)
+        return block_rank_conditions(k, inst.B, a, b, c, d, es, fs)
 
     # -- family assembly -------------------------------------------------
 

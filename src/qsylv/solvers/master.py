@@ -180,8 +180,7 @@ class _MasterWork:
                   for x in "ABCDEF"]
         return (u.ranks(r)[:1] + v.ranks(r)[1:]
                 + [c for k in xyz for c in k.ranks(r)]
-                + block_rank_conditions(r, self.factors, self.inst.Cc,
-                                        *blocks))
+                + block_rank_conditions(self.factors, self.inst.Cc, *blocks))
 
     # -- family assembly ----------------------------------------------------
 

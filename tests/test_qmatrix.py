@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsylv import DimensionError, QMatrix, Quaternion, block, hstack, vstack
+from qsylv.qmatrix import embed_block
 from qsylv.qcore import (ETAS, I, J, K, quat_conj, quat_eta_conj,
                          quat_mul)
 
@@ -119,6 +120,24 @@ def test_plane_views_write_through():
         plane[1, 1] = -1.0
     assert a.entry(1, 1) == Quaternion(-1, -1, -1, -1)
     assert a.embed()[2 + 1, 3 + 1] == complex(-1, 1)
+
+
+def test_embed_keeps_signed_zeros_of_the_block_formula():
+    # every plane pattern of +0.0, -0.0 and two nonzeros, in both planes
+    vals = np.array([0.0, -0.0, 1.5, -2.0])
+    w, x, y, z = (a.reshape(16, 16)
+                  for a in np.meshgrid(vals, vals, vals, vals, indexing="ij"))
+    a = QMatrix(w, x, y, z)
+    b = QMatrix(z, y, x, w)
+
+    def formula(m):
+        return np.block([[m.a1, m.a2], [np.negative(m.a2.conj()), m.a1.conj()]])
+
+    for got, want in ((a.embed(), formula(a)),
+                      (embed_block([[a, None], [None, b]]),
+                       formula(block([[a, None], [None, b]]))),
+                      (embed_block([[a], [b]]), formula(block([[a], [b]])))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_embed_is_ring_homomorphism(rand_q):

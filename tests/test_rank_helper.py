@@ -1,0 +1,152 @@
+"""The rank certificate's helper thread.
+
+``decomp.ranks`` ranks the largest bordered matrix on one helper thread
+while the calling thread ranks the rest, when BLAS is pinned to one
+thread, two CPUs are allowed and the largest embedding is large.  The
+gates are forced on here at small sizes: the reports must equal the
+serial ones, an error in the helper must reach the caller, and no
+thread may outlive a call.
+"""
+
+import os
+import threading
+
+import pytest
+
+import qsylv
+from qsylv import QMatrix, decomp
+from qsylv.harness import VARIANT_TABLE, gen_planted, gen_unsolvable
+
+from tests.test_shared_work import _evict
+
+TOL = 1e-9
+
+
+def _gates(monkeypatch, blas="1", cpus=2, min_entries=0):
+    """Set the three gates: the BLAS thread variable, the CPUs allowed
+    and the smallest embedding ranked on the helper."""
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if blas is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(decomp, "_HELPER_MIN_ENTRIES", min_entries)
+
+
+def _rank_threads(monkeypatch):
+    """The names of the threads that call ``decomp.rank`` from here on."""
+    names, rank = [], decomp.rank
+
+    def recorded(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(decomp, "rank", recorded)
+    return names
+
+
+def _starts(monkeypatch):
+    """The threads started from here on."""
+    started, start = [], threading.Thread.start
+
+    def recorded(self):
+        started.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
+
+
+def _cold_check(variant, inst):
+    _evict()
+    report = VARIANT_TABLE[variant].check(inst, TOL)
+    report.rank_conditions
+    return report
+
+
+@pytest.mark.parametrize("variant",
+                         ["master", "five-term", "three-term", "eta-full"])
+def test_helper_reports_equal_serial_reports(variant, monkeypatch):
+    insts = [make(variant, size, seed)
+             for size in (2, 3, 4) for seed in (1, 2)
+             for make in (lambda *a: gen_planted(*a)[0], gen_unsolvable)]
+    _gates(monkeypatch, min_entries=1 << 62)
+    serial = [_cold_check(variant, inst) for inst in insts]
+    _gates(monkeypatch)
+    names = _rank_threads(monkeypatch)
+    before = threading.active_count()
+    helper = [_cold_check(variant, inst) for inst in insts]
+    assert threading.active_count() == before
+    assert names.count("qsylv-rank") == len(insts)
+    assert any(not r.consistent for r in serial)
+    for s, h in zip(serial, helper):
+        assert s == h and s.to_dict() == h.to_dict()
+
+
+def test_helper_error_reaches_the_caller(monkeypatch):
+    inst, _ = gen_planted("master", 3, 1)
+    shapes, svdvals = [], decomp._svdvals
+
+    def recorded(m):
+        shapes.append(m.shape)
+        return svdvals(m)
+
+    monkeypatch.setattr(decomp, "_svdvals", recorded)
+    _cold_check("master", inst)
+    largest = max(shapes, key=lambda s: s[0] * s[1])
+    failed = []
+
+    def failing(m):
+        if m.shape == largest:
+            failed.append(threading.current_thread().name)
+            raise decomp.NumericError("forced")
+        return svdvals(m)
+
+    monkeypatch.setattr(decomp, "_svdvals", failing)
+    _gates(monkeypatch)
+    before = threading.active_count()
+    _evict()
+    with pytest.raises(decomp.NumericError, match="forced"):
+        qsylv.check_master(inst)
+    assert failed == ["qsylv-rank"]
+    assert threading.active_count() == before
+    _evict()
+
+
+@pytest.mark.parametrize("gates", [
+    {"blas": None}, {"blas": "2"}, {"blas": ""}, {"cpus": 1},
+    {"min_entries": 1 << 18}])
+def test_no_thread_with_a_gate_off(gates, monkeypatch):
+    inst, _ = gen_planted("master", 4, 1)
+    _gates(monkeypatch, **gates)
+    started = _starts(monkeypatch)
+    assert _cold_check("master", inst).consistent
+    assert started == []
+
+
+def test_blas_gate_reads_the_first_variable_set(monkeypatch):
+    _gates(monkeypatch)
+    assert decomp._helper_allowed(0)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert decomp._helper_allowed(0)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert not decomp._helper_allowed(0)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert decomp._helper_allowed(0)
+
+
+def test_ranks_equal_rank_on_each_grid(rand_q, monkeypatch):
+    a, b, c = rand_q(3, 4), rand_q(3, 2), rand_q(5, 4)
+    # rank 1 plus noise: its rank is 6 at floor 0 and 1 at the floor used
+    low = rand_q(6, 1) @ rand_q(1, 6) + rand_q(6, 6, scale=1e-10)
+    grids = [[[a, b]], [[a], [c]], [[low, None], [None, low]],
+             [[a, b], [c, None]], [[QMatrix.zeros(0, 2)]]]
+    want = [decomp.rank(g, floor=1e-8) for g in grids]
+    assert want[2] == 2 and decomp.rank(grids[2]) == 12
+    _gates(monkeypatch)
+    started = _starts(monkeypatch)
+    assert decomp.ranks(grids, 1e-8) == want
+    assert decomp.ranks([], 1e-8) == []
+    assert started == ["qsylv-rank"]
