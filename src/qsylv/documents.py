@@ -162,8 +162,6 @@ def instance_to_doc(inst, notes=None) -> dict:
 
 def solution_to_doc(variant: str, sol) -> dict:
     keys = SOLUTION_KEYS[variant]
-    if hasattr(sol, "as_tuple"):
-        sol = sol.as_tuple()
     if len(sol) != len(keys):
         raise ParseError(f"variant {variant!r} solutions have {len(keys)} "
                          f"blocks, got {len(sol)}")

@@ -160,8 +160,6 @@ def verify_solution(inst, sol, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residuals of every equation of an instance (any supported type)
     against a proposed solution tuple; eta variants additionally get
     eta-Hermicity entries."""
-    if isinstance(sol, MasterSolution):
-        sol = sol.as_tuple()
     sol = tuple(sol)
     shapes = inst.unknown_shapes()
     if len(sol) != len(shapes):

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..decomp import pinv, rank
+from ..decomp import pinv
 from ..qmatrix import QMatrix
 from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
-                       ShapedInstance, cascade_floor, check, rank_condition,
-                       solve)
+                       ShapedInstance, cascade_floor, check, solve)
 
 
 @dataclass(frozen=True)
@@ -62,14 +61,12 @@ class PairKernel:
         return [(f"R_A{i}*C{i}", self.ba.proj_right @ self.c),
                 (f"D{i}*L_B{i}", self.d @ self.bb.proj_left)]
 
-    def ranks(self, r) -> list:
-        """The two rank conditions, with ``r`` the rank function of a block
-        grid."""
+    def rank_terms(self) -> list:
         i = self.suffix
-        return [rank_condition(f"r(C{i},A{i})=r(A{i})",
-                               r([[self.c, self.a]]), self.ba.rank),
-                rank_condition(f"r(D{i};B{i})=r(B{i})",
-                               r([[self.d], [self.b]]), self.bb.rank)]
+        return [(f"r(C{i},A{i})=r(A{i})", [[self.c, self.a]],
+                 (self.ba.rank,)),
+                (f"r(D{i};B{i})=r(B{i})", [[self.d], [self.b]],
+                 (self.bb.rank,))]
 
 
 class _PairFactors:
@@ -91,9 +88,6 @@ class _PairWork(PairKernel):
         self.factors = factors or _PairFactors(inst)
         super().__init__(*inst.blocks(), self.factors.bundles)
         self.scale = 1.0 + inst.C.norm() + inst.D.norm()
-
-    def rank_conditions(self) -> list:
-        return self.ranks(lambda m: rank(m, floor=self.factors.floor))
 
     def family(self, branch: str) -> LinearSolutionFamily:
         """The one closed form; ``branch`` is not read."""

@@ -16,8 +16,8 @@ A reduction (a work) is built from one instance in two parts.  Its
 ``factors`` are the coefficient factorization: every pinv bundle,
 intermediate and left-to-right product prefix of the closed forms that
 is a function of the coefficient blocks alone (the fields not in
-``rhs_names()``), with the cascade floor, plus the
-coefficient-only rank panels, computed on the first rank list.  The
+``rhs_names()``), with the cascade floor, plus the ranks of the
+coefficient-only rank panels, taken on the first rank list.  The
 work itself is the right-side pass over them: the particular solutions,
 the right-side intermediates and every certificate entry that reads a
 right side.  ``cls(inst)`` builds both; ``cls(inst, factors)`` builds
@@ -25,16 +25,19 @@ only the pass, on factors of equal coefficients.  The general solution
 is linear in the right sides, so one factorization serves every right
 side.
 
-A work's ``compat_terms()`` and ``mp_terms()`` give the ``(name,
+A work gives its certificates as data, and this module alone decides
+them.  Its ``compat_terms()`` and ``mp_terms()`` give the ``(name,
 value)`` of every compatibility product and residual term, each of
-which must vanish, and this module alone tests each at ``tol * scale``,
-with the work's ``scale``: it takes their norms once per work and holds
-them on it (``work.norms``), so a ``solve`` after a ``check`` on the
-same instance forms none of those products again.  A work also gives
-``rank_conditions()`` and ``family(branch)``.  A family's closed form
-reads its free parameters as given; one that ``assemble`` is not given
-is a zero that costs no product (:class:`_Zero`), so the particular
-solution pays only for the right side.
+which must vanish; this module tests each at ``tol * scale``, with the
+work's ``scale``: it takes their norms once per work and holds them on
+it (``work.norms``), so a ``solve`` after a ``check`` on the same
+instance forms none of those products again.  Its ``rank_terms()``
+give the ``(name, grid, rhs)`` of every rank equality r(grid) =
+sum(rhs), and this module alone ranks them (:func:`_rank_list`).  A
+work also gives ``family(branch)``.  A family's closed form reads its
+free parameters as given; one that ``assemble`` is not given is a zero
+that costs no product (:class:`_Zero`), so the particular solution pays
+only for the right side.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..decomp import ranks
 from ..qmatrix import DimensionError, QMatrix, named_dims
 
 # Absolute truncation floor for pseudoinverses and ranks inside solver
@@ -283,10 +287,6 @@ class RankCondition:
     lhs: int
     rhs: int
     passed: bool
-
-
-def rank_condition(name: str, lhs: int, rhs: int) -> RankCondition:
-    return RankCondition(name, lhs, rhs, lhs == rhs)
 
 
 class SolvabilityReport:
@@ -539,6 +539,31 @@ def _residual_lists(work, tol: float) -> tuple:
                   for name, r in terms] for terms in norms)
 
 
+def _rank_list(work) -> list:
+    """The rank list of a work: one ``RankCondition`` per entry ``(name,
+    grid, rhs)`` of its ``rank_terms()``, comparing the rank of ``grid``
+    with the sum of ``rhs``, whose entries are known ranks (ints) and
+    coefficient-only panel grids.  Every grid is ranked in one
+    :func:`.decomp.ranks` call at ``factors.floor``; the panel grids only
+    on the first list of a factorization, whose panel ranks are held,
+    in order, as ``factors.panels``."""
+    terms, k = work.rank_terms(), work.factors
+    panels = getattr(k, "panels", None)
+    grids = [grid for _, grid, _ in terms]
+    if panels is None:
+        grids += [x for _, _, rhs in terms for x in rhs
+                  if not isinstance(x, int)]
+    got = ranks(grids, k.floor)
+    if panels is None:
+        panels = k.panels = got[len(terms):]
+    held = iter(panels)
+    out = []
+    for (name, _, rhs), lhs in zip(terms, got):
+        total = sum(x if isinstance(x, int) else next(held) for x in rhs)
+        out.append(RankCondition(name, lhs, total, lhs == total))
+    return out
+
+
 def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     """Both certificate forms of any instance: the compatibility
     products, the residual certificate and the rank certificate of its
@@ -552,8 +577,7 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     inst.require()
     root, _ = _reduced(inst)
     work = shared_work(root.WORK, root)
-    return SolvabilityReport(*_residual_lists(work, tol),
-                             work.rank_conditions())
+    return SolvabilityReport(*_residual_lists(work, tol), _rank_list(work))
 
 
 def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
@@ -585,7 +609,7 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     if res is None or not all(
             defect.norm() <= tol * scale
             for _, defect, scale in root.residual_terms(res.particular)):
-        report = SolvabilityReport(compat, mp, work.rank_conditions)
+        report = SolvabilityReport(compat, mp, lambda: _rank_list(work))
         if not report.consistent:
             return Inconsistent(report)
     if not maps:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..decomp import pinv, ranks
+from ..decomp import pinv
 from ..qmatrix import QMatrix, hstack, vstack
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
-                       cascade_floor, check, rank_condition, solve)
+                       cascade_floor, check, solve)
 from .two_term import TwoTermKernel
 
 FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
@@ -68,8 +68,8 @@ def _bordered(ks, forms) -> list:
     return grid
 
 
-def block_rank_conditions(factors, k, a, b, c, d, e, f) -> list:
-    """The rank certificate R1-R9 of
+def block_rank_terms(k, a, b, c, d, e, f) -> list:
+    """The rank terms R1-R9 of
 
         K = E0 U + V F0 + E2 W2 F2 + E3 W3 F3 + E4 W4 F4,
         A0 U = C0,  V B0 = D0,  Ai Wi = Ci,  Wi Bi = Di  (i = 2, 3, 4).
@@ -79,16 +79,11 @@ def block_rank_conditions(factors, k, a, b, c, d, e, f) -> list:
     borders K in one of two forms, given as (top, corner, side): on the
     left side as (E, A, C F), which U always takes as (E0, A0, C0), or on
     the right side as (E D, B, F), which V always takes as (D0, B0, F0).
-    Every condition compares the rank of
-    [[K, tops], [sides, diag(corners)]] with the rank of the left forms
-    without the K column plus that of the right forms without the K row.
-    Those two panels hold the tops and corners of the left forms and the
-    sides and corners of the right ones: coefficient blocks only.  So
-    their sums, one per condition, are ``factors.panels``: ranked on the
-    first call, when it is ``None``, and read afterwards.  Every matrix
-    is ranked from its block grid, at ``factors.floor``, in one
-    :func:`.decomp.ranks` call, which embeds each grid without forming
-    the matrix.
+    Every term ``(name, grid, rhs)`` compares the rank of
+    [[K, tops], [sides, diag(corners)]] with the sum of the ranks of its
+    two panels in ``rhs``: the left forms without the K column (their
+    tops and corners) and the right forms without the K row (their sides
+    and corners), coefficient blocks only.
 
     R(n+1), n = 0..7, puts W3 on the right side when bit 0 of n is set,
     W2 for bit 1 and W4 for bit 2.  R9 borders two copies of K, the
@@ -124,17 +119,10 @@ def block_rank_conditions(factors, k, a, b, c, d, e, f) -> list:
         [k, k],
         in_copy(la, 0) + in_copy(lb, 1) + [((e4, e4), a4, (None, c4f4))],
         in_copy(ra, 0) + in_copy(rb, 1) + [((e4d4, None), b4, (f4, -f4))]))
-    halves = [] if factors.panels is not None else [
-        half for ks, lefts, rights in grids
-        for half in ([row[len(ks):] for row in _bordered(ks, lefts)],
-                     _bordered(ks, rights)[len(ks):])]
-    got = ranks(halves + [_bordered(ks, lefts + rights)
-                          for ks, lefts, rights in grids], factors.floor)
-    h = len(halves)
-    if h:
-        factors.panels = [x + y for x, y in zip(got[0:h:2], got[1:h:2])]
-    return [rank_condition(f"R{n}", lhs, panel) for n, (lhs, panel)
-            in enumerate(zip(got[h:], factors.panels), 1)]
+    return [(f"R{n}", _bordered(ks, lefts + rights),
+             ([row[len(ks):] for row in _bordered(ks, lefts)],
+              _bordered(ks, rights)[len(ks):]))
+            for n, (ks, lefts, rights) in enumerate(grids, 1)]
 
 
 class _FiveTermFactors:
@@ -147,13 +135,11 @@ class _FiveTermFactors:
     projectors ``ra11``, ``ra22``, ``lb11``, ``lb22`` and the
     coefficient-only left-to-right prefixes of their products
     (``a1_pa1`` is A1 pinv(A1), ``lc1_pc2`` is L_C1 pinv(C2), and so
-    on); ``panels`` is the rank certificate's panel list once a rank
-    list has been built."""
+    on)."""
 
     def __init__(self, coefficients):
         a1, b1, a2, b2, a3, b3, a4, b4 = coefficients
         self.floor = cascade_floor(*coefficients)
-        self.panels = None
         pv = lambda m: pinv(m, floor=self.floor)
         self.bA1, self.bB1 = pv(a1), pv(b1)
         self.a1_pa1 = a1 @ self.bA1.pinv
@@ -243,8 +229,8 @@ class _FiveTermWork:
     def compat_terms(self) -> list:
         return []
 
-    def rank_conditions(self) -> list:
-        inst, k = self.inst, self.factors
+    def rank_terms(self) -> list:
+        inst = self.inst
         p, q = inst.B.shape
         es = [inst.A1, inst.A2, inst.A3, inst.A4]
         fs = [inst.B1, inst.B2, inst.B3, inst.B4]
@@ -253,7 +239,7 @@ class _FiveTermWork:
         b = [QMatrix.zeros(f.rows, 0) for f in fs]
         c = [QMatrix.zeros(0, q)] + [QMatrix.zeros(0, f.rows) for f in fs[1:]]
         d = [QMatrix.zeros(p, 0)] + [QMatrix.zeros(e.cols, 0) for e in es[1:]]
-        return block_rank_conditions(k, inst.B, a, b, c, d, es, fs)
+        return block_rank_terms(inst.B, a, b, c, d, es, fs)
 
     # -- family assembly -------------------------------------------------
 

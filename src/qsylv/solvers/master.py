@@ -17,15 +17,16 @@ which ``check_master`` and ``solve_master`` are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..decomp import pinv, rank
+from ..decomp import pinv
 from ..qmatrix import QMatrix
 from .basic import PairKernel
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        cascade_floor, check, solve)
 from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         _FiveTermFactors, _FiveTermWork,
-                        block_rank_conditions)
+                        block_rank_terms)
 
 # five-term parameter names as they appear in the master solution display
 MASTER_PARAM_NAMES = ("W11", "W12", "W13") + FIVE_TERM_PARAM_NAMES[3:]
@@ -90,8 +91,7 @@ class MasterInstance(ShapedInstance):
     Cc: QMatrix
 
 
-@dataclass(frozen=True)
-class MasterSolution:
+class MasterSolution(NamedTuple):
     """One concrete solution tuple of a master instance."""
 
     U: QMatrix
@@ -101,20 +101,18 @@ class MasterSolution:
     Z: QMatrix
 
     def as_tuple(self):
-        return (self.U, self.V, self.X, self.Y, self.Z)
+        return tuple(self)
 
 
 class _MasterFactors:
     """Everything of the master reduction that reads the coefficient
     blocks (A, B, E, F) alone, at their cascade floor: the pinv bundles
     of the five side equations, the reduced five-term blocks E_i L_Ai
-    and R_Bi F_i with their factorization, and ``panels``, the rank
-    certificate's panel list once a rank list has been built."""
+    and R_Bi F_i with their factorization."""
 
     def __init__(self, inst: MasterInstance):
         self.floor = cascade_floor(*(getattr(inst, n)
                                      for n in inst.coefficient_names()))
-        self.panels = None
         pv = lambda m: pinv(m, floor=self.floor)
         a1, b1 = inst.A1, inst.B1
         empty = QMatrix.zeros
@@ -173,14 +171,13 @@ class _MasterWork:
                 + [t for k in xyz for t in k.mp_terms()]
                 + self.five.mp_terms("GHL"))
 
-    def rank_conditions(self) -> list:
-        r = lambda m: rank(m, floor=self.factors.floor)
+    def rank_terms(self) -> list:
         u, v, *xyz = self.sides
         blocks = [[getattr(self.inst, f"{x}{i}") for i in (1, 2, 3, 4)]
                   for x in "ABCDEF"]
-        return (u.ranks(r)[:1] + v.ranks(r)[1:]
-                + [c for k in xyz for c in k.ranks(r)]
-                + block_rank_conditions(self.factors, self.inst.Cc, *blocks))
+        return (u.rank_terms()[:1] + v.rank_terms()[1:]
+                + [t for k in xyz for t in k.rank_terms()]
+                + block_rank_terms(self.inst.Cc, *blocks))
 
     # -- family assembly ----------------------------------------------------
 

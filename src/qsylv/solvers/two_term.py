@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..decomp import pinv, rank
+from ..decomp import pinv
 from ..qmatrix import QMatrix
 from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
                        ShapedInstance, SolvabilityReport, cascade_floor,
-                       check, rank_condition, solve)
+                       check, solve)
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,11 @@ class TwoTermKernel:
 
 
 class _TwoTermFactors(TwoTermKernel):
-    """The kernel of one instance's coefficients at their cascade floor;
-    ``panels`` is (r(C3,C4), r(D3;D4)) once a rank list has been built."""
+    """The kernel of one instance's coefficients at their cascade
+    floor."""
 
     def __init__(self, inst: TwoTermInstance):
         self.floor = cascade_floor(inst.C3, inst.D3, inst.C4, inst.D4)
-        self.panels = None
         super().__init__(inst.C3, inst.D3, inst.C4, inst.D4,
                          lambda m: pinv(m, floor=self.floor))
 
@@ -112,24 +111,16 @@ class _TwoTermWork:
             ("R_C4*E1*L_D3", k.bc4.proj_right @ e1 @ k.bd3.proj_left),
         ]
 
-    def rank_conditions(self) -> list:
+    def rank_terms(self) -> list:
         k, inst = self.factors, self.inst
         c3, d3, c4, d4, e1 = inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
-        r = lambda m: rank(m, floor=k.floor)
-        if k.panels is None:
-            k.panels = r([[c3, c4]]), r([[d3], [d4]])
-        rc, rd = k.panels
         return [
-            rank_condition("r(C3,E1,C4)=r(C3,C4)",
-                           r([[c3, e1, c4]]), rc),
-            rank_condition("r(D3;E1;D4)=r(D3;D4)",
-                           r([[d3], [e1], [d4]]), rd),
-            rank_condition("r([C3,E1;0,D4])=r(C3)+r(D4)",
-                           r([[c3, e1], [None, d4]]),
-                           k.bc3.rank + k.bd4.rank),
-            rank_condition("r([D3,0;E1,C4])=r(D3)+r(C4)",
-                           r([[d3, None], [e1, c4]]),
-                           k.bd3.rank + k.bc4.rank),
+            ("r(C3,E1,C4)=r(C3,C4)", [[c3, e1, c4]], ([[c3, c4]],)),
+            ("r(D3;E1;D4)=r(D3;D4)", [[d3], [e1], [d4]], ([[d3], [d4]],)),
+            ("r([C3,E1;0,D4])=r(C3)+r(D4)", [[c3, e1], [None, d4]],
+             (k.bc3.rank, k.bd4.rank)),
+            ("r([D3,0;E1,C4])=r(D3)+r(C4)", [[d3, None], [e1, c4]],
+             (k.bd3.rank, k.bc4.rank)),
         ]
 
     def family(self, branch: str) -> LinearSolutionFamily:

@@ -14,7 +14,6 @@ import pytest
 from qsylv.harness import (VARIANT_TABLE, gen_planted, rand_qmatrix,
                            verify_solution)
 from qsylv.solvers.five_term import _FiveTermWork
-from qsylv.solvers.master import MasterSolution
 
 SIZES = (2, 3, 4, 5)
 SEEDS = tuple(range(6))
@@ -25,8 +24,6 @@ def gen_low_rank(variant, size, seed):
     every coefficient block of rank min(m, n) - 1 (even seeds) or
     min(m, n) - 2 (odd seeds)."""
     inst, wit = gen_planted(variant, size, seed)
-    if isinstance(wit, MasterSolution):
-        wit = wit.as_tuple()
     rng = np.random.default_rng(seed)
     drop = 1 + seed % 2
     blocks = {}

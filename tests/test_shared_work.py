@@ -22,7 +22,8 @@ import qsylv
 from qsylv import QMatrix
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_planted, gen_unsolvable)
-from qsylv.solvers import Inconsistent, basic, five_term, master, two_term
+from qsylv.solvers import (Inconsistent, basic, families, five_term, master,
+                           two_term)
 from qsylv.solvers.families import _reduced
 
 from tests.test_decision import _SvdCounter
@@ -158,6 +159,32 @@ def test_right_side_change_reuses_factorization(monkeypatch):
         # are taken again
         qsylv.check_master(scaled)
         assert counter.take() == (0, 17)
+
+
+@pytest.mark.parametrize("variant, cold, new_rhs", [
+    ("pair", 2, 2), ("two-term", 6, 4), ("five-term", 27, 9),
+    ("master", 35, 17)])
+def test_one_ranks_call_per_rank_list(variant, cold, new_rhs, monkeypatch):
+    """Every rank of a rank list is taken in one ``decomp.ranks`` call;
+    the coefficient-only panels only on the first list of a
+    factorization."""
+    entry = VARIANT_TABLE[variant]
+    planted, _ = gen_planted(variant, 2, 0)
+    calls, ranks = [], families.ranks
+
+    def recorded(grids, floor):
+        calls.append(len(grids))
+        return ranks(grids, floor)
+
+    monkeypatch.setattr(families, "ranks", recorded)
+    _evict()
+    counter = _SvdCounter(monkeypatch)
+    calls.clear()
+    entry.check(planted, TOL)
+    assert (calls, counter.take()[1]) == ([cold], cold)
+    calls.clear()
+    entry.check(_scaled(variant, planted, 3.0), TOL)
+    assert (calls, counter.take()[1]) == ([new_rhs], new_rhs)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

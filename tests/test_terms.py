@@ -90,7 +90,6 @@ def test_residual_names_are_pinned_and_witnesses_solve(variant, eta):
     for size in (1, 2, 3):
         for seed in (0, 1):
             inst, wit = gen_planted(variant, size, seed, eta)
-            wit = wit.as_tuple() if hasattr(wit, "as_tuple") else wit
             terms = inst.residual_terms(wit)
             assert tuple(n for n, _, _ in terms) == RESIDUAL_NAMES[variant]
             for name, defect, scale in terms:
