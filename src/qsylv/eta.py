@@ -52,8 +52,10 @@ class _EtaInstance(ShapedInstance):
         super().__post_init__()
 
     def require(self):
-        """Refuse a coupling right side whose eta-Hermitian defect
-        exceeds ``PRECONDITION_TOL`` times its own norm."""
+        """Refuse non-finite entries, then a coupling right side whose
+        eta-Hermitian defect exceeds ``PRECONDITION_TOL`` times its own
+        norm."""
+        super().require()
         name = self.rhs_names()[-1]
         m = getattr(self, name)
         defect = (m - m.eta_conj_transpose(self.eta)).norm()

@@ -2,9 +2,16 @@
 
 Generation is witness-first: a solution tuple is drawn and the right
 sides are computed from it, so consistency and a ground-truth
-certificate are known before any solver runs.  All randomness flows
-through a seeded PCG64 generator; identical (profile, seed) inputs
-yield bit-identical instances.
+certificate are known before any solver runs.  One loop,
+:func:`_planted`, does this for every system: it draws each coefficient
+block and each unknown from one seeded PCG64 stream at its ``SHAPES``
+shape, symmetrizes the ``ETA_HERMITIAN`` unknowns and calls
+``from_witness``.  A variant's entry in ``VARIANT_TABLE`` holds only
+data: its named dimensions as a function of ``size``, the dimensions of
+the base ``gen_unsolvable`` perturbs when they differ, and the draw
+order when it is not the coefficient fields, then the unknowns.
+Identical (variant, size, seed, eta) inputs yield bit-identical
+instances.
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ from .solvers.master import MasterInstance, MasterSolution
 from .solvers.specials import MixedInstance, ThreeTermInstance
 from .solvers.two_term import TwoTermInstance
 
-MAX_BLOCK_DIM = 16
-
 
 @dataclass(frozen=True)
 class DimensionProfile:
@@ -33,7 +38,7 @@ class DimensionProfile:
 
     ``blocks[i]`` is (q, p, r, s) for the i-th unknown: its pair
     equations use A in q x p and B in r x s; the coupling right side is
-    cc_rows x cc_cols.  All counts are capped at 16 (desk scale).
+    cc_rows x cc_cols.  Every count must be non-negative.
     """
 
     cc_rows: int
@@ -42,17 +47,11 @@ class DimensionProfile:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.blocks) != 4:
-            raise DimensionError("profile needs exactly 4 block entries")
-        dims = [self.cc_rows, self.cc_cols]
-        for b in self.blocks:
-            if len(b) != 4:
-                raise DimensionError("each block entry is (q, p, r, s)")
-            dims.extend(b)
-        if any(d < 0 for d in dims):
+        if len(self.blocks) != 4 or any(len(b) != 4 for b in self.blocks):
+            raise DimensionError(
+                "profile needs exactly 4 block entries, each (q, p, r, s)")
+        if any(d < 0 for d in self.dims().values()):
             raise DimensionError("dimensions must be non-negative")
-        if any(d > MAX_BLOCK_DIM for d in dims):
-            raise DimensionError(f"dimensions are capped at {MAX_BLOCK_DIM}")
 
     @classmethod
     def cube(cls, size: int, seed: int = 0) -> "DimensionProfile":
@@ -62,6 +61,13 @@ class DimensionProfile:
         return cls(cc_rows=size + 2, cc_cols=size + 2,
                    blocks=((size, size + 1, size + 1, size),) * 4,
                    seed=seed)
+
+    def dims(self) -> dict:
+        """The named dimensions of ``MasterInstance.SHAPES``."""
+        dims = {"cr": self.cc_rows, "cc": self.cc_cols}
+        for i, b in enumerate(self.blocks, 1):
+            dims.update(zip((f"q{i}", f"p{i}", f"r{i}", f"s{i}"), b))
+        return dims
 
 
 @dataclass(frozen=True)
@@ -89,35 +95,42 @@ class ResidualReport:
         }
 
 
-def rand_qmatrix(rng, rows: int, cols: int, scale: float = 1.0) -> QMatrix:
+def rand_qmatrix(rng, rows: int, cols: int) -> QMatrix:
     """Independent standard-normal components per quaternion coordinate."""
-    return QMatrix(*(scale * rng.standard_normal((rows, cols))
-                     for _ in range(4)))
+    return QMatrix(*(rng.standard_normal((rows, cols)) for _ in range(4)))
 
 
-def _rng(seed):
-    return np.random.default_rng(np.random.PCG64(seed))
+def _planted(cls, dims: dict, seed: int, eta: str = "i", order=None):
+    """(instance, witness) of the instance type ``cls``.
+
+    Each name of ``order`` (by default the coefficient fields, then the
+    unknowns) is drawn in turn from one PCG64(seed) stream at its
+    ``SHAPES`` shape under the named dimensions ``dims``.  The
+    ``ETA_HERMITIAN`` unknowns are symmetrized, and the right sides are
+    the left sides at the witness, the unknowns in ``SHAPES`` order."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    drawn = {k: rand_qmatrix(rng, *(dims[d] for d in cls.SHAPES[k]))
+             for k in order or cls.coefficient_names() + cls.unknown_names()}
+    for name in cls.ETA_HERMITIAN:
+        drawn[name] = symmetrize(drawn[name], eta)
+    witness = tuple(drawn.pop(name) for name in cls.unknown_names())
+    if "eta" in cls.__dataclass_fields__:
+        drawn["eta"] = eta
+    return cls.from_witness(witness, **drawn), witness
 
 
-# -- master generators ------------------------------------------------------
+# master draws block by block: A1 B1 E1 F1 and its unknowns U V, then
+# A2 B2 E2 F2 and X, and so on; three-term likewise
+_MASTER_ORDER = tuple("A1 B1 E1 F1 U V A2 B2 E2 F2 X A3 B3 E3 F3 Y "
+                      "A4 B4 E4 F4 Z".split())
+
 
 def gen_consistent(profile: DimensionProfile):
     """Witness-first consistent master instance: returns (instance,
     MasterSolution certificate)."""
-    rng = _rng(profile.seed)
-    cr, cc = profile.cc_rows, profile.cc_cols
-    blocks, unknowns = {}, []
-    for i, (q, p, r, s) in enumerate(profile.blocks, 1):
-        blocks[f"A{i}"] = rand_qmatrix(rng, q, p)
-        blocks[f"B{i}"] = rand_qmatrix(rng, r, s)
-        blocks[f"E{i}"] = rand_qmatrix(rng, cr, p)
-        blocks[f"F{i}"] = rand_qmatrix(rng, r, cc)
-        if i == 1:
-            unknowns += [rand_qmatrix(rng, p, cc), rand_qmatrix(rng, cr, r)]
-        else:
-            unknowns.append(rand_qmatrix(rng, p, r))
-    inst = MasterInstance.from_witness(unknowns, **blocks)
-    return inst, MasterSolution(*unknowns)
+    inst, witness = _planted(MasterInstance, profile.dims(), profile.seed,
+                             order=_MASTER_ORDER)
+    return inst, MasterSolution(*witness)
 
 
 def gen_inconsistent(profile: DimensionProfile, retries: int = 8,
@@ -137,13 +150,14 @@ def _perturb_rhs(inst, seed: int, retries: int, tol: float):
     ``solve`` returns ``Inconsistent``, which it decides from the
     residual certificate without building a rank list.  Eta instances
     get eta-Hermitian perturbations, so the precondition still
-    holds."""
-    rng = _rng(seed ^ 0x9E3779B97F4A7C15)
+    holds.  A right side without entries cannot be perturbed, so it
+    raises as a spanning coupling does."""
+    rng = np.random.default_rng(np.random.PCG64(seed ^ 0x9E3779B97F4A7C15))
     rhs = inst.rhs_names()[-1]
     target = getattr(inst, rhs)
     eta = getattr(inst, "eta", None)
     scale = max(1.0, target.norm())
-    for _ in range(retries):
+    for _ in range(retries if target.rows and target.cols else 0):
         pert = rand_qmatrix(rng, target.rows, target.cols)
         if eta is not None:
             pert = symmetrize(pert, eta)
@@ -179,126 +193,6 @@ def verify_solution(inst, sol, tol: float = DEFAULT_TOL) -> ResidualReport:
     return ResidualReport(tuple(entries), all(e.passed for e in entries), tol)
 
 
-# -- specialization generators ----------------------------------------------
-
-def gen_pair(size: int, seed: int, deficient: bool = False):
-    # A wide and B tall leave the family freedom; with A tall and B wide
-    # (deficient) a perturbed D can leave the reach of X B
-    rng = _rng(seed)
-    q, p = (size + 1, size) if deficient else (size, size + 1)
-    blocks = {"A": rand_qmatrix(rng, q, p), "B": rand_qmatrix(rng, p, q)}
-    wit = (rand_qmatrix(rng, p, p),)
-    return PairInstance.from_witness(wit, **blocks), wit
-
-
-def gen_three_term(size: int, seed: int):
-    rng = _rng(seed)
-    cr = cc = size + 2
-    q, p, r, s = size, size + 1, size + 1, size
-    blocks, wit = {}, []
-    for i in (1, 2, 3):
-        blocks[f"A{i}"] = rand_qmatrix(rng, q, p)
-        blocks[f"B{i}"] = rand_qmatrix(rng, r, s)
-        blocks[f"E{i}"] = rand_qmatrix(rng, cr, p)
-        blocks[f"F{i}"] = rand_qmatrix(rng, r, cc)
-        wit.append(rand_qmatrix(rng, p, r))
-    return ThreeTermInstance.from_witness(wit, **blocks), tuple(wit)
-
-
-def gen_mixed(size: int, seed: int):
-    rng = _rng(seed)
-    q, p, t, s = size, size + 1, size + 1, size
-    cr = cc = size + 2
-    blocks = {"A1": rand_qmatrix(rng, q, p), "B1": rand_qmatrix(rng, t, s),
-              "A2": rand_qmatrix(rng, q, p), "B2": rand_qmatrix(rng, t, s)}
-    wit = (rand_qmatrix(rng, p, t), rand_qmatrix(rng, p, t))
-    blocks.update(A3=rand_qmatrix(rng, cr, p), B3=rand_qmatrix(rng, t, cc),
-                  A4=rand_qmatrix(rng, cr, p), B4=rand_qmatrix(rng, t, cc))
-    return MixedInstance.from_witness(wit, **blocks), wit
-
-
-def gen_two_term(size: int, seed: int, deficient: bool = False):
-    # the default shapes (C3 wide, D3 tall) leave live freedom in the
-    # family; the deficient shapes keep the coupling's reach strictly
-    # inside the target space so perturbations can be inconsistent
-    rng = _rng(seed)
-    if deficient:
-        p = q = 2 * size + 3
-        m3 = n3 = size
-    else:
-        p, q = size + 2, size + 2
-        m3, n3 = size + 3, size + 3
-    m4, n4 = size, size + 1
-    blocks = {"C3": rand_qmatrix(rng, p, m3), "D3": rand_qmatrix(rng, n3, q),
-              "C4": rand_qmatrix(rng, p, m4), "D4": rand_qmatrix(rng, n4, q)}
-    wit = (rand_qmatrix(rng, m3, n3), rand_qmatrix(rng, m4, n4))
-    return TwoTermInstance.from_witness(wit, **blocks), wit
-
-
-def gen_five_term(size: int, seed: int, wide_rhs: bool = False):
-    # wide_rhs makes the target space strictly larger than the coupling
-    # map's reach, so perturbed right sides can actually be inconsistent;
-    # from size 6 on, 2 * size + 3 rows no longer suffice
-    rng = _rng(seed)
-    if wide_rhs:
-        p = q = 2 * size + 3 + 2 * max(0, size - 5)
-    else:
-        p = q = size + 2
-    a1, b1 = size, size
-    inner = size if wide_rhs else size + 1
-    mats = {"A1": rand_qmatrix(rng, p, a1), "B1": rand_qmatrix(rng, b1, q)}
-    for i in (2, 3, 4):
-        mats[f"A{i}"] = rand_qmatrix(rng, p, inner)
-        mats[f"B{i}"] = rand_qmatrix(rng, inner, q)
-    wit = (rand_qmatrix(rng, a1, q), rand_qmatrix(rng, p, b1),
-           *(rand_qmatrix(rng, inner, inner) for _ in range(3)))
-    return FiveTermInstance.from_witness(wit, **mats), wit
-
-
-def _rand_eta_hermitian(rng, eta: str, *sizes) -> tuple:
-    """One random eta-Hermitian matrix per size, drawn in order."""
-    return tuple(symmetrize(rand_qmatrix(rng, n, n), eta) for n in sizes)
-
-
-def gen_eta_full(size: int, seed: int, eta: str = "i"):
-    rng = _rng(seed)
-    n = size + 2
-    q, p = size, size + 1
-    a = {f"A{i}": rand_qmatrix(rng, q, p) for i in (1, 2, 3, 4)}
-    e = {f"E{i}": rand_qmatrix(rng, n, p) for i in (1, 2, 3, 4)}
-    wit = (rand_qmatrix(rng, p, n), *_rand_eta_hermitian(rng, eta, p, p, p))
-    return EtaFullInstance.from_witness(wit, eta=eta, **a, **e), wit
-
-
-def gen_eta_three(size: int, seed: int, eta: str = "i"):
-    rng = _rng(seed)
-    n = size + 2
-    q, p = size, size + 1
-    a = {f"A{i}": rand_qmatrix(rng, q, p) for i in (1, 2, 3)}
-    e = {f"E{i}": rand_qmatrix(rng, n, p) for i in (1, 2, 3)}
-    wit = _rand_eta_hermitian(rng, eta, p, p, p)
-    return EtaThreeInstance.from_witness(wit, eta=eta, **a, **e), wit
-
-
-def gen_eta_two(size: int, seed: int, eta: str = "i"):
-    rng = _rng(seed)
-    d = size + 2
-    nb, nc = size + 1, size
-    blocks = {"B1": rand_qmatrix(rng, d, nb), "C1": rand_qmatrix(rng, d, nc)}
-    wit = _rand_eta_hermitian(rng, eta, nb, nc)
-    return EtaTwoInstance.from_witness(wit, eta=eta, **blocks), wit
-
-
-def gen_eta_mixed(size: int, seed: int, eta: str = "i"):
-    rng = _rng(seed)
-    nx, ny = size + 1, size + 1
-    q, s, d = size, size, size + 2
-    blocks = {"A1": rand_qmatrix(rng, q, nx), "B1": rand_qmatrix(rng, ny, s)}
-    wit = _rand_eta_hermitian(rng, eta, nx, ny)
-    blocks.update(A2=rand_qmatrix(rng, d, nx), A3=rand_qmatrix(rng, d, ny))
-    return EtaMixedInstance.from_witness(wit, eta=eta, **blocks), wit
-
-
 @dataclass(frozen=True)
 class Variant:
     """One system of the hierarchy: the single place that knows it.
@@ -307,17 +201,21 @@ class Variant:
     type's ``SHAPES`` lists them.  ``check(inst, tol)`` and
     ``solve(inst, tol, branch)`` are the one driver of every system
     (:mod:`.solvers.families`); ``one_closed_form`` marks the systems
-    whose families do not depend on ``branch``.  ``planted(size, seed,
-    eta)`` returns (instance, witness).  ``unsolvable_base``, same
-    signature, is the planted generator ``gen_unsolvable`` starts from
-    when the default shapes let the coupling reach its whole target
-    space.
+    whose families do not depend on ``branch``.
+
+    ``dims(size)`` gives the named dimensions of a planted instance.
+    ``twin_dims(size)``, when set, gives those of the base that
+    ``gen_unsolvable`` perturbs, for the systems whose default shapes
+    let the coupling reach its whole target space.  ``order`` is the
+    draw order of :func:`_planted` where it is not the coefficient
+    fields, then the unknowns.
     """
 
     name: str
     instance_type: type
-    planted: Callable
-    unsolvable_base: Callable | None = None
+    dims: Callable
+    twin_dims: Callable | None = None
+    order: tuple | None = None
     one_closed_form: bool = False
 
     check = staticmethod(check)
@@ -327,31 +225,67 @@ class Variant:
     def unknowns(self) -> tuple:
         return self.instance_type.unknown_names()
 
+    def planted(self, size: int, seed: int, eta: str = "i",
+                twin: bool = False):
+        """(instance, witness), consistent by construction; ``twin``
+        draws the base of ``gen_unsolvable`` instead."""
+        dims = self.twin_dims if twin and self.twin_dims else self.dims
+        return _planted(self.instance_type, dims(size), seed, eta,
+                        self.order)
 
+
+def _indexed(indices, **dims) -> dict:
+    """``dims`` once per index: ``_indexed((1, 2), q=3)`` is
+    ``{"q1": 3, "q2": 3}``."""
+    return {f"{k}{i}": v for i in indices for k, v in dims.items()}
+
+
+def _five_term_dims(p: int, size: int, inner: int) -> dict:
+    return dict(p=p, q=p, a1=size, b1=size, **_indexed((2, 3, 4), a=inner,
+                                                      b=inner))
+
+
+# Default shapes make A wide and B tall, so families keep freedom.  The
+# twins' shapes keep the coupling's reach strictly inside its target
+# space, so a perturbed right side can leave it: the pair twin's A is
+# tall and B wide; the two-term twin's C3, D3 are deficient; the
+# five-term twin widens the right side, by 2 more per size from size 6.
 VARIANT_TABLE = {v.name: v for v in (
     Variant("pair", PairInstance,
-            lambda size, seed, eta: gen_pair(size, seed),
-            lambda size, seed, eta: gen_pair(size, seed, deficient=True),
+            lambda n: dict(q=n, p=n + 1, r=n + 1, s=n),
+            lambda n: dict(q=n + 1, p=n, r=n, s=n + 1),
             one_closed_form=True),
     Variant("master", MasterInstance,
-            lambda size, seed, eta: gen_consistent(
-                DimensionProfile.cube(size, seed))),
+            lambda n: DimensionProfile.cube(n).dims(),
+            order=_MASTER_ORDER),
     Variant("three-term", ThreeTermInstance,
-            lambda size, seed, eta: gen_three_term(size, seed)),
+            lambda n: dict(cr=n + 2, cc=n + 2,
+                           **_indexed((1, 2, 3), q=n, p=n + 1, r=n + 1, s=n)),
+            order=tuple("A1 B1 E1 F1 X A2 B2 E2 F2 Y A3 B3 E3 F3 Z".split())),
     Variant("mixed", MixedInstance,
-            lambda size, seed, eta: gen_mixed(size, seed),
+            lambda n: dict(cr=n + 2, cc=n + 2,
+                           **_indexed((1, 2), q=n, p=n + 1, t=n + 1, s=n)),
+            order=tuple("A1 B1 A2 B2 X1 X2 A3 B3 A4 B4".split()),
             one_closed_form=True),
     Variant("two-term", TwoTermInstance,
-            lambda size, seed, eta: gen_two_term(size, seed),
-            lambda size, seed, eta: gen_two_term(size, seed, deficient=True),
+            lambda n: dict(p=n + 2, q=n + 2, m3=n + 3, n3=n + 3, m4=n,
+                           n4=n + 1),
+            lambda n: dict(p=2 * n + 3, q=2 * n + 3, m3=n, n3=n, m4=n,
+                           n4=n + 1),
             one_closed_form=True),
     Variant("five-term", FiveTermInstance,
-            lambda size, seed, eta: gen_five_term(size, seed),
-            lambda size, seed, eta: gen_five_term(size, seed, wide_rhs=True)),
-    Variant("eta-full", EtaFullInstance, gen_eta_full),
-    Variant("eta-three", EtaThreeInstance, gen_eta_three),
-    Variant("eta-two", EtaTwoInstance, gen_eta_two, one_closed_form=True),
-    Variant("eta-mixed", EtaMixedInstance, gen_eta_mixed,
+            lambda n: _five_term_dims(n + 2, n, n + 1),
+            lambda n: _five_term_dims(2 * n + 3 + 2 * max(0, n - 5), n, n)),
+    Variant("eta-full", EtaFullInstance,
+            lambda n: dict(n=n + 2, **_indexed((1, 2, 3, 4), q=n, p=n + 1))),
+    Variant("eta-three", EtaThreeInstance,
+            lambda n: dict(n=n + 2, **_indexed((1, 2, 3), q=n, p=n + 1))),
+    Variant("eta-two", EtaTwoInstance,
+            lambda n: dict(d=n + 2, nb=n + 1, nc=n),
+            one_closed_form=True),
+    Variant("eta-mixed", EtaMixedInstance,
+            lambda n: dict(d=n + 2, q1=n, s1=n, nx=n + 1, ny=n + 1),
+            order=("A1", "B1", "X", "Y", "A2", "A3"),
             one_closed_form=True),
 )}
 
@@ -375,6 +309,5 @@ def gen_unsolvable(variant: str, size: int, seed: int, eta: str = "i",
 
     For eta variants the perturbation is symmetrized so the instance
     still meets the eta-Hermicity precondition."""
-    v = _variant(variant)
-    inst, _ = (v.unsolvable_base or v.planted)(size, seed, eta)
+    inst, _ = _variant(variant).planted(size, seed, eta, twin=True)
     return _perturb_rhs(inst, seed, retries, tol)

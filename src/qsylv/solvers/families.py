@@ -123,7 +123,8 @@ class ShapedInstance:
     right.  A system without one defines ``lift()``, which returns the
     larger instance it is solved through and the map from that
     instance's solution tuples to its own.  ``require()`` raises
-    ``ValueError`` when a precondition on the data fails.
+    ``ValueError`` when a precondition on the data fails: every type
+    refuses non-finite entries.
     """
 
     SHAPES: dict = {}
@@ -185,7 +186,13 @@ class ShapedInstance:
         return out
 
     def require(self):
-        """No precondition beyond the shapes."""
+        """Refuse a block with a nan or infinite entry, naming it, before
+        any SVD can read it."""
+        for f in fields(self):
+            if f.name != "eta":
+                m = getattr(self, f.name)
+                if not (np.isfinite(m.a1).all() and np.isfinite(m.a2).all()):
+                    raise ValueError(f"{f.name} has a non-finite entry")
 
     def unknown_shapes(self) -> dict:
         dims = named_dims(self.SHAPES, vars(self))

@@ -18,10 +18,8 @@ from qsylv.cli import main as cli_main
 from qsylv.decomp import _embedded_svdvals, default_rank_tol
 from qsylv.eta import (solve_eta_full, solve_eta_mixed,
                        solve_eta_three, solve_eta_two)
-from qsylv.harness import (DimensionProfile, gen_consistent, gen_eta_full,
-                           gen_eta_mixed, gen_eta_three, gen_eta_two,
-                           gen_five_term, gen_inconsistent, gen_mixed,
-                           gen_three_term, gen_two_term)
+from qsylv.harness import (VARIANT_TABLE, DimensionProfile, gen_consistent,
+                           gen_inconsistent, gen_planted)
 from qsylv.solvers.master import check_master
 
 from tests.conftest import rank_block_oracle, worst_rel
@@ -191,15 +189,18 @@ def test_criterion_5_planted_roundtrips():
                     / (1 + (a @ x0).norm() + (x0 @ b).norm()))
     results["solve_pair"] = (worst, avg / len(seeds))
 
-    run("solve_two_term", gen_two_term,
+    run("solve_two_term", VARIANT_TABLE["two-term"].planted,
         lambda inst: solve_two_term(inst.C3, inst.D3, inst.C4, inst.D4,
                                     inst.E1))
-    run("solve_five_term", gen_five_term, solve_five_term)
+    run("solve_five_term", VARIANT_TABLE["five-term"].planted,
+        solve_five_term)
     run("solve_master",
         lambda size, seed: gen_consistent(DimensionProfile.cube(size, seed)),
         solve_master)
-    run("solve_three_term_system", gen_three_term, solve_three_term_system)
-    run("solve_mixed_system", gen_mixed, solve_mixed_system)
+    run("solve_three_term_system", VARIANT_TABLE["three-term"].planted,
+        solve_three_term_system)
+    run("solve_mixed_system", VARIANT_TABLE["mixed"].planted,
+        solve_mixed_system)
 
     worst_all = max(w for w, _ in results.values())
     slowest = max(t for _, t in results.values())
@@ -243,13 +244,13 @@ def test_criterion_8_eta_suite():
     rng = np.random.default_rng(8)
     worst_res, worst_herm, worst_map = 0.0, 0.0, 0.0
     cases = (
-        ("eta-full", gen_eta_full,
+        ("eta-full", VARIANT_TABLE["eta-full"].planted,
          lambda inst: solve_eta_full(inst), 1),
-        ("eta-three", gen_eta_three,
+        ("eta-three", VARIANT_TABLE["eta-three"].planted,
          lambda inst: solve_eta_three(inst), 0),
-        ("eta-two", gen_eta_two,
+        ("eta-two", VARIANT_TABLE["eta-two"].planted,
          lambda inst: solve_eta_two(inst.B1, inst.C1, inst.D1, inst.eta), 0),
-        ("eta-mixed", gen_eta_mixed,
+        ("eta-mixed", VARIANT_TABLE["eta-mixed"].planted,
          lambda inst: solve_eta_mixed(inst.A1, inst.C1, inst.B1, inst.D1,
                                       inst.A2, inst.A3, inst.D3, inst.eta),
          0),
@@ -268,7 +269,7 @@ def test_criterion_8_eta_suite():
                         worst_herm,
                         (m - ec(m)).norm() / (1.0 + m.norm()))
         # doubled-system reduction, both directions, one instance per eta
-        inst, wit = gen_eta_full(2, 81, eta)
+        inst, wit = gen_planted("eta-full", 2, 81, eta)
         doubled = inst.to_master()
         u, x, y, z = wit
         lift = (u, ec(u), x, y, z)

@@ -183,6 +183,25 @@ def test_eta_three_precondition_names_c(command, tmp_path, capsys):
         "error: C is not eta-Hermitian (defect")
 
 
+@pytest.mark.parametrize("command", ("check", "solve"))
+@pytest.mark.parametrize("block, value", (("C", "Infinity"), ("C", "NaN"),
+                                          ("A", "Infinity"), ("A", "NaN")))
+def test_non_finite_entry_is_refused_before_any_svd(command, block, value,
+                                                     tmp_path, capfd):
+    # capfd sees the file descriptors, so a LAPACK message such as
+    # "On entry to DLASCL parameter number 4 had an illegal value" would
+    # show in err
+    ipath = tmp_path / "inst.json"
+    assert main(["gen", "--variant", "pair", "--out", str(ipath)]) == 0
+    doc = docs.load_json(str(ipath))
+    doc[block]["entries"][-1][-1][0] = float(value.lower())
+    docs.dump_json(str(ipath), doc)
+    assert value in ipath.read_text()
+    capfd.readouterr()
+    assert main([command, str(ipath)]) == 1
+    assert capfd.readouterr().err == f"error: {block} has a non-finite entry\n"
+
+
 @pytest.mark.parametrize("command", ("check", "solve", "verify"))
 @pytest.mark.parametrize("doc", ([], "x", 3))
 def test_non_object_document_is_a_message(doc, command, tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsylv import Inconsistent, QMatrix, documents as docs
-from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_pair, gen_planted,
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
                            gen_unsolvable, rand_qmatrix)
 from qsylv.solvers.families import solve
 
@@ -201,7 +201,7 @@ def test_one_sided_pair_documents_can_be_inconsistent(seed):
     assert res.failing_conditions == ["D*L_B", "r(D;B)=r(B)"]
     # the twin's C is unperturbed, so A X = C takes a random C against
     # the deficient (tall) A
-    inst, _ = gen_pair(3, seed, deficient=True)
+    inst, _ = VARIANT_TABLE["pair"].planted(3, seed, twin=True)
     c = rand_qmatrix(np.random.default_rng(1000 + seed), *inst.C.shape)
     left = _one_sided(dataclasses.replace(inst, C=c), ("B", "D"))
     res = solve(left)

@@ -2,8 +2,9 @@
 
 Each public entry point, called with its own signature, gives exactly
 what the driver gives; ``solve`` names its branches for every system;
-and an eta system whose coupling right side is not eta-Hermitian is
-refused under that system's own field name.
+an eta system whose coupling right side is not eta-Hermitian is
+refused under that system's own field name; and a block with a nan or
+infinite entry is refused, by name, before any SVD.
 """
 
 from dataclasses import replace
@@ -101,6 +102,28 @@ def test_eta_precondition_names_the_types_own_field(variant, op):
         with pytest.raises(ValueError,
                            match=rf"^{rhs} is not eta-Hermitian \(defect"):
             call()
+
+
+@pytest.mark.parametrize("value", (np.nan, np.inf))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_entries_are_refused_before_any_svd(variant, value,
+                                                        monkeypatch):
+    inst, _ = gen_planted(variant, 2, 1, "j")
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(a) or svd(*a, **k))
+    # one entry of the coupling right side (an imaginary part) and of
+    # the first coefficient block (a k part)
+    for name, part in ((inst.rhs_names()[-1], 1),
+                       (inst.coefficient_names()[0], 3)):
+        comps = [c.copy() for c in getattr(inst, name).components()]
+        comps[part][-1, -1] = value
+        bad = replace(inst, **{name: qsylv.QMatrix(*comps)})
+        for op in (check, solve):
+            with pytest.raises(ValueError,
+                               match=rf"^{name} has a non-finite entry$"):
+                op(bad, TOL)
+    assert calls == []
 
 
 def _threshold_scale(inst):

@@ -6,8 +6,7 @@ from qsylv import ETAS, Inconsistent, QMatrix, symmetrize
 from qsylv.eta import (check_eta_full, check_eta_three, check_eta_two,
                        solve_eta_full, solve_eta_mixed, solve_eta_three,
                        solve_eta_two)
-from qsylv.harness import (gen_eta_full, gen_eta_mixed, gen_eta_three,
-                           gen_eta_two, verify_solution)
+from qsylv.harness import gen_planted, verify_solution
 from qsylv.solvers.master import solve_master
 from qsylv.solvers.two_term import check_two_term
 
@@ -40,7 +39,7 @@ class TestSymmetrize:
 @pytest.mark.parametrize("eta", ETAS)
 class TestEtaFull:
     def test_planted(self, eta, rng):
-        inst, wit = gen_eta_full(2, seed=31, eta=eta)
+        inst, wit = gen_planted("eta-full", 2, seed=31, eta=eta)
         rep = check_eta_full(inst)
         assert rep.consistent and rep.forms_agree
         fam = solve_eta_full(inst)
@@ -52,7 +51,7 @@ class TestEtaFull:
                 assert herm_defect(m, eta) <= 1e-12 * (1 + m.norm())
 
     def test_zero_instance(self, eta):
-        inst, _ = gen_eta_full(2, seed=32, eta=eta)
+        inst, _ = gen_planted("eta-full", 2, seed=32, eta=eta)
         zero = dataclasses.replace(inst, **{
             f: QMatrix.zeros(*getattr(inst, f).shape)
             for f in ("C1", "C2", "C3", "C4", "Cc")})
@@ -60,14 +59,14 @@ class TestEtaFull:
         assert all(m.norm() <= 1e-12 for m in fam.particular)
 
     def test_non_hermitian_perturbation_inconsistent(self, eta, rand_q):
-        inst, _ = gen_eta_full(2, seed=33, eta=eta)
+        inst, _ = gen_planted("eta-full", 2, seed=33, eta=eta)
         pert = symmetrize(rand_q(*inst.Cc.shape), eta)
         bad = dataclasses.replace(inst, Cc=inst.Cc + pert)
         res = solve_eta_full(bad)
         assert isinstance(res, Inconsistent)
 
     def test_non_hermitian_cc_rejected(self, eta, rand_q):
-        inst, _ = gen_eta_full(2, seed=34, eta=eta)
+        inst, _ = gen_planted("eta-full", 2, seed=34, eta=eta)
         skew = rand_q(*inst.Cc.shape)
         skew = (skew - skew.eta_conj_transpose(eta)) * 0.5
         bad = dataclasses.replace(inst, Cc=inst.Cc + skew)
@@ -75,7 +74,7 @@ class TestEtaFull:
             solve_eta_full(bad)
 
     def test_doubled_reduction_both_directions(self, eta, rng):
-        inst, wit = gen_eta_full(2, seed=35, eta=eta)
+        inst, wit = gen_planted("eta-full", 2, seed=35, eta=eta)
         u, x, y, z = wit
         doubled = inst.to_master()
         ec = lambda m: m.eta_conj_transpose(eta)
@@ -93,7 +92,7 @@ class TestEtaFull:
 @pytest.mark.parametrize("eta", ETAS)
 class TestEtaThree:
     def test_planted_and_rank_list(self, eta, rng):
-        inst, wit = gen_eta_three(2, seed=41, eta=eta)
+        inst, wit = gen_planted("eta-three", 2, seed=41, eta=eta)
         rep = check_eta_three(inst)
         assert rep.consistent and rep.forms_agree
         for cond in rep.rank_conditions:
@@ -109,7 +108,7 @@ class TestEtaThree:
         # halves of equal rank, realizing its "= 2 r(...)" form
         from qsylv.decomp import rank
         from qsylv.qmatrix import block
-        inst, _ = gen_eta_three(2, seed=42, eta=eta)
+        inst, _ = gen_planted("eta-three", 2, seed=42, eta=eta)
         m = inst.to_full().to_master()
         lhs_f = block([[m.F3, None, m.B3, None, None, None, None],
                        [m.F1, None, None, m.B1, None, None, None],
@@ -144,7 +143,7 @@ class TestEtaTwo:
         assert z.shape == (0, 0)
 
     def test_planted_sweep(self, eta, rng):
-        inst, wit = gen_eta_two(2, seed=51, eta=eta)
+        inst, wit = gen_planted("eta-two", 2, seed=51, eta=eta)
         assert verify_solution(inst, wit).passed
         fam = solve_eta_two(inst.B1, inst.C1, inst.D1, eta)
         for _ in range(5):
@@ -158,7 +157,7 @@ class TestEtaTwo:
             solve_eta_two(rand_q(3, 2), rand_q(3, 2), rand_q(3, 3), eta)
 
     def test_precondition_is_scale_relative(self, eta, rand_q):
-        inst, _ = gen_eta_two(2, seed=52, eta=eta)
+        inst, _ = gen_planted("eta-two", 2, seed=52, eta=eta)
         bad = inst.D1 + rand_q(*inst.D1.shape)
         for scale in (1.0, 1e-12):
             with pytest.raises(ValueError, match="^D1 is not eta-Hermitian"):
@@ -170,7 +169,7 @@ class TestEtaTwo:
     def test_reports_and_family_are_the_two_term_lift(self, eta):
         # B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 is decided as the
         # two-term equation C3 X3 D3 + C4 X4 D4 = E1
-        inst, _ = gen_eta_two(2, seed=53, eta=eta)
+        inst, _ = gen_planted("eta-two", 2, seed=53, eta=eta)
         ec = lambda m: m.eta_conj_transpose(eta)
         lifted = check_two_term(inst.B1, ec(inst.B1), inst.C1, ec(inst.C1),
                                 inst.D1)
@@ -183,7 +182,7 @@ class TestEtaTwo:
 @pytest.mark.parametrize("eta", ETAS)
 class TestEtaMixed:
     def test_planted_sweep(self, eta, rng):
-        inst, wit = gen_eta_mixed(2, seed=61, eta=eta)
+        inst, wit = gen_planted("eta-mixed", 2, seed=61, eta=eta)
         assert verify_solution(inst, wit).passed
         fam = solve_eta_mixed(inst.A1, inst.C1, inst.B1, inst.D1,
                               inst.A2, inst.A3, inst.D3, eta)
@@ -196,7 +195,7 @@ class TestEtaMixed:
 
     def test_condition_forms_agree_on_fuzz(self, eta, rand_q):
         from qsylv.eta import check_eta_mixed
-        inst, _ = gen_eta_mixed(2, seed=62, eta=eta)
+        inst, _ = gen_planted("eta-mixed", 2, seed=62, eta=eta)
         pert = symmetrize(rand_q(*inst.D3.shape), eta)
         bad = dataclasses.replace(inst, D3=inst.D3 + pert)
         rep = check_eta_mixed(bad)
@@ -204,7 +203,7 @@ class TestEtaMixed:
         assert rep.forms_agree
 
     def test_zero_instance(self, eta):
-        inst, _ = gen_eta_mixed(2, seed=63, eta=eta)
+        inst, _ = gen_planted("eta-mixed", 2, seed=63, eta=eta)
         zero = dataclasses.replace(inst, **{
             f: QMatrix.zeros(*getattr(inst, f).shape)
             for f in ("C1", "D1", "D3")})

@@ -6,7 +6,7 @@ from qsylv import (Inconsistent, MasterInstance, QMatrix, check_master,
                    check_mixed, check_three_term, solve_master,
                    solve_mixed_system, solve_three_term_system)
 from qsylv.harness import (DimensionProfile, gen_consistent, gen_inconsistent,
-                           gen_mixed, gen_three_term, verify_solution)
+                           gen_planted, verify_solution)
 from qsylv.solvers.master import MASTER_PARAM_NAMES
 
 from tests.conftest import worst_rel
@@ -142,7 +142,7 @@ class TestSolveMaster:
 
 class TestThreeTerm:
     def test_planted(self, rng):
-        inst, wit = gen_three_term(2, seed=11)
+        inst, wit = gen_planted("three-term", 2, seed=11)
         rep = check_three_term(inst)
         assert rep.consistent and rep.forms_agree
         assert verify_solution(inst, wit).passed
@@ -152,7 +152,7 @@ class TestThreeTerm:
             assert worst_rel(inst, sol) <= 1e-8
 
     def test_zero_instance(self):
-        inst, _ = gen_three_term(2, seed=12)
+        inst, _ = gen_planted("three-term", 2, seed=12)
         zero = dataclasses.replace(
             inst,
             C1=QMatrix.zeros(*inst.C1.shape), C2=QMatrix.zeros(*inst.C2.shape),
@@ -163,7 +163,7 @@ class TestThreeTerm:
         assert all(m.norm() <= 1e-12 for m in fam.particular)
 
     def test_specialization_matches_master_bitwise(self, rng):
-        inst, _ = gen_three_term(2, seed=13)
+        inst, _ = gen_planted("three-term", 2, seed=13)
         fam3 = solve_three_term_system(inst)
         famm = solve_master(inst.to_master())
         # the lift keeps the master parameters that are not empty
@@ -174,7 +174,7 @@ class TestThreeTerm:
         assert all((a - b).norm() == 0.0 for a, b in zip(got, want))
 
     def test_rank_list_equal_on_planted(self):
-        inst, _ = gen_three_term(2, seed=14)
+        inst, _ = gen_planted("three-term", 2, seed=14)
         rep = check_three_term(inst)
         for cond in rep.rank_conditions:
             assert cond.lhs == cond.rhs
@@ -182,7 +182,7 @@ class TestThreeTerm:
 
 class TestMixed:
     def test_planted(self, rng):
-        inst, wit = gen_mixed(2, seed=21)
+        inst, wit = gen_planted("mixed", 2, seed=21)
         rep = check_mixed(inst)
         assert rep.consistent and rep.forms_agree
         assert verify_solution(inst, wit).passed
@@ -195,7 +195,7 @@ class TestMixed:
             "U4", "U5", "U6", "U7", "U8"]
 
     def test_zero_rhs(self):
-        inst, _ = gen_mixed(2, seed=22)
+        inst, _ = gen_planted("mixed", 2, seed=22)
         zero = dataclasses.replace(
             inst,
             C1=QMatrix.zeros(*inst.C1.shape), C2=QMatrix.zeros(*inst.C2.shape),
@@ -205,7 +205,7 @@ class TestMixed:
         assert all(m.norm() <= 1e-12 for m in fam.particular)
 
     def test_perturbed_inconsistent(self, rand_q):
-        inst, _ = gen_mixed(2, seed=23)
+        inst, _ = gen_planted("mixed", 2, seed=23)
         bad = dataclasses.replace(inst, Cc=inst.Cc + rand_q(*inst.Cc.shape))
         rep = check_mixed(bad)
         assert not rep.consistent and rep.forms_agree

@@ -100,7 +100,7 @@ def test_residual_names_are_pinned_and_witnesses_solve(variant, eta):
 def test_unsolvable_twin_moves_only_the_coupling_right_side(variant, eta):
     entry = VARIANT_TABLE[variant]
     coupling = entry.instance_type.rhs_names()[-1]
-    base, _ = (entry.unsolvable_base or entry.planted)(2, 1, eta)
+    base, _ = entry.planted(2, 1, eta, twin=True)
     twin = gen_unsolvable(variant, 2, 1, eta)
     moved = {name for name in _block_names(type(twin))
              if (getattr(twin, name) - getattr(base, name)).norm() != 0.0}
