@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix
-from .solvers.families import DEFAULT_TOL, ShapedInstance, check, solve
+from .solvers.families import (DEFAULT_TOL, ShapedInstance, check,
+                                max_exponents, solve, times_pow2)
 from .solvers.master import MasterInstance
 from .solvers.two_term import TwoTermInstance
 
@@ -54,14 +55,18 @@ class _EtaInstance(ShapedInstance):
     def require(self):
         """Refuse non-finite entries, then a coupling right side whose
         eta-Hermitian defect exceeds ``PRECONDITION_TOL`` times its own
-        norm."""
+        norm, both taken after an exact division by the power of two of
+        its largest entry (:func:`.max_exponents`): no square overflows
+        or underflows."""
         super().require()
         name = self.rhs_names()[-1]
-        m = getattr(self, name)
+        e = max_exponents([getattr(self, name)])[0] or 0
+        m = times_pow2(getattr(self, name), -e)
         defect = (m - m.eta_conj_transpose(self.eta)).norm()
         if defect > PRECONDITION_TOL * m.norm():
             raise ValueError(
-                f"{name} is not eta-Hermitian (defect {defect:.3e}); "
+                f"{name} is not eta-Hermitian (defect "
+                f"{times_pow2(defect, e):.3e}); "
                 "refusing to symmetrize input data silently")
 
 

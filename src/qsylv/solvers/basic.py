@@ -87,7 +87,6 @@ class _PairWork(PairKernel):
         self.inst = inst
         self.factors = factors or _PairFactors(inst)
         super().__init__(*inst.blocks(), self.factors.bundles)
-        self.scale = 1.0 + inst.C.norm() + inst.D.norm()
 
     def family(self, branch: str) -> LinearSolutionFamily:
         """The one closed form; ``branch`` is not read."""

@@ -25,11 +25,19 @@ only the pass, on factors of equal coefficients.  The general solution
 is linear in the right sides, so one factorization serves every right
 side.
 
+Before any work is built, :func:`check` and :func:`solve` equilibrate
+the instance the lifts end at by powers of two (:func:`_equilibrated`):
+each equation and its coefficient factors by one, then every right
+side by one more, so the data are in range and a verdict cannot depend
+on how the instance is scaled.  Every step is exact, and the
+coefficient exponents read the coefficients alone, so equal
+coefficients still share one factorization.
+
 A work gives its certificates as data, and this module alone decides
 them.  Its ``compat_terms()`` and ``mp_terms()`` give the ``(name,
 value)`` of every compatibility product and residual term, each of
-which must vanish; this module tests each at ``tol * scale``, with the
-work's ``scale``: it takes their norms once per work and holds them on
+which must vanish; this module tests each at ``tol``, on the
+equilibrated data: it takes their norms once per work and holds them on
 it (``work.norms``), so a ``solve`` after a ``check`` on the same
 instance forms none of those products again.  Its ``rank_terms()``
 give the ``(name, grid, rhs)`` of every rank equality r(grid) =
@@ -443,6 +451,10 @@ class _Zero(QMatrix):
         self._check_same_shape(other)
         return QMatrix._pair(other.a1 - 0.0, other.a2 - 0.0)
 
+    def __mul__(self, scalar) -> QMatrix:
+        """A scalar multiple of a zero: the zero itself."""
+        return self
+
 
 class LinearSolutionFamily:
     """Particular solution plus free parameters spanning the general one.
@@ -531,18 +543,77 @@ def _reduced(inst):
     return inst, maps
 
 
+def max_exponents(mats) -> list:
+    """For each of ``mats``, the e with 2^(e-1) <= max |entry| < 2^e
+    over the real parts of its entries, or ``None`` when it has no
+    nonzero entry; one scan of all their planes.  Max-abs, not a norm,
+    so no square can overflow or underflow."""
+    sizes = [4 * m.a1.size for m in mats]
+    full = [i for i, n in enumerate(sizes) if n]
+    out = [None] * len(mats)
+    if full:
+        flat = np.concatenate(
+            [x.ravel() for m in mats for x in (m.a1, m.a2)]).view(np.float64)
+        starts = np.cumsum([0] + sizes[:-1])[full]
+        tops = np.maximum(np.maximum.reduceat(flat, starts),
+                          -np.minimum.reduceat(flat, starts))
+        for i, top, e in zip(full, tops, np.frexp(tops)[1]):
+            if top:
+                out[i] = int(e)
+    return out
+
+
+def times_pow2(m, s: int):
+    """``m * 2^s`` for a matrix or a float, exact unless the result
+    leaves the double range.  It multiplies in steps of at most 2^1000,
+    since 2^s itself may not be a double (a block whose largest entry is
+    subnormal scales by more than 2^1023)."""
+    while abs(s) > 1000:
+        step = 1000 if s > 0 else -1000
+        m, s = m * 2.0 ** step, s - step
+    return m * 2.0 ** s
+
+
+def _equilibrated(root):
+    """``root`` scaled by powers of two, and the exponent k of its
+    right sides' scale 2^k.
+
+    Each equation of ``TERMS`` is multiplied by 2^-e, e the largest of
+    the ``max_exponents`` of its terms' coefficient factors (each term's
+    left factor, or its right one if it has no left); no factor serves
+    two equations.  Then every right side is divided by 2^k, k from
+    their largest entry, so the largest is in [1/2, 1).  Each right side
+    takes its two factors in one multiply, and a block whose exponent is
+    0 is not multiplied.  Every step is exact, and the coefficient
+    exponents read the coefficients alone."""
+    factors = {rhs: [left or right for left, _, right, _ in terms]
+               for rhs, terms in root.TERMS.items()}
+    names = [n for rhs, fs in factors.items() for n in (rhs, *fs)]
+    exps = dict(zip(names, max_exponents([getattr(root, n) for n in names])))
+    shifts, rhs_exps = {}, []
+    for rhs, fs in factors.items():
+        e = max((exps[n] for n in fs if exps[n] is not None), default=0)
+        shifts.update((n, -e) for n in (rhs, *fs))
+        if exps[rhs] is not None:
+            rhs_exps.append(exps[rhs] - e)
+    k = max(rhs_exps, default=0)
+    for rhs in factors:
+        shifts[rhs] -= k
+    return replace(root, **{n: times_pow2(getattr(root, n), s)
+                            for n, s in shifts.items() if s}), k
+
+
 def _residual_lists(work, tol: float) -> tuple:
     """The compatibility and residual lists: each term's norm against
-    tol * scale.  The ``(name, norm)`` of every term is taken on the
-    first call on a work and held on it as ``work.norms``; only the
-    thresholds are computed per call."""
+    ``tol``.  The ``(name, norm)`` of every term is taken on the first
+    call on a work and held on it as ``work.norms``; only the
+    thresholds are set per call."""
     norms = getattr(work, "norms", None)
     if norms is None:
         norms = work.norms = tuple(
             [(name, value.norm()) for name, value in terms]
             for terms in (work.compat_terms(), work.mp_terms()))
-    threshold = tol * work.scale
-    return tuple([Condition(name, r, threshold, r <= threshold)
+    return tuple([Condition(name, r, tol, r <= tol)
                   for name, r in terms] for terms in norms)
 
 
@@ -576,13 +647,16 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     products, the residual certificate and the rank certificate of its
     reduction, with ``forms_agree`` filled.  A lifted system reports the
     lists of the system it lifts onto, under that system's names.  The
-    reduction is shared with a ``solve`` on equal content just before,
+    reduction is built on the equilibrated instance
+    (:func:`_equilibrated`), so residuals and thresholds are in its
+    units.  It is shared with a ``solve`` on equal content just before,
     and its coefficient factorization with the call before on equal
     coefficients (see :func:`shared_work`).  The norms of the
-    compatibility and residual terms are held on the work; the lists
-    and their thresholds are built per call at ``tol * scale``."""
+    compatibility and residual terms are held on the work; the lists are
+    built per call, each term at ``tol``."""
     inst.require()
     root, _ = _reduced(inst)
+    root, _ = _equilibrated(root)
     work = shared_work(root.WORK, root)
     return SolvabilityReport(*_residual_lists(work, tol), _rank_list(work))
 
@@ -595,41 +669,46 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     five-term reduction inherits; the others have one closed form and
     accept either name.
 
-    The verdict: ``Inconsistent`` when a compatibility or residual
-    condition fails, with the rank list built on first read from the
-    work's own copy of the instance (:func:`shared_work`), so editing
-    the caller's blocks in place later cannot change it.  Otherwise the
-    family, without a rank list, when every ``residual_terms`` entry of
-    its particular solution has ``|defect| <= tol * scale`` (linear in
-    the right sides, so independent of their scale); otherwise the full
-    report's verdict.  A lifted system's family keeps the free
-    parameters of the family it lifts onto that have no zero dimension,
-    and maps each assembled tuple back through the lifts."""
+    The reduction is built on the equilibrated instance, as in
+    :func:`check`.  The verdict: ``Inconsistent`` when a compatibility or
+    residual condition fails, with the rank list built on first read
+    from the work's own copy of the instance (:func:`shared_work`), so
+    editing the caller's blocks in place later cannot change it.
+    Otherwise the family, without a rank list, when every
+    ``residual_terms`` entry of its particular solution on the
+    equilibrated instance has ``|defect| <= tol``; otherwise the full
+    report's verdict.  The family keeps the free parameters of the
+    reduction's family that have no zero dimension.  It divides the
+    parameters it is given by 2^k, the right sides' scale, and maps each
+    assembled tuple back through the lifts and multiplies it by 2^k."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     inst.require()
     root, maps = _reduced(inst)
+    root, k = _equilibrated(root)
     work = shared_work(root.WORK, root)
     compat, mp = _residual_lists(work, tol)
     res = (work.family(branch) if all(c.passed for c in compat + mp)
            else None)
     if res is None or not all(
-            defect.norm() <= tol * scale
-            for _, defect, scale in root.residual_terms(res.particular)):
+            defect.norm() <= tol
+            for _, defect, _ in root.residual_terms(res.particular)):
         report = SolvabilityReport(compat, mp, lambda: _rank_list(work))
         if not report.consistent:
             return Inconsistent(report)
-    if not maps:
-        return res
 
-    def project(sol):
-        for back in reversed(maps):
-            sol = back(sol)
-        return sol
+    def back(sol):
+        for project in reversed(maps):
+            sol = project(sol)
+        return tuple(times_pow2(m, k) for m in sol) if k else sol
+
+    def assemble(vals):
+        if k:
+            vals = {name: times_pow2(v, -k) for name, v in vals.items()}
+        return back(res.assemble(vals))
 
     family = LinearSolutionFamily(
         inst.unknown_names(),
-        [p for p in res.free_params if 0 not in p.shape],
-        lambda vals: project(res.assemble(vals)))
-    family._particular = project(res.particular)
+        [p for p in res.free_params if 0 not in p.shape], assemble)
+    family._particular = back(res.particular)
     return family

@@ -193,9 +193,6 @@ class _FiveTermWork:
         self.inst = inst
         k = self.factors = factors or _FiveTermFactors(
             [getattr(inst, n) for n in inst.coefficient_names()])
-        # B is added last; a reordered sum moves every threshold an ulp
-        self.scale = (1.0 + sum(m.norm() for m in inst.blocks()[:-1])
-                      + inst.B.norm())
         self.T1 = k.bA1.proj_right @ inst.B @ k.bB1.proj_left
         self.E1 = k.C @ self.T1
         self.E2 = k.ra11 @ self.T1 @ k.lb22

@@ -158,7 +158,6 @@ class _MasterWork:
             t1 = t1 - e @ w.particular @ f
         self.reduced = FiveTermInstance(*k.reduced, t1)
         self.five = _FiveTermWork(self.reduced, k.five)
-        self.scale = 1.0 + sum(m.norm() for m in inst.blocks())
 
     # -- certificate lists -------------------------------------------------
 

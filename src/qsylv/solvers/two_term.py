@@ -97,7 +97,6 @@ class _TwoTermWork:
     def __init__(self, inst: TwoTermInstance, factors=None):
         self.inst = inst
         self.factors = factors or _TwoTermFactors(inst)
-        self.scale = 1.0 + inst.E1.norm()
 
     def compat_terms(self) -> list:
         return []

@@ -154,9 +154,9 @@ def test_example_instance_checks_and_solves(data_dir, tmp_path):
     assert main(["solve", ipath, "--out", out, "--tol", "1e-8"]) == 0
 
 
-def test_solve_scaled_master_exits_zero(tmp_path):
-    # right sides x1e8: the rank certificate fails (check exits 2), but
-    # the particular solution verifies, so solve returns the family
+def test_check_and_solve_scaled_master_exit_zero(tmp_path):
+    # right sides x1e8: both certificates pass on the equilibrated
+    # instance (check exits 0), and the particular solution verifies
     ipath = str(tmp_path / "inst.json")
     spath = str(tmp_path / "sol.json")
     assert main(["gen", "--variant", "master", "--size", "2", "--seed", "0",
@@ -167,7 +167,7 @@ def test_solve_scaled_master_exits_zero(tmp_path):
     docs.dump_json(ipath, docs.instance_to_doc(inst))
     assert main(["solve", ipath, "--out", spath]) == 0
     assert main(["verify", ipath, spath]) == 0
-    assert main(["check", ipath]) == 2
+    assert main(["check", ipath]) == 0
 
 
 @pytest.mark.parametrize("command", ("check", "solve"))

@@ -15,8 +15,7 @@ import pytest
 import qsylv
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
                            gen_unsolvable, rand_qmatrix)
-from qsylv.solvers import (FiveTermInstance, Inconsistent, MasterInstance,
-                           PairInstance, TwoTermInstance)
+from qsylv.solvers import Inconsistent
 from qsylv.solvers.families import check, solve
 
 TOL = 1e-9
@@ -94,14 +93,18 @@ def test_eta_precondition_names_the_types_own_field(variant, op):
     rhs = inst.rhs_names()[-1]
     target = getattr(inst, rhs)
     rng = np.random.default_rng(3)
-    bad = replace(inst, **{rhs: target + rand_qmatrix(rng, *target.shape)})
+    off = target + rand_qmatrix(rng, *target.shape)
     calls = {"check": (VARIANT_TABLE[variant].check, PUBLIC[variant][0]),
              "solve": (VARIANT_TABLE[variant].solve, PUBLIC[variant][1])}
     driver, public = calls[op]
-    for call in (lambda: driver(bad, TOL), lambda: public(bad)):
-        with pytest.raises(ValueError,
-                           match=rf"^{rhs} is not eta-Hermitian \(defect"):
-            call()
+    # at x1e-300 the squared entries underflow, at x1e160 and x1e300
+    # they overflow, unless require() scales the right side first
+    for factor in (1.0, 1e-300, 1e160, 1e300):
+        bad = replace(inst, **{rhs: off * factor})
+        for call in (lambda: driver(bad, TOL), lambda: public(bad)):
+            with pytest.raises(ValueError,
+                               match=rf"^{rhs} is not eta-Hermitian \(defect"):
+                call()
 
 
 @pytest.mark.parametrize("value", (np.nan, np.inf))
@@ -126,31 +129,17 @@ def test_non_finite_entries_are_refused_before_any_svd(variant, value,
     assert calls == []
 
 
-def _threshold_scale(inst):
-    """The data norm every compatibility and residual condition of
-    ``inst`` is thresholded against, from the instance its lifts end
-    at: all blocks for master and five-term, the right sides for
-    two-term and the pair."""
-    while inst.WORK is None:
-        inst, _ = inst.lift()
-    if isinstance(inst, (MasterInstance, FiveTermInstance)):
-        return 1.0 + sum(m.norm() for m in inst.blocks())
-    if isinstance(inst, TwoTermInstance):
-        return 1.0 + inst.E1.norm()
-    assert isinstance(inst, PairInstance)
-    return 1.0 + inst.C.norm() + inst.D.norm()
-
-
 @pytest.mark.parametrize("factor", (1.0, 1e8))
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_thresholds_are_tol_times_the_root_scale(variant, factor):
+    """``check`` decides on the equilibrated root, whose scale is 1:
+    every compatibility and residual threshold is ``tol`` itself."""
     rhs = VARIANT_TABLE[variant].instance_type.rhs_names()
     for seed in (0, 1):
         inst, _ = gen_planted(variant, 3, seed, "j")
         inst = replace(inst, **{f: getattr(inst, f) * factor for f in rhs})
-        want = TOL * _threshold_scale(inst)
         report = check(inst, TOL)
         conditions = report.compat_conditions + report.mp_conditions
         assert conditions
         for c in conditions:
-            assert abs(c.threshold - want) <= 1e-15 * want, c.name
+            assert c.threshold == TOL, c.name
