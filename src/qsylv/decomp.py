@@ -9,15 +9,20 @@ inverse and both projectors from its factors, reading each quaternion
 result off the top block row of its embedded image.
 
 ``ranks`` ranks a list of block grids, each with the arithmetic of
-``rank``.  When BLAS is pinned to one thread, the process may run on at
-least two CPUs and the largest embedding has at least
-``_HELPER_MIN_ENTRIES`` complex entries, one short-lived helper thread
-embeds and ranks the largest grid while the calling thread ranks the
-rest.  Half of the bidiagonalization's flops are BLAS-2, memory-bound
-once the matrix outgrows the cache (Golub and Van Loan, *Matrix
-Computations*, section 5.4.8), so that SVD overlaps with the others;
-BLAS-3 work on two threads of one process does not.  The helper is
-joined before ``ranks`` returns or raises.
+``rank``.  A grid may be marked as a :class:`SubGrid` of another grid
+of the list, which keeps some of its block columns (rows): when that
+full grid has full column (row) rank with its smallest singular value
+above ``_SUBGRID_MARGIN`` times its cut, Cauchy interlacing fixes the
+sub-grid's rank at its column (row) count, without an SVD; otherwise
+the sub-grid is ranked directly.  When BLAS is pinned to one thread,
+the process may run on at least two CPUs and the largest embedding has
+at least ``_HELPER_MIN_ENTRIES`` complex entries, one short-lived helper
+thread ranks the largest grid, embedded on the calling thread first,
+while the calling thread ranks the rest.  The gate is where numpy's
+``svd(compute_uv=False)`` releases the GIL, so a smaller helper SVD
+would shut the calling thread out: at 394x392 it keeps a pure-Python
+loop on another thread blocked for the whole call, from 510x510 up it
+does not.  The helper is joined before ``ranks`` returns or raises.
 """
 
 from __future__ import annotations
@@ -38,6 +43,18 @@ _EPS = float(np.finfo(np.float64).eps)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _HELPER_MIN_ENTRIES = 1 << 18
 
+# How far above its cut the smallest kept singular value of a full grid
+# must lie before its sub-grids' ranks are read off it (see
+# :class:`SubGrid`).  Computed singular values of an embedding of m x n
+# quaternion entries are within about 2 max(m, n) eps sigma_max of the
+# exact ones, which is twice the default cut, and a sub-grid's cut is no
+# larger than its full grid's.  So a computed value above s times the
+# cut leaves the exact one above (s - 2) times it, the sub-grid's exact
+# one too by interlacing, and the sub-grid's computed one above (s - 4)
+# times it: above its own cut for any s >= 5.  16 keeps that for errors
+# of up to 7.5 max(m, n) eps sigma_max.
+_SUBGRID_MARGIN = 16.0
+
 
 class NumericError(RuntimeError):
     """A decomposition failed to converge."""
@@ -57,6 +74,19 @@ class PinvBundle:
     tol_used: float
 
 
+class SubGrid:
+    """A block grid ``grid`` that is the block sub-grid of ``full`` which
+    keeps some of its block columns (``axis`` 1) or block rows (``axis``
+    0), less the block rows (columns) that are zero on the kept ones; so
+    it has the nonzero singular values of that sub-grid.  (A plain
+    class: a dataclass would cost about 0.4 ms at import.)"""
+
+    __slots__ = ("grid", "full", "axis")
+
+    def __init__(self, grid, full, axis: int):
+        self.grid, self.full, self.axis = grid, full, axis
+
+
 def default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
     return max(rows, cols) * sigma_max * _EPS
 
@@ -64,7 +94,10 @@ def default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
 def _embedding(a) -> np.ndarray:
     """The embedding of ``a``: a QMatrix, or a block grid as
     :func:`.qmatrix.block` takes it, written straight from its cells
-    (:func:`.qmatrix.embed_block`)."""
+    (:func:`.qmatrix.embed_block`); an ndarray is an embedding already
+    made."""
+    if isinstance(a, np.ndarray):
+        return a
     return a.embed() if isinstance(a, QMatrix) else embed_block(a)
 
 
@@ -88,25 +121,31 @@ def singular_values(a: QMatrix) -> np.ndarray:
     return 0.5 * (s[0::2] + s[1::2])
 
 
+def _cut_values(m: np.ndarray, tol, floor: float) -> tuple:
+    """The pair-collapsed singular values of the embedding ``m`` and the
+    cut of its rank: ``tol``, by default max(m, n) sigma_max eps, and at
+    least ``floor``."""
+    s = _svdvals(m)
+    sig = 0.5 * (s[0::2] + s[1::2])
+    if tol is None:
+        tol = (default_rank_tol(m.shape[0] // 2, m.shape[1] // 2,
+                                float(sig[0])) if sig.size else 0.0)
+    return sig, max(tol, floor)
+
+
 def rank(a, tol: float | None = None, floor: float = 0.0) -> int:
     """Numerical rank; for an empty matrix this is 0.
 
     ``a`` is a QMatrix or a block grid of them (``None`` for a zero
     block, as :func:`.qmatrix.block` takes it); a grid is ranked without
-    forming its block matrix, with the same result.  ``floor`` is an
+    forming its block matrix, with the same result.  :func:`ranks` hands
+    its helper an embedding already made (an ndarray).  ``floor`` is an
     absolute lower bound on the truncation threshold, used by the solver
     cascade so that intermediates that vanish in exact arithmetic are
     not ranked on their rounding noise.
     """
-    m = _embedding(a)
-    s = _svdvals(m)
-    if s.size == 0:
-        return 0
-    sig = 0.5 * (s[0::2] + s[1::2])
-    if tol is None:
-        tol = default_rank_tol(m.shape[0] // 2, m.shape[1] // 2,
-                               float(sig[0]))
-    return int(np.count_nonzero(sig > max(tol, floor)))
+    sig, cut = _cut_values(_embedding(a), tol, floor)
+    return int(np.count_nonzero(sig > cut))
 
 
 def _helper_allowed(entries: int) -> bool:
@@ -124,35 +163,68 @@ def _helper_allowed(entries: int) -> bool:
 
 def ranks(grids, floor: float) -> list:
     """``[rank(g, floor=floor) for g in grids]`` for block grids, each
-    laid out once.
+    laid out once, where a :class:`SubGrid` is ranked as its ``grid``.
 
-    When :func:`_helper_allowed` admits the largest embedding, one
-    helper thread ranks that grid while this thread ranks the rest in
-    order; the helper is joined before this returns or raises, and an
-    error in it is raised here.  Every rank takes the same SVD of the
-    same embedding either way, so the results are the same.
+    The grids that are no ``SubGrid`` are ranked first, in order.  A
+    ``SubGrid`` whose ``full`` is one of them (the same object) takes
+    its column (``axis`` 1) or row (``axis`` 0) count as its rank, with
+    no SVD, when ``full`` has as many singular values above
+    ``_SUBGRID_MARGIN`` times its cut as columns (rows); every other one
+    is ranked directly, after them.
+
+    When :func:`_helper_allowed` admits the largest embedding of a grid
+    that is neither a ``SubGrid`` nor the ``full`` of one, this thread
+    embeds that grid, then one helper thread ranks the embedding while
+    this thread ranks the rest; the helper is joined before this
+    returns or raises, and an error in it is raised here.  Every rank
+    taken takes the same SVD of the same embedding either way, so the
+    results are the same.
     """
-    laid = [BlockGrid(g) for g in grids]
-    sizes = [4 * g.rows * g.cols for g in laid]
-    big = max(range(len(laid)), key=sizes.__getitem__, default=None)
-    if big is None or not _helper_allowed(sizes[big]):
-        return [rank(g, floor=floor) for g in laid]
-    out, failed = [None] * len(laid), []
+    items = list(grids)
+    index = {id(g): i for i, g in enumerate(items)
+             if not isinstance(g, SubGrid)}
+    parent = {i: index.get(id(g.full)) for i, g in enumerate(items)
+              if isinstance(g, SubGrid)}
+    laid = [BlockGrid(g.grid if i in parent else g)
+            for i, g in enumerate(items)]
+    full = set(parent.values()) - {None}
+    out, margins = [None] * len(items), {}
+    sizes = {i: 4 * g.rows * g.cols for i, g in enumerate(laid)
+             if i not in parent and i not in full}
+    big = max(sizes, key=sizes.__getitem__, default=None)
+    if big is not None and not _helper_allowed(sizes[big]):
+        big = None
+    thread, failed = None, []
+    if big is not None:
+        embedded = embed_block(laid[big])
 
-    def helper():
-        try:
-            out[big] = rank(laid[big], floor=floor)
-        except Exception as exc:
-            failed.append(exc)
+        def helper():
+            try:
+                out[big] = rank(embedded, floor=floor)
+            except Exception as exc:
+                failed.append(exc)
 
-    thread = threading.Thread(target=helper, name="qsylv-rank")
-    thread.start()
+        thread = threading.Thread(target=helper, name="qsylv-rank")
+        thread.start()
     try:
         for i, g in enumerate(laid):
-            if i != big:
+            if i in full:
+                sig, cut = _cut_values(embed_block(g), None, floor)
+                out[i] = int(np.count_nonzero(sig > cut))
+                margins[i] = int(np.count_nonzero(
+                    sig > _SUBGRID_MARGIN * cut))
+            elif i not in parent and i != big:
+                out[i] = rank(g, floor=floor)
+        for i, p in parent.items():
+            g, axis = laid[i], items[i].axis
+            if p is not None and margins[p] == (laid[p].cols if axis
+                                                else laid[p].rows):
+                out[i] = g.cols if axis else g.rows
+            else:
                 out[i] = rank(g, floor=floor)
     finally:
-        thread.join()
+        if thread is not None:
+            thread.join()
     if failed:
         raise failed[0]
     return out

@@ -210,10 +210,12 @@ class ShapedInstance:
     def blocks(self) -> list:
         return [getattr(self, f.name) for f in fields(self) if f.name != "eta"]
 
-    def copy(self):
-        """The same instance over copies of its blocks."""
+    def copy(self, keep=()):
+        """The same instance over copies of its blocks, but for the
+        blocks named in ``keep``, which it shares."""
         return replace(self, **{f.name: getattr(self, f.name).copy()
-                                for f in fields(self) if f.name != "eta"})
+                                for f in fields(self)
+                                if f.name != "eta" and f.name not in keep})
 
 
 # The last reduction built by shared_work, as the one item of a list
@@ -233,7 +235,7 @@ def _same_blocks(a, b, names) -> bool:
     return True
 
 
-def shared_work(cls, inst):
+def shared_work(cls, inst, fresh):
     """The reduction ``cls(inst)``, sharing what it can with the previous
     call.
 
@@ -252,7 +254,8 @@ def shared_work(cls, inst):
     On any other miss the whole work is built cold.  The slot is emptied
     before a new work is built, so two passes are never alive at once,
     and the new work owns a copy of the right sides (and of the
-    coefficients on a cold build): editing the caller's matrices in
+    coefficients on a cold build, but for the blocks named in ``fresh``,
+    new arrays that no caller holds): editing the caller's matrices in
     place afterwards misses the slot and cannot reach a family or report
     already handed out.  A factorization is a function of the
     coefficient bytes alone, and everything that depends on ``tol`` or on
@@ -269,7 +272,7 @@ def shared_work(cls, inst):
         factors = work.factors
         inst = replace(work.inst, **{n: getattr(inst, n).copy() for n in rhs})
     else:
-        factors, inst = None, inst.copy()
+        factors, inst = None, inst.copy(keep=fresh)
     # free the old pass before the new one is built
     work = _SLOT[0] = None
     _SLOT[0] = work = cls(inst, factors)
@@ -603,6 +606,19 @@ def _equilibrated(root):
                             for n, s in shifts.items() if s}), k
 
 
+def _root_work(inst) -> tuple:
+    """The work of the equilibrated instance ``inst`` lifts onto
+    (:func:`shared_work`), the maps back and the exponent k of its right
+    sides' scale.  The blocks that equilibration scaled are new arrays,
+    so a cold build copies only the others."""
+    inst.require()
+    root, maps = _reduced(inst)
+    scaled, k = _equilibrated(root)
+    fresh = {f.name for f in fields(root)
+             if getattr(scaled, f.name) is not getattr(root, f.name)}
+    return shared_work(scaled.WORK, scaled, fresh), maps, k
+
+
 def _residual_lists(work, tol: float) -> tuple:
     """The compatibility and residual lists: each term's norm against
     ``tol``.  The ``(name, norm)`` of every term is taken on the first
@@ -654,10 +670,7 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     coefficients (see :func:`shared_work`).  The norms of the
     compatibility and residual terms are held on the work; the lists are
     built per call, each term at ``tol``."""
-    inst.require()
-    root, _ = _reduced(inst)
-    root, _ = _equilibrated(root)
-    work = shared_work(root.WORK, root)
+    work, _, _ = _root_work(inst)
     return SolvabilityReport(*_residual_lists(work, tol), _rank_list(work))
 
 
@@ -683,16 +696,13 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     assembled tuple back through the lifts and multiplies it by 2^k."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
-    inst.require()
-    root, maps = _reduced(inst)
-    root, k = _equilibrated(root)
-    work = shared_work(root.WORK, root)
+    work, maps, k = _root_work(inst)
     compat, mp = _residual_lists(work, tol)
     res = (work.family(branch) if all(c.passed for c in compat + mp)
            else None)
     if res is None or not all(
             defect.norm() <= tol
-            for _, defect, _ in root.residual_terms(res.particular)):
+            for _, defect, _ in work.inst.residual_terms(res.particular)):
         report = SolvabilityReport(compat, mp, lambda: _rank_list(work))
         if not report.consistent:
             return Inconsistent(report)

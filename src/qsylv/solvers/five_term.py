@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..decomp import pinv
+from ..decomp import SubGrid, pinv
 from ..qmatrix import QMatrix, hstack, vstack
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        cascade_floor, check, solve)
@@ -83,7 +83,11 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     [[K, tops], [sides, diag(corners)]] with the sum of the ranks of its
     two panels in ``rhs``: the left forms without the K column (their
     tops and corners) and the right forms without the K row (their sides
-    and corners), coefficient blocks only.
+    and corners), coefficient blocks only.  The left panels of R2-R8
+    are marked as :class:`.decomp.SubGrid` s of R1's, which has every
+    left form, and the right panels of R1-R7 of R8's, which has every
+    right form, in the same order; a form left out drops its block
+    column (row) and the corner's block row (column), zero on the rest.
 
     R(n+1), n = 0..7, puts W3 on the right side when bit 0 of n is set,
     W2 for bit 1 and W4 for bit 2.  R9 borders two copies of K, the
@@ -119,10 +123,15 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
         [k, k],
         in_copy(la, 0) + in_copy(lb, 1) + [((e4, e4), a4, (None, c4f4))],
         in_copy(ra, 0) + in_copy(rb, 1) + [((e4d4, None), b4, (f4, -f4))]))
-    return [(f"R{n}", _bordered(ks, lefts + rights),
-             ([row[len(ks):] for row in _bordered(ks, lefts)],
-              _bordered(ks, rights)[len(ks):]))
-            for n, (ks, lefts, rights) in enumerate(grids, 1)]
+    panels = [[[row[len(ks):] for row in _bordered(ks, lefts)],
+               _bordered(ks, rights)[len(ks):]]
+              for ks, lefts, rights in grids]
+    for n in range(7):
+        panels[n + 1][0] = SubGrid(panels[n + 1][0], panels[0][0], 1)
+        panels[n][1] = SubGrid(panels[n][1], panels[7][1], 0)
+    return [(f"R{n}", _bordered(ks, lefts + rights), tuple(pair))
+            for n, ((ks, lefts, rights), pair)
+            in enumerate(zip(grids, panels), 1)]
 
 
 class _FiveTermFactors:

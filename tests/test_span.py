@@ -34,7 +34,7 @@ def _units(shape):
 
 def _rank(cols) -> int:
     s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    return int(np.sum(s > 1e-9 * s[0]))
+    return int(np.sum(s > 1e-9 * max(1.0, s[0])))
 
 
 def _solution_dim(inst) -> int:
