@@ -4,34 +4,28 @@ A matrix is stored as {"rows": m, "cols": n, "entries": [[[w,x,y,z],
 ...], ...]} with row-major nested arrays of 4-component reals.  An
 instance document carries the matrices under their coefficient names at
 the top level plus "variant" (and "eta" for eta variants); absent
-optional blocks mean empty matrices.  Their dimensions come from the
-instance type's ``SHAPES`` table: each named dimension takes its value
-from the present blocks that carry it, and is 0 when none does; present
-blocks that disagree raise ParseError.  Serialization uses plain
+optional blocks mean zero matrices, sized by the instance type's
+``with_empty`` from its ``SHAPES`` table: each named dimension takes its
+value from the present blocks that carry it, and is 0 when none does;
+present blocks that disagree raise ParseError.  Serialization uses plain
 floats, so documents re-parse to bit-identical matrices.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from itertools import chain
 
 import numpy as np
 
 from .harness import VARIANT_TABLE, VARIANTS
 from .qcore import ETAS
-from .qmatrix import DimensionError, QMatrix, named_dims
+from .qmatrix import DimensionError, QMatrix
 
 
 class ParseError(ValueError):
     """A document is malformed; the message names the offending key."""
 
-
-# matrix keys in document order: the instance fields, minus eta
-_KEYS = {name: tuple(f.name for f in fields(v.instance_type)
-                     if f.name != "eta")
-         for name, v in VARIANT_TABLE.items()}
 
 # alternative labels accepted on input, normalized on load
 _ALIASES = {
@@ -96,7 +90,8 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
 
 
 def _load_matrices(doc: dict, variant: str) -> dict:
-    keys = _KEYS[variant]
+    inst_type = VARIANT_TABLE[variant].instance_type
+    keys = inst_type.block_names()
     aliases = _ALIASES.get(variant, {})
     present = {}
     for key, value in doc.items():
@@ -109,14 +104,10 @@ def _load_matrices(doc: dict, variant: str) -> dict:
         if name in present:
             raise ParseError(f"matrix {name!r} given twice (alias {key!r})")
         present[name] = matrix_from_doc(value, key)
-    shapes = VARIANT_TABLE[variant].instance_type.SHAPES
     try:
-        dims = named_dims(shapes, present)
+        return inst_type.with_empty(present)
     except DimensionError as exc:
         raise ParseError(str(exc)) from exc
-    return {key: present[key] if key in present
-            else QMatrix.zeros(dims.get(rname, 0), dims.get(cname, 0))
-            for key, (rname, cname) in shapes.items() if key in keys}
 
 
 def _doc_eta(doc: dict, default: str = "i") -> str:
@@ -155,7 +146,8 @@ def instance_to_doc(inst, notes=None) -> dict:
         doc["eta"] = inst.eta
     if notes:
         doc["_notes"] = list(notes)
-    for key in _KEYS[variant]:
+    # matrix keys in document order: the block fields
+    for key in inst.block_names():
         doc[key] = matrix_to_doc(getattr(inst, key))
     return doc
 

@@ -11,8 +11,10 @@ other on solution sets.  Eta-three lifts onto eta-full with its first
 slot empty, and eta-mixed onto eta-three: for an eta-Hermitian Y the
 constraint Y B1 = D1 is B1^{eta*} Y = D1^{eta*}, and the third slot is
 empty.  Eta-two lifts onto the two-term system, whose solutions the
-same averaging maps onto its own.  Every eta type ``lift()``s itself,
-and the one driver (:func:`.solvers.families.check`,
+same averaging maps onto its own.  Every eta type declares these
+steps as its ``LIFT`` table: the doubled blocks as ``^eta*`` slots, and
+the averaging as the target unknowns each own unknown is the mean of.
+The one driver (:func:`.solvers.families.check`,
 :func:`.solvers.families.solve`) decides every one of them.
 
 Right sides may arrive under either the C or the B naming convention;
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix
-from .solvers.families import (DEFAULT_TOL, ShapedInstance, check,
-                                max_exponents, solve, times_pow2)
+from .solvers.families import (DEFAULT_TOL, ETA_STAR, ShapedInstance,
+                                check, max_exponents, solve, times_pow2)
 from .solvers.master import MasterInstance
 from .solvers.two_term import TwoTermInstance
 
@@ -84,11 +86,13 @@ class EtaFullInstance(_EtaInstance):
     X, Y, Z are eta-Hermitian by construction."""
 
     SHAPES = {
+        "A1": ("q1", "p1"), "A2": ("q2", "p2"),
+        "A3": ("q3", "p3"), "A4": ("q4", "p4"),
+        "C1": ("q1", "n"), "C2": ("q2", "p2"),
+        "C3": ("q3", "p3"), "C4": ("q4", "p4"),
+        "E1": ("n", "p1"), "E2": ("n", "p2"),
+        "E3": ("n", "p3"), "E4": ("n", "p4"),
         "Cc": ("n", "n"),
-        "A1": ("q1", "p1"), "E1": ("n", "p1"), "C1": ("q1", "n"),
-        "A2": ("q2", "p2"), "E2": ("n", "p2"), "C2": ("q2", "p2"),
-        "A3": ("q3", "p3"), "E3": ("n", "p3"), "C3": ("q3", "p3"),
-        "A4": ("q4", "p4"), "E4": ("n", "p4"), "C4": ("q4", "p4"),
         "U": ("p1", "n"), "X": ("p2", "p2"), "Y": ("p3", "p3"),
         "Z": ("p4", "p4"),
     }
@@ -100,45 +104,20 @@ class EtaFullInstance(_EtaInstance):
                ("E4", "Z", "E4^eta*", False)),
     }
     ETA_HERMITIAN = ("X", "Y", "Z")
-
-    eta: str
-    A1: QMatrix
-    A2: QMatrix
-    A3: QMatrix
-    A4: QMatrix
-    C1: QMatrix
-    C2: QMatrix
-    C3: QMatrix
-    C4: QMatrix
-    E1: QMatrix
-    E2: QMatrix
-    E3: QMatrix
-    E4: QMatrix
-    Cc: QMatrix
+    # the doubled system: each A W = C gains W A^{eta*} = C^{eta*}, and
+    # each coupling term E W its mirror W E^{eta*}
+    LIFT = (MasterInstance,
+            {"Cc": "Cc", **{f"{b}{i}": f"{a}{i}{star}"
+                            for a, mirror in ("AB", "CD", "EF")
+                            for b, star in ((a, ""), (mirror, ETA_STAR))
+                            for i in (1, 2, 3, 4)}},
+            {"U": ("U", "V^eta*"), "X": ("X", "X^eta*"),
+             "Y": ("Y", "Y^eta*"), "Z": ("Z", "Z^eta*")})
 
     def to_master(self) -> MasterInstance:
-        """The doubled system, with right-side blocks eta-conjugated."""
-        et = self.eta
-        ec = lambda m: m.eta_conj_transpose(et)
-        return MasterInstance(
-            A1=self.A1, B1=ec(self.A1), C1=self.C1, D1=ec(self.C1),
-            A2=self.A2, B2=ec(self.A2), C2=self.C2, D2=ec(self.C2),
-            A3=self.A3, B3=ec(self.A3), C3=self.C3, D3=ec(self.C3),
-            A4=self.A4, B4=ec(self.A4), C4=self.C4, D4=ec(self.C4),
-            E1=self.E1, E2=self.E2, E3=self.E3, E4=self.E4,
-            F1=ec(self.E1), F2=ec(self.E2), F3=ec(self.E3), F4=ec(self.E4),
-            Cc=self.Cc)
-
-    def lift(self):
-        et = self.eta
-
-        def project(sol):
-            u1, u2, xt, yt, zt = sol
-            u = (u1 + u2.eta_conj_transpose(et)) * 0.5
-            return (u, symmetrize(xt, et), symmetrize(yt, et),
-                    symmetrize(zt, et))
-
-        return self.to_master(), project
+        """The doubled master instance (``perfbench/tracer.py`` wraps
+        this name)."""
+        return self.lift()[0]
 
 
 @dataclass(frozen=True)
@@ -149,10 +128,10 @@ class EtaThreeInstance(_EtaInstance):
     Lifted onto eta-full with its first slot (U) empty."""
 
     SHAPES = {
+        "A1": ("q1", "p1"), "A2": ("q2", "p2"), "A3": ("q3", "p3"),
+        "C1": ("q1", "p1"), "C2": ("q2", "p2"), "C3": ("q3", "p3"),
+        "E1": ("n", "p1"), "E2": ("n", "p2"), "E3": ("n", "p3"),
         "C": ("n", "n"),
-        "A1": ("q1", "p1"), "E1": ("n", "p1"), "C1": ("q1", "p1"),
-        "A2": ("q2", "p2"), "E2": ("n", "p2"), "C2": ("q2", "p2"),
-        "A3": ("q3", "p3"), "E3": ("n", "p3"), "C3": ("q3", "p3"),
         "X": ("p1", "p1"), "Y": ("p2", "p2"), "Z": ("p3", "p3"),
     }
     TERMS = {
@@ -162,32 +141,16 @@ class EtaThreeInstance(_EtaInstance):
               ("E3", "Z", "E3^eta*", False)),
     }
     ETA_HERMITIAN = ("X", "Y", "Z")
-
-    eta: str
-    A1: QMatrix
-    A2: QMatrix
-    A3: QMatrix
-    C1: QMatrix
-    C2: QMatrix
-    C3: QMatrix
-    E1: QMatrix
-    E2: QMatrix
-    E3: QMatrix
-    C: QMatrix
+    # block i in eta-full slot i + 1; the first slot (U) is empty
+    LIFT = (EtaFullInstance,
+            {"Cc": "C", **{f"{b}{i + 1}": f"{b}{i}"
+                           for b in "ACE" for i in (1, 2, 3)}},
+            {"X": ("X",), "Y": ("Y",), "Z": ("Z",)})
 
     def to_full(self) -> EtaFullInstance:
-        n = self.C.rows
-        z = QMatrix.zeros
-        return EtaFullInstance(
-            eta=self.eta,
-            A1=z(0, 0), C1=z(0, n), E1=z(n, 0),
-            A2=self.A1, C2=self.C1, E2=self.E1,
-            A3=self.A2, C3=self.C2, E3=self.E2,
-            A4=self.A3, C4=self.C3, E4=self.E3,
-            Cc=self.C)
-
-    def lift(self):
-        return self.to_full(), lambda sol: sol[1:]
+        """The eta-full instance with the first slot empty
+        (``perfbench/tracer.py`` wraps this name)."""
+        return self.lift()[0]
 
 
 # -- two-term equation with eta-Hermitian unknowns -------------------------
@@ -203,26 +166,15 @@ class EtaTwoInstance(_EtaInstance):
     The certificates carry two-term names, and the family's free
     parameters are the two-term Y11..Y15."""
 
-    SHAPES = {"D1": ("d", "d"), "B1": ("d", "nb"), "C1": ("d", "nc"),
+    SHAPES = {"B1": ("d", "nb"), "C1": ("d", "nc"), "D1": ("d", "d"),
               "Y": ("nb", "nb"), "Z": ("nc", "nc")}
     TERMS = {"D1": (("B1", "Y", "B1^eta*", False),
                     ("C1", "Z", "C1^eta*", False))}
     ETA_HERMITIAN = ("Y", "Z")
-
-    eta: str
-    B1: QMatrix
-    C1: QMatrix
-    D1: QMatrix
-
-    def to_two_term(self) -> TwoTermInstance:
-        ec = lambda m: m.eta_conj_transpose(self.eta)
-        return TwoTermInstance(C3=self.B1, D3=ec(self.B1), C4=self.C1,
-                               D4=ec(self.C1), E1=self.D1)
-
-    def lift(self):
-        et = self.eta
-        return self.to_two_term(), lambda sol: tuple(
-            symmetrize(x, et) for x in sol)
+    LIFT = (TwoTermInstance,
+            {"C3": "B1", "D3": "B1^eta*", "C4": "C1", "D4": "C1^eta*",
+             "E1": "D1"},
+            {"Y": ("X3", "X3^eta*"), "Z": ("X4", "X4^eta*")})
 
 
 def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
@@ -242,40 +194,21 @@ class EtaMixedInstance(_EtaInstance):
     Lifted onto eta-three; its certificates carry master names, and the
     family has one closed form."""
 
-    SHAPES = {"D3": ("d", "d"), "A1": ("q1", "nx"), "C1": ("q1", "nx"),
+    SHAPES = {"A1": ("q1", "nx"), "C1": ("q1", "nx"),
               "B1": ("ny", "s1"), "D1": ("ny", "s1"),
-              "A2": ("d", "nx"), "A3": ("d", "ny"),
+              "A2": ("d", "nx"), "A3": ("d", "ny"), "D3": ("d", "d"),
               "X": ("nx", "nx"), "Y": ("ny", "ny")}
     TERMS = {"C1": (("A1", "X", None, False),),
              "D1": ((None, "Y", "B1", False),),
              "D3": (("A2", "X", "A2^eta*", False),
                     ("A3", "Y", "A3^eta*", False))}
     ETA_HERMITIAN = ("X", "Y")
-
-    eta: str
-    A1: QMatrix
-    C1: QMatrix
-    B1: QMatrix
-    D1: QMatrix
-    A2: QMatrix
-    A3: QMatrix
-    D3: QMatrix
-
-    def to_three(self) -> EtaThreeInstance:
-        """Lift with X in the first slot, Y in the second under
-        B1^{eta*} Y = D1^{eta*}, and the third slot empty."""
-        n = self.D3.rows
-        ec = lambda m: m.eta_conj_transpose(self.eta)
-        z = QMatrix.zeros
-        return EtaThreeInstance(
-            eta=self.eta,
-            A1=self.A1, C1=self.C1, E1=self.A2,
-            A2=ec(self.B1), C2=ec(self.D1), E2=self.A3,
-            A3=z(0, 0), C3=z(0, 0), E3=z(n, 0),
-            C=self.D3)
-
-    def lift(self):
-        return self.to_three(), lambda sol: sol[:2]
+    # X in the first slot, Y in the second under B1^{eta*} Y = D1^{eta*},
+    # and the third slot empty
+    LIFT = (EtaThreeInstance,
+            {"A1": "A1", "C1": "C1", "E1": "A2", "A2": "B1^eta*",
+             "C2": "D1^eta*", "E2": "A3", "C": "D3"},
+            {"X": ("X",), "Y": ("Y",)})
 
 
 check_eta_full = check_eta_three = check_eta_two = check_eta_mixed = check

@@ -27,11 +27,6 @@ class PairInstance(ShapedInstance):
     TERMS = {"C": (("A", "X", None, False),),
              "D": ((None, "X", "B", False),)}
 
-    A: QMatrix
-    C: QMatrix
-    B: QMatrix
-    D: QMatrix
-
 
 class PairKernel:
     """Closed-form general solution of A X = C, X B = D.

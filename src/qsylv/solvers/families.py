@@ -2,10 +2,11 @@
 parameters and solvability reports, and the one driver that decides
 every system of the hierarchy.
 
-Each instance type either names its own reduction as ``WORK`` (the
-master, five-term, two-term and pair systems) or ``lift()``s itself
-onto a larger system, with some blocks empty or, for the eta types,
-doubled and symmetrized back.  :func:`check` and
+Each instance type is declared by its tables (:class:`ShapedInstance`):
+its shapes, its equations, and either its own reduction as ``WORK``
+(the master, five-term, two-term and pair systems) or a ``LIFT`` onto a
+larger system, with some blocks empty or, for the eta types, doubled
+and averaged back.  :func:`check` and
 :func:`solve` follow the lifts to a type with a ``WORK``, take its
 reduction from a one-slot memo (:func:`shared_work`), build the
 certificates from it and, for ``solve``, map the family back through
@@ -50,7 +51,7 @@ only for the right side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -102,6 +103,13 @@ def _left_side(terms, vals: dict, eta) -> QMatrix:
     return total
 
 
+def _mean(mats):
+    """The mean of one or more matrices; one is returned as is."""
+    if len(mats) == 1:
+        return mats[0]
+    return sum(mats[1:], mats[0]) * (1.0 / len(mats))
+
+
 def _equation_name(rhs: str, terms) -> str:
     if len(terms) > 1:
         return f"coupling={rhs}"
@@ -110,43 +118,68 @@ def _equation_name(rhs: str, terms) -> str:
 
 class ShapedInstance:
     """Base of the instance types: the one place that knows a system's
-    shapes and equations.
+    shapes, equations and lift, each declared as a table.
 
-    ``SHAPES`` maps every coefficient block (a field) and every unknown
-    to a pair of named dimensions, so a repeated name means equal sizes
-    (``("n", "n")`` is a square block).  Construction checks the blocks
-    against it; ``unknown_shapes`` and the document parser read it too.
+    ``SHAPES`` maps every coefficient block and every unknown to a pair
+    of named dimensions, so a repeated name means equal sizes (``("n",
+    "n")`` is a square block).  Construction checks the blocks against
+    it; ``unknown_shapes``, ``with_empty`` and the document parser read
+    it too.
 
-    ``TERMS`` maps each equation's right-side field to the terms summed
+    ``TERMS`` maps each equation's right-side block to the terms summed
     on its left, in order.  A term ``(left, unknown, right, eta_conj)``
     is the product ``left @ unknown @ right``: ``None`` leaves a factor
     out, a name ending in ``^eta*`` stands for that block's
     eta-conjugate transpose, and ``eta_conj`` takes the eta-conjugate
     transpose of the whole product.  The last equation is the coupling
     equation.  ``ETA_HERMITIAN`` names the unknowns that must equal
-    their eta-conjugate transpose.  ``residual_terms``, ``from_witness``
-    and ``rhs_names`` are derived from these tables.
+    their eta-conjugate transpose.
+
+    The dataclass fields are derived from these tables when the class
+    is made: ``eta`` first when ``ETA_HERMITIAN`` is not empty, then
+    every ``SHAPES`` entry that is no unknown of ``TERMS``, in table
+    order; the unknowns are the remaining entries, in table order.
+    ``residual_terms``, ``from_witness`` and ``rhs_names`` read the
+    tables too.
 
     ``WORK`` is the reduction class of a system solved in its own
-    right.  A system without one defines ``lift()``, which returns the
-    larger instance it is solved through and the map from that
-    instance's solution tuples to its own.  ``require()`` raises
-    ``ValueError`` when a precondition on the data fails: every type
-    refuses non-finite entries.
+    right.  A system without one declares ``LIFT = (target, slots,
+    back)``: the larger instance type it is solved through, the map
+    from target blocks to own blocks in the notation of ``TERMS``
+    (``"B1": "A1^eta*"``), every other target block being empty, and
+    the map from each own unknown to the target unknowns it is the mean
+    of (``"U": ("U", "V^eta*")``, or ``"X1": ("X",)`` for a slot).
+    ``lift()`` reads it.  ``require()`` raises ``ValueError`` when a
+    precondition on the data fails: every type refuses non-finite
+    entries.
     """
 
     SHAPES: dict = {}
     TERMS: dict = {}
     ETA_HERMITIAN: tuple = ()
     WORK = None
+    LIFT = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "SHAPES" in vars(cls):
+            unknowns = {t[1] for terms in cls.TERMS.values() for t in terms}
+            cls._blocks = tuple(k for k in cls.SHAPES if k not in unknowns)
+            cls.__annotations__ = {**({"eta": str} if cls.ETA_HERMITIAN
+                                      else {}),
+                                   **dict.fromkeys(cls._blocks, QMatrix)}
 
     def __post_init__(self):
         named_dims(self.SHAPES, vars(self))
 
     @classmethod
+    def block_names(cls) -> tuple:
+        """The block fields (every field but ``eta``), in field order."""
+        return cls._blocks
+
+    @classmethod
     def unknown_names(cls) -> tuple:
-        return tuple(k for k in cls.SHAPES
-                     if k not in cls.__dataclass_fields__)
+        return tuple(k for k in cls.SHAPES if k not in cls._blocks)
 
     @classmethod
     def rhs_names(cls) -> tuple:
@@ -157,9 +190,18 @@ class ShapedInstance:
     def coefficient_names(cls) -> tuple:
         """The coefficient fields: every block field but the right
         sides, in field order."""
-        rhs = cls.rhs_names()
-        return tuple(f.name for f in fields(cls)
-                     if f.name != "eta" and f.name not in rhs)
+        return tuple(n for n in cls._blocks if n not in cls.TERMS)
+
+    @classmethod
+    def with_empty(cls, present: dict) -> dict:
+        """Every block field: those of ``present`` as given, the others
+        zero, each named dimension taking its value from the blocks of
+        ``present`` that carry it and 0 where none does.  Raises
+        DimensionError when two blocks of ``present`` disagree."""
+        dims = named_dims(cls.SHAPES, present)
+        return {k: present[k] if k in present
+                else QMatrix.zeros(*(dims.get(n, 0) for n in cls.SHAPES[k]))
+                for k in cls._blocks}
 
     @classmethod
     def from_witness(cls, witness, **blocks):
@@ -172,6 +214,25 @@ class ShapedInstance:
         eta = blocks.get("eta")
         return cls(**blocks, **{rhs: _left_side(terms, vals, eta)
                                 for rhs, terms in cls.TERMS.items()})
+
+    def lift(self):
+        """The ``LIFT`` target instance this one is solved through, and
+        the map from that instance's solution tuples to this one's."""
+        target, slots, back = self.LIFT
+        vals = vars(self)
+        eta = vals.get("eta")
+        blocks = target.with_empty({k: _factor(vals, own, eta)
+                                    for k, own in slots.items()})
+        if target.ETA_HERMITIAN:
+            blocks["eta"] = eta
+        names = target.unknown_names()
+
+        def project(sol):
+            got = dict(zip(names, sol))
+            return tuple(_mean([_factor(got, n, eta) for n in means])
+                         for means in back.values())
+
+        return target(**blocks), project
 
     def residual_terms(self, sol) -> list:
         """``(name, defect, scale)`` for every equation, left side minus
@@ -196,11 +257,10 @@ class ShapedInstance:
     def require(self):
         """Refuse a block with a nan or infinite entry, naming it, before
         any SVD can read it."""
-        for f in fields(self):
-            if f.name != "eta":
-                m = getattr(self, f.name)
-                if not (np.isfinite(m.a1).all() and np.isfinite(m.a2).all()):
-                    raise ValueError(f"{f.name} has a non-finite entry")
+        for name in self._blocks:
+            m = getattr(self, name)
+            if not (np.isfinite(m.a1).all() and np.isfinite(m.a2).all()):
+                raise ValueError(f"{name} has a non-finite entry")
 
     def unknown_shapes(self) -> dict:
         dims = named_dims(self.SHAPES, vars(self))
@@ -208,14 +268,13 @@ class ShapedInstance:
                 for k in self.unknown_names()}
 
     def blocks(self) -> list:
-        return [getattr(self, f.name) for f in fields(self) if f.name != "eta"]
+        return [getattr(self, n) for n in self._blocks]
 
     def copy(self, keep=()):
         """The same instance over copies of its blocks, but for the
         blocks named in ``keep``, which it shares."""
-        return replace(self, **{f.name: getattr(self, f.name).copy()
-                                for f in fields(self)
-                                if f.name != "eta" and f.name not in keep})
+        return replace(self, **{n: getattr(self, n).copy()
+                                for n in self._blocks if n not in keep})
 
 
 # The last reduction built by shared_work, as the one item of a list
@@ -614,8 +673,8 @@ def _root_work(inst) -> tuple:
     inst.require()
     root, maps = _reduced(inst)
     scaled, k = _equilibrated(root)
-    fresh = {f.name for f in fields(root)
-             if getattr(scaled, f.name) is not getattr(root, f.name)}
+    fresh = {n for n in root.block_names()
+             if getattr(scaled, n) is not getattr(root, n)}
     return shared_work(scaled.WORK, scaled, fresh), maps, k
 
 
@@ -658,6 +717,31 @@ def _rank_list(work) -> list:
     return out
 
 
+def _backward_stable(work, sol, tol: float) -> bool:
+    """Whether every equation of the work's instance holds at ``sol``
+    with normwise backward error ``|sum L W R - b| / (sum |L| |W| |R| +
+    |b|)`` at most ``tol`` (Rigal and Gaches, J. ACM 14 (1967); Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 7), the sum
+    over the equation's terms in ``TERMS``.  A factor left out has norm
+    1 and a ``^eta*`` factor its block's norm.  The factor norms read
+    the coefficients alone, so they are taken on the first call on a
+    factorization and held on it as ``factors.factor_norms``."""
+    inst, k = work.inst, work.factors
+    norms = getattr(k, "factor_norms", None)
+    if norms is None:
+        norms = k.factor_norms = {n: getattr(inst, n).norm()
+                                  for n in inst.coefficient_names()}
+    factor = lambda n: 1.0 if n is None else norms[n.removesuffix(ETA_STAR)]
+    unknown = dict(zip(inst.unknown_names(), (m.norm() for m in sol)))
+    for (_, defect, b), terms in zip(inst.residual_terms(sol),
+                                     inst.TERMS.values()):
+        scale = b + sum(factor(left) * unknown[w] * factor(right)
+                        for left, w, right, _ in terms)
+        if defect.norm() > tol * scale:
+            return False
+    return True
+
+
 def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     """Both certificate forms of any instance: the compatibility
     products, the residual certificate and the rank certificate of its
@@ -687,22 +771,21 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     residual condition fails, with the rank list built on first read
     from the work's own copy of the instance (:func:`shared_work`), so
     editing the caller's blocks in place later cannot change it.
-    Otherwise the family, without a rank list, when every
-    ``residual_terms`` entry of its particular solution on the
-    equilibrated instance has ``|defect| <= tol``; otherwise the full
-    report's verdict.  The family keeps the free parameters of the
-    reduction's family that have no zero dimension.  It divides the
-    parameters it is given by 2^k, the right sides' scale, and maps each
-    assembled tuple back through the lifts and multiplies it by 2^k."""
+    Otherwise the family, without a rank list, when every equation of
+    the equilibrated instance has a normwise backward error of at most
+    ``tol`` at its particular solution (:func:`_backward_stable`);
+    otherwise the full report's verdict.  The family keeps the free
+    parameters of the reduction's family that have no zero dimension.
+    It divides the parameters it is given by 2^k, the right sides'
+    scale, and maps each assembled tuple back through the lifts and
+    multiplies it by 2^k."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     work, maps, k = _root_work(inst)
     compat, mp = _residual_lists(work, tol)
     res = (work.family(branch) if all(c.passed for c in compat + mp)
            else None)
-    if res is None or not all(
-            defect.norm() <= tol
-            for _, defect, _ in work.inst.residual_terms(res.particular)):
+    if res is None or not _backward_stable(work, res.particular, tol):
         report = SolvabilityReport(compat, mp, lambda: _rank_list(work))
         if not report.consistent:
             return Inconsistent(report)

@@ -33,27 +33,17 @@ class FiveTermInstance(ShapedInstance):
     """Coefficients of A1 X1 + X2 B1 + sum_i A_{i+1} Y_i B_{i+1} = B."""
 
     SHAPES = {
-        "B": ("p", "q"),
         "A1": ("p", "a1"), "B1": ("b1", "q"),
         "A2": ("p", "a2"), "B2": ("b2", "q"),
         "A3": ("p", "a3"), "B3": ("b3", "q"),
         "A4": ("p", "a4"), "B4": ("b4", "q"),
+        "B": ("p", "q"),
         "X1": ("a1", "q"), "X2": ("p", "b1"), "Y1": ("a2", "b2"),
         "Y2": ("a3", "b3"), "Y3": ("a4", "b4"),
     }
     TERMS = {"B": (("A1", "X1", None, False), (None, "X2", "B1", False),
                    ("A2", "Y1", "B2", False), ("A3", "Y2", "B3", False),
                    ("A4", "Y3", "B4", False))}
-
-    A1: QMatrix
-    B1: QMatrix
-    A2: QMatrix
-    B2: QMatrix
-    A3: QMatrix
-    B3: QMatrix
-    A4: QMatrix
-    B4: QMatrix
-    B: QMatrix
 
 
 def _bordered(ks, forms) -> list:

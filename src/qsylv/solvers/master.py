@@ -38,19 +38,19 @@ class MasterInstance(ShapedInstance):
     empty, which is how the specializations are expressed."""
 
     SHAPES = {
+        "A1": ("q1", "p1"), "A2": ("q2", "p2"),
+        "A3": ("q3", "p3"), "A4": ("q4", "p4"),
+        "B1": ("r1", "s1"), "B2": ("r2", "s2"),
+        "B3": ("r3", "s3"), "B4": ("r4", "s4"),
+        "C1": ("q1", "cc"), "C2": ("q2", "r2"),
+        "C3": ("q3", "r3"), "C4": ("q4", "r4"),
+        "D1": ("cr", "s1"), "D2": ("p2", "s2"),
+        "D3": ("p3", "s3"), "D4": ("p4", "s4"),
+        "E1": ("cr", "p1"), "E2": ("cr", "p2"),
+        "E3": ("cr", "p3"), "E4": ("cr", "p4"),
+        "F1": ("r1", "cc"), "F2": ("r2", "cc"),
+        "F3": ("r3", "cc"), "F4": ("r4", "cc"),
         "Cc": ("cr", "cc"),
-        "A1": ("q1", "p1"), "B1": ("r1", "s1"),
-        "E1": ("cr", "p1"), "F1": ("r1", "cc"),
-        "C1": ("q1", "cc"), "D1": ("cr", "s1"),
-        "A2": ("q2", "p2"), "B2": ("r2", "s2"),
-        "E2": ("cr", "p2"), "F2": ("r2", "cc"),
-        "C2": ("q2", "r2"), "D2": ("p2", "s2"),
-        "A3": ("q3", "p3"), "B3": ("r3", "s3"),
-        "E3": ("cr", "p3"), "F3": ("r3", "cc"),
-        "C3": ("q3", "r3"), "D3": ("p3", "s3"),
-        "A4": ("q4", "p4"), "B4": ("r4", "s4"),
-        "E4": ("cr", "p4"), "F4": ("r4", "cc"),
-        "C4": ("q4", "r4"), "D4": ("p4", "s4"),
         "U": ("p1", "cc"), "V": ("cr", "r1"), "X": ("p2", "r2"),
         "Y": ("p3", "r3"), "Z": ("p4", "r4"),
     }
@@ -63,32 +63,6 @@ class MasterInstance(ShapedInstance):
                ("E2", "X", "F2", False), ("E3", "Y", "F3", False),
                ("E4", "Z", "F4", False)),
     }
-
-    A1: QMatrix
-    A2: QMatrix
-    A3: QMatrix
-    A4: QMatrix
-    B1: QMatrix
-    B2: QMatrix
-    B3: QMatrix
-    B4: QMatrix
-    C1: QMatrix
-    C2: QMatrix
-    C3: QMatrix
-    C4: QMatrix
-    D1: QMatrix
-    D2: QMatrix
-    D3: QMatrix
-    D4: QMatrix
-    E1: QMatrix
-    E2: QMatrix
-    E3: QMatrix
-    E4: QMatrix
-    F1: QMatrix
-    F2: QMatrix
-    F3: QMatrix
-    F4: QMatrix
-    Cc: QMatrix
 
 
 class MasterSolution(NamedTuple):

@@ -1,7 +1,8 @@
 """Specializations of the master system.
 
 Both systems here are the master system with some blocks empty: each
-``lift()``s itself onto a MasterInstance, and the one driver
+declares a ``LIFT`` onto MasterInstance that places its blocks in
+master slots and leaves the others empty, and the one driver
 (:func:`.families.check`, :func:`.families.solve`) decides it through
 the master reduction.  Their certificates are the master lists under
 master names; their families keep the master family's free parameters
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..qmatrix import QMatrix
 from .families import DEFAULT_TOL, ShapedInstance, check, solve
 from .master import MasterInstance
 
@@ -27,16 +27,13 @@ class ThreeTermInstance(ShapedInstance):
     absent block become vacuous)."""
 
     SHAPES = {
+        "A1": ("q1", "p1"), "A2": ("q2", "p2"), "A3": ("q3", "p3"),
+        "B1": ("r1", "s1"), "B2": ("r2", "s2"), "B3": ("r3", "s3"),
+        "C1": ("q1", "r1"), "C2": ("q2", "r2"), "C3": ("q3", "r3"),
+        "D1": ("p1", "s1"), "D2": ("p2", "s2"), "D3": ("p3", "s3"),
+        "E1": ("cr", "p1"), "E2": ("cr", "p2"), "E3": ("cr", "p3"),
+        "F1": ("r1", "cc"), "F2": ("r2", "cc"), "F3": ("r3", "cc"),
         "C": ("cr", "cc"),
-        "A1": ("q1", "p1"), "B1": ("r1", "s1"),
-        "C1": ("q1", "r1"), "D1": ("p1", "s1"),
-        "E1": ("cr", "p1"), "F1": ("r1", "cc"),
-        "A2": ("q2", "p2"), "B2": ("r2", "s2"),
-        "C2": ("q2", "r2"), "D2": ("p2", "s2"),
-        "E2": ("cr", "p2"), "F2": ("r2", "cc"),
-        "A3": ("q3", "p3"), "B3": ("r3", "s3"),
-        "C3": ("q3", "r3"), "D3": ("p3", "s3"),
-        "E3": ("cr", "p3"), "F3": ("r3", "cc"),
         "X": ("p1", "r1"), "Y": ("p2", "r2"), "Z": ("p3", "r3"),
     }
     TERMS = {
@@ -46,63 +43,30 @@ class ThreeTermInstance(ShapedInstance):
         "C": (("E1", "X", "F1", False), ("E2", "Y", "F2", False),
               ("E3", "Z", "F3", False)),
     }
-
-    A1: QMatrix
-    A2: QMatrix
-    A3: QMatrix
-    B1: QMatrix
-    B2: QMatrix
-    B3: QMatrix
-    C1: QMatrix
-    C2: QMatrix
-    C3: QMatrix
-    D1: QMatrix
-    D2: QMatrix
-    D3: QMatrix
-    E1: QMatrix
-    E2: QMatrix
-    E3: QMatrix
-    F1: QMatrix
-    F2: QMatrix
-    F3: QMatrix
-    C: QMatrix
-
-    def to_master(self) -> MasterInstance:
-        """Lift by letting the first master block vanish (empty blocks)."""
-        cr, cc = self.C.shape
-        z = QMatrix.zeros
-        return MasterInstance(
-            A1=z(0, 0), B1=z(0, 0), C1=z(0, cc), D1=z(cr, 0),
-            E1=z(cr, 0), F1=z(0, cc),
-            A2=self.A1, B2=self.B1, C2=self.C1, D2=self.D1,
-            E2=self.E1, F2=self.F1,
-            A3=self.A2, B3=self.B2, C3=self.C2, D3=self.D2,
-            E3=self.E2, F3=self.F2,
-            A4=self.A3, B4=self.B3, C4=self.C3, D4=self.D3,
-            E4=self.E3, F4=self.F3,
-            Cc=self.C)
-
-    def lift(self):
-        return self.to_master(), lambda sol: sol[2:]
+    # block i in master slot i + 1; the first master slot is empty
+    LIFT = (MasterInstance,
+            {"Cc": "C", **{f"{b}{i + 1}": f"{b}{i}"
+                           for b in "ABCDEF" for i in (1, 2, 3)}},
+            {"X": ("X",), "Y": ("Y",), "Z": ("Z",)})
 
 
 @dataclass(frozen=True)
 class MixedInstance(ShapedInstance):
-    """A1 X = C1, X B1 = C2, A2 Y = C3, Y B2 = C4,
-    A3 X B3 + A4 Y B4 = Cc.
+    """A1 X1 = C1, X1 B1 = C2, A2 X2 = C3, X2 B2 = C4,
+    A3 X1 B3 + A4 X2 B4 = Cc.
 
     Lifted onto the master system with X1 and X2 in its X and Y slots;
     the conditions of the empty U, V and Z slots are vacuous, and the
     family has one closed form."""
 
     SHAPES = {
-        "Cc": ("cr", "cc"),
         "A1": ("q1", "p1"), "B1": ("t1", "s1"),
         "C1": ("q1", "t1"), "C2": ("p1", "s1"),
         "A2": ("q2", "p2"), "B2": ("t2", "s2"),
         "C3": ("q2", "t2"), "C4": ("p2", "s2"),
         "A3": ("cr", "p1"), "B3": ("t1", "cc"),
         "A4": ("cr", "p2"), "B4": ("t2", "cc"),
+        "Cc": ("cr", "cc"),
         "X1": ("p1", "t1"), "X2": ("p2", "t2"),
     }
     TERMS = {
@@ -110,39 +74,11 @@ class MixedInstance(ShapedInstance):
         "C3": (("A2", "X2", None, False),), "C4": ((None, "X2", "B2", False),),
         "Cc": (("A3", "X1", "B3", False), ("A4", "X2", "B4", False)),
     }
-
-    A1: QMatrix
-    B1: QMatrix
-    C1: QMatrix
-    C2: QMatrix
-    A2: QMatrix
-    B2: QMatrix
-    C3: QMatrix
-    C4: QMatrix
-    A3: QMatrix
-    B3: QMatrix
-    A4: QMatrix
-    B4: QMatrix
-    Cc: QMatrix
-
-    def to_master(self) -> MasterInstance:
-        """Lift with X1 in the master X slot, X2 in the Y slot and the
-        U, V and Z slots empty."""
-        cr, cc = self.Cc.shape
-        z = QMatrix.zeros
-        return MasterInstance(
-            A1=z(0, 0), B1=z(0, 0), C1=z(0, cc), D1=z(cr, 0),
-            E1=z(cr, 0), F1=z(0, cc),
-            A2=self.A1, B2=self.B1, C2=self.C1, D2=self.C2,
-            E2=self.A3, F2=self.B3,
-            A3=self.A2, B3=self.B2, C3=self.C3, D3=self.C4,
-            E3=self.A4, F3=self.B4,
-            A4=z(0, 0), B4=z(0, 0), C4=z(0, 0), D4=z(0, 0),
-            E4=z(cr, 0), F4=z(0, cc),
-            Cc=self.Cc)
-
-    def lift(self):
-        return self.to_master(), lambda sol: sol[2:4]
+    LIFT = (MasterInstance,
+            {"A2": "A1", "B2": "B1", "C2": "C1", "D2": "C2", "E2": "A3",
+             "F2": "B3", "A3": "A2", "B3": "B2", "C3": "C3", "D3": "C4",
+             "E3": "A4", "F3": "B4", "Cc": "Cc"},
+            {"X1": ("X",), "X2": ("Y",)})
 
 
 check_three_term = check_mixed = check

@@ -19,16 +19,10 @@ class TwoTermInstance(ShapedInstance):
     equalities.  The family has one closed form, with five free
     parameters Y11..Y15 (Y11 is shared between the two unknowns)."""
 
-    SHAPES = {"E1": ("p", "q"), "C3": ("p", "m3"), "D3": ("n3", "q"),
-              "C4": ("p", "m4"), "D4": ("n4", "q"),
+    SHAPES = {"C3": ("p", "m3"), "D3": ("n3", "q"), "C4": ("p", "m4"),
+              "D4": ("n4", "q"), "E1": ("p", "q"),
               "X3": ("m3", "n3"), "X4": ("m4", "n4")}
     TERMS = {"E1": (("C3", "X3", "D3", False), ("C4", "X4", "D4", False))}
-
-    C3: QMatrix
-    D3: QMatrix
-    C4: QMatrix
-    D4: QMatrix
-    E1: QMatrix
 
 
 class TwoTermKernel:

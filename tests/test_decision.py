@@ -86,6 +86,33 @@ def test_decision_rule_on_scaled_right_sides(variant):
                                     False, factor)
 
 
+# the coefficient factors of each master unknown's terms: scaling them
+# by t maps the solution set by W -> W / t and moves no verdict
+UNKNOWN_FACTORS = {"U": ("A1", "E1"), "V": ("B1", "F1"),
+                   "X": ("A2", "B2", "E2"), "Y": ("A3", "B3", "E3"),
+                   "Z": ("A4", "B4", "E4")}
+
+
+def test_no_family_for_a_twin_with_one_unknown_scaled():
+    # each equation's backward error is tested at tol, so a coupling
+    # equation that is small next to the largest right side cannot
+    # pass on an absolute defect of tol
+    families = []
+    for size in (2, 4):
+        for seed in (0, 1, 2):
+            twin = gen_unsolvable("master", size, seed)
+            for unknown, names in UNKNOWN_FACTORS.items():
+                for t in (1e-10, 1e10):
+                    inst = replace(twin, **{n: getattr(twin, n) * t
+                                            for n in names})
+                    res = qsylv.solve_master(inst, TOL)
+                    if not isinstance(res, Inconsistent):
+                        families.append((size, seed, unknown, t,
+                                         qsylv.check_master(inst,
+                                                            TOL).consistent))
+    assert all(consistent for *_, consistent in families), families
+
+
 def test_scaled_master_is_consistent_and_solved():
     inst, _ = gen_consistent(DimensionProfile.cube(2, 0))
     inst = _scaled(inst, 1e8)

@@ -7,7 +7,7 @@ import pytest
 
 from qsylv import documents as docs
 from qsylv import QMatrix
-from qsylv.harness import VARIANTS, gen_planted
+from qsylv.harness import VARIANT_TABLE, VARIANTS, gen_planted
 from qsylv.qmatrix import DimensionError
 
 
@@ -69,4 +69,30 @@ def test_solution_keys_keep_their_order():
         "eta-three": ("X", "Y", "Z"),
         "eta-two": ("Y", "Z"),
         "eta-mixed": ("X", "Y"),
+    }
+
+
+def test_field_names_keep_their_order():
+    # the order fixes positional constructors such as
+    # PairInstance(a, c, b, d) and the key order of instance documents
+    got = {name: tuple(f.name for f in dataclasses.fields(v.instance_type))
+           for name, v in VARIANT_TABLE.items()}
+    assert got == {
+        "pair": ("A", "C", "B", "D"),
+        "master": ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "C1",
+                   "C2", "C3", "C4", "D1", "D2", "D3", "D4", "E1", "E2",
+                   "E3", "E4", "F1", "F2", "F3", "F4", "Cc"),
+        "three-term": ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3",
+                       "D1", "D2", "D3", "E1", "E2", "E3", "F1", "F2", "F3",
+                       "C"),
+        "mixed": ("A1", "B1", "C1", "C2", "A2", "B2", "C3", "C4", "A3", "B3",
+                  "A4", "B4", "Cc"),
+        "two-term": ("C3", "D3", "C4", "D4", "E1"),
+        "five-term": ("A1", "B1", "A2", "B2", "A3", "B3", "A4", "B4", "B"),
+        "eta-full": ("eta", "A1", "A2", "A3", "A4", "C1", "C2", "C3", "C4",
+                     "E1", "E2", "E3", "E4", "Cc"),
+        "eta-three": ("eta", "A1", "A2", "A3", "C1", "C2", "C3", "E1", "E2",
+                      "E3", "C"),
+        "eta-two": ("eta", "B1", "C1", "D1"),
+        "eta-mixed": ("eta", "A1", "C1", "B1", "D1", "A2", "A3", "D3"),
     }

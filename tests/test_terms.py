@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from qsylv import QMatrix
 from qsylv.harness import VARIANT_TABLE, VARIANTS, gen_planted, gen_unsolvable
 from qsylv.solvers.families import ETA_STAR
 
@@ -105,3 +106,68 @@ def test_unsolvable_twin_moves_only_the_coupling_right_side(variant, eta):
     moved = {name for name in _block_names(type(twin))
              if (getattr(twin, name) - getattr(base, name)).norm() != 0.0}
     assert moved == {coupling}
+
+
+# the blocks of one planted instance (size 2, seed 0, eta = j) after its
+# lift, in the target's field order
+LIFTED_SHAPES = {
+    "three-term": ((0, 0), (2, 3), (2, 3), (2, 3), (0, 0), (3, 2), (3, 2),
+                   (3, 2), (0, 4), (2, 3), (2, 3), (2, 3), (4, 0), (3, 2),
+                   (3, 2), (3, 2), (4, 0), (4, 3), (4, 3), (4, 3), (0, 4),
+                   (3, 4), (3, 4), (3, 4), (4, 4)),
+    "mixed": ((0, 0), (2, 3), (2, 3), (0, 0), (0, 0), (3, 2), (3, 2), (0, 0),
+              (0, 4), (2, 3), (2, 3), (0, 0), (4, 0), (3, 2), (3, 2), (0, 0),
+              (4, 0), (4, 3), (4, 3), (4, 0), (0, 4), (3, 4), (3, 4), (0, 4),
+              (4, 4)),
+    "eta-full": ((2, 3), (2, 3), (2, 3), (2, 3), (3, 2), (3, 2), (3, 2),
+                 (3, 2), (2, 4), (2, 3), (2, 3), (2, 3), (4, 2), (3, 2),
+                 (3, 2), (3, 2), (4, 3), (4, 3), (4, 3), (4, 3), (3, 4),
+                 (3, 4), (3, 4), (3, 4), (4, 4)),
+    "eta-three": ((0, 0), (2, 3), (2, 3), (2, 3), (0, 4), (2, 3), (2, 3),
+                  (2, 3), (4, 0), (4, 3), (4, 3), (4, 3), (4, 4)),
+    "eta-two": ((4, 3), (3, 4), (4, 2), (2, 4), (4, 4)),
+    "eta-mixed": ((2, 3), (2, 3), (0, 0), (2, 3), (2, 3), (0, 0), (4, 3),
+                  (4, 3), (4, 0), (4, 4)),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_type_has_a_work_or_a_lift(variant):
+    cls = VARIANT_TABLE[variant].instance_type
+    assert (cls.WORK is None) != (cls.LIFT is None)
+    assert (cls.LIFT is not None) == (variant in LIFTED_SHAPES)
+
+
+@pytest.mark.parametrize("variant", sorted(LIFTED_SHAPES))
+def test_lift_slots_name_real_blocks(variant):
+    cls = VARIANT_TABLE[variant].instance_type
+    target, slots, back = cls.LIFT
+    own = set(cls.block_names())
+    fed = set()
+    for slot, name in slots.items():
+        assert slot in target.block_names(), slot
+        assert name.removesuffix(ETA_STAR) in own, name
+        assert not name.endswith(ETA_STAR) or cls.ETA_HERMITIAN, name
+        fed.add(name.removesuffix(ETA_STAR))
+    # a typo cannot leave a block of this type unused
+    assert fed == own
+    assert tuple(back) == cls.unknown_names()
+    for unknown, means in back.items():
+        assert means and all(
+            n.removesuffix(ETA_STAR) in target.unknown_names()
+            for n in means), unknown
+        assert all(not n.endswith(ETA_STAR) or cls.ETA_HERMITIAN
+                   for n in means), unknown
+
+
+@pytest.mark.parametrize("variant", sorted(LIFTED_SHAPES))
+def test_lifted_shapes_are_pinned(variant):
+    inst, wit = gen_planted(variant, 2, 0, "j")
+    lifted, project = inst.lift()
+    assert type(lifted) is type(inst).LIFT[0]
+    assert tuple(m.shape for m in lifted.blocks()) == LIFTED_SHAPES[variant]
+    assert getattr(lifted, "eta", "j") == "j"
+    # the map back keeps the shapes of this type's unknowns
+    shapes = lifted.unknown_shapes()
+    sol = project([QMatrix.zeros(*s) for s in shapes.values()])
+    assert [m.shape for m in sol] == [m.shape for m in wit]
