@@ -85,14 +85,8 @@ class ResidualReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tol": self.tol,
-            "entries": [
-                {"name": e.name, "absolute": e.absolute,
-                 "relative": e.relative, "passed": e.passed}
-                for e in self.entries],
-        }
+        return {"passed": self.passed, "tol": self.tol,
+                "entries": [dict(vars(e)) for e in self.entries]}
 
 
 def rand_qmatrix(rng, rows: int, cols: int) -> QMatrix:

@@ -3,7 +3,8 @@
 Consistency requires R_A C = 0, D L_B = 0 and A D = C B; then
 X = pinv(A) C + L_A D pinv(B) + L_A U1 R_B.  A X = C and X A = C are
 the pair with one equation empty: its pinv takes no SVD, its
-conditions are vacuous and its projector is the identity.
+projector is the identity, and its conditions have no entries, so the
+driver drops them (``A X = C`` lists ``R_A*C`` and ``r(C,A)=r(A)``).
 :class:`PairKernel` is this closed form; the master system solves its
 five side equations with it too.
 """

@@ -4,7 +4,7 @@ every system of the hierarchy.
 
 Each instance type is declared by its tables (:class:`ShapedInstance`):
 its shapes, its equations, and either its own reduction as ``WORK``
-(the master, five-term, two-term and pair systems) or a ``LIFT`` onto a
+(the master, two-term and pair systems) or a ``LIFT`` onto a
 larger system, with some blocks empty or, for the eta types, doubled
 and averaged back.  :func:`check` and
 :func:`solve` follow the lifts to a type with a ``WORK``, take its
@@ -43,6 +43,8 @@ it (``work.norms``), so a ``solve`` after a ``check`` on the same
 instance forms none of those products again.  Its ``rank_terms()``
 give the ``(name, grid, rhs)`` of every rank equality r(grid) =
 sum(rhs), and this module alone ranks them (:func:`_rank_list`).  A
+term that holds for every instance of its shapes, as the conditions of
+an equation a lift leaves empty do, is in no list (:func:`_vacuous`).  A
 work also gives ``family(branch)``.  A family's closed form reads its
 free parameters as given; one that ``assemble`` is not given is a zero
 that costs no product (:class:`_Zero`), so the particular solution pays
@@ -436,17 +438,9 @@ class SolvabilityReport:
         return {
             "consistent": self.consistent,
             "forms_agree": self.forms_agree,
-            "compat_conditions": [
-                {"name": c.name, "residual": c.residual,
-                 "threshold": c.threshold, "passed": c.passed}
-                for c in self.compat_conditions],
-            "mp_conditions": [
-                {"name": c.name, "residual": c.residual,
-                 "threshold": c.threshold, "passed": c.passed}
-                for c in self.mp_conditions],
-            "rank_conditions": [
-                {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
-                for c in self.rank_conditions],
+            **{key: [dict(vars(c)) for c in getattr(self, key)]
+               for key in ("compat_conditions", "mp_conditions",
+                           "rank_conditions")},
         }
 
 
@@ -678,29 +672,44 @@ def _root_work(inst) -> tuple:
     return shared_work(scaled.WORK, scaled, fresh), maps, k
 
 
+def _vacuous(term) -> bool:
+    """Whether a certificate term holds for every instance of its shapes:
+    a compatibility or residual term ``(name, value)`` whose value has
+    no entries, or a rank term ``(name, grid, rhs)`` whose grid has no
+    entries and whose ``rhs`` is known ranks of 0.  Such terms come from
+    the empty equations of a lift, and no list carries them."""
+    if len(term) == 2:
+        return not term[1].a1.size
+    _, grid, rhs = term
+    return (all(c is None or not c.a1.size for row in grid for c in row)
+            and all(isinstance(x, int) and x == 0 for x in rhs))
+
+
 def _residual_lists(work, tol: float) -> tuple:
     """The compatibility and residual lists: each term's norm against
-    ``tol``.  The ``(name, norm)`` of every term is taken on the first
-    call on a work and held on it as ``work.norms``; only the
-    thresholds are set per call."""
+    ``tol``, vacuous terms left out.  The ``(name, norm)`` of every term
+    is taken on the first call on a work and held on it as
+    ``work.norms``; only the thresholds are set per call."""
     norms = getattr(work, "norms", None)
     if norms is None:
+        kept = ([t for t in terms if not _vacuous(t)]
+                for terms in (work.compat_terms(), work.mp_terms()))
         norms = work.norms = tuple(
-            [(name, value.norm()) for name, value in terms]
-            for terms in (work.compat_terms(), work.mp_terms()))
+            [(name, value.norm()) for name, value in terms] for terms in kept)
     return tuple([Condition(name, r, tol, r <= tol)
                   for name, r in terms] for terms in norms)
 
 
 def _rank_list(work) -> list:
     """The rank list of a work: one ``RankCondition`` per entry ``(name,
-    grid, rhs)`` of its ``rank_terms()``, comparing the rank of ``grid``
-    with the sum of ``rhs``, whose entries are known ranks (ints) and
-    coefficient-only panel grids.  Every grid is ranked in one
-    :func:`.decomp.ranks` call at ``factors.floor``; the panel grids only
-    on the first list of a factorization, whose panel ranks are held,
-    in order, as ``factors.panels``."""
-    terms, k = work.rank_terms(), work.factors
+    grid, rhs)`` of its ``rank_terms()`` that is not vacuous, comparing
+    the rank of ``grid`` with the sum of ``rhs``, whose entries are
+    known ranks (ints) and coefficient-only panel grids.  Every grid is
+    ranked in one :func:`.decomp.ranks` call at ``factors.floor``; the
+    panel grids only on the first list of a factorization, whose panel
+    ranks are held, in order, as ``factors.panels``."""
+    terms = [t for t in work.rank_terms() if not _vacuous(t)]
+    k = work.factors
     panels = getattr(k, "panels", None)
     grids = [grid for _, grid, _ in terms]
     if panels is None:
@@ -761,10 +770,10 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
 def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     """General solution family of any instance, or Inconsistent.
 
-    ``branch`` picks one of the two closed forms of the five-term
-    system's last unknown, which every system through the master or
-    five-term reduction inherits; the others have one closed form and
-    accept either name.
+    ``branch`` picks one of the two closed forms of the master
+    reduction's last unknown (Z, which is Y3 of its reduced five-term
+    equation), which every system through the master reduction
+    inherits; the others have one closed form and accept either name.
 
     The reduction is built on the equilibrated instance, as in
     :func:`check`.  The verdict: ``Inconsistent`` when a compatibility or

@@ -1,17 +1,21 @@
 """The five-term equation A1 X1 + X2 B1 + A2 Y1 B2 + A3 Y2 B3 + A4 Y3 B4 = B.
 
-The solution pipeline eliminates (X1, X2) through the classical
-two-sided solvability condition, reduces (Y1, Y2) to a two-term
-two-sided equation whose right side depends on Y3, and parametrizes Y3
-as the general solution of a system of four two-sided equations sharing
-one unknown.  Y3 has two equivalent closed forms; ``branch`` selects
-which one the family assembles ("first" is the default).
+It is the master system's coupling equation with the side equations
+empty, and it is solved as that: ``FiveTermInstance.LIFT`` onto
+MasterInstance is set in :mod:`.master`, which imports this module, and
+check_five_term and solve_five_term are the driver,
+:func:`.families.check` and :func:`.families.solve`.
 
-Consistency is certified both by residual conditions and by nine rank
-equalities; the two certificates agree in exact arithmetic.  The
-reduction is ``FiveTermInstance.WORK``; check_five_term and
-solve_five_term are the driver, :func:`.families.check` and
-:func:`.families.solve`.
+This module holds the parts of the master reduction that work on its
+coupling equation.  The pass ``_FiveTermWork`` over the reduced
+equation eliminates (X1, X2) through the classical two-sided
+solvability condition, reduces (Y1, Y2) to a two-term two-sided
+equation whose right side depends on Y3, and parametrizes Y3 as the
+general solution of a system of four two-sided equations sharing one
+unknown.  Y3 has two equivalent closed forms; ``branch`` selects which
+one is assembled ("first" is the default).  :func:`block_rank_terms`
+gives the nine rank equalities of the coupling equation, which agree
+with the pass's residual conditions in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import SubGrid, pinv
-from ..qmatrix import QMatrix, hstack, vstack
-from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
-                       cascade_floor, check, solve)
+from ..qmatrix import hstack, vstack
+from .families import FreeParam, ShapedInstance, cascade_floor, check, solve
 from .two_term import TwoTermKernel
 
 FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
@@ -84,9 +87,9 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     first with W2 left and W3 right, the second the other way round,
     and joins them through W4: its left form has top E4 in both copies
     and side C4 F4 in the second; its right form has top E4 D4 in the
-    first and sides (F4, -F4).  The master system passes its own blocks,
-    the five-term equation empty side blocks; the three-term and
-    eta-Hermitian systems reach this rule through the master system.
+    first and sides (F4, -F4).  The master system passes its own
+    blocks; every other system reaches this rule through its lift onto
+    the master system.
     """
     u = ((e[0],), a[0], (c[0],))
     v = ((d[0],), b[0], (f[0],))
@@ -185,8 +188,9 @@ class _FiveTermFactors:
 
 class _FiveTermWork:
     """The right-side pass of one five-term instance over the
-    factorization of its coefficients: the reduction of one five-term
-    instance."""
+    factorization of its coefficients: the master reduction's pass over
+    its reduced coupling equation, whose certificates and family the
+    master work extends."""
 
     def __init__(self, inst: FiveTermInstance, factors=None):
         self.inst = inst
@@ -207,35 +211,19 @@ class _FiveTermWork:
 
     # -- certificates ----------------------------------------------------
 
-    def mp_terms(self, letters: str = "CDE") -> list:
+    def mp_terms(self) -> list:
         """(name, value) of the nine residual conditions, each of which
-        must vanish; ``letters`` name C, D and E (the master system
-        calls them G, H and L)."""
+        must vanish, named as in the master system: G, H and L are the
+        C, D and E of this pass."""
         k = self.factors
-        c, d, e = letters
         out = []
         for i in range(1, 5):
             ei = getattr(self, f"E{i}")
-            out.append((f"R_{c}{i}*{e}{i}", k.bC[i - 1].proj_right @ ei))
-            out.append((f"{e}{i}*L_{d}{i}", ei @ k.bD[i - 1].proj_left))
+            out.append((f"R_G{i}*L{i}", k.bC[i - 1].proj_right @ ei))
+            out.append((f"L{i}*L_H{i}", ei @ k.bD[i - 1].proj_left))
         out.append(("R_E22*E*L_E33",
                     k.vw3.bc4.proj_right @ self.E @ k.vw3.bd3.proj_left))
         return out
-
-    def compat_terms(self) -> list:
-        return []
-
-    def rank_terms(self) -> list:
-        inst = self.inst
-        p, q = inst.B.shape
-        es = [inst.A1, inst.A2, inst.A3, inst.A4]
-        fs = [inst.B1, inst.B2, inst.B3, inst.B4]
-        # no side equations: zero-row A, C and zero-column B, D blocks
-        a = [QMatrix.zeros(0, e.cols) for e in es]
-        b = [QMatrix.zeros(f.rows, 0) for f in fs]
-        c = [QMatrix.zeros(0, q)] + [QMatrix.zeros(0, f.rows) for f in fs[1:]]
-        d = [QMatrix.zeros(p, 0)] + [QMatrix.zeros(e.cols, 0) for e in es[1:]]
-        return block_rank_terms(inst.B, a, b, c, d, es, fs)
 
     # -- family assembly -------------------------------------------------
 
@@ -250,11 +238,6 @@ class _FiveTermWork:
         }
         return tuple(FreeParam(name, shapes[name])
                      for name in FIVE_TERM_PARAM_NAMES)
-
-    def family(self, branch: str) -> LinearSolutionFamily:
-        return LinearSolutionFamily(self.inst.unknown_names(),
-                                    self.param_specs(),
-                                    lambda vals: self.assemble(vals, branch))
 
     def assemble(self, vals: dict, branch: str):
         inst, k = self.inst, self.factors
@@ -291,9 +274,6 @@ class _FiveTermWork:
               + k.a1_pa1 @ vals["U1"]
               + vals["U3"] @ k.bB1.proj_right)
         return (x1, x2, y1, y2, y3)
-
-
-FiveTermInstance.WORK = _FiveTermWork
 
 
 check_five_term = check

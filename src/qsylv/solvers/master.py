@@ -9,9 +9,12 @@ U, V, X, Y and Z with one :class:`.basic.PairKernel` each, reduces the
 coupling equation to a five-term equation in their free parameters,
 reduces that with :mod:`.five_term`, and assembles (U, V, X, Y, Z).
 The specializations lift onto this system by letting blocks be empty
-rather than through separate code paths, and every system is decided
-by the one driver, :func:`.families.check` and :func:`.families.solve`,
-which ``check_master`` and ``solve_master`` are.
+rather than through separate code paths.  The five-term equation is
+the coupling equation with every side equation empty; its ``LIFT`` is
+set here, as :mod:`.five_term` cannot import this module.  Every
+system is decided by the one driver, :func:`.families.check` and
+:func:`.families.solve`, which ``check_master`` and ``solve_master``
+are; it drops the conditions of empty side equations.
 """
 
 from __future__ import annotations
@@ -111,7 +114,9 @@ class _MasterWork:
     kernels plus the reduced five-term pass, the reduction of one master
     instance.  The reduced work is built here directly, so it does not
     take the master work's place in the slot of
-    :func:`.families.shared_work`."""
+    :func:`.families.shared_work`.  U and V solve pairs with one
+    equation empty, whose other conditions the driver drops as
+    vacuous."""
 
     def __init__(self, inst: MasterInstance, factors=None):
         self.inst = inst
@@ -136,20 +141,16 @@ class _MasterWork:
     # -- certificate lists -------------------------------------------------
 
     def compat_terms(self) -> list:
-        return [t for k in self.sides[2:] for t in k.compat_terms()]
+        return [t for k in self.sides for t in k.compat_terms()]
 
     def mp_terms(self) -> list:
-        u, v, *xyz = self.sides
-        return (u.mp_terms()[:1] + v.mp_terms()[1:]
-                + [t for k in xyz for t in k.mp_terms()]
-                + self.five.mp_terms("GHL"))
+        return ([t for k in self.sides for t in k.mp_terms()]
+                + self.five.mp_terms())
 
     def rank_terms(self) -> list:
-        u, v, *xyz = self.sides
         blocks = [[getattr(self.inst, f"{x}{i}") for i in (1, 2, 3, 4)]
                   for x in "ABCDEF"]
-        return (u.rank_terms()[:1] + v.rank_terms()[1:]
-                + [t for k in xyz for t in k.rank_terms()]
+        return ([t for k in self.sides for t in k.rank_terms()]
                 + block_rank_terms(self.inst.Cc, *blocks))
 
     # -- family assembly ----------------------------------------------------
@@ -168,6 +169,12 @@ class _MasterWork:
 
 
 MasterInstance.WORK = _MasterWork
+# the coupling equation alone: E1..F4 and Cc, every side block empty
+FiveTermInstance.LIFT = (
+    MasterInstance,
+    {"Cc": "B", **{f"{m}{i}": f"{f}{i}" for i in (1, 2, 3, 4)
+                   for m, f in (("E", "A"), ("F", "B"))}},
+    {"X1": ("U",), "X2": ("V",), "Y1": ("X",), "Y2": ("Y",), "Y3": ("Z",)})
 
 
 check_master = check

@@ -1,12 +1,13 @@
 """Specializations of the master system.
 
-Both systems here are the master system with some blocks empty: each
+Both systems here (and the five-term equation, whose lift
+:mod:`.master` sets) are the master system with some blocks empty: each
 declares a ``LIFT`` onto MasterInstance that places its blocks in
 master slots and leaves the others empty, and the one driver
 (:func:`.families.check`, :func:`.families.solve`) decides it through
 the master reduction.  Their certificates are the master lists under
-master names; their families keep the master family's free parameters
-that are not empty.
+master names, less the conditions of the empty equations; their
+families keep the master family's free parameters that are not empty.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class ThreeTermInstance(ShapedInstance):
     Lifted onto the master system with the first unknown pair (U, V)
     empty.  The master conditions then collapse to exactly the rank and
     residual lists stated for this system (the conditions tied to the
-    absent block become vacuous)."""
+    absent block are vacuous, and the driver drops them)."""
 
     SHAPES = {
         "A1": ("q1", "p1"), "A2": ("q2", "p2"), "A3": ("q3", "p3"),
@@ -56,8 +57,8 @@ class MixedInstance(ShapedInstance):
     A3 X1 B3 + A4 X2 B4 = Cc.
 
     Lifted onto the master system with X1 and X2 in its X and Y slots;
-    the conditions of the empty U, V and Z slots are vacuous, and the
-    family has one closed form."""
+    the conditions of the empty U, V and Z slots are vacuous and
+    dropped, and the family has one closed form."""
 
     SHAPES = {
         "A1": ("q1", "p1"), "B1": ("t1", "s1"),

@@ -3,19 +3,24 @@
 Each public entry point, called with its own signature, gives exactly
 what the driver gives; ``solve`` names its branches for every system;
 an eta system whose coupling right side is not eta-Hermitian is
-refused under that system's own field name; and a block with a nan or
-infinite entry is refused, by name, before any SVD.
+refused under that system's own field name; a block with a nan or
+infinite entry is refused, by name, before any SVD; no report lists a
+condition whose matrices have no entries; and a report's JSON form
+keeps its keys and bytes.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qsylv
-from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
-                           gen_unsolvable, rand_qmatrix)
-from qsylv.solvers import Inconsistent
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, ResidualEntry,
+                           ResidualReport, gen_planted, gen_unsolvable,
+                           rand_qmatrix)
+from qsylv.solvers import (Condition, Inconsistent, RankCondition,
+                           SolvabilityReport, families)
 from qsylv.solvers.families import check, solve
 
 TOL = 1e-9
@@ -143,3 +148,48 @@ def test_thresholds_are_tol_times_the_root_scale(variant, factor):
         assert conditions
         for c in conditions:
             assert c.threshold == TOL, c.name
+
+
+def _has_entries(m) -> bool:
+    return m.rows * m.cols > 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_report_lists_a_condition_without_entries(variant):
+    """Each list is the work's terms whose matrix (a rank term's grid)
+    has an entry, in the work's order: the conditions of the equations
+    a lift leaves empty are dropped, and no other."""
+    for size in (1, 2, 3):
+        for inst in (gen_planted(variant, size, 0)[0],
+                     gen_unsolvable(variant, size, 0)):
+            report = check(inst, TOL)
+            work = families._SLOT[0]
+            for listed, terms in (
+                    (report.compat_conditions, work.compat_terms()),
+                    (report.mp_conditions, work.mp_terms())):
+                assert [c.name for c in listed] == [
+                    name for name, value in terms if _has_entries(value)]
+            assert [c.name for c in report.rank_conditions] == [
+                name for name, grid, _ in work.rank_terms()
+                if any(c is not None and _has_entries(c)
+                       for row in grid for c in row)]
+
+
+def test_report_json_keeps_its_keys_and_bytes():
+    report = SolvabilityReport(
+        [Condition("A2*D2=C2*B2", 0.25, 1e-9, False)],
+        [Condition("R_A2*C2", 0.0, 1e-9, True)],
+        [RankCondition("R1", 3, 2, False)])
+    assert json.dumps(report.to_dict()) == (
+        '{"consistent": false, "forms_agree": true, "compat_conditions": '
+        '[{"name": "A2*D2=C2*B2", "residual": 0.25, "threshold": 1e-09, '
+        '"passed": false}], "mp_conditions": [{"name": "R_A2*C2", '
+        '"residual": 0.0, "threshold": 1e-09, "passed": true}], '
+        '"rank_conditions": [{"name": "R1", "lhs": 3, "rhs": 2, '
+        '"passed": false}]}')
+    residuals = ResidualReport(
+        (ResidualEntry("coupling=Cc", 0.5, 0.125, False),), False, 1e-9)
+    assert json.dumps(residuals.to_dict()) == (
+        '{"passed": false, "tol": 1e-09, "entries": [{"name": '
+        '"coupling=Cc", "absolute": 0.5, "relative": 0.125, '
+        '"passed": false}]}')

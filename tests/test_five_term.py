@@ -1,8 +1,10 @@
 import pytest
 
 from qsylv import FiveTermInstance, Inconsistent, QMatrix, verify_solution
+from qsylv.harness import gen_planted, gen_unsolvable
 from qsylv.solvers import check_five_term, solve_five_term
-from qsylv.solvers.five_term import FIVE_TERM_PARAM_NAMES
+from qsylv.solvers.master import MASTER_PARAM_NAMES, check_master
+from tests.test_shared_work import _evict
 
 
 def coupling_defect(inst, sol):
@@ -78,7 +80,7 @@ class TestSolve:
         for branch in ("first", "second"):
             fam = solve_five_term(inst, branch=branch)
             assert [p.name for p in fam.free_params] == \
-                list(FIVE_TERM_PARAM_NAMES)
+                list(MASTER_PARAM_NAMES)
             for _ in range(5):
                 sol = fam.assemble(fam.random_params(rng))
                 assert coupling_defect(inst, sol) <= 1e-8 * scale
@@ -121,3 +123,29 @@ class TestSolve:
             fam.assemble({"U1": QMatrix.zeros(1, 1)})
         with pytest.raises(KeyError):
             fam.assemble({"nope": QMatrix.zeros(1, 1)})
+
+
+@pytest.mark.parametrize("truth", ("planted", "unsolvable"))
+def test_check_is_the_master_check_of_the_lift(truth):
+    """The five-term equation is the master coupling equation with empty
+    side equations: its report is the master report of its lift, each
+    built cold, with the nine residual and nine rank conditions of the
+    coupling equation and nothing of the empty sides."""
+    for size in (1, 2, 3):
+        for seed in (0, 1):
+            if truth == "planted":
+                inst, _ = gen_planted("five-term", size, seed)
+            else:
+                inst = gen_unsolvable("five-term", size, seed)
+            _evict()
+            got = check_five_term(inst)
+            _evict()
+            want = check_master(inst.lift()[0])
+            assert got.to_dict() == want.to_dict()
+            assert got.consistent == (truth == "planted")
+            assert got.compat_conditions == []
+            assert [c.name for c in got.mp_conditions] == [
+                "R_G1*L1", "L1*L_H1", "R_G2*L2", "L2*L_H2", "R_G3*L3",
+                "L3*L_H3", "R_G4*L4", "L4*L_H4", "R_E22*E*L_E33"]
+            assert [c.name for c in got.rank_conditions] == [
+                f"R{i}" for i in range(1, 10)]

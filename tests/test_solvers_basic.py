@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qsylv import (DimensionError, Inconsistent, QMatrix, pinv, solve_left,
-                   solve_pair, solve_right, solve_two_term)
+from qsylv import (DimensionError, Inconsistent, PairInstance, QMatrix,
+                   check_pair, pinv, solve_left, solve_pair, solve_right,
+                   solve_two_term)
 from qsylv.solvers.two_term import TwoTermInstance
 
 
@@ -155,3 +156,16 @@ class TestSolveTwoTerm:
             res = solve_two_term(c3, d3, c4, d4, rand_q(3, 4))
             assert isinstance(res, Inconsistent)
             assert res.report.forms_agree
+
+
+def test_one_sided_pair_lists_only_its_own_conditions(rand_q):
+    # A X = C is the pair with B and D empty: the conditions of X B = D
+    # have no entries, so the report leaves them out
+    a, x = rand_q(3, 2), rand_q(2, 4)
+    b, d = QMatrix.zeros(4, 0), QMatrix.zeros(2, 0)
+    for rhs, solvable in ((a @ x, True), (rand_q(3, 4), False)):
+        report = check_pair(PairInstance(a, rhs, b, d))
+        assert report.compat_conditions == []
+        assert [c.name for c in report.mp_conditions] == ["R_A*C"]
+        assert [c.name for c in report.rank_conditions] == ["r(C,A)=r(A)"]
+        assert report.consistent == solvable and report.forms_agree

@@ -119,6 +119,10 @@ LIFTED_SHAPES = {
               (0, 4), (2, 3), (2, 3), (0, 0), (4, 0), (3, 2), (3, 2), (0, 0),
               (4, 0), (4, 3), (4, 3), (4, 0), (0, 4), (3, 4), (3, 4), (0, 4),
               (4, 4)),
+    "five-term": ((0, 2), (0, 3), (0, 3), (0, 3), (2, 0), (3, 0), (3, 0),
+                  (3, 0), (0, 4), (0, 3), (0, 3), (0, 3), (4, 0), (3, 0),
+                  (3, 0), (3, 0), (4, 2), (4, 3), (4, 3), (4, 3), (2, 4),
+                  (3, 4), (3, 4), (3, 4), (4, 4)),
     "eta-full": ((2, 3), (2, 3), (2, 3), (2, 3), (3, 2), (3, 2), (3, 2),
                  (3, 2), (2, 4), (2, 3), (2, 3), (2, 3), (4, 2), (3, 2),
                  (3, 2), (3, 2), (4, 3), (4, 3), (4, 3), (4, 3), (3, 4),
