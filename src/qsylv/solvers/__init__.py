@@ -6,8 +6,7 @@ from .families import (CASCADE_EPS, DEFAULT_TOL, Condition, FreeParam,
 from .basic import (PairInstance, check_pair, solve_left, solve_pair,
                     solve_right)
 from .two_term import TwoTermInstance, check_two_term, solve_two_term
-from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
-                        check_five_term, solve_five_term)
+from .five_term import FiveTermInstance, check_five_term, solve_five_term
 from .master import (MASTER_PARAM_NAMES, MasterInstance, MasterSolution,
                      check_master, solve_master)
 from .specials import (MixedInstance, ThreeTermInstance, check_mixed,
@@ -20,8 +19,7 @@ __all__ = [
     "cascade_floor",
     "PairInstance", "check_pair", "solve_left", "solve_right", "solve_pair",
     "TwoTermInstance", "check_two_term", "solve_two_term",
-    "FiveTermInstance", "FIVE_TERM_PARAM_NAMES", "check_five_term",
-    "solve_five_term",
+    "FiveTermInstance", "check_five_term", "solve_five_term",
     "MasterInstance", "MasterSolution", "MASTER_PARAM_NAMES", "check_master",
     "solve_master",
     "ThreeTermInstance", "check_three_term", "solve_three_term_system",

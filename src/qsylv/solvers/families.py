@@ -438,9 +438,10 @@ class SolvabilityReport:
         return {
             "consistent": self.consistent,
             "forms_agree": self.forms_agree,
-            **{key: [dict(vars(c)) for c in getattr(self, key)]
-               for key in ("compat_conditions", "mp_conditions",
-                           "rank_conditions")},
+            "compat_conditions": [dict(vars(c))
+                                  for c in self.compat_conditions],
+            "mp_conditions": [dict(vars(c)) for c in self.mp_conditions],
+            "rank_conditions": [dict(vars(c)) for c in self.rank_conditions],
         }
 
 

@@ -27,8 +27,10 @@ from ..qmatrix import hstack, vstack
 from .families import FreeParam, ShapedInstance, cascade_floor, check, solve
 from .two_term import TwoTermKernel
 
-FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
-                         "U11", "U12", "U21", "U31", "U32", "U33", "U41", "U42")
+# parameters of the five-term pass; master renames U1..U3 (MASTER_PARAM_NAMES)
+_FIVE_TERM_PARAM_NAMES = ("U1", "U2", "U3", "U4", "U5", "U6", "U7", "U8",
+                          "U11", "U12", "U21", "U31", "U32", "U33", "U41",
+                          "U42")
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ class _FiveTermWork:
             "U41": (m, n), "U42": (m, n),
         }
         return tuple(FreeParam(name, shapes[name])
-                     for name in FIVE_TERM_PARAM_NAMES)
+                     for name in _FIVE_TERM_PARAM_NAMES)
 
     def assemble(self, vals: dict, branch: str):
         inst, k = self.inst, self.factors

@@ -27,12 +27,12 @@ from ..qmatrix import QMatrix
 from .basic import PairKernel
 from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
                        cascade_floor, check, solve)
-from .five_term import (FIVE_TERM_PARAM_NAMES, FiveTermInstance,
+from .five_term import (_FIVE_TERM_PARAM_NAMES, FiveTermInstance,
                         _FiveTermFactors, _FiveTermWork,
                         block_rank_terms)
 
 # five-term parameter names as they appear in the master solution display
-MASTER_PARAM_NAMES = ("W11", "W12", "W13") + FIVE_TERM_PARAM_NAMES[3:]
+MASTER_PARAM_NAMES = ("W11", "W12", "W13") + _FIVE_TERM_PARAM_NAMES[3:]
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class _MasterWork:
 
     def assemble(self, vals: dict, branch: str):
         five_vals = {old: vals[new] for new, old in
-                     zip(MASTER_PARAM_NAMES, FIVE_TERM_PARAM_NAMES)}
+                     zip(MASTER_PARAM_NAMES, _FIVE_TERM_PARAM_NAMES)}
         return tuple(k.member(w) for k, w in
                      zip(self.sides, self.five.assemble(five_vals, branch)))
 

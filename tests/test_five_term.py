@@ -1,6 +1,7 @@
 import pytest
 
-from qsylv import FiveTermInstance, Inconsistent, QMatrix, verify_solution
+from qsylv import (DimensionError, FiveTermInstance, Inconsistent, QMatrix,
+                   verify_solution)
 from qsylv.harness import gen_planted, gen_unsolvable
 from qsylv.solvers import check_five_term, solve_five_term
 from qsylv.solvers.master import MASTER_PARAM_NAMES, check_master
@@ -119,8 +120,8 @@ class TestSolve:
     def test_param_shape_validation(self, rand_q):
         inst, _ = planted(rand_q, 3, 3, [(2, 2)] * 4)
         fam = solve_five_term(inst)
-        with pytest.raises(Exception):
-            fam.assemble({"U1": QMatrix.zeros(1, 1)})
+        with pytest.raises(DimensionError, match="parameter W11 has shape"):
+            fam.assemble({"W11": QMatrix.zeros(1, 1)})
         with pytest.raises(KeyError):
             fam.assemble({"nope": QMatrix.zeros(1, 1)})
 
