@@ -25,10 +25,11 @@ from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, symmetrize)
 from .qmatrix import DimensionError, QMatrix
 from .solvers.basic import PairInstance
-from .solvers.families import DEFAULT_TOL, Inconsistent, check, solve
-from .solvers.five_term import FiveTermInstance
+from .solvers.families import (DEFAULT_TOL, Inconsistent, check,
+                               require_tol, solve)
 from .solvers.master import MasterInstance, MasterSolution
-from .solvers.specials import MixedInstance, ThreeTermInstance
+from .solvers.specials import (FiveTermInstance, MixedInstance,
+                               ThreeTermInstance)
 from .solvers.two_term import TwoTermInstance
 
 
@@ -168,6 +169,7 @@ def verify_solution(inst, sol, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residuals of every equation of an instance (any supported type)
     against a proposed solution tuple; eta variants additionally get
     eta-Hermicity entries."""
+    require_tol(tol)
     sol = tuple(sol)
     shapes = inst.unknown_shapes()
     if len(sol) != len(shapes):

@@ -6,11 +6,11 @@ from .families import (CASCADE_EPS, DEFAULT_TOL, Condition, FreeParam,
 from .basic import (PairInstance, check_pair, solve_left, solve_pair,
                     solve_right)
 from .two_term import TwoTermInstance, check_two_term, solve_two_term
-from .five_term import FiveTermInstance, check_five_term, solve_five_term
 from .master import (MASTER_PARAM_NAMES, MasterInstance, MasterSolution,
                      check_master, solve_master)
-from .specials import (MixedInstance, ThreeTermInstance, check_mixed,
-                       check_three_term, solve_mixed_system,
+from .specials import (FiveTermInstance, MixedInstance, ThreeTermInstance,
+                       check_five_term, check_mixed, check_three_term,
+                       solve_five_term, solve_mixed_system,
                        solve_three_term_system)
 
 __all__ = [

@@ -76,6 +76,13 @@ def cascade_floor(*mats) -> float:
     return CASCADE_EPS * max([1.0] + [m.norm() for m in mats])
 
 
+def require_tol(tol: float):
+    """Refuse a ``tol`` that is not finite and positive: at inf every
+    residual test passes, at nan, 0 or below none does."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 ETA_STAR = "^eta*"
 
 
@@ -764,6 +771,7 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     coefficients (see :func:`shared_work`).  The norms of the
     compatibility and residual terms are held on the work; the lists are
     built per call, each term at ``tol``."""
+    require_tol(tol)
     work, _, _ = _root_work(inst)
     return SolvabilityReport(*_residual_lists(work, tol), _rank_list(work))
 
@@ -791,6 +799,7 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     multiplies it by 2^k."""
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
+    require_tol(tol)
     work, maps, k = _root_work(inst)
     compat, mp = _residual_lists(work, tol)
     res = (work.family(branch) if all(c.passed for c in compat + mp)

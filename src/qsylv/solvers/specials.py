@@ -1,8 +1,7 @@
 """Specializations of the master system.
 
-Both systems here (and the five-term equation, whose lift
-:mod:`.master` sets) are the master system with some blocks empty: each
-declares a ``LIFT`` onto MasterInstance that places its blocks in
+The three systems here are the master system with some blocks empty:
+each declares a ``LIFT`` onto MasterInstance that places its blocks in
 master slots and leaves the others empty, and the one driver
 (:func:`.families.check`, :func:`.families.solve`) decides it through
 the master reduction.  Their certificates are the master lists under
@@ -16,6 +15,34 @@ from dataclasses import dataclass
 
 from .families import DEFAULT_TOL, ShapedInstance, check, solve
 from .master import MasterInstance
+
+
+@dataclass(frozen=True)
+class FiveTermInstance(ShapedInstance):
+    """A1 X1 + X2 B1 + A2 Y1 B2 + A3 Y2 B3 + A4 Y3 B4 = B.
+
+    The master system's coupling equation with every side equation
+    empty: A_i and B_i fill the master slots E_i and F_i, B fills Cc,
+    and X1, X2, Y1, Y2, Y3 are U, V, X, Y, Z.  Its family keeps every
+    master free parameter."""
+
+    SHAPES = {
+        "A1": ("p", "a1"), "B1": ("b1", "q"),
+        "A2": ("p", "a2"), "B2": ("b2", "q"),
+        "A3": ("p", "a3"), "B3": ("b3", "q"),
+        "A4": ("p", "a4"), "B4": ("b4", "q"),
+        "B": ("p", "q"),
+        "X1": ("a1", "q"), "X2": ("p", "b1"), "Y1": ("a2", "b2"),
+        "Y2": ("a3", "b3"), "Y3": ("a4", "b4"),
+    }
+    TERMS = {"B": (("A1", "X1", None, False), (None, "X2", "B1", False),
+                   ("A2", "Y1", "B2", False), ("A3", "Y2", "B3", False),
+                   ("A4", "Y3", "B4", False))}
+    LIFT = (MasterInstance,
+            {"Cc": "B", **{f"{m}{i}": f"{f}{i}" for i in (1, 2, 3, 4)
+                           for m, f in (("E", "A"), ("F", "B"))}},
+            {"X1": ("U",), "X2": ("V",), "Y1": ("X",), "Y2": ("Y",),
+             "Y3": ("Z",)})
 
 
 @dataclass(frozen=True)
@@ -82,8 +109,8 @@ class MixedInstance(ShapedInstance):
             {"X1": ("X",), "X2": ("Y",)})
 
 
-check_three_term = check_mixed = check
-solve_three_term_system = solve
+check_five_term = check_three_term = check_mixed = check
+solve_five_term = solve_three_term_system = solve
 
 
 def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):

@@ -35,6 +35,17 @@ def test_inconsistent_exit_codes(tmp_path):
     assert main(["solve", ipath]) == 2
 
 
+def test_tol_that_is_not_finite_and_positive_exits_one(tmp_path, capsys):
+    # at --tol inf this unsolvable pair instance used to verify, exit 0
+    ipath = str(tmp_path / "pb.json")
+    assert main(["gen", "--variant", "pair", "--inconsistent", "--seed", "2",
+                 "--out", ipath]) == 0
+    capsys.readouterr()
+    assert main(["solve", ipath, "--tol", "inf"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: tol must be finite and positive, got inf\n")
+
+
 def test_malformed_entry_is_a_message_not_a_traceback(data_dir, tmp_path,
                                                       capsys):
     with open(data_dir / "example51.json") as fh:

@@ -4,9 +4,10 @@ Each public entry point, called with its own signature, gives exactly
 what the driver gives; ``solve`` names its branches for every system;
 an eta system whose coupling right side is not eta-Hermitian is
 refused under that system's own field name; a block with a nan or
-infinite entry is refused, by name, before any SVD; no report lists a
-condition whose matrices have no entries; and a report's JSON form
-keeps its keys and bytes.
+infinite entry is refused, by name, before any SVD, and so is a ``tol``
+that is not finite and positive; no report lists a condition whose
+matrices have no entries; and a report's JSON form keeps its keys and
+bytes.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 import qsylv
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, ResidualEntry,
                            ResidualReport, gen_planted, gen_unsolvable,
-                           rand_qmatrix)
+                           rand_qmatrix, verify_solution)
 from qsylv.solvers import (Condition, Inconsistent, RankCondition,
                            SolvabilityReport, families)
 from qsylv.solvers.families import check, solve
@@ -89,6 +90,20 @@ def test_solve_rejects_an_unknown_branch(variant):
     with pytest.raises(ValueError, match="branch must be 'first' or "
                                          "'second', got 'bogus'"):
         VARIANT_TABLE[variant].solve(inst, TOL, "bogus")
+
+
+@pytest.mark.parametrize("tol", (0.0, -1e-9, np.nan, np.inf))
+def test_tol_must_be_finite_and_positive(tol):
+    # at inf the unsolvable twin would pass, at -1 the planted instance
+    # would be Inconsistent
+    planted, witness = gen_planted("master", 2, 0)
+    twin = gen_unsolvable("master", 2, 0)
+    for call in (lambda: check(planted, tol), lambda: check(twin, tol),
+                 lambda: solve(planted, tol), lambda: solve(twin, tol),
+                 lambda: verify_solution(planted, witness, tol)):
+        with pytest.raises(ValueError,
+                           match=r"^tol must be finite and positive, got"):
+            call()
 
 
 @pytest.mark.parametrize("op", ("check", "solve"))

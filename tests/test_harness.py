@@ -9,7 +9,7 @@ from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_inconsistent, gen_planted,
                            gen_unsolvable, symmetrize, verify_solution)
 from qsylv.qmatrix import DimensionError
-from qsylv.solvers.five_term import check_five_term
+from qsylv.solvers import check_five_term
 from qsylv.solvers.master import check_master, solve_master
 
 

@@ -26,7 +26,6 @@ from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
 from qsylv.qmatrix import embed_block
 from qsylv.solvers import Inconsistent
 from qsylv.solvers.families import _Zero
-from qsylv.solvers.five_term import _FiveTermWork
 from qsylv.solvers.master import _MasterWork
 from qsylv.solvers.two_term import _TwoTermFactors
 
@@ -185,14 +184,14 @@ def test_held_prefixes_keep_the_bits_of_the_chains(rand_q):
     got = k.solve(e1, *ys)
     assert _same(got[0], x3) and _same(got[1], x4)
     five, _ = gen_planted("five-term", 3, 2)
-    w = _FiveTermWork(five)
+    w = _MasterWork(five.lift()[0])
     f, bC, bD = w.factors, w.factors.bC, w.factors.bD
-    assert _same(w.F1, bC[0].pinv @ w.E1 @ bD[0].pinv
-                 + bC[0].proj_left @ bC[1].pinv @ w.E2 @ bD[1].pinv)
-    assert _same(w.F2, bC[2].pinv @ w.E3 @ bD[2].pinv
-                 + bC[2].proj_left @ bC[3].pinv @ w.E4 @ bD[3].pinv)
+    assert _same(w.F1, bC[0].pinv @ w.L1 @ bD[0].pinv
+                 + bC[0].proj_left @ bC[1].pinv @ w.L2 @ bD[1].pinv)
+    assert _same(w.F2, bC[2].pinv @ w.L3 @ bD[2].pinv
+                 + bC[2].proj_left @ bC[3].pinv @ w.L4 @ bD[3].pinv)
     assert _same(f.c11_pc11, f.C11 @ f.bC11.pinv)
-    assert _same(f.a1_pa1, five.A1 @ f.bA1.pinv)
+    assert _same(f.a1_pa1, f.reduced[0] @ f.bA1.pinv)
 
 
 # -- rank matrices embedded from their grids -------------------------------------

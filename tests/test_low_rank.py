@@ -13,7 +13,7 @@ import pytest
 
 from qsylv.harness import (VARIANT_TABLE, gen_planted, rand_qmatrix,
                            verify_solution)
-from qsylv.solvers.five_term import _FiveTermWork
+from qsylv.solvers.master import _MasterWork
 
 SIZES = (2, 3, 4, 5)
 SEEDS = tuple(range(6))
@@ -54,9 +54,12 @@ def test_low_rank_instances_are_consistent_with_verified_members(variant):
 
 
 def _bundles(factors):
-    """The 26 pinv bundles of a five-term factorization, by name."""
-    out = {"bA1": factors.bA1, "bB1": factors.bB1,
-           "bC11": factors.bC11, "bD11": factors.bD11}
+    """The 36 pinv bundles of a master factorization, by name: the 10
+    of the side pairs, then the 26 of the five-term cascade."""
+    out = {f"{w}.{b}": bundle for w, pair in zip("UVXYZ", factors.bundles)
+           for b, bundle in zip(("ba", "bb"), pair)}
+    out.update({"bA1": factors.bA1, "bB1": factors.bB1,
+                "bC11": factors.bC11, "bD11": factors.bD11})
     out.update((f"bC[{i}]", b) for i, b in enumerate(factors.bC))
     out.update((f"bD[{i}]", b) for i, b in enumerate(factors.bD))
     for kernel in ("y12", "vw3"):
@@ -66,18 +69,28 @@ def _bundles(factors):
     return out
 
 
-def test_one_bundle_is_structurally_zero():
-    # every bundle but vw3.bm is rank-deficient yet nonzero somewhere;
-    # vw3.bm, M = R_E11 E22, is zero on every instance
+# The bundles of rank 0 on every instance.  U.bb and V.ba are the pinvs
+# of the empty halves of the one-sided U and V pairs; vw3.bm, of
+# M = R_E11 E22, is zero in exact arithmetic; and the five-term lift
+# leaves every side pair empty.
+SIDES = {f"{w}.{b}" for w in "UVXYZ" for b in ("ba", "bb")}
+STRUCTURAL_ZEROS = {"master": {"U.bb", "V.ba", "vw3.bm"},
+                    "five-term": SIDES | {"vw3.bm"}}
+
+
+@pytest.mark.parametrize("variant", ("five-term", "master"))
+def test_structurally_zero_bundles(variant):
+    # every other bundle is rank-deficient yet nonzero somewhere
     partial, zero = set(), None
     for size in SIZES:
         for seed in SEEDS:
-            inst, _ = gen_low_rank("five-term", size, seed)
-            bundles = _bundles(_FiveTermWork(inst).factors)
-            assert len(bundles) == 26
+            inst, _ = gen_low_rank(variant, size, seed)
+            root = inst.lift()[0] if variant == "five-term" else inst
+            bundles = _bundles(_MasterWork(root).factors)
+            assert len(bundles) == 36
             partial |= {name for name, b in bundles.items()
                         if 0 < b.rank < min(b.pinv.shape)}
             ranks = {name for name, b in bundles.items() if b.rank == 0}
             zero = ranks if zero is None else zero & ranks
-    assert zero == {"vw3.bm"}
-    assert partial == set(bundles) - {"vw3.bm"}
+    assert zero == STRUCTURAL_ZEROS[variant]
+    assert partial == set(bundles) - zero

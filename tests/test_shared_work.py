@@ -22,8 +22,7 @@ import qsylv
 from qsylv import QMatrix
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_planted, gen_unsolvable)
-from qsylv.solvers import (Inconsistent, basic, families, five_term, master,
-                           two_term)
+from qsylv.solvers import Inconsistent, basic, families, master, two_term
 from qsylv.solvers.families import _reduced
 
 from tests.test_decision import _SvdCounter
@@ -241,7 +240,7 @@ def _bundles(inst) -> list:
     reduction of ``inst`` builds, in order."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (basic, two_term, five_term, master):
+        for mod in (basic, two_term, master):
             def recorded(m, *args, real=mod.pinv, **kwargs):
                 b = real(m, *args, **kwargs)
                 out.append((b.rank, b.tol_used,

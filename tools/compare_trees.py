@@ -20,14 +20,16 @@ the family's free-parameter names and shapes, the component bytes of
 its particular solution and of one seeded random member, and whether
 both pass ``verify_solution``.  ``compare`` counts, per variant, the
 instances whose verdicts differ (``consistent``, ``forms_agree``, a
-solve outcome or a verification), those that differ only in their
-condition lists (names, order or rank pairs, as after a renaming) and
-those that differ in any other bit (a residual, a threshold, a
-parameter or a solution); it exits 1 when any of these counts or the
-number of family members that fail to verify is not zero.  Each "bits
-differ" line names the first differing field (``check report``,
-``first particular``, ...) and says when a solution differs only in
-the sign of zero entries.
+solve outcome or a verification), those that differ in any bit once
+conditions and parameters are matched by position (a condition's
+``passed``, residual or threshold, a rank pair, a parameter shape or a
+solution's bytes), and those that differ only in the names of their
+conditions and parameters, as after a renaming; it exits 1 when any of
+these counts or the number of family members that fail to verify is
+not zero.  An instance that differs both in names and in bits counts
+under bits.  Each "bits differ" line names the first differing field
+(``check report``, ``first particular``, ...) and says when a solution
+differs only in the sign of zero entries.
 """
 
 from __future__ import annotations
@@ -140,8 +142,7 @@ def run(corpus_path, out_path):
 
 
 # the verdict of a record: check's and each solve branch's, without the
-# condition lists, which a renaming may change while every verdict holds,
-# and without the bit-level fields
+# condition lists and the bit-level fields
 _LISTS = ("conditions", "ranks")
 _BITS = ("report", "params", "particular", "member")
 
@@ -149,6 +150,24 @@ _BITS = ("report", "params", "particular", "member")
 def _without(rec, keys) -> dict:
     return {part: {k: v for k, v in res.items() if k not in keys}
             for part, res in rec.items()}
+
+
+def _nameless(rec) -> dict:
+    """A record with every condition and parameter name left out, so
+    that conditions and parameters are matched by position."""
+    out = {}
+    for part, res in rec.items():
+        res = dict(res)
+        for key in _LISTS + ("params",):
+            if key in res:
+                res[key] = [item[1:] for item in res[key]]
+        if "report" in res:
+            res["report"] = {
+                k: [{f: x for f, x in c.items() if f != "name"} for c in v]
+                if isinstance(v, list) else v
+                for k, v in res["report"].items()}
+        out[part] = res
+    return out
 
 
 def _zero_signs_only(u, v) -> bool:
@@ -162,9 +181,9 @@ def _zero_signs_only(u, v) -> bool:
 
 
 def _first_difference(a, b) -> str:
-    """The first part and bit-level field in which two records differ."""
+    """The first part and field in which two nameless records differ."""
     for part in a:
-        for key in _BITS:
+        for key in _LISTS + _BITS:
             u, v = a[part].get(key), b[part].get(key)
             if u != v:
                 zeros = (key in ("particular", "member")
@@ -188,17 +207,16 @@ def compare(a_path, b_path) -> int:
     for label in a:
         row = counts.setdefault(label.split()[0], [0, 0, 0, 0, 0])
         row[0] += 1
-        differs = lambda keys: _without(a[label], keys) != _without(
-            b[label], keys)
-        if differs(_LISTS + _BITS):
+        u, v = a[label], b[label]
+        if _without(u, _LISTS + _BITS) != _without(v, _LISTS + _BITS):
             row[1] += 1
             print(f"verdict differs: {label}")
-        elif differs(_BITS):
-            row[2] += 1
-        elif differs(()):
+        elif _nameless(u) != _nameless(v):
             row[3] += 1
             print(f"bits differ: {label}: "
-                  f"{_first_difference(a[label], b[label])}")
+                  f"{_first_difference(_nameless(u), _nameless(v))}")
+        elif u != v:
+            row[2] += 1
         for rec in (a[label], b[label]):
             for branch in ("first", "second"):
                 res = rec.get(branch)
@@ -215,9 +233,9 @@ def compare(a_path, b_path) -> int:
             f"{n:{w}d}" for n, w in zip(row, (9, 9, 10, 9, 10))))
     total = [sum(col) for col in zip(*counts.values())]
     print(f"{len(a)} instances: {total[1]} with a differing verdict, "
-          f"{total[2]} differing only in condition lists, {total[3]} "
-          f"differing in other bits; {families} families, {total[4]} "
-          "failing verification")
+          f"{total[2]} differing only in names, {total[3]} differing in "
+          f"other bits; {families} families, {total[4]} failing "
+          "verification")
     return 1 if any(total[1:]) else 0
 
 
