@@ -16,7 +16,7 @@ from . import harness
 from .qcore import ETAS
 from .qmatrix import DimensionError
 from .solvers import Inconsistent
-from .solvers.families import DEFAULT_TOL
+from .solvers.families import DEFAULT_TOL, require_tol
 
 
 def _print_solvability(report):
@@ -87,6 +87,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # --kind consistent does not read it, but a bad value is an error
+    require_tol(args.tol)
     if args.kind == "consistent":
         inst, witness = harness.gen_planted(args.variant, args.size,
                                             args.seed, args.eta)

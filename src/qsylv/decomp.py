@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import BlockGrid, QMatrix, embed_block
+from .qmatrix import BlockGrid, Identity, QMatrix, Zero, embed_block
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -230,6 +230,11 @@ def ranks(grids, floor: float) -> list:
     return out
 
 
+def _null_bundle(m: int, n: int, tol: float) -> PinvBundle:
+    """The pinv bundle of an m x n matrix of rank 0, in markers."""
+    return PinvBundle(Zero(n, m), Identity(n), Identity(m), 0, tol)
+
+
 def pinv(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> PinvBundle:
     """Moore-Penrose inverse with projectors, from one SVD of the embedding.
 
@@ -240,11 +245,15 @@ def pinv(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> PinvBundle
     L_A = I - V_r V_r^* and R_A = I - U_r U_r^*; each is an adjoint
     image, so only the top block row of each product is formed, and it
     is (X1, X2) of the quaternion result.
+
+    An empty matrix takes no SVD.  For it, and for one of rank 0, the
+    inverse is a :class:`.qmatrix.Zero` and both projectors are
+    :class:`.qmatrix.Identity` s, markers that cost no product;
+    ``rank`` and ``tol_used`` are as for any other matrix.
     """
     m, n = a.shape
     if m == 0 or n == 0:
-        return PinvBundle(QMatrix.zeros(n, m), QMatrix.identity(n),
-                          QMatrix.identity(m), 0, 0.0 if tol is None else tol)
+        return _null_bundle(m, n, 0.0 if tol is None else tol)
     emb = a.embed()
     try:
         uc, s, vh = np.linalg.svd(emb, full_matrices=False)
@@ -256,8 +265,7 @@ def pinv(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> PinvBundle
     tol = max(tol, floor)
     r = int(np.count_nonzero(sig > tol))
     if r == 0:
-        return PinvBundle(QMatrix.zeros(n, m), QMatrix.identity(n),
-                          QMatrix.identity(m), 0, tol)
+        return _null_bundle(m, n, tol)
     uh = uc[:, : 2 * r].conj().T
     v = vh[: 2 * r].conj().T
     top_pinv = (v[:n] * np.repeat(1.0 / sig[:r], 2)) @ uh

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix
 from .solvers.families import (DEFAULT_TOL, ETA_STAR, ShapedInstance,
-                                check, max_exponents, solve, times_pow2)
+                                check, solve, times_pow2)
 from .solvers.master import MasterInstance
 from .solvers.two_term import TwoTermInstance
 
@@ -54,15 +54,15 @@ class _EtaInstance(ShapedInstance):
         check_eta(self.eta)
         super().__post_init__()
 
-    def require(self):
+    def require(self) -> dict:
         """Refuse non-finite entries, then a coupling right side whose
         eta-Hermitian defect exceeds ``PRECONDITION_TOL`` times its own
         norm, both taken after an exact division by the power of two of
-        its largest entry (:func:`.max_exponents`): no square overflows
-        or underflows."""
-        super().require()
+        its largest entry (:func:`.max_exponents`, from the scan of the
+        base ``require()``): no square overflows or underflows."""
+        exps = super().require()
         name = self.rhs_names()[-1]
-        e = max_exponents([getattr(self, name)])[0] or 0
+        e = exps[name] or 0
         m = times_pow2(getattr(self, name), -e)
         defect = (m - m.eta_conj_transpose(self.eta)).norm()
         if defect > PRECONDITION_TOL * m.norm():
@@ -70,6 +70,7 @@ class _EtaInstance(ShapedInstance):
                 f"{name} is not eta-Hermitian (defect "
                 f"{times_pow2(defect, e):.3e}); "
                 "refusing to symmetrize input data silently")
+        return exps
 
 
 @dataclass(frozen=True)

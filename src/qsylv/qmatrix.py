@@ -19,6 +19,18 @@ complex matrix
 The embedding is a ring homomorphism and doubles ranks, which is the
 computational route used by the decompositions in :mod:`qsylv.decomp`
 (Zhang, "Quaternions and matrices of quaternions", LAA 251, 1997).
+
+Two markers are matrices that cost no product: :class:`Zero`, an
+all-zero matrix, and :class:`Identity`, the identity.  A product with a
+``Zero`` is a ``Zero``, one with an ``Identity`` is the other operand
+itself, and a product of plain matrices with no entries or an empty
+inner dimension is a ``Zero``; so no empty or marked operand reaches
+BLAS.  The pinv bundle of an empty or rank-0 matrix is made of them
+(:func:`qsylv.decomp.pinv`), and so is every free parameter a family is
+not given.  A marker's planes are read-only; sums other than
+``Zero ± Zero``, transposes, embeddings and copies read it as the stored
+matrix it stands for, signed zeros included, and give a plain
+``QMatrix``.
 """
 
 from __future__ import annotations
@@ -203,10 +215,12 @@ class QMatrix:
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         """(A1 + A2 j)(B1 + B2 j) = (A1 B1 - A2 conj(B2))
-        + (A1 B2 + A2 conj(B1)) j: four complex products."""
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"matmul mismatch: {self.shape} @ {other.shape}")
+        + (A1 B2 + A2 conj(B1)) j: four complex products, or a
+        :class:`Zero` when the product has no entries or the inner
+        dimension is empty."""
+        _check_product(self, other)
+        if not (self.rows and self.cols and other.cols):
+            return Zero(self.rows, other.cols)
         a1, a2, b1, b2 = self.a1, self.a2, other.a1, other.a2
         return QMatrix._pair(a1 @ b1 - a2 @ b2.conj(),
                              a1 @ b2 + a2 @ b1.conj())
@@ -248,6 +262,101 @@ class QMatrix:
         out[:m, n:] = self.a2
         _lower_half(out)
         return out
+
+
+# the one entry of every zero plane of a marker: a read-only complex zero
+_ZERO_ENTRY = bytes(16)
+
+
+def _zero_plane(rows: int, cols: int) -> np.ndarray:
+    """A read-only complex zero broadcast to ``(rows, cols)``."""
+    return np.ndarray((rows, cols), complex, _ZERO_ENTRY, 0, (0, 0))
+
+
+def _check_product(a: QMatrix, b: QMatrix):
+    if a.cols != b.rows:
+        raise DimensionError(f"matmul mismatch: {a.shape} @ {b.shape}")
+
+
+class Zero(QMatrix):
+    """An all-zero matrix that is never multiplied.
+
+    A product with it is a zero of the product's shape, without a
+    matmul, and ``Zero ± Zero`` is a ``Zero``.  A sum or difference with
+    another matrix x is formed as ``x + 0.0``, ``x - 0.0`` or
+    ``0.0 - x``: the IEEE results of the same operation on a stored zero
+    matrix, signed zeros included.  (A BLAS product with a stored zero
+    may leave -0.0 entries, which differ from these only where x holds a
+    zero as well.)  A ``submatrix`` of it is a ``Zero`` too.  Its planes
+    are one read-only complex zero broadcast to its shape, so every
+    other operation (``copy``, negation, ...) reads it as a zero matrix
+    and returns a plain ``QMatrix``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, rows: int, cols: int):
+        self.a1 = self.a2 = _zero_plane(rows, cols)
+
+    def __matmul__(self, other: QMatrix) -> QMatrix:
+        _check_product(self, other)
+        return Zero(self.rows, other.cols)
+
+    def __rmatmul__(self, other: QMatrix) -> QMatrix:
+        _check_product(other, self)
+        return Zero(other.rows, self.cols)
+
+    def __add__(self, other: QMatrix) -> QMatrix:
+        """0 + x, which is x + 0.0 in IEEE arithmetic."""
+        self._check_same_shape(other)
+        if type(other) is Zero:
+            return self
+        return QMatrix._pair(other.a1 + 0.0, other.a2 + 0.0)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: QMatrix) -> QMatrix:
+        self._check_same_shape(other)
+        if type(other) is Zero:
+            return self
+        return QMatrix._pair(0.0 - other.a1, 0.0 - other.a2)
+
+    def __rsub__(self, other: QMatrix) -> QMatrix:
+        self._check_same_shape(other)
+        return QMatrix._pair(other.a1 - 0.0, other.a2 - 0.0)
+
+    def __mul__(self, scalar) -> QMatrix:
+        """A scalar multiple of a zero: the zero itself."""
+        return self
+
+    def norm(self) -> float:
+        return 0.0
+
+    def submatrix(self, row_slice, col_slice) -> QMatrix:
+        rows, cols = self.a1[row_slice, col_slice].shape
+        return Zero(rows, cols)
+
+
+class Identity(QMatrix):
+    """The n x n identity, never multiplied: ``I @ x`` and ``x @ I``
+    are ``x`` itself.  Its planes are a read-only identity and a
+    read-only zero, so every other operation reads it as a stored
+    identity and returns a plain ``QMatrix``."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int):
+        self.a1 = np.eye(n, dtype=complex)
+        self.a1.flags.writeable = False
+        self.a2 = _zero_plane(n, n)
+
+    def __matmul__(self, other: QMatrix) -> QMatrix:
+        _check_product(self, other)
+        return other
+
+    def __rmatmul__(self, other: QMatrix) -> QMatrix:
+        _check_product(other, self)
+        return other
 
 
 def _lower_half(out: np.ndarray):

@@ -7,11 +7,14 @@ its shapes, its equations, and either its own reduction as ``WORK``
 (the master, two-term and pair systems) or a ``LIFT`` onto a
 larger system, with some blocks empty or, for the eta types, doubled
 and averaged back.  :func:`check` and
-:func:`solve` follow the lifts to a type with a ``WORK``, take its
-reduction from a one-slot memo (:func:`shared_work`), build the
-certificates from it and, for ``solve``, map the family back through
-the lifts.  The public ``check_*`` and ``solve_*`` of every system are
-this pair or calls of it.
+:func:`solve` take the reduction of the caller's instance from a
+one-slot memo keyed on that instance's type, ``eta`` and block bytes
+(:func:`shared_work`); on a miss they copy its blocks once, follow the
+lifts to a type with a ``WORK`` and build the reduction there
+(:func:`_root_work`).  They build the certificates from it and, for
+``solve``, map the family back through the lifts.  The public
+``check_*`` and ``solve_*`` of every system are this pair or calls of
+it.
 
 A reduction (a work) is built from one instance in two parts.  Its
 ``factors`` are the coefficient factorization: every pinv bundle,
@@ -47,19 +50,24 @@ term that holds for every instance of its shapes, as the conditions of
 an equation a lift leaves empty do, is in no list (:func:`_vacuous`).  A
 work also gives ``family(branch)``.  A family's closed form reads its
 free parameters as given; one that ``assemble`` is not given is a zero
-that costs no product (:class:`_Zero`), so the particular solution pays
-only for the right side.
+that costs no product (:class:`.qmatrix.Zero`), so the particular
+solution pays only for the right side.  Through the lifts many operands
+of the closed forms are empty, zero or the identity: the pinv bundle of
+an empty or rank-0 block is made of the markers of :mod:`.qmatrix`, so
+those products cost nothing either, and the map back hands out plain,
+writable matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..decomp import ranks
-from ..qmatrix import DimensionError, QMatrix, named_dims
+from ..qmatrix import DimensionError, QMatrix, Zero, named_dims
 
 # Absolute truncation floor for pseudoinverses and ranks inside solver
 # cascades.  Reduction intermediates frequently vanish in exact
@@ -241,7 +249,22 @@ class ShapedInstance:
             return tuple(_mean([_factor(got, n, eta) for n in means])
                          for means in back.values())
 
-        return target(**blocks), project
+        # with_empty checked the named dimensions, and eta is this
+        # instance's own
+        return target._unchecked(blocks), project
+
+    @classmethod
+    def _unchecked(cls, fields: dict):
+        """The instance over ``fields`` (every field, by name) without the
+        checks of construction: for fields known to pass them."""
+        out = object.__new__(cls)
+        vars(out).update(fields)
+        return out
+
+    def _replaced(self, blocks: dict):
+        """This instance with the ``blocks`` of equal shapes in place of
+        its own, unchecked."""
+        return self._unchecked({**vars(self), **blocks})
 
     def residual_terms(self, sol) -> list:
         """``(name, defect, scale)`` for every equation, left side minus
@@ -263,13 +286,15 @@ class ShapedInstance:
                         m - m.eta_conj_transpose(eta), m.norm()))
         return out
 
-    def require(self):
+    def require(self) -> dict:
         """Refuse a block with a nan or infinite entry, naming it, before
-        any SVD can read it."""
-        for name in self._blocks:
-            m = getattr(self, name)
-            if not (np.isfinite(m.a1).all() and np.isfinite(m.a2).all()):
+        any SVD can read it; return the :func:`max_exponents` of every
+        block by name, all from one scan."""
+        exps = dict(zip(self._blocks, max_exponents(self.blocks())))
+        for name, e in exps.items():
+            if e == math.inf:
                 raise ValueError(f"{name} has a non-finite entry")
+        return exps
 
     def unknown_shapes(self) -> dict:
         dims = named_dims(self.SHAPES, vars(self))
@@ -286,8 +311,8 @@ class ShapedInstance:
                                 for n in self._blocks if n not in keep})
 
 
-# The last reduction built by shared_work, as the one item of a list
-# that is never rebound: it is read and replaced whole.
+# The work of the last instance decided (see shared_work), as the one
+# item of a list that is never rebound: it is read and replaced whole.
 _SLOT = [None]
 
 
@@ -303,47 +328,47 @@ def _same_blocks(a, b, names) -> bool:
     return True
 
 
-def shared_work(cls, inst, fresh):
-    """The reduction ``cls(inst)``, sharing what it can with the previous
-    call.
+def shared_work(inst):
+    """The work of ``inst`` (:func:`_root_work`), sharing what it can
+    with the previous call.
 
-    The slot holds the last work built, with its own copy of its
-    instance.  When that work is a ``cls`` work whose copy has the type,
-    ``eta`` and coefficient bytes of ``inst``:
+    The slot holds the last work built, which holds the copy of the
+    caller's instance it was built from (``work.caller``).  When that
+    copy has the type, ``eta`` and coefficient bytes of ``inst``:
 
-    - and equal right sides too, the work itself is returned, so
-      ``check_*`` then ``solve_*`` (or the reverse) on one instance build
-      the cascade once, also when a lift is rebuilt between the calls;
-    - otherwise a new right-side pass is built on its factorization
-      (``cls(copy, work.factors)``), so a new right side over the same
-      coefficients takes no pinv SVD and no coefficient-only rank SVD
-      once the panels are known.
+    - and equal right sides too, the work itself is returned, with no
+      ``require()``, lift or equilibration, so ``check`` then ``solve``
+      (or the reverse) on one instance pay for them and for the cascade
+      once;
+    - otherwise only a new right-side pass is built on its
+      factorization, so a new right side over the same coefficients
+      takes no pinv SVD and no coefficient-only rank SVD once the panels
+      are known.  A lift maps right sides to right sides and
+      equilibration scales the coefficients by their own exponents, so
+      equal coefficients of ``inst`` give equal coefficients of the
+      root.
 
     On any other miss the whole work is built cold.  The slot is emptied
-    before a new work is built, so two passes are never alive at once,
-    and the new work owns a copy of the right sides (and of the
-    coefficients on a cold build, but for the blocks named in ``fresh``,
-    new arrays that no caller holds): editing the caller's matrices in
-    place afterwards misses the slot and cannot reach a family or report
+    before a new work is built, so two passes are never alive at once.
+    Every block a work reads is its own copy, made on entry to
+    :func:`_root_work`: editing the caller's matrices in place
+    afterwards misses the slot and cannot reach a family or report
     already handed out.  A factorization is a function of the
     coefficient bytes alone, and everything that depends on ``tol`` or on
     the branch is computed by the caller on every call, so a hit or a
     new pass gives bit-identical results to a cold call.  The slot is
     read and replaced whole, so concurrent callers can at worst miss."""
-    work = _SLOT[0]
-    rhs = inst.rhs_names()
-    if (type(work) is cls and type(work.inst) is type(inst)
-            and getattr(work.inst, "eta", None) == getattr(inst, "eta", None)
-            and _same_blocks(work.inst, inst, inst.coefficient_names())):
-        if _same_blocks(work.inst, inst, rhs):
-            return work
-        factors = work.factors
-        inst = replace(work.inst, **{n: getattr(inst, n).copy() for n in rhs})
-    else:
-        factors, inst = None, inst.copy(keep=fresh)
+    held = _SLOT[0]
+    keep = factors = None
+    if (held is not None and type(held.caller) is type(inst)
+            and getattr(held.caller, "eta", None) == getattr(inst, "eta", None)
+            and _same_blocks(held.caller, inst, inst.coefficient_names())):
+        if _same_blocks(held.caller, inst, inst.rhs_names()):
+            return held
+        keep, factors = held.caller, held.factors
     # free the old pass before the new one is built
-    work = _SLOT[0] = None
-    _SLOT[0] = work = cls(inst, factors)
+    held = _SLOT[0] = None
+    _SLOT[0] = work = _root_work(inst, keep, factors)
     return work
 
 
@@ -463,63 +488,6 @@ class Inconsistent:
         return self.report.failing()
 
 
-# the one entry of every _Zero's planes: a read-only complex zero
-_ZERO_ENTRY = bytes(16)
-
-
-class _Zero(QMatrix):
-    """An all-zero matrix that is never multiplied: the value of a free
-    parameter that ``assemble`` is not given.
-
-    A product with it is a zero of the product's shape, without a
-    matmul.  A sum or difference with another matrix x is formed as
-    ``x + 0.0``, ``x - 0.0`` or ``0.0 - x``: the IEEE results of the same
-    operation on a stored zero matrix, signed zeros included.  (A BLAS
-    product with a stored zero may leave -0.0 entries, which differ from
-    these only where x holds a zero as well.)  Its planes are one
-    read-only complex zero broadcast to its shape, so every other
-    operation (``copy``, ``submatrix``, negation, ...) reads it as a
-    zero matrix and returns a plain ``QMatrix``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, rows: int, cols: int):
-        self.a1 = self.a2 = np.ndarray((rows, cols), complex, _ZERO_ENTRY,
-                                       0, (0, 0))
-
-    def __matmul__(self, other: QMatrix) -> QMatrix:
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"matmul mismatch: {self.shape} @ {other.shape}")
-        return _Zero(self.rows, other.cols)
-
-    def __rmatmul__(self, other: QMatrix) -> QMatrix:
-        if other.cols != self.rows:
-            raise DimensionError(
-                f"matmul mismatch: {other.shape} @ {self.shape}")
-        return _Zero(other.rows, self.cols)
-
-    def __add__(self, other: QMatrix) -> QMatrix:
-        """0 + x, which is x + 0.0 in IEEE arithmetic."""
-        self._check_same_shape(other)
-        return QMatrix._pair(other.a1 + 0.0, other.a2 + 0.0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: QMatrix) -> QMatrix:
-        self._check_same_shape(other)
-        return QMatrix._pair(0.0 - other.a1, 0.0 - other.a2)
-
-    def __rsub__(self, other: QMatrix) -> QMatrix:
-        self._check_same_shape(other)
-        return QMatrix._pair(other.a1 - 0.0, other.a2 - 0.0)
-
-    def __mul__(self, scalar) -> QMatrix:
-        """A scalar multiple of a zero: the zero itself."""
-        return self
-
-
 class LinearSolutionFamily:
     """Particular solution plus free parameters spanning the general one.
 
@@ -530,10 +498,8 @@ class LinearSolutionFamily:
     copy, so editing a returned matrix in place changes no later result.
 
     An omitted parameter enters the one closed form of the family as a
-    zero that costs no product (the particular solution omits them
-    all), with the sums of a stored zero.  Every unknown's closed form
-    has a term that reads the right side, so every returned matrix is a
-    plain, writable ``QMatrix``.
+    :class:`.qmatrix.Zero`, which costs no product (the particular
+    solution omits them all) and sums as a stored zero.
     """
 
     def __init__(self, unknowns: Sequence[str], params: Sequence[FreeParam],
@@ -552,7 +518,7 @@ class LinearSolutionFamily:
         return self.assemble()
 
     def _full_params(self, params) -> dict:
-        values = {p.name: _Zero(*p.shape) for p in self.free_params}
+        values = {p.name: Zero(*p.shape) for p in self.free_params}
         if params is None:
             items = {}
         elif isinstance(params, Mapping):
@@ -578,9 +544,14 @@ class LinearSolutionFamily:
     def assemble(self, params=None) -> tuple:
         if params is not None:
             return self._assemble(self._full_params(params))
+        return tuple(m.copy() for m in self._held())
+
+    def _held(self) -> tuple:
+        """The particular solution as assembled once, not copied; its
+        matrices may be markers."""
         if self._particular is None:
             self._particular = self._assemble(self._full_params(None))
-        return tuple(m.copy() for m in self._particular)
+        return self._particular
 
     def random_params(self, rng, scale: float = 1.0) -> list:
         """Draw one matrix per free parameter."""
@@ -609,9 +580,10 @@ def _reduced(inst):
 
 def max_exponents(mats) -> list:
     """For each of ``mats``, the e with 2^(e-1) <= max |entry| < 2^e
-    over the real parts of its entries, or ``None`` when it has no
-    nonzero entry; one scan of all their planes.  Max-abs, not a norm,
-    so no square can overflow or underflow."""
+    over the real parts of its entries, ``None`` when it has no nonzero
+    entry, or ``math.inf`` when one is nan or infinite; one scan of all
+    their planes.  Max-abs, not a norm, so no square can overflow or
+    underflow."""
     sizes = [4 * m.a1.size for m in mats]
     full = [i for i, n in enumerate(sizes) if n]
     out = [None] * len(mats)
@@ -622,7 +594,9 @@ def max_exponents(mats) -> list:
         tops = np.maximum(np.maximum.reduceat(flat, starts),
                           -np.minimum.reduceat(flat, starts))
         for i, top, e in zip(full, tops, np.frexp(tops)[1]):
-            if top:
+            if not math.isfinite(top):
+                out[i] = math.inf
+            elif top:
                 out[i] = int(e)
     return out
 
@@ -638,9 +612,10 @@ def times_pow2(m, s: int):
     return m * 2.0 ** s
 
 
-def _equilibrated(root):
+def _equilibrated(root, exps=None):
     """``root`` scaled by powers of two, and the exponent k of its
-    right sides' scale 2^k.
+    right sides' scale 2^k.  ``exps`` holds the :func:`max_exponents` of
+    the blocks of ``root`` by name when they are known already.
 
     Each equation of ``TERMS`` is multiplied by 2^-e, e the largest of
     the ``max_exponents`` of its terms' coefficient factors (each term's
@@ -652,8 +627,10 @@ def _equilibrated(root):
     exponents read the coefficients alone."""
     factors = {rhs: [left or right for left, _, right, _ in terms]
                for rhs, terms in root.TERMS.items()}
-    names = [n for rhs, fs in factors.items() for n in (rhs, *fs)]
-    exps = dict(zip(names, max_exponents([getattr(root, n) for n in names])))
+    if exps is None:
+        names = [n for rhs, fs in factors.items() for n in (rhs, *fs)]
+        exps = dict(zip(names, max_exponents([getattr(root, n)
+                                              for n in names])))
     shifts, rhs_exps = {}, []
     for rhs, fs in factors.items():
         e = max((exps[n] for n in fs if exps[n] is not None), default=0)
@@ -663,21 +640,30 @@ def _equilibrated(root):
     k = max(rhs_exps, default=0)
     for rhs in factors:
         shifts[rhs] -= k
-    return replace(root, **{n: times_pow2(getattr(root, n), s)
-                            for n, s in shifts.items() if s}), k
+    return root._replaced({n: times_pow2(getattr(root, n), s)
+                           for n, s in shifts.items() if s}), k
 
 
-def _root_work(inst) -> tuple:
-    """The work of the equilibrated instance ``inst`` lifts onto
-    (:func:`shared_work`), the maps back and the exponent k of its right
-    sides' scale.  The blocks that equilibration scaled are new arrays,
-    so a cold build copies only the others."""
-    inst.require()
-    root, maps = _reduced(inst)
-    scaled, k = _equilibrated(root)
-    fresh = {n for n in root.block_names()
-             if getattr(scaled, n) is not getattr(root, n)}
-    return shared_work(scaled.WORK, scaled, fresh), maps, k
+def _root_work(inst, keep=None, factors=None):
+    """The work of the equilibrated instance ``inst`` lifts onto.
+
+    On entry it copies the blocks of ``inst``; the copy, the maps back
+    through the lifts and the exponent k of the root's right sides'
+    scale are held on the work as ``work.caller``, ``work.maps`` and
+    ``work.k``.  Given ``keep``, an instance with the coefficients of
+    ``inst`` that no caller holds, the copy shares its coefficients and
+    the work is only the right-side pass over ``factors``.  One scan
+    (``require()``) checks the blocks and gives their exponents, which
+    equilibrate a root that is not lifted."""
+    exps = inst.require()
+    names = inst.block_names() if keep is None else inst.rhs_names()
+    caller = (inst if keep is None else keep)._replaced(
+        {n: getattr(inst, n).copy() for n in names})
+    root, maps = _reduced(caller)
+    scaled, k = _equilibrated(root, None if maps else exps)
+    work = scaled.WORK(scaled, factors)
+    work.caller, work.maps, work.k = caller, maps, k
+    return work
 
 
 def _vacuous(term) -> bool:
@@ -772,7 +758,7 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     compatibility and residual terms are held on the work; the lists are
     built per call, each term at ``tol``."""
     require_tol(tol)
-    work, _, _ = _root_work(inst)
+    work = shared_work(inst)
     return SolvabilityReport(*_residual_lists(work, tol), _rank_list(work))
 
 
@@ -800,11 +786,12 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     if branch not in ("first", "second"):
         raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     require_tol(tol)
-    work, maps, k = _root_work(inst)
+    work = shared_work(inst)
+    maps, k = work.maps, work.k
     compat, mp = _residual_lists(work, tol)
     res = (work.family(branch) if all(c.passed for c in compat + mp)
            else None)
-    if res is None or not _backward_stable(work, res.particular, tol):
+    if res is None or not _backward_stable(work, res._held(), tol):
         report = SolvabilityReport(compat, mp, lambda: _rank_list(work))
         if not report.consistent:
             return Inconsistent(report)
@@ -812,7 +799,10 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     def back(sol):
         for project in reversed(maps):
             sol = project(sol)
-        return tuple(times_pow2(m, k) for m in sol) if k else sol
+        if k:
+            sol = [times_pow2(m, k) for m in sol]
+        # a closed form that is zero in every term is a Zero
+        return tuple(m if type(m) is QMatrix else m.copy() for m in sol)
 
     def assemble(vals):
         if k:
@@ -822,5 +812,5 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     family = LinearSolutionFamily(
         inst.unknown_names(),
         [p for p in res.free_params if 0 not in p.shape], assemble)
-    family._particular = back(res.particular)
+    family._particular = back(res._held())
     return family

@@ -46,6 +46,19 @@ def test_tol_that_is_not_finite_and_positive_exits_one(tmp_path, capsys):
         "", "error: tol must be finite and positive, got inf\n")
 
 
+@pytest.mark.parametrize("kind", ([], ["--inconsistent"]))
+def test_gen_refuses_a_tol_that_is_not_finite_and_positive(kind, tmp_path,
+                                                           capsys):
+    ipath = tmp_path / "pair.json"
+    for tol in ("inf", "nan", "0", "-1e-9"):
+        assert main(["gen", "--variant", "pair", f"--tol={tol}",
+                     "--out", str(ipath), *kind]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: tol must be finite and positive, got "
+                f"{float(tol)!r}\n")
+        assert not ipath.exists()
+
+
 def test_malformed_entry_is_a_message_not_a_traceback(data_dir, tmp_path,
                                                       capsys):
     with open(data_dir / "example51.json") as fh:

@@ -3,6 +3,7 @@ import pytest
 
 from qsylv import QMatrix, Quaternion, pinv, rank, singular_values
 from qsylv.decomp import default_rank_tol
+from qsylv.qmatrix import Identity, Zero
 from qsylv.qcore import ETAS
 
 from tests.conftest import rank_block_oracle
@@ -122,6 +123,35 @@ def test_pinv_bundle_contract(build, floor, want_rank, rand_q):
     p = bundle.pinv
     assert (bundle.proj_left - (QMatrix.identity(n) - p @ a)).norm() <= tol
     assert (bundle.proj_right - (QMatrix.identity(m) - a @ p)).norm() <= tol
+
+
+@pytest.mark.parametrize("build, floor, svds", [
+    (lambda r: QMatrix.zeros(3, 2), 0.0, 1),
+    (lambda r: r(3, 4, scale=1e-12), 1e-6, 1),
+    (lambda r: QMatrix.zeros(0, 3), 0.0, 0),
+    (lambda r: QMatrix.zeros(4, 0), 0.0, 0),
+])
+def test_rank_zero_bundles_are_markers(build, floor, svds, rand_q,
+                                       monkeypatch):
+    """An empty or rank-0 matrix has a Zero pinv and Identity
+    projectors; its SVD, rank and tol_used are those of any matrix."""
+    a = build(rand_q)
+    calls, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw:
+                        calls.append(1) or real(*args, **kw))
+    bundle = pinv(a, floor=floor)
+    m, n = a.shape
+    assert len(calls) == svds and bundle.rank == 0
+    assert type(bundle.pinv) is Zero and bundle.pinv.shape == (n, m)
+    assert type(bundle.proj_left) is Identity and bundle.proj_left.rows == n
+    assert type(bundle.proj_right) is Identity and bundle.proj_right.rows == m
+    if svds:
+        sig = singular_values(a)
+        want = max(default_rank_tol(m, n, float(sig[0])), floor)
+        assert bundle.tol_used == want
+    else:
+        assert bundle.tol_used == 0.0
+        assert pinv(a, tol=1e-3).tol_used == 1e-3
 
 
 def test_eta_projector_identity(rand_q):

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsylv.harness import VARIANTS, gen_planted, gen_unsolvable
+from qsylv.qmatrix import Zero
 from qsylv.solvers import Inconsistent
-from qsylv.solvers.families import (_equilibrated, _reduced, _Zero, check,
-                                    solve)
+from qsylv.solvers.families import _equilibrated, _reduced, check, solve
 
 from tests.test_decision import _scaled as _scaled_rhs
 from tests.test_driver import ETA_VARIANTS
@@ -71,7 +71,7 @@ def test_no_root_uses_a_coefficient_factor_in_two_equations(root):
 
 
 def test_a_free_zero_times_a_scalar_is_the_zero():
-    zero = _Zero(2, 3)
+    zero = Zero(2, 3)
     assert (zero * 0.25) is zero and (4.0 * zero) is zero
 
 

@@ -3,13 +3,18 @@
 Three things are kept from one call to the next, and none may change a
 bit of any result:
 
-- the norms of the compatibility and residual terms, held on the work,
-  so a ``solve_*`` after a ``check_*`` on the same instance forms no
-  certificate product again;
+- the work itself, keyed on the caller's instance, so a ``solve_*``
+  after a ``check_*`` on the same instance runs no ``require()``, lift or
+  equilibration again, and forms no certificate product again: the
+  norms of the compatibility and residual terms are held on the work;
 - the coefficient-only left-to-right prefixes of the closed forms, held
   with the factorization;
 - nothing for an omitted free parameter, which is a zero that costs no
   product and sums as a stored zero does, signed zeros included.
+
+No product reaches BLAS with an empty, zero or identity operand: the
+pinv bundles of empty and rank-0 blocks are markers that cost no
+product, and every matrix a family hands out is a plain one of its own.
 
 The rank certificate ranks its bordered matrices from their block grids,
 embedded without forming the block matrix; that embedding must equal
@@ -23,9 +28,9 @@ import qsylv
 from qsylv import QMatrix, block, decomp
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_planted, gen_unsolvable)
-from qsylv.qmatrix import embed_block
-from qsylv.solvers import Inconsistent
-from qsylv.solvers.families import _Zero
+from qsylv.qmatrix import Zero, embed_block
+from qsylv.solvers import Inconsistent, families
+from qsylv.solvers.families import ETA_STAR, max_exponents
 from qsylv.solvers.master import _MasterWork
 from qsylv.solvers.two_term import _TwoTermFactors
 
@@ -103,7 +108,7 @@ def test_free_zero_arithmetic_is_that_of_a_stored_zero(rand_q):
     x.a1[0, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
     x.a2[1, 1:3] = [complex(-0.0, -0.0), 0.0]
     a, b = rand_q(2, 3), rand_q(4, 5)
-    z, stored = _Zero(3, 4), QMatrix.zeros(3, 4)
+    z, stored = Zero(3, 4), QMatrix.zeros(3, 4)
     cases = [(x + z, x + stored), (z + x, stored + x), (x - z, x - stored),
              (z - x, stored - x), (z + z, stored + stored),
              (z - z, stored - stored), (-z, -stored), (z.copy(), stored),
@@ -114,16 +119,183 @@ def test_free_zero_arithmetic_is_that_of_a_stored_zero(rand_q):
     # a product is zero without a matmul; a stored zero's product is
     # zero too, its signs as the BLAS kernel leaves them
     for got, want in ((a @ z, a @ stored), (z @ b, stored @ b)):
-        assert type(got) is _Zero and got.shape == want.shape
+        assert type(got) is Zero and got.shape == want.shape
         assert _same(got.copy(), QMatrix.zeros(*want.shape))
         assert not (want.a1.any() or want.a2.any())
     assert type(x + z) is QMatrix and type(z - x) is QMatrix
     assert not z.a1.flags.writeable
-    for bad in (lambda: x + _Zero(4, 3), lambda: _Zero(4, 3) - x,
-                lambda: x - _Zero(3, 3), lambda: a @ _Zero(2, 2),
+    for bad in (lambda: x + Zero(4, 3), lambda: Zero(4, 3) - x,
+                lambda: x - Zero(3, 3), lambda: a @ Zero(2, 2),
                 lambda: z @ a):
         with pytest.raises(qsylv.DimensionError):
             bad()
+
+
+# -- markers: no product on an empty, zero or identity operand ---------------
+
+class _BlasOperands:
+    """Records the operands of every QMatrix product that reaches BLAS
+    from its creation on; a product with no entries or an empty inner
+    dimension must be a Zero without one."""
+
+    def __init__(self, monkeypatch):
+        self.operands = []
+        matmul = QMatrix.__matmul__
+
+        def recorded(a, b):
+            out = matmul(a, b)
+            if a.rows and a.cols and b.cols:
+                self.operands.append((a, b))
+            else:
+                assert type(out) is Zero
+            return out
+
+        monkeypatch.setattr(QMatrix, "__matmul__", recorded)
+
+
+def _marked(m):
+    """What makes ``m`` an operand no product needs: a marker type, or
+    stored zero or identity values; ``None`` for none of them."""
+    if type(m) is not QMatrix:
+        return type(m).__name__
+    if not (m.a1.any() or m.a2.any()):
+        return "zero"
+    if (m.rows == m.cols and not m.a2.any()
+            and (m.a1 == np.eye(m.rows)).all()):
+        return "identity"
+    return None
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_blas_product_reads_an_empty_zero_or_identity_operand(
+        variant, monkeypatch):
+    entry = VARIANT_TABLE[variant]
+    inst, _ = gen_planted(variant, 4, 1, "j")
+
+    def check():
+        assert entry.check(inst, TOL).consistent
+
+    def solve():
+        family = entry.solve(inst, TOL, "first")
+        assert not isinstance(family, Inconsistent)
+        family.assemble()
+
+    blas = _BlasOperands(monkeypatch)
+    for order in ((check, solve), (solve, check)):
+        _evict()
+        blas.operands.clear()
+        for call in order:
+            call()
+        assert blas.operands
+        bad = [(a.shape, b.shape, _marked(a), _marked(b))
+               for a, b in blas.operands if _marked(a) or _marked(b)]
+        assert not bad, (order[0].__name__, bad)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_assembled_matrices_are_plain_and_their_own(variant):
+    """The particular solution and a member are plain, writable
+    matrices that share no memory with the instance or the parameters,
+    also where a closed form is zero in every term (a Zero)."""
+    entry = VARIANT_TABLE[variant]
+    for size in (0, 3, 4):
+        inst, _ = gen_planted(variant, size, 1, "j")
+        _evict()
+        family = entry.solve(inst, TOL, "first")
+        params = family.random_params(np.random.default_rng(size))
+        names = [p.name for p in family.free_params]
+        given = [p for m in (*inst.blocks(), *params) for p in (m.a1, m.a2)]
+        for sol in (family.assemble(), family.particular,
+                    family.assemble(params),
+                    family.assemble(dict(zip(names, params)))):
+            for m in sol:
+                assert type(m) is QMatrix
+                assert m.a1.flags.writeable and m.a2.flags.writeable
+                for plane in (m.a1, m.a2):
+                    assert not any(np.shares_memory(plane, p)
+                                   for p in given)
+
+
+def _lifts(cls) -> int:
+    depth = 0
+    while cls.LIFT is not None:
+        cls, depth = cls.LIFT[0], depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_check_then_solve_prepares_the_instance_once(variant, monkeypatch):
+    """``require()``, the lifts and the equilibration run on the first
+    call only: the later ones find the work of the same instance."""
+    entry = VARIANT_TABLE[variant]
+    inst, _ = gen_planted(variant, 2, 1, "j")
+    calls = []
+    for owner, name in ((families.ShapedInstance, "require"),
+                        (families.ShapedInstance, "lift"),
+                        (families, "_equilibrated")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    want = sorted(["_equilibrated", "require"]
+                  + ["lift"] * _lifts(type(inst)))
+    _evict()
+    calls.clear()
+    entry.check(inst, TOL)
+    assert sorted(calls) == want
+    entry.solve(inst, TOL, "first").assemble()
+    entry.check(inst, TOL)
+    assert sorted(calls) == want
+
+
+def test_lifts_map_right_sides_to_right_sides():
+    """A work is shared on equal coefficient bytes of the caller's
+    instance, which fix the root's coefficients only if no lift fills a
+    coefficient slot from a right side, or the reverse."""
+    lifted = [e.instance_type for e in VARIANT_TABLE.values()
+              if e.instance_type.LIFT is not None]
+    assert lifted
+    for cls in lifted:
+        target, slots, _ = cls.LIFT
+        for slot, own in slots.items():
+            assert ((slot in target.rhs_names())
+                    == (own.removesuffix(ETA_STAR) in cls.rhs_names())), (
+                        cls.__name__, slot)
+
+
+def test_a_new_right_side_copies_only_the_right_sides():
+    inst, _ = gen_planted("eta-full", 2, 1, "k")
+    _evict()
+    qsylv.check_eta_full(inst)
+    held = families._SLOT[0].caller
+    scaled = inst.copy(keep=inst.coefficient_names())
+    for name in scaled.rhs_names():
+        getattr(scaled, name).a1[...] *= 3.0
+    qsylv.check_eta_full(scaled)
+    caller = families._SLOT[0].caller
+    for name in inst.block_names():
+        mine, theirs = getattr(caller, name), getattr(scaled, name)
+        assert not any(np.shares_memory(p, q) for p in (mine.a1, mine.a2)
+                       for q in (theirs.a1, theirs.a2))
+        assert (mine is getattr(held, name)) == (
+            name in inst.coefficient_names())
+
+
+def test_one_scan_checks_the_blocks_and_gives_their_exponents():
+    inst, _ = gen_planted("eta-mixed", 2, 0, "j")
+    assert inst.require() == dict(zip(inst.block_names(),
+                                      max_exponents(inst.blocks())))
+    for name in ("A1", "D3"):
+        for bad in (np.nan, np.inf, -np.inf):
+            edited = inst.copy()
+            getattr(edited, name).a2[0, 1] = complex(0.0, bad)
+            with pytest.raises(ValueError,
+                               match=f"^{name} has a non-finite entry$"):
+                edited.require()
+    top = QMatrix.zeros(2, 2)
+    top.a1[1, 0] = complex(0.0, -3.0)
+    assert max_exponents([QMatrix.zeros(2, 2), QMatrix.zeros(0, 3), top,
+                          QMatrix(np.full((1, 1), np.nan))]) == [
+        None, None, 2, np.inf]
 
 
 # -- held norms and held products ----------------------------------------------
@@ -143,8 +315,11 @@ def test_solve_after_check_forms_no_certificate_product(monkeypatch):
     family.assemble()
     assert sorted(calls) == ["compat_terms", "mp_terms"]
     # the particular solution's right-side products, then the
-    # residual_terms of the particular solution that solve verifies
-    assert products.n == 72
+    # residual_terms of the particular solution that solve verifies; the
+    # 22 with an operand that is a free zero, the Zero pinv or an
+    # Identity projector of a rank-0 block (the vw3 kernel's M and N),
+    # or one of U's and V's empty halves cost no product
+    assert products.n == 50
     assert qsylv.check_master(inst) == report
     assert sorted(calls) == ["compat_terms", "mp_terms"]
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsylv import DimensionError, QMatrix, Quaternion, block, hstack, vstack
-from qsylv.qmatrix import embed_block
+from qsylv.qmatrix import Identity, Zero, embed_block
 from qsylv.qcore import (ETAS, I, J, K, quat_conj, quat_eta_conj,
                          quat_mul)
 
@@ -20,6 +20,56 @@ def test_identity_and_empty_products(rand_q):
     right = QMatrix.zeros(0, 4)
     prod = left @ right
     assert prod.shape == (3, 4) and prod.norm() == 0.0
+
+
+def _same(a, b) -> bool:
+    return (a.shape == b.shape and a.a1.tobytes() == b.a1.tobytes()
+            and a.a2.tobytes() == b.a2.tobytes())
+
+
+def test_identity_marker_products_are_the_operand(rand_q):
+    a, b = rand_q(2, 3), rand_q(3, 2)
+    i3 = Identity(3)
+    assert (a @ i3) is a and (i3 @ b) is b
+    assert (i3 @ Identity(3)).shape == (3, 3)
+    z = Zero(3, 4)
+    assert (i3 @ z) is z and type(Zero(2, 3) @ i3) is Zero
+    # every other operation reads it as the stored identity
+    stored = QMatrix.identity(3)
+    x = rand_q(3, 3)
+    for got, want in ((i3 + x, stored + x), (x - i3, x - stored),
+                      (-i3, -stored), (i3 * 0.5, stored * 0.5),
+                      (i3.copy(), stored),
+                      (i3.conj_transpose(), stored.conj_transpose())):
+        assert type(got) is QMatrix and _same(got, want)
+    assert i3.embed().tobytes() == stored.embed().tobytes()
+    assert not (i3.a1.flags.writeable or i3.a2.flags.writeable)
+    for bad in (lambda: a @ Identity(2), lambda: Identity(2) @ b):
+        with pytest.raises(DimensionError):
+            bad()
+
+
+def test_empty_products_are_zero_markers(rand_q):
+    for left, right in ((rand_q(3, 0), rand_q(0, 4)),
+                        (rand_q(0, 2), rand_q(2, 5)),
+                        (rand_q(3, 2), rand_q(2, 0))):
+        got = left @ right
+        assert type(got) is Zero
+        assert got.shape == (left.rows, right.cols)
+        want = QMatrix._pair(left.a1 @ right.a1, left.a2 @ right.a2)
+        assert _same(got.copy(), want)
+
+
+def test_zero_marker_sums(rand_q):
+    z = Zero(2, 3)
+    assert (z + Zero(2, 3)) is z and (z - Zero(2, 3)) is z
+    assert type(z.submatrix(slice(1, 2), slice(None))) is Zero
+    assert z.submatrix(slice(1, 2), slice(None)).shape == (1, 3)
+    assert z.norm() == 0.0
+    x = rand_q(2, 3)
+    assert type(z + x) is QMatrix and _same(z + x, x + QMatrix.zeros(2, 3))
+    with pytest.raises(DimensionError):
+        z + Zero(3, 2)
 
 
 def test_matmul_shape_error(rand_q):
