@@ -1,7 +1,7 @@
 """Command-line front end: qsylv check | solve | gen | verify.
 
 Exit codes: 0 consistent / verified, 2 inconsistent / verification
-failure, 1 I/O, parse or shape errors.
+failure, 1 usage, I/O, parse or shape errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import harness
 from .qcore import ETAS
 from .qmatrix import DimensionError
 from .solvers import Inconsistent
-from .solvers.families import DEFAULT_TOL, require_tol
+from .solvers.families import DEFAULT_TOL, check, require_tol, solve
 
 
 def _print_solvability(report):
@@ -47,7 +47,7 @@ def _load_instance(args):
 
 def cmd_check(args) -> int:
     inst, variant = _load_instance(args)
-    report = harness.VARIANT_TABLE[variant].check(inst, args.tol)
+    report = check(inst, args.tol)
     _print_solvability(report)
     if args.out:
         docs.dump_json(args.out, {"format": "qsylv-solvability-report",
@@ -57,11 +57,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     inst, variant = _load_instance(args)
-    entry = harness.VARIANT_TABLE[variant]
-    if args.branch == "second" and entry.one_closed_form:
-        print(f"note: {variant} has one closed form; --branch second is "
-              "ignored", file=sys.stderr)
-    result = entry.solve(inst, args.tol, args.branch)
+    result = solve(inst, args.tol)
     if isinstance(result, Inconsistent):
         print("inconsistent; failing conditions:")
         for name in result.failing_conditions:
@@ -118,8 +114,17 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, as every other bad input
+    does: argparse's own code, 2, means "inconsistent" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsylv",
         description="Solvability checks and general solutions for "
                     "Sylvester-type quaternion matrix systems.")
@@ -147,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'zero', 'random', or a JSON file of parameters")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for --free random")
-    p.add_argument("--branch", choices=("first", "second"), default="first")
     p.add_argument("--out", default=None, help="write the solution as JSON")
     p.add_argument("--report-out", default=None,
                    help="write the residual report as JSON")

@@ -25,8 +25,7 @@ from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, symmetrize)
 from .qmatrix import DimensionError, QMatrix
 from .solvers.basic import PairInstance
-from .solvers.families import (DEFAULT_TOL, Inconsistent, check,
-                               require_tol, solve)
+from .solvers.families import DEFAULT_TOL, Inconsistent, require_tol, solve
 from .solvers.master import MasterInstance, MasterSolution
 from .solvers.specials import (FiveTermInstance, MixedInstance,
                                ThreeTermInstance)
@@ -194,10 +193,9 @@ class Variant:
     """One system of the hierarchy: the single place that knows it.
 
     ``unknowns`` names the solution blocks in order, as the instance
-    type's ``SHAPES`` lists them.  ``check(inst, tol)`` and
-    ``solve(inst, tol, branch)`` are the one driver of every system
-    (:mod:`.solvers.families`); ``one_closed_form`` marks the systems
-    whose families do not depend on ``branch``.
+    type's ``SHAPES`` lists them.  Every system is decided by the one
+    driver, :func:`.solvers.families.check` and
+    :func:`.solvers.families.solve`, so an entry holds only data.
 
     ``dims(size)`` gives the named dimensions of a planted instance.
     ``twin_dims(size)``, when set, gives those of the base that
@@ -212,10 +210,6 @@ class Variant:
     dims: Callable
     twin_dims: Callable | None = None
     order: tuple | None = None
-    one_closed_form: bool = False
-
-    check = staticmethod(check)
-    solve = staticmethod(solve)
 
     @property
     def unknowns(self) -> tuple:
@@ -249,8 +243,7 @@ def _five_term_dims(p: int, size: int, inner: int) -> dict:
 VARIANT_TABLE = {v.name: v for v in (
     Variant("pair", PairInstance,
             lambda n: dict(q=n, p=n + 1, r=n + 1, s=n),
-            lambda n: dict(q=n + 1, p=n, r=n, s=n + 1),
-            one_closed_form=True),
+            lambda n: dict(q=n + 1, p=n, r=n, s=n + 1)),
     Variant("master", MasterInstance,
             lambda n: DimensionProfile.cube(n).dims(),
             order=_MASTER_ORDER),
@@ -261,14 +254,12 @@ VARIANT_TABLE = {v.name: v for v in (
     Variant("mixed", MixedInstance,
             lambda n: dict(cr=n + 2, cc=n + 2,
                            **_indexed((1, 2), q=n, p=n + 1, t=n + 1, s=n)),
-            order=tuple("A1 B1 A2 B2 X1 X2 A3 B3 A4 B4".split()),
-            one_closed_form=True),
+            order=tuple("A1 B1 A2 B2 X1 X2 A3 B3 A4 B4".split())),
     Variant("two-term", TwoTermInstance,
             lambda n: dict(p=n + 2, q=n + 2, m3=n + 3, n3=n + 3, m4=n,
                            n4=n + 1),
             lambda n: dict(p=2 * n + 3, q=2 * n + 3, m3=n, n3=n, m4=n,
-                           n4=n + 1),
-            one_closed_form=True),
+                           n4=n + 1)),
     Variant("five-term", FiveTermInstance,
             lambda n: _five_term_dims(n + 2, n, n + 1),
             lambda n: _five_term_dims(2 * n + 3 + 2 * max(0, n - 5), n, n)),
@@ -277,12 +268,10 @@ VARIANT_TABLE = {v.name: v for v in (
     Variant("eta-three", EtaThreeInstance,
             lambda n: dict(n=n + 2, **_indexed((1, 2, 3), q=n, p=n + 1))),
     Variant("eta-two", EtaTwoInstance,
-            lambda n: dict(d=n + 2, nb=n + 1, nc=n),
-            one_closed_form=True),
+            lambda n: dict(d=n + 2, nb=n + 1, nc=n)),
     Variant("eta-mixed", EtaMixedInstance,
             lambda n: dict(d=n + 2, q1=n, s1=n, nx=n + 1, ny=n + 1),
-            order=("A1", "B1", "X", "Y", "A2", "A3"),
-            one_closed_form=True),
+            order=("A1", "B1", "X", "Y", "A2", "A3")),
 )}
 
 VARIANTS = tuple(VARIANT_TABLE)

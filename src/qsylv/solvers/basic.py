@@ -84,8 +84,7 @@ class _PairWork(PairKernel):
         self.factors = factors or _PairFactors(inst)
         super().__init__(*inst.blocks(), self.factors.bundles)
 
-    def family(self, branch: str) -> LinearSolutionFamily:
-        """The one closed form; ``branch`` is not read."""
+    def family(self) -> LinearSolutionFamily:
         params = (FreeParam("U1", self.inst.unknown_shapes()["X"]),)
         return LinearSolutionFamily(("X",), params, lambda vals: (
             self.member(vals["U1"]),))

@@ -48,7 +48,7 @@ give the ``(name, grid, rhs)`` of every rank equality r(grid) =
 sum(rhs), and this module alone ranks them (:func:`_rank_list`).  A
 term that holds for every instance of its shapes, as the conditions of
 an equation a lift leaves empty do, is in no list (:func:`_vacuous`).  A
-work also gives ``family(branch)``.  A family's closed form reads its
+work also gives ``family()``.  A family's closed form reads its
 free parameters as given; one that ``assemble`` is not given is a zero
 that costs no product (:class:`.qmatrix.Zero`), so the particular
 solution pays only for the right side.  Through the lifts many operands
@@ -354,10 +354,10 @@ def shared_work(inst):
     :func:`_root_work`: editing the caller's matrices in place
     afterwards misses the slot and cannot reach a family or report
     already handed out.  A factorization is a function of the
-    coefficient bytes alone, and everything that depends on ``tol`` or on
-    the branch is computed by the caller on every call, so a hit or a
-    new pass gives bit-identical results to a cold call.  The slot is
-    read and replaced whole, so concurrent callers can at worst miss."""
+    coefficient bytes alone, and everything that depends on ``tol`` is
+    computed by the caller on every call, so a hit or a new pass gives
+    bit-identical results to a cold call.  The slot is read and replaced
+    whole, so concurrent callers can at worst miss."""
     held = _SLOT[0]
     keep = factors = None
     if (held is not None and type(held.caller) is type(inst)
@@ -762,13 +762,8 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     return SolvabilityReport(*_residual_lists(work, tol), _rank_list(work))
 
 
-def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
+def solve(inst, tol: float = DEFAULT_TOL):
     """General solution family of any instance, or Inconsistent.
-
-    ``branch`` picks one of the two closed forms of the master
-    reduction's last unknown (Z, which is Y3 of its reduced five-term
-    equation), which every system through the master reduction
-    inherits; the others have one closed form and accept either name.
 
     The reduction is built on the equilibrated instance, as in
     :func:`check`.  The verdict: ``Inconsistent`` when a compatibility or
@@ -783,14 +778,11 @@ def solve(inst, tol: float = DEFAULT_TOL, branch: str = "first"):
     It divides the parameters it is given by 2^k, the right sides'
     scale, and maps each assembled tuple back through the lifts and
     multiplies it by 2^k."""
-    if branch not in ("first", "second"):
-        raise ValueError(f"branch must be 'first' or 'second', got {branch!r}")
     require_tol(tol)
     work = shared_work(inst)
     maps, k = work.maps, work.k
     compat, mp = _residual_lists(work, tol)
-    res = (work.family(branch) if all(c.passed for c in compat + mp)
-           else None)
+    res = work.family() if all(c.passed for c in compat + mp) else None
     if res is None or not _backward_stable(work, res._held(), tol):
         report = SolvabilityReport(compat, mp, lambda: _rank_list(work))
         if not report.consistent:

@@ -16,11 +16,9 @@ has no B, V no A), which the same reduction solves: it eliminates
 (X1, X2) through the classical two-sided solvability condition, reduces
 (Y1, Y2) to a two-term two-sided equation whose right side depends on
 Y3, and parametrizes Y3 as the general solution of a system of four
-two-sided equations sharing one unknown.  Y3 has two equivalent closed
-forms; ``branch`` selects which one is assembled ("first" is the
-default).  :func:`block_rank_terms` gives the nine rank equalities of
-the coupling equation, which agree with the residual conditions of the
-reduction in exact arithmetic.
+two-sided equations sharing one unknown.  :func:`block_rank_terms`
+gives the nine rank equalities of the coupling equation, which agree
+with the residual conditions of the reduction in exact arithmetic.
 
 The specializations of :mod:`.specials`, the five-term equation (the
 coupling equation alone) among them, lift onto this system by letting
@@ -319,7 +317,7 @@ class _MasterWork:
 
     # -- family assembly ----------------------------------------------------
 
-    def family(self, branch: str) -> LinearSolutionFamily:
+    def family(self) -> LinearSolutionFamily:
         u, v, x, y, (m, n) = self.inst.unknown_shapes().values()
         shapes = {
             "W11": v, "W12": u, "W13": v, "U4": y, "U5": x, "U6": x,
@@ -331,9 +329,9 @@ class _MasterWork:
         params = tuple(FreeParam(name, shapes[name])
                        for name in MASTER_PARAM_NAMES)
         return LinearSolutionFamily(self.inst.unknown_names(), params,
-                                    lambda vals: self.assemble(vals, branch))
+                                    self.assemble)
 
-    def assemble(self, vals: dict, branch: str):
+    def assemble(self, vals: dict):
         """(U, V, X, Y, Z): the side equations' members at the reduced
         equation's (X1, X2, Y1, Y2, Y3)."""
         k = self.factors
@@ -342,23 +340,15 @@ class _MasterWork:
         v3, w3 = k.vw3.solve(self.F, vals["U31"], vals["U32"],
                              vals["U33"], vals["U41"], vals["U42"])
         g = self.F - k.C22 @ v3 @ k.D22 - k.C33 @ w3 @ k.D33
-        # selector products (I, 0) / (0, I) realized as row/column halves
+        # the selector products (I, 0) realized as the first row/column half
         cg = bC11.pinv @ g
         uu = bC11.pinv @ vals["U11"] @ k.D11 - bC11.proj_left @ vals["U12"]
-        vw1 = cg - uu
-        v1 = vw1.submatrix(slice(0, m), slice(None))
-        w1 = vw1.submatrix(slice(m, 2 * m), slice(None))
+        v1 = (cg - uu).submatrix(slice(0, m), slice(None))
         rgd = bC11.proj_right @ g @ bD11.pinv
         cu = k.c11_pc11 @ vals["U11"] + vals["U21"] @ bD11.proj_right
-        vw2 = rgd + cu
-        v2 = vw2.submatrix(slice(None), slice(0, n))
-        w2 = vw2.submatrix(slice(None), slice(n, 2 * n))
-        if branch == "first":
-            y3 = (self.F1 + bC[1].proj_left @ v1 + v2 @ bD[0].proj_right
-                  + bC[0].proj_left @ v3 @ bD[1].proj_right)
-        else:
-            y3 = (self.F2 - bC[3].proj_left @ w1 - w2 @ bD[2].proj_right
-                  - bC[2].proj_left @ w3 @ bD[3].proj_right)
+        v2 = (rgd + cu).submatrix(slice(None), slice(0, n))
+        y3 = (self.F1 + bC[1].proj_left @ v1 + v2 @ bD[0].proj_right
+              + bC[0].proj_left @ v3 @ bD[1].proj_right)
         t = self.T1 - k.A33 @ y3 @ k.B33
         y1, y2 = k.y12.solve(t, vals["U4"], vals["U5"], vals["U6"],
                              vals["U7"], vals["U8"])

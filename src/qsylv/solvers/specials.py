@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import DEFAULT_TOL, ShapedInstance, check, solve
+from .families import ShapedInstance, check, solve
 from .master import MasterInstance
 
 
@@ -85,7 +85,7 @@ class MixedInstance(ShapedInstance):
 
     Lifted onto the master system with X1 and X2 in its X and Y slots;
     the conditions of the empty U, V and Z slots are vacuous and
-    dropped, and the family has one closed form."""
+    dropped."""
 
     SHAPES = {
         "A1": ("q1", "p1"), "B1": ("t1", "s1"),
@@ -110,9 +110,4 @@ class MixedInstance(ShapedInstance):
 
 
 check_five_term = check_three_term = check_mixed = check
-solve_five_term = solve_three_term_system = solve
-
-
-def solve_mixed_system(inst: MixedInstance, tol: float = DEFAULT_TOL):
-    """General solution family (X1, X2), or Inconsistent."""
-    return solve(inst, tol)
+solve_five_term = solve_three_term_system = solve_mixed_system = solve

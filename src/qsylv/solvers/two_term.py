@@ -116,8 +116,7 @@ class _TwoTermWork:
              (k.bd3.rank, k.bc4.rank)),
         ]
 
-    def family(self, branch: str) -> LinearSolutionFamily:
-        """The one closed form; ``branch`` is not read."""
+    def family(self) -> LinearSolutionFamily:
         shape3, shape4 = self.inst.unknown_shapes().values()
         params = (FreeParam("Y11", shape4), FreeParam("Y12", shape3),
                   FreeParam("Y13", shape3), FreeParam("Y14", shape4),

@@ -74,27 +74,47 @@ def test_malformed_entry_is_a_message_not_a_traceback(data_dir, tmp_path,
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_second_branch_and_inconsistent_exit_codes(variant, tmp_path,
-                                                   capsys):
+def test_random_member_and_inconsistent_exit_codes(variant, tmp_path):
     ipath = str(tmp_path / "inst.json")
     spath = str(tmp_path / "sol.json")
     bpath = str(tmp_path / "bad.json")
     assert main(["gen", "--variant", variant, "--size", "2", "--seed", "6",
                  "--eta", "k", "--out", ipath]) == 0
-    capsys.readouterr()
-    assert main(["solve", ipath, "--branch", "second", "--free", "random",
-                 "--out", spath]) == 0
-    note = (f"note: {variant} has one closed form; --branch second is "
-            "ignored\n")
-    if variant in ("pair", "mixed", "two-term", "eta-two", "eta-mixed"):
-        assert capsys.readouterr().err == note
-    else:
-        assert "note:" not in capsys.readouterr().err
+    assert main(["solve", ipath, "--free", "random", "--out", spath]) == 0
     assert main(["verify", ipath, spath]) == 0
     assert main(["gen", "--variant", variant, "--size", "2", "--seed", "6",
                  "--eta", "k", "--inconsistent", "--out", bpath]) == 0
     assert main(["check", bpath]) == 2
-    assert main(["solve", bpath, "--branch", "second"]) == 2
+    assert main(["solve", bpath]) == 2
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["check", "x.json", "--variant", "bogus"],
+     "argument --variant: invalid choice: 'bogus'"),
+    (["gen", "--size", "two", "--out", "g.json"],
+     "argument --size: invalid int value: 'two'"),
+    (["solve", "x.json", "--branch", "first"],
+     "unrecognized arguments: --branch first"),
+))
+def test_usage_errors_exit_one(argv, message, tmp_path, monkeypatch,
+                               capsys):
+    # 2 is the code of an inconsistent instance, so a bad argument
+    # exits 1 as every other bad input does
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: qsylv")
+    assert f"error: {message}" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qsylv solve")
 
 
 def test_zero_solution_fails_verify(tmp_path):

@@ -28,7 +28,7 @@ def _record(name="R_A1*C1", residual=1e-16):
         "check": {"consistent": True, "forms_agree": True,
                   "conditions": [(name, True)], "ranks": [("R1", 3, 3, True)],
                   "report": report},
-        "first": {"outcome": "family", "particular_verifies": True,
+        "solve": {"outcome": "family", "particular_verifies": True,
                   "member_verifies": True, "params": [("W11", (1, 1))],
                   "particular": solution, "member": solution},
     }

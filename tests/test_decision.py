@@ -16,10 +16,10 @@ import pytest
 
 import qsylv
 from qsylv import verify_solution
-from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
-                           gen_consistent, gen_inconsistent, gen_planted,
-                           gen_unsolvable)
+from qsylv.harness import (VARIANTS, DimensionProfile, gen_consistent,
+                           gen_inconsistent, gen_planted, gen_unsolvable)
 from qsylv.solvers import Inconsistent
+from qsylv.solvers.families import check, solve
 
 TOL = 1e-9
 
@@ -33,28 +33,22 @@ def _scaled(inst, factor):
                             for f in inst.rhs_names()})
 
 
-def _decide_and_compare(variant, inst, solvable, factor=1.0):
-    """Solve on every branch and check the rule's guarantees; returns
-    the solve results.  ``inst`` has its right sides scaled by
-    ``factor``, which a family is verified without: verify_solution
-    squares entries, so it cannot read data at x1e300."""
-    entry = VARIANT_TABLE[variant]
-    report = entry.check(inst, TOL)
-    branches = ("first",) if entry.one_closed_form else ("first", "second")
-    results = []
-    for branch in branches:
-        res = entry.solve(inst, TOL, branch)
-        if isinstance(res, Inconsistent):
-            assert res.report.to_dict() == report.to_dict()
-        else:
-            assert solvable, "family returned for an unsolvable instance"
-            sol = [m * (1 / factor) for m in res.assemble()]
-            assert verify_solution(_scaled(inst, 1 / factor), sol,
-                                   TOL).passed
-        if report.forms_agree:
-            assert (not isinstance(res, Inconsistent)) == report.consistent
-        results.append(res)
-    return results
+def _decide_and_compare(inst, solvable, factor=1.0):
+    """Solve and check the rule's guarantees; returns the solve result.
+    ``inst`` has its right sides scaled by ``factor``, which a family is
+    verified without: verify_solution squares entries, so it cannot
+    read data at x1e300."""
+    report = check(inst, TOL)
+    res = solve(inst, TOL)
+    if isinstance(res, Inconsistent):
+        assert res.report.to_dict() == report.to_dict()
+    else:
+        assert solvable, "family returned for an unsolvable instance"
+        sol = [m * (1 / factor) for m in res.assemble()]
+        assert verify_solution(_scaled(inst, 1 / factor), sol, TOL).passed
+    if report.forms_agree:
+        assert (not isinstance(res, Inconsistent)) == report.consistent
+    return res
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -64,10 +58,10 @@ def test_decision_rule_on_planted_and_unsolvable(variant):
         for seed in (0, 1, 2):
             for eta in etas:
                 planted, _ = gen_planted(variant, size, seed, eta)
-                for res in _decide_and_compare(variant, planted, True):
-                    assert not isinstance(res, Inconsistent)
+                res = _decide_and_compare(planted, True)
+                assert not isinstance(res, Inconsistent)
                 twin = gen_unsolvable(variant, size, seed, eta)
-                _decide_and_compare(variant, twin, False)
+                _decide_and_compare(twin, False)
 
 
 @pytest.mark.parametrize("variant", SCALED_VARIANTS)
@@ -78,12 +72,10 @@ def test_decision_rule_on_scaled_right_sides(variant):
             twin = gen_unsolvable(variant, size, seed, "j")
             for exp in SCALE_EXPONENTS:
                 factor = 10.0 ** exp
-                results = _decide_and_compare(
-                    variant, _scaled(planted, factor), True, factor)
-                assert not any(isinstance(r, Inconsistent)
-                               for r in results), (size, seed, exp)
-                _decide_and_compare(variant, _scaled(twin, factor),
-                                    False, factor)
+                res = _decide_and_compare(_scaled(planted, factor), True,
+                                          factor)
+                assert not isinstance(res, Inconsistent), (size, seed, exp)
+                _decide_and_compare(_scaled(twin, factor), False, factor)
 
 
 # the coefficient factors of each master unknown's terms: scaling them
@@ -204,18 +196,17 @@ def test_particular_solution_is_assembled_once(monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rank_list_of_a_residual_rejection_is_built_on_first_read(
         variant, monkeypatch):
-    entry = VARIANT_TABLE[variant]
     twin = gen_unsolvable(variant, 2, 0, "j")
     # one rank list ranks the coefficient-only panels, which every later
     # list reads; the counts below are then the right-side ranks only
-    entry.check(twin, TOL)
+    check(twin, TOL)
     counter = _SvdCounter(monkeypatch)
-    report = entry.check(twin, TOL)
+    report = check(twin, TOL)
     _, check_ranks = counter.take()
     assert check_ranks > 0
     assert not all(c.passed for c in
                    report.compat_conditions + report.mp_conditions)
-    res = entry.solve(twin, TOL, "first")
+    res = solve(twin, TOL)
     assert isinstance(res, Inconsistent) and not res.report.consistent
     assert counter.take()[1] == 0
     res.report.forms_agree
@@ -230,17 +221,16 @@ def test_rank_list_of_a_residual_rejection_is_built_on_first_read(
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_deferred_rank_list_reads_the_inputs_as_given(variant):
-    entry = VARIANT_TABLE[variant]
     twin = gen_unsolvable(variant, 2, 1, "j")
-    before = entry.check(twin, TOL)
-    res = entry.solve(twin, TOL, "first")
+    before = check(twin, TOL)
+    res = solve(twin, TOL)
     assert isinstance(res, Inconsistent)
     for m in twin.blocks():
         for plane in m.components():
             plane[...] = 0.0
     # the edit changes what check_* reports, so the deferred list must
     # come from the inputs as they were at the solve call
-    assert entry.check(twin, TOL).rank_conditions != before.rank_conditions
+    assert check(twin, TOL).rank_conditions != before.rank_conditions
     assert res.report == before
     assert res.report.to_dict() == before.to_dict()
 

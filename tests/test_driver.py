@@ -1,8 +1,7 @@
 """The one check/solve driver behind every public ``check_*``/``solve_*``.
 
 Each public entry point, called with its own signature, gives exactly
-what the driver gives; ``solve`` names its branches for every system;
-an eta system whose coupling right side is not eta-Hermitian is
+what the driver gives; an eta system whose coupling right side is not eta-Hermitian is
 refused under that system's own field name; a block with a nan or
 infinite entry is refused, by name, before any SVD, and so is a ``tol``
 that is not finite and positive; no report lists a condition whose
@@ -84,14 +83,6 @@ def test_public_names_equal_the_driver(variant, truth):
     assert isinstance(solve(inst, TOL), Inconsistent) == (truth != "planted")
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_solve_rejects_an_unknown_branch(variant):
-    inst, _ = gen_planted(variant, 1, 0)
-    with pytest.raises(ValueError, match="branch must be 'first' or "
-                                         "'second', got 'bogus'"):
-        VARIANT_TABLE[variant].solve(inst, TOL, "bogus")
-
-
 @pytest.mark.parametrize("tol", (0.0, -1e-9, np.nan, np.inf))
 def test_tol_must_be_finite_and_positive(tol):
     # at inf the unsolvable twin would pass, at -1 the planted instance
@@ -114,8 +105,8 @@ def test_eta_precondition_names_the_types_own_field(variant, op):
     target = getattr(inst, rhs)
     rng = np.random.default_rng(3)
     off = target + rand_qmatrix(rng, *target.shape)
-    calls = {"check": (VARIANT_TABLE[variant].check, PUBLIC[variant][0]),
-             "solve": (VARIANT_TABLE[variant].solve, PUBLIC[variant][1])}
+    calls = {"check": (check, PUBLIC[variant][0]),
+             "solve": (solve, PUBLIC[variant][1])}
     driver, public = calls[op]
     # at x1e-300 the squared entries underflow, at x1e160 and x1e300
     # they overflow, unless require() scales the right side first

@@ -45,9 +45,8 @@ class TestSolve:
                                 QMatrix.zeros(3, 3))
         report = check_five_term(inst)
         assert report.consistent and report.forms_agree
-        for branch in ("first", "second"):
-            fam = solve_five_term(inst, branch=branch)
-            assert all(m.norm() == 0.0 for m in fam.particular)
+        fam = solve_five_term(inst)
+        assert all(m.norm() == 0.0 for m in fam.particular)
         bad = FiveTermInstance(z, zb, z, zb, z, zb, z, zb, rand_q(3, 3))
         assert isinstance(solve_five_term(bad), Inconsistent)
 
@@ -73,33 +72,16 @@ class TestSolve:
             assert coupling_defect(inst, sol) <= 1e-10
             assert sol[2].shape == (0, 0)
 
-    def test_planted_parameter_sweep_both_branches(self, rng, rand_q):
+    def test_planted_parameter_sweep(self, rng, rand_q):
         inst, _ = planted(rand_q, 4, 5, [(2, 3), (3, 2), (2, 2), (3, 3)])
         report = check_five_term(inst)
         assert report.consistent and report.forms_agree
         scale = 1.0 + inst.B.norm()
-        for branch in ("first", "second"):
-            fam = solve_five_term(inst, branch=branch)
-            assert [p.name for p in fam.free_params] == \
-                list(MASTER_PARAM_NAMES)
-            for _ in range(5):
-                sol = fam.assemble(fam.random_params(rng))
-                assert coupling_defect(inst, sol) <= 1e-8 * scale
-
-    def test_branch_difference_stays_in_kernel(self, rng, rand_q):
-        inst, _ = planted(rand_q, 4, 4, [(2, 2)] * 4)
-        params = None
-        sol1 = solve_five_term(inst, branch="first").assemble(params)
-        sol2 = solve_five_term(inst, branch="second").assemble(params)
-        scale = 1.0 + inst.B.norm()
-        assert coupling_defect(inst, sol1) <= 1e-9 * scale
-        assert coupling_defect(inst, sol2) <= 1e-9 * scale
-        # both are solutions, so the difference is annihilated
-        diff = tuple(a - b for a, b in zip(sol1, sol2))
-        hom = (inst.A1 @ diff[0] + diff[1] @ inst.B1
-               + inst.A2 @ diff[2] @ inst.B2 + inst.A3 @ diff[3] @ inst.B3
-               + inst.A4 @ diff[4] @ inst.B4)
-        assert hom.norm() <= 1e-9 * scale
+        fam = solve_five_term(inst)
+        assert [p.name for p in fam.free_params] == list(MASTER_PARAM_NAMES)
+        for _ in range(5):
+            sol = fam.assemble(fam.random_params(rng))
+            assert coupling_defect(inst, sol) <= 1e-8 * scale
 
     def test_inconsistent_detected(self, rand_q):
         # rhs far outside reach: coefficients of rank 1 into a 5x5 target

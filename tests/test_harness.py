@@ -10,6 +10,7 @@ from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_unsolvable, symmetrize, verify_solution)
 from qsylv.qmatrix import DimensionError
 from qsylv.solvers import check_five_term
+from qsylv.solvers.families import check
 from qsylv.solvers.master import check_master, solve_master
 
 
@@ -190,7 +191,6 @@ def test_every_variant_generator(variant, rng):
     inst, wit = gen_planted(variant, 2, seed=13, eta="j")
     assert verify_solution(inst, wit).passed
     assert tuple(inst.unknown_shapes()) == VARIANT_TABLE[variant].unknowns
-    check = VARIANT_TABLE[variant].check
     rep = check(inst, 1e-9)
     assert rep.consistent, (variant, rep.failing())
     bad = gen_unsolvable(variant, 2, seed=13, eta="j")

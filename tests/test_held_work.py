@@ -43,11 +43,6 @@ def _etas(variant):
     return ("i", "j", "k") if variant.startswith("eta") else ("i",)
 
 
-def _branches(variant):
-    return (("first",) if VARIANT_TABLE[variant].one_closed_form
-            else ("first", "second"))
-
-
 def _same(a: QMatrix, b: QMatrix) -> bool:
     return (a.shape == b.shape and a.a1.tobytes() == b.a1.tobytes()
             and a.a2.tobytes() == b.a2.tobytes())
@@ -72,24 +67,22 @@ class _Products:
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("size", (0, 1, 3))
 def test_omitted_parameters_equal_explicit_zeros(variant, size):
-    entry = VARIANT_TABLE[variant]
     for eta in _etas(variant):
         inst, _ = gen_planted(variant, size, 0, eta)
-        for branch in _branches(variant):
-            family = entry.solve(inst, TOL, branch)
-            assert not isinstance(family, Inconsistent)
-            zeros = [QMatrix.zeros(*p.shape) for p in family.free_params]
-            names = [p.name for p in family.free_params]
-            sols = [family.assemble(), family.assemble({}),
-                    family.assemble(zeros),
-                    family.assemble(dict(zip(names, zeros))),
-                    family.particular]
-            for sol in sols:
-                assert len(sol) == len(inst.unknown_names())
-                for m in sol:
-                    assert type(m) is QMatrix
-                    assert m.a1.flags.writeable and m.a2.flags.writeable
-                assert _planes(sol) == _planes(sols[0])
+        family = families.solve(inst, TOL)
+        assert not isinstance(family, Inconsistent)
+        zeros = [QMatrix.zeros(*p.shape) for p in family.free_params]
+        names = [p.name for p in family.free_params]
+        sols = [family.assemble(), family.assemble({}),
+                family.assemble(zeros),
+                family.assemble(dict(zip(names, zeros))),
+                family.particular]
+        for sol in sols:
+            assert len(sol) == len(inst.unknown_names())
+            for m in sol:
+                assert type(m) is QMatrix
+                assert m.a1.flags.writeable and m.a2.flags.writeable
+            assert _planes(sol) == _planes(sols[0])
 
 
 def test_partly_given_parameters_equal_explicit_zeros():
@@ -169,14 +162,13 @@ def _marked(m):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_no_blas_product_reads_an_empty_zero_or_identity_operand(
         variant, monkeypatch):
-    entry = VARIANT_TABLE[variant]
     inst, _ = gen_planted(variant, 4, 1, "j")
 
     def check():
-        assert entry.check(inst, TOL).consistent
+        assert families.check(inst, TOL).consistent
 
     def solve():
-        family = entry.solve(inst, TOL, "first")
+        family = families.solve(inst, TOL)
         assert not isinstance(family, Inconsistent)
         family.assemble()
 
@@ -197,11 +189,10 @@ def test_assembled_matrices_are_plain_and_their_own(variant):
     """The particular solution and a member are plain, writable
     matrices that share no memory with the instance or the parameters,
     also where a closed form is zero in every term (a Zero)."""
-    entry = VARIANT_TABLE[variant]
     for size in (0, 3, 4):
         inst, _ = gen_planted(variant, size, 1, "j")
         _evict()
-        family = entry.solve(inst, TOL, "first")
+        family = families.solve(inst, TOL)
         params = family.random_params(np.random.default_rng(size))
         names = [p.name for p in family.free_params]
         given = [p for m in (*inst.blocks(), *params) for p in (m.a1, m.a2)]
@@ -227,7 +218,6 @@ def _lifts(cls) -> int:
 def test_check_then_solve_prepares_the_instance_once(variant, monkeypatch):
     """``require()``, the lifts and the equilibration run on the first
     call only: the later ones find the work of the same instance."""
-    entry = VARIANT_TABLE[variant]
     inst, _ = gen_planted(variant, 2, 1, "j")
     calls = []
     for owner, name in ((families.ShapedInstance, "require"),
@@ -240,10 +230,10 @@ def test_check_then_solve_prepares_the_instance_once(variant, monkeypatch):
                   + ["lift"] * _lifts(type(inst)))
     _evict()
     calls.clear()
-    entry.check(inst, TOL)
+    families.check(inst, TOL)
     assert sorted(calls) == want
-    entry.solve(inst, TOL, "first").assemble()
-    entry.check(inst, TOL)
+    families.solve(inst, TOL).assemble()
+    families.check(inst, TOL)
     assert sorted(calls) == want
 
 
@@ -398,11 +388,10 @@ def test_rank_grids_embed_as_their_block_matrices(variant, monkeypatch):
         return embedding(a)
 
     monkeypatch.setattr(decomp, "_embedding", recorded)
-    entry = VARIANT_TABLE[variant]
     for size in (0, 2):
         inst, _ = gen_planted(variant, size, 1, "k")
         _evict()
-        assert entry.check(inst, TOL).forms_agree
+        assert families.check(inst, TOL).forms_agree
     monkeypatch.undo()
     cells = [cell for grid in grids for row in grid for cell in row]
     assert grids and None in cells

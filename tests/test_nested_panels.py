@@ -20,7 +20,7 @@ import pytest
 import qsylv
 from qsylv import QMatrix, decomp
 from qsylv.decomp import SubGrid
-from qsylv.harness import VARIANT_TABLE, gen_planted, gen_unsolvable
+from qsylv.harness import gen_planted, gen_unsolvable
 from qsylv.solvers import families
 from qsylv.solvers.master import MasterInstance
 
@@ -54,11 +54,11 @@ def _direct(monkeypatch):
     monkeypatch.setattr(families, "ranks", direct)
 
 
-def _cold(variant, inst, shapes):
+def _cold(inst, shapes):
     """A cold check's report, its panel ranks and its rank SVD count."""
     _evict()
     shapes.clear()
-    report = VARIANT_TABLE[variant].check(inst, TOL)
+    report = families.check(inst, TOL)
     return report.to_dict(), list(families._SLOT[0].factors.panels), len(
         shapes)
 
@@ -80,9 +80,9 @@ def test_derived_panel_ranks_equal_direct_ones(variant):
     cases = list(_instances(variant))
     with pytest.MonkeyPatch.context() as mp:
         shapes = _svd_calls(mp)
-        derived = [_cold(variant, inst, shapes) for _, inst in cases]
+        derived = [_cold(inst, shapes) for _, inst in cases]
         _direct(mp)
-        direct = [_cold(variant, inst, shapes) for _, inst in cases]
+        direct = [_cold(inst, shapes) for _, inst in cases]
     assert any(not report["consistent"] for report, _, _ in direct)
     for (label, _), d, r in zip(cases, derived, direct):
         assert d[:2] == r[:2], label
@@ -139,12 +139,12 @@ def _deficient_master(seed):
 def test_rank_deficient_full_panel_falls_back(seed, monkeypatch):
     inst = _deficient_master(seed)
     shapes = _svd_calls(monkeypatch)
-    derived = _cold("master", inst, shapes)
+    derived = _cold(inst, shapes)
     # the 7 left panels nested in R1's are ranked directly; the right
     # ones are still read off R8's
     assert derived[2] == 21 + 7
     _direct(monkeypatch)
-    assert _cold("master", inst, shapes) == derived[:2] + (35,)
+    assert _cold(inst, shapes) == derived[:2] + (35,)
 
 
 def _with_singular_values(rng, rows, values):

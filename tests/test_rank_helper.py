@@ -16,7 +16,8 @@ import pytest
 
 import qsylv
 from qsylv import QMatrix, decomp
-from qsylv.harness import VARIANT_TABLE, gen_planted, gen_unsolvable
+from qsylv.harness import gen_planted, gen_unsolvable
+from qsylv.solvers.families import check
 
 from tests.test_shared_work import _evict
 
@@ -62,7 +63,7 @@ def _starts(monkeypatch):
 
 def _cold_check(variant, inst):
     _evict()
-    report = VARIANT_TABLE[variant].check(inst, TOL)
+    report = check(inst, TOL)
     report.rank_conditions
     return report
 
@@ -85,7 +86,7 @@ def test_helper_reports_equal_serial_reports(variant, monkeypatch):
         # own; only the helper of the checked call counts
         _evict()
         names.clear()
-        helper.append(VARIANT_TABLE[variant].check(inst, TOL))
+        helper.append(check(inst, TOL))
         helpers += names.count("qsylv-rank")
     assert threading.active_count() == before
     assert helpers == len(insts)

@@ -23,7 +23,7 @@ from qsylv import QMatrix
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_planted, gen_unsolvable)
 from qsylv.solvers import Inconsistent, basic, families, master, two_term
-from qsylv.solvers.families import _reduced
+from qsylv.solvers.families import _reduced, check, solve
 
 from tests.test_decision import _SvdCounter
 
@@ -57,11 +57,11 @@ def _solved(res):
             _planes(res.assemble(res.random_params(rng))))
 
 
-def _cold(entry, inst, branch):
+def _cold(inst):
     _evict()
-    report = entry.check(inst, TOL).to_dict()
+    report = check(inst, TOL).to_dict()
     _evict()
-    return report, _solved(entry.solve(inst, TOL, branch))
+    return report, _solved(solve(inst, TOL))
 
 
 def _cases(variant):
@@ -74,26 +74,23 @@ def _cases(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_warm_calls_equal_cold_calls(variant, monkeypatch):
-    entry = VARIANT_TABLE[variant]
-    branches = ("first",) if entry.one_closed_form else ("first", "second")
     counter = _SvdCounter(monkeypatch)
     for label, inst in _cases(variant):
-        for branch in branches:
-            cold = _cold(entry, inst, branch)
+        cold = _cold(inst)
 
-            _evict()
-            report = entry.check(inst, TOL).to_dict()
-            counter.take()
-            solved = _solved(entry.solve(inst, TOL, branch))
-            assert counter.take()[0] == 0, (label, "solve after check")
-            assert (report, solved) == cold, (label, branch)
+        _evict()
+        report = check(inst, TOL).to_dict()
+        counter.take()
+        solved = _solved(solve(inst, TOL))
+        assert counter.take()[0] == 0, (label, "solve after check")
+        assert (report, solved) == cold, label
 
-            _evict()
-            solved = _solved(entry.solve(inst, TOL, branch))
-            counter.take()
-            report = entry.check(inst, TOL).to_dict()
-            assert counter.take()[0] == 0, (label, "check after solve")
-            assert (report, solved) == cold, (label, branch)
+        _evict()
+        solved = _solved(solve(inst, TOL))
+        counter.take()
+        report = check(inst, TOL).to_dict()
+        assert counter.take()[0] == 0, (label, "check after solve")
+        assert (report, solved) == cold, label
 
 
 def test_warm_master_svd_counts(monkeypatch):
@@ -142,8 +139,7 @@ def test_in_place_edit_misses(monkeypatch):
         solved = _solved(qsylv.solve_master(inst))
         assert counter.take()[0] == pinvs, block
         report = qsylv.check_master(inst).to_dict()
-        assert (report, solved) == _cold(VARIANT_TABLE["master"], inst,
-                                         "first"), block
+        assert (report, solved) == _cold(inst), block
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -152,7 +148,7 @@ def test_cold_work_shares_no_memory_with_the_caller(variant):
     were and keeps the scaled ones, which are new arrays."""
     for _, inst in _cases(variant):
         _evict()
-        VARIANT_TABLE[variant].check(inst, TOL)
+        check(inst, TOL)
         held = [p for m in families._SLOT[0].inst.blocks()
                 for p in (m.a1, m.a2)]
         for m in inst.blocks():
@@ -185,7 +181,6 @@ def test_one_ranks_call_per_rank_list(variant, cold, new_rhs, monkeypatch):
     factorization.  ``cold`` counts the rank SVDs of the first list: a
     master list hands over its 35 matrices, and its 14 nested panels
     take no SVD (five-term's wide panels are ranked directly)."""
-    entry = VARIANT_TABLE[variant]
     planted, _ = gen_planted(variant, 2, 0)
     calls, ranks = [], families.ranks
 
@@ -197,11 +192,11 @@ def test_one_ranks_call_per_rank_list(variant, cold, new_rhs, monkeypatch):
     _evict()
     counter = _SvdCounter(monkeypatch)
     calls.clear()
-    entry.check(planted, TOL)
+    check(planted, TOL)
     grids = 35 if variant == "master" else cold
     assert (calls, counter.take()[1]) == ([grids], cold)
     calls.clear()
-    entry.check(_scaled(variant, planted, 3.0), TOL)
+    check(_scaled(variant, planted, 3.0), TOL)
     assert (calls, counter.take()[1]) == ([new_rhs], new_rhs)
 
 
@@ -210,12 +205,9 @@ def test_passes_on_held_factorization_equal_cold_calls(variant, monkeypatch):
     """All cases in order without eviction: every call after the first
     on one set of coefficients takes no pinv SVD, and every result
     equals a cold call's."""
-    entry = VARIANT_TABLE[variant]
-    branches = ("first",) if entry.one_closed_form else ("first", "second")
-    coefficients = entry.instance_type.coefficient_names()
+    coefficients = VARIANT_TABLE[variant].instance_type.coefficient_names()
     cases = list(_cases(variant))
-    cold = {(label, branch): _cold(entry, inst, branch)
-            for label, inst in cases for branch in branches}
+    cold = {label: _cold(inst) for label, inst in cases}
     _evict()
     counter = _SvdCounter(monkeypatch)
     previous = None
@@ -223,15 +215,13 @@ def test_passes_on_held_factorization_equal_cold_calls(variant, monkeypatch):
         shared = previous is not None and all(
             _planes([getattr(previous, n)]) == _planes([getattr(inst, n)])
             for n in coefficients)
-        for branch in branches:
-            counter.take()
-            solved = _solved(entry.solve(inst, TOL, branch))
-            pinvs = counter.take()[0]
-            report = entry.check(inst, TOL).to_dict()
-            assert (report, solved) == cold[label, branch], (label, branch)
-            if shared:
-                assert pinvs == 0, label
-            shared = True
+        counter.take()
+        solved = _solved(solve(inst, TOL))
+        pinvs = counter.take()[0]
+        report = check(inst, TOL).to_dict()
+        assert (report, solved) == cold[label], label
+        if shared:
+            assert pinvs == 0, label
         previous = inst
 
 
@@ -266,17 +256,16 @@ def test_pinv_bundles_ignore_right_side_scale(variant, seed, exponent):
 
 @pytest.mark.parametrize("variant", ("master", "five-term", "two-term"))
 def test_equal_content_shares_work_but_not_edits(variant, monkeypatch):
-    entry = VARIANT_TABLE[variant]
     planted, _ = gen_planted(variant, 2, 0)
     twin = gen_unsolvable(variant, 2, 1)
     counter = _SvdCounter(monkeypatch)
     for first in (planted, twin):
-        expected = _cold(entry, first, "first")[1]
+        expected = _cold(first)[1]
         second = first.copy()
         _evict()
-        entry.check(first, TOL)
+        check(first, TOL)
         counter.take()
-        res = entry.solve(second, TOL, "first")
+        res = solve(second, TOL)
         assert counter.take()[0] == 0
         # the family and the deferred rank list of the second instance
         # do not read the first one's matrices
@@ -290,23 +279,23 @@ def test_threads_never_get_another_instances_work():
     # each base also scaled: instances that share their coefficients
     # but not their right sides
     variants = ("two-term", "five-term", "master", "eta-two")
-    cases = [(VARIANT_TABLE[v], _scaled(v, inst, factor)) for v in variants
+    cases = [_scaled(v, inst, factor) for v in variants
              for inst in (gen_planted(v, 1, 0)[0], gen_unsolvable(v, 1, 0))
              for factor in (1.0, 1e4)]
-    expected = [_cold(entry, inst, "first") for entry, inst in cases]
+    expected = [_cold(inst) for inst in cases]
     failures = []
 
     def worker(offset):
         for k in range(40):
             i = (offset + k) % len(cases)
-            entry, inst = cases[i]
+            inst = cases[i]
             try:
                 if k % 2:
-                    got = (entry.check(inst, TOL).to_dict(),
-                           _solved(entry.solve(inst, TOL, "first")))
+                    got = (check(inst, TOL).to_dict(),
+                           _solved(solve(inst, TOL)))
                 else:
-                    solved = _solved(entry.solve(inst, TOL, "first"))
-                    got = (entry.check(inst, TOL).to_dict(), solved)
+                    solved = _solved(solve(inst, TOL))
+                    got = (check(inst, TOL).to_dict(), solved)
             except Exception as exc:
                 got = exc
             if got != expected[i]:

@@ -17,6 +17,7 @@ import pytest
 from qsylv import QMatrix
 from qsylv.harness import VARIANT_TABLE, rand_qmatrix, symmetrize
 from qsylv.solvers import Inconsistent
+from qsylv.solvers.families import solve
 
 
 def _real(mats) -> np.ndarray:
@@ -90,7 +91,7 @@ BUILD = {"mixed": _mixed, "eta-mixed": _eta_mixed, "eta-two": _eta_two}
     *(("eta-two", eta, 32) for eta in "ijk")])
 def test_family_spans_the_solution_set(variant, eta, dim):
     inst = BUILD[variant](eta, np.random.default_rng(5))
-    fam = VARIANT_TABLE[variant].solve(inst, 1e-9, "first")
+    fam = solve(inst, 1e-9)
     assert not isinstance(fam, Inconsistent)
     assert _solution_dim(inst) == dim
     assert _span_dim(fam) == dim

@@ -15,7 +15,7 @@ twins, with every right side scaled by 1e-8, 1 and 1e8.  ``run``
 records, per instance, every ``check_*`` verdict (``consistent``,
 ``forms_agree``, each condition's ``passed``, each rank ``lhs``/``rhs``)
 and full report (``to_dict()``: every residual and threshold), and
-every ``solve_*`` outcome per branch: an ``Inconsistent``'s report, or
+the ``solve_*`` outcome: an ``Inconsistent``'s report, or
 the family's free-parameter names and shapes, the component bytes of
 its particular solution and of one seeded random member, and whether
 both pass ``verify_solution``.  ``compare`` counts, per variant, the
@@ -28,7 +28,7 @@ conditions and parameters, as after a renaming; it exits 1 when any of
 these counts or the number of family members that fail to verify is
 not zero.  An instance that differs both in names and in bits counts
 under bits.  Each "bits differ" line names the first differing field
-(``check report``, ``first particular``, ...) and says when a solution
+(``check report``, ``solve particular``, ...) and says when a solution
 differs only in the sign of zero entries.
 """
 
@@ -103,7 +103,7 @@ def run(corpus_path, out_path):
     from qsylv import QMatrix, verify_solution
     from qsylv.harness import VARIANT_TABLE
     from qsylv.solvers import Inconsistent
-    from qsylv.solvers.families import DEFAULT_TOL
+    from qsylv.solvers.families import DEFAULT_TOL, check, solve
 
     with open(corpus_path, "rb") as fh:
         corpus = pickle.load(fh)
@@ -114,18 +114,15 @@ def run(corpus_path, out_path):
         if "eta" in entry.instance_type.__dataclass_fields__:
             blocks["eta"] = case["eta"]
         inst = entry.instance_type(**blocks)
-        rec = {"check": _verdict(entry.check(inst, DEFAULT_TOL))}
-        branches = ("first",) if entry.one_closed_form else ("first", "second")
-        for branch in branches:
-            res = entry.solve(inst, DEFAULT_TOL, branch)
-            if isinstance(res, Inconsistent):
-                rec[branch] = {"outcome": "inconsistent",
-                               **_verdict(res.report)}
-                continue
+        rec = {"check": _verdict(check(inst, DEFAULT_TOL))}
+        res = solve(inst, DEFAULT_TOL)
+        if isinstance(res, Inconsistent):
+            rec["solve"] = {"outcome": "inconsistent", **_verdict(res.report)}
+        else:
             rng = np.random.default_rng(7)
             member = res.assemble(res.random_params(rng))
             particular = res.assemble()
-            rec[branch] = {
+            rec["solve"] = {
                 "outcome": "family",
                 "particular_verifies": verify_solution(
                     inst, particular, DEFAULT_TOL).passed,
@@ -141,7 +138,7 @@ def run(corpus_path, out_path):
     print(f"{len(results)} instances judged")
 
 
-# the verdict of a record: check's and each solve branch's, without the
+# the verdict of a record: check's and solve's, without the
 # condition lists and the bit-level fields
 _LISTS = ("conditions", "ranks")
 _BITS = ("report", "params", "particular", "member")
@@ -217,15 +214,13 @@ def compare(a_path, b_path) -> int:
                   f"{_first_difference(_nameless(u), _nameless(v))}")
         elif u != v:
             row[2] += 1
-        for rec in (a[label], b[label]):
-            for branch in ("first", "second"):
-                res = rec.get(branch)
-                if res and res["outcome"] == "family":
-                    families += 1
-                    if not (res["particular_verifies"]
-                            and res["member_verifies"]):
-                        row[4] += 1
-                        print(f"family fails to verify: {label} {branch}")
+        for res in (u["solve"], v["solve"]):
+            if res["outcome"] == "family":
+                families += 1
+                if not (res["particular_verifies"]
+                        and res["member_verifies"]):
+                    row[4] += 1
+                    print(f"family fails to verify: {label}")
     print(f"{'variant':12s} {'instances':>9s} {'verdicts':>9s} "
           f"{'lists only':>10s} {'bits':>9s} {'unverified':>10s}")
     for variant, row in counts.items():
