@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from ..decomp import pinv
 from ..qmatrix import QMatrix
-from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
-                       ShapedInstance, cascade_floor, check, solve)
+from .families import (DEFAULT_TOL, FreeParam, ShapedInstance,
+                       cascade_floor, check, solve)
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,11 @@ class _PairWork(PairKernel):
         self.factors = factors or _PairFactors(inst)
         super().__init__(*inst.blocks(), self.factors.bundles)
 
-    def family(self) -> LinearSolutionFamily:
-        params = (FreeParam("U1", self.inst.unknown_shapes()["X"]),)
-        return LinearSolutionFamily(("X",), params, lambda vals: (
-            self.member(vals["U1"]),))
+    def params(self) -> tuple:
+        return (FreeParam("U1", self.inst.unknown_shapes()["X"]),)
+
+    def assemble(self, vals: dict):
+        return (self.member(vals["U1"]),)
 
 
 PairInstance.WORK = _PairWork

@@ -48,14 +48,15 @@ give the ``(name, grid, rhs)`` of every rank equality r(grid) =
 sum(rhs), and this module alone ranks them (:func:`_rank_list`).  A
 term that holds for every instance of its shapes, as the conditions of
 an equation a lift leaves empty do, is in no list (:func:`_vacuous`).  A
-work also gives ``family()``.  A family's closed form reads its
-free parameters as given; one that ``assemble`` is not given is a zero
-that costs no product (:class:`.qmatrix.Zero`), so the particular
-solution pays only for the right side.  Through the lifts many operands
-of the closed forms are empty, zero or the identity: the pinv bundle of
-an empty or rank-0 block is made of the markers of :mod:`.qmatrix`, so
-those products cost nothing either, and the map back hands out plain,
-writable matrices.
+work also gives its free parameters in order, ``params()``, and its
+closed form over all of them by name, ``assemble(vals)``, from which
+:func:`solve` alone builds the family.  A parameter the caller does not
+give is a zero that costs no product (:class:`.qmatrix.Zero`), so the
+particular solution pays only for the right side.  Through the lifts
+many operands of the closed forms are empty, zero or the identity: the
+pinv bundle of an empty or rank-0 block is made of the markers of
+:mod:`.qmatrix`, so those products cost nothing either, and the map
+back hands out plain, writable matrices.
 """
 
 from __future__ import annotations
@@ -492,22 +493,20 @@ class LinearSolutionFamily:
     """Particular solution plus free parameters spanning the general one.
 
     assemble() maps a full choice of free-parameter matrices (sequence in
-    declared order, or mapping by name; omitted entries are zero) to the
-    concrete solution tuple.  assemble() with no arguments returns the
-    particular solution; it is assembled once, and each call returns a
-    copy, so editing a returned matrix in place changes no later result.
-
-    An omitted parameter enters the one closed form of the family as a
-    :class:`.qmatrix.Zero`, which costs no product (the particular
-    solution omits them all) and sums as a stored zero.
+    declared order, or mapping by name) to the concrete solution tuple:
+    it hands ``assemble_fn`` every parameter by name, an omitted one as
+    a :class:`.qmatrix.Zero`, which costs no product and sums as a
+    stored zero.  assemble() with no arguments returns a copy of
+    ``particular``, which :func:`solve` assembled once, so editing a
+    returned matrix in place changes no later result.
     """
 
     def __init__(self, unknowns: Sequence[str], params: Sequence[FreeParam],
-                 assemble_fn: Callable):
+                 assemble_fn: Callable, particular):
         self.unknowns = tuple(unknowns)
         self.free_params = tuple(params)
         self._assemble = assemble_fn
-        self._particular = None
+        self._particular = tuple(particular)
 
     @property
     def free_param_shapes(self) -> list:
@@ -519,48 +518,34 @@ class LinearSolutionFamily:
 
     def _full_params(self, params) -> dict:
         values = {p.name: Zero(*p.shape) for p in self.free_params}
-        if params is None:
-            items = {}
-        elif isinstance(params, Mapping):
+        if isinstance(params, Mapping):
             items = dict(params)
         else:
             params = list(params)
-            if len(params) != len(self.free_params):
+            if len(params) != len(values):
                 raise DimensionError(
-                    f"expected {len(self.free_params)} free parameters, "
+                    f"expected {len(values)} free parameters, "
                     f"got {len(params)}")
-            items = {p.name: v for p, v in zip(self.free_params, params)}
+            items = dict(zip(values, params))
         for name, value in items.items():
             if name not in values:
                 raise KeyError(f"unknown free parameter {name!r}")
-            spec = next(p for p in self.free_params if p.name == name)
-            if value.shape != spec.shape:
+            if value.shape != values[name].shape:
                 raise DimensionError(
                     f"parameter {name} has shape {value.shape}, "
-                    f"expected {spec.shape}")
+                    f"expected {values[name].shape}")
             values[name] = value
         return values
 
     def assemble(self, params=None) -> tuple:
         if params is not None:
             return self._assemble(self._full_params(params))
-        return tuple(m.copy() for m in self._held())
+        return tuple(m.copy() for m in self._particular)
 
-    def _held(self) -> tuple:
-        """The particular solution as assembled once, not copied; its
-        matrices may be markers."""
-        if self._particular is None:
-            self._particular = self._assemble(self._full_params(None))
-        return self._particular
-
-    def random_params(self, rng, scale: float = 1.0) -> list:
+    def random_params(self, rng) -> list:
         """Draw one matrix per free parameter."""
-        out = []
-        for p in self.free_params:
-            rows, cols = p.shape
-            out.append(QMatrix(*(scale * rng.standard_normal((rows, cols))
-                                 for _ in range(4))))
-        return out
+        return [QMatrix(*(rng.standard_normal(p.shape) for _ in range(4)))
+                for p in self.free_params]
 
     def __repr__(self):
         names = ",".join(self.unknowns)
@@ -773,17 +758,23 @@ def solve(inst, tol: float = DEFAULT_TOL):
     Otherwise the family, without a rank list, when every equation of
     the equilibrated instance has a normwise backward error of at most
     ``tol`` at its particular solution (:func:`_backward_stable`);
-    otherwise the full report's verdict.  The family keeps the free
-    parameters of the reduction's family that have no zero dimension.
-    It divides the parameters it is given by 2^k, the right sides'
-    scale, and maps each assembled tuple back through the lifts and
-    multiplies it by 2^k."""
+    otherwise the full report's verdict.  The particular solution is the
+    work's ``assemble`` at a :class:`.qmatrix.Zero` for each of its
+    ``params()``, formed once.  The family, built here alone, holds it
+    mapped back and keeps the parameters with no zero dimension, the
+    others staying those zeros.  It divides the parameters it is given
+    by 2^k, the right sides' scale, and maps each assembled tuple back
+    through the lifts and multiplies it by 2^k."""
     require_tol(tol)
     work = shared_work(inst)
     maps, k = work.maps, work.k
     compat, mp = _residual_lists(work, tol)
-    res = work.family() if all(c.passed for c in compat + mp) else None
-    if res is None or not _backward_stable(work, res._held(), tol):
+    held = None
+    if all(c.passed for c in compat + mp):
+        params = work.params()
+        zeros = {p.name: Zero(*p.shape) for p in params}
+        held = work.assemble(zeros)
+    if held is None or not _backward_stable(work, held, tol):
         report = SolvabilityReport(compat, mp, lambda: _rank_list(work))
         if not report.consistent:
             return Inconsistent(report)
@@ -799,10 +790,8 @@ def solve(inst, tol: float = DEFAULT_TOL):
     def assemble(vals):
         if k:
             vals = {name: times_pow2(v, -k) for name, v in vals.items()}
-        return back(res.assemble(vals))
+        return back(work.assemble({**zeros, **vals}))
 
-    family = LinearSolutionFamily(
-        inst.unknown_names(),
-        [p for p in res.free_params if 0 not in p.shape], assemble)
-    family._particular = back(res._held())
-    return family
+    return LinearSolutionFamily(
+        inst.unknown_names(), [p for p in params if 0 not in p.shape],
+        assemble, back(held))

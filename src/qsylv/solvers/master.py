@@ -36,8 +36,8 @@ from typing import NamedTuple
 from ..decomp import SubGrid, pinv
 from ..qmatrix import QMatrix, hstack, vstack
 from .basic import PairKernel
-from .families import (FreeParam, LinearSolutionFamily, ShapedInstance,
-                       cascade_floor, check, solve)
+from .families import (FreeParam, ShapedInstance, cascade_floor, check,
+                       solve)
 from .two_term import TwoTermKernel
 
 # the free parameters of the master family, in order
@@ -317,7 +317,7 @@ class _MasterWork:
 
     # -- family assembly ----------------------------------------------------
 
-    def family(self) -> LinearSolutionFamily:
+    def params(self) -> tuple:
         u, v, x, y, (m, n) = self.inst.unknown_shapes().values()
         shapes = {
             "W11": v, "W12": u, "W13": v, "U4": y, "U5": x, "U6": x,
@@ -326,10 +326,8 @@ class _MasterWork:
             "U31": (m, n), "U32": (m, n), "U33": (m, n),
             "U41": (m, n), "U42": (m, n),
         }
-        params = tuple(FreeParam(name, shapes[name])
-                       for name in MASTER_PARAM_NAMES)
-        return LinearSolutionFamily(self.inst.unknown_names(), params,
-                                    self.assemble)
+        return tuple(FreeParam(name, shapes[name])
+                     for name in MASTER_PARAM_NAMES)
 
     def assemble(self, vals: dict):
         """(U, V, X, Y, Z): the side equations' members at the reduced

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 from ..decomp import pinv
 from ..qmatrix import QMatrix
-from .families import (DEFAULT_TOL, FreeParam, LinearSolutionFamily,
-                       ShapedInstance, SolvabilityReport, cascade_floor,
-                       check, solve)
+from .families import (DEFAULT_TOL, FreeParam, ShapedInstance,
+                       SolvabilityReport, cascade_floor, check, solve)
 
 
 @dataclass(frozen=True)
@@ -116,18 +115,15 @@ class _TwoTermWork:
              (k.bd3.rank, k.bc4.rank)),
         ]
 
-    def family(self) -> LinearSolutionFamily:
+    def params(self) -> tuple:
         shape3, shape4 = self.inst.unknown_shapes().values()
-        params = (FreeParam("Y11", shape4), FreeParam("Y12", shape3),
-                  FreeParam("Y13", shape3), FreeParam("Y14", shape4),
-                  FreeParam("Y15", shape4))
+        return (FreeParam("Y11", shape4), FreeParam("Y12", shape3),
+                FreeParam("Y13", shape3), FreeParam("Y14", shape4),
+                FreeParam("Y15", shape4))
 
-        def assemble(vals):
-            return self.factors.solve(self.inst.E1,
-                                      *(vals[p.name] for p in params))
-
-        return LinearSolutionFamily(self.inst.unknown_names(), params,
-                                    assemble)
+    def assemble(self, vals: dict):
+        return self.factors.solve(self.inst.E1, vals["Y11"], vals["Y12"],
+                                  vals["Y13"], vals["Y14"], vals["Y15"])
 
 
 TwoTermInstance.WORK = _TwoTermWork

@@ -18,7 +18,7 @@ import qsylv
 from qsylv import verify_solution
 from qsylv.harness import (VARIANTS, DimensionProfile, gen_consistent,
                            gen_inconsistent, gen_planted, gen_unsolvable)
-from qsylv.solvers import Inconsistent
+from qsylv.solvers import Inconsistent, families
 from qsylv.solvers.families import check, solve
 
 TOL = 1e-9
@@ -166,10 +166,22 @@ def test_solve_master_svd_counts(monkeypatch):
     assert counter.take() == (0, 17)
 
 
-def test_particular_solution_is_assembled_once(monkeypatch):
-    planted, _ = gen_consistent(DimensionProfile.cube(2, 0))
-    family = qsylv.solve_master(planted)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_particular_solution_is_assembled_once(variant, monkeypatch):
+    planted, _ = gen_planted(variant, 2, 0, "j")
+    built = []
+    init = families.LinearSolutionFamily.__init__
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(families.LinearSolutionFamily, "__init__",
+                        counted_init)
+    family = solve(planted, TOL)
     assert not isinstance(family, Inconsistent)
+    # the driver builds the one family of a solve; no work builds one
+    assert len(built) == 1
     calls = []
     matmul = qsylv.QMatrix.__matmul__
 
@@ -181,16 +193,19 @@ def test_particular_solution_is_assembled_once(monkeypatch):
     particular = family.assemble()
     assert not calls
     assert verify_solution(planted, particular, TOL).passed
-    # a returned copy edited in place leaves the cached solution intact
+    # a returned copy edited in place leaves the held solution intact
+    assert particular[0].norm() > 0.0
     particular[0].w[...] = 0.0
     for a, b in zip(family.particular, family.assemble()):
-        assert a.norm() > 0.0 and (a - b).norm() == 0.0
+        assert (a - b).norm() == 0.0
+    assert family.particular[0].norm() > 0.0
     zeros = [qsylv.QMatrix.zeros(*p.shape) for p in family.free_params]
     calls.clear()
     fresh = family.assemble(zeros)
     assert calls
     for a, b in zip(fresh, family.particular):
         assert (a - b).norm() == 0.0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

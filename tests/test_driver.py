@@ -2,11 +2,11 @@
 
 Each public entry point, called with its own signature, gives exactly
 what the driver gives; an eta system whose coupling right side is not eta-Hermitian is
-refused under that system's own field name; a block with a nan or
-infinite entry is refused, by name, before any SVD, and so is a ``tol``
-that is not finite and positive; no report lists a condition whose
-matrices have no entries; and a report's JSON form keeps its keys and
-bytes.
+refused under that system's own field name; a lifted family refuses
+the parameters its lift left empty; a block with a nan or infinite
+entry is refused, by name, before any SVD, and so is a ``tol`` that is
+not finite and positive; no report lists a condition whose matrices
+have no entries; and a report's JSON form keeps its keys and bytes.
 """
 
 import json
@@ -19,6 +19,7 @@ import qsylv
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, ResidualEntry,
                            ResidualReport, gen_planted, gen_unsolvable,
                            rand_qmatrix, verify_solution)
+from qsylv.qmatrix import DimensionError
 from qsylv.solvers import (Condition, Inconsistent, RankCondition,
                            SolvabilityReport, families)
 from qsylv.solvers.families import check, solve
@@ -81,6 +82,35 @@ def test_public_names_equal_the_driver(variant, truth):
     assert check_public(inst).to_dict() == check(inst, TOL).to_dict()
     assert _shown(solve_public(inst)) == _shown(solve(inst, TOL))
     assert isinstance(solve(inst, TOL), Inconsistent) == (truth != "planted")
+
+
+# lifted variant -> the master parameters its family keeps and those
+# its lift leaves with a zero dimension, which the family drops
+MIXED_KEPT = ("U4", "U5", "U6", "U7", "U8")
+MIXED_DROPPED = ("W11", "W12", "W13", "U11", "U12", "U21", "U31", "U32",
+                 "U33", "U41", "U42")
+THREE_TERM_KEPT = MIXED_KEPT + MIXED_DROPPED[3:]
+DROPPED = {"mixed": (MIXED_KEPT, MIXED_DROPPED),
+           "eta-mixed": (MIXED_KEPT, MIXED_DROPPED),
+           "three-term": (THREE_TERM_KEPT, ("W11", "W12", "W13")),
+           "eta-three": (THREE_TERM_KEPT, ("W11", "W12", "W13"))}
+
+
+@pytest.mark.parametrize("variant", sorted(DROPPED))
+def test_lifted_families_refuse_the_parameters_their_lift_dropped(variant):
+    kept, dropped = DROPPED[variant]
+    inst, _ = gen_planted(variant, 2, 0, "j")
+    family = solve(inst, TOL)
+    assert [p.name for p in family.free_params] == list(kept)
+    for name in dropped:
+        with pytest.raises(KeyError, match=f"unknown free parameter '{name}'"):
+            family.assemble({name: qsylv.QMatrix.zeros(0, 0)})
+    rng = np.random.default_rng(2)
+    full = [rand_qmatrix(rng, 1, 1) for _ in range(16)]
+    with pytest.raises(DimensionError,
+                       match=rf"^expected {len(kept)} free parameters, "
+                             r"got 16$"):
+        family.assemble(full)
 
 
 @pytest.mark.parametrize("tol", (0.0, -1e-9, np.nan, np.inf))
