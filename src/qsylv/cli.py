@@ -83,7 +83,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    # --kind consistent does not read it, but a bad value is an error
+    # only --inconsistent reads the tolerance, but a bad value is an error
     require_tol(args.tol)
     if args.kind == "consistent":
         inst, witness = harness.gen_planted(args.variant, args.size,
@@ -163,10 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eta", choices=ETAS, default="i")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--kind", choices=("consistent", "inconsistent"),
-                   default="consistent")
     p.add_argument("--inconsistent", dest="kind", action="store_const",
-                   const="inconsistent")
+                   const="inconsistent", default="consistent")
     p.add_argument("--out", required=True)
     p.add_argument("--witness-out", default=None)
     p.set_defaults(fn=cmd_gen)

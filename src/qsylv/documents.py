@@ -2,8 +2,9 @@
 
 A matrix is stored as {"rows": m, "cols": n, "entries": [[[w,x,y,z],
 ...], ...]} with row-major nested arrays of 4-component reals.  An
-instance document carries the matrices under their coefficient names at
-the top level plus "variant" (and "eta" for eta variants); absent
+instance document carries the matrices under their coefficient names
+(or the other labels of the variant's ``aliases`` in ``VARIANT_TABLE``)
+at the top level plus "variant" (and "eta" for eta variants); absent
 optional blocks mean zero matrices, sized by the instance type's
 ``with_empty`` from its ``SHAPES`` table: each named dimension takes its
 value from the present blocks that carry it, and is 0 when none does;
@@ -27,16 +28,7 @@ class ParseError(ValueError):
     """A document is malformed; the message names the offending key."""
 
 
-# alternative labels accepted on input, normalized on load
-_ALIASES = {
-    "three-term": {"Cc": "C"},
-    "eta-three": {"Cc": "C", "B1": "C1", "B2": "C2", "B3": "C3"},
-    "eta-full": {"B1": "C1", "B2": "C2", "B3": "C3", "B4": "C4"},
-}
-
 _RESERVED = ("variant", "eta", "format", "_notes", "seed")
-
-SOLUTION_KEYS = {name: v.unknowns for name, v in VARIANT_TABLE.items()}
 
 
 def matrix_to_doc(m: QMatrix) -> dict:
@@ -90,14 +82,13 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
 
 
 def _load_matrices(doc: dict, variant: str) -> dict:
-    inst_type = VARIANT_TABLE[variant].instance_type
-    keys = inst_type.block_names()
-    aliases = _ALIASES.get(variant, {})
+    v = VARIANT_TABLE[variant]
+    keys = v.instance_type.block_names()
     present = {}
     for key, value in doc.items():
         if key in _RESERVED:
             continue
-        name = aliases.get(key, key)
+        name = v.aliases.get(key, key)
         if name not in keys:
             raise ParseError(f"unknown matrix key {key!r} for variant "
                              f"{variant!r}")
@@ -105,7 +96,7 @@ def _load_matrices(doc: dict, variant: str) -> dict:
             raise ParseError(f"matrix {name!r} given twice (alias {key!r})")
         present[name] = matrix_from_doc(value, key)
     try:
-        return inst_type.with_empty(present)
+        return v.instance_type.with_empty(present)
     except DimensionError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -153,7 +144,7 @@ def instance_to_doc(inst, notes=None) -> dict:
 
 
 def solution_to_doc(variant: str, sol) -> dict:
-    keys = SOLUTION_KEYS[variant]
+    keys = VARIANT_TABLE[variant].unknowns
     if len(sol) != len(keys):
         raise ParseError(f"variant {variant!r} solutions have {len(keys)} "
                          f"blocks, got {len(sol)}")
@@ -167,10 +158,10 @@ def solution_from_doc(doc: dict, variant: str | None = None) -> tuple:
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
     variant = variant or doc.get("variant")
-    if variant not in SOLUTION_KEYS:
+    if variant not in VARIANT_TABLE:
         raise ParseError(f"variant must be one of {VARIANTS}, got {variant!r}")
     out = []
-    for key in SOLUTION_KEYS[variant]:
+    for key in VARIANT_TABLE[variant].unknowns:
         if key not in doc:
             raise ParseError(f"solution is missing matrix {key!r}")
         out.append(matrix_from_doc(doc[key], key))

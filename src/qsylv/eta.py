@@ -17,8 +17,10 @@ the averaging as the target unknowns each own unknown is the mean of.
 The one driver (:func:`.solvers.families.check`,
 :func:`.solvers.families.solve`) decides every one of them.
 
-Right sides may arrive under either the C or the B naming convention;
-the instance types normalize to C names.  Eta-Hermicity of the
+The instance types take C names only.  A document may label the right
+sides C1.. of eta-full and eta-three as B1.. (and eta-three's C as
+Cc); the document loader maps them to the fields, from each variant's
+``aliases`` in :data:`.harness.VARIANT_TABLE`.  Eta-Hermicity of the
 coupling right side (Cc, C, D1, D3) is each type's ``require()``: a
 precondition checked under the type's own field name rather than
 silently symmetrized.
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 
 from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix
-from .solvers.families import (DEFAULT_TOL, ETA_STAR, ShapedInstance,
-                                check, solve, times_pow2)
+from .solvers.families import ETA_STAR, ShapedInstance, times_pow2
 from .solvers.master import MasterInstance
 from .solvers.two_term import TwoTermInstance
 
@@ -178,13 +179,6 @@ class EtaTwoInstance(_EtaInstance):
             {"Y": ("X3", "X3^eta*"), "Z": ("X4", "X4^eta*")})
 
 
-def solve_eta_two(b1: QMatrix, c1: QMatrix, d1: QMatrix, eta: str,
-                  tol: float = DEFAULT_TOL):
-    """Eta-Hermitian pair (Y, Z) solving B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1,
-    or Inconsistent; D1 must be eta-Hermitian."""
-    return solve(EtaTwoInstance(eta, b1, c1, d1), tol)
-
-
 # -- mixed one-sided / two-sided eta system --------------------------------
 
 @dataclass(frozen=True)
@@ -210,12 +204,3 @@ class EtaMixedInstance(_EtaInstance):
             {"A1": "A1", "C1": "C1", "E1": "A2", "A2": "B1^eta*",
              "C2": "D1^eta*", "E2": "A3", "C": "D3"},
             {"X": ("X",), "Y": ("Y",)})
-
-
-check_eta_full = check_eta_three = check_eta_two = check_eta_mixed = check
-solve_eta_full = solve_eta_three = solve
-
-
-def solve_eta_mixed(a1, c1, b1, d1, a2, a3, d3, eta, tol: float = DEFAULT_TOL):
-    """Eta-Hermitian pair (X, Y) for the mixed system, or Inconsistent."""
-    return solve(EtaMixedInstance(eta, a1, c1, b1, d1, a2, a3, d3), tol)

@@ -16,7 +16,7 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -193,7 +193,9 @@ class Variant:
     """One system of the hierarchy: the single place that knows it.
 
     ``unknowns`` names the solution blocks in order, as the instance
-    type's ``SHAPES`` lists them.  Every system is decided by the one
+    type's ``SHAPES`` lists them.  ``aliases`` maps the other labels a
+    document may give a block field to that field (``{"Cc": "C"}`` for
+    three-term).  Every system is decided by the one
     driver, :func:`.solvers.families.check` and
     :func:`.solvers.families.solve`, so an entry holds only data.
 
@@ -210,6 +212,7 @@ class Variant:
     dims: Callable
     twin_dims: Callable | None = None
     order: tuple | None = None
+    aliases: dict = field(default_factory=dict)
 
     @property
     def unknowns(self) -> tuple:
@@ -250,7 +253,8 @@ VARIANT_TABLE = {v.name: v for v in (
     Variant("three-term", ThreeTermInstance,
             lambda n: dict(cr=n + 2, cc=n + 2,
                            **_indexed((1, 2, 3), q=n, p=n + 1, r=n + 1, s=n)),
-            order=tuple("A1 B1 E1 F1 X A2 B2 E2 F2 Y A3 B3 E3 F3 Z".split())),
+            order=tuple("A1 B1 E1 F1 X A2 B2 E2 F2 Y A3 B3 E3 F3 Z".split()),
+            aliases={"Cc": "C"}),
     Variant("mixed", MixedInstance,
             lambda n: dict(cr=n + 2, cc=n + 2,
                            **_indexed((1, 2), q=n, p=n + 1, t=n + 1, s=n)),
@@ -264,9 +268,11 @@ VARIANT_TABLE = {v.name: v for v in (
             lambda n: _five_term_dims(n + 2, n, n + 1),
             lambda n: _five_term_dims(2 * n + 3 + 2 * max(0, n - 5), n, n)),
     Variant("eta-full", EtaFullInstance,
-            lambda n: dict(n=n + 2, **_indexed((1, 2, 3, 4), q=n, p=n + 1))),
+            lambda n: dict(n=n + 2, **_indexed((1, 2, 3, 4), q=n, p=n + 1)),
+            aliases={f"B{i}": f"C{i}" for i in (1, 2, 3, 4)}),
     Variant("eta-three", EtaThreeInstance,
-            lambda n: dict(n=n + 2, **_indexed((1, 2, 3), q=n, p=n + 1))),
+            lambda n: dict(n=n + 2, **_indexed((1, 2, 3), q=n, p=n + 1)),
+            aliases={"Cc": "C", **{f"B{i}": f"C{i}" for i in (1, 2, 3)}}),
     Variant("eta-two", EtaTwoInstance,
             lambda n: dict(d=n + 2, nb=n + 1, nc=n)),
     Variant("eta-mixed", EtaMixedInstance,

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv
-from ..qmatrix import QMatrix
-from .families import (DEFAULT_TOL, FreeParam, ShapedInstance,
-                       cascade_floor, check, solve)
+from .families import FreeParam, ShapedInstance, cascade_floor
 
 
 @dataclass(frozen=True)
@@ -92,23 +90,3 @@ class _PairWork(PairKernel):
 
 
 PairInstance.WORK = _PairWork
-
-check_pair = check
-
-
-def solve_left(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
-    """General solution of A X = C: X = pinv(A) C + L_A U1."""
-    return solve(PairInstance(a, c, QMatrix.zeros(c.cols, 0),
-                              QMatrix.zeros(a.cols, 0)), tol)
-
-
-def solve_right(a: QMatrix, c: QMatrix, tol: float = DEFAULT_TOL):
-    """General solution of X A = C: X = C pinv(A) + U1 R_A."""
-    return solve(PairInstance(QMatrix.zeros(0, c.rows),
-                              QMatrix.zeros(0, a.rows), a, c), tol)
-
-
-def solve_pair(a: QMatrix, c: QMatrix, b: QMatrix, d: QMatrix,
-               tol: float = DEFAULT_TOL):
-    """General solution of the pair A X = C, X B = D, or Inconsistent."""
-    return solve(PairInstance(a, c, b, d), tol)

@@ -24,8 +24,9 @@ The specializations of :mod:`.specials`, the five-term equation (the
 coupling equation alone) among them, lift onto this system by letting
 blocks be empty rather than through separate code paths.  Every system
 is decided by the one driver, :func:`.families.check` and
-:func:`.families.solve`, which ``check_master`` and ``solve_master``
-are; it drops the conditions of empty side equations.
+:func:`.families.solve`; it drops the conditions of empty side
+equations.  ``check_master`` and ``solve_master``, with every other
+per-system spelling, are bound in the package root alone.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from typing import NamedTuple
 from ..decomp import SubGrid, pinv
 from ..qmatrix import QMatrix, hstack, vstack
 from .basic import PairKernel
-from .families import (FreeParam, ShapedInstance, cascade_floor, check,
-                       solve)
+from .families import FreeParam, ShapedInstance, cascade_floor
 from .two_term import TwoTermKernel
 
 # the free parameters of the master family, in order
@@ -362,6 +362,3 @@ class _MasterWork:
 
 
 MasterInstance.WORK = _MasterWork
-
-check_master = check
-solve_master = solve

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import ShapedInstance, check, solve
+from .families import ShapedInstance
 from .master import MasterInstance
 
 
@@ -107,7 +107,3 @@ class MixedInstance(ShapedInstance):
              "F2": "B3", "A3": "A2", "B3": "B2", "C3": "C3", "D3": "C4",
              "E3": "A4", "F3": "B4", "Cc": "Cc"},
             {"X1": ("X",), "X2": ("Y",)})
-
-
-check_five_term = check_three_term = check_mixed = check
-solve_five_term = solve_three_term_system = solve_mixed_system = solve

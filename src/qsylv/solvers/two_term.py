@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv
-from ..qmatrix import QMatrix
-from .families import (DEFAULT_TOL, FreeParam, ShapedInstance,
-                       SolvabilityReport, cascade_floor, check, solve)
+from .families import FreeParam, ShapedInstance, cascade_floor
 
 
 @dataclass(frozen=True)
@@ -127,15 +125,3 @@ class _TwoTermWork:
 
 
 TwoTermInstance.WORK = _TwoTermWork
-
-
-def check_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
-                   e1: QMatrix, tol: float = DEFAULT_TOL) -> SolvabilityReport:
-    return check(TwoTermInstance(c3, d3, c4, d4, e1), tol)
-
-
-def solve_two_term(c3: QMatrix, d3: QMatrix, c4: QMatrix, d4: QMatrix,
-                   e1: QMatrix, tol: float = DEFAULT_TOL):
-    """General solution (X3, X4) of C3 X3 D3 + C4 X4 D4 = E1, or
-    Inconsistent."""
-    return solve(TwoTermInstance(c3, d3, c4, d4, e1), tol)

@@ -10,17 +10,15 @@ import time
 
 import numpy as np
 
-from qsylv import (Inconsistent, QMatrix, documents as docs, pinv,
-                   solve_five_term, solve_left, solve_master,
+from qsylv import (Inconsistent, QMatrix, check_master, documents as docs,
+                   pinv, solve_eta_full, solve_eta_mixed, solve_eta_three,
+                   solve_eta_two, solve_five_term, solve_left, solve_master,
                    solve_mixed_system, solve_pair, solve_right,
                    solve_three_term_system, solve_two_term, symmetrize)
 from qsylv.cli import main as cli_main
 from qsylv.decomp import _embedded_svdvals, default_rank_tol
-from qsylv.eta import (solve_eta_full, solve_eta_mixed,
-                       solve_eta_three, solve_eta_two)
 from qsylv.harness import (VARIANT_TABLE, DimensionProfile, gen_consistent,
                            gen_inconsistent, gen_planted)
-from qsylv.solvers.master import check_master
 
 from tests.conftest import rank_block_oracle, worst_rel
 
@@ -309,8 +307,9 @@ def test_criterion_9_cli_contract(tmp_path):
         for kind in ("consistent", "inconsistent"):
             ipath = str(tmp_path / f"m{seed}-{kind}.json")
             args = ["gen", "--variant", variant, "--size", "2",
-                    "--seed", str(seed), "--eta", "i", "--out", ipath,
-                    "--kind", kind]
+                    "--seed", str(seed), "--eta", "i", "--out", ipath]
+            if kind == "inconsistent":
+                args.append("--inconsistent")
             assert cli_main(args) == 0
             agreement = agreement and (cli_main(["check", ipath])
                                        == cli_main(["solve", ipath]))

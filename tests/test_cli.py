@@ -95,6 +95,8 @@ def test_random_member_and_inconsistent_exit_codes(variant, tmp_path):
      "argument --size: invalid int value: 'two'"),
     (["solve", "x.json", "--branch", "first"],
      "unrecognized arguments: --branch first"),
+    (["gen", "--kind", "inconsistent", "--out", "g.json"],
+     "unrecognized arguments: --kind inconsistent"),
 ))
 def test_usage_errors_exit_one(argv, message, tmp_path, monkeypatch,
                                capsys):

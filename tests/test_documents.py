@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,22 +129,25 @@ def test_dim_conflicts_are_reported():
         docs.instance_from_doc(doc)
 
 
-def test_eta_aliases():
-    inst, _ = gen_planted("eta-full", 2, seed=6, eta="j")
-    doc = docs.instance_to_doc(inst)
-    for i in (1, 2, 3, 4):
-        doc[f"B{i}"] = doc.pop(f"C{i}")
-    back = docs.instance_from_doc(doc)
-    assert (back.C2 - inst.C2).norm() == 0.0
-    assert back.eta == "j"
+def _bits(inst) -> list:
+    return [c.tobytes() for name in inst.block_names()
+            for c in getattr(inst, name).components()]
 
 
-def test_three_term_c_alias():
-    inst, _ = gen_planted("three-term", 2, seed=7)
+@pytest.mark.parametrize("variant, alias, field", [
+    (name, alias, field) for name, v in VARIANT_TABLE.items()
+    for alias, field in v.aliases.items()])
+def test_alias_stands_for_its_field(variant, alias, field):
+    inst, _ = gen_planted(variant, 2, seed=6, eta="j")
     doc = docs.instance_to_doc(inst)
-    doc["Cc"] = doc.pop("C")
+    doc[alias] = doc.pop(field)
     back = docs.instance_from_doc(doc)
-    assert (back.C - inst.C).norm() == 0.0
+    assert _bits(back) == _bits(inst)
+    assert getattr(back, "eta", None) == getattr(inst, "eta", None)
+    both = {**docs.instance_to_doc(inst), alias: doc[alias]}
+    with pytest.raises(docs.ParseError,
+                       match=re.escape(f"given twice (alias '{alias}')")):
+        docs.instance_from_doc(both)
 
 
 def test_solution_round_trip():

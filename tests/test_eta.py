@@ -2,13 +2,11 @@ import dataclasses
 
 import pytest
 
-from qsylv import ETAS, Inconsistent, QMatrix, symmetrize
-from qsylv.eta import (check_eta_full, check_eta_three, check_eta_two,
-                       solve_eta_full, solve_eta_mixed, solve_eta_three,
-                       solve_eta_two)
+from qsylv import (ETAS, Inconsistent, QMatrix, check_eta_full,
+                   check_eta_mixed, check_eta_three, check_eta_two,
+                   check_two_term, solve_eta_full, solve_eta_mixed,
+                   solve_eta_three, solve_eta_two, solve_master, symmetrize)
 from qsylv.harness import gen_planted, verify_solution
-from qsylv.solvers.master import solve_master
-from qsylv.solvers.two_term import check_two_term
 
 from tests.conftest import worst_rel
 
@@ -194,7 +192,6 @@ class TestEtaMixed:
                 assert herm_defect(m, eta) <= 1e-12 * (1 + m.norm())
 
     def test_condition_forms_agree_on_fuzz(self, eta, rand_q):
-        from qsylv.eta import check_eta_mixed
         inst, _ = gen_planted("eta-mixed", 2, seed=62, eta=eta)
         pert = symmetrize(rand_q(*inst.D3.shape), eta)
         bad = dataclasses.replace(inst, D3=inst.D3 + pert)

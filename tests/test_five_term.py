@@ -1,10 +1,10 @@
 import pytest
 
 from qsylv import (DimensionError, FiveTermInstance, Inconsistent, QMatrix,
+                   check_five_term, check_master, solve_five_term,
                    verify_solution)
 from qsylv.harness import gen_planted, gen_unsolvable
-from qsylv.solvers import check_five_term, solve_five_term
-from qsylv.solvers.master import MASTER_PARAM_NAMES, check_master
+from qsylv.solvers.master import MASTER_PARAM_NAMES
 from tests.test_shared_work import _evict
 
 

@@ -3,15 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qsylv import QMatrix
+from qsylv import QMatrix, check_five_term, check_master, solve_master
 from qsylv.cli import main
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_inconsistent, gen_planted,
                            gen_unsolvable, symmetrize, verify_solution)
 from qsylv.qmatrix import DimensionError
-from qsylv.solvers import check_five_term
 from qsylv.solvers.families import check
-from qsylv.solvers.master import check_master, solve_master
 
 
 def test_profile_validation():
