@@ -9,16 +9,18 @@ matrices first.
 from .qcore import ETAS, Quaternion, quat_eta_conj, quat_mul
 from .qmatrix import DimensionError, QMatrix, block, hstack, vstack
 from .decomp import NumericError, PinvBundle, pinv, rank, singular_values
-from .solvers import (FiveTermInstance, Inconsistent, LinearSolutionFamily,
-                      MasterInstance, MasterSolution, MixedInstance,
-                      PairInstance, SolvabilityReport, ThreeTermInstance,
-                      TwoTermInstance)
-from .solvers.families import DEFAULT_TOL, check, solve
+from .solvers.families import (DEFAULT_TOL, Inconsistent,
+                               LinearSolutionFamily, SolvabilityReport, check,
+                               solve)
+from .solvers.basic import PairInstance
+from .solvers.two_term import TwoTermInstance
+from .solvers.master import MasterInstance, MasterSolution
+from .solvers.specials import (FiveTermInstance, MixedInstance,
+                               ThreeTermInstance)
 from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, symmetrize)
 from .harness import (DimensionProfile, ResidualReport, gen_consistent,
-                      gen_inconsistent, gen_planted, gen_unsolvable,
-                      verify_solution)
+                      gen_planted, gen_unsolvable, verify_solution)
 
 check_pair = check_master = check
 check_five_term = check_three_term = check_mixed = check
@@ -85,8 +87,8 @@ __all__ = [
     "EtaMixedInstance", "check_eta_full", "check_eta_three",
     "check_eta_two", "check_eta_mixed", "solve_eta_full", "solve_eta_three",
     "solve_eta_two", "solve_eta_mixed", "symmetrize",
-    "DimensionProfile", "ResidualReport", "gen_consistent",
-    "gen_inconsistent", "gen_planted", "gen_unsolvable", "verify_solution",
+    "DimensionProfile", "ResidualReport", "gen_consistent", "gen_planted",
+    "gen_unsolvable", "verify_solution",
 ]
 
 __version__ = "0.1.0"

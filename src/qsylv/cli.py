@@ -15,8 +15,8 @@ from . import documents as docs
 from . import harness
 from .qcore import ETAS
 from .qmatrix import DimensionError
-from .solvers import Inconsistent
-from .solvers.families import DEFAULT_TOL, check, require_tol, solve
+from .solvers.families import (DEFAULT_TOL, Inconsistent, check, require_tol,
+                               solve)
 
 
 def _print_solvability(report):
@@ -130,10 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "Sylvester-type quaternion matrix systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_variant=True):
-        if with_variant:
-            p.add_argument("--variant", choices=docs.VARIANTS, default=None,
-                           help="system type (default: from the document)")
+    def common(p):
+        p.add_argument("--variant", choices=docs.VARIANTS, default=None,
+                       help="system type (default: from the document)")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="residual tolerance (default 1e-9)")
         p.add_argument("--eta", choices=ETAS, default="i",

@@ -121,16 +121,21 @@ def singular_values(a: QMatrix) -> np.ndarray:
     return 0.5 * (s[0::2] + s[1::2])
 
 
-def _cut_values(m: np.ndarray, tol, floor: float) -> tuple:
-    """The pair-collapsed singular values of the embedding ``m`` and the
-    cut of its rank: ``tol``, by default max(m, n) sigma_max eps, and at
-    least ``floor``."""
-    s = _svdvals(m)
+def _cut(s: np.ndarray, shape, tol, floor: float) -> tuple:
+    """The pair-collapsed singular values ``s`` of an embedding of shape
+    ``shape`` and the cut of its rank: ``tol``, by default max(m, n)
+    sigma_max eps for the m x n quaternion matrix, and at least
+    ``floor``."""
     sig = 0.5 * (s[0::2] + s[1::2])
     if tol is None:
-        tol = (default_rank_tol(m.shape[0] // 2, m.shape[1] // 2,
-                                float(sig[0])) if sig.size else 0.0)
+        tol = (default_rank_tol(shape[0] // 2, shape[1] // 2, float(sig[0]))
+               if sig.size else 0.0)
     return sig, max(tol, floor)
+
+
+def _cut_values(m: np.ndarray, tol, floor: float) -> tuple:
+    """:func:`_cut` of the singular values of the embedding ``m``."""
+    return _cut(_svdvals(m), m.shape, tol, floor)
 
 
 def rank(a, tol: float | None = None, floor: float = 0.0) -> int:
@@ -259,10 +264,7 @@ def pinv(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> PinvBundle
         uc, s, vh = np.linalg.svd(emb, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError("complex SVD of the embedding did not converge") from exc
-    sig = 0.5 * (s[0::2] + s[1::2])
-    if tol is None:
-        tol = default_rank_tol(m, n, float(sig[0]))
-    tol = max(tol, floor)
+    sig, tol = _cut(s, emb.shape, tol, floor)
     r = int(np.count_nonzero(sig > tol))
     if r == 0:
         return _null_bundle(m, n, tol)

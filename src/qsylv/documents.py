@@ -84,7 +84,7 @@ def matrix_from_doc(doc, key: str) -> QMatrix:
 def _load_matrices(doc: dict, variant: str) -> dict:
     v = VARIANT_TABLE[variant]
     keys = v.instance_type.block_names()
-    present = {}
+    present, given_as = {}, {}
     for key, value in doc.items():
         if key in _RESERVED:
             continue
@@ -93,8 +93,9 @@ def _load_matrices(doc: dict, variant: str) -> dict:
             raise ParseError(f"unknown matrix key {key!r} for variant "
                              f"{variant!r}")
         if name in present:
-            raise ParseError(f"matrix {name!r} given twice (alias {key!r})")
-        present[name] = matrix_from_doc(value, key)
+            alias = key if key != name else given_as[name]
+            raise ParseError(f"matrix {name!r} given twice (alias {alias!r})")
+        present[name], given_as[name] = matrix_from_doc(value, key), key
     try:
         return v.instance_type.with_empty(present)
     except DimensionError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, symmetrize)
-from .qmatrix import DimensionError, QMatrix
+from .qmatrix import DimensionError, rand_qmatrix
 from .solvers.basic import PairInstance
 from .solvers.families import DEFAULT_TOL, Inconsistent, require_tol, solve
 from .solvers.master import MasterInstance, MasterSolution
@@ -89,11 +89,6 @@ class ResidualReport:
                 "entries": [dict(vars(e)) for e in self.entries]}
 
 
-def rand_qmatrix(rng, rows: int, cols: int) -> QMatrix:
-    """Independent standard-normal components per quaternion coordinate."""
-    return QMatrix(*(rng.standard_normal((rows, cols)) for _ in range(4)))
-
-
 def _planted(cls, dims: dict, seed: int, eta: str = "i", order=None):
     """(instance, witness) of the instance type ``cls``.
 
@@ -127,31 +122,24 @@ def gen_consistent(profile: DimensionProfile):
     return inst, MasterSolution(*witness)
 
 
-def gen_inconsistent(profile: DimensionProfile, retries: int = 8,
-                     tol: float = DEFAULT_TOL) -> MasterInstance:
-    """Consistent instance with the coupling right side perturbed by a
-    random matrix of unit relative norm, re-tested to actually violate
-    the residual certificate.  Raises RuntimeError when every retry
-    lands consistent (the coupling reaches everything, which the
-    default profiles avoid by using rectangular deficient blocks)."""
-    inst, _ = gen_consistent(profile)
-    return _perturb_rhs(inst, profile.seed, retries, tol)
+# how many perturbations _perturb_rhs draws before it gives up
+_RETRIES = 8
 
 
-def _perturb_rhs(inst, seed: int, retries: int, tol: float):
+def _perturb_rhs(inst, seed: int, tol: float):
     """inst with its coupling right side (the last of ``rhs_names()``)
-    plus a random perturbation of the same norm scale, redrawn until
-    ``solve`` returns ``Inconsistent``, which it decides from the
-    residual certificate without building a rank list.  Eta instances
-    get eta-Hermitian perturbations, so the precondition still
-    holds.  A right side without entries cannot be perturbed, so it
-    raises as a spanning coupling does."""
+    plus a random perturbation of the same norm scale, redrawn up to
+    ``_RETRIES`` times until ``solve`` returns ``Inconsistent``, which
+    it decides from the residual certificate without building a rank
+    list.  Eta instances get eta-Hermitian perturbations, so the
+    precondition still holds.  A right side without entries cannot be
+    perturbed, so it raises as a spanning coupling does."""
     rng = np.random.default_rng(np.random.PCG64(seed ^ 0x9E3779B97F4A7C15))
     rhs = inst.rhs_names()[-1]
     target = getattr(inst, rhs)
     eta = getattr(inst, "eta", None)
     scale = max(1.0, target.norm())
-    for _ in range(retries if target.rows and target.cols else 0):
+    for _ in range(_RETRIES if target.rows and target.cols else 0):
         pert = rand_qmatrix(rng, target.rows, target.cols)
         if eta is not None:
             pert = symmetrize(pert, eta)
@@ -295,10 +283,12 @@ def gen_planted(variant: str, size: int, seed: int, eta: str = "i"):
 
 
 def gen_unsolvable(variant: str, size: int, seed: int, eta: str = "i",
-                   retries: int = 8, tol: float = DEFAULT_TOL):
+                   tol: float = DEFAULT_TOL):
     """Planted instance with its right side perturbed into inconsistency.
 
     For eta variants the perturbation is symmetrized so the instance
-    still meets the eta-Hermicity precondition."""
+    still meets the eta-Hermicity precondition.  Raises RuntimeError
+    when every perturbation lands consistent (the coupling reaches its
+    whole target space, which the default shapes avoid)."""
     inst, _ = _variant(variant).planted(size, seed, eta, twin=True)
-    return _perturb_rhs(inst, seed, retries, tol)
+    return _perturb_rhs(inst, seed, tol)

@@ -359,6 +359,12 @@ class Identity(QMatrix):
         return other
 
 
+def rand_qmatrix(rng, rows: int, cols: int) -> QMatrix:
+    """Independent standard-normal components per quaternion coordinate,
+    drawn from the numpy generator ``rng``."""
+    return QMatrix(*(rng.standard_normal((rows, cols)) for _ in range(4)))
+
+
 def _lower_half(out: np.ndarray):
     """Fill the lower block row of an embedding from its upper one,
     [A1, A2]: it is [-conj(A2), conj(A1)]."""
@@ -372,25 +378,13 @@ def _lower_half(out: np.ndarray):
 # -- block assembly ------------------------------------------------------
 
 def hstack(mats: Iterable[QMatrix]) -> QMatrix:
-    mats = list(mats)
-    if not mats:
-        raise DimensionError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DimensionError("hstack row mismatch")
-    return QMatrix._pair(np.hstack([m.a1 for m in mats]),
-                         np.hstack([m.a2 for m in mats]))
+    """``block([mats])``: the matrices side by side."""
+    return block([list(mats)])
 
 
 def vstack(mats: Iterable[QMatrix]) -> QMatrix:
-    mats = list(mats)
-    if not mats:
-        raise DimensionError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise DimensionError("vstack column mismatch")
-    return QMatrix._pair(np.vstack([m.a1 for m in mats]),
-                         np.vstack([m.a2 for m in mats]))
+    """``block([[m] for m in mats])``: the matrices stacked."""
+    return block([[m] for m in mats])
 
 
 def _layout(grid: Sequence[Sequence]):

@@ -68,7 +68,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..decomp import ranks
-from ..qmatrix import DimensionError, QMatrix, Zero, named_dims
+from ..qmatrix import DimensionError, QMatrix, Zero, named_dims, rand_qmatrix
 
 # Absolute truncation floor for pseudoinverses and ranks inside solver
 # cascades.  Reduction intermediates frequently vanish in exact
@@ -103,18 +103,14 @@ def _factor(vals: dict, name: str, eta):
 
 def _left_side(terms, vals: dict, eta) -> QMatrix:
     """Sum of an equation's terms over ``vals`` (blocks and unknowns by
-    name), left to right.  A product that recurs, as in ``E1 U +
-    (E1 U)^{eta*}``, is formed once."""
-    products, total = {}, None
+    name), left to right, each term's product formed on its own."""
+    total = None
     for left, unknown, right, eta_conj in terms:
-        p = products.get((left, unknown, right))
-        if p is None:
-            p = vals[unknown]
-            if left is not None:
-                p = _factor(vals, left, eta) @ p
-            if right is not None:
-                p = p @ _factor(vals, right, eta)
-            products[left, unknown, right] = p
+        p = vals[unknown]
+        if left is not None:
+            p = _factor(vals, left, eta) @ p
+        if right is not None:
+            p = p @ _factor(vals, right, eta)
         if eta_conj:
             p = p.eta_conj_transpose(eta)
         total = p if total is None else total + p
@@ -305,11 +301,10 @@ class ShapedInstance:
     def blocks(self) -> list:
         return [getattr(self, n) for n in self._blocks]
 
-    def copy(self, keep=()):
-        """The same instance over copies of its blocks, but for the
-        blocks named in ``keep``, which it shares."""
+    def copy(self):
+        """The same instance over copies of its blocks."""
         return replace(self, **{n: getattr(self, n).copy()
-                                for n in self._blocks if n not in keep})
+                                for n in self._blocks})
 
 
 # The work of the last instance decided (see shared_work), as the one
@@ -544,8 +539,7 @@ class LinearSolutionFamily:
 
     def random_params(self, rng) -> list:
         """Draw one matrix per free parameter."""
-        return [QMatrix(*(rng.standard_normal(p.shape) for _ in range(4)))
-                for p in self.free_params]
+        return [rand_qmatrix(rng, *p.shape) for p in self.free_params]
 
     def __repr__(self):
         names = ",".join(self.unknowns)

@@ -37,7 +37,7 @@ class TwoTermKernel:
     """
 
     def __init__(self, c3, d3, c4, d4, pv):
-        self.c3, self.d3, self.c4, self.d4 = c3, d3, c4, d4
+        self.c4, self.d4 = c4, d4
         self.bc3, self.bc4 = pv(c3), pv(c4)
         self.bd3, self.bd4 = pv(d3), pv(d4)
         self.m = self.bc3.proj_right @ c4

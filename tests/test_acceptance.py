@@ -18,7 +18,7 @@ from qsylv import (Inconsistent, QMatrix, check_master, documents as docs,
 from qsylv.cli import main as cli_main
 from qsylv.decomp import _embedded_svdvals, default_rank_tol
 from qsylv.harness import (VARIANT_TABLE, DimensionProfile, gen_consistent,
-                           gen_inconsistent, gen_planted)
+                           gen_planted, gen_unsolvable)
 
 from tests.conftest import rank_block_oracle, worst_rel
 
@@ -217,7 +217,7 @@ def test_criterion_6_condition_form_equivalence():
         rep = check_master(inst)
         agree = agree and rep.consistent and rep.forms_agree
     for seed in range(100):
-        bad = gen_inconsistent(DimensionProfile.cube(1 + seed % 3, seed))
+        bad = gen_unsolvable("master", 1 + seed % 3, seed)
         rep = check_master(bad)
         agree = agree and (not rep.consistent) and rep.forms_agree
     verdict(6, agree, "residual and rank certificates agree on 100 "

@@ -12,8 +12,8 @@ from dataclasses import replace
 import pytest
 
 from qsylv import check_five_term, check_master
-from qsylv.harness import (DimensionProfile, gen_consistent, gen_inconsistent,
-                           gen_planted, gen_unsolvable)
+from qsylv.harness import (DimensionProfile, gen_consistent, gen_planted,
+                           gen_unsolvable)
 
 R_NAMES = tuple(f"R{i}" for i in range(1, 10))
 
@@ -46,10 +46,9 @@ def _pinned(ranks):
 
 
 def _master_case(seed, kind):
-    profile = DimensionProfile.cube(2, seed)
     if kind == "inconsistent":
-        return gen_inconsistent(profile)
-    inst, _ = gen_consistent(profile)
+        return gen_unsolvable("master", 2, seed)
+    inst, _ = gen_consistent(DimensionProfile.cube(2, seed))
     if kind == "scaled":
         inst = replace(inst, **{f: getattr(inst, f) * 1e8
                                 for f in MASTER_RHS})

@@ -5,7 +5,7 @@ import pytest
 
 from qsylv import documents as docs
 from qsylv.cli import main
-from qsylv.harness import VARIANTS
+from qsylv.harness import VARIANTS, verify_solution
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -25,6 +25,26 @@ def test_gen_check_solve_verify_pipeline(variant, tmp_path, capsys):
     assert main(["verify", ipath, wpath]) == 0
     out = capsys.readouterr().out
     assert "overall: pass" in out
+
+
+def test_residual_reports_are_verify_solution_reports(tmp_path):
+    # solve --report-out and verify --out write the report of the
+    # solution as it re-parses, with its eta-Hermicity entries
+    ipath, spath = str(tmp_path / "inst.json"), str(tmp_path / "sol.json")
+    solved, verified = tmp_path / "solved.json", tmp_path / "verified.json"
+    assert main(["gen", "--variant", "eta-three", "--eta", "j", "--seed", "3",
+                 "--out", ipath]) == 0
+    assert main(["solve", ipath, "--free", "random", "--out", spath,
+                 "--report-out", str(solved)]) == 0
+    assert main(["verify", ipath, spath, "--out", str(verified)]) == 0
+    inst = docs.instance_from_doc(docs.load_json(ipath))
+    sol = docs.solution_from_doc(docs.load_json(spath))
+    want = {"format": "qsylv-residual-report", "variant": "eta-three",
+            **verify_solution(inst, sol).to_dict()}
+    assert [e["name"] for e in want["entries"]][-3:] == [
+        "X=X^eta*", "Y=Y^eta*", "Z=Z^eta*"]
+    for path in (solved, verified):
+        assert docs.load_json(path) == want
 
 
 def test_inconsistent_exit_codes(tmp_path):

@@ -17,9 +17,9 @@ import pytest
 import qsylv
 from qsylv import verify_solution
 from qsylv.harness import (VARIANTS, DimensionProfile, gen_consistent,
-                           gen_inconsistent, gen_planted, gen_unsolvable)
-from qsylv.solvers import Inconsistent, families
-from qsylv.solvers.families import check, solve
+                           gen_planted, gen_unsolvable)
+from qsylv.solvers import families
+from qsylv.solvers.families import Inconsistent, check, solve
 
 TOL = 1e-9
 
@@ -141,7 +141,7 @@ class _SvdCounter:
 def test_solve_master_svd_counts(monkeypatch):
     profile = DimensionProfile.cube(2, 0)
     planted, _ = gen_consistent(profile)
-    unsolvable = gen_inconsistent(profile)
+    unsolvable = gen_unsolvable("master", 2, 0)
     # the solvers share the work of the last instance, and its
     # coefficient factorization with an instance of equal coefficients;
     # an unrelated instance there makes the first solve below cold

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qsylv import Inconsistent, QMatrix, documents as docs
-from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
-                           gen_unsolvable, rand_qmatrix)
+from qsylv.harness import VARIANT_TABLE, VARIANTS, gen_planted, gen_unsolvable
+from qsylv.qmatrix import rand_qmatrix
 from qsylv.solvers.families import solve
 
 
@@ -144,10 +144,11 @@ def test_alias_stands_for_its_field(variant, alias, field):
     back = docs.instance_from_doc(doc)
     assert _bits(back) == _bits(inst)
     assert getattr(back, "eta", None) == getattr(inst, "eta", None)
-    both = {**docs.instance_to_doc(inst), alias: doc[alias]}
-    with pytest.raises(docs.ParseError,
-                       match=re.escape(f"given twice (alias '{alias}')")):
-        docs.instance_from_doc(both)
+    full = docs.instance_to_doc(inst)
+    for both in ({**full, alias: doc[alias]}, {alias: doc[alias], **full}):
+        with pytest.raises(docs.ParseError,
+                           match=re.escape(f"given twice (alias '{alias}')")):
+            docs.instance_from_doc(both)
 
 
 def test_solution_round_trip():

@@ -18,11 +18,11 @@ import pytest
 import qsylv
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, ResidualEntry,
                            ResidualReport, gen_planted, gen_unsolvable,
-                           rand_qmatrix, verify_solution)
-from qsylv.qmatrix import DimensionError
-from qsylv.solvers import (Condition, Inconsistent, RankCondition,
-                           SolvabilityReport, families)
-from qsylv.solvers.families import check, solve
+                           verify_solution)
+from qsylv.qmatrix import DimensionError, rand_qmatrix
+from qsylv.solvers import families
+from qsylv.solvers.families import (Condition, Inconsistent, RankCondition,
+                                    SolvabilityReport, check, solve)
 
 TOL = 1e-9
 

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsylv.harness import VARIANTS, gen_planted, gen_unsolvable
 from qsylv.qmatrix import Zero
-from qsylv.solvers import Inconsistent
-from qsylv.solvers.families import _equilibrated, _reduced, check, solve
+from qsylv.solvers.families import (Inconsistent, _equilibrated, _reduced,
+                                    check, solve)
 
 from tests.test_decision import _scaled as _scaled_rhs
 from tests.test_driver import ETA_VARIANTS

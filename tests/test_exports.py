@@ -4,11 +4,10 @@ import pytest
 
 import qsylv
 import qsylv.cli
-import qsylv.solvers
 from qsylv.solvers.families import check, solve
 
 
-@pytest.mark.parametrize("module", [qsylv, qsylv.solvers],
+@pytest.mark.parametrize("module", [qsylv],
                          ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]

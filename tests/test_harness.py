@@ -6,8 +6,8 @@ import pytest
 from qsylv import QMatrix, check_five_term, check_master, solve_master
 from qsylv.cli import main
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
-                           gen_consistent, gen_inconsistent, gen_planted,
-                           gen_unsolvable, symmetrize, verify_solution)
+                           gen_consistent, gen_planted, gen_unsolvable,
+                           symmetrize, verify_solution)
 from qsylv.qmatrix import DimensionError
 from qsylv.solvers.families import check
 
@@ -148,21 +148,9 @@ def test_gen_consistent_empty_blocks_allowed():
 
 def test_gen_inconsistent_three_profiles():
     for seed in (0, 1, 2):
-        bad = gen_inconsistent(DimensionProfile.cube(2, seed=seed))
+        bad = gen_unsolvable("master", 2, seed)
         rep = check_master(bad)
         assert not rep.consistent and rep.forms_agree
-
-
-def test_gen_inconsistent_rejects_spanning_profile():
-    # square invertible coefficient blocks make every right side
-    # reachable through the one-sided unknowns... but the side equations
-    # pin them, so use a genuinely spanning geometry: huge E against a
-    # tiny coupling target is still reachable; a 1x1 target with a free
-    # unknown spans
-    profile = DimensionProfile(cc_rows=1, cc_cols=1,
-                               blocks=((1, 2, 2, 1),) * 4, seed=3)
-    with pytest.raises(RuntimeError):
-        gen_inconsistent(profile, retries=4)
 
 
 def test_verify_solution_shape_errors():
@@ -214,9 +202,13 @@ def test_solve_master_on_generated_batch(rng):
 
 
 def test_unsolvable_with_an_empty_right_side_is_a_message(tmp_path, capsys):
-    # the size-0 pair twin's D is 0 x 1: no perturbation can move it
-    with pytest.raises(RuntimeError, match="spans its whole target space"):
-        gen_unsolvable("pair", 0, 0)
+    # the size-0 pair twin's D is 0 x 1: no perturbation can move it; the
+    # size-0 master's coupling reaches its whole 2 x 2 right side, so
+    # every perturbation lands consistent
+    for variant in ("pair", "master"):
+        with pytest.raises(RuntimeError,
+                           match="spans its whole target space"):
+            gen_unsolvable(variant, 0, 0)
     out = str(tmp_path / "bad.json")
     assert main(["gen", "--variant", "pair", "--size", "0",
                  "--inconsistent", "--out", out]) == 1

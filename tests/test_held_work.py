@@ -21,6 +21,8 @@ embedded without forming the block matrix; that embedding must equal
 ``block(grid).embed()`` byte for byte.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,8 @@ from qsylv import QMatrix, block, decomp
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_planted, gen_unsolvable)
 from qsylv.qmatrix import Zero, embed_block
-from qsylv.solvers import Inconsistent, families
-from qsylv.solvers.families import ETA_STAR, max_exponents
+from qsylv.solvers import families
+from qsylv.solvers.families import ETA_STAR, Inconsistent, max_exponents
 from qsylv.solvers.master import _MasterWork
 from qsylv.solvers.two_term import _TwoTermFactors
 
@@ -257,7 +259,8 @@ def test_a_new_right_side_copies_only_the_right_sides():
     _evict()
     qsylv.check_eta_full(inst)
     held = families._SLOT[0].caller
-    scaled = inst.copy(keep=inst.coefficient_names())
+    scaled = replace(inst, **{n: getattr(inst, n).copy()
+                              for n in inst.rhs_names()})
     for name in scaled.rhs_names():
         getattr(scaled, name).a1[...] *= 3.0
     qsylv.check_eta_full(scaled)

@@ -11,7 +11,8 @@ at zero.
 import numpy as np
 import pytest
 
-from qsylv.harness import gen_planted, rand_qmatrix, verify_solution
+from qsylv.harness import gen_planted, verify_solution
+from qsylv.qmatrix import rand_qmatrix
 from qsylv.solvers.families import check, solve
 from qsylv.solvers.master import _MasterWork
 

@@ -5,8 +5,8 @@ import numpy as np
 from qsylv import (Inconsistent, MasterInstance, QMatrix, check_master,
                    check_mixed, check_three_term, solve_master,
                    solve_mixed_system, solve_three_term_system)
-from qsylv.harness import (DimensionProfile, gen_consistent, gen_inconsistent,
-                           gen_planted, verify_solution)
+from qsylv.harness import (DimensionProfile, gen_consistent, gen_planted,
+                           gen_unsolvable, verify_solution)
 from qsylv.solvers.master import MASTER_PARAM_NAMES
 
 from tests.conftest import worst_rel
@@ -31,7 +31,7 @@ class TestCheckMaster:
 
     def test_fuzzed_inconsistent_forms_agree(self):
         for seed in (1, 2, 3):
-            bad = gen_inconsistent(DimensionProfile.cube(2, seed=seed))
+            bad = gen_unsolvable("master", 2, seed)
             rep = check_master(bad)
             assert not rep.consistent
             assert rep.forms_agree
@@ -75,7 +75,7 @@ class TestSolveMaster:
 
     def test_solve_rejects_exactly_when_check_does(self):
         good, _ = gen_consistent(DimensionProfile.cube(2, seed=6))
-        bad = gen_inconsistent(DimensionProfile.cube(2, seed=6))
+        bad = gen_unsolvable("master", 2, 6)
         assert not isinstance(solve_master(good), Inconsistent)
         res = solve_master(bad)
         assert isinstance(res, Inconsistent)

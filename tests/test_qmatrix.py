@@ -223,6 +223,10 @@ def test_block_errors(rand_q):
         hstack([rand_q(2, 2), rand_q(3, 2)])
     with pytest.raises(DimensionError):
         vstack([rand_q(2, 2), rand_q(2, 3)])
+    with pytest.raises(DimensionError):
+        hstack([])
+    with pytest.raises(DimensionError):
+        vstack([])
 
 
 def test_scalar_multiplication():

@@ -22,8 +22,8 @@ import qsylv
 from qsylv import QMatrix
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_planted, gen_unsolvable)
-from qsylv.solvers import Inconsistent, basic, families, master, two_term
-from qsylv.solvers.families import _reduced, check, solve
+from qsylv.solvers import basic, families, master, two_term
+from qsylv.solvers.families import Inconsistent, _reduced, check, solve
 
 from tests.test_decision import _SvdCounter
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from qsylv import QMatrix
-from qsylv.harness import VARIANT_TABLE, rand_qmatrix, symmetrize
-from qsylv.solvers import Inconsistent
-from qsylv.solvers.families import solve
+from qsylv.harness import VARIANT_TABLE, symmetrize
+from qsylv.qmatrix import rand_qmatrix
+from qsylv.solvers.families import Inconsistent, solve
 
 
 def _real(mats) -> np.ndarray:

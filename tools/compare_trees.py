@@ -1,8 +1,9 @@
 """Compare the verdicts, reports and families of two source trees on
 one fixed corpus.
 
-The corpus is generated once, by one tree, and stored as raw component
-planes, so both trees judge bit-identical inputs:
+The corpus is generated once, by one tree, and stored as instance
+documents (``qsylv.documents``), which re-parse to bit-identical
+matrices, so both trees judge bit-identical inputs:
 
     PYTHONPATH=<tree A>/src python tools/compare_trees.py gen corpus.pkl
     PYTHONPATH=<tree A>/src python tools/compare_trees.py run corpus.pkl a.pkl
@@ -44,8 +45,9 @@ SEEDS = (0, 1, 2)
 SCALES = (1e-8, 1.0, 1e8)
 
 def generate(path):
-    from dataclasses import fields, replace
+    from dataclasses import replace
 
+    from qsylv.documents import instance_to_doc
     from qsylv.harness import VARIANT_TABLE, gen_planted, gen_unsolvable
 
     corpus, skipped = [], 0
@@ -66,15 +68,10 @@ def generate(path):
                             scaled = replace(inst, **{
                                 f: getattr(inst, f) * scale
                                 for f in rhs_fields})
-                            planes = {f.name: tuple(
-                                c.copy() for c in getattr(scaled, f.name)
-                                .components())
-                                for f in fields(scaled) if f.name != "eta"}
                             corpus.append({
                                 "label": f"{variant} s{size} seed{seed} "
                                          f"eta={eta} {truth} x{scale:g}",
-                                "variant": variant, "eta": eta,
-                                "planes": planes})
+                                "doc": instance_to_doc(scaled)})
     with open(path, "wb") as fh:
         pickle.dump(corpus, fh)
     print(f"{len(corpus)} instances written, {skipped} unsolvable twins "
@@ -100,20 +97,15 @@ def _bytes(sol) -> list:
 
 
 def run(corpus_path, out_path):
-    from qsylv import QMatrix, verify_solution
-    from qsylv.harness import VARIANT_TABLE
-    from qsylv.solvers import Inconsistent
-    from qsylv.solvers.families import DEFAULT_TOL, check, solve
+    from qsylv import verify_solution
+    from qsylv.documents import instance_from_doc
+    from qsylv.solvers.families import DEFAULT_TOL, Inconsistent, check, solve
 
     with open(corpus_path, "rb") as fh:
         corpus = pickle.load(fh)
     results = {}
     for case in corpus:
-        entry = VARIANT_TABLE[case["variant"]]
-        blocks = {k: QMatrix(*v) for k, v in case["planes"].items()}
-        if "eta" in entry.instance_type.__dataclass_fields__:
-            blocks["eta"] = case["eta"]
-        inst = entry.instance_type(**blocks)
+        inst = instance_from_doc(case["doc"])
         rec = {"check": _verdict(check(inst, DEFAULT_TOL))}
         res = solve(inst, DEFAULT_TOL)
         if isinstance(res, Inconsistent):
