@@ -14,7 +14,10 @@ of the list, which keeps some of its block columns (rows): when that
 full grid has full column (row) rank with its smallest singular value
 above ``_SUBGRID_MARGIN`` times its cut, Cauchy interlacing fixes the
 sub-grid's rank at its column (row) count, without an SVD; otherwise
-the sub-grid is ranked directly.  When BLAS is pinned to one thread,
+the sub-grid is ranked directly.  A grid may also be marked as the
+:class:`Mirror` of another grid of the list, whose singular values it
+shares in exact arithmetic: it takes that grid's rank without an SVD.
+When BLAS is pinned to one thread,
 the process may run on at least two CPUs and the largest embedding has
 at least ``_HELPER_MIN_ENTRIES`` complex entries, one short-lived helper
 thread ranks the largest grid, embedded on the calling thread first,
@@ -85,6 +88,24 @@ class SubGrid:
 
     def __init__(self, grid, full, axis: int):
         self.grid, self.full, self.axis = grid, full, axis
+
+
+class Mirror:
+    """A block grid ``grid`` that is the eta-conjugate transpose of the
+    grid ``twin``, up to an order and signs of its block rows and
+    columns, so it has the singular values of ``twin`` in exact
+    arithmetic.  The eta lifts double a system into such pairs; only
+    the caller knows whether a pair is exact, and it passes the plain
+    ``grid`` when not.  Iterating it iterates ``grid``, so it reads as
+    that grid wherever one is read."""
+
+    __slots__ = ("grid", "twin")
+
+    def __init__(self, grid, twin):
+        self.grid, self.twin = grid, twin
+
+    def __iter__(self):
+        return iter(self.grid)
 
 
 def default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
@@ -168,34 +189,47 @@ def _helper_allowed(entries: int) -> bool:
 
 def ranks(grids, floor: float) -> list:
     """``[rank(g, floor=floor) for g in grids]`` for block grids, each
-    laid out once, where a :class:`SubGrid` is ranked as its ``grid``.
+    laid out once, where a :class:`SubGrid` or a :class:`Mirror` is
+    ranked as its ``grid``.
 
-    The grids that are no ``SubGrid`` are ranked first, in order.  A
-    ``SubGrid`` whose ``full`` is one of them (the same object) takes
+    The grids that are neither are ranked first, in order.  A ``Mirror``
+    whose ``twin`` is one of them (the same object) takes its rank with
+    no SVD and no layout, and, when it is the ``full`` of a ``SubGrid``,
+    its margin too; any other ``Mirror`` is ranked as its ``grid``.  A
+    ``SubGrid`` whose
+    ``full`` is one of them (the ``grid`` of a ``Mirror`` counts) takes
     its column (``axis`` 1) or row (``axis`` 0) count as its rank, with
     no SVD, when ``full`` has as many singular values above
     ``_SUBGRID_MARGIN`` times its cut as columns (rows); every other one
     is ranked directly, after them.
 
     When :func:`_helper_allowed` admits the largest embedding of a grid
-    that is neither a ``SubGrid`` nor the ``full`` of one, this thread
-    embeds that grid, then one helper thread ranks the embedding while
-    this thread ranks the rest; the helper is joined before this
-    returns or raises, and an error in it is raised here.  Every rank
-    taken takes the same SVD of the same embedding either way, so the
-    results are the same.
+    that is neither a ``SubGrid``, a ``Mirror`` nor the ``full`` of a
+    ``SubGrid``, this thread embeds that grid, then one helper thread
+    ranks the embedding while this thread ranks the rest; the helper is
+    joined before this returns or raises, and an error in it is raised
+    here.  Every rank taken takes the same SVD of the same embedding
+    either way, so the results are the same.
     """
     items = list(grids)
-    index = {id(g): i for i, g in enumerate(items)
+    plain = {id(g): i for i, g in enumerate(items)
+             if not isinstance(g, (SubGrid, Mirror))}
+    items = [g.grid if isinstance(g, Mirror) and id(g.twin) not in plain
+             else g for g in items]
+    twin = {i: plain[id(g.twin)] for i, g in enumerate(items)
+            if isinstance(g, Mirror)}
+    index = {id(g.grid if i in twin else g): i for i, g in enumerate(items)
              if not isinstance(g, SubGrid)}
     parent = {i: index.get(id(g.full)) for i, g in enumerate(items)
               if isinstance(g, SubGrid)}
-    laid = [BlockGrid(g.grid if i in parent else g)
-            for i, g in enumerate(items)]
     full = set(parent.values()) - {None}
+    # a full grid that is a mirror reads its twin's margin
+    full |= {twin[i] for i in full & twin.keys()}
+    laid = [None if i in twin else BlockGrid(g.grid if i in parent else g)
+            for i, g in enumerate(items)]
     out, margins = [None] * len(items), {}
     sizes = {i: 4 * g.rows * g.cols for i, g in enumerate(laid)
-             if i not in parent and i not in full}
+             if i not in parent and i not in full and i not in twin}
     big = max(sizes, key=sizes.__getitem__, default=None)
     if big is not None and not _helper_allowed(sizes[big]):
         big = None
@@ -213,17 +247,20 @@ def ranks(grids, floor: float) -> list:
         thread.start()
     try:
         for i, g in enumerate(laid):
-            if i in full:
+            if i in full and i not in twin:
                 sig, cut = _cut_values(embed_block(g), None, floor)
                 out[i] = int(np.count_nonzero(sig > cut))
                 margins[i] = int(np.count_nonzero(
                     sig > _SUBGRID_MARGIN * cut))
-            elif i not in parent and i != big:
+            elif i not in parent and i not in twin and i != big:
                 out[i] = rank(g, floor=floor)
         for i, p in parent.items():
             g, axis = laid[i], items[i].axis
-            if p is not None and margins[p] == (laid[p].cols if axis
-                                                else laid[p].rows):
+            # a mirror has its twin's block columns as rows and rows as
+            # columns
+            q, t = (twin[p], not axis) if p in twin else (p, axis)
+            if p is not None and margins[q] == (laid[q].cols if t
+                                                else laid[q].rows):
                 out[i] = g.cols if axis else g.rows
             else:
                 out[i] = rank(g, floor=floor)
@@ -232,6 +269,8 @@ def ranks(grids, floor: float) -> list:
             thread.join()
     if failed:
         raise failed[0]
+    for i, t in twin.items():
+        out[i] = out[t]
     return out
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..decomp import SubGrid, pinv
+from ..decomp import Mirror, SubGrid, pinv
 from ..qmatrix import QMatrix, hstack, vstack
 from .basic import PairKernel
 from .families import FreeParam, ShapedInstance, cascade_floor
@@ -132,6 +132,14 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     first and sides (F4, -F4).  The master system passes its own
     blocks; every other system reaches this rule through its lift onto
     the master system.
+
+    When B_i = A_i^eta*, D_i = C_i^eta*, F_i = E_i^eta* and K is
+    eta-Hermitian, as on the root of the eta lifts, each left form is
+    the eta-conjugate transpose of the right form of the same unknown.
+    So R(9-n) mirrors R(n), n = 1..4, with its two panels swapped, and
+    R9 mirrors itself: the grids of R5-R8 are marked as
+    :class:`.decomp.Mirror` s of those of R4-R1, and R8's right panel
+    as the mirror of R1's left one.
     """
     u = ((e[0],), a[0], (c[0],))
     v = ((d[0],), b[0], (f[0],))
@@ -164,9 +172,11 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     for n in range(7):
         panels[n + 1][0] = SubGrid(panels[n + 1][0], panels[0][0], 1)
         panels[n][1] = SubGrid(panels[n][1], panels[7][1], 0)
-    return [(f"R{n}", _bordered(ks, lefts + rights), tuple(pair))
-            for n, ((ks, lefts, rights), pair)
-            in enumerate(zip(grids, panels), 1)]
+    panels[7][1] = Mirror(panels[7][1], panels[0][0])
+    full = [_bordered(ks, lefts + rights) for ks, lefts, rights in grids]
+    full[4:8] = [Mirror(g, full[3 - n]) for n, g in enumerate(full[4:8])]
+    return [(f"R{n}", grid, tuple(pair))
+            for n, (grid, pair) in enumerate(zip(full, panels), 1)]
 
 
 class _MasterFactors:
@@ -310,10 +320,18 @@ class _MasterWork:
         return out
 
     def rank_terms(self) -> list:
+        """The two rank terms of each side equation, then R1-R9
+        (:func:`block_rank_terms`).  On the root of an eta lift, V's
+        equation is the mirror of U's and X B_i = D_i of A_i X = C_i: each
+        r(D;B) grid is marked as the :class:`.decomp.Mirror` of the
+        r(C,A) grid of U for V's, and of its own pair's for X, Y, Z."""
         blocks = [[getattr(self.inst, f"{x}{i}") for i in (1, 2, 3, 4)]
                   for x in "ABCDEF"]
-        return ([t for k in self.sides for t in k.rank_terms()]
-                + block_rank_terms(self.inst.Cc, *blocks))
+        sides = [k.rank_terms() for k in self.sides]
+        out = []
+        for twin, (ca, (name, grid, rhs)) in zip((1, 0, 2, 3, 4), sides):
+            out += [ca, (name, Mirror(grid, sides[twin][0][1]), rhs)]
+        return out + block_rank_terms(self.inst.Cc, *blocks)
 
     # -- family assembly ----------------------------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..decomp import pinv
+from ..decomp import Mirror, pinv
 from .families import FreeParam, ShapedInstance, cascade_floor
 
 
@@ -28,7 +28,9 @@ class TwoTermKernel:
     With M = R_C3 C4, N = D4 L_D3 and S = C4 L_M, the seven pinv
     bundles (C3, C4, D3, D4, M, N, S) depend only on the coefficients;
     ``pv`` builds each one, so the caller keeps its rank tolerance and
-    cascade floor.  The left-to-right prefixes of the solution's
+    cascade floor.  When the projector that forms M, N or S is an
+    identity marker, that matrix is C4 or D4 itself and shares its
+    bundle.  The left-to-right prefixes of the solution's
     products that read no right side (pinv(C3) C4 pinv(M), pinv(C3) S,
     pinv(C3) S pinv(C4), pinv(S) S pinv(C4) and L_M L_S) are formed here
     once; ``@`` is left-associative, so each product keeps its bits.
@@ -40,11 +42,14 @@ class TwoTermKernel:
         self.c4, self.d4 = c4, d4
         self.bc3, self.bc4 = pv(c3), pv(c4)
         self.bd3, self.bd4 = pv(d3), pv(d4)
+        # an Identity projector hands back the operand itself, whose
+        # bundle is built already
         self.m = self.bc3.proj_right @ c4
         self.n = d4 @ self.bd3.proj_left
-        self.bm, self.bn = pv(self.m), pv(self.n)
+        self.bm = self.bc4 if self.m is c4 else pv(self.m)
+        self.bn = self.bd4 if self.n is d4 else pv(self.n)
         self.s = c4 @ self.bm.proj_left
-        self.bs = pv(self.s)
+        self.bs = self.bc4 if self.s is c4 else pv(self.s)
         pc3, pc4 = self.bc3.pinv, self.bc4.pinv
         self.pc3_c4_pm = pc3 @ c4 @ self.bm.pinv
         self.pc3_s = pc3 @ self.s
@@ -102,14 +107,22 @@ class _TwoTermWork:
         ]
 
     def rank_terms(self) -> list:
+        """The four rank equalities.  With D3 = C3^eta*, D4 = C4^eta* and
+        E1 eta-Hermitian, as on the root of the eta-two lift, the second
+        and fourth grids, and the second's panel, are the eta-conjugate
+        transposes of the first and third: they are marked as their
+        :class:`.decomp.Mirror` s."""
         k, inst = self.factors, self.inst
         c3, d3, c4, d4, e1 = inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
+        first, panel = [[c3, e1, c4]], [[c3, c4]]
+        third = [[c3, e1], [None, d4]]
         return [
-            ("r(C3,E1,C4)=r(C3,C4)", [[c3, e1, c4]], ([[c3, c4]],)),
-            ("r(D3;E1;D4)=r(D3;D4)", [[d3], [e1], [d4]], ([[d3], [d4]],)),
-            ("r([C3,E1;0,D4])=r(C3)+r(D4)", [[c3, e1], [None, d4]],
-             (k.bc3.rank, k.bd4.rank)),
-            ("r([D3,0;E1,C4])=r(D3)+r(C4)", [[d3, None], [e1, c4]],
+            ("r(C3,E1,C4)=r(C3,C4)", first, (panel,)),
+            ("r(D3;E1;D4)=r(D3;D4)", Mirror([[d3], [e1], [d4]], first),
+             (Mirror([[d3], [d4]], panel),)),
+            ("r([C3,E1;0,D4])=r(C3)+r(D4)", third, (k.bc3.rank, k.bd4.rank)),
+            ("r([D3,0;E1,C4])=r(D3)+r(C4)", Mirror([[d3, None], [e1, c4]],
+                                                    third),
              (k.bd3.rank, k.bc4.rank)),
         ]
 

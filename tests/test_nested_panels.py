@@ -19,7 +19,7 @@ import pytest
 
 import qsylv
 from qsylv import QMatrix, decomp
-from qsylv.decomp import SubGrid
+from qsylv.decomp import Mirror, SubGrid
 from qsylv.harness import gen_planted, gen_unsolvable
 from qsylv.solvers import families
 from qsylv.solvers.master import MasterInstance
@@ -44,11 +44,12 @@ def _svd_calls(monkeypatch):
 
 
 def _direct(monkeypatch):
-    """Rank every panel directly: each SubGrid as its own grid."""
+    """Rank every panel directly: each SubGrid and Mirror as its own
+    grid."""
     ranks = families.ranks
 
     def direct(grids, floor):
-        return ranks([g.grid if isinstance(g, SubGrid) else g
+        return ranks([g.grid if isinstance(g, (SubGrid, Mirror)) else g
                       for g in grids], floor)
 
     monkeypatch.setattr(families, "ranks", direct)
