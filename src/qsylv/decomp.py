@@ -14,10 +14,7 @@ of the list, which keeps some of its block columns (rows): when that
 full grid has full column (row) rank with its smallest singular value
 above ``_SUBGRID_MARGIN`` times its cut, Cauchy interlacing fixes the
 sub-grid's rank at its column (row) count, without an SVD; otherwise
-the sub-grid is ranked directly.  A grid may also be marked as the
-:class:`Mirror` of another grid of the list, whose singular values it
-shares in exact arithmetic: it takes that grid's rank without an SVD.
-When BLAS is pinned to one thread,
+the sub-grid is ranked directly.  When BLAS is pinned to one thread,
 the process may run on at least two CPUs and the largest embedding has
 at least ``_HELPER_MIN_ENTRIES`` complex entries, one short-lived helper
 thread ranks the largest grid, embedded on the calling thread first,
@@ -90,24 +87,6 @@ class SubGrid:
         self.grid, self.full, self.axis = grid, full, axis
 
 
-class Mirror:
-    """A block grid ``grid`` that is the eta-conjugate transpose of the
-    grid ``twin``, up to an order and signs of its block rows and
-    columns, so it has the singular values of ``twin`` in exact
-    arithmetic.  The eta lifts double a system into such pairs; only
-    the caller knows whether a pair is exact, and it passes the plain
-    ``grid`` when not.  Iterating it iterates ``grid``, so it reads as
-    that grid wherever one is read."""
-
-    __slots__ = ("grid", "twin")
-
-    def __init__(self, grid, twin):
-        self.grid, self.twin = grid, twin
-
-    def __iter__(self):
-        return iter(self.grid)
-
-
 def default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
     return max(rows, cols) * sigma_max * _EPS
 
@@ -122,24 +101,30 @@ def _embedding(a) -> np.ndarray:
     return a.embed() if isinstance(a, QMatrix) else embed_block(a)
 
 
-def _svdvals(m: np.ndarray) -> np.ndarray:
-    if min(m.shape) == 0:
-        return np.zeros(0)
+def _svd(m: np.ndarray, **kwargs):
+    """``numpy.linalg.svd(m, **kwargs)``, raising :class:`NumericError`
+    when it does not converge."""
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericError("complex SVD of the embedding did not converge") from exc
 
 
-def _embedded_svdvals(a) -> np.ndarray:
-    """Singular values of the embedding of ``a`` (see :func:`_embedding`)."""
-    return _svdvals(_embedding(a))
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    if min(m.shape) == 0:
+        return np.zeros(0)
+    return _svd(m, compute_uv=False)
+
+
+def _pairs(s: np.ndarray) -> np.ndarray:
+    """One value per equal pair of the singular values ``s`` of an
+    embedding: the mean of the pair, which symmetrizes rounding."""
+    return 0.5 * (s[0::2] + s[1::2])
 
 
 def singular_values(a: QMatrix) -> np.ndarray:
     """Pair-collapsed singular values of a quaternion matrix (descending)."""
-    s = _embedded_svdvals(a)
-    return 0.5 * (s[0::2] + s[1::2])
+    return _pairs(_svdvals(a.embed()))
 
 
 def _cut(s: np.ndarray, shape, tol, floor: float) -> tuple:
@@ -147,7 +132,7 @@ def _cut(s: np.ndarray, shape, tol, floor: float) -> tuple:
     ``shape`` and the cut of its rank: ``tol``, by default max(m, n)
     sigma_max eps for the m x n quaternion matrix, and at least
     ``floor``."""
-    sig = 0.5 * (s[0::2] + s[1::2])
+    sig = _pairs(s)
     if tol is None:
         tol = (default_rank_tol(shape[0] // 2, shape[1] // 2, float(sig[0]))
                if sig.size else 0.0)
@@ -189,47 +174,34 @@ def _helper_allowed(entries: int) -> bool:
 
 def ranks(grids, floor: float) -> list:
     """``[rank(g, floor=floor) for g in grids]`` for block grids, each
-    laid out once, where a :class:`SubGrid` or a :class:`Mirror` is
-    ranked as its ``grid``.
+    laid out once, where a :class:`SubGrid` is ranked as its ``grid``.
 
-    The grids that are neither are ranked first, in order.  A ``Mirror``
-    whose ``twin`` is one of them (the same object) takes its rank with
-    no SVD and no layout, and, when it is the ``full`` of a ``SubGrid``,
-    its margin too; any other ``Mirror`` is ranked as its ``grid``.  A
-    ``SubGrid`` whose
-    ``full`` is one of them (the ``grid`` of a ``Mirror`` counts) takes
+    The grids that are no ``SubGrid`` are ranked first, in order.  A
+    ``SubGrid`` whose ``full`` is one of them (the same object) takes
     its column (``axis`` 1) or row (``axis`` 0) count as its rank, with
     no SVD, when ``full`` has as many singular values above
     ``_SUBGRID_MARGIN`` times its cut as columns (rows); every other one
     is ranked directly, after them.
 
     When :func:`_helper_allowed` admits the largest embedding of a grid
-    that is neither a ``SubGrid``, a ``Mirror`` nor the ``full`` of a
-    ``SubGrid``, this thread embeds that grid, then one helper thread
-    ranks the embedding while this thread ranks the rest; the helper is
-    joined before this returns or raises, and an error in it is raised
-    here.  Every rank taken takes the same SVD of the same embedding
-    either way, so the results are the same.
+    that is neither a ``SubGrid`` nor the ``full`` of one, this thread
+    embeds that grid, then one helper thread ranks the embedding while
+    this thread ranks the rest; the helper is joined before this
+    returns or raises, and an error in it is raised here.  Every rank
+    taken takes the same SVD of the same embedding either way, so the
+    results are the same.
     """
     items = list(grids)
-    plain = {id(g): i for i, g in enumerate(items)
-             if not isinstance(g, (SubGrid, Mirror))}
-    items = [g.grid if isinstance(g, Mirror) and id(g.twin) not in plain
-             else g for g in items]
-    twin = {i: plain[id(g.twin)] for i, g in enumerate(items)
-            if isinstance(g, Mirror)}
-    index = {id(g.grid if i in twin else g): i for i, g in enumerate(items)
+    index = {id(g): i for i, g in enumerate(items)
              if not isinstance(g, SubGrid)}
     parent = {i: index.get(id(g.full)) for i, g in enumerate(items)
               if isinstance(g, SubGrid)}
-    full = set(parent.values()) - {None}
-    # a full grid that is a mirror reads its twin's margin
-    full |= {twin[i] for i in full & twin.keys()}
-    laid = [None if i in twin else BlockGrid(g.grid if i in parent else g)
+    laid = [BlockGrid(g.grid if i in parent else g)
             for i, g in enumerate(items)]
+    full = set(parent.values()) - {None}
     out, margins = [None] * len(items), {}
     sizes = {i: 4 * g.rows * g.cols for i, g in enumerate(laid)
-             if i not in parent and i not in full and i not in twin}
+             if i not in parent and i not in full}
     big = max(sizes, key=sizes.__getitem__, default=None)
     if big is not None and not _helper_allowed(sizes[big]):
         big = None
@@ -247,20 +219,17 @@ def ranks(grids, floor: float) -> list:
         thread.start()
     try:
         for i, g in enumerate(laid):
-            if i in full and i not in twin:
+            if i in full:
                 sig, cut = _cut_values(embed_block(g), None, floor)
                 out[i] = int(np.count_nonzero(sig > cut))
                 margins[i] = int(np.count_nonzero(
                     sig > _SUBGRID_MARGIN * cut))
-            elif i not in parent and i not in twin and i != big:
+            elif i not in parent and i != big:
                 out[i] = rank(g, floor=floor)
         for i, p in parent.items():
             g, axis = laid[i], items[i].axis
-            # a mirror has its twin's block columns as rows and rows as
-            # columns
-            q, t = (twin[p], not axis) if p in twin else (p, axis)
-            if p is not None and margins[q] == (laid[q].cols if t
-                                                else laid[q].rows):
+            if p is not None and margins[p] == (laid[p].cols if axis
+                                                else laid[p].rows):
                 out[i] = g.cols if axis else g.rows
             else:
                 out[i] = rank(g, floor=floor)
@@ -269,8 +238,6 @@ def ranks(grids, floor: float) -> list:
             thread.join()
     if failed:
         raise failed[0]
-    for i, t in twin.items():
-        out[i] = out[t]
     return out
 
 
@@ -299,10 +266,7 @@ def pinv(a: QMatrix, tol: float | None = None, floor: float = 0.0) -> PinvBundle
     if m == 0 or n == 0:
         return _null_bundle(m, n, 0.0 if tol is None else tol)
     emb = a.embed()
-    try:
-        uc, s, vh = np.linalg.svd(emb, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("complex SVD of the embedding did not converge") from exc
+    uc, s, vh = _svd(emb, full_matrices=False)
     sig, tol = _cut(s, emb.shape, tol, floor)
     r = int(np.count_nonzero(sig > tol))
     if r == 0:

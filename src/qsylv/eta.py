@@ -79,16 +79,16 @@ class EtaFullInstance(_EtaInstance):
     """A1 U = C1; Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
     E1 U + (E1 U)^{eta*} + sum_i Ei W Ei^{eta*} = Cc.
 
-    Lifted onto the doubled master system, whose equilibration shifts
-    each doubled pair alike, so the root stays an exact mirror.  By the
-    eta-symmetry of the doubled blocks, the master residual list
-    collapses pairwise onto this system's own list (for example the
-    final condition equals R_E22 E (R_E22)^{eta*} = 0), and the second
-    half of the rank certificate mirrors the first: each r(Di;Bi) and
-    R5-R8 are read off r(Ci,Ai) and R4-R1 without an SVD, realizing the
-    doubled "= 2 r(...)" form, and R9 is its own mirror.  The family's
-    U averages the master U with the eta-conjugate of V, and X, Y, Z
-    are eta-Hermitian by construction."""
+    Equilibrated before the lift onto the doubled master system, so
+    the root is an exact mirror.  By the eta-symmetry of the doubled
+    blocks, the master residual list collapses pairwise onto this
+    system's own list (for example the final condition equals R_E22 E
+    (R_E22)^{eta*} = 0), and the second half of the rank certificate
+    mirrors the first: each r(Di;Bi), R5-R8 and the right panels are
+    read off r(Ci,Ai), R4-R1 and the left panels without an SVD,
+    realizing the doubled "= 2 r(...)" form, and R9 is its own mirror.
+    The family's U averages the master U with the eta-conjugate of V,
+    and X, Y, Z are eta-Hermitian by construction."""
 
     SHAPES = {
         "A1": ("q1", "p1"), "A2": ("q2", "p2"),
@@ -168,8 +168,8 @@ class EtaTwoInstance(_EtaInstance):
     C3 = B1, D3 = B1^{eta*}, C4 = C1, D4 = C1^{eta*}, E1 = D1.  Since
     D1 is eta-Hermitian, the eta-conjugate transpose of a two-term
     solution solves it too, so the map back symmetrizes both blocks.
-    Equilibration shifts C3 and D3 (C4 and D4) alike, so the second and
-    fourth two-term rank grids stay the mirrors of the first and third
+    It is equilibrated before the lift, so the second and fourth
+    two-term rank grids are the exact mirrors of the first and third
     and take their ranks without an SVD.  The certificates carry
     two-term names, and the family's free parameters are the two-term
     Y11..Y15."""

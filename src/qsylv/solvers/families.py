@@ -29,17 +29,16 @@ only the pass, on factors of equal coefficients.  The general solution
 is linear in the right sides, so one factorization serves every right
 side.
 
-Before any work is built, :func:`check` and :func:`solve` equilibrate
-the instance the lifts end at by powers of two (:func:`_equilibrated`):
-each equation and its coefficient factors by one, then every right
-side by one more, so the data are in range and a verdict cannot depend
-on how the instance is scaled.  Every step is exact, and the
-coefficient exponents read the coefficients alone, so equal
-coefficients still share one factorization.  The root of an eta lift
-holds blocks that are the exact eta-conjugate transposes of others
-(:func:`_mirrors`); each such pair is shifted alike, so the root stays
-a mirror, and its rank list takes the grids its work marks as mirrors
-at their twins' ranks (:func:`_rank_list`).
+Before any lift, :func:`check` and :func:`solve` equilibrate the
+caller's instance by powers of two (:func:`_equilibrated`): each
+equation and its coefficient factors by one, then every right side by
+one more, so the data are in range and a verdict cannot depend on how
+the instance is scaled.  Every step is exact, and the coefficient
+exponents read the coefficients alone, so equal coefficients still
+share one factorization.  An eta lift then doubles the scaled blocks,
+so its root is an exact mirror, and its rank list takes the grids its
+work marks as a :class:`Mirror` at their twins' ranks
+(:func:`_rank_list`).
 
 A work gives its certificates as data, and this module alone decides
 them.  Its ``compat_terms()`` and ``mp_terms()`` give the ``(name,
@@ -71,7 +70,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..decomp import Mirror, ranks
+from ..decomp import ranks
 from ..qmatrix import DimensionError, QMatrix, Zero, named_dims, rand_qmatrix
 
 # Absolute truncation floor for pseudoinverses and ranks inside solver
@@ -595,53 +594,26 @@ def times_pow2(m, s: int):
     return m * 2.0 ** s
 
 
-def _mirrors(cls) -> dict:
-    """The blocks of the root that ``cls`` lifts onto which its last
-    lift names as the ``^eta*`` of another root block, each mapped to
-    that block (``{"B1": "A1", ...}``); empty for a type that is not
-    lifted or whose last lift doubles nothing.  The lift writes each
-    such block as the exact eta-conjugate transpose of its twin."""
-    if cls.LIFT is None:
-        return {}
-    target, slots, _ = cls.LIFT
-    if target.WORK is None:
-        return _mirrors(target)
-    plain = {own: k for k, own in slots.items() if not own.endswith(ETA_STAR)}
-    return {k: plain[own[:-len(ETA_STAR)]] for k, own in slots.items()
-            if own.endswith(ETA_STAR) and own[:-len(ETA_STAR)] in plain}
-
-
-def _equilibrated(root, exps=None, mirrors=None):
-    """``root`` scaled by powers of two, and the exponent k of its
-    right sides' scale 2^k.  ``exps`` holds the :func:`max_exponents` of
-    the blocks of ``root`` by name when they are known already;
-    ``mirrors`` are the root's mirrored blocks (:func:`_mirrors`).
+def _equilibrated(inst, exps: dict):
+    """``inst`` scaled by powers of two, and the exponent k of its right
+    sides' scale 2^k.  ``exps`` holds the :func:`max_exponents` of its
+    blocks by name (from ``require()``).
 
     Each equation of ``TERMS`` is multiplied by 2^-e, e the largest of
     the ``max_exponents`` of its terms' coefficient factors (each term's
-    left factor, or its right one if it has no left); no factor serves
-    two equations.  A term ``E W E^eta*`` whose right factor mirrors its
-    left one counts twice the exponent of E, the equation's e is rounded
-    up to even, and both factors are multiplied by 2^(-e/2), so the pair
-    stays an exact mirror; mirrored blocks of different equations have
-    equal exponents, so equal shifts, already.  Then every right side is
-    divided by 2^k, k from their largest entry, so the largest is in
-    [1/2, 1).  Each right side takes its two factors in one multiply,
-    and a block whose exponent is 0 is not multiplied.  Every step is
-    exact, and the coefficient exponents read the coefficients alone."""
-    mirrors = mirrors or {}
-    # each term's factor and, for E W E^eta*, the mirror shifted with it
-    factors = {rhs: [(left or right,
-                      right if left and mirrors.get(right) == left else None)
-                     for left, _, right, _ in terms]
-               for rhs, terms in root.TERMS.items()}
-    if exps is None:
-        names = [n for rhs, fs in factors.items()
-                 for n in (rhs, *(f for f, _ in fs))]
-        exps = dict(zip(names, max_exponents([getattr(root, n)
-                                              for n in names])))
+    left factor, or its right one if it has no left).  A term
+    ``E W E^eta*`` counts twice the exponent of E, the equation's e is
+    rounded up to even, and E is multiplied by 2^(-e/2), so E^eta*
+    takes the same shift.  Then every right side is divided by 2^k, k
+    from their largest entry, so the largest is in [1/2, 1).  Each right
+    side takes its two factors in one multiply, and a block whose
+    exponent is 0 is not multiplied.  Every step is exact, and the
+    coefficient exponents read the coefficients alone."""
     shifts, rhs_exps = {}, []
-    for rhs, fs in factors.items():
+    for rhs, terms in inst.TERMS.items():
+        # each term's factor, and whether it is E of E W E^eta*
+        fs = [(left or right, right == f"{left}{ETA_STAR}")
+              for left, _, right, _ in terms]
         e = max(((2 if pair else 1) * exps[n] for n, pair in fs
                  if exps[n] is not None), default=0)
         if any(pair for _, pair in fs):
@@ -649,40 +621,37 @@ def _equilibrated(root, exps=None, mirrors=None):
         shifts[rhs] = -e
         for n, pair in fs:
             shifts[n] = -e // 2 if pair else -e
-            if pair:
-                shifts[pair] = shifts[n]
         if exps[rhs] is not None:
             rhs_exps.append(exps[rhs] - e)
     k = max(rhs_exps, default=0)
-    for rhs in factors:
+    for rhs in inst.TERMS:
         shifts[rhs] -= k
-    return root._replaced({n: times_pow2(getattr(root, n), s)
+    return inst._replaced({n: times_pow2(getattr(inst, n), s)
                            for n, s in shifts.items() if s}), k
 
 
 def _root_work(inst, keep=None, factors=None):
-    """The work of the equilibrated instance ``inst`` lifts onto.
+    """The work of the instance the equilibrated ``inst`` lifts onto.
 
     On entry it copies the blocks of ``inst``; the copy, the maps back
-    through the lifts and the exponent k of the root's right sides'
-    scale are held on the work as ``work.caller``, ``work.maps`` and
-    ``work.k``, and whether the last lift doubles the root into exact
-    mirror pairs as ``work.mirrored``.  Given ``keep``, an instance
-    with the coefficients of ``inst`` that no caller holds, the copy
-    shares its coefficients and the work is only the right-side pass
-    over ``factors``.  One scan (``require()``) checks the blocks and
-    gives their exponents, which equilibrate a root that is not
-    lifted."""
+    through the lifts and the exponent k of the right sides' scale are
+    held on the work as ``work.caller``, ``work.maps`` and ``work.k``.
+    Given ``keep``, an instance with the coefficients of ``inst`` that
+    no caller holds, the copy shares its coefficients and the work is
+    only the right-side pass over ``factors``.  One scan
+    (``require()``) checks the blocks and gives the exponents that
+    equilibrate the copy, before any lift.  The lift then writes each
+    doubled block of an eta type from its scaled twin, so its root is an
+    exact mirror, which the work records as ``work.mirrored``."""
     exps = inst.require()
     names = inst.block_names() if keep is None else inst.rhs_names()
     caller = (inst if keep is None else keep)._replaced(
         {n: getattr(inst, n).copy() for n in names})
-    root, maps = _reduced(caller)
-    mirrors = _mirrors(type(inst))
-    scaled, k = _equilibrated(root, None if maps else exps, mirrors)
-    work = scaled.WORK(scaled, factors)
+    scaled, k = _equilibrated(caller, exps)
+    root, maps = _reduced(scaled)
+    work = root.WORK(root, factors)
     work.caller, work.maps, work.k = caller, maps, k
-    work.mirrored = bool(mirrors)
+    work.mirrored = bool(type(inst).ETA_HERMITIAN)
     return work
 
 
@@ -714,6 +683,23 @@ def _residual_lists(work, tol: float) -> tuple:
                   for name, r in terms] for terms in norms)
 
 
+class Mirror:
+    """A block grid ``grid`` that is the eta-conjugate transpose of the
+    grid ``twin``, up to an order and signs of its block rows and
+    columns, as a work's rank terms mark it: on the root of an eta lift
+    it has the singular values of ``twin`` in exact arithmetic.
+    Iterating it iterates ``grid``.  (A plain class: a dataclass would
+    cost about 0.4 ms at import.)"""
+
+    __slots__ = ("grid", "twin")
+
+    def __init__(self, grid, twin):
+        self.grid, self.twin = grid, twin
+
+    def __iter__(self):
+        return iter(self.grid)
+
+
 def _rank_list(work) -> list:
     """The rank list of a work: one ``RankCondition`` per entry ``(name,
     grid, rhs)`` of its ``rank_terms()`` that is not vacuous, comparing
@@ -721,22 +707,22 @@ def _rank_list(work) -> list:
     known ranks (ints) and coefficient-only panel grids.  Every grid is
     ranked in one :func:`.decomp.ranks` call at ``factors.floor``; the
     panel grids only on the first list of a factorization, whose panel
-    ranks are held, in order, as ``factors.panels``.  A grid a work
-    marks as a :class:`.decomp.Mirror` takes its twin's rank on a
-    mirrored root (``work.mirrored``) and is ranked as its ``grid`` on
-    any other."""
+    ranks are held, in order, as ``factors.panels``.  A :class:`Mirror`
+    takes its twin's rank (the same object's), with no SVD, on a
+    mirrored root (``work.mirrored``), and is ranked as its ``grid`` on
+    any other; none reaches :func:`.decomp.ranks`."""
     terms = [t for t in work.rank_terms() if not _vacuous(t)]
-    if not work.mirrored:
-        plain = lambda x: x.grid if isinstance(x, Mirror) else x
-        terms = [(name, plain(grid), tuple(map(plain, rhs)))
-                 for name, grid, rhs in terms]
     k = work.factors
     panels = getattr(k, "panels", None)
     grids = [grid for _, grid, _ in terms]
     if panels is None:
         grids += [x for _, _, rhs in terms for x in rhs
                   if not isinstance(x, int)]
-    got = ranks(grids, k.floor)
+    if not work.mirrored:
+        grids = [g.grid if isinstance(g, Mirror) else g for g in grids]
+    ranked = [g for g in grids if not isinstance(g, Mirror)]
+    got = dict(zip(map(id, ranked), ranks(ranked, k.floor)))
+    got = [got[id(g.twin if isinstance(g, Mirror) else g)] for g in grids]
     if panels is None:
         panels = k.panels = got[len(terms):]
     held = iter(panels)

@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..decomp import Mirror, SubGrid, pinv
+from ..decomp import SubGrid, pinv
 from ..qmatrix import QMatrix, hstack, vstack
 from .basic import PairKernel
-from .families import FreeParam, ShapedInstance, cascade_floor
+from .families import FreeParam, Mirror, ShapedInstance, cascade_floor
 from .two_term import TwoTermKernel
 
 # the free parameters of the master family, in order
@@ -138,8 +138,9 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     the eta-conjugate transpose of the right form of the same unknown.
     So R(9-n) mirrors R(n), n = 1..4, with its two panels swapped, and
     R9 mirrors itself: the grids of R5-R8 are marked as
-    :class:`.decomp.Mirror` s of those of R4-R1, and R8's right panel
-    as the mirror of R1's left one.
+    :class:`.families.Mirror` s of those of R4-R1, and the right panel
+    of R(n), n = 1..8, as the mirror of R(9-n)'s left one.  The marks
+    wrap the sub-grids, so no sub-grid's ``full`` is a mirror.
     """
     u = ((e[0],), a[0], (c[0],))
     v = ((d[0],), b[0], (f[0],))
@@ -172,7 +173,8 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     for n in range(7):
         panels[n + 1][0] = SubGrid(panels[n + 1][0], panels[0][0], 1)
         panels[n][1] = SubGrid(panels[n][1], panels[7][1], 0)
-    panels[7][1] = Mirror(panels[7][1], panels[0][0])
+    for n in range(8):
+        panels[n][1] = Mirror(panels[n][1], panels[7 - n][0])
     full = [_bordered(ks, lefts + rights) for ks, lefts, rights in grids]
     full[4:8] = [Mirror(g, full[3 - n]) for n, g in enumerate(full[4:8])]
     return [(f"R{n}", grid, tuple(pair))
@@ -323,7 +325,7 @@ class _MasterWork:
         """The two rank terms of each side equation, then R1-R9
         (:func:`block_rank_terms`).  On the root of an eta lift, V's
         equation is the mirror of U's and X B_i = D_i of A_i X = C_i: each
-        r(D;B) grid is marked as the :class:`.decomp.Mirror` of the
+        r(D;B) grid is marked as the :class:`.families.Mirror` of the
         r(C,A) grid of U for V's, and of its own pair's for X, Y, Z."""
         blocks = [[getattr(self.inst, f"{x}{i}") for i in (1, 2, 3, 4)]
                   for x in "ABCDEF"]

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..decomp import Mirror, pinv
-from .families import FreeParam, ShapedInstance, cascade_floor
+from ..decomp import pinv
+from .families import FreeParam, Mirror, ShapedInstance, cascade_floor
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class _TwoTermWork:
         E1 eta-Hermitian, as on the root of the eta-two lift, the second
         and fourth grids, and the second's panel, are the eta-conjugate
         transposes of the first and third: they are marked as their
-        :class:`.decomp.Mirror` s."""
+        :class:`.families.Mirror` s."""
         k, inst = self.factors, self.inst
         c3, d3, c4, d4, e1 = inst.C3, inst.D3, inst.C4, inst.D4, inst.E1
         first, panel = [[c3, e1, c4]], [[c3, c4]]

@@ -16,7 +16,7 @@ from qsylv import (Inconsistent, QMatrix, check_master, documents as docs,
                    solve_mixed_system, solve_pair, solve_right,
                    solve_three_term_system, solve_two_term, symmetrize)
 from qsylv.cli import main as cli_main
-from qsylv.decomp import _embedded_svdvals, default_rank_tol
+from qsylv.decomp import _embedding, _svdvals, default_rank_tol
 from qsylv.harness import (VARIANT_TABLE, DimensionProfile, gen_consistent,
                            gen_planted, gen_unsolvable)
 
@@ -102,7 +102,7 @@ def test_criterion_3_penrose_suite():
             (b.proj_left @ b.proj_left - b.proj_left).norm(),
             (b.proj_right @ b.proj_right - b.proj_right).norm()) / scale
         worst = max(worst, defect)
-        s = _embedded_svdvals(a)
+        s = _svdvals(_embedding(a))
         erank = int((s > default_rank_tol(m, n, float(s[0]))).sum())
         even = even and erank % 2 == 0 and erank == 2 * b.rank
     ok = worst <= 1e-10 and even

@@ -77,7 +77,7 @@ def penrose_defect(a, bundle):
 
 
 def test_penrose_identities_batch(rng, rand_q):
-    from qsylv.decomp import _embedded_svdvals
+    from qsylv.decomp import _embedding, _svdvals
     for trial in range(60):
         m, n = rng.integers(1, 9, 2)
         if trial % 3 == 0:
@@ -87,7 +87,7 @@ def test_penrose_identities_batch(rng, rand_q):
             a = rand_q(int(m), int(n))
         bundle = pinv(a)
         assert penrose_defect(a, bundle) <= 1e-10 * (1.0 + a.norm())
-        s = _embedded_svdvals(a)
+        s = _svdvals(_embedding(a))
         embedded_rank = int((s > default_rank_tol(a.rows, a.cols,
                                                   float(s[0]))).sum())
         assert embedded_rank % 2 == 0

@@ -1,6 +1,6 @@
-"""One zero rule: ``check`` and ``solve`` equilibrate each root by
-powers of two, and test every compatibility and residual condition at
-``tol`` on the equilibrated data.
+"""One zero rule: ``check`` and ``solve`` equilibrate the caller's
+instance by powers of two before any lift, and test every compatibility
+and residual condition at ``tol`` on the equilibrated root.
 
 Scaling the right sides by a power of two changes nothing but the
 scale of the solutions and of the free parameters, bit for bit.
@@ -8,8 +8,8 @@ Scaling the right sides, or whole equations, by any t in [1e-300,
 1e300] leaves the verdict and ``forms_agree`` as they are; in an
 equation of an eta system, the factor E of a term ``E W E^eta*`` takes
 sqrt(t).
-Per-equation scaling is valid because no root uses one coefficient
-factor in two equations.
+Per-equation scaling is valid because no variant and no root uses one
+coefficient factor in two equations.
 """
 
 import math
@@ -19,13 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsylv.harness import VARIANTS, gen_planted, gen_unsolvable
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
+                           gen_unsolvable)
 from qsylv.qmatrix import Zero
+from qsylv.solvers import families
 from qsylv.solvers.families import (Inconsistent, _equilibrated, _reduced,
                                     check, solve)
 
 from tests.test_decision import _scaled as _scaled_rhs
-from tests.test_shared_work import _planes
+from tests.test_shared_work import _evict, _planes
 
 TOL = 1e-9
 POW2_EXPONENTS = (-900, -301, -1, 1, 37, 512, 900)
@@ -44,6 +46,14 @@ def _scaled_equations(inst, t, rhs_names):
                                     else t)
     return replace(inst, **{n: getattr(inst, n) * f
                             for n, f in scale.items()})
+
+
+def _equilibrated_root(inst):
+    """The root of ``inst`` as ``check`` builds it, and k: ``inst``
+    equilibrated at the exponents of its ``require()`` scan, then
+    lifted."""
+    scaled, k = _equilibrated(inst, inst.require())
+    return _reduced(scaled)[0], k
 
 
 def _outcome(inst):
@@ -65,15 +75,41 @@ def test_every_variant_reaches_one_of_three_roots():
                                 "TwoTermInstance"]
 
 
-@pytest.mark.parametrize("root", sorted(_roots()))
-def test_no_root_uses_a_coefficient_factor_in_two_equations(root):
-    cls = _roots()[root]
+def _one_equation_per_factor(cls):
     seen = {}
     for rhs, terms in cls.TERMS.items():
         for left, _, right, _ in terms:
             factor = left or right
             assert factor in cls.coefficient_names()
             assert seen.setdefault(factor, rhs) == rhs, factor
+
+
+@pytest.mark.parametrize("root", sorted(_roots()))
+def test_no_root_uses_a_coefficient_factor_in_two_equations(root):
+    _one_equation_per_factor(_roots()[root])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_variant_uses_a_coefficient_factor_in_two_equations(variant):
+    # the equilibration scales the caller's own equations
+    _one_equation_per_factor(VARIANT_TABLE[variant].instance_type)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_cold_check_scans_the_blocks_once(variant, monkeypatch):
+    """The exponents of ``require()``'s scan equilibrate the caller's
+    instance, so a lifted one is not scanned again after its lift."""
+    inst, _ = gen_planted(variant, 2, 0, "j")
+    _evict()
+    calls, scan = [], families.max_exponents
+
+    def counted(mats):
+        calls.append(len(mats))
+        return scan(mats)
+
+    monkeypatch.setattr(families, "max_exponents", counted)
+    check(inst, TOL)
+    assert calls == [len(inst.block_names())]
 
 
 def test_a_free_zero_times_a_scalar_is_the_zero():
@@ -87,7 +123,7 @@ def test_power_of_two_right_sides_change_only_the_solution_scale(variant):
         planted, _ = gen_planted(variant, size, 0, "j")
         twin = gen_unsolvable(variant, size, 0, "j")
         base = {"planted": planted, "twin": twin}
-        root = {k: _planes(_equilibrated(_reduced(v)[0])[0].blocks())
+        root = {k: _planes(_equilibrated_root(v)[0].blocks())
                 for k, v in base.items()}
         report = {k: repr(check(v, TOL).to_dict()) for k, v in base.items()}
         family = solve(planted, TOL)
@@ -98,8 +134,8 @@ def test_power_of_two_right_sides_change_only_the_solution_scale(variant):
         for s in POW2_EXPONENTS:
             for kind, inst in base.items():
                 scaled = _scaled_rhs(inst, 2.0 ** s)
-                assert _planes(_equilibrated(
-                    _reduced(scaled)[0])[0].blocks()) == root[kind]
+                assert _planes(_equilibrated_root(
+                    scaled)[0].blocks()) == root[kind]
                 assert repr(check(scaled, TOL).to_dict()) == report[kind]
             res = solve(_scaled_rhs(planted, 2.0 ** s), TOL)
             want = _planes(m * 2.0 ** s for m in particular)
@@ -128,8 +164,8 @@ def test_right_side_scale_leaves_the_verdict(variant, exponent, seed, twin):
        twin=st.booleans(), data=st.data())
 def test_equation_scale_leaves_the_verdict(variant, exponent, seed, twin,
                                            data):
-    # an eta lift keeps E and E^eta* alike (families._equilibrated), so
-    # its root stays a mirror under this scaling too
+    # E and E^eta* take one shift (families._equilibrated), and the lift
+    # doubles the scaled blocks, so an eta root stays a mirror
     inst = (gen_unsolvable(variant, 2, seed, "j") if twin
             else gen_planted(variant, 2, seed, "j")[0])
     names = inst.rhs_names()
@@ -142,7 +178,7 @@ def test_equation_scale_leaves_the_verdict(variant, exponent, seed, twin,
 def test_the_largest_equilibrated_right_side_entry_is_in_half_one():
     inst, _ = gen_planted("master", 2, 0)
     for t in (1e-300, 1.0, 3e300):
-        root, k = _equilibrated(_reduced(_scaled_rhs(inst, t))[0])
+        root, k = _equilibrated_root(_scaled_rhs(inst, t))
         top = max(abs(p).max() for n in root.rhs_names()
                   for p in getattr(root, n).components())
         assert 0.5 <= top < 1.0

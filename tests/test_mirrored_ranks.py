@@ -3,29 +3,33 @@
 The eta lifts double a system: eta-full, eta-three and eta-mixed onto
 the master system with B_i = A_i^eta*, D_i = C_i^eta* and F_i =
 E_i^eta*, eta-two onto two-term with D3 = C3^eta* and D4 = C4^eta*.
-Equilibration shifts each such pair alike, so the root stays an exact
-mirror, and the rank list takes each grid marked as a
-``decomp.Mirror`` (master's side r(D;B) grids, R5-R8 and R8's right
-panel; two-term's second and fourth grids and the second's panel) at
-its twin's rank, without an SVD.  The reports must equal those of
-ranking every grid directly, the mirrored blocks must stay bit-exact
-mirrors through equilibration, a root that is no mirror must keep its
-shifts, and no marked grid may reach the rank helper.
+The caller's instance is equilibrated before the lift, which writes
+each doubled block from its scaled twin, so the root is an exact
+mirror.  The works mark grids as ``families.Mirror`` s (master's side
+r(D;B) grids, R5-R8 and the right panels of R1-R8; two-term's second
+and fourth grids and the second's panel), and on such a root
+``families._rank_list`` gives each its twin's rank, without an SVD; no
+mirror reaches ``decomp.ranks``.  The reports must equal those of
+ranking every grid directly, also on degenerate shapes, the doubled
+blocks must stay bit-exact mirrors through equilibration, and a root
+that is no mirror must keep its shifts.
 """
 
-import math
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qsylv import decomp
-from qsylv.decomp import Mirror, SubGrid
-from qsylv.harness import gen_planted, gen_unsolvable
+from qsylv.decomp import SubGrid
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, _planted, gen_planted,
+                           gen_unsolvable)
 from qsylv.qmatrix import rand_qmatrix
 from qsylv.solvers import families
-from qsylv.solvers.families import _mirrors, _reduced, max_exponents
+from qsylv.solvers.families import (ETA_STAR, Mirror, _rank_list, _reduced,
+                                    max_exponents)
 
 from tests.test_equilibration import _scaled_equations
 from tests.test_nested_panels import _direct, _svd_calls
@@ -58,6 +62,27 @@ def _instances(variant):
                            _scaled(variant, inst, scale))
 
 
+def _degenerate(variant, count=12):
+    """Planted instances whose named dimensions are each drawn from
+    {0, 1, 2, 3}, so blocks, whole equations and twins can be empty, and
+    each with an eta-Hermitian perturbation of its coupling right
+    side."""
+    cls = VARIANT_TABLE[variant].instance_type
+    names = sorted(VARIANT_TABLE[variant].dims(1))
+    rng = np.random.default_rng(43)
+    for seed in range(count):
+        dims = dict(zip(names, (int(d) for d in rng.integers(0, 4,
+                                                             len(names)))))
+        eta = "ijk"[seed % 3]
+        inst, _ = _planted(cls, dims, seed, eta)
+        rhs = cls.rhs_names()[-1]
+        c = getattr(inst, rhs)
+        r = rand_qmatrix(rng, *c.shape)
+        twin = replace(inst, **{rhs: c + r + r.eta_conj_transpose(eta)})
+        yield f"degenerate {dims} {eta}", inst
+        yield f"degenerate {dims} {eta} perturbed", twin
+
+
 def _with_defect(inst, seed, rel):
     """``inst`` with an anti-eta-Hermitian defect of ``rel`` times the
     norm of its coupling right side added to it."""
@@ -82,9 +107,23 @@ def _compare(cases):
 
 @pytest.mark.parametrize("variant", ETA_VARIANTS)
 def test_mirrored_ranks_equal_direct_ones(variant):
-    reports = _compare(list(_instances(variant)))
+    reports = _compare(list(_instances(variant)) + list(_degenerate(variant)))
     assert any(not r["consistent"] for r in reports)
     assert any(r["consistent"] for r in reports)
+
+
+def test_a_cold_size_one_eta_full_check_reads_the_right_panels_off_mirrors(
+        monkeypatch):
+    """At size 1 interlacing settles no panel, so every panel is ranked
+    directly: the right panels of R1-R8, which mirror the left ones of
+    R8-R1, take their twins' ranks instead (26 rank SVDs when they were
+    ranked, 35 when every grid is)."""
+    inst, _ = gen_planted("eta-full", 1, 0, "j")
+    shapes = _svd_calls(monkeypatch)
+    mirrored = _cold(inst, shapes)
+    assert mirrored[1] == 19
+    _direct(monkeypatch)
+    assert _cold(inst, shapes) == (mirrored[0], 35)
 
 
 def test_an_accepted_coupling_defect_leaves_the_mirrors_equal():
@@ -112,10 +151,26 @@ def _root(inst):
     return work.inst, work
 
 
+def _doubled(cls) -> dict:
+    """The blocks of the root ``cls`` lifts onto that its last lift
+    writes as the eta-conjugate transpose of another root block, each
+    mapped to that block (``{"B1": "A1", ...}``), read off the ``LIFT``
+    tables; empty for a type that is not lifted or whose last lift
+    doubles nothing."""
+    if cls.LIFT is None:
+        return {}
+    while cls.LIFT[0].WORK is None:
+        cls = cls.LIFT[0]
+    slots = cls.LIFT[1]
+    plain = {own: k for k, own in slots.items() if not own.endswith(ETA_STAR)}
+    return {k: plain[own.removesuffix(ETA_STAR)] for k, own in slots.items()
+            if own.endswith(ETA_STAR)}
+
+
 @pytest.mark.parametrize("variant", ETA_VARIANTS)
 @pytest.mark.parametrize("eta", ["i", "j", "k"])
 def test_the_mirror_survives_equilibration(variant, eta):
-    mirrors = _mirrors(type(gen_planted(variant, 1, 0, eta)[0]))
+    mirrors = _doubled(VARIANT_TABLE[variant].instance_type)
     assert len(mirrors) == (2 if variant == "eta-two" else 12)
     for size in (1, 2, 3):
         planted, _ = gen_planted(variant, size, 0, eta)
@@ -164,59 +219,91 @@ def test_a_root_that_is_no_mirror_keeps_its_shifts():
     assert _shifts(inst) == ({"C3": -2, "C4": -2, "E1": 20}, -22)
 
 
+def _work(terms, mirrored):
+    """A work with these rank terms and no panel ranks held yet."""
+    return SimpleNamespace(rank_terms=lambda: terms, mirrored=mirrored,
+                           factors=SimpleNamespace(floor=0.0))
+
+
+def _lists(terms, monkeypatch):
+    """The (lhs, rhs) pairs of ``terms`` and the rank SVD count, on a
+    mirrored root and on one that is no mirror."""
+    shapes = _svd_calls(monkeypatch)
+    out = []
+    for mirrored in (True, False):
+        shapes.clear()
+        got = _rank_list(_work(terms, mirrored))
+        out.append(([(c.lhs, c.rhs) for c in got], len(shapes)))
+    return out
+
+
 def test_a_mirror_takes_its_twins_rank_without_an_svd(rand_q, monkeypatch):
-    a = rand_q(5, 3)
-    twin = [[a]]
-    mirror = Mirror([[a.eta_conj_transpose("j")]], twin)
-    shapes = _svd_calls(monkeypatch)
-    assert decomp.ranks([twin, mirror], 0.0) == [3, 3]
-    assert len(shapes) == 1
-    # a twin that is not in the list leaves the mirror to be ranked
-    shapes.clear()
-    assert decomp.ranks([mirror, [[rand_q(2, 2)]]], 0.0) == [3, 2]
-    assert len(shapes) == 2
+    a, b = rand_q(5, 3), rand_q(4, 2)
+    twin, panel = [[a]], [[b]]
+    terms = [("twin", twin, (panel,)),
+             ("mirror", Mirror([[a.eta_conj_transpose("j")]], twin),
+              (Mirror([[b.eta_conj_transpose("j")]], panel),))]
+    # a root that is no mirror ranks each mirror as its grid
+    assert _lists(terms, monkeypatch) == [([(3, 2), (3, 2)], 2),
+                                          ([(3, 2), (3, 2)], 4)]
 
 
-def test_a_mirrored_full_grid_lends_its_margin(rand_q, monkeypatch):
-    """Row sub-grids of a mirrored full grid are read off its twin's
-    singular values, with the twin's columns as the mirror's rows."""
+def test_a_mirrored_sub_grid_takes_its_twins_rank(rand_q, monkeypatch):
+    """A right panel is marked around its sub-grid, whose ``full`` is
+    the plain right full panel: on a mirrored root both take their
+    twins' ranks, and on any other the sub-grid is read off its full
+    panel by interlacing."""
     a, b = rand_q(7, 2), rand_q(7, 3)
-    full = [[a.eta_conj_transpose("i")], [b.eta_conj_transpose("i")]]
-    twin = [[a, b]]
-    grids = [twin, Mirror(full, twin), SubGrid([full[0]], full, 0),
-             SubGrid([full[1]], full, 0)]
-    shapes = _svd_calls(monkeypatch)
-    assert decomp.ranks(grids, 0.0) == [5, 5, 2, 3]
-    assert len(shapes) == 1
-    monkeypatch.setattr(decomp, "_SUBGRID_MARGIN", math.inf)
-    shapes.clear()
-    assert decomp.ranks(grids, 0.0) == [5, 5, 2, 3]
-    assert len(shapes) == 3
+    star = lambda m: m.eta_conj_transpose("i")
+    left, right = [[a, b]], [[star(a)], [star(b)]]
+    left_sub = SubGrid([[a]], left, 1)
+    right_sub = Mirror(SubGrid([[star(a)]], right, 0), left_sub)
+    panels = (left, left_sub, Mirror(right, left), right_sub)
+    terms = [("panels", [[rand_q(2, 2)]], panels)]
+    assert _lists(terms, monkeypatch) == [([(2, 5 + 2 + 5 + 2)], 2),
+                                          ([(2, 5 + 2 + 5 + 2)], 3)]
 
 
-def test_no_mirror_reaches_the_helper(rand_q, monkeypatch):
-    """With every gate open the helper ranks the largest grid that is
-    no mirror; a mirror is never embedded, even one laid out larger than
-    every other grid, and takes its twin's rank once the helper is
-    joined."""
-    small, twin = [[rand_q(2, 2)]], [[rand_q(6, 4)]]
-    mirror = Mirror([[rand_q(9, 9)]], twin)
+def test_no_mirror_reaches_the_helper(monkeypatch):
+    """``decomp.ranks``, which alone starts the helper, never receives a
+    mirror: with every gate open, a cold check of every variant hands it
+    plain grids and sub-grids only, though the works it reaches mark
+    mirrors."""
+    ranks, calls = families.ranks, []
+
+    def recorded(grids, floor):
+        calls.append(list(grids))
+        return ranks(grids, floor)
+
+    monkeypatch.setattr(families, "ranks", recorded)
     _gates(monkeypatch)
     threads, svdvals = [], decomp._svdvals
 
-    def recorded(m):
-        threads.append((threading.current_thread().name, m.shape))
+    def values(m):
+        threads.append(threading.current_thread().name)
         return svdvals(m)
 
-    monkeypatch.setattr(decomp, "_svdvals", recorded)
-    assert decomp.ranks([small, mirror, twin], 0.0) == [2, 4, 4]
-    assert sorted(threads) == [("MainThread", (4, 4)),
-                               ("qsylv-rank", (12, 8))]
+    monkeypatch.setattr(decomp, "_svdvals", values)
+    for variant in VARIANTS:
+        inst, _ = gen_planted(variant, 2, 0, "k")
+        calls.clear()
+        _, work = _root(inst)
+        assert calls and not any(isinstance(g, Mirror)
+                                 for grids in calls for g in grids), variant
+        terms = [x for _, grid, rhs in work.rank_terms()
+                 for x in (grid, *rhs)]
+        # the master and two-term works mark mirrors on every root
+        assert any(isinstance(x, Mirror) for x in terms) == (
+            variant != "pair"), variant
+    assert "qsylv-rank" in threads
+    assert not hasattr(decomp, "Mirror")
 
 
 def test_a_lift_without_mirrors_marks_nothing():
-    for variant in ("master", "five-term", "three-term", "mixed",
-                    "two-term", "pair"):
+    """A root is mirrored exactly when the caller's type has eta-Hermitian
+    unknowns, which is exactly when its last lift doubles blocks."""
+    for variant in VARIANTS:
         inst, _ = gen_planted(variant, 2, 0)
-        assert _mirrors(type(inst)) == {}
-        assert not _root(inst)[1].mirrored
+        mirrored = variant in ETA_VARIANTS
+        assert bool(_doubled(type(inst))) == mirrored, variant
+        assert _root(inst)[1].mirrored == mirrored, variant

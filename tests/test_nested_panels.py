@@ -19,9 +19,10 @@ import pytest
 
 import qsylv
 from qsylv import QMatrix, decomp
-from qsylv.decomp import Mirror, SubGrid
+from qsylv.decomp import SubGrid
 from qsylv.harness import gen_planted, gen_unsolvable
 from qsylv.solvers import families
+from qsylv.solvers.families import Mirror
 from qsylv.solvers.master import MasterInstance
 
 from tests.test_rank_helper import _gates
@@ -44,15 +45,22 @@ def _svd_calls(monkeypatch):
 
 
 def _direct(monkeypatch):
-    """Rank every panel directly: each SubGrid and Mirror as its own
-    grid."""
-    ranks = families.ranks
+    """Rank every panel directly: each SubGrid as its own grid, and
+    each Mirror too, as on a root that is no mirror (``work.mirrored``
+    off)."""
+    ranks, root_work = families.ranks, families._root_work
 
     def direct(grids, floor):
-        return ranks([g.grid if isinstance(g, (SubGrid, Mirror)) else g
+        return ranks([g.grid if isinstance(g, SubGrid) else g
                       for g in grids], floor)
 
+    def unmirrored(*args):
+        work = root_work(*args)
+        work.mirrored = False
+        return work
+
     monkeypatch.setattr(families, "ranks", direct)
+    monkeypatch.setattr(families, "_root_work", unmirrored)
 
 
 def _cold(inst, shapes):
@@ -105,7 +113,10 @@ def test_every_nested_panel_is_a_block_sub_grid_of_its_full_panel():
     _evict()
     qsylv.check_master(inst)
     terms = families._SLOT[0].rank_terms()
-    subs = [x for _, _, rhs in terms for x in rhs if isinstance(x, SubGrid)]
+    # the right panels are marked as mirrors around their sub-grids
+    plain = lambda x: x.grid if isinstance(x, Mirror) else x
+    subs = [plain(x) for _, _, rhs in terms for x in rhs
+            if isinstance(plain(x), SubGrid)]
     fulls = {id(s.full) for s in subs}
     assert len(subs) == 14 and len(fulls) == 2
     for sub in subs:

@@ -126,7 +126,8 @@ def test_eta_full_hits_through_the_lift(monkeypatch):
     assert report.consistent
     # master's 21 less 9 read off mirrors: the r(D;B) grid of each of
     # the four side pairs, R5-R8, and R8's right panel (17 grids and 4
-    # full panels, less 8 and 1)
+    # full panels, less 8 and 1); the right panels of R1-R7, which
+    # interlacing reads off R8's on master, are mirrors here
     assert counter.take() == (0, 12)
 
 
