@@ -23,6 +23,14 @@ while the calling thread ranks the rest.  The gate is where numpy's
 would shut the calling thread out: at 394x392 it keeps a pure-Python
 loop on another thread blocked for the whole call, from 510x510 up it
 does not.  The helper is joined before ``ranks`` returns or raises.
+
+With ``full_first`` set, ``ranks`` first tries to certify each grid it
+would take an SVD of as full rank, by a Cholesky factorization of its
+shifted Gram matrix (:func:`_full_rank`), several times cheaper than
+the SVD.  A certificate proves the smallest singular value so far above
+any cut ``rank`` uses that the SVD would count every value, so the rank
+is the same either way.  The first refusal in a list turns the
+certificate off for the rest of it.
 """
 
 from __future__ import annotations
@@ -159,6 +167,64 @@ def rank(a, tol: float | None = None, floor: float = 0.0) -> int:
     return int(np.count_nonzero(sig > cut))
 
 
+def _full_rank(emb: np.ndarray, floor: float) -> bool:
+    """Whether the embedding ``emb`` is certified to have full rank at
+    ``floor``, by a Cholesky factorization of its shifted Gram matrix
+    (Rump, "Verification of positive definiteness", BIT 46 (2006);
+    Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10).
+
+    Oriented as M, m x n with m <= n, with F = |M|_F^2 read off the
+    trace of the computed M M^*, and s = 2 (m + n + 2)^2 eps F +
+    (``_SUBGRID_MARGIN`` floor)^2, the answer is whether
+    ``cholesky(M M^* - s I)`` succeeds.  Forming M M^* errs by about
+    n eps F in norm, the shift by eps F, and a Cholesky factorization
+    that runs to completion is exact for a matrix within about
+    (m + 1) eps F of its input; so success proves sigma_min(M)^2 >=
+    (m + n + 2)^2 eps F + (16 floor)^2, hence sigma_min(M) >= max((m +
+    n + 2) sqrt(eps F), 16 floor).  The cut of :func:`rank` is at most
+    max(n/2 eps sqrt(F), floor), and a computed singular value errs by
+    at most about n eps sqrt(F); so every computed pair value lies above
+    16 times the cut (``_SUBGRID_MARGIN``), and the SVD would count all
+    min(m, n)/2 of them, as rank and as margin.  A refusal proves
+    nothing: the SVD decides.  Data that are not finite are refused."""
+    m = emb if emb.shape[0] <= emb.shape[1] else emb.conj().T
+    rows, cols = m.shape
+    gram = m @ m.conj().T
+    f = float(gram.trace().real)
+    s = (2.0 * (rows + cols + 2) ** 2 * _EPS * f
+         + (_SUBGRID_MARGIN * floor) ** 2)
+    if not np.isfinite(s):
+        return False
+    gram.flat[:: rows + 1] -= s
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _rank_step(a, floor: float, certify: list, margin: bool = False):
+    """One grid of a :func:`ranks` list, laid out or embedded: its rank
+    at ``floor`` and, with ``margin``, how many of its values lie above
+    ``_SUBGRID_MARGIN`` times its cut (else ``None``).  While
+    ``certify[0]`` is set, :func:`_full_rank` is tried first, and a
+    certified grid takes min(m, n) for both with no SVD; its first
+    refusal clears ``certify[0]``, so the rest of the list is ranked by
+    SVD.  Both threads of ``ranks`` rank through here."""
+    if certify[0]:
+        a = _embedding(a)
+        if _full_rank(a, floor):
+            full = min(a.shape) // 2
+            return full, full
+        certify[0] = False
+    if not margin:
+        # through rank by name, so perfbench/tracer.py files its SVD there
+        return rank(a, floor=floor), None
+    sig, cut = _cut_values(_embedding(a), None, floor)
+    return (int(np.count_nonzero(sig > cut)),
+            int(np.count_nonzero(sig > _SUBGRID_MARGIN * cut)))
+
+
 def _helper_allowed(entries: int) -> bool:
     """Whether :func:`ranks` may rank an embedding of ``entries``
     complex entries on a helper thread: it is at least
@@ -172,7 +238,7 @@ def _helper_allowed(entries: int) -> bool:
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def ranks(grids, floor: float) -> list:
+def ranks(grids, floor: float, full_first: bool = False) -> list:
     """``[rank(g, floor=floor) for g in grids]`` for block grids, each
     laid out once, where a :class:`SubGrid` is ranked as its ``grid``.
 
@@ -190,6 +256,12 @@ def ranks(grids, floor: float) -> list:
     returns or raises, and an error in it is raised here.  Every rank
     taken takes the same SVD of the same embedding either way, so the
     results are the same.
+
+    With ``full_first`` set, every grid that would take an SVD (a plain
+    grid, a ``full`` or the helper's grid) is first offered to
+    :func:`_full_rank`, until its first refusal in the list
+    (:func:`_rank_step`, which both threads rank through).  It moves no
+    rank: a certified grid has the rank and margin its SVD would give.
     """
     items = list(grids)
     index = {id(g): i for i, g in enumerate(items)
@@ -205,13 +277,13 @@ def ranks(grids, floor: float) -> list:
     big = max(sizes, key=sizes.__getitem__, default=None)
     if big is not None and not _helper_allowed(sizes[big]):
         big = None
-    thread, failed = None, []
+    thread, failed, certify = None, [], [full_first]
     if big is not None:
         embedded = embed_block(laid[big])
 
         def helper():
             try:
-                out[big] = rank(embedded, floor=floor)
+                out[big] = _rank_step(embedded, floor, certify)[0]
             except Exception as exc:
                 failed.append(exc)
 
@@ -220,19 +292,16 @@ def ranks(grids, floor: float) -> list:
     try:
         for i, g in enumerate(laid):
             if i in full:
-                sig, cut = _cut_values(embed_block(g), None, floor)
-                out[i] = int(np.count_nonzero(sig > cut))
-                margins[i] = int(np.count_nonzero(
-                    sig > _SUBGRID_MARGIN * cut))
+                out[i], margins[i] = _rank_step(g, floor, certify, True)
             elif i not in parent and i != big:
-                out[i] = rank(g, floor=floor)
+                out[i] = _rank_step(g, floor, certify)[0]
         for i, p in parent.items():
             g, axis = laid[i], items[i].axis
             if p is not None and margins[p] == (laid[p].cols if axis
                                                 else laid[p].rows):
                 out[i] = g.cols if axis else g.rows
             else:
-                out[i] = rank(g, floor=floor)
+                out[i] = _rank_step(g, floor, certify)[0]
     finally:
         if thread is not None:
             thread.join()

@@ -48,7 +48,10 @@ equilibrated data: it takes their norms once per work and holds them on
 it (``work.norms``), so a ``solve`` after a ``check`` on the same
 instance forms none of those products again.  Its ``rank_terms()``
 give the ``(name, grid, rhs)`` of every rank equality r(grid) =
-sum(rhs), and this module alone ranks them (:func:`_rank_list`).  A
+sum(rhs), and this module alone ranks them (:func:`_rank_list`); when
+the compatibility or residual form has failed, each grid is first
+offered to :mod:`.decomp`'s full-rank certificate, which settles the
+same integer as an SVD.  A
 term that holds for every instance of its shapes, as the conditions of
 an equation a lift leaves empty do, is in no list (:func:`_vacuous`).  A
 work also gives its free parameters in order, ``params()``, and its
@@ -700,7 +703,7 @@ class Mirror:
         return iter(self.grid)
 
 
-def _rank_list(work) -> list:
+def _rank_list(work, full_first: bool) -> list:
     """The rank list of a work: one ``RankCondition`` per entry ``(name,
     grid, rhs)`` of its ``rank_terms()`` that is not vacuous, comparing
     the rank of ``grid`` with the sum of ``rhs``, whose entries are
@@ -710,7 +713,12 @@ def _rank_list(work) -> list:
     ranks are held, in order, as ``factors.panels``.  A :class:`Mirror`
     takes its twin's rank (the same object's), with no SVD, on a
     mirrored root (``work.mirrored``), and is ranked as its ``grid`` on
-    any other; none reaches :func:`.decomp.ranks`."""
+    any other; none reaches :func:`.decomp.ranks`.  ``full_first`` is
+    handed to it: a caller sets it when the compatibility or residual
+    form has already failed, where the grids are almost always of full
+    rank.  It only picks how each rank is settled, by a full-rank
+    certificate or an SVD, never its value, so the rank form stays
+    independent of the residual one."""
     terms = [t for t in work.rank_terms() if not _vacuous(t)]
     k = work.factors
     panels = getattr(k, "panels", None)
@@ -721,7 +729,7 @@ def _rank_list(work) -> list:
     if not work.mirrored:
         grids = [g.grid if isinstance(g, Mirror) else g for g in grids]
     ranked = [g for g in grids if not isinstance(g, Mirror)]
-    got = dict(zip(map(id, ranked), ranks(ranked, k.floor)))
+    got = dict(zip(map(id, ranked), ranks(ranked, k.floor, full_first)))
     got = [got[id(g.twin if isinstance(g, Mirror) else g)] for g in grids]
     if panels is None:
         panels = k.panels = got[len(terms):]
@@ -769,10 +777,15 @@ def check(inst, tol: float = DEFAULT_TOL) -> SolvabilityReport:
     and its coefficient factorization with the call before on equal
     coefficients (see :func:`shared_work`).  The norms of the
     compatibility and residual terms are held on the work; the lists are
-    built per call, each term at ``tol``."""
+    built per call, each term at ``tol``.  When a compatibility or
+    residual condition fails, the rank list offers each grid to the
+    full-rank certificate first (:func:`_rank_list`), as the deferred
+    list of :func:`solve`'s ``Inconsistent`` does."""
     require_tol(tol)
     work = shared_work(inst)
-    return SolvabilityReport(*_residual_lists(work, tol), _rank_list(work))
+    compat, mp = _residual_lists(work, tol)
+    passed = all(c.passed for c in compat + mp)
+    return SolvabilityReport(compat, mp, _rank_list(work, not passed))
 
 
 def solve(inst, tol: float = DEFAULT_TOL):
@@ -797,13 +810,14 @@ def solve(inst, tol: float = DEFAULT_TOL):
     work = shared_work(inst)
     maps, k = work.maps, work.k
     compat, mp = _residual_lists(work, tol)
-    held = None
-    if all(c.passed for c in compat + mp):
+    held, passed = None, all(c.passed for c in compat + mp)
+    if passed:
         params = work.params()
         zeros = {p.name: Zero(*p.shape) for p in params}
         held = work.assemble(zeros)
     if held is None or not _backward_stable(work, held, tol):
-        report = SolvabilityReport(compat, mp, lambda: _rank_list(work))
+        report = SolvabilityReport(compat, mp,
+                                   lambda: _rank_list(work, not passed))
         if not report.consistent:
             return Inconsistent(report)
 

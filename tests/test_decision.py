@@ -120,21 +120,33 @@ def test_scaled_master_is_consistent_and_solved():
 
 class _SvdCounter:
     """Counts numpy.linalg.svd calls by compute_uv (True: a pinv bundle,
-    False: a values-only rank evaluation)."""
+    False: a values-only rank evaluation), and apart from them
+    numpy.linalg.cholesky calls: full-rank certificates
+    (``decomp._full_rank``), which nothing else in qsylv takes."""
 
     def __init__(self, monkeypatch):
         self.counts = {True: 0, False: 0}
-        real = np.linalg.svd
+        self.certificates = 0
+        real, cholesky = np.linalg.svd, np.linalg.cholesky
 
         def svd(a, *args, **kwargs):
             self.counts[kwargs.get("compute_uv", True)] += 1
             return real(a, *args, **kwargs)
 
+        def certificate(a, *args, **kwargs):
+            self.certificates += 1
+            return cholesky(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "cholesky", certificate)
 
     def take(self):
         out = (self.counts[True], self.counts[False])
         self.counts = {True: 0, False: 0}
+        return out
+
+    def take_certificates(self) -> int:
+        out, self.certificates = self.certificates, 0
         return out
 
 
@@ -160,12 +172,18 @@ def test_solve_master_svd_counts(monkeypatch):
     res = qsylv.solve_master(unsolvable)
     assert isinstance(res, Inconsistent)
     assert counter.take() == (0, 0)
+    assert counter.take_certificates() == 0
     # the first rank list ranks the 18 coefficient-only panels too: the
-    # 4 full ones by SVD, the 14 nested in them by interlacing
+    # 4 full ones directly, the 14 nested in them by interlacing.  The
+    # residual form has failed, so each of the 21 is first offered to
+    # the full-rank certificate, and every one is certified
     res.report.forms_agree
-    assert counter.take() == (0, 21)
+    assert counter.take() == (0, 0)
+    assert counter.take_certificates() == 21
+    # a planted cube check passes the residual form: SVDs only
     qsylv.check_master(planted)
     assert counter.take() == (0, 17)
+    assert counter.take_certificates() == 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -219,15 +237,16 @@ def test_rank_list_of_a_residual_rejection_is_built_on_first_read(
     check(twin, TOL)
     counter = _SvdCounter(monkeypatch)
     report = check(twin, TOL)
-    _, check_ranks = counter.take()
-    assert check_ranks > 0
+    # each rank is settled by an SVD or by a full-rank certificate
+    check_ranks = (counter.take()[1], counter.take_certificates())
+    assert sum(check_ranks) > 0
     assert not all(c.passed for c in
                    report.compat_conditions + report.mp_conditions)
     res = solve(twin, TOL)
     assert isinstance(res, Inconsistent) and not res.report.consistent
-    assert counter.take()[1] == 0
+    assert (counter.take()[1], counter.take_certificates()) == (0, 0)
     res.report.forms_agree
-    assert counter.take()[1] == check_ranks
+    assert (counter.take()[1], counter.take_certificates()) == check_ranks
     res.report.forms_agree
     assert res.report == report
     assert res.report.to_dict() == report.to_dict()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qsylv import QMatrix, Quaternion, pinv, rank, singular_values
-from qsylv.decomp import default_rank_tol
+from qsylv import QMatrix, Quaternion, decomp, pinv, rank, singular_values
+from qsylv.decomp import SubGrid, default_rank_tol
 from qsylv.qmatrix import Identity, Zero
 from qsylv.qcore import ETAS
 
@@ -184,3 +184,141 @@ def test_rank_block_oracle_random(rng, rand_q):
                                      rand_q(l, n), rand_q(j, k),
                                      rand_q(l, i))
         assert lhs == rhs
+
+
+def _real(rng, rows, cols, values):
+    """A real rows x cols QMatrix with these singular values (at most
+    min(rows, cols) of them, the rest 0)."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    s = np.zeros((rows, cols))
+    s[range(len(values)), range(len(values))] = values
+    zero = np.zeros((rows, cols))
+    return QMatrix(u @ s @ v.T, zero, zero, zero)
+
+
+def _rank_calls(monkeypatch):
+    """``(certificates, svds)``: the full-rank certificates and rank
+    SVDs taken from here on, each as the shape of its embedding."""
+    certificates, svds = [], []
+    full_rank, svdvals = decomp._full_rank, decomp._svdvals
+
+    def certificate(m, floor):
+        certificates.append(m.shape)
+        return full_rank(m, floor)
+
+    def values(m):
+        svds.append(m.shape)
+        return svdvals(m)
+
+    monkeypatch.setattr(decomp, "_full_rank", certificate)
+    monkeypatch.setattr(decomp, "_svdvals", values)
+    return certificates, svds
+
+
+@pytest.mark.parametrize("build, floor, certified", [
+    (lambda r, g: r(5, 2) @ r(2, 4), 0.0, False),    # exactly deficient
+    (lambda r, g: QMatrix.zeros(3, 3), 0.0, False),
+    (lambda r, g: _real(g, 9, 3, [1.0, 0.5, 1e-10]), 0.0, False),
+    (lambda r, g: _real(g, 9, 3, [1.0, 0.5, 0.25]), 0.0, True),
+    (lambda r, g: _real(g, 9, 3, [1.0, 0.5, 0.25]), 0.01, True),
+    # full rank at the floor, but within 16 times it: the SVD decides
+    (lambda r, g: _real(g, 9, 3, [1.0, 0.5, 0.25]), 0.02, False),
+    (lambda r, g: r(4, 4), 0.0, True),
+    (lambda r, g: r(2, 6), 0.0, True),               # wide
+    (lambda r, g: r(6, 2), 0.0, True),               # tall
+    (lambda r, g: r(1, 1, scale=1e-200), 0.0, False),  # the Gram underflows
+    (lambda r, g: QMatrix.zeros(0, 3), 0.0, True),   # empty: rank 0
+    (lambda r, g: QMatrix.zeros(4, 0), 0.0, True),
+    (lambda r, g: QMatrix.zeros(0, 0), 0.0, True),
+])
+def test_full_rank_certificate_agrees_with_rank(build, floor, certified,
+                                                 rand_q, rng, monkeypatch):
+    """A certified grid takes min(m, n) with no SVD; a refused one is
+    ranked by SVD.  Either way its rank is that of ``rank``."""
+    a = build(rand_q, rng)
+    want = rank(a, floor=floor)
+    assert decomp._full_rank(a.embed(), floor) == certified
+    if certified:
+        assert want == min(a.shape)
+    certificates, svds = _rank_calls(monkeypatch)
+    assert decomp.ranks([[[a]]], floor, full_first=True) == [want]
+    assert len(certificates) == 1
+    # a refused grid takes its SVD (an empty one needs none)
+    assert len(svds) == (0 if certified else 1)
+
+
+def test_full_rank_refuses_data_that_are_not_finite():
+    for bad in (np.inf, np.nan):
+        emb = QMatrix([[1.0, bad]]).embed()
+        with np.errstate(invalid="ignore"):
+            assert not decomp._full_rank(emb, 0.0)
+    assert not decomp._full_rank(QMatrix.identity(2).embed(), np.inf)
+
+
+def test_a_certified_full_panel_settles_its_sub_grids(rng, monkeypatch):
+    m = _real(rng, 9, 5, [1.0, 0.5, 0.25, 0.1, 0.05])
+    cols = [m.submatrix(slice(None), slice(j, j + 1)) for j in range(5)]
+    full = [cols]
+    grids = [full, SubGrid([cols[:2]], full, 1), SubGrid([cols[3:]], full, 1)]
+    want = [rank(g.grid if isinstance(g, SubGrid) else g, floor=1e-6)
+            for g in grids]
+    certificates, svds = _rank_calls(monkeypatch)
+    assert decomp.ranks(grids, 1e-6, full_first=True) == want == [5, 2, 2]
+    assert (len(certificates), len(svds)) == (1, 0)
+    # without the certificate the full panel takes its SVD, and the
+    # sub-grids are read off its margin all the same
+    certificates.clear()
+    assert decomp.ranks(grids, 1e-6) == want
+    assert (len(certificates), len(svds)) == (0, 1)
+
+
+def test_a_refused_full_panel_ranks_its_sub_grids_directly(rng,
+                                                           monkeypatch):
+    m = _real(rng, 9, 5, [1.0, 0.5, 0.25, 0.1, 1e-9])
+    cols = [m.submatrix(slice(None), slice(j, j + 1)) for j in range(5)]
+    full = [cols]
+    grids = [full, SubGrid([cols[:2]], full, 1), SubGrid([cols[3:]], full, 1)]
+    want = [rank(g.grid if isinstance(g, SubGrid) else g, floor=1e-6)
+            for g in grids]
+    certificates, svds = _rank_calls(monkeypatch)
+    assert want[0] == 4
+    assert decomp.ranks(grids, 1e-6, full_first=True) == want
+    assert (len(certificates), len(svds)) == (1, 3)
+
+
+def test_the_first_refusal_ends_the_certificates_of_a_list(
+        rand_q, monkeypatch):
+    good, bad = rand_q(4, 3), rand_q(4, 2) @ rand_q(2, 3)
+    certificates, svds = _rank_calls(monkeypatch)
+    grids = [[[good]], [[bad]], [[good]], [[good]]]
+    assert decomp.ranks(grids, 0.0, full_first=True) == [3, 2, 3, 3]
+    # the first is certified, the second refused: it and the rest take
+    # SVDs, so a list wastes at most one Gram matrix
+    assert (len(certificates), len(svds)) == (2, 3)
+    certificates.clear()
+    svds.clear()
+    assert decomp.ranks(grids[::-1], 0.0, full_first=True) == [3, 3, 2, 3]
+    assert (len(certificates), len(svds)) == (3, 2)
+    # each list starts afresh
+    certificates.clear()
+    svds.clear()
+    assert decomp.ranks([[[good]]], 0.0, full_first=True) == [3]
+    assert (len(certificates), len(svds)) == (1, 0)
+
+
+def test_full_first_moves_no_rank(rng, rand_q):
+    """Random grids across conditioning, shapes and floors: every list
+    ranks the same with the certificate as without it."""
+    for _ in range(60):
+        rows, cols = (int(v) for v in rng.integers(1, 7, 2))
+        k = min(rows, cols)
+        values = 10.0 ** -rng.uniform(0, 16, k)
+        values[rng.random(k) < 0.2] = 0.0
+        values[rng.integers(0, k)] = 1.0
+        a, b = _real(rng, rows, cols, values), rand_q(rows, 2)
+        grids = [[[a]], [[a, b]], [[b, None], [None, a]]]
+        for floor in (0.0, 1e-12, 1e-6, 1e-3):
+            assert (decomp.ranks(grids, floor, full_first=True)
+                    == decomp.ranks(grids, floor)
+                    == [rank(g, floor=floor) for g in grids])

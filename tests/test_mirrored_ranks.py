@@ -32,7 +32,7 @@ from qsylv.solvers.families import (ETA_STAR, Mirror, _rank_list, _reduced,
                                     max_exponents)
 
 from tests.test_equilibration import _scaled_equations
-from tests.test_nested_panels import _direct, _svd_calls
+from tests.test_nested_panels import _direct, _rank_calls, _svd_calls
 from tests.test_rank_helper import _gates
 from tests.test_shared_work import _evict, _planes, _scaled
 
@@ -42,7 +42,7 @@ SCALES = (1e-8, 1.0, 1e8)
 
 
 def _cold(inst, shapes):
-    """A cold check's report and its rank SVD count."""
+    """A cold check's report and the count it adds to ``shapes``."""
     _evict()
     shapes.clear()
     report = families.check(inst, TOL).to_dict()
@@ -95,7 +95,7 @@ def _with_defect(inst, seed, rel):
 
 def _compare(cases):
     with pytest.MonkeyPatch.context() as mp:
-        shapes = _svd_calls(mp)
+        shapes = _rank_calls(mp)
         mirrored = [_cold(inst, shapes) for _, inst in cases]
         _direct(mp)
         direct = [_cold(inst, shapes) for _, inst in cases]
@@ -232,7 +232,7 @@ def _lists(terms, monkeypatch):
     out = []
     for mirrored in (True, False):
         shapes.clear()
-        got = _rank_list(_work(terms, mirrored))
+        got = _rank_list(_work(terms, mirrored), False)
         out.append(([(c.lhs, c.rhs) for c in got], len(shapes)))
     return out
 
@@ -271,9 +271,9 @@ def test_no_mirror_reaches_the_helper(monkeypatch):
     mirrors."""
     ranks, calls = families.ranks, []
 
-    def recorded(grids, floor):
+    def recorded(grids, floor, full_first):
         calls.append(list(grids))
-        return ranks(grids, floor)
+        return ranks(grids, floor, full_first)
 
     monkeypatch.setattr(families, "ranks", recorded)
     _gates(monkeypatch)

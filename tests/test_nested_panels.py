@@ -44,15 +44,29 @@ def _svd_calls(monkeypatch):
     return shapes
 
 
+def _rank_calls(monkeypatch):
+    """The shapes of the embeddings ranked from here on: one entry per
+    SVD and one per full-rank certificate tried, which a list takes in
+    place of SVDs when its residual form has failed."""
+    shapes, full_rank = _svd_calls(monkeypatch), decomp._full_rank
+
+    def recorded(m, floor):
+        shapes.append(m.shape)
+        return full_rank(m, floor)
+
+    monkeypatch.setattr(decomp, "_full_rank", recorded)
+    return shapes
+
+
 def _direct(monkeypatch):
     """Rank every panel directly: each SubGrid as its own grid, and
     each Mirror too, as on a root that is no mirror (``work.mirrored``
     off)."""
     ranks, root_work = families.ranks, families._root_work
 
-    def direct(grids, floor):
+    def direct(grids, floor, full_first):
         return ranks([g.grid if isinstance(g, SubGrid) else g
-                      for g in grids], floor)
+                      for g in grids], floor, full_first)
 
     def unmirrored(*args):
         work = root_work(*args)
@@ -64,7 +78,8 @@ def _direct(monkeypatch):
 
 
 def _cold(inst, shapes):
-    """A cold check's report, its panel ranks and its rank SVD count."""
+    """A cold check's report, its panel ranks and the count it adds to
+    ``shapes``."""
     _evict()
     shapes.clear()
     report = families.check(inst, TOL)
@@ -88,7 +103,7 @@ def _instances(variant):
 def test_derived_panel_ranks_equal_direct_ones(variant):
     cases = list(_instances(variant))
     with pytest.MonkeyPatch.context() as mp:
-        shapes = _svd_calls(mp)
+        shapes = _rank_calls(mp)
         derived = [_cold(inst, shapes) for _, inst in cases]
         _direct(mp)
         direct = [_cold(inst, shapes) for _, inst in cases]

@@ -38,14 +38,15 @@ def _gates(monkeypatch, blas="1", cpus=2, min_entries=0):
 
 
 def _rank_threads(monkeypatch):
-    """The names of the threads that call ``decomp.rank`` from here on."""
-    names, rank = [], decomp.rank
+    """The names of the threads that rank a grid from here on, by SVD or
+    by full-rank certificate (``decomp._rank_step``)."""
+    names, step = [], decomp._rank_step
 
     def recorded(*args, **kwargs):
         names.append(threading.current_thread().name)
-        return rank(*args, **kwargs)
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(decomp, "rank", recorded)
+    monkeypatch.setattr(decomp, "_rank_step", recorded)
     return names
 
 

@@ -201,9 +201,9 @@ def test_one_ranks_call_per_rank_list(variant, cold, new_rhs, monkeypatch):
     planted, _ = gen_planted(variant, 2, 0)
     calls, ranks = [], families.ranks
 
-    def recorded(grids, floor):
+    def recorded(grids, floor, full_first):
         calls.append(len(grids))
-        return ranks(grids, floor)
+        return ranks(grids, floor, full_first)
 
     monkeypatch.setattr(families, "ranks", recorded)
     _evict()
