@@ -9,28 +9,24 @@ inverse and both projectors from its factors, reading each quaternion
 result off the top block row of its embedded image.
 
 ``ranks`` ranks a list of block grids, each with the arithmetic of
-``rank``.  A grid may be marked as a :class:`SubGrid` of another grid
-of the list, which keeps some of its block columns (rows): when that
-full grid has full column (row) rank with its smallest singular value
-above ``_SUBGRID_MARGIN`` times its cut, Cauchy interlacing fixes the
-sub-grid's rank at its column (row) count, without an SVD; otherwise
-the sub-grid is ranked directly.  When BLAS is pinned to one thread,
-the process may run on at least two CPUs and the largest embedding has
-at least ``_HELPER_MIN_ENTRIES`` complex entries, one short-lived helper
-thread ranks the largest grid, embedded on the calling thread first,
-while the calling thread ranks the rest.  The gate is where numpy's
+``rank``.  When BLAS is pinned to one thread, the process may run on at
+least two CPUs and the largest embedding has at least
+``_HELPER_MIN_ENTRIES`` complex entries, one short-lived helper thread
+ranks the largest grid, embedded on the calling thread first, while the
+calling thread ranks the rest.  The gate is where numpy's
 ``svd(compute_uv=False)`` releases the GIL, so a smaller helper SVD
 would shut the calling thread out: at 394x392 it keeps a pure-Python
 loop on another thread blocked for the whole call, from 510x510 up it
 does not.  The helper is joined before ``ranks`` returns or raises.
 
-With ``full_first`` set, ``ranks`` first tries to certify each grid it
-would take an SVD of as full rank, by a Cholesky factorization of its
-shifted Gram matrix (:func:`_full_rank`), several times cheaper than
-the SVD.  A certificate proves the smallest singular value so far above
-any cut ``rank`` uses that the SVD would count every value, so the rank
-is the same either way.  The first refusal in a list turns the
-certificate off for the rest of it.
+With ``full_first`` set, ``ranks`` first tries to certify each grid as
+full rank, by a Cholesky factorization of its shifted Gram matrix
+(:func:`_full_rank`), several times cheaper than the SVD.  A
+certificate proves the smallest singular value so far above any cut
+``rank`` uses that the SVD would count every value, so the rank is the
+same either way.  On each thread the first refusal turns the
+certificate off for the rest of its grids.  Every rank SVD is taken by
+``rank``.
 """
 
 from __future__ import annotations
@@ -51,17 +47,12 @@ _EPS = float(np.finfo(np.float64).eps)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _HELPER_MIN_ENTRIES = 1 << 18
 
-# How far above its cut the smallest kept singular value of a full grid
-# must lie before its sub-grids' ranks are read off it (see
-# :class:`SubGrid`).  Computed singular values of an embedding of m x n
-# quaternion entries are within about 2 max(m, n) eps sigma_max of the
-# exact ones, which is twice the default cut, and a sub-grid's cut is no
-# larger than its full grid's.  So a computed value above s times the
-# cut leaves the exact one above (s - 2) times it, the sub-grid's exact
-# one too by interlacing, and the sub-grid's computed one above (s - 4)
-# times it: above its own cut for any s >= 5.  16 keeps that for errors
-# of up to 7.5 max(m, n) eps sigma_max.
-_SUBGRID_MARGIN = 16.0
+# The factor on the floor in the full-rank certificate's shift (see
+# :func:`_full_rank`): a certified embedding has its smallest singular
+# value at least this many times the floor, and far more than this many
+# times the default cut, so no rounding of its computed singular values
+# brings one down to a cut ``rank`` uses.
+_CERTIFIED_MARGIN = 16.0
 
 
 class NumericError(RuntimeError):
@@ -80,19 +71,6 @@ class PinvBundle:
     proj_right: QMatrix
     rank: int
     tol_used: float
-
-
-class SubGrid:
-    """A block grid ``grid`` that is the block sub-grid of ``full`` which
-    keeps some of its block columns (``axis`` 1) or block rows (``axis``
-    0), less the block rows (columns) that are zero on the kept ones; so
-    it has the nonzero singular values of that sub-grid.  (A plain
-    class: a dataclass would cost about 0.4 ms at import.)"""
-
-    __slots__ = ("grid", "full", "axis")
-
-    def __init__(self, grid, full, axis: int):
-        self.grid, self.full, self.axis = grid, full, axis
 
 
 def default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
@@ -147,11 +125,6 @@ def _cut(s: np.ndarray, shape, tol, floor: float) -> tuple:
     return sig, max(tol, floor)
 
 
-def _cut_values(m: np.ndarray, tol, floor: float) -> tuple:
-    """:func:`_cut` of the singular values of the embedding ``m``."""
-    return _cut(_svdvals(m), m.shape, tol, floor)
-
-
 def rank(a, tol: float | None = None, floor: float = 0.0) -> int:
     """Numerical rank; for an empty matrix this is 0.
 
@@ -163,7 +136,8 @@ def rank(a, tol: float | None = None, floor: float = 0.0) -> int:
     cascade so that intermediates that vanish in exact arithmetic are
     not ranked on their rounding noise.
     """
-    sig, cut = _cut_values(_embedding(a), tol, floor)
+    m = _embedding(a)
+    sig, cut = _cut(_svdvals(m), m.shape, tol, floor)
     return int(np.count_nonzero(sig > cut))
 
 
@@ -175,7 +149,7 @@ def _full_rank(emb: np.ndarray, floor: float) -> bool:
 
     Oriented as M, m x n with m <= n, with F = |M|_F^2 read off the
     trace of the computed M M^*, and s = 2 (m + n + 2)^2 eps F +
-    (``_SUBGRID_MARGIN`` floor)^2, the answer is whether
+    (``_CERTIFIED_MARGIN`` floor)^2, the answer is whether
     ``cholesky(M M^* - s I)`` succeeds.  Forming M M^* errs by about
     n eps F in norm, the shift by eps F, and a Cholesky factorization
     that runs to completion is exact for a matrix within about
@@ -184,15 +158,15 @@ def _full_rank(emb: np.ndarray, floor: float) -> bool:
     n + 2) sqrt(eps F), 16 floor).  The cut of :func:`rank` is at most
     max(n/2 eps sqrt(F), floor), and a computed singular value errs by
     at most about n eps sqrt(F); so every computed pair value lies above
-    16 times the cut (``_SUBGRID_MARGIN``), and the SVD would count all
-    min(m, n)/2 of them, as rank and as margin.  A refusal proves
-    nothing: the SVD decides.  Data that are not finite are refused."""
+    16 times the cut, and the SVD would count all min(m, n)/2 of them.
+    A refusal proves nothing: the SVD decides.  Data that are not finite
+    are refused."""
     m = emb if emb.shape[0] <= emb.shape[1] else emb.conj().T
     rows, cols = m.shape
     gram = m @ m.conj().T
     f = float(gram.trace().real)
     s = (2.0 * (rows + cols + 2) ** 2 * _EPS * f
-         + (_SUBGRID_MARGIN * floor) ** 2)
+         + (_CERTIFIED_MARGIN * floor) ** 2)
     if not np.isfinite(s):
         return False
     gram.flat[:: rows + 1] -= s
@@ -203,26 +177,17 @@ def _full_rank(emb: np.ndarray, floor: float) -> bool:
     return True
 
 
-def _rank_step(a, floor: float, certify: list, margin: bool = False):
+def _rank_step(a, floor: float, certify: bool) -> tuple:
     """One grid of a :func:`ranks` list, laid out or embedded: its rank
-    at ``floor`` and, with ``margin``, how many of its values lie above
-    ``_SUBGRID_MARGIN`` times its cut (else ``None``).  While
-    ``certify[0]`` is set, :func:`_full_rank` is tried first, and a
-    certified grid takes min(m, n) for both with no SVD; its first
-    refusal clears ``certify[0]``, so the rest of the list is ranked by
-    SVD.  Both threads of ``ranks`` rank through here."""
-    if certify[0]:
+    at ``floor``, and whether :func:`_full_rank`, tried first when
+    ``certify`` is set, settled it (then it takes min(m, n) with no
+    SVD).  Both threads of ``ranks`` rank through here."""
+    if certify:
         a = _embedding(a)
         if _full_rank(a, floor):
-            full = min(a.shape) // 2
-            return full, full
-        certify[0] = False
-    if not margin:
-        # through rank by name, so perfbench/tracer.py files its SVD there
-        return rank(a, floor=floor), None
-    sig, cut = _cut_values(_embedding(a), None, floor)
-    return (int(np.count_nonzero(sig > cut)),
-            int(np.count_nonzero(sig > _SUBGRID_MARGIN * cut)))
+            return min(a.shape) // 2, True
+    # through rank by name, so perfbench/tracer.py files its SVD there
+    return rank(a, floor=floor), False
 
 
 def _helper_allowed(entries: int) -> bool:
@@ -240,68 +205,44 @@ def _helper_allowed(entries: int) -> bool:
 
 def ranks(grids, floor: float, full_first: bool = False) -> list:
     """``[rank(g, floor=floor) for g in grids]`` for block grids, each
-    laid out once, where a :class:`SubGrid` is ranked as its ``grid``.
+    laid out once and ranked in order.
 
-    The grids that are no ``SubGrid`` are ranked first, in order.  A
-    ``SubGrid`` whose ``full`` is one of them (the same object) takes
-    its column (``axis`` 1) or row (``axis`` 0) count as its rank, with
-    no SVD, when ``full`` has as many singular values above
-    ``_SUBGRID_MARGIN`` times its cut as columns (rows); every other one
-    is ranked directly, after them.
-
-    When :func:`_helper_allowed` admits the largest embedding of a grid
-    that is neither a ``SubGrid`` nor the ``full`` of one, this thread
-    embeds that grid, then one helper thread ranks the embedding while
-    this thread ranks the rest; the helper is joined before this
+    When :func:`_helper_allowed` admits the largest embedding, this
+    thread embeds that grid, then one helper thread ranks the embedding
+    while this thread ranks the rest; the helper is joined before this
     returns or raises, and an error in it is raised here.  Every rank
     taken takes the same SVD of the same embedding either way, so the
     results are the same.
 
-    With ``full_first`` set, every grid that would take an SVD (a plain
-    grid, a ``full`` or the helper's grid) is first offered to
-    :func:`_full_rank`, until its first refusal in the list
-    (:func:`_rank_step`, which both threads rank through).  It moves no
-    rank: a certified grid has the rank and margin its SVD would give.
+    With ``full_first`` set, each grid is first offered to
+    :func:`_full_rank` (:func:`_rank_step`, which both threads rank
+    through): the helper's one grid, and this thread's grids until the
+    first refusal among them, after which the rest take SVDs.  It moves
+    no rank: a certified grid has the rank its SVD would give.
     """
-    items = list(grids)
-    index = {id(g): i for i, g in enumerate(items)
-             if not isinstance(g, SubGrid)}
-    parent = {i: index.get(id(g.full)) for i, g in enumerate(items)
-              if isinstance(g, SubGrid)}
-    laid = [BlockGrid(g.grid if i in parent else g)
-            for i, g in enumerate(items)]
-    full = set(parent.values()) - {None}
-    out, margins = [None] * len(items), {}
-    sizes = {i: 4 * g.rows * g.cols for i, g in enumerate(laid)
-             if i not in parent and i not in full}
-    big = max(sizes, key=sizes.__getitem__, default=None)
+    laid = [BlockGrid(g) for g in grids]
+    out = [None] * len(laid)
+    sizes = [4 * g.rows * g.cols for g in laid]
+    big = max(range(len(laid)), key=sizes.__getitem__, default=None)
     if big is not None and not _helper_allowed(sizes[big]):
         big = None
-    thread, failed, certify = None, [], [full_first]
+    thread, failed = None, []
     if big is not None:
         embedded = embed_block(laid[big])
 
         def helper():
             try:
-                out[big] = _rank_step(embedded, floor, certify)[0]
+                out[big] = _rank_step(embedded, floor, full_first)[0]
             except Exception as exc:
                 failed.append(exc)
 
         thread = threading.Thread(target=helper, name="qsylv-rank")
         thread.start()
     try:
+        certify = full_first
         for i, g in enumerate(laid):
-            if i in full:
-                out[i], margins[i] = _rank_step(g, floor, certify, True)
-            elif i not in parent and i != big:
-                out[i] = _rank_step(g, floor, certify)[0]
-        for i, p in parent.items():
-            g, axis = laid[i], items[i].axis
-            if p is not None and margins[p] == (laid[p].cols if axis
-                                                else laid[p].rows):
-                out[i] = g.cols if axis else g.rows
-            else:
-                out[i] = _rank_step(g, floor, certify)[0]
+            if i != big:
+                out[i], certify = _rank_step(g, floor, certify)
     finally:
         if thread is not None:
             thread.join()

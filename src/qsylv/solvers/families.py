@@ -48,10 +48,10 @@ equilibrated data: it takes their norms once per work and holds them on
 it (``work.norms``), so a ``solve`` after a ``check`` on the same
 instance forms none of those products again.  Its ``rank_terms()``
 give the ``(name, grid, rhs)`` of every rank equality r(grid) =
-sum(rhs), and this module alone ranks them (:func:`_rank_list`); when
-the compatibility or residual form has failed, each grid is first
-offered to :mod:`.decomp`'s full-rank certificate, which settles the
-same integer as an SVD.  A
+sum(rhs), and this module alone ranks them (:func:`_rank_list`): each
+coefficient-only panel, and each bordered grid when the compatibility
+or residual form has failed, is first offered to :mod:`.decomp`'s
+full-rank certificate, which settles the same integer as an SVD.  A
 term that holds for every instance of its shapes, as the conditions of
 an equation a lift leaves empty do, is in no list (:func:`_vacuous`).  A
 work also gives its free parameters in order, ``params()``, and its
@@ -703,36 +703,45 @@ class Mirror:
         return iter(self.grid)
 
 
+def _ranked(grids, floor: float, full_first: bool, mirrored: bool) -> list:
+    """The ranks of ``grids`` at ``floor``, in one :func:`.decomp.ranks`
+    call with ``full_first``.  A :class:`Mirror` takes its twin's rank
+    (the same object's, which the list holds), with no SVD, on a
+    mirrored root, and is ranked as its ``grid`` on any other; none
+    reaches ``ranks``."""
+    if not mirrored:
+        grids = [g.grid if isinstance(g, Mirror) else g for g in grids]
+    plain = [g for g in grids if not isinstance(g, Mirror)]
+    got = dict(zip(map(id, plain), ranks(plain, floor, full_first)))
+    return [got[id(g.twin if isinstance(g, Mirror) else g)] for g in grids]
+
+
 def _rank_list(work, full_first: bool) -> list:
     """The rank list of a work: one ``RankCondition`` per entry ``(name,
     grid, rhs)`` of its ``rank_terms()`` that is not vacuous, comparing
     the rank of ``grid`` with the sum of ``rhs``, whose entries are
-    known ranks (ints) and coefficient-only panel grids.  Every grid is
-    ranked in one :func:`.decomp.ranks` call at ``factors.floor``; the
-    panel grids only on the first list of a factorization, whose panel
-    ranks are held, in order, as ``factors.panels``.  A :class:`Mirror`
-    takes its twin's rank (the same object's), with no SVD, on a
-    mirrored root (``work.mirrored``), and is ranked as its ``grid`` on
-    any other; none reaches :func:`.decomp.ranks`.  ``full_first`` is
-    handed to it: a caller sets it when the compatibility or residual
-    form has already failed, where the grids are almost always of full
-    rank.  It only picks how each rank is settled, by a full-rank
-    certificate or an SVD, never its value, so the rank form stays
+    known ranks (ints) and coefficient-only panel grids, all at
+    ``factors.floor`` (:func:`_ranked`, with ``work.mirrored``).  The
+    panels are ranked only on the first list of a factorization, in a
+    call of their own that offers each to the full-rank certificate
+    (their coefficients are almost always of full rank), and their
+    ranks are held, in order, as ``factors.panels``.  The bordered grids
+    follow in a second call, with ``full_first``: a caller sets it when
+    the compatibility or residual form has already failed, where the
+    grids are almost always of full rank.  The two calls keep the
+    panels' Cholesky factorizations from overlapping the rank helper's
+    SVD, which raised peak memory.  The certificate only picks how each
+    rank is settled, never its value, so the rank form stays
     independent of the residual one."""
     terms = [t for t in work.rank_terms() if not _vacuous(t)]
-    k = work.factors
+    k, mirrored = work.factors, work.mirrored
     panels = getattr(k, "panels", None)
-    grids = [grid for _, grid, _ in terms]
     if panels is None:
-        grids += [x for _, _, rhs in terms for x in rhs
-                  if not isinstance(x, int)]
-    if not work.mirrored:
-        grids = [g.grid if isinstance(g, Mirror) else g for g in grids]
-    ranked = [g for g in grids if not isinstance(g, Mirror)]
-    got = dict(zip(map(id, ranked), ranks(ranked, k.floor, full_first)))
-    got = [got[id(g.twin if isinstance(g, Mirror) else g)] for g in grids]
-    if panels is None:
-        panels = k.panels = got[len(terms):]
+        panels = k.panels = _ranked(
+            [x for _, _, rhs in terms for x in rhs if not isinstance(x, int)],
+            k.floor, True, mirrored)
+    got = _ranked([grid for _, grid, _ in terms], k.floor, full_first,
+                  mirrored)
     held = iter(panels)
     out = []
     for (name, _, rhs), lhs in zip(terms, got):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..decomp import SubGrid, pinv
+from ..decomp import pinv
 from ..qmatrix import QMatrix, hstack, vstack
 from .basic import PairKernel
 from .families import FreeParam, Mirror, ShapedInstance, cascade_floor
@@ -118,11 +118,7 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     [[K, tops], [sides, diag(corners)]] with the sum of the ranks of its
     two panels in ``rhs``: the left forms without the K column (their
     tops and corners) and the right forms without the K row (their sides
-    and corners), coefficient blocks only.  The left panels of R2-R8
-    are marked as :class:`.decomp.SubGrid` s of R1's, which has every
-    left form, and the right panels of R1-R7 of R8's, which has every
-    right form, in the same order; a form left out drops its block
-    column (row) and the corner's block row (column), zero on the rest.
+    and corners), coefficient blocks only.
 
     R(n+1), n = 0..7, puts W3 on the right side when bit 0 of n is set,
     W2 for bit 1 and W4 for bit 2.  R9 borders two copies of K, the
@@ -139,8 +135,7 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     So R(9-n) mirrors R(n), n = 1..4, with its two panels swapped, and
     R9 mirrors itself: the grids of R5-R8 are marked as
     :class:`.families.Mirror` s of those of R4-R1, and the right panel
-    of R(n), n = 1..8, as the mirror of R(9-n)'s left one.  The marks
-    wrap the sub-grids, so no sub-grid's ``full`` is a mirror.
+    of R(n), n = 1..8, as the mirror of R(9-n)'s left one.
     """
     u = ((e[0],), a[0], (c[0],))
     v = ((d[0],), b[0], (f[0],))
@@ -170,9 +165,6 @@ def block_rank_terms(k, a, b, c, d, e, f) -> list:
     panels = [[[row[len(ks):] for row in _bordered(ks, lefts)],
                _bordered(ks, rights)[len(ks):]]
               for ks, lefts, rights in grids]
-    for n in range(7):
-        panels[n + 1][0] = SubGrid(panels[n + 1][0], panels[0][0], 1)
-        panels[n][1] = SubGrid(panels[n][1], panels[7][1], 0)
     for n in range(8):
         panels[n][1] = Mirror(panels[n][1], panels[7 - n][0])
     full = [_bordered(ks, lefts + rights) for ks, lefts, rights in grids]

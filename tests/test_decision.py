@@ -173,17 +173,25 @@ def test_solve_master_svd_counts(monkeypatch):
     assert isinstance(res, Inconsistent)
     assert counter.take() == (0, 0)
     assert counter.take_certificates() == 0
-    # the first rank list ranks the 18 coefficient-only panels too: the
-    # 4 full ones directly, the 14 nested in them by interlacing.  The
-    # residual form has failed, so each of the 21 is first offered to
-    # the full-rank certificate, and every one is certified
+    # the first rank list ranks the 18 coefficient-only panels too, each
+    # offered to the full-rank certificate.  The residual form has
+    # failed, so the 17 bordered grids are offered to it as well, and
+    # all 35 are certified
     res.report.forms_agree
     assert counter.take() == (0, 0)
-    assert counter.take_certificates() == 21
-    # a planted cube check passes the residual form: SVDs only
+    assert counter.take_certificates() == 35
+    # a planted cube check passes the residual form, and the panel
+    # ranks are held: SVDs only
     qsylv.check_master(planted)
     assert counter.take() == (0, 17)
     assert counter.take_certificates() == 0
+    # a cold planted check: 18 panel certificates and 17 rank SVDs
+    qsylv.check_two_term(e, e, e, e, e)
+    counter.take()
+    counter.take_certificates()
+    qsylv.check_master(planted)
+    assert counter.take() == (31, 17)
+    assert counter.take_certificates() == 18
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsylv import QMatrix, Quaternion, decomp, pinv, rank, singular_values
-from qsylv.decomp import SubGrid, default_rank_tol
+from qsylv.decomp import default_rank_tol
 from qsylv.qmatrix import Identity, Zero
 from qsylv.qcore import ETAS
 
@@ -254,37 +254,6 @@ def test_full_rank_refuses_data_that_are_not_finite():
         with np.errstate(invalid="ignore"):
             assert not decomp._full_rank(emb, 0.0)
     assert not decomp._full_rank(QMatrix.identity(2).embed(), np.inf)
-
-
-def test_a_certified_full_panel_settles_its_sub_grids(rng, monkeypatch):
-    m = _real(rng, 9, 5, [1.0, 0.5, 0.25, 0.1, 0.05])
-    cols = [m.submatrix(slice(None), slice(j, j + 1)) for j in range(5)]
-    full = [cols]
-    grids = [full, SubGrid([cols[:2]], full, 1), SubGrid([cols[3:]], full, 1)]
-    want = [rank(g.grid if isinstance(g, SubGrid) else g, floor=1e-6)
-            for g in grids]
-    certificates, svds = _rank_calls(monkeypatch)
-    assert decomp.ranks(grids, 1e-6, full_first=True) == want == [5, 2, 2]
-    assert (len(certificates), len(svds)) == (1, 0)
-    # without the certificate the full panel takes its SVD, and the
-    # sub-grids are read off its margin all the same
-    certificates.clear()
-    assert decomp.ranks(grids, 1e-6) == want
-    assert (len(certificates), len(svds)) == (0, 1)
-
-
-def test_a_refused_full_panel_ranks_its_sub_grids_directly(rng,
-                                                           monkeypatch):
-    m = _real(rng, 9, 5, [1.0, 0.5, 0.25, 0.1, 1e-9])
-    cols = [m.submatrix(slice(None), slice(j, j + 1)) for j in range(5)]
-    full = [cols]
-    grids = [full, SubGrid([cols[:2]], full, 1), SubGrid([cols[3:]], full, 1)]
-    want = [rank(g.grid if isinstance(g, SubGrid) else g, floor=1e-6)
-            for g in grids]
-    certificates, svds = _rank_calls(monkeypatch)
-    assert want[0] == 4
-    assert decomp.ranks(grids, 1e-6, full_first=True) == want
-    assert (len(certificates), len(svds)) == (1, 3)
 
 
 def test_the_first_refusal_ends_the_certificates_of_a_list(

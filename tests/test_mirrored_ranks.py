@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from qsylv import decomp
-from qsylv.decomp import SubGrid
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, _planted, gen_planted,
                            gen_unsolvable)
 from qsylv.qmatrix import rand_qmatrix
@@ -32,7 +31,8 @@ from qsylv.solvers.families import (ETA_STAR, Mirror, _rank_list, _reduced,
                                     max_exponents)
 
 from tests.test_equilibration import _scaled_equations
-from tests.test_nested_panels import _direct, _rank_calls, _svd_calls
+from tests.test_nested_panels import (_certificates, _direct, _rank_calls,
+                                     _svd_calls)
 from tests.test_rank_helper import _gates
 from tests.test_shared_work import _evict, _planes, _scaled
 
@@ -41,10 +41,12 @@ ETA_VARIANTS = ("eta-full", "eta-three", "eta-mixed", "eta-two")
 SCALES = (1e-8, 1.0, 1e8)
 
 
-def _cold(inst, shapes):
-    """A cold check's report and the count it adds to ``shapes``."""
+def _cold(inst, shapes, *records):
+    """A cold check's report and the count it adds to ``shapes``;
+    ``records`` are cleared with it."""
     _evict()
-    shapes.clear()
+    for recorded in (shapes, *records):
+        recorded.clear()
     report = families.check(inst, TOL).to_dict()
     return report, len(shapes)
 
@@ -114,14 +116,16 @@ def test_mirrored_ranks_equal_direct_ones(variant):
 
 def test_a_cold_size_one_eta_full_check_reads_the_right_panels_off_mirrors(
         monkeypatch):
-    """At size 1 interlacing settles no panel, so every panel is ranked
-    directly: the right panels of R1-R8, which mirror the left ones of
-    R8-R1, take their twins' ranks instead (26 rank SVDs when they were
-    ranked, 35 when every grid is)."""
+    """The right panels of R1-R8, which mirror the left ones of R8-R1,
+    take their twins' ranks: a cold size-1 check certifies the 10 other
+    panels and ranks the 9 bordered grids that are no mirror by SVD (35
+    rank SVDs when every grid is ranked by SVD)."""
     inst, _ = gen_planted("eta-full", 1, 0, "j")
     shapes = _svd_calls(monkeypatch)
-    mirrored = _cold(inst, shapes)
-    assert mirrored[1] == 19
+    tried = _certificates(monkeypatch)
+    mirrored = _cold(inst, shapes, tried)
+    assert mirrored[1] == 9
+    assert [got for _, _, got in tried] == [True] * 10
     _direct(monkeypatch)
     assert _cold(inst, shapes) == (mirrored[0], 35)
 
@@ -226,9 +230,10 @@ def _work(terms, mirrored):
 
 
 def _lists(terms, monkeypatch):
-    """The (lhs, rhs) pairs of ``terms`` and the rank SVD count, on a
+    """The (lhs, rhs) pairs of ``terms`` and the count of grids ranked
+    (by SVD, or by the certificate that settles the panels), on a
     mirrored root and on one that is no mirror."""
-    shapes = _svd_calls(monkeypatch)
+    shapes = _rank_calls(monkeypatch)
     out = []
     for mirrored in (True, False):
         shapes.clear()
@@ -248,27 +253,10 @@ def test_a_mirror_takes_its_twins_rank_without_an_svd(rand_q, monkeypatch):
                                           ([(3, 2), (3, 2)], 4)]
 
 
-def test_a_mirrored_sub_grid_takes_its_twins_rank(rand_q, monkeypatch):
-    """A right panel is marked around its sub-grid, whose ``full`` is
-    the plain right full panel: on a mirrored root both take their
-    twins' ranks, and on any other the sub-grid is read off its full
-    panel by interlacing."""
-    a, b = rand_q(7, 2), rand_q(7, 3)
-    star = lambda m: m.eta_conj_transpose("i")
-    left, right = [[a, b]], [[star(a)], [star(b)]]
-    left_sub = SubGrid([[a]], left, 1)
-    right_sub = Mirror(SubGrid([[star(a)]], right, 0), left_sub)
-    panels = (left, left_sub, Mirror(right, left), right_sub)
-    terms = [("panels", [[rand_q(2, 2)]], panels)]
-    assert _lists(terms, monkeypatch) == [([(2, 5 + 2 + 5 + 2)], 2),
-                                          ([(2, 5 + 2 + 5 + 2)], 3)]
-
-
 def test_no_mirror_reaches_the_helper(monkeypatch):
     """``decomp.ranks``, which alone starts the helper, never receives a
     mirror: with every gate open, a cold check of every variant hands it
-    plain grids and sub-grids only, though the works it reaches mark
-    mirrors."""
+    plain grids only, though the works it reaches mark mirrors."""
     ranks, calls = families.ranks, []
 
     def recorded(grids, floor, full_first):

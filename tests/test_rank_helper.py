@@ -1,12 +1,14 @@
 """The rank certificate's helper thread.
 
-Every rank list is ranked in one ``decomp.ranks`` call, which ranks its
-largest matrix on one helper thread while the calling thread ranks the
-rest, when BLAS is pinned to one thread, two CPUs are allowed and the
-largest embedding is large.  The
-gates are forced on here at small sizes: the reports must equal the
-serial ones, an error in the helper must reach the caller, and no
-thread may outlive a call.
+Each ``decomp.ranks`` call of a rank list (one for the coefficient-only
+panels on the first list of a factorization, one for the other grids)
+ranks its largest matrix on one helper thread while the calling thread
+ranks the rest, when BLAS is pinned to one thread, two CPUs are allowed
+and the largest embedding is large.  The gates are forced on here at
+small sizes: the reports must equal the serial ones, an error in the
+helper must reach the caller, the helper's offer to the full-rank
+certificate must not depend on the calling thread, and no thread may
+outlive a call.
 """
 
 import os
@@ -90,7 +92,9 @@ def test_helper_reports_equal_serial_reports(variant, monkeypatch):
         helper.append(check(inst, TOL))
         helpers += names.count("qsylv-rank")
     assert threading.active_count() == before
-    assert helpers == len(insts)
+    # a cold list ranks its panels (pair has none) and its other grids
+    # in two ranks calls, each with a helper
+    assert helpers == (1 if variant == "pair" else 2) * len(insts)
     assert any(not r.consistent for r in serial)
     for s, h in zip(serial, helper):
         assert s == h and s.to_dict() == h.to_dict()
@@ -135,6 +139,52 @@ def test_no_thread_with_a_gate_off(gates, monkeypatch):
     started = _starts(monkeypatch)
     assert _cold_check("master", inst).consistent
     assert started == []
+
+
+def test_the_helpers_offer_does_not_depend_on_the_calling_thread(
+        rand_q, monkeypatch):
+    """With the gates open and a certificate that refuses the calling
+    thread's first grid, the helper's grid is still offered to it
+    exactly when ``full_first`` is set, and the calling thread stops
+    after its refusal; the same in every run.  The helper waits until
+    the calling thread has ranked its first grid."""
+    grids = [[[rand_q(3, 2)]], [[rand_q(6, 5)]], [[rand_q(2, 3)]],
+             [[rand_q(4, 4)]]]
+    want = [decomp.rank(g) for g in grids]
+    full_rank, step, tried = decomp._full_rank, decomp._rank_step, []
+    first_ranked = threading.Event()
+
+    def refusing(m, floor):
+        name = threading.current_thread().name
+        tried.append((name, m.shape))
+        if name == "MainThread" and len(tried) == 1:
+            return False
+        return full_rank(m, floor)
+
+    def ordered(*args):
+        if threading.current_thread().name == "qsylv-rank":
+            assert first_ranked.wait(10)
+            return step(*args)
+        out = step(*args)
+        first_ranked.set()
+        return out
+
+    monkeypatch.setattr(decomp, "_full_rank", refusing)
+    monkeypatch.setattr(decomp, "_rank_step", ordered)
+    _gates(monkeypatch)
+    started = _starts(monkeypatch)
+    for full_first in (True, False):
+        counts = set()
+        for _ in range(20):
+            tried.clear()
+            first_ranked.clear()
+            assert decomp.ranks(grids, 0.0, full_first) == want
+            helper = [shape for name, shape in tried if name == "qsylv-rank"]
+            counts.add((len(helper), len(tried) - len(helper)))
+            if full_first:
+                assert helper == [(12, 10)]
+        assert counts == ({(1, 1)} if full_first else {(0, 0)})
+    assert started == ["qsylv-rank"] * 40
 
 
 def test_blas_gate_reads_the_first_variable_set(monkeypatch):

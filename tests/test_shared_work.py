@@ -97,11 +97,12 @@ def test_warm_master_svd_counts(monkeypatch):
     planted, _ = gen_consistent(DimensionProfile.cube(2, 1))
     _evict()
     counter = _SvdCounter(monkeypatch)
-    # 17 bordered matrices and 4 full panels; the 14 panels nested in
-    # them are ranked by interlacing
+    # 17 bordered matrices; the 18 panels are settled by the full-rank
+    # certificate
     qsylv.check_master(planted)
     # 34 pinv bundles, 3 shared within the vw3 kernel
-    assert counter.take() == (31, 21)
+    assert counter.take() == (31, 17)
+    assert counter.take_certificates() == 18
     family = qsylv.solve_master(planted)
     assert not isinstance(family, Inconsistent)
     family.assemble()
@@ -109,10 +110,12 @@ def test_warm_master_svd_counts(monkeypatch):
 
     _evict()
     counter.take()
+    counter.take_certificates()
     qsylv.solve_master(planted)
     assert counter.take() == (31, 0)
     qsylv.check_master(planted)
-    assert counter.take() == (0, 21)
+    assert counter.take() == (0, 17)
+    assert counter.take_certificates() == 18
 
 
 def test_eta_full_hits_through_the_lift(monkeypatch):
@@ -124,11 +127,11 @@ def test_eta_full_hits_through_the_lift(monkeypatch):
     assert pinvs > 0
     report = qsylv.check_eta_full(inst)
     assert report.consistent
-    # master's 21 less 9 read off mirrors: the r(D;B) grid of each of
-    # the four side pairs, R5-R8, and R8's right panel (17 grids and 4
-    # full panels, less 8 and 1); the right panels of R1-R7, which
-    # interlacing reads off R8's on master, are mirrors here
-    assert counter.take() == (0, 12)
+    # master's 17 bordered grids less the 8 read off mirrors: the r(D;B)
+    # grid of each of the four side pairs and R5-R8; of the 18 panels,
+    # the right ones of R1-R8 are mirrors and the other 10 are certified
+    assert counter.take() == (0, 9)
+    assert counter.take_certificates() == 10
 
 
 def test_eta_two_check_after_solve_ranks_one_half(monkeypatch):
@@ -138,9 +141,10 @@ def test_eta_two_check_after_solve_ranks_one_half(monkeypatch):
     assert not isinstance(solve(inst, TOL), Inconsistent)
     assert counter.take() == (7, 0)
     assert check(inst, TOL).consistent
-    # two-term's 4 grids and 2 panels, less the mirrors of the first
-    # and third grids and of the first panel
-    assert counter.take() == (0, 3)
+    # two-term's 4 grids, less the mirrors of the first and third, and
+    # its 2 panels, less the mirror of the first, which is certified
+    assert counter.take() == (0, 2)
+    assert counter.take_certificates() == 1
 
 
 def test_in_place_edit_misses(monkeypatch):
@@ -178,7 +182,8 @@ def test_right_side_change_reuses_factorization(monkeypatch):
     _evict()
     counter = _SvdCounter(monkeypatch)
     qsylv.check_master(planted)
-    assert counter.take() == (31, 21)
+    assert counter.take() == (31, 17)
+    assert counter.take_certificates() == 18
     for factor in SCALES:
         scaled = _scaled("master", planted, factor * 3.0)
         qsylv.solve_master(scaled)
@@ -187,22 +192,24 @@ def test_right_side_change_reuses_factorization(monkeypatch):
         # are taken again
         qsylv.check_master(scaled)
         assert counter.take() == (0, 17)
+        assert counter.take_certificates() == 0
 
 
-@pytest.mark.parametrize("variant, cold, new_rhs", [
-    ("pair", 2, 2), ("two-term", 6, 4), ("five-term", 27, 9),
-    ("master", 21, 17)])
-def test_one_ranks_call_per_rank_list(variant, cold, new_rhs, monkeypatch):
-    """Every rank of a rank list is taken in one ``decomp.ranks`` call;
-    the coefficient-only panels only on the first list of a
-    factorization.  ``cold`` counts the rank SVDs of the first list: a
-    master list hands over its 35 matrices, and its 14 nested panels
-    take no SVD (five-term's wide panels are ranked directly)."""
+@pytest.mark.parametrize("variant, panels, grids", [
+    ("pair", 0, 2), ("two-term", 2, 4), ("five-term", 18, 9),
+    ("master", 18, 17)])
+def test_a_ranks_call_for_the_panels_and_one_for_the_rest(
+        variant, panels, grids, monkeypatch):
+    """The coefficient-only panels of a rank list are ranked only on the
+    first list of a factorization, in one ``decomp.ranks`` call that
+    offers each to the full-rank certificate; every other rank of a
+    list is taken in one more call.  On a planted instance the panels
+    are all certified, and the bordered grids take SVDs."""
     planted, _ = gen_planted(variant, 2, 0)
     calls, ranks = [], families.ranks
 
     def recorded(grids, floor, full_first):
-        calls.append(len(grids))
+        calls.append((len(grids), full_first))
         return ranks(grids, floor, full_first)
 
     monkeypatch.setattr(families, "ranks", recorded)
@@ -210,11 +217,13 @@ def test_one_ranks_call_per_rank_list(variant, cold, new_rhs, monkeypatch):
     counter = _SvdCounter(monkeypatch)
     calls.clear()
     check(planted, TOL)
-    grids = 35 if variant == "master" else cold
-    assert (calls, counter.take()[1]) == ([grids], cold)
+    assert calls == [(panels, True), (grids, False)]
+    assert (counter.take()[1], counter.take_certificates()) == (grids,
+                                                                panels)
     calls.clear()
     check(_scaled(variant, planted, 3.0), TOL)
-    assert (calls, counter.take()[1]) == ([new_rhs], new_rhs)
+    assert calls == [(grids, False)]
+    assert (counter.take()[1], counter.take_certificates()) == (grids, 0)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
