@@ -25,7 +25,8 @@ from .eta import (EtaFullInstance, EtaMixedInstance, EtaThreeInstance,
                   EtaTwoInstance, symmetrize)
 from .qmatrix import DimensionError, rand_qmatrix
 from .solvers.basic import PairInstance
-from .solvers.families import DEFAULT_TOL, Inconsistent, require_tol, solve
+from .solvers.families import (DEFAULT_TOL, Inconsistent, require_tol,
+                               safe_norm, solve)
 from .solvers.master import MasterInstance, MasterSolution
 from .solvers.specials import (FiveTermInstance, MixedInstance,
                                ThreeTermInstance)
@@ -155,7 +156,9 @@ def _perturb_rhs(inst, seed: int, tol: float):
 def verify_solution(inst, sol, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residuals of every equation of an instance (any supported type)
     against a proposed solution tuple; eta variants additionally get
-    eta-Hermicity entries."""
+    eta-Hermicity entries.  Every norm is a
+    :func:`.solvers.families.safe_norm`, so data near the top of the
+    double range verify as data of scale 1 do."""
     require_tol(tol)
     sol = tuple(sol)
     shapes = inst.unknown_shapes()
@@ -169,7 +172,7 @@ def verify_solution(inst, sol, tol: float = DEFAULT_TOL) -> ResidualReport:
                 f"expected {want}")
     entries = []
     for name, defect, scale in inst.residual_terms(sol):
-        absolute = defect.norm()
+        absolute = safe_norm(defect)
         relative = absolute / (1.0 + scale)
         entries.append(ResidualEntry(name, absolute, relative,
                                      relative <= tol))

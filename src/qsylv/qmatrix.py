@@ -227,9 +227,6 @@ class QMatrix:
 
     # -- transposes and norms -------------------------------------------
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix._pair(self.a1.T.copy(), self.a2.T.copy())
-
     def conj(self) -> "QMatrix":
         return QMatrix._pair(self.a1.conj(), -self.a2)
 

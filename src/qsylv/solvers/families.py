@@ -282,11 +282,12 @@ class ShapedInstance:
         for rhs, terms in self.TERMS.items():
             target = vals[rhs]
             out.append((_equation_name(rhs, terms),
-                        _left_side(terms, vals, eta) - target, target.norm()))
+                        _left_side(terms, vals, eta) - target,
+                        safe_norm(target)))
         for name in self.ETA_HERMITIAN:
             m = vals[name]
             out.append((f"{name}={name}{ETA_STAR}",
-                        m - m.eta_conj_transpose(eta), m.norm()))
+                        m - m.eta_conj_transpose(eta), safe_norm(m)))
         return out
 
     def require(self) -> dict:
@@ -595,6 +596,18 @@ def times_pow2(m, s: int):
         step = 1000 if s > 0 else -1000
         m, s = m * 2.0 ** step, s - step
     return m * 2.0 ** s
+
+
+def safe_norm(m) -> float:
+    """``m.norm()``, taken again on ``m`` times 2^-e, e its
+    :func:`max_exponents`, and scaled back when a square overflowed and
+    left it not finite.  A finite norm keeps its bits, so data in range
+    pay one test; a nan or infinite entry still gives a nan or inf."""
+    n = m.norm()
+    if math.isfinite(n):
+        return n
+    e, = max_exponents([m])
+    return n if e == math.inf else times_pow2(times_pow2(m, -e).norm(), e)
 
 
 def _equilibrated(inst, exps: dict):

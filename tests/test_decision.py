@@ -21,6 +21,8 @@ from qsylv.harness import (VARIANTS, DimensionProfile, gen_consistent,
 from qsylv.solvers import families
 from qsylv.solvers.families import Inconsistent, check, solve
 
+from tests.conftest import counts, scaled_rhs
+
 TOL = 1e-9
 
 # the systems whose right sides the benchmark sweeps over scales
@@ -28,16 +30,11 @@ SCALED_VARIANTS = ("master", "two-term", "five-term", "eta-full", "eta-two")
 SCALE_EXPONENTS = (-300, -150, -12, -8, -4, 0, 4, 8, 12, 150, 300)
 
 
-def _scaled(inst, factor):
-    return replace(inst, **{f: getattr(inst, f) * factor
-                            for f in inst.rhs_names()})
-
-
 def _decide_and_compare(inst, solvable, factor=1.0):
     """Solve and check the rule's guarantees; returns the solve result.
     ``inst`` has its right sides scaled by ``factor``, which a family is
-    verified without: verify_solution squares entries, so it cannot
-    read data at x1e300."""
+    verified without: at x1e-300 verify_solution's rule, |defect| / (1
+    + |b|), would pass any tuple of that scale."""
     report = check(inst, TOL)
     res = solve(inst, TOL)
     if isinstance(res, Inconsistent):
@@ -45,7 +42,8 @@ def _decide_and_compare(inst, solvable, factor=1.0):
     else:
         assert solvable, "family returned for an unsolvable instance"
         sol = [m * (1 / factor) for m in res.assemble()]
-        assert verify_solution(_scaled(inst, 1 / factor), sol, TOL).passed
+        assert verify_solution(scaled_rhs(inst, 1 / factor), sol,
+                               TOL).passed
     if report.forms_agree:
         assert (not isinstance(res, Inconsistent)) == report.consistent
     return res
@@ -72,10 +70,10 @@ def test_decision_rule_on_scaled_right_sides(variant):
             twin = gen_unsolvable(variant, size, seed, "j")
             for exp in SCALE_EXPONENTS:
                 factor = 10.0 ** exp
-                res = _decide_and_compare(_scaled(planted, factor), True,
+                res = _decide_and_compare(scaled_rhs(planted, factor), True,
                                           factor)
                 assert not isinstance(res, Inconsistent), (size, seed, exp)
-                _decide_and_compare(_scaled(twin, factor), False, factor)
+                _decide_and_compare(scaled_rhs(twin, factor), False, factor)
 
 
 # the coefficient factors of each master unknown's terms: scaling them
@@ -107,7 +105,7 @@ def test_no_family_for_a_twin_with_one_unknown_scaled():
 
 def test_scaled_master_is_consistent_and_solved():
     inst, _ = gen_consistent(DimensionProfile.cube(2, 0))
-    inst = _scaled(inst, 1e8)
+    inst = scaled_rhs(inst, 1e8)
     report = qsylv.check_master(inst)
     assert report.consistent and report.forms_agree
     assert all(c.passed for c in report.rank_conditions)
@@ -116,82 +114,6 @@ def test_scaled_master_is_consistent_and_solved():
     rng = np.random.default_rng(3)
     for sol in (family.assemble(), family.assemble(family.random_params(rng))):
         assert verify_solution(inst, sol, TOL).passed
-
-
-class _SvdCounter:
-    """Counts numpy.linalg.svd calls by compute_uv (True: a pinv bundle,
-    False: a values-only rank evaluation), and apart from them
-    numpy.linalg.cholesky calls: full-rank certificates
-    (``decomp._full_rank``), which nothing else in qsylv takes."""
-
-    def __init__(self, monkeypatch):
-        self.counts = {True: 0, False: 0}
-        self.certificates = 0
-        real, cholesky = np.linalg.svd, np.linalg.cholesky
-
-        def svd(a, *args, **kwargs):
-            self.counts[kwargs.get("compute_uv", True)] += 1
-            return real(a, *args, **kwargs)
-
-        def certificate(a, *args, **kwargs):
-            self.certificates += 1
-            return cholesky(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(np.linalg, "cholesky", certificate)
-
-    def take(self):
-        out = (self.counts[True], self.counts[False])
-        self.counts = {True: 0, False: 0}
-        return out
-
-    def take_certificates(self) -> int:
-        out, self.certificates = self.certificates, 0
-        return out
-
-
-def test_solve_master_svd_counts(monkeypatch):
-    profile = DimensionProfile.cube(2, 0)
-    planted, _ = gen_consistent(profile)
-    unsolvable = gen_unsolvable("master", 2, 0)
-    # the solvers share the work of the last instance, and its
-    # coefficient factorization with an instance of equal coefficients;
-    # an unrelated instance there makes the first solve below cold
-    e = qsylv.QMatrix.identity(1)
-    qsylv.check_two_term(e, e, e, e, e)
-    counter = _SvdCounter(monkeypatch)
-    family = qsylv.solve_master(planted)
-    assert not isinstance(family, Inconsistent)
-    # 34 bundles, 3 of them shared: the vw3 kernel's blocks have rank 0,
-    # so its M, N and S are E22, E44 and E22 themselves
-    assert counter.take() == (31, 0)
-    family.assemble()
-    assert counter.take() == (0, 0)
-    # the unsolvable twin differs from planted in its coupling right
-    # side only: a new right-side pass, no pinv SVD
-    res = qsylv.solve_master(unsolvable)
-    assert isinstance(res, Inconsistent)
-    assert counter.take() == (0, 0)
-    assert counter.take_certificates() == 0
-    # the first rank list ranks the 18 coefficient-only panels too, each
-    # offered to the full-rank certificate.  The residual form has
-    # failed, so the 17 bordered grids are offered to it as well, and
-    # all 35 are certified
-    res.report.forms_agree
-    assert counter.take() == (0, 0)
-    assert counter.take_certificates() == 35
-    # a planted cube check passes the residual form, and the panel
-    # ranks are held: SVDs only
-    qsylv.check_master(planted)
-    assert counter.take() == (0, 17)
-    assert counter.take_certificates() == 0
-    # a cold planted check: 18 panel certificates and 17 rank SVDs
-    qsylv.check_two_term(e, e, e, e, e)
-    counter.take()
-    counter.take_certificates()
-    qsylv.check_master(planted)
-    assert counter.take() == (31, 17)
-    assert counter.take_certificates() == 18
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -238,29 +160,29 @@ def test_particular_solution_is_assembled_once(variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rank_list_of_a_residual_rejection_is_built_on_first_read(
-        variant, monkeypatch):
+        variant, counter):
     twin = gen_unsolvable(variant, 2, 0, "j")
     # one rank list ranks the coefficient-only panels, which every later
     # list reads; the counts below are then the right-side ranks only
     check(twin, TOL)
-    counter = _SvdCounter(monkeypatch)
+    counter.take()
     report = check(twin, TOL)
     # each rank is settled by an SVD or by a full-rank certificate
-    check_ranks = (counter.take()[1], counter.take_certificates())
-    assert sum(check_ranks) > 0
+    check_ranks = counts(counter.take())
+    assert check_ranks[0] == 0 and sum(check_ranks) > 0
     assert not all(c.passed for c in
                    report.compat_conditions + report.mp_conditions)
     res = solve(twin, TOL)
     assert isinstance(res, Inconsistent) and not res.report.consistent
-    assert (counter.take()[1], counter.take_certificates()) == (0, 0)
+    assert counts(counter.take()) == (0, 0, 0)
     res.report.forms_agree
-    assert (counter.take()[1], counter.take_certificates()) == check_ranks
+    assert counts(counter.take()) == check_ranks
     res.report.forms_agree
     assert res.report == report
     assert res.report.to_dict() == report.to_dict()
     assert repr(res.report) == repr(report)
     assert res.failing_conditions == report.failing()
-    assert counter.take() == (0, 0)
+    assert counts(counter.take()) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

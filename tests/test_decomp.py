@@ -6,7 +6,7 @@ from qsylv.decomp import default_rank_tol
 from qsylv.qmatrix import Identity, Zero
 from qsylv.qcore import ETAS
 
-from tests.conftest import rank_block_oracle
+from tests.conftest import counts, rank_block_oracle
 
 
 def real_representation(a):
@@ -132,16 +132,13 @@ def test_pinv_bundle_contract(build, floor, want_rank, rand_q):
     (lambda r: QMatrix.zeros(4, 0), 0.0, 0),
 ])
 def test_rank_zero_bundles_are_markers(build, floor, svds, rand_q,
-                                       monkeypatch):
+                                       counter):
     """An empty or rank-0 matrix has a Zero pinv and Identity
     projectors; its SVD, rank and tol_used are those of any matrix."""
     a = build(rand_q)
-    calls, real = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw:
-                        calls.append(1) or real(*args, **kw))
     bundle = pinv(a, floor=floor)
     m, n = a.shape
-    assert len(calls) == svds and bundle.rank == 0
+    assert counts(counter.take()) == (svds, 0, 0) and bundle.rank == 0
     assert type(bundle.pinv) is Zero and bundle.pinv.shape == (n, m)
     assert type(bundle.proj_left) is Identity and bundle.proj_left.rows == n
     assert type(bundle.proj_right) is Identity and bundle.proj_right.rows == m
@@ -197,25 +194,6 @@ def _real(rng, rows, cols, values):
     return QMatrix(u @ s @ v.T, zero, zero, zero)
 
 
-def _rank_calls(monkeypatch):
-    """``(certificates, svds)``: the full-rank certificates and rank
-    SVDs taken from here on, each as the shape of its embedding."""
-    certificates, svds = [], []
-    full_rank, svdvals = decomp._full_rank, decomp._svdvals
-
-    def certificate(m, floor):
-        certificates.append(m.shape)
-        return full_rank(m, floor)
-
-    def values(m):
-        svds.append(m.shape)
-        return svdvals(m)
-
-    monkeypatch.setattr(decomp, "_full_rank", certificate)
-    monkeypatch.setattr(decomp, "_svdvals", values)
-    return certificates, svds
-
-
 @pytest.mark.parametrize("build, floor, certified", [
     (lambda r, g: r(5, 2) @ r(2, 4), 0.0, False),    # exactly deficient
     (lambda r, g: QMatrix.zeros(3, 3), 0.0, False),
@@ -233,7 +211,7 @@ def _rank_calls(monkeypatch):
     (lambda r, g: QMatrix.zeros(0, 0), 0.0, True),
 ])
 def test_full_rank_certificate_agrees_with_rank(build, floor, certified,
-                                                 rand_q, rng, monkeypatch):
+                                                 rand_q, rng, counter):
     """A certified grid takes min(m, n) with no SVD; a refused one is
     ranked by SVD.  Either way its rank is that of ``rank``."""
     a = build(rand_q, rng)
@@ -241,11 +219,10 @@ def test_full_rank_certificate_agrees_with_rank(build, floor, certified,
     assert decomp._full_rank(a.embed(), floor) == certified
     if certified:
         assert want == min(a.shape)
-    certificates, svds = _rank_calls(monkeypatch)
+    counter.take()
     assert decomp.ranks([[[a]]], floor, full_first=True) == [want]
-    assert len(certificates) == 1
     # a refused grid takes its SVD (an empty one needs none)
-    assert len(svds) == (0 if certified else 1)
+    assert counts(counter.take()) == (0, 0 if certified else 1, 1)
 
 
 def test_full_rank_refuses_data_that_are_not_finite():
@@ -257,23 +234,18 @@ def test_full_rank_refuses_data_that_are_not_finite():
 
 
 def test_the_first_refusal_ends_the_certificates_of_a_list(
-        rand_q, monkeypatch):
+        rand_q, counter):
     good, bad = rand_q(4, 3), rand_q(4, 2) @ rand_q(2, 3)
-    certificates, svds = _rank_calls(monkeypatch)
     grids = [[[good]], [[bad]], [[good]], [[good]]]
     assert decomp.ranks(grids, 0.0, full_first=True) == [3, 2, 3, 3]
     # the first is certified, the second refused: it and the rest take
     # SVDs, so a list wastes at most one Gram matrix
-    assert (len(certificates), len(svds)) == (2, 3)
-    certificates.clear()
-    svds.clear()
+    assert counts(counter.take()) == (0, 3, 2)
     assert decomp.ranks(grids[::-1], 0.0, full_first=True) == [3, 3, 2, 3]
-    assert (len(certificates), len(svds)) == (3, 2)
+    assert counts(counter.take()) == (0, 2, 3)
     # each list starts afresh
-    certificates.clear()
-    svds.clear()
     assert decomp.ranks([[[good]]], 0.0, full_first=True) == [3]
-    assert (len(certificates), len(svds)) == (1, 0)
+    assert counts(counter.take()) == (0, 0, 1)
 
 
 def test_full_first_moves_no_rank(rng, rand_q):

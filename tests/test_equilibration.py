@@ -13,7 +13,6 @@ coefficient factor in two equations.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,26 +25,10 @@ from qsylv.solvers import families
 from qsylv.solvers.families import (Inconsistent, _equilibrated, _reduced,
                                     check, solve)
 
-from tests.test_decision import _scaled as _scaled_rhs
-from tests.test_shared_work import _evict, _planes
+from tests.conftest import evict, planes, scaled_equations, scaled_rhs
 
 TOL = 1e-9
 POW2_EXPONENTS = (-900, -301, -1, 1, 37, 512, 900)
-
-
-def _scaled_equations(inst, t, rhs_names):
-    """``inst`` with each equation of ``rhs_names`` multiplied by t: its
-    right side and each term's coefficient factor (the left one, or the
-    right one if there is no left) by t, except the factor E of a term
-    ``E W E^eta*``, which takes sqrt(t)."""
-    scale = {}
-    for rhs in rhs_names:
-        scale[rhs] = t
-        for left, _, right, _ in inst.TERMS[rhs]:
-            scale[left or right] = (math.sqrt(t) if right == f"{left}^eta*"
-                                    else t)
-    return replace(inst, **{n: getattr(inst, n) * f
-                            for n, f in scale.items()})
 
 
 def _equilibrated_root(inst):
@@ -100,7 +83,7 @@ def test_a_cold_check_scans_the_blocks_once(variant, monkeypatch):
     """The exponents of ``require()``'s scan equilibrate the caller's
     instance, so a lifted one is not scanned again after its lift."""
     inst, _ = gen_planted(variant, 2, 0, "j")
-    _evict()
+    evict()
     calls, scan = [], families.max_exponents
 
     def counted(mats):
@@ -123,7 +106,7 @@ def test_power_of_two_right_sides_change_only_the_solution_scale(variant):
         planted, _ = gen_planted(variant, size, 0, "j")
         twin = gen_unsolvable(variant, size, 0, "j")
         base = {"planted": planted, "twin": twin}
-        root = {k: _planes(_equilibrated_root(v)[0].blocks())
+        root = {k: planes(_equilibrated_root(v)[0].blocks())
                 for k, v in base.items()}
         report = {k: repr(check(v, TOL).to_dict()) for k, v in base.items()}
         family = solve(planted, TOL)
@@ -133,17 +116,17 @@ def test_power_of_two_right_sides_change_only_the_solution_scale(variant):
         member = family.assemble(params)
         for s in POW2_EXPONENTS:
             for kind, inst in base.items():
-                scaled = _scaled_rhs(inst, 2.0 ** s)
-                assert _planes(_equilibrated_root(
+                scaled = scaled_rhs(inst, 2.0 ** s)
+                assert planes(_equilibrated_root(
                     scaled)[0].blocks()) == root[kind]
                 assert repr(check(scaled, TOL).to_dict()) == report[kind]
-            res = solve(_scaled_rhs(planted, 2.0 ** s), TOL)
-            want = _planes(m * 2.0 ** s for m in particular)
-            assert _planes(res.assemble()) == want, (size, s)
-            assert _planes(res.assemble({})) == want, (size, s)
+            res = solve(scaled_rhs(planted, 2.0 ** s), TOL)
+            want = planes(m * 2.0 ** s for m in particular)
+            assert planes(res.assemble()) == want, (size, s)
+            assert planes(res.assemble({})) == want, (size, s)
             # the parameters are in the data's units too
-            assert _planes(res.assemble([p * 2.0 ** s for p in params])) \
-                == _planes(m * 2.0 ** s for m in member), (size, s)
+            assert planes(res.assemble([p * 2.0 ** s for p in params])) \
+                == planes(m * 2.0 ** s for m in member), (size, s)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -154,7 +137,7 @@ def test_right_side_scale_leaves_the_verdict(variant, exponent, seed, twin):
     inst = (gen_unsolvable(variant, 2, seed, "j") if twin
             else gen_planted(variant, 2, seed, "j")[0])
     t = 10.0 ** exponent
-    assert _outcome(_scaled_rhs(inst, t)) == _outcome(inst) == (
+    assert _outcome(scaled_rhs(inst, t)) == _outcome(inst) == (
         not twin, True, not twin)
 
 
@@ -171,14 +154,14 @@ def test_equation_scale_leaves_the_verdict(variant, exponent, seed, twin,
     names = inst.rhs_names()
     # every equation, or one of them
     which = data.draw(st.sampled_from((names,) + tuple((n,) for n in names)))
-    scaled = _scaled_equations(inst, 10.0 ** exponent, which)
+    scaled = scaled_equations(inst, 10.0 ** exponent, which)
     assert _outcome(scaled) == _outcome(inst) == (not twin, True, not twin)
 
 
 def test_the_largest_equilibrated_right_side_entry_is_in_half_one():
     inst, _ = gen_planted("master", 2, 0)
     for t in (1e-300, 1.0, 3e300):
-        root, k = _equilibrated_root(_scaled_rhs(inst, t))
+        root, k = _equilibrated_root(scaled_rhs(inst, t))
         top = max(abs(p).max() for n in root.rhs_names()
                   for p in getattr(root, n).components())
         assert 0.5 <= top < 1.0
@@ -192,6 +175,6 @@ def test_subnormal_data_keep_the_verdict(variant):
     for twin in (False, True):
         inst = (gen_unsolvable(variant, 2, 0, "j") if twin
                 else gen_planted(variant, 2, 0, "j")[0])
-        for scaled in (_scaled_rhs(inst, 1e-310),
-                       _scaled_equations(inst, 1e-310, inst.rhs_names())):
+        for scaled in (scaled_rhs(inst, 1e-310),
+                       scaled_equations(inst, 1e-310, inst.rhs_names())):
             assert _outcome(scaled) == (not twin, True, not twin)

@@ -5,7 +5,8 @@ from qsylv import (DimensionError, FiveTermInstance, Inconsistent, QMatrix,
                    verify_solution)
 from qsylv.harness import gen_planted, gen_unsolvable
 from qsylv.solvers.master import MASTER_PARAM_NAMES
-from tests.test_shared_work import _evict
+
+from tests.conftest import evict
 
 
 def coupling_defect(inst, sol):
@@ -120,9 +121,9 @@ def test_check_is_the_master_check_of_the_lift(truth):
                 inst, _ = gen_planted("five-term", size, seed)
             else:
                 inst = gen_unsolvable("five-term", size, seed)
-            _evict()
+            evict()
             got = check_five_term(inst)
-            _evict()
+            evict()
             want = check_master(inst.lift()[0])
             assert got.to_dict() == want.to_dict()
             assert got.consistent == (truth == "planted")

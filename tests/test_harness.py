@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            symmetrize, verify_solution)
 from qsylv.qmatrix import DimensionError
 from qsylv.solvers.families import check
+
+from tests.conftest import scaled_rhs
 
 
 def test_profile_validation():
@@ -170,6 +173,17 @@ def test_verify_zero_solution_fails_with_rhs_norm():
     assert not report.passed
     coupling = [e for e in report.entries if e.name == "coupling=Cc"][0]
     assert abs(coupling.absolute - inst.Cc.norm()) <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e200, 1e300])
+def test_verify_solution_reads_right_sides_near_the_top_of_the_range(factor):
+    """Squares of entries above about 1e154 overflow; a norm that does
+    is taken again after a power-of-two scaling, so the particular
+    solution of a master instance scaled this far still verifies."""
+    inst = scaled_rhs(gen_planted("master", 2, 0)[0], factor)
+    report = verify_solution(inst, solve_master(inst).particular)
+    assert report.passed
+    assert all(0.0 < e.absolute < math.inf for e in report.entries)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -36,7 +36,7 @@ from qsylv.solvers.families import ETA_STAR, Inconsistent, max_exponents
 from qsylv.solvers.master import _MasterWork
 from qsylv.solvers.two_term import _TwoTermFactors
 
-from tests.test_shared_work import _evict, _planes
+from tests.conftest import evict, planes
 
 TOL = 1e-9
 
@@ -84,7 +84,7 @@ def test_omitted_parameters_equal_explicit_zeros(variant, size):
             for m in sol:
                 assert type(m) is QMatrix
                 assert m.a1.flags.writeable and m.a2.flags.writeable
-            assert _planes(sol) == _planes(sols[0])
+            assert planes(sol) == planes(sols[0])
 
 
 def test_partly_given_parameters_equal_explicit_zeros():
@@ -94,7 +94,7 @@ def test_partly_given_parameters_equal_explicit_zeros():
     given = {p.name: m for p, m in zip(family.free_params[::2], params[::2])}
     full = [given.get(p.name, QMatrix.zeros(*p.shape))
             for p in family.free_params]
-    assert _planes(family.assemble(given)) == _planes(family.assemble(full))
+    assert planes(family.assemble(given)) == planes(family.assemble(full))
 
 
 def test_free_zero_arithmetic_is_that_of_a_stored_zero(rand_q):
@@ -176,7 +176,7 @@ def test_no_blas_product_reads_an_empty_zero_or_identity_operand(
 
     blas = _BlasOperands(monkeypatch)
     for order in ((check, solve), (solve, check)):
-        _evict()
+        evict()
         blas.operands.clear()
         for call in order:
             call()
@@ -193,7 +193,7 @@ def test_assembled_matrices_are_plain_and_their_own(variant):
     also where a closed form is zero in every term (a Zero)."""
     for size in (0, 3, 4):
         inst, _ = gen_planted(variant, size, 1, "j")
-        _evict()
+        evict()
         family = families.solve(inst, TOL)
         params = family.random_params(np.random.default_rng(size))
         names = [p.name for p in family.free_params]
@@ -230,7 +230,7 @@ def test_check_then_solve_prepares_the_instance_once(variant, monkeypatch):
                             calls.append(name) or real(*args))
     want = sorted(["_equilibrated", "require"]
                   + ["lift"] * _lifts(type(inst)))
-    _evict()
+    evict()
     calls.clear()
     families.check(inst, TOL)
     assert sorted(calls) == want
@@ -256,7 +256,7 @@ def test_lifts_map_right_sides_to_right_sides():
 
 def test_a_new_right_side_copies_only_the_right_sides():
     inst, _ = gen_planted("eta-full", 2, 1, "k")
-    _evict()
+    evict()
     qsylv.check_eta_full(inst)
     held = families._SLOT[0].caller
     scaled = replace(inst, **{n: getattr(inst, n).copy()
@@ -295,7 +295,7 @@ def test_one_scan_checks_the_blocks_and_gives_their_exponents():
 
 def test_solve_after_check_forms_no_certificate_product(monkeypatch):
     inst, _ = gen_consistent(DimensionProfile.cube(2, 0))
-    _evict()
+    evict()
     calls = []
     for name in ("compat_terms", "mp_terms"):
         terms = getattr(_MasterWork, name)
@@ -319,13 +319,13 @@ def test_solve_after_check_forms_no_certificate_product(monkeypatch):
 
 def test_thresholds_follow_tol_on_held_norms():
     inst = gen_unsolvable("two-term", 2, 0)
-    _evict()
+    evict()
     loose = qsylv.check_two_term(*inst.blocks(), tol=1e3)
     tight = qsylv.check_two_term(*inst.blocks(), tol=1e-9)
     for a, b in zip(loose.mp_conditions, tight.mp_conditions):
         assert a.name == b.name and a.residual == b.residual
         assert (a.threshold, b.threshold) == (1e3, 1e-9)
-    _evict()
+    evict()
     assert qsylv.check_two_term(*inst.blocks(), tol=1e3) == loose
 
 
@@ -393,7 +393,7 @@ def test_rank_grids_embed_as_their_block_matrices(variant, monkeypatch):
     monkeypatch.setattr(decomp, "_embedding", recorded)
     for size in (0, 2):
         inst, _ = gen_planted(variant, size, 1, "k")
-        _evict()
+        evict()
         assert families.check(inst, TOL).forms_agree
     monkeypatch.undo()
     cells = [cell for grid in grids for row in grid for cell in row]

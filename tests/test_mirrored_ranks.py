@@ -8,14 +8,14 @@ each doubled block from its scaled twin, so the root is an exact
 mirror.  The works mark grids as ``families.Mirror`` s (master's side
 r(D;B) grids, R5-R8 and the right panels of R1-R8; two-term's second
 and fourth grids and the second's panel), and on such a root
-``families._rank_list`` gives each its twin's rank, without an SVD; no
-mirror reaches ``decomp.ranks``.  The reports must equal those of
-ranking every grid directly, also on degenerate shapes, the doubled
-blocks must stay bit-exact mirrors through equilibration, and a root
-that is no mirror must keep its shifts.
+``families._rank_list`` gives each its twin's rank, with no SVD or
+certificate; no mirror reaches ``decomp.ranks``.  The reports must
+equal those of ranking every grid by SVD, with the mirrors and the
+certificate off (the ``route`` fixture), also on degenerate shapes and
+with an accepted defect; the doubled blocks must stay bit-exact mirrors through
+equilibration, and a root that is no mirror must keep its shifts.
 """
 
-import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -23,66 +23,19 @@ import numpy as np
 import pytest
 
 from qsylv import decomp
-from qsylv.harness import (VARIANT_TABLE, VARIANTS, _planted, gen_planted,
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
                            gen_unsolvable)
 from qsylv.qmatrix import rand_qmatrix
 from qsylv.solvers import families
 from qsylv.solvers.families import (ETA_STAR, Mirror, _rank_list, _reduced,
                                     max_exponents)
 
-from tests.test_equilibration import _scaled_equations
-from tests.test_nested_panels import (_certificates, _direct, _rank_calls,
-                                     _svd_calls)
-from tests.test_rank_helper import _gates
-from tests.test_shared_work import _evict, _planes, _scaled
+from tests.conftest import (cold_check, corpus, counts, evict, planes,
+                            scaled_equations, scaled_rhs)
 
 TOL = 1e-9
 ETA_VARIANTS = ("eta-full", "eta-three", "eta-mixed", "eta-two")
 SCALES = (1e-8, 1.0, 1e8)
-
-
-def _cold(inst, shapes, *records):
-    """A cold check's report and the count it adds to ``shapes``;
-    ``records`` are cleared with it."""
-    _evict()
-    for recorded in (shapes, *records):
-        recorded.clear()
-    report = families.check(inst, TOL).to_dict()
-    return report, len(shapes)
-
-
-def _instances(variant):
-    """The instances of ``tests/test_nested_panels.py`` at every eta,
-    with the right sides scaled by 1e-8, 1 and 1e8."""
-    for size in (1, 2, 3, 4, 8):
-        for eta in ("i", "j", "k"):
-            planted, _ = gen_planted(variant, size, 0, eta)
-            twin = gen_unsolvable(variant, size, 0, eta)
-            for truth, inst in (("planted", planted), ("unsolvable", twin)):
-                for scale in SCALES:
-                    yield (f"{truth} {size} {eta} x{scale:g}",
-                           _scaled(variant, inst, scale))
-
-
-def _degenerate(variant, count=12):
-    """Planted instances whose named dimensions are each drawn from
-    {0, 1, 2, 3}, so blocks, whole equations and twins can be empty, and
-    each with an eta-Hermitian perturbation of its coupling right
-    side."""
-    cls = VARIANT_TABLE[variant].instance_type
-    names = sorted(VARIANT_TABLE[variant].dims(1))
-    rng = np.random.default_rng(43)
-    for seed in range(count):
-        dims = dict(zip(names, (int(d) for d in rng.integers(0, 4,
-                                                             len(names)))))
-        eta = "ijk"[seed % 3]
-        inst, _ = _planted(cls, dims, seed, eta)
-        rhs = cls.rhs_names()[-1]
-        c = getattr(inst, rhs)
-        r = rand_qmatrix(rng, *c.shape)
-        twin = replace(inst, **{rhs: c + r + r.eta_conj_transpose(eta)})
-        yield f"degenerate {dims} {eta}", inst
-        yield f"degenerate {dims} {eta} perturbed", twin
 
 
 def _with_defect(inst, seed, rel):
@@ -95,61 +48,50 @@ def _with_defect(inst, seed, rel):
                                               / anti.norm()))
 
 
-def _compare(cases):
-    with pytest.MonkeyPatch.context() as mp:
-        shapes = _rank_calls(mp)
-        mirrored = [_cold(inst, shapes) for _, inst in cases]
-        _direct(mp)
-        direct = [_cold(inst, shapes) for _, inst in cases]
+def _compare(cases, counter, route):
+    """Each case's cold report is that of ranking every grid by SVD,
+    and it takes fewer SVDs and certificates of a non-empty embedding,
+    unless ranking by SVD takes none: an empty grid takes no SVD, but
+    may take a certificate."""
+    def cold(inst):
+        report, events = cold_check(inst, counter)
+        return report.to_dict(), sum(e.kind != "pinv" and 0 not in e.shape
+                                     for e in events)
+
+    mirrored = [cold(inst) for _, inst in cases]
+    route("mirrors")
+    route("certificate")
+    direct = [cold(inst) for _, inst in cases]
     for (label, _), m, d in zip(cases, mirrored, direct):
         assert m[0] == d[0], label
-        assert m[1] < d[1], label
+        assert m[1] < d[1] or m[1] == d[1] == 0, label
     return [report for report, _ in direct]
 
 
 @pytest.mark.parametrize("variant", ETA_VARIANTS)
-def test_mirrored_ranks_equal_direct_ones(variant):
-    reports = _compare(list(_instances(variant)) + list(_degenerate(variant)))
+def test_mirrored_ranks_equal_direct_ones(variant, counter, route):
+    reports = _compare(list(corpus(variant, ("planted", "twin",
+                                             "degenerate"),
+                                   sizes=(1, 2, 3, 4, 8), scales=SCALES)),
+                       counter, route)
     assert any(not r["consistent"] for r in reports)
     assert any(r["consistent"] for r in reports)
 
 
-def test_a_cold_size_one_eta_full_check_reads_the_right_panels_off_mirrors(
-        monkeypatch):
-    """The right panels of R1-R8, which mirror the left ones of R8-R1,
-    take their twins' ranks: a cold size-1 check certifies the 10 other
-    panels and ranks the 9 bordered grids that are no mirror by SVD (35
-    rank SVDs when every grid is ranked by SVD)."""
-    inst, _ = gen_planted("eta-full", 1, 0, "j")
-    shapes = _svd_calls(monkeypatch)
-    tried = _certificates(monkeypatch)
-    mirrored = _cold(inst, shapes, tried)
-    assert mirrored[1] == 9
-    assert [got for _, _, got in tried] == [True] * 10
-    _direct(monkeypatch)
-    assert _cold(inst, shapes) == (mirrored[0], 35)
-
-
-def test_an_accepted_coupling_defect_leaves_the_mirrors_equal():
+def test_an_accepted_coupling_defect_leaves_the_mirrors_equal(counter,
+                                                              route):
     """A coupling right side 1e-11 (relative) off eta-Hermitian passes
     the precondition, so the root's K differs from its mirror in R5-R8
     by that much; the ranks still equal the direct ones."""
-    cases = []
-    for size in (1, 2, 4, 8):
-        for eta in ("i", "j", "k"):
-            for seed in (0, 1):
-                planted, _ = gen_planted("eta-full", size, seed, eta)
-                twin = gen_unsolvable("eta-full", size, seed, eta)
-                cases += [(f"{size} {eta} {seed} {i}",
-                           _with_defect(inst, seed, 1e-11))
-                          for i, inst in enumerate((planted, twin))]
-    _compare(cases)
+    _compare([(label, _with_defect(inst, seed, 1e-11)) for seed in (0, 1)
+              for label, inst in corpus("eta-full", sizes=(1, 2, 4, 8),
+                                        seeds=(seed,))], counter, route)
 
 
 def _root(inst):
     """The equilibrated root of a cold check of ``inst``, and its
     work."""
-    _evict()
+    evict()
     families.check(inst, TOL)
     work = families._SLOT[0]
     return work.inst, work
@@ -182,15 +124,15 @@ def test_the_mirror_survives_equilibration(variant, eta):
         for inst in (planted, twin):
             names = inst.rhs_names()
             for t in (1e-300, 1e-7, 1.0, 3e5, 1e300):
-                for scaled in (_scaled(variant, inst, t),
-                               _scaled_equations(inst, t, names),
-                               _scaled_equations(inst, t, names[-1:])):
+                for scaled in (scaled_rhs(inst, t),
+                               scaled_equations(inst, t, names),
+                               scaled_equations(inst, t, names[-1:])):
                     root, work = _root(scaled)
                     assert work.mirrored
                     for block, twin_block in mirrors.items():
                         mirror = getattr(root, twin_block).eta_conj_transpose(
                             eta)
-                        assert _planes([getattr(root, block)]) == _planes(
+                        assert planes([getattr(root, block)]) == planes(
                             [mirror]), (size, t, block)
 
 
@@ -209,7 +151,7 @@ def test_a_root_that_is_no_mirror_keeps_its_shifts():
     C3 X3 D3 take the exponent of their left factor alone, however
     large F2 and D3 are, and F2, D3 and D4 are not shifted."""
     inst, _ = gen_planted("master", 2, 0)
-    inst = replace(_scaled("master", inst, 1e8), F2=inst.F2 * 2.0 ** 20,
+    inst = replace(scaled_rhs(inst, 1e8), F2=inst.F2 * 2.0 ** 20,
                    E3=inst.E3 * 2.0 ** -9)
     assert not _root(inst)[1].mirrored
     assert _shifts(inst) == ({
@@ -229,61 +171,46 @@ def _work(terms, mirrored):
                            factors=SimpleNamespace(floor=0.0))
 
 
-def _lists(terms, monkeypatch):
-    """The (lhs, rhs) pairs of ``terms`` and the count of grids ranked
-    (by SVD, or by the certificate that settles the panels), on a
-    mirrored root and on one that is no mirror."""
-    shapes = _rank_calls(monkeypatch)
-    out = []
-    for mirrored in (True, False):
-        shapes.clear()
-        got = _rank_list(_work(terms, mirrored), False)
-        out.append(([(c.lhs, c.rhs) for c in got], len(shapes)))
-    return out
-
-
-def test_a_mirror_takes_its_twins_rank_without_an_svd(rand_q, monkeypatch):
+def test_a_mirror_takes_its_twins_rank_without_an_svd(rand_q, counter):
     a, b = rand_q(5, 3), rand_q(4, 2)
     twin, panel = [[a]], [[b]]
     terms = [("twin", twin, (panel,)),
              ("mirror", Mirror([[a.eta_conj_transpose("j")]], twin),
               (Mirror([[b.eta_conj_transpose("j")]], panel),))]
-    # a root that is no mirror ranks each mirror as its grid
-    assert _lists(terms, monkeypatch) == [([(3, 2), (3, 2)], 2),
-                                          ([(3, 2), (3, 2)], 4)]
+    got = []
+    for mirrored in (True, False):
+        ranked = _rank_list(_work(terms, mirrored), False)
+        got.append(([(c.lhs, c.rhs) for c in ranked],
+                    counts(counter.take())))
+    # the twin takes an SVD and its panel a certificate; a root that is
+    # no mirror ranks each mirror as its grid
+    assert got == [([(3, 2), (3, 2)], (0, 1, 1)),
+                   ([(3, 2), (3, 2)], (0, 2, 2))]
 
 
-def test_no_mirror_reaches_the_helper(monkeypatch):
+def test_no_mirror_reaches_the_helper(monkeypatch, counter, route):
     """``decomp.ranks``, which alone starts the helper, never receives a
-    mirror: with every gate open, a cold check of every variant hands it
-    plain grids only, though the works it reaches mark mirrors."""
-    ranks, calls = families.ranks, []
+    mirror: with every gate open, a cold check of every variant lays out
+    plain grids only, though the works it reaches mark mirrors (the
+    master and two-term works on every root), and the helper runs."""
+    laid, block_grid = [], decomp.BlockGrid
 
-    def recorded(grids, floor, full_first):
-        calls.append(list(grids))
-        return ranks(grids, floor, full_first)
+    def recorded(grid):
+        laid.append(grid)
+        return block_grid(grid)
 
-    monkeypatch.setattr(families, "ranks", recorded)
-    _gates(monkeypatch)
-    threads, svdvals = [], decomp._svdvals
-
-    def values(m):
-        threads.append(threading.current_thread().name)
-        return svdvals(m)
-
-    monkeypatch.setattr(decomp, "_svdvals", values)
+    monkeypatch.setattr(decomp, "BlockGrid", recorded)
+    route("helper")
     for variant in VARIANTS:
         inst, _ = gen_planted(variant, 2, 0, "k")
-        calls.clear()
+        laid.clear()
         _, work = _root(inst)
-        assert calls and not any(isinstance(g, Mirror)
-                                 for grids in calls for g in grids), variant
+        assert laid and not any(isinstance(g, Mirror) for g in laid), variant
         terms = [x for _, grid, rhs in work.rank_terms()
                  for x in (grid, *rhs)]
-        # the master and two-term works mark mirrors on every root
         assert any(isinstance(x, Mirror) for x in terms) == (
             variant != "pair"), variant
-    assert "qsylv-rank" in threads
+    assert any(e.thread == "qsylv-rank" for e in counter.take())
     assert not hasattr(decomp, "Mirror")
 
 

@@ -4,52 +4,27 @@ Each ``decomp.ranks`` call of a rank list (one for the coefficient-only
 panels on the first list of a factorization, one for the other grids)
 ranks its largest matrix on one helper thread while the calling thread
 ranks the rest, when BLAS is pinned to one thread, two CPUs are allowed
-and the largest embedding is large.  The gates are forced on here at
-small sizes: the reports must equal the serial ones, an error in the
-helper must reach the caller, the helper's offer to the full-rank
-certificate must not depend on the calling thread, and no thread may
-outlive a call.
+and the largest embedding is large.  The gates are opened here at small
+sizes (the ``route`` fixture): the reports must equal the serial ones,
+taken with the gates shut, from the same SVDs and certificates, the
+helper must be offered to the certificate as the calling thread is, its
+grid must be embedded on the calling thread, an error in it must reach
+the caller, and no thread may outlive a call.  No mirror reaches ``decomp.ranks``, so the helper
+ranks plain grids only (``tests/test_mirrored_ranks.py``).
 """
 
-import os
 import threading
 
 import pytest
 
 import qsylv
 from qsylv import QMatrix, decomp
-from qsylv.harness import gen_planted, gen_unsolvable
+from qsylv.harness import VARIANTS, gen_planted
 from qsylv.solvers.families import check
 
-from tests.test_shared_work import _evict
+from tests.conftest import Counter, cold_check, corpus, evict, set_gates
 
 TOL = 1e-9
-
-
-def _gates(monkeypatch, blas="1", cpus=2, min_entries=0):
-    """Set the three gates: the BLAS thread variable, the CPUs allowed
-    and the smallest embedding ranked on the helper."""
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    if blas is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(decomp, "_HELPER_MIN_ENTRIES", min_entries)
-
-
-def _rank_threads(monkeypatch):
-    """The names of the threads that rank a grid from here on, by SVD or
-    by full-rank certificate (``decomp._rank_step``)."""
-    names, step = [], decomp._rank_step
-
-    def recorded(*args, **kwargs):
-        names.append(threading.current_thread().name)
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(decomp, "_rank_step", recorded)
-    return names
 
 
 def _starts(monkeypatch):
@@ -64,70 +39,65 @@ def _starts(monkeypatch):
     return started
 
 
-def _cold_check(variant, inst):
-    _evict()
-    report = check(inst, TOL)
-    report.rank_conditions
-    return report
+def _ranked(events):
+    """The shapes of the pinv SVDs, and of the grids ranked, each by the
+    SVD or the certificate that settled it."""
+    return sorted((e.kind == "pinv", e.shape) for e in events
+                  if e.settled is not False)
 
 
-@pytest.mark.parametrize("variant", ["master", "five-term", "three-term",
-                                     "eta-full", "two-term", "pair",
-                                     "eta-two"])
-def test_helper_reports_equal_serial_reports(variant, monkeypatch):
-    insts = [make(variant, size, seed)
-             for size in (2, 3, 4) for seed in (1, 2)
-             for make in (lambda *a: gen_planted(*a)[0], gen_unsolvable)]
-    _gates(monkeypatch, min_entries=1 << 62)
-    serial = [_cold_check(variant, inst) for inst in insts]
-    _gates(monkeypatch)
-    names = _rank_threads(monkeypatch)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_helper_reports_equal_serial_reports(variant, monkeypatch, counter,
+                                             route):
+    cases = list(corpus(variant, sizes=(2, 3, 4), seeds=(1, 2), etas="i"))
+    set_gates(monkeypatch, min_entries=1 << 62)
+    serial = [cold_check(inst, counter) for _, inst in cases]
+    route("helper")
     before = threading.active_count()
-    helper, helpers = [], 0
-    for inst in insts:
-        # the eviction checks a two-term instance, with a helper of its
-        # own; only the helper of the checked call counts
-        _evict()
-        names.clear()
-        helper.append(check(inst, TOL))
-        helpers += names.count("qsylv-rank")
+    helper = [cold_check(inst, counter) for _, inst in cases]
     assert threading.active_count() == before
-    # a cold list ranks its panels (pair has none) and its other grids
-    # in two ranks calls, each with a helper
-    assert helpers == (1 if variant == "pair" else 2) * len(insts)
-    assert any(not r.consistent for r in serial)
-    for s, h in zip(serial, helper):
-        assert s == h and s.to_dict() == h.to_dict()
+    certified_on = set()
+    for (label, _), (s, s_events), (h, h_events) in zip(cases, serial,
+                                                        helper):
+        assert s == h and s.to_dict() == h.to_dict(), label
+        # the same grids ranked: each ends in one SVD or one certificate
+        # that settles it, whatever the thread
+        assert _ranked(s_events) == _ranked(h_events), label
+        # a cold list ranks its panels (pair has none) and its other
+        # grids in two ranks calls, each with a helper
+        assert sum(e.thread == "qsylv-rank" and e.settled is not False
+                   for e in h_events) == (1 if variant == "pair" else 2)
+        certified_on |= {e.thread for e in h_events
+                         if e.kind == "certificate"}
+    assert certified_on == {"MainThread", "qsylv-rank"}
+    assert any(not s.consistent for s, _ in serial)
 
 
-def test_helper_error_reaches_the_caller(monkeypatch):
+def test_helper_error_reaches_the_caller(monkeypatch, counter, route):
     inst, _ = gen_planted("master", 3, 1)
-    shapes, svdvals = [], decomp._svdvals
+    evict()
+    counter.take()
+    qsylv.check_master(inst)
+    largest = max((e.shape for e in counter.take() if e.kind == "rank"),
+                  key=lambda s: s[0] * s[1])
+    failed, svd = [], decomp._svd
 
-    def recorded(m):
-        shapes.append(m.shape)
-        return svdvals(m)
-
-    monkeypatch.setattr(decomp, "_svdvals", recorded)
-    _cold_check("master", inst)
-    largest = max(shapes, key=lambda s: s[0] * s[1])
-    failed = []
-
-    def failing(m):
-        if m.shape == largest:
+    def failing(m, **kwargs):
+        # rank SVDs only: a pinv SVD of that shape runs on the caller
+        if m.shape == largest and kwargs.get("compute_uv", True) is False:
             failed.append(threading.current_thread().name)
             raise decomp.NumericError("forced")
-        return svdvals(m)
+        return svd(m, **kwargs)
 
-    monkeypatch.setattr(decomp, "_svdvals", failing)
-    _gates(monkeypatch)
+    monkeypatch.setattr(decomp, "_svd", failing)
+    route("helper")
     before = threading.active_count()
-    _evict()
+    evict()
     with pytest.raises(decomp.NumericError, match="forced"):
         qsylv.check_master(inst)
     assert failed == ["qsylv-rank"]
     assert threading.active_count() == before
-    _evict()
+    evict()
 
 
 @pytest.mark.parametrize("gates", [
@@ -135,9 +105,10 @@ def test_helper_error_reaches_the_caller(monkeypatch):
     {"min_entries": 1 << 18}])
 def test_no_thread_with_a_gate_off(gates, monkeypatch):
     inst, _ = gen_planted("master", 4, 1)
-    _gates(monkeypatch, **gates)
+    set_gates(monkeypatch, **gates)
     started = _starts(monkeypatch)
-    assert _cold_check("master", inst).consistent
+    evict()
+    assert check(inst, TOL).consistent
     assert started == []
 
 
@@ -151,13 +122,12 @@ def test_the_helpers_offer_does_not_depend_on_the_calling_thread(
     grids = [[[rand_q(3, 2)]], [[rand_q(6, 5)]], [[rand_q(2, 3)]],
              [[rand_q(4, 4)]]]
     want = [decomp.rank(g) for g in grids]
-    full_rank, step, tried = decomp._full_rank, decomp._rank_step, []
+    full_rank, step = decomp._full_rank, decomp._rank_step
     first_ranked = threading.Event()
 
     def refusing(m, floor):
-        name = threading.current_thread().name
-        tried.append((name, m.shape))
-        if name == "MainThread" and len(tried) == 1:
+        if (threading.current_thread().name == "MainThread"
+                and not any(e.kind == "certificate" for e in counter.events)):
             return False
         return full_rank(m, floor)
 
@@ -171,24 +141,27 @@ def test_the_helpers_offer_does_not_depend_on_the_calling_thread(
 
     monkeypatch.setattr(decomp, "_full_rank", refusing)
     monkeypatch.setattr(decomp, "_rank_step", ordered)
-    _gates(monkeypatch)
+    # counts the refusals too
+    counter = Counter(monkeypatch)
+    set_gates(monkeypatch)
     started = _starts(monkeypatch)
     for full_first in (True, False):
-        counts = set()
+        seen = set()
         for _ in range(20):
-            tried.clear()
+            counter.take()
             first_ranked.clear()
             assert decomp.ranks(grids, 0.0, full_first) == want
-            helper = [shape for name, shape in tried if name == "qsylv-rank"]
-            counts.add((len(helper), len(tried) - len(helper)))
+            tried = [e for e in counter.take() if e.kind == "certificate"]
+            helper = [e.shape for e in tried if e.thread == "qsylv-rank"]
+            seen.add((len(helper), len(tried) - len(helper)))
             if full_first:
                 assert helper == [(12, 10)]
-        assert counts == ({(1, 1)} if full_first else {(0, 0)})
+        assert seen == ({(1, 1)} if full_first else {(0, 0)})
     assert started == ["qsylv-rank"] * 40
 
 
 def test_blas_gate_reads_the_first_variable_set(monkeypatch):
-    _gates(monkeypatch)
+    set_gates(monkeypatch)
     assert decomp._helper_allowed(0)
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     assert decomp._helper_allowed(0)
@@ -206,8 +179,32 @@ def test_ranks_equal_rank_on_each_grid(rand_q, monkeypatch):
              [[a, b], [c, None]], [[QMatrix.zeros(0, 2)]]]
     want = [decomp.rank(g, floor=1e-8) for g in grids]
     assert want[2] == 2 and decomp.rank(grids[2]) == 12
-    _gates(monkeypatch)
+    set_gates(monkeypatch)
     started = _starts(monkeypatch)
     assert decomp.ranks(grids, 1e-8) == want
     assert decomp.ranks([], 1e-8) == []
     assert started == ["qsylv-rank"]
+
+
+def test_helper_grid_is_embedded_on_the_calling_thread(monkeypatch, counter,
+                                                       route):
+    inst, _ = gen_planted("master", 3, 1)
+    embeds, embed_block = [], decomp.embed_block
+
+    def embed(grid):
+        out = embed_block(grid)
+        embeds.append((threading.current_thread().name, out.shape))
+        return out
+
+    monkeypatch.setattr(decomp, "embed_block", embed)
+    route("helper")
+    evict()
+    embeds.clear()
+    counter.take()
+    qsylv.check_master(inst)
+    svds = [e for e in counter.take() if e.kind == "rank"]
+    largest = max(svds, key=lambda e: e.shape[0] * e.shape[1])
+    assert largest.thread == "qsylv-rank"
+    assert [e.thread for e in svds].count("qsylv-rank") == 1
+    assert {name for name, _ in embeds} == {"MainThread"}
+    assert largest.shape in [shape for _, shape in embeds]
