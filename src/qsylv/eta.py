@@ -22,8 +22,10 @@ sides C1.. of eta-full and eta-three as B1.. (and eta-three's C as
 Cc); the document loader maps them to the fields, from each variant's
 ``aliases`` in :data:`.harness.VARIANT_TABLE`.  Eta-Hermicity of the
 coupling right side (Cc, C, D1, D3) is each type's ``require()``: a
-precondition checked under the type's own field name rather than
-silently symmetrized.
+precondition checked under the type's own field name.  A defect it
+accepts, at most ``PRECONDITION_TOL`` of the side's norm, is removed
+before the lift (:func:`.solvers.families._root_work` lifts the side's
+eta-Hermitian part), so both certificate forms judge the same data.
 """
 
 from __future__ import annotations

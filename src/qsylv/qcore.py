@@ -117,7 +117,6 @@ def quat_eta_conj(q: Quaternion, eta: str) -> Quaternion:
     return Quaternion(q.w, *parts)
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv
-from .families import FreeParam, ShapedInstance, cascade_floor
+from .families import (FreeParam, ShapedInstance, cascade_floor,
+                       coefficient_norms)
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,12 @@ class PairKernel:
 
 
 class _PairFactors:
-    """The pinv bundles of A and B at their cascade floor."""
+    """The norms of A and B, and their pinv bundles at their cascade
+    floor."""
 
     def __init__(self, inst: PairInstance):
-        self.floor = cascade_floor(inst.A, inst.B)
+        self.block_norms = coefficient_norms(inst)
+        self.floor = cascade_floor(self.block_norms.values())
         self.bundles = (pinv(inst.A, floor=self.floor),
                         pinv(inst.B, floor=self.floor))
 

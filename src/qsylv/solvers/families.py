@@ -20,14 +20,14 @@ A reduction (a work) is built from one instance in two parts.  Its
 ``factors`` are the coefficient factorization: every pinv bundle,
 intermediate and left-to-right product prefix of the closed forms that
 is a function of the coefficient blocks alone (the fields not in
-``rhs_names()``), with the cascade floor, plus the ranks of the
-coefficient-only rank panels, taken on the first rank list.  The
-work itself is the right-side pass over them: the particular solutions,
-the right-side intermediates and every certificate entry that reads a
-right side.  ``cls(inst)`` builds both; ``cls(inst, factors)`` builds
-only the pass, on factors of equal coefficients.  The general solution
-is linear in the right sides, so one factorization serves every right
-side.
+``rhs_names()``), with their norms and the cascade floor, plus the
+ranks of the coefficient-only rank panels, taken on the first rank
+list.  The work itself is the right-side pass over them: the particular
+solutions, the right-side intermediates and every certificate entry
+that reads a right side.  ``cls(inst)`` builds both; ``cls(inst,
+factors)`` builds only the pass, on factors of equal coefficients.  The
+general solution is linear in the right sides, so one factorization
+serves every right side.
 
 Before any lift, :func:`check` and :func:`solve` equilibrate the
 caller's instance by powers of two (:func:`_equilibrated`): each
@@ -87,8 +87,15 @@ CASCADE_EPS = 256.0 * float(np.finfo(np.float64).eps)
 DEFAULT_TOL = 1e-9
 
 
-def cascade_floor(*mats) -> float:
-    return CASCADE_EPS * max([1.0] + [m.norm() for m in mats])
+def cascade_floor(norms) -> float:
+    return CASCADE_EPS * max([1.0, *norms])
+
+
+def coefficient_norms(inst) -> dict:
+    """The norm of every coefficient block of ``inst``, by name: a
+    factorization takes them once, for its floor and for
+    :func:`_backward_stable`."""
+    return {n: getattr(inst, n).norm() for n in inst.coefficient_names()}
 
 
 def require_tol(tol: float):
@@ -656,18 +663,26 @@ def _root_work(inst, keep=None, factors=None):
     no caller holds, the copy shares its coefficients and the work is
     only the right-side pass over ``factors``.  One scan
     (``require()``) checks the blocks and gives the exponents that
-    equilibrate the copy, before any lift.  The lift then writes each
-    doubled block of an eta type from its scaled twin, so its root is an
-    exact mirror, which the work records as ``work.mirrored``."""
+    equilibrate the copy, before any lift.  An eta type's coupling right
+    side is then replaced by its eta-Hermitian part, which removes the
+    defect ``require()`` accepted.  The lift then writes each doubled
+    block of an eta type from its scaled twin, so its root is an exact
+    mirror, which the work records as ``work.mirrored``."""
     exps = inst.require()
     names = inst.block_names() if keep is None else inst.rhs_names()
     caller = (inst if keep is None else keep)._replaced(
         {n: getattr(inst, n).copy() for n in names})
     scaled, k = _equilibrated(caller, exps)
+    mirrored = bool(type(inst).ETA_HERMITIAN)
+    if mirrored:
+        c = scaled.rhs_names()[-1]
+        m = getattr(scaled, c)
+        scaled = scaled._replaced(
+            {c: (m + m.eta_conj_transpose(scaled.eta)) * 0.5})
     root, maps = _reduced(scaled)
     work = root.WORK(root, factors)
     work.caller, work.maps, work.k = caller, maps, k
-    work.mirrored = bool(type(inst).ETA_HERMITIAN)
+    work.mirrored = mirrored
     return work
 
 
@@ -769,14 +784,9 @@ def _backward_stable(work, sol, tol: float) -> bool:
     |b|)`` at most ``tol`` (Rigal and Gaches, J. ACM 14 (1967); Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 7), the sum
     over the equation's terms in ``TERMS``.  A factor left out has norm
-    1 and a ``^eta*`` factor its block's norm.  The factor norms read
-    the coefficients alone, so they are taken on the first call on a
-    factorization and held on it as ``factors.factor_norms``."""
-    inst, k = work.inst, work.factors
-    norms = getattr(k, "factor_norms", None)
-    if norms is None:
-        norms = k.factor_norms = {n: getattr(inst, n).norm()
-                                  for n in inst.coefficient_names()}
+    1 and a ``^eta*`` factor its block's norm, read from the
+    factorization's ``block_norms``."""
+    inst, norms = work.inst, work.factors.block_norms
     factor = lambda n: 1.0 if n is None else norms[n.removesuffix(ETA_STAR)]
     unknown = dict(zip(inst.unknown_names(), (m.norm() for m in sol)))
     for (_, defect, b), terms in zip(inst.residual_terms(sol),

@@ -37,7 +37,8 @@ from typing import NamedTuple
 from ..decomp import pinv
 from ..qmatrix import QMatrix, hstack, vstack
 from .basic import PairKernel
-from .families import FreeParam, Mirror, ShapedInstance, cascade_floor
+from .families import (FreeParam, Mirror, ShapedInstance, cascade_floor,
+                       coefficient_norms)
 from .two_term import TwoTermKernel
 
 # the free parameters of the master family, in order
@@ -191,8 +192,8 @@ class _MasterFactors:
     is L_C1 pinv(C2), and so on)."""
 
     def __init__(self, inst: MasterInstance):
-        self.floor = cascade_floor(*(getattr(inst, n)
-                                     for n in inst.coefficient_names()))
+        self.block_norms = coefficient_norms(inst)
+        self.floor = cascade_floor(self.block_norms.values())
         pv = lambda m: pinv(m, floor=self.floor)
         empty = QMatrix.zeros
         # U and V solve one-sided pairs, whose empty halves take no SVD
@@ -208,7 +209,7 @@ class _MasterFactors:
             self.reduced += [getattr(inst, f"E{i}") @ ba.proj_left,
                              bb.proj_right @ getattr(inst, f"F{i}")]
         a1, b1, a2, b2, a3, b3, a4, b4 = self.reduced
-        self.reduced_floor = cascade_floor(*self.reduced)
+        self.reduced_floor = cascade_floor(m.norm() for m in self.reduced)
         pv = lambda m: pinv(m, floor=self.reduced_floor)
         self.bA1, self.bB1 = pv(a1), pv(b1)
         self.a1_pa1 = a1 @ self.bA1.pinv

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..decomp import pinv
-from .families import FreeParam, Mirror, ShapedInstance, cascade_floor
+from .families import (FreeParam, Mirror, ShapedInstance, cascade_floor,
+                       coefficient_norms)
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,12 @@ class TwoTermKernel:
 
 
 class _TwoTermFactors(TwoTermKernel):
-    """The kernel of one instance's coefficients at their cascade
-    floor."""
+    """The norms of one instance's coefficients, and their kernel at
+    their cascade floor."""
 
     def __init__(self, inst: TwoTermInstance):
-        self.floor = cascade_floor(inst.C3, inst.D3, inst.C4, inst.D4)
+        self.block_norms = coefficient_norms(inst)
+        self.floor = cascade_floor(self.block_norms.values())
         super().__init__(inst.C3, inst.D3, inst.C4, inst.D4,
                          lambda m: pinv(m, floor=self.floor))
 

@@ -29,7 +29,7 @@ import pytest
 import qsylv
 from qsylv import QMatrix, block, decomp, pinv, rank
 from qsylv.harness import (VARIANT_TABLE, _planted, gen_planted,
-                           gen_unsolvable)
+                           gen_unsolvable, verify_solution)
 from qsylv.qmatrix import rand_qmatrix
 from qsylv.solvers import families
 
@@ -59,9 +59,8 @@ def data_dir():
 
 
 def worst_rel(inst, sol):
-    """The largest relative defect ``|defect| / (1 + scale)`` over an
-    instance's residual terms at ``sol``."""
-    return max(d.norm() / (1.0 + s) for _, d, s in inst.residual_terms(sol))
+    """The largest relative residual of ``verify_solution`` at ``sol``."""
+    return max(e.relative for e in verify_solution(inst, sol).entries)
 
 
 def rank_block_oracle(a, b, c, d, e, tol=None):

@@ -5,13 +5,12 @@ lines; tolerances are the contract values, pinned here.
 """
 
 import json
-import pathlib
 import time
 
 import numpy as np
 
-from qsylv import (Inconsistent, QMatrix, check_master, documents as docs,
-                   pinv, solve_eta_full, solve_eta_mixed, solve_eta_three,
+from qsylv import (Inconsistent, check_master, documents as docs, pinv,
+                   solve_eta_full, solve_eta_mixed, solve_eta_three,
                    solve_eta_two, solve_five_term, solve_left, solve_master,
                    solve_mixed_system, solve_pair, solve_right,
                    solve_three_term_system, solve_two_term, symmetrize)
@@ -20,16 +19,7 @@ from qsylv.decomp import _embedding, _svdvals, default_rank_tol
 from qsylv.harness import (VARIANT_TABLE, DimensionProfile, gen_consistent,
                            gen_planted, gen_unsolvable)
 
-from tests.conftest import rank_block_oracle, worst_rel
-
-DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
-
-
-def make_rand(rng):
-    def rand_q(rows, cols, scale=1.0):
-        return QMatrix(*(scale * rng.standard_normal((rows, cols))
-                         for _ in range(4)))
-    return rand_q
+from tests.conftest import DATA_DIR, make_rand, rank_block_oracle, worst_rel
 
 
 def verdict(num, ok, text):

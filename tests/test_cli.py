@@ -1,9 +1,10 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
-from qsylv import documents as docs
+from qsylv import QMatrix, documents as docs
 from qsylv.cli import main
 from qsylv.harness import VARIANTS, verify_solution
 
@@ -146,7 +147,6 @@ def test_zero_solution_fails_verify(tmp_path):
                  "--out", ipath]) == 0
     doc = docs.load_json(ipath)
     inst = docs.instance_from_doc(doc)
-    from qsylv import QMatrix
     zero = tuple(QMatrix.zeros(*s) for s in inst.unknown_shapes().values())
     docs.dump_json(spath, docs.solution_to_doc("two-term", zero))
     assert main(["verify", ipath, spath]) == 2
@@ -175,7 +175,6 @@ def test_solve_with_parameter_file(tmp_path):
                  "--out", ipath]) == 0
     inst = docs.instance_from_doc(docs.load_json(ipath))
     shape = inst.unknown_shapes()["X3"]
-    from qsylv import QMatrix
     ones = QMatrix.from_entries([[1.0] * shape[1]] * shape[0])
     docs.dump_json(ppath, {"Y12": docs.matrix_to_doc(ones)})
     assert main(["solve", ipath, "--free", ppath, "--out", spath1]) == 0
@@ -218,22 +217,29 @@ def test_example_instance_checks_and_solves(data_dir, tmp_path):
     assert main(["verify", ipath, spath, "--tol", "1e-3"]) == 0
     out = str(tmp_path / "sol.json")
     assert main(["solve", ipath, "--out", out, "--tol", "1e-8"]) == 0
+    # the solution as written verifies at the default tol
+    assert main(["verify", ipath, out]) == 0
 
 
 def test_check_and_solve_scaled_master_exit_zero(tmp_path):
-    # right sides x1e8: both certificates pass on the equilibrated
-    # instance (check exits 0), and the particular solution verifies
+    # every right side x1e8, x1e300 and x1e-300: both certificates pass
+    # on the equilibrated instance (check exits 0), and the particular
+    # solution verifies; the unsolvable twin still exits 2
     ipath = str(tmp_path / "inst.json")
     spath = str(tmp_path / "sol.json")
-    assert main(["gen", "--variant", "master", "--size", "2", "--seed", "0",
-                 "--out", ipath]) == 0
-    inst = docs.instance_from_doc(docs.load_json(ipath))
-    rhs = ("C1", "C2", "C3", "C4", "D1", "D2", "D3", "D4", "Cc")
-    inst = replace(inst, **{f: getattr(inst, f) * 1e8 for f in rhs})
-    docs.dump_json(ipath, docs.instance_to_doc(inst))
-    assert main(["solve", ipath, "--out", spath]) == 0
-    assert main(["verify", ipath, spath]) == 0
-    assert main(["check", ipath]) == 0
+    for seed in (0, 5):
+        for kind, want in (([], 0), (["--inconsistent"], 2)):
+            assert main(["gen", "--variant", "master", "--size", "2",
+                         "--seed", str(seed), "--out", ipath, *kind]) == 0
+            base = docs.instance_from_doc(docs.load_json(ipath))
+            for scale in (1e8, 1e300, 1e-300):
+                inst = replace(base, **{f: getattr(base, f) * scale
+                                        for f in base.rhs_names()})
+                docs.dump_json(ipath, docs.instance_to_doc(inst))
+                assert main(["solve", ipath, "--out", spath]) == want
+                if want == 0:
+                    assert main(["verify", ipath, spath]) == 0
+                assert main(["check", ipath]) == want
 
 
 @pytest.mark.parametrize("command", ("check", "solve"))
@@ -245,8 +251,9 @@ def test_eta_three_precondition_names_c(command, tmp_path, capsys):
     docs.dump_json(ipath, doc)
     capsys.readouterr()
     assert main([command, ipath]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: C is not eta-Hermitian (defect")
+    err = capsys.readouterr().err
+    assert err.startswith("error: C is not eta-Hermitian (defect")
+    assert "Cc" not in err  # eta-three's own field, not the lift's
 
 
 @pytest.mark.parametrize("command", ("check", "solve"))
@@ -279,3 +286,69 @@ def test_non_object_document_is_a_message(doc, command, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: instance document must be a JSON object\n"
+
+
+@pytest.mark.parametrize("params, code, message", (
+    ({"U4": [[(0.5 * (i + 1), -0.25 * j, 0.125, 1.0) for j in range(3)]
+             for i in range(3)]}, 0, ""),
+    # the lift leaves W11 empty, so it is no parameter of the family
+    ({"W11": [[(1, 0, 0, 0)]]}, 1, "error: unknown free parameter 'W11'\n"),
+    ({"U4": [[(1, 0, 0, 0)]]}, 1,
+     "error: parameter U4 has shape (1, 1), expected (3, 3)\n"),
+))
+def test_mixed_parameter_file(params, code, message, tmp_path, capsys):
+    ipath, ppath = str(tmp_path / "mixed.json"), str(tmp_path / "par.json")
+    spath = tmp_path / "sol.json"
+    assert main(["gen", "--variant", "mixed", "--seed", "3",
+                 "--out", ipath]) == 0
+    docs.dump_json(ppath, {name: docs.matrix_to_doc(QMatrix.from_entries(e))
+                           for name, e in params.items()})
+    capsys.readouterr()
+    assert main(["solve", ipath, "--free", ppath, "--out", str(spath)]) == code
+    assert capsys.readouterr().err == message
+    if code == 0:
+        assert main(["verify", ipath, str(spath)]) == 0
+    else:
+        assert not spath.exists()
+
+
+def test_inconsistent_solve_prints_its_failing_conditions(tmp_path, capsys):
+    # the failing conditions include the rank list, built when printed
+    ipath = str(tmp_path / "bad.json")
+    assert main(["gen", "--variant", "master", "--inconsistent", "--seed", "5",
+                 "--out", ipath]) == 0
+    capsys.readouterr()
+    assert main(["solve", ipath]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("inconsistent; failing conditions:\n")
+    assert re.search(r"^  R[1-9]$", out, re.M)
+
+
+def test_pair_twin_check_prints_the_failing_rank_row(tmp_path, capsys):
+    # the twin's D leaves the reach of X B (B is wide)
+    ipath = str(tmp_path / "pair.json")
+    assert main(["gen", "--variant", "pair", "--inconsistent", "--seed", "2",
+                 "--out", ipath]) == 0
+    capsys.readouterr()
+    assert main(["check", ipath]) == 2
+    out = capsys.readouterr().out
+    assert re.search(r"^r\(D;B\)=r\(B\) .* FAIL$", out, re.M)
+    assert out.endswith("consistent: False   forms_agree: True\n")
+
+
+@pytest.mark.parametrize("gen, free, rows", (
+    (["--variant", "eta-mixed", "--eta", "j", "--seed", "2"], "zero", "XY"),
+    # the two-term lift's map back symmetrizes a random member
+    (["--variant", "eta-two", "--eta", "k", "--seed", "4"], "random", "YZ"),
+))
+def test_eta_round_trip_prints_its_hermicity_rows(gen, free, rows, tmp_path,
+                                                  capsys):
+    ipath, spath = str(tmp_path / "eta.json"), str(tmp_path / "sol.json")
+    assert main(["gen", *gen, "--out", ipath]) == 0
+    assert main(["solve", ipath, "--free", free, "--out", spath]) == 0
+    capsys.readouterr()
+    assert main(["verify", ipath, spath]) == 0
+    out = capsys.readouterr().out
+    for w in rows:
+        assert re.search(rf"^{w}={w}\^eta\* .* pass$", out, re.M)
+    assert re.search(r"^overall: pass", out, re.M)

@@ -1,12 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from qsylv import (ETAS, Inconsistent, QMatrix, check_eta_full,
+from qsylv import (ETAS, Inconsistent, QMatrix, check, check_eta_full,
                    check_eta_mixed, check_eta_three, check_eta_two,
-                   check_two_term, solve_eta_full, solve_eta_mixed,
+                   check_two_term, solve, solve_eta_full, solve_eta_mixed,
                    solve_eta_three, solve_eta_two, solve_master, symmetrize)
 from qsylv.harness import gen_planted, verify_solution
+from qsylv.qmatrix import rand_qmatrix
 
 from tests.conftest import worst_rel
 
@@ -166,11 +168,12 @@ class TestEtaTwo:
 
     def test_reports_and_family_are_the_two_term_lift(self, eta):
         # B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 is decided as the
-        # two-term equation C3 X3 D3 + C4 X4 D4 = E1
+        # two-term equation C3 X3 D3 + C4 X4 D4 = E1, E1 the eta-Hermitian
+        # part of D1
         inst, _ = gen_planted("eta-two", 2, seed=53, eta=eta)
         ec = lambda m: m.eta_conj_transpose(eta)
         lifted = check_two_term(inst.B1, ec(inst.B1), inst.C1, ec(inst.C1),
-                                inst.D1)
+                                symmetrize(inst.D1, eta))
         assert check_eta_two(inst).to_dict() == lifted.to_dict()
         fam = solve_eta_two(inst.B1, inst.C1, inst.D1, eta)
         assert [p.name for p in fam.free_params] == [
@@ -207,3 +210,26 @@ class TestEtaMixed:
         fam = solve_eta_mixed(zero.A1, zero.C1, zero.B1, zero.D1,
                               zero.A2, zero.A3, zero.D3, eta)
         assert all(m.norm() <= 1e-12 for m in fam.particular)
+
+
+@pytest.mark.parametrize("defect", (1e-12, 1e-11, 1e-10, 4e-10))
+@pytest.mark.parametrize("variant", ("eta-full", "eta-three", "eta-two",
+                                     "eta-mixed"))
+def test_accepted_defect_splits_no_forms(variant, defect):
+    # require() accepts a coupling right side whose eta-Hermitian defect
+    # is at most 1e-9 of its norm, far above the rank form's cut; the
+    # work lifts its eta-Hermitian part, so the forms judge the same data
+    for size in (1, 2):
+        for seed in (0, 1, 2):
+            inst, _ = gen_planted(variant, size, seed, eta="j")
+            name = inst.rhs_names()[-1]
+            c = getattr(inst, name)
+            a = rand_qmatrix(np.random.default_rng(seed), *c.shape)
+            anti = a - a.eta_conj_transpose("j")
+            moved = dataclasses.replace(
+                inst, **{name: c + anti * (defect * c.norm() / anti.norm())})
+            report = check(moved)
+            assert report.consistent and report.forms_agree, (size, seed)
+            fam = solve(moved)
+            assert not isinstance(fam, Inconsistent), (size, seed)
+            assert verify_solution(moved, fam.particular).passed
