@@ -79,7 +79,7 @@ def cmd_solve(args) -> int:
         docs.dump_json(args.report_out, {"format": "qsylv-residual-report",
                                          "variant": variant,
                                          **report.to_dict()})
-    return 0
+    return 0 if report.passed else 2
 
 
 def cmd_gen(args) -> int:
@@ -112,6 +112,17 @@ def cmd_verify(args) -> int:
         docs.dump_json(args.out, {"format": "qsylv-residual-report",
                                   "variant": variant, **report.to_dict()})
     return 0 if report.passed else 2
+
+
+def _seed(text: str) -> int:
+    """A seed of numpy's generators: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--free", default="zero",
                    help="'zero', 'random', or a JSON file of parameters")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed for --free random")
     p.add_argument("--out", default=None, help="write the solution as JSON")
     p.add_argument("--report-out", default=None,
@@ -159,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate planted or fuzzed instances")
     p.add_argument("--variant", choices=docs.VARIANTS, default="master")
     p.add_argument("--size", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--eta", choices=ETAS, default="i")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--inconsistent", dest="kind", action="store_const",

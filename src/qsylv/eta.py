@@ -30,8 +30,6 @@ eta-Hermitian part), so both certificate forms judge the same data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix
 from .solvers.families import ETA_STAR, ShapedInstance, times_pow2
@@ -76,7 +74,6 @@ class _EtaInstance(ShapedInstance):
         return exps
 
 
-@dataclass(frozen=True)
 class EtaFullInstance(_EtaInstance):
     """A1 U = C1; Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
     E1 U + (E1 U)^{eta*} + sum_i Ei W Ei^{eta*} = Cc.
@@ -127,7 +124,6 @@ class EtaFullInstance(_EtaInstance):
         return self.lift()[0]
 
 
-@dataclass(frozen=True)
 class EtaThreeInstance(_EtaInstance):
     """Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
     sum_i Ei W Ei^{eta*} = C.
@@ -162,7 +158,6 @@ class EtaThreeInstance(_EtaInstance):
 
 # -- two-term equation with eta-Hermitian unknowns -------------------------
 
-@dataclass(frozen=True)
 class EtaTwoInstance(_EtaInstance):
     """B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 with Y, Z eta-Hermitian.
 
@@ -189,7 +184,6 @@ class EtaTwoInstance(_EtaInstance):
 
 # -- mixed one-sided / two-sided eta system --------------------------------
 
-@dataclass(frozen=True)
 class EtaMixedInstance(_EtaInstance):
     """A1 X = C1, Y B1 = D1, A2 X A2^{eta*} + A3 Y A3^{eta*} = D3,
     with X, Y eta-Hermitian.

@@ -11,14 +11,11 @@ five side equations with it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..decomp import pinv
 from .families import (FreeParam, ShapedInstance, cascade_floor,
                        coefficient_norms)
 
 
-@dataclass(frozen=True)
 class PairInstance(ShapedInstance):
     """Coefficients of A X = C, X B = D; either equation may be empty."""
 

@@ -162,10 +162,11 @@ class ShapedInstance:
     equation.  ``ETA_HERMITIAN`` names the unknowns that must equal
     their eta-conjugate transpose.
 
-    The dataclass fields are derived from these tables when the class
-    is made: ``eta`` first when ``ETA_HERMITIAN`` is not empty, then
-    every ``SHAPES`` entry that is no unknown of ``TERMS``, in table
-    order; the unknowns are the remaining entries, in table order.
+    Each type that declares ``SHAPES`` is made a frozen dataclass, its
+    fields derived from these tables: ``eta`` first when
+    ``ETA_HERMITIAN`` is not empty, then every ``SHAPES`` entry that is
+    no unknown of ``TERMS``, in table order; the unknowns are the
+    remaining entries, in table order.
     ``residual_terms``, ``from_witness`` and ``rhs_names`` read the
     tables too.
 
@@ -195,6 +196,7 @@ class ShapedInstance:
             cls.__annotations__ = {**({"eta": str} if cls.ETA_HERMITIAN
                                       else {}),
                                    **dict.fromkeys(cls._blocks, QMatrix)}
+            dataclass(frozen=True)(cls)
 
     def __post_init__(self):
         named_dims(self.SHAPES, vars(self))

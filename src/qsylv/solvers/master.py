@@ -31,7 +31,6 @@ per-system spelling, are bound in the package root alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..decomp import pinv
@@ -46,7 +45,6 @@ MASTER_PARAM_NAMES = ("W11", "W12", "W13", "U4", "U5", "U6", "U7", "U8",
                       "U11", "U12", "U21", "U31", "U32", "U33", "U41", "U42")
 
 
-@dataclass(frozen=True)
 class MasterInstance(ShapedInstance):
     """Coefficient blocks of the nine-equation system; any block may be
     empty, which is how the specializations are expressed."""

@@ -11,13 +11,10 @@ families keep the master family's free parameters that are not empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .families import ShapedInstance
 from .master import MasterInstance
 
 
-@dataclass(frozen=True)
 class FiveTermInstance(ShapedInstance):
     """A1 X1 + X2 B1 + A2 Y1 B2 + A3 Y2 B3 + A4 Y3 B4 = B.
 
@@ -45,7 +42,6 @@ class FiveTermInstance(ShapedInstance):
              "Y3": ("Z",)})
 
 
-@dataclass(frozen=True)
 class ThreeTermInstance(ShapedInstance):
     """A1 X = C1, X B1 = D1, ..., E1 X F1 + E2 Y F2 + E3 Z F3 = C.
 
@@ -78,7 +74,6 @@ class ThreeTermInstance(ShapedInstance):
             {"X": ("X",), "Y": ("Y",), "Z": ("Z",)})
 
 
-@dataclass(frozen=True)
 class MixedInstance(ShapedInstance):
     """A1 X1 = C1, X1 B1 = C2, A2 X2 = C3, X2 B2 = C4,
     A3 X1 B3 + A4 X2 B4 = Cc.

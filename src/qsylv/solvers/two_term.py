@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..decomp import pinv
 from .families import (FreeParam, Mirror, ShapedInstance, cascade_floor,
                        coefficient_norms)
 
 
-@dataclass(frozen=True)
 class TwoTermInstance(ShapedInstance):
     """Coefficients of C3 X3 D3 + C4 X4 D4 = E1 as one value.
 

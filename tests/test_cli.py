@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -118,6 +119,10 @@ def test_random_member_and_inconsistent_exit_codes(variant, tmp_path):
      "unrecognized arguments: --branch first"),
     (["gen", "--kind", "inconsistent", "--out", "g.json"],
      "unrecognized arguments: --kind inconsistent"),
+    (["gen", "--seed", "-3", "--out", "g.json"],
+     "argument --seed: expected a non-negative integer, got '-3'"),
+    (["solve", "x.json", "--free", "random", "--seed", "-1"],
+     "argument --seed: expected a non-negative integer, got '-1'"),
 ))
 def test_usage_errors_exit_one(argv, message, tmp_path, monkeypatch,
                                capsys):
@@ -295,6 +300,10 @@ def test_non_object_document_is_a_message(doc, command, tmp_path, capsys):
     ({"W11": [[(1, 0, 0, 0)]]}, 1, "error: unknown free parameter 'W11'\n"),
     ({"U4": [[(1, 0, 0, 0)]]}, 1,
      "error: parameter U4 has shape (1, 1), expected (3, 3)\n"),
+    # solve verifies the member it writes, and exits 2 as verify of the
+    # written file does when that fails
+    ({"U4": [[(math.nan,) * 4] * 3] * 3}, 2, ""),
+    ({"U4": [[(1e300, 0, 0, 0)] * 3] * 3}, 2, ""),
 ))
 def test_mixed_parameter_file(params, code, message, tmp_path, capsys):
     ipath, ppath = str(tmp_path / "mixed.json"), str(tmp_path / "par.json")
@@ -306,10 +315,10 @@ def test_mixed_parameter_file(params, code, message, tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", ipath, "--free", ppath, "--out", str(spath)]) == code
     assert capsys.readouterr().err == message
-    if code == 0:
-        assert main(["verify", ipath, str(spath)]) == 0
-    else:
+    if code == 1:
         assert not spath.exists()
+    else:
+        assert main(["verify", ipath, str(spath)]) == code
 
 
 def test_inconsistent_solve_prints_its_failing_conditions(tmp_path, capsys):
