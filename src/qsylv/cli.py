@@ -114,8 +114,8 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
-def _seed(text: str) -> int:
-    """A seed of numpy's generators: a non-negative integer."""
+def _non_negative(text: str) -> int:
+    """A seed of numpy's generators or a size: a non-negative integer."""
     try:
         if int(text) >= 0:
             return int(text)
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--free", default="zero",
                    help="'zero', 'random', or a JSON file of parameters")
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--seed", type=_non_negative, default=0,
                    help="seed for --free random")
     p.add_argument("--out", default=None, help="write the solution as JSON")
     p.add_argument("--report-out", default=None,
@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate planted or fuzzed instances")
     p.add_argument("--variant", choices=docs.VARIANTS, default="master")
-    p.add_argument("--size", type=int, default=2)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--size", type=_non_negative, default=2)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--eta", choices=ETAS, default="i")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--inconsistent", dest="kind", action="store_const",

@@ -170,7 +170,8 @@ def solution_from_doc(doc: dict, variant: str | None = None) -> tuple:
 
 
 def params_from_doc(doc: dict, family) -> dict:
-    """Free-parameter matrices keyed by name, validated against a family."""
+    """Free-parameter matrices keyed by name, validated against a family;
+    a nan or infinite entry is refused, naming the parameter."""
     if not isinstance(doc, dict):
         raise ParseError("parameter document must be a JSON object")
     known = {p.name for p in family.free_params}
@@ -180,7 +181,10 @@ def params_from_doc(doc: dict, family) -> dict:
             continue
         if key not in known:
             raise ParseError(f"unknown free parameter {key!r}")
-        out[key] = matrix_from_doc(value, key)
+        m = matrix_from_doc(value, key)
+        if not (np.isfinite(m.a1).all() and np.isfinite(m.a2).all()):
+            raise ParseError(f"parameter {key} has a non-finite entry")
+        out[key] = m
     return out
 
 

@@ -12,31 +12,32 @@ slot empty, and eta-mixed onto eta-three: for an eta-Hermitian Y the
 constraint Y B1 = D1 is B1^{eta*} Y = D1^{eta*}, and the third slot is
 empty.  Eta-two lifts onto the two-term system, whose solutions the
 same averaging maps onto its own.  Every eta type declares these
-steps as its ``LIFT`` table: the doubled blocks as ``^eta*`` slots, and
-the averaging as the target unknowns each own unknown is the mean of.
+steps by its tables alone, as a ``LIFT`` of two tables of means
+(:class:`.solvers.families.ShapedInstance`): each doubled block is the
+one name ``"A1^eta*"``, the coupling right side (Cc, C, D1, D3) goes in
+as its eta-Hermitian part, the mean of it and its ``^eta*``, and each
+own unknown comes back as the mean of the target unknowns it pairs.
 The one driver (:func:`.solvers.families.check`,
 :func:`.solvers.families.solve`) decides every one of them.
 
 The instance types take C names only.  A document may label the right
 sides C1.. of eta-full and eta-three as B1.. (and eta-three's C as
 Cc); the document loader maps them to the fields, from each variant's
-``aliases`` in :data:`.harness.VARIANT_TABLE`.  Eta-Hermicity of the
-coupling right side (Cc, C, D1, D3) is each type's ``require()``: a
-precondition checked under the type's own field name.  A defect it
-accepts, at most ``PRECONDITION_TOL`` of the side's norm, is removed
-before the lift (:func:`.solvers.families._root_work` lifts the side's
-eta-Hermitian part), so both certificate forms judge the same data.
+``aliases`` in :data:`.harness.VARIANT_TABLE`.  Since each declares
+``ETA_HERMITIAN`` unknowns, ``ShapedInstance`` checks ``eta`` before
+the shapes, and ``require()`` refuses a coupling right side whose
+eta-Hermitian defect exceeds ``PRECONDITION_TOL`` of its norm, under
+the type's own field name.  The lift removes the defect it accepts, so
+both certificate forms judge the same data.
 """
 
 from __future__ import annotations
 
 from .qcore import check_eta
 from .qmatrix import DimensionError, QMatrix
-from .solvers.families import ETA_STAR, ShapedInstance, times_pow2
+from .solvers.families import ETA_STAR, ShapedInstance
 from .solvers.master import MasterInstance
 from .solvers.two_term import TwoTermInstance
-
-PRECONDITION_TOL = 1e-9
 
 
 def symmetrize(x: QMatrix, eta: str) -> QMatrix:
@@ -47,34 +48,7 @@ def symmetrize(x: QMatrix, eta: str) -> QMatrix:
     return (x + x.eta_conj_transpose(eta)) * 0.5
 
 
-class _EtaInstance(ShapedInstance):
-    """Instance types with an eta field, checked before the shapes, and
-    an eta-Hermitian coupling right side (square by ``SHAPES``)."""
-
-    def __post_init__(self):
-        check_eta(self.eta)
-        super().__post_init__()
-
-    def require(self) -> dict:
-        """Refuse non-finite entries, then a coupling right side whose
-        eta-Hermitian defect exceeds ``PRECONDITION_TOL`` times its own
-        norm, both taken after an exact division by the power of two of
-        its largest entry (:func:`.max_exponents`, from the scan of the
-        base ``require()``): no square overflows or underflows."""
-        exps = super().require()
-        name = self.rhs_names()[-1]
-        e = exps[name] or 0
-        m = times_pow2(getattr(self, name), -e)
-        defect = (m - m.eta_conj_transpose(self.eta)).norm()
-        if defect > PRECONDITION_TOL * m.norm():
-            raise ValueError(
-                f"{name} is not eta-Hermitian (defect "
-                f"{times_pow2(defect, e):.3e}); "
-                "refusing to symmetrize input data silently")
-        return exps
-
-
-class EtaFullInstance(_EtaInstance):
+class EtaFullInstance(ShapedInstance):
     """A1 U = C1; Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
     E1 U + (E1 U)^{eta*} + sum_i Ei W Ei^{eta*} = Cc.
 
@@ -108,13 +82,15 @@ class EtaFullInstance(_EtaInstance):
                ("E4", "Z", "E4^eta*", False)),
     }
     ETA_HERMITIAN = ("X", "Y", "Z")
-    # the doubled system: each A W = C gains W A^{eta*} = C^{eta*}, and
-    # each coupling term E W its mirror W E^{eta*}
+    # the doubled system: each A W = C gains W A^{eta*} = C^{eta*}, each
+    # coupling term E W its mirror W E^{eta*}; Cc goes in as its
+    # eta-Hermitian part
     LIFT = (MasterInstance,
-            {"Cc": "Cc", **{f"{b}{i}": f"{a}{i}{star}"
-                            for a, mirror in ("AB", "CD", "EF")
-                            for b, star in ((a, ""), (mirror, ETA_STAR))
-                            for i in (1, 2, 3, 4)}},
+            {"Cc": ("Cc", "Cc^eta*"),
+             **{f"{b}{i}": (f"{a}{i}{star}",)
+                for a, mirror in ("AB", "CD", "EF")
+                for b, star in ((a, ""), (mirror, ETA_STAR))
+                for i in (1, 2, 3, 4)}},
             {"U": ("U", "V^eta*"), "X": ("X", "X^eta*"),
              "Y": ("Y", "Y^eta*"), "Z": ("Z", "Z^eta*")})
 
@@ -124,7 +100,7 @@ class EtaFullInstance(_EtaInstance):
         return self.lift()[0]
 
 
-class EtaThreeInstance(_EtaInstance):
+class EtaThreeInstance(ShapedInstance):
     """Ai W = Ci with W = W^{eta*} for W in (X, Y, Z);
     sum_i Ei W Ei^{eta*} = C.
 
@@ -146,8 +122,8 @@ class EtaThreeInstance(_EtaInstance):
     ETA_HERMITIAN = ("X", "Y", "Z")
     # block i in eta-full slot i + 1; the first slot (U) is empty
     LIFT = (EtaFullInstance,
-            {"Cc": "C", **{f"{b}{i + 1}": f"{b}{i}"
-                           for b in "ACE" for i in (1, 2, 3)}},
+            {"Cc": ("C", "C^eta*"), **{f"{b}{i + 1}": (f"{b}{i}",)
+                                       for b in "ACE" for i in (1, 2, 3)}},
             {"X": ("X",), "Y": ("Y",), "Z": ("Z",)})
 
     def to_full(self) -> EtaFullInstance:
@@ -158,13 +134,14 @@ class EtaThreeInstance(_EtaInstance):
 
 # -- two-term equation with eta-Hermitian unknowns -------------------------
 
-class EtaTwoInstance(_EtaInstance):
+class EtaTwoInstance(ShapedInstance):
     """B1 Y B1^{eta*} + C1 Z C1^{eta*} = D1 with Y, Z eta-Hermitian.
 
     Lifted onto the two-term system C3 X3 D3 + C4 X4 D4 = E1 with
-    C3 = B1, D3 = B1^{eta*}, C4 = C1, D4 = C1^{eta*}, E1 = D1.  Since
-    D1 is eta-Hermitian, the eta-conjugate transpose of a two-term
-    solution solves it too, so the map back symmetrizes both blocks.
+    C3 = B1, D3 = B1^{eta*}, C4 = C1, D4 = C1^{eta*} and E1 the
+    eta-Hermitian part of D1.  Since E1 is eta-Hermitian, the
+    eta-conjugate transpose of a two-term solution solves it too, so
+    the map back symmetrizes both blocks.
     It is equilibrated before the lift, so the second and fourth
     two-term rank grids are the exact mirrors of the first and third
     and take their ranks without an SVD.  The certificates carry
@@ -177,14 +154,14 @@ class EtaTwoInstance(_EtaInstance):
                     ("C1", "Z", "C1^eta*", False))}
     ETA_HERMITIAN = ("Y", "Z")
     LIFT = (TwoTermInstance,
-            {"C3": "B1", "D3": "B1^eta*", "C4": "C1", "D4": "C1^eta*",
-             "E1": "D1"},
+            {"C3": ("B1",), "D3": ("B1^eta*",), "C4": ("C1",),
+             "D4": ("C1^eta*",), "E1": ("D1", "D1^eta*")},
             {"Y": ("X3", "X3^eta*"), "Z": ("X4", "X4^eta*")})
 
 
 # -- mixed one-sided / two-sided eta system --------------------------------
 
-class EtaMixedInstance(_EtaInstance):
+class EtaMixedInstance(ShapedInstance):
     """A1 X = C1, Y B1 = D1, A2 X A2^{eta*} + A3 Y A3^{eta*} = D3,
     with X, Y eta-Hermitian.
 
@@ -203,6 +180,7 @@ class EtaMixedInstance(_EtaInstance):
     # X in the first slot, Y in the second under B1^{eta*} Y = D1^{eta*},
     # and the third slot empty
     LIFT = (EtaThreeInstance,
-            {"A1": "A1", "C1": "C1", "E1": "A2", "A2": "B1^eta*",
-             "C2": "D1^eta*", "E2": "A3", "C": "D3"},
+            {"A1": ("A1",), "C1": ("C1",), "E1": ("A2",),
+             "A2": ("B1^eta*",), "C2": ("D1^eta*",), "E2": ("A3",),
+             "C": ("D3", "D3^eta*")},
             {"X": ("X",), "Y": ("Y",)})

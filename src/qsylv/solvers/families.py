@@ -74,6 +74,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..decomp import ranks
+from ..qcore import check_eta
 from ..qmatrix import DimensionError, QMatrix, Zero, named_dims, rand_qmatrix
 
 # Absolute truncation floor for pseudoinverses and ranks inside solver
@@ -85,6 +86,7 @@ from ..qmatrix import DimensionError, QMatrix, Zero, named_dims, rand_qmatrix
 CASCADE_EPS = 256.0 * float(np.finfo(np.float64).eps)
 
 DEFAULT_TOL = 1e-9
+PRECONDITION_TOL = 1e-9
 
 
 def cascade_floor(norms) -> float:
@@ -172,14 +174,16 @@ class ShapedInstance:
 
     ``WORK`` is the reduction class of a system solved in its own
     right.  A system without one declares ``LIFT = (target, slots,
-    back)``: the larger instance type it is solved through, the map
-    from target blocks to own blocks in the notation of ``TERMS``
-    (``"B1": "A1^eta*"``), every other target block being empty, and
-    the map from each own unknown to the target unknowns it is the mean
-    of (``"U": ("U", "V^eta*")``, or ``"X1": ("X",)`` for a slot).
-    ``lift()`` reads it.  ``require()`` raises ``ValueError`` when a
-    precondition on the data fails: every type refuses non-finite
-    entries.
+    back)``: the larger instance type it is solved through, and two
+    tables of means in the notation of ``TERMS``, read by ``lift()``:
+    ``slots`` maps target blocks to the own blocks each is the mean of
+    (``"B1": ("A1^eta*",)``, ``"Cc": ("Cc", "Cc^eta*")``), every other
+    target block being empty, and ``back`` each own unknown to target
+    unknowns (``"U": ("U", "V^eta*")``).  ``require()`` raises
+    ``ValueError`` when a precondition on the data fails: every type
+    refuses non-finite entries, and an eta type (``ETA_HERMITIAN``,
+    ``eta`` checked before the shapes) a coupling right side whose
+    eta-Hermitian defect exceeds ``PRECONDITION_TOL`` of its norm.
     """
 
     SHAPES: dict = {}
@@ -199,6 +203,8 @@ class ShapedInstance:
             dataclass(frozen=True)(cls)
 
     def __post_init__(self):
+        if self.ETA_HERMITIAN:
+            check_eta(self.eta)
         named_dims(self.SHAPES, vars(self))
 
     @classmethod
@@ -248,18 +254,19 @@ class ShapedInstance:
         """The ``LIFT`` target instance this one is solved through, and
         the map from that instance's solution tuples to this one's."""
         target, slots, back = self.LIFT
-        vals = vars(self)
-        eta = vals.get("eta")
-        blocks = target.with_empty({k: _factor(vals, own, eta)
-                                    for k, own in slots.items()})
+        eta = getattr(self, "eta", None)
+
+        def means(table, vals):
+            return {k: _mean([_factor(vals, n, eta) for n in names])
+                    for k, names in table.items()}
+
+        blocks = target.with_empty(means(slots, vars(self)))
         if target.ETA_HERMITIAN:
             blocks["eta"] = eta
         names = target.unknown_names()
 
         def project(sol):
-            got = dict(zip(names, sol))
-            return tuple(_mean([_factor(got, n, eta) for n in means])
-                         for means in back.values())
+            return tuple(means(back, dict(zip(names, sol))).values())
 
         # with_empty checked the named dimensions, and eta is this
         # instance's own
@@ -302,11 +309,23 @@ class ShapedInstance:
     def require(self) -> dict:
         """Refuse a block with a nan or infinite entry, naming it, before
         any SVD can read it; return the :func:`max_exponents` of every
-        block by name, all from one scan."""
+        block by name, all from one scan.  Then an eta type's coupling
+        precondition, both norms taken after an exact division by the
+        power of two of its largest entry, so no square overflows."""
         exps = dict(zip(self._blocks, max_exponents(self.blocks())))
         for name, e in exps.items():
             if e == math.inf:
                 raise ValueError(f"{name} has a non-finite entry")
+        if self.ETA_HERMITIAN:
+            name = self.rhs_names()[-1]
+            e = exps[name] or 0
+            m = times_pow2(getattr(self, name), -e)
+            defect = (m - m.eta_conj_transpose(self.eta)).norm()
+            if defect > PRECONDITION_TOL * m.norm():
+                raise ValueError(
+                    f"{name} is not eta-Hermitian (defect "
+                    f"{times_pow2(defect, e):.3e}); "
+                    "refusing to symmetrize input data silently")
         return exps
 
     def unknown_shapes(self) -> dict:
@@ -665,26 +684,20 @@ def _root_work(inst, keep=None, factors=None):
     no caller holds, the copy shares its coefficients and the work is
     only the right-side pass over ``factors``.  One scan
     (``require()``) checks the blocks and gives the exponents that
-    equilibrate the copy, before any lift.  An eta type's coupling right
-    side is then replaced by its eta-Hermitian part, which removes the
-    defect ``require()`` accepted.  The lift then writes each doubled
-    block of an eta type from its scaled twin, so its root is an exact
-    mirror, which the work records as ``work.mirrored``."""
+    equilibrate the copy, before any lift.  The lifts then write each
+    target block as the mean of scaled blocks: an eta type's doubled
+    blocks from their scaled twins, so its root is an exact mirror,
+    which the work records as ``work.mirrored``, and its coupling right
+    side as its eta-Hermitian part."""
     exps = inst.require()
     names = inst.block_names() if keep is None else inst.rhs_names()
     caller = (inst if keep is None else keep)._replaced(
         {n: getattr(inst, n).copy() for n in names})
     scaled, k = _equilibrated(caller, exps)
-    mirrored = bool(type(inst).ETA_HERMITIAN)
-    if mirrored:
-        c = scaled.rhs_names()[-1]
-        m = getattr(scaled, c)
-        scaled = scaled._replaced(
-            {c: (m + m.eta_conj_transpose(scaled.eta)) * 0.5})
     root, maps = _reduced(scaled)
     work = root.WORK(root, factors)
     work.caller, work.maps, work.k = caller, maps, k
-    work.mirrored = mirrored
+    work.mirrored = bool(type(inst).ETA_HERMITIAN)
     return work
 
 

@@ -36,8 +36,8 @@ class FiveTermInstance(ShapedInstance):
                    ("A2", "Y1", "B2", False), ("A3", "Y2", "B3", False),
                    ("A4", "Y3", "B4", False))}
     LIFT = (MasterInstance,
-            {"Cc": "B", **{f"{m}{i}": f"{f}{i}" for i in (1, 2, 3, 4)
-                           for m, f in (("E", "A"), ("F", "B"))}},
+            {"Cc": ("B",), **{f"{m}{i}": (f"{f}{i}",) for i in (1, 2, 3, 4)
+                              for m, f in (("E", "A"), ("F", "B"))}},
             {"X1": ("U",), "X2": ("V",), "Y1": ("X",), "Y2": ("Y",),
              "Y3": ("Z",)})
 
@@ -69,8 +69,8 @@ class ThreeTermInstance(ShapedInstance):
     }
     # block i in master slot i + 1; the first master slot is empty
     LIFT = (MasterInstance,
-            {"Cc": "C", **{f"{b}{i + 1}": f"{b}{i}"
-                           for b in "ABCDEF" for i in (1, 2, 3)}},
+            {"Cc": ("C",), **{f"{b}{i + 1}": (f"{b}{i}",)
+                              for b in "ABCDEF" for i in (1, 2, 3)}},
             {"X": ("X",), "Y": ("Y",), "Z": ("Z",)})
 
 
@@ -98,7 +98,8 @@ class MixedInstance(ShapedInstance):
         "Cc": (("A3", "X1", "B3", False), ("A4", "X2", "B4", False)),
     }
     LIFT = (MasterInstance,
-            {"A2": "A1", "B2": "B1", "C2": "C1", "D2": "C2", "E2": "A3",
-             "F2": "B3", "A3": "A2", "B3": "B2", "C3": "C3", "D3": "C4",
-             "E3": "A4", "F3": "B4", "Cc": "Cc"},
+            {"A2": ("A1",), "B2": ("B1",), "C2": ("C1",), "D2": ("C2",),
+             "E2": ("A3",), "F2": ("B3",), "A3": ("A2",), "B3": ("B2",),
+             "C3": ("C3",), "D3": ("C4",), "E3": ("A4",), "F3": ("B4",),
+             "Cc": ("Cc",)},
             {"X1": ("X",), "X2": ("Y",)})

@@ -114,7 +114,7 @@ def test_random_member_and_inconsistent_exit_codes(variant, tmp_path):
     (["check", "x.json", "--variant", "bogus"],
      "argument --variant: invalid choice: 'bogus'"),
     (["gen", "--size", "two", "--out", "g.json"],
-     "argument --size: invalid int value: 'two'"),
+     "argument --size: expected a non-negative integer, got 'two'"),
     (["solve", "x.json", "--branch", "first"],
      "unrecognized arguments: --branch first"),
     (["gen", "--kind", "inconsistent", "--out", "g.json"],
@@ -123,6 +123,10 @@ def test_random_member_and_inconsistent_exit_codes(variant, tmp_path):
      "argument --seed: expected a non-negative integer, got '-3'"),
     (["solve", "x.json", "--free", "random", "--seed", "-1"],
      "argument --seed: expected a non-negative integer, got '-1'"),
+    (["gen", "--size", "-3", "--out", "g.json"],
+     "argument --size: expected a non-negative integer, got '-3'"),
+    (["gen", "--variant", "eta-two", "--size", "-3", "--out", "g.json"],
+     "argument --size: expected a non-negative integer, got '-3'"),
 ))
 def test_usage_errors_exit_one(argv, message, tmp_path, monkeypatch,
                                capsys):
@@ -300,9 +304,11 @@ def test_non_object_document_is_a_message(doc, command, tmp_path, capsys):
     ({"W11": [[(1, 0, 0, 0)]]}, 1, "error: unknown free parameter 'W11'\n"),
     ({"U4": [[(1, 0, 0, 0)]]}, 1,
      "error: parameter U4 has shape (1, 1), expected (3, 3)\n"),
+    # a non-finite entry is refused as the parameter is read
+    ({"U4": [[(math.nan,) * 4] * 3] * 3}, 1,
+     "error: parameter U4 has a non-finite entry\n"),
     # solve verifies the member it writes, and exits 2 as verify of the
     # written file does when that fails
-    ({"U4": [[(math.nan,) * 4] * 3] * 3}, 2, ""),
     ({"U4": [[(1e300, 0, 0, 0)] * 3] * 3}, 2, ""),
 ))
 def test_mixed_parameter_file(params, code, message, tmp_path, capsys):

@@ -248,10 +248,11 @@ def test_lifts_map_right_sides_to_right_sides():
     assert lifted
     for cls in lifted:
         target, slots, _ = cls.LIFT
-        for slot, own in slots.items():
-            assert ((slot in target.rhs_names())
-                    == (own.removesuffix(ETA_STAR) in cls.rhs_names())), (
-                        cls.__name__, slot)
+        for slot, means in slots.items():
+            for own in means:
+                assert ((slot in target.rhs_names())
+                        == (own.removesuffix(ETA_STAR) in cls.rhs_names())), (
+                            cls.__name__, slot)
 
 
 def test_a_new_right_side_copies_only_the_right_sides():

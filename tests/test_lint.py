@@ -5,7 +5,9 @@ Every ``.py`` file under src/, tests/, tools/ and perfbench/ but the
 
 - Unused imports, over src/qsylv, tests and tools: a name bound by an
   ``import`` (``from __future__`` aside) that no name of its module
-  reads and that ``__all__`` does not list.
+  reads and that ``__all__`` does not list, or that an earlier import
+  of its module binds already.  ``import pkg.sub`` beside ``import
+  pkg`` binds nothing again: it loads the submodule.
 - Unused definitions: a top-level function, class or module-level
   assigned name of src/qsylv, or a method of one of its top-level
   classes other than a dunder, is unused when its name occurs once in
@@ -34,23 +36,32 @@ LINT = Path("tests/test_lint.py")
 
 
 def unused_imports(tree):
-    """(line, name) of each name imported by ``tree`` and never read."""
-    imported, used = {}, set()
+    """(line, name) of each name imported by ``tree`` and never read,
+    then of each import that binds a name again; a dotted ``import
+    pkg.sub`` is keyed by its whole path, so only the same path again
+    counts."""
+    bound, used = [], set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Import):
-            for a in node.names:
-                imported[a.asname or a.name.split(".")[0]] = node.lineno
+            bound += [(node.lineno, a.asname or a.name.split(".")[0],
+                       a.asname or a.name) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for a in node.names:
-                imported[a.asname or a.name] = node.lineno
+            bound += [(node.lineno, a.asname or a.name, a.asname or a.name)
+                      for a in node.names]
         elif (isinstance(node, ast.Assign)
               and any(getattr(t, "id", None) == "__all__"
                       for t in node.targets)):
             used |= {e.value for e in node.value.elts}
-    return [(line, name) for name, line in imported.items()
-            if name not in used]
+    first, keys, again = {}, set(), []
+    for line, name, key in sorted(bound):
+        first.setdefault(name, line)
+        if key in keys:
+            again.append((line, name))
+        keys.add(key)
+    return [(line, name) for name, line in first.items()
+            if name not in used] + again
 
 
 def definitions(tree):
@@ -168,6 +179,12 @@ def test_no_unused_definitions(offenders):
     ({"src/qsylv/m.py": "def helper():\n    pass\n",
       "src/qsylv/__init__.py": "from .m import helper\n",
       "tests/test_lint.py": "helper()\n"}, [], ["src/qsylv/m.py:1: helper"]),
+    # a name bound twice is flagged at its second import, even if read
+    ({"tools/t.py": "import os\nfrom os import path\nimport os\n"
+                    "print(os, path)\n"}, ["tools/t.py:3: os"], []),
+    # but import pkg.sub beside import pkg loads the submodule
+    ({"tests/test_m.py": "import qsylv\nimport qsylv.cli\nprint(qsylv)\n"},
+     [], []),
 ))
 def test_rules_on_small_trees(files, imports, defs):
     assert lint({Path(p): dedent(text)

@@ -107,7 +107,8 @@ def _doubled(cls) -> dict:
         return {}
     while cls.LIFT[0].WORK is None:
         cls = cls.LIFT[0]
-    slots = cls.LIFT[1]
+    # a slot of one name is that block or its eta-conjugate transpose
+    slots = {k: own for k, (own, *rest) in cls.LIFT[1].items() if not rest}
     plain = {own: k for k, own in slots.items() if not own.endswith(ETA_STAR)}
     return {k: plain[own.removesuffix(ETA_STAR)] for k, own in slots.items()
             if own.endswith(ETA_STAR)}

@@ -4,10 +4,12 @@ list, the planted right sides and the coupling field all follow it."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from qsylv import QMatrix
 from qsylv.harness import VARIANT_TABLE, VARIANTS, gen_planted, gen_unsolvable
+from qsylv.qmatrix import DimensionError, rand_qmatrix
 from qsylv.solvers.families import ETA_STAR
 
 CASES = [(v, eta) for v in VARIANTS
@@ -148,11 +150,13 @@ def test_lift_slots_name_real_blocks(variant):
     target, slots, back = cls.LIFT
     own = set(cls.block_names())
     fed = set()
-    for slot, name in slots.items():
+    for slot, means in slots.items():
         assert slot in target.block_names(), slot
-        assert name.removesuffix(ETA_STAR) in own, name
-        assert not name.endswith(ETA_STAR) or cls.ETA_HERMITIAN, name
-        fed.add(name.removesuffix(ETA_STAR))
+        assert means, slot
+        for name in means:
+            assert name.removesuffix(ETA_STAR) in own, name
+            assert not name.endswith(ETA_STAR) or cls.ETA_HERMITIAN, name
+            fed.add(name.removesuffix(ETA_STAR))
     # a typo cannot leave a block of this type unused
     assert fed == own
     assert tuple(back) == cls.unknown_names()
@@ -175,3 +179,47 @@ def test_lifted_shapes_are_pinned(variant):
     shapes = lifted.unknown_shapes()
     sol = project([QMatrix.zeros(*s) for s in shapes.values()])
     assert [m.shape for m in sol] == [m.shape for m in wit]
+
+
+def _equal(a, b) -> bool:
+    """Entry by entry equal (a zero equals a negative zero)."""
+    return np.array_equal(a.a1, b.a1) and np.array_equal(a.a2, b.a2)
+
+
+@pytest.mark.parametrize("variant, eta", [c for c in CASES
+                                          if c[0] in LIFTED_SHAPES])
+def test_lifts_are_tables_of_means(variant, eta):
+    # an eta type's coupling slot is the mean of its right side and that
+    # side's eta-conjugate transpose, so a defect require() accepts
+    # reaches no target block; every one-name slot hands the target the
+    # caller's block itself, or its eta-conjugate transpose
+    cls = VARIANT_TABLE[variant].instance_type
+    for size in (1, 2):
+        inst, _ = gen_planted(variant, size, 0, eta)
+        name = inst.rhs_names()[-1]
+        c = getattr(inst, name)
+        if cls.ETA_HERMITIAN:
+            a = rand_qmatrix(np.random.default_rng(size), *c.shape)
+            anti = a - a.eta_conj_transpose(eta)
+            inst = dataclasses.replace(
+                inst, **{name: c + anti * (1e-10 * c.norm() / anti.norm())})
+            inst.require()
+        lifted = inst.lift()[0]
+        if cls.ETA_HERMITIAN:
+            side = getattr(lifted, lifted.rhs_names()[-1])
+            assert _equal(side, side.eta_conj_transpose(eta))
+            assert not _equal(side, getattr(inst, name))
+            # eta is checked before the shapes
+            with pytest.raises(ValueError, match="eta must be one of") as exc:
+                dataclasses.replace(inst, eta="q", **{
+                    name: QMatrix.zeros(c.rows + 1, c.cols)})
+            assert not isinstance(exc.value, DimensionError)
+        for slot, (own, *rest) in cls.LIFT[1].items():
+            if rest:
+                continue
+            got = getattr(lifted, slot)
+            if own.endswith(ETA_STAR):
+                block = getattr(inst, own.removesuffix(ETA_STAR))
+                assert _equal(got, block.eta_conj_transpose(eta))
+            else:
+                assert got is getattr(inst, own), (slot, own)
