@@ -96,7 +96,7 @@ def cmd_gen(args) -> int:
              f"seed={args.seed} kind={args.kind}"]
     docs.dump_json(args.out, docs.instance_to_doc(inst, notes=notes))
     print(f"wrote {args.out}")
-    if witness is not None and args.witness_out:
+    if args.witness_out:
         docs.dump_json(args.witness_out,
                        docs.solution_to_doc(args.variant, witness))
         print(f"wrote {args.witness_out}")
@@ -173,10 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--eta", choices=ETAS, default="i")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--inconsistent", dest="kind", action="store_const",
-                   const="inconsistent", default="consistent")
+    # a twin has no witness
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--inconsistent", dest="kind", action="store_const",
+                      const="inconsistent", default="consistent")
+    kind.add_argument("--witness-out", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--witness-out", default=None)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("verify", help="check a solution against an instance")
@@ -195,6 +197,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (docs.ParseError, DimensionError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -8,20 +8,23 @@ at the top level plus "variant" (and "eta" for eta variants); absent
 optional blocks mean zero matrices, sized by the instance type's
 ``with_empty`` from its ``SHAPES`` table: each named dimension takes its
 value from the present blocks that carry it, and is 0 when none does;
-present blocks that disagree raise ParseError.  Serialization uses plain
+present blocks that disagree raise ParseError.  A document whose blocks
+and unknowns would hold more than ``MAX_ENTRIES`` quaternion entries is
+refused before any block is allocated.  Serialization uses plain
 floats, so documents re-parse to bit-identical matrices.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 
 import numpy as np
 
 from .harness import VARIANT_TABLE, VARIANTS
 from .qcore import ETAS
-from .qmatrix import DimensionError, QMatrix
+from .qmatrix import DimensionError, QMatrix, named_dims
 
 
 class ParseError(ValueError):
@@ -29,6 +32,11 @@ class ParseError(ValueError):
 
 
 _RESERVED = ("variant", "eta", "format", "_notes", "seed")
+
+# the most quaternion entries the blocks and unknowns of a document may
+# imply: master at cube 64 implies 126,619 and two-term at size 128
+# 118,043, while a few bytes of JSON can name a dimension of 10^8
+MAX_ENTRIES = 2 ** 24
 
 
 def matrix_to_doc(m: QMatrix) -> dict:
@@ -96,10 +104,18 @@ def _load_matrices(doc: dict, variant: str) -> dict:
             alias = key if key != name else given_as[name]
             raise ParseError(f"matrix {name!r} given twice (alias {alias!r})")
         present[name], given_as[name] = matrix_from_doc(value, key), key
+    shapes = v.instance_type.SHAPES
     try:
-        return v.instance_type.with_empty(present)
+        dims = named_dims(shapes, present)
     except DimensionError as exc:
         raise ParseError(str(exc)) from exc
+    entries = sum(math.prod(dims.get(n, 0) for n in pair)
+                  for pair in shapes.values())
+    if entries > MAX_ENTRIES:
+        largest = max(dims, key=dims.get)
+        raise ParseError(f"dimension {largest} = {dims[largest]} implies "
+                         f"{entries} entries, more than {MAX_ENTRIES}")
+    return v.instance_type.with_empty(present)
 
 
 def _doc_eta(doc: dict, default: str = "i") -> str:

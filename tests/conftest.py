@@ -13,6 +13,10 @@ one instrument, kept here:
   with the route and without it; :func:`evict` turns the held work off
   for the next call;
 - :func:`corpus` yields the labelled instances those tests run on.
+
+Hypothesis runs under one profile that derandomizes every property test
+and keeps no example database, so a run's outcome depends on the tree
+alone.
 """
 
 import itertools
@@ -25,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qsylv
 from qsylv import QMatrix, block, decomp, pinv, rank
@@ -34,6 +39,9 @@ from qsylv.qmatrix import rand_qmatrix
 from qsylv.solvers import families
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def make_rand(rng):
@@ -133,8 +141,8 @@ MOVES = (1e-4, 1e-6, 1e-9, 1e-11, 1e-13)
 def _degenerate(variant, count=12):
     """Planted instances whose named dimensions are each drawn from
     {0, 1, 2, 3}, so blocks, whole equations and twins can be empty, and
-    each with an eta-Hermitian perturbation of its coupling right
-    side."""
+    each with a random perturbation of its coupling right side, made
+    eta-Hermitian for an eta variant."""
     cls = VARIANT_TABLE[variant].instance_type
     names = sorted(VARIANT_TABLE[variant].dims(1))
     rng = np.random.default_rng(43)
@@ -146,7 +154,10 @@ def _degenerate(variant, count=12):
         rhs = cls.rhs_names()[-1]
         c = getattr(inst, rhs)
         r = rand_qmatrix(rng, *c.shape)
-        twin = replace(inst, **{rhs: c + r + r.eta_conj_transpose(eta)})
+        moved = c + r
+        if cls.ETA_HERMITIAN:
+            moved = moved + r.eta_conj_transpose(eta)
+        twin = replace(inst, **{rhs: moved})
         yield f"degenerate {dims} {eta}", inst
         yield f"degenerate {dims} {eta} perturbed", twin
 
@@ -159,6 +170,7 @@ def corpus(variant, kinds=("planted", "twin"), sizes=(2,), seeds=(0,),
     each of ``kinds``:
 
     - "planted": ``gen_planted``, consistent by construction;
+    - "zero": the planted instance with every right side zero;
     - "twin": ``gen_unsolvable``, its unsolvable twin;
     - "moved": the twin's base moved toward the twin by each d of
       ``MOVES``;
@@ -170,9 +182,12 @@ def corpus(variant, kinds=("planted", "twin"), sizes=(2,), seeds=(0,),
     for size, seed, eta in itertools.product(sizes, seeds, etas):
         where = f"{size} {seed} {eta}"
         found = []
+        if {"planted", "zero"} & set(kinds):
+            planted, _ = gen_planted(variant, size, seed, eta)
         if "planted" in kinds:
-            found.append(("planted", gen_planted(variant, size, seed,
-                                                 eta)[0]))
+            found.append(("planted", planted))
+        if "zero" in kinds:
+            found.append(("zero", scaled_rhs(planted, 0.0)))
         if {"twin", "moved"} & set(kinds):
             twin = gen_unsolvable(variant, size, seed, eta)
         if "twin" in kinds:

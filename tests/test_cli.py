@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from qsylv import QMatrix, documents as docs
+from qsylv import QMatrix, cli, documents as docs
 from qsylv.cli import main
 from qsylv.harness import VARIANTS, verify_solution
 
@@ -127,6 +127,9 @@ def test_random_member_and_inconsistent_exit_codes(variant, tmp_path):
      "argument --size: expected a non-negative integer, got '-3'"),
     (["gen", "--variant", "eta-two", "--size", "-3", "--out", "g.json"],
      "argument --size: expected a non-negative integer, got '-3'"),
+    # a twin has no witness to write
+    (["gen", "--inconsistent", "--witness-out", "w.json", "--out", "g.json"],
+     "argument --witness-out: not allowed with argument --inconsistent"),
 ))
 def test_usage_errors_exit_one(argv, message, tmp_path, monkeypatch,
                                capsys):
@@ -173,6 +176,40 @@ def test_parse_failures_exit_one(tmp_path, capsys):
     assert main(["check", str(badkey)]) == 1
     err = capsys.readouterr().err
     assert "Q7" in err
+
+
+def test_a_document_too_large_to_build_is_refused(tmp_path, capsys,
+                                                   monkeypatch):
+    # 217 bytes whose A is 0 x 10^8 imply D and X of 10^8 x 2, about
+    # 6 GiB; an allocation above the cap fails as under a memory limit
+    zeros = QMatrix.zeros
+
+    def capped(rows, cols):
+        if rows * cols > 2 ** 24:
+            raise MemoryError(f"allocated {rows} x {cols}")
+        return zeros(rows, cols)
+
+    monkeypatch.setattr(QMatrix, "zeros", capped)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "variant": "pair", "A": {"rows": 0, "cols": 10 ** 8, "entries": []},
+        "C": {"rows": 0, "cols": 2, "entries": []},
+        "B": {"rows": 2, "cols": 2, "entries": [[[0, 0, 0, 0]] * 2] * 2}}))
+    assert path.stat().st_size == 217
+    for command in ("check", "solve"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: dimension p = 100000000 implies 400000004 entries, "
+                "more than 16777216\n")
+
+
+def test_out_of_memory_is_a_message(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_check", exhausted)
+    assert main(["check", "x.json"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_solve_with_parameter_file(tmp_path):

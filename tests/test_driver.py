@@ -1,12 +1,14 @@
 """The one check/solve driver behind every public ``check_*``/``solve_*``.
 
 Each public entry point, called with its own signature, gives exactly
-what the driver gives; an eta system whose coupling right side is not eta-Hermitian is
-refused under that system's own field name; a lifted family refuses
-the parameters its lift left empty; a block with a nan or infinite
-entry is refused, by name, before any SVD, and so is a ``tol`` that is
-not finite and positive; no report lists a condition whose matrices
-have no entries; and a report's JSON form keeps its keys and bytes.
+what the driver gives; an eta system whose coupling right side is not
+eta-Hermitian is refused under that system's own field name, at every
+eta; every family names its free parameters alike at every size, and a
+lifted family refuses the parameters its lift left empty; a block with
+a nan or infinite entry is refused, by name, before any SVD, and so is
+a ``tol`` that is not finite and positive; no report lists a condition
+whose matrices have no entries; and a report's JSON form keeps its
+keys and bytes.
 """
 
 import json
@@ -19,10 +21,12 @@ import qsylv
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, ResidualEntry,
                            ResidualReport, gen_planted, gen_unsolvable,
                            verify_solution)
+from qsylv.qcore import ETAS
 from qsylv.qmatrix import DimensionError, rand_qmatrix
 from qsylv.solvers import families
 from qsylv.solvers.families import (Condition, Inconsistent, RankCondition,
                                     SolvabilityReport, check, solve)
+from qsylv.solvers.master import MASTER_PARAM_NAMES
 
 TOL = 1e-9
 
@@ -84,13 +88,20 @@ def test_public_names_equal_the_driver(variant, truth):
     assert isinstance(solve(inst, TOL), Inconsistent) == (truth != "planted")
 
 
-# lifted variant -> the master parameters its family keeps and those
+# variant -> the parameters its family keeps and the master parameters
 # its lift leaves with a zero dimension, which the family drops
 MIXED_KEPT = ("U4", "U5", "U6", "U7", "U8")
 MIXED_DROPPED = ("W11", "W12", "W13", "U11", "U12", "U21", "U31", "U32",
                  "U33", "U41", "U42")
 THREE_TERM_KEPT = MIXED_KEPT + MIXED_DROPPED[3:]
-DROPPED = {"mixed": (MIXED_KEPT, MIXED_DROPPED),
+TWO_TERM_KEPT = ("Y11", "Y12", "Y13", "Y14", "Y15")
+DROPPED = {"pair": (("U1",), ()),
+           "master": (MASTER_PARAM_NAMES, ()),
+           "five-term": (MASTER_PARAM_NAMES, ()),
+           "eta-full": (MASTER_PARAM_NAMES, ()),
+           "two-term": (TWO_TERM_KEPT, ()),
+           "eta-two": (TWO_TERM_KEPT, ()),
+           "mixed": (MIXED_KEPT, MIXED_DROPPED),
            "eta-mixed": (MIXED_KEPT, MIXED_DROPPED),
            "three-term": (THREE_TERM_KEPT, ("W11", "W12", "W13")),
            "eta-three": (THREE_TERM_KEPT, ("W11", "W12", "W13"))}
@@ -99,17 +110,19 @@ DROPPED = {"mixed": (MIXED_KEPT, MIXED_DROPPED),
 @pytest.mark.parametrize("variant", sorted(DROPPED))
 def test_lifted_families_refuse_the_parameters_their_lift_dropped(variant):
     kept, dropped = DROPPED[variant]
-    inst, _ = gen_planted(variant, 2, 0, "j")
-    family = solve(inst, TOL)
-    assert [p.name for p in family.free_params] == list(kept)
+    # the free parameters are named alike at every size
+    for size in (1, 2, 3, 4):
+        family = solve(gen_planted(variant, size, 0, "j")[0], TOL)
+        assert [p.name for p in family.free_params] == list(kept)
     for name in dropped:
         with pytest.raises(KeyError, match=f"unknown free parameter '{name}'"):
             family.assemble({name: qsylv.QMatrix.zeros(0, 0)})
+    # one more than the master family takes
     rng = np.random.default_rng(2)
-    full = [rand_qmatrix(rng, 1, 1) for _ in range(16)]
+    full = [rand_qmatrix(rng, 1, 1) for _ in range(17)]
     with pytest.raises(DimensionError,
                        match=rf"^expected {len(kept)} free parameters, "
-                             r"got 16$"):
+                             r"got 17$"):
         family.assemble(full)
 
 
@@ -130,22 +143,23 @@ def test_tol_must_be_finite_and_positive(tol):
 @pytest.mark.parametrize("op", ("check", "solve"))
 @pytest.mark.parametrize("variant", ETA_VARIANTS)
 def test_eta_precondition_names_the_types_own_field(variant, op):
-    inst, _ = gen_planted(variant, 2, 0, "j")
-    rhs = inst.rhs_names()[-1]
-    target = getattr(inst, rhs)
-    rng = np.random.default_rng(3)
-    off = target + rand_qmatrix(rng, *target.shape)
     calls = {"check": (check, PUBLIC[variant][0]),
              "solve": (solve, PUBLIC[variant][1])}
     driver, public = calls[op]
-    # at x1e-300 the squared entries underflow, at x1e160 and x1e300
-    # they overflow, unless require() scales the right side first
-    for factor in (1.0, 1e-300, 1e160, 1e300):
-        bad = replace(inst, **{rhs: off * factor})
-        for call in (lambda: driver(bad, TOL), lambda: public(bad)):
-            with pytest.raises(ValueError,
-                               match=rf"^{rhs} is not eta-Hermitian \(defect"):
-                call()
+    rng = np.random.default_rng(3)
+    for eta in ETAS:
+        inst, _ = gen_planted(variant, 2, 0, eta)
+        rhs = inst.rhs_names()[-1]
+        target = getattr(inst, rhs)
+        off = target + rand_qmatrix(rng, *target.shape)
+        # at x1e-300 the squared entries underflow, at x1e160 and x1e300
+        # they overflow, unless require() scales the right side first
+        for factor in (1.0, 1e-300, 1e160, 1e300):
+            bad = replace(inst, **{rhs: off * factor})
+            for call in (lambda: driver(bad, TOL), lambda: public(bad)):
+                with pytest.raises(ValueError, match=rf"^{rhs} is not "
+                                   r"eta-Hermitian \(defect"):
+                    call()
 
 
 @pytest.mark.parametrize("value", (np.nan, np.inf))

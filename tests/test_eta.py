@@ -1,3 +1,9 @@
+"""Eta systems beyond ``test_decision``'s contract: ``symmetrize``, the
+doubling both ways, the doubled rank halves, eta-two as its two-term
+lift, the precondition and the coupling defects ``require()`` accepts.
+Its planted, zero and twin cases repeat the contract on single instances.
+"""
+
 import dataclasses
 
 import numpy as np

@@ -149,13 +149,6 @@ def test_gen_consistent_empty_blocks_allowed():
     assert verify_solution(inst, wit).passed
 
 
-def test_gen_inconsistent_three_profiles():
-    for seed in (0, 1, 2):
-        bad = gen_unsolvable("master", 2, seed)
-        rep = check_master(bad)
-        assert not rep.consistent and rep.forms_agree
-
-
 def test_verify_solution_shape_errors():
     inst, wit = gen_consistent(DimensionProfile.cube(2, seed=7))
     with pytest.raises(DimensionError):
@@ -205,14 +198,6 @@ def test_five_term_unsolvable_at_every_size(size):
         bad = gen_unsolvable("five-term", size, seed)
         rep = check_five_term(bad)
         assert not rep.consistent and rep.forms_agree
-
-
-def test_solve_master_on_generated_batch(rng):
-    for seed in range(4):
-        inst, _ = gen_consistent(DimensionProfile.cube(2, seed=seed))
-        fam = solve_master(inst)
-        sol = fam.assemble(fam.random_params(rng))
-        assert verify_solution(inst, sol, tol=1e-8).passed
 
 
 def test_unsolvable_with_an_empty_right_side_is_a_message(tmp_path, capsys):

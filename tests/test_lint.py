@@ -9,12 +9,14 @@ Every ``.py`` file under src/, tests/, tools/ and perfbench/ but the
   of its module binds already.  ``import pkg.sub`` beside ``import
   pkg`` binds nothing again: it loads the submodule.
 - Unused definitions: a top-level function, class or module-level
-  assigned name of src/qsylv, or a method of one of its top-level
-  classes other than a dunder, is unused when its name occurs once in
-  the code of all four trees: as a name, or as a word of a string
-  literal that is no docstring.  Comments and docstrings are prose, and
-  a word in them is no reference.  Nor is a word of this module, so
-  the names in its examples below reference nothing.
+  assigned name of src/qsylv, tests or tools, or a method of a
+  top-level class of src/qsylv other than a dunder, is unused when its
+  name occurs once in the code of all four trees: as a name, or as a
+  word of a string literal that is no docstring.  The names pytest
+  collects or calls (``test_*``, ``Test*``, ``pytest_*``) are not
+  checked.  Comments and docstrings are prose, and a word in them is
+  no reference.  Nor is a word of this module, so the names in its
+  examples below reference nothing.
 
 A failure lists every offender as ``path:line: name``.
 """
@@ -32,6 +34,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tests", "tools", "perfbench")
 IMPORT_TREES = ("src/qsylv", "tests", "tools")
+HELPER_TREES = ("tests", "tools")
+PYTEST_NAMES = ("test_", "Test", "pytest_")
 LINT = Path("tests/test_lint.py")
 
 
@@ -64,14 +68,14 @@ def unused_imports(tree):
             if name not in used] + again
 
 
-def definitions(tree):
+def definitions(tree, methods=True):
     """(line, name) of each top-level function, class and assigned name
-    of ``tree``, and of each method of a top-level class but the
-    dunders."""
+    of ``tree``, and, with ``methods``, of each method of a top-level
+    class but the dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
-        if isinstance(node, ast.ClassDef):
+        if methods and isinstance(node, ast.ClassDef):
             yield from ((m.lineno, m.name) for m in node.body
                         if isinstance(m, ast.FunctionDef)
                         and not (m.name.startswith("__")
@@ -119,9 +123,21 @@ def lint(files):
                if any(p.is_relative_to(d) for d in IMPORT_TREES)
                for line, name in unused_imports(tree)]
     defs = [f"{p}:{line}: {name}" for p, tree in trees.items()
-            if p.is_relative_to("src/qsylv")
-            for line, name in definitions(tree) if words[name] == 1]
+            for line, name in checked_definitions(p, tree)
+            if words[name] == 1]
     return imports, defs
+
+
+def checked_definitions(path, tree):
+    """The :func:`definitions` of ``tree`` that the rule checks: all of
+    src/qsylv, and the top-level ones of tests and tools that pytest
+    neither collects nor calls."""
+    if path.is_relative_to("src/qsylv"):
+        return list(definitions(tree))
+    if any(path.is_relative_to(d) for d in HELPER_TREES):
+        return [(line, name) for line, name in definitions(tree, False)
+                if not name.startswith(PYTEST_NAMES)]
+    return []
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +190,7 @@ def test_no_unused_definitions(offenders):
         '''}, [], ["src/qsylv/box.py:4: open"]),
     # a name in a string literal that is no docstring is a reference
     ({"src/qsylv/m.py": "def helper():\n    pass\n",
-      "tests/test_m.py": 'TABLE = {"helper": 1}\n'}, [], []),
+      "tests/test_m.py": 'TABLE = {"helper": 1}\nprint(TABLE)\n'}, [], []),
     # a name read only in an __init__.py or in this module is none
     ({"src/qsylv/m.py": "def helper():\n    pass\n",
       "src/qsylv/__init__.py": "from .m import helper\n",
@@ -185,6 +201,14 @@ def test_no_unused_definitions(offenders):
     # but import pkg.sub beside import pkg loads the submodule
     ({"tests/test_m.py": "import qsylv\nimport qsylv.cli\nprint(qsylv)\n"},
      [], []),
+    # a test or tool helper that no code reads is flagged; the names
+    # pytest collects or calls and the methods of a class are not
+    ({"tests/test_m.py": "N = 1\ndef helper(): pass\ndef pytest_x(): pass\n"
+                         "class TestM:\n    def check(self): pass\n"
+                         "def test_m(): pass\n",
+      "tools/t.py": "def main(): pass\n"},
+     [], ["tests/test_m.py:1: N", "tests/test_m.py:2: helper",
+          "tools/t.py:1: main"]),
 ))
 def test_rules_on_small_trees(files, imports, defs):
     assert lint({Path(p): dedent(text)

@@ -1,14 +1,14 @@
+"""The pair equations and two-term beyond ``test_decision``'s
+contract: identity and zero coefficients, planted one-sided and paired
+equations, the one-sided closed forms bit for bit, duality, a
+single-term two-term equation and named failing conditions."""
+
 import numpy as np
 import pytest
 
 from qsylv import (DimensionError, Inconsistent, PairInstance, QMatrix,
                    check_pair, pinv, solve_left, solve_pair, solve_right,
                    solve_two_term)
-from qsylv.solvers.two_term import TwoTermInstance
-
-
-def residual(terms):
-    return max(d.norm() for _, d, _ in terms) if terms else 0.0
 
 
 class TestSolveLeft:
@@ -118,13 +118,6 @@ class TestSolvePair:
 
 
 class TestSolveTwoTerm:
-    def test_zero_rhs(self, rand_q):
-        c3, d3 = rand_q(4, 3), rand_q(2, 5)
-        c4, d4 = rand_q(4, 2), rand_q(3, 5)
-        fam = solve_two_term(c3, d3, c4, d4, QMatrix.zeros(4, 5))
-        x3, x4 = fam.particular
-        assert x3.norm() == 0.0 and x4.norm() == 0.0
-
     def test_degenerate_single_term(self, rng, rand_q):
         # empty C4/D4 reduces to C3 X3 D3 = E1
         c3, d3, x0 = rand_q(4, 3), rand_q(2, 5), rand_q(3, 2)
@@ -137,17 +130,6 @@ class TestSolveTwoTerm:
         # inconsistent once the right side leaves the reachable set
         res = solve_two_term(c3, d3, z, zb, rand_q(4, 5))
         assert isinstance(res, Inconsistent)
-
-    def test_planted_with_sweeps(self, rng, rand_q):
-        c3, d3 = rand_q(4, 3), rand_q(2, 5)
-        c4, d4 = rand_q(4, 2), rand_q(3, 5)
-        x3, x4 = rand_q(3, 2), rand_q(2, 3)
-        e1 = c3 @ x3 @ d3 + c4 @ x4 @ d4
-        fam = solve_two_term(c3, d3, c4, d4, e1)
-        inst = TwoTermInstance(c3, d3, c4, d4, e1)
-        for _ in range(8):
-            sol = fam.assemble(fam.random_params(rng))
-            assert residual(inst.residual_terms(sol)) <= 1e-9 * (1 + e1.norm())
 
     def test_rank_and_residual_agree_on_fuzz(self, rng, rand_q):
         for _ in range(10):
