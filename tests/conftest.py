@@ -96,6 +96,13 @@ def rank_block_oracle(a, b, c, d, e, tol=None):
     return lhs, rhs
 
 
+def same_bits(a, b) -> bool:
+    """Whether quaternion matrices ``a`` and ``b`` have one shape and the
+    same bytes in both planes, so -0.0 and 0.0 differ."""
+    return (a.shape == b.shape and a.a1.tobytes() == b.a1.tobytes()
+            and a.a2.tobytes() == b.a2.tobytes())
+
+
 def planes(sol):
     """Shape and bytes of each matrix of ``sol``."""
     return [(m.shape, m.a1.tobytes(), m.a2.tobytes()) for m in sol]

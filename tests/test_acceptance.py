@@ -258,7 +258,7 @@ def test_criterion_8_eta_suite():
                         (m - ec(m)).norm() / (1.0 + m.norm()))
         # doubled-system reduction, both directions, one instance per eta
         inst, wit = gen_planted("eta-full", 2, 81, eta)
-        doubled = inst.to_master()
+        doubled = inst.lift()[0]
         u, x, y, z = wit
         lift = (u, ec(u), x, y, z)
         fwd = max(d.norm() / (1 + s)

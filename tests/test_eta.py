@@ -1,7 +1,7 @@
 """Eta systems beyond ``test_decision``'s contract: ``symmetrize``, the
-doubling both ways, the doubled rank halves, eta-two as its two-term
-lift, the precondition and the coupling defects ``require()`` accepts.
-Its planted, zero and twin cases repeat the contract on single instances.
+doubled rank halves, eta-two as its two-term lift, the precondition's
+scale and the coupling defects ``require()`` accepts.  The doubling
+both ways is acceptance criterion 8.
 """
 
 import dataclasses
@@ -9,14 +9,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qsylv import (ETAS, Inconsistent, QMatrix, check, check_eta_full,
-                   check_eta_mixed, check_eta_three, check_eta_two,
-                   check_two_term, solve, solve_eta_full, solve_eta_mixed,
-                   solve_eta_three, solve_eta_two, solve_master, symmetrize)
+from qsylv import (ETAS, Inconsistent, QMatrix, check, check_eta_two,
+                   check_two_term, solve, solve_eta_two, symmetrize)
 from qsylv.harness import gen_planted, verify_solution
 from qsylv.qmatrix import rand_qmatrix
-
-from tests.conftest import worst_rel
 
 
 def herm_defect(m, eta):
@@ -43,79 +39,14 @@ class TestSymmetrize:
 
 
 @pytest.mark.parametrize("eta", ETAS)
-class TestEtaFull:
-    def test_planted(self, eta, rng):
-        inst, wit = gen_planted("eta-full", 2, seed=31, eta=eta)
-        rep = check_eta_full(inst)
-        assert rep.consistent and rep.forms_agree
-        fam = solve_eta_full(inst)
-        assert not isinstance(fam, Inconsistent)
-        for _ in range(3):
-            sol = fam.assemble(fam.random_params(rng))
-            assert worst_rel(inst, sol) <= 1e-8
-            for m in sol[1:]:
-                assert herm_defect(m, eta) <= 1e-12 * (1 + m.norm())
-
-    def test_zero_instance(self, eta):
-        inst, _ = gen_planted("eta-full", 2, seed=32, eta=eta)
-        zero = dataclasses.replace(inst, **{
-            f: QMatrix.zeros(*getattr(inst, f).shape)
-            for f in ("C1", "C2", "C3", "C4", "Cc")})
-        fam = solve_eta_full(zero)
-        assert all(m.norm() <= 1e-12 for m in fam.particular)
-
-    def test_non_hermitian_perturbation_inconsistent(self, eta, rand_q):
-        inst, _ = gen_planted("eta-full", 2, seed=33, eta=eta)
-        pert = symmetrize(rand_q(*inst.Cc.shape), eta)
-        bad = dataclasses.replace(inst, Cc=inst.Cc + pert)
-        res = solve_eta_full(bad)
-        assert isinstance(res, Inconsistent)
-
-    def test_non_hermitian_cc_rejected(self, eta, rand_q):
-        inst, _ = gen_planted("eta-full", 2, seed=34, eta=eta)
-        skew = rand_q(*inst.Cc.shape)
-        skew = (skew - skew.eta_conj_transpose(eta)) * 0.5
-        bad = dataclasses.replace(inst, Cc=inst.Cc + skew)
-        with pytest.raises(ValueError):
-            solve_eta_full(bad)
-
-    def test_doubled_reduction_both_directions(self, eta, rng):
-        inst, wit = gen_planted("eta-full", 2, seed=35, eta=eta)
-        u, x, y, z = wit
-        doubled = inst.to_master()
-        ec = lambda m: m.eta_conj_transpose(eta)
-        # a solution of the constrained system solves the doubled one
-        lift = (u, ec(u), x, y, z)
-        assert verify_solution(doubled, lift, tol=1e-10).passed
-        # and a doubled solution averages back to a constrained one
-        fam = solve_master(doubled)
-        u1, u2, xt, yt, zt = fam.assemble(fam.random_params(rng))
-        back = ((u1 + ec(u2)) * 0.5, symmetrize(xt, eta),
-                symmetrize(yt, eta), symmetrize(zt, eta))
-        assert verify_solution(inst, back, tol=1e-10).passed
-
-
-@pytest.mark.parametrize("eta", ETAS)
 class TestEtaThree:
-    def test_planted_and_rank_list(self, eta, rng):
-        inst, wit = gen_planted("eta-three", 2, seed=41, eta=eta)
-        rep = check_eta_three(inst)
-        assert rep.consistent and rep.forms_agree
-        for cond in rep.rank_conditions:
-            assert cond.lhs == cond.rhs
-        fam = solve_eta_three(inst)
-        sol = fam.assemble(fam.random_params(rng))
-        assert worst_rel(inst, sol) <= 1e-8
-        for m in sol:
-            assert herm_defect(m, eta) <= 1e-12 * (1 + m.norm())
-
     def test_doubled_rank_halves_are_equal(self, eta):
         # the doubled certificate's final rank condition has mirrored
         # halves of equal rank, realizing its "= 2 r(...)" form
         from qsylv.decomp import rank
         from qsylv.qmatrix import block
         inst, _ = gen_planted("eta-three", 2, seed=42, eta=eta)
-        m = inst.to_full().to_master()
+        m = inst.lift()[0].lift()[0]
         lhs_f = block([[m.F3, None, m.B3, None, None, None, None],
                        [m.F1, None, None, m.B1, None, None, None],
                        [None, m.F2, None, None, m.B2, None, None],
@@ -133,12 +64,6 @@ class TestEtaThree:
 
 @pytest.mark.parametrize("eta", ETAS)
 class TestEtaTwo:
-    def test_zero_rhs(self, eta, rand_q):
-        b1, c1 = rand_q(4, 3), rand_q(4, 2)
-        fam = solve_eta_two(b1, c1, QMatrix.zeros(4, 4), eta)
-        y, z = fam.particular
-        assert y.norm() == 0.0 and z.norm() == 0.0
-
     def test_invertible_single_term(self, eta, rand_q):
         b1 = rand_q(3, 3)
         yw = symmetrize(rand_q(3, 3), eta)
@@ -147,20 +72,6 @@ class TestEtaTwo:
         y, z = fam.particular
         assert (y - yw).norm() <= 1e-10 * (1 + yw.norm())
         assert z.shape == (0, 0)
-
-    def test_planted_sweep(self, eta, rng):
-        inst, wit = gen_planted("eta-two", 2, seed=51, eta=eta)
-        assert verify_solution(inst, wit).passed
-        fam = solve_eta_two(inst.B1, inst.C1, inst.D1, eta)
-        for _ in range(5):
-            sol = fam.assemble(fam.random_params(rng))
-            assert worst_rel(inst, sol) <= 1e-9
-            for m in sol:
-                assert herm_defect(m, eta) <= 1e-12 * (1 + m.norm())
-
-    def test_precondition(self, eta, rand_q):
-        with pytest.raises(ValueError):
-            solve_eta_two(rand_q(3, 2), rand_q(3, 2), rand_q(3, 3), eta)
 
     def test_precondition_is_scale_relative(self, eta, rand_q):
         inst, _ = gen_planted("eta-two", 2, seed=52, eta=eta)
@@ -184,38 +95,6 @@ class TestEtaTwo:
         fam = solve_eta_two(inst.B1, inst.C1, inst.D1, eta)
         assert [p.name for p in fam.free_params] == [
             "Y11", "Y12", "Y13", "Y14", "Y15"]
-
-
-@pytest.mark.parametrize("eta", ETAS)
-class TestEtaMixed:
-    def test_planted_sweep(self, eta, rng):
-        inst, wit = gen_planted("eta-mixed", 2, seed=61, eta=eta)
-        assert verify_solution(inst, wit).passed
-        fam = solve_eta_mixed(inst.A1, inst.C1, inst.B1, inst.D1,
-                              inst.A2, inst.A3, inst.D3, eta)
-        assert not isinstance(fam, Inconsistent)
-        for _ in range(4):
-            sol = fam.assemble(fam.random_params(rng))
-            assert worst_rel(inst, sol) <= 1e-9
-            for m in sol:
-                assert herm_defect(m, eta) <= 1e-12 * (1 + m.norm())
-
-    def test_condition_forms_agree_on_fuzz(self, eta, rand_q):
-        inst, _ = gen_planted("eta-mixed", 2, seed=62, eta=eta)
-        pert = symmetrize(rand_q(*inst.D3.shape), eta)
-        bad = dataclasses.replace(inst, D3=inst.D3 + pert)
-        rep = check_eta_mixed(bad)
-        assert not rep.consistent
-        assert rep.forms_agree
-
-    def test_zero_instance(self, eta):
-        inst, _ = gen_planted("eta-mixed", 2, seed=63, eta=eta)
-        zero = dataclasses.replace(inst, **{
-            f: QMatrix.zeros(*getattr(inst, f).shape)
-            for f in ("C1", "D1", "D3")})
-        fam = solve_eta_mixed(zero.A1, zero.C1, zero.B1, zero.D1,
-                              zero.A2, zero.A3, zero.D3, eta)
-        assert all(m.norm() <= 1e-12 for m in fam.particular)
 
 
 @pytest.mark.parametrize("defect", (1e-12, 1e-11, 1e-10, 4e-10))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,11 @@ def test_verify_solution_reads_right_sides_near_the_top_of_the_range(factor):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_variant_generator(variant, rng):
+    # the witness solves its instance on the contract's grid
+    etas = "ijk" if variant.startswith("eta") else "i"
+    for size, seed, eta in itertools.product((1, 2, 3, 4), (0, 1, 2), etas):
+        inst, wit = gen_planted(variant, size, seed, eta)
+        assert verify_solution(inst, wit).passed, (size, seed, eta)
     inst, wit = gen_planted(variant, 2, seed=13, eta="j")
     assert verify_solution(inst, wit).passed
     assert tuple(inst.unknown_shapes()) == VARIANT_TABLE[variant].unknowns

@@ -36,18 +36,13 @@ from qsylv.solvers.families import ETA_STAR, Inconsistent, max_exponents
 from qsylv.solvers.master import _MasterWork
 from qsylv.solvers.two_term import _TwoTermFactors
 
-from tests.conftest import evict, planes
+from tests.conftest import evict, planes, same_bits
 
 TOL = 1e-9
 
 
 def _etas(variant):
     return ("i", "j", "k") if variant.startswith("eta") else ("i",)
-
-
-def _same(a: QMatrix, b: QMatrix) -> bool:
-    return (a.shape == b.shape and a.a1.tobytes() == b.a1.tobytes()
-            and a.a2.tobytes() == b.a2.tobytes())
 
 
 class _Products:
@@ -110,12 +105,12 @@ def test_free_zero_arithmetic_is_that_of_a_stored_zero(rand_q):
              (z.submatrix(slice(1, 3), slice(None)),
               stored.submatrix(slice(1, 3), slice(None)))]
     for got, want in cases:
-        assert _same(got, want)
+        assert same_bits(got, want)
     # a product is zero without a matmul; a stored zero's product is
     # zero too, its signs as the BLAS kernel leaves them
     for got, want in ((a @ z, a @ stored), (z @ b, stored @ b)):
         assert type(got) is Zero and got.shape == want.shape
-        assert _same(got.copy(), QMatrix.zeros(*want.shape))
+        assert same_bits(got.copy(), QMatrix.zeros(*want.shape))
         assert not (want.a1.any() or want.a2.any())
     assert type(x + z) is QMatrix and type(z - x) is QMatrix
     assert not z.a1.flags.writeable
@@ -351,16 +346,16 @@ def test_held_prefixes_keep_the_bits_of_the_chains(rand_q):
           + y15 @ bd4.proj_right
           + bm.proj_left @ y11 @ bn.proj_right)
     got = k.solve(e1, *ys)
-    assert _same(got[0], x3) and _same(got[1], x4)
+    assert same_bits(got[0], x3) and same_bits(got[1], x4)
     five, _ = gen_planted("five-term", 3, 2)
     w = _MasterWork(five.lift()[0])
     f, bC, bD = w.factors, w.factors.bC, w.factors.bD
-    assert _same(w.F1, bC[0].pinv @ w.L1 @ bD[0].pinv
-                 + bC[0].proj_left @ bC[1].pinv @ w.L2 @ bD[1].pinv)
-    assert _same(w.F2, bC[2].pinv @ w.L3 @ bD[2].pinv
-                 + bC[2].proj_left @ bC[3].pinv @ w.L4 @ bD[3].pinv)
-    assert _same(f.c11_pc11, f.C11 @ f.bC11.pinv)
-    assert _same(f.a1_pa1, f.reduced[0] @ f.bA1.pinv)
+    assert same_bits(w.F1, bC[0].pinv @ w.L1 @ bD[0].pinv
+                     + bC[0].proj_left @ bC[1].pinv @ w.L2 @ bD[1].pinv)
+    assert same_bits(w.F2, bC[2].pinv @ w.L3 @ bD[2].pinv
+                     + bC[2].proj_left @ bC[3].pinv @ w.L4 @ bD[3].pinv)
+    assert same_bits(f.c11_pc11, f.C11 @ f.bC11.pinv)
+    assert same_bits(f.a1_pa1, f.reduced[0] @ f.bA1.pinv)
 
 
 # -- rank matrices embedded from their grids -------------------------------------

@@ -1,43 +1,21 @@
 """Master and three-term beyond ``test_decision``'s contract: the
 report's shape, the all-empty instance, and reductions bit for bit to
 ``solve_pair``, ``solve_left``, ``solve_right`` and the master family.
-Its planted and twin cases repeat the contract on single instances.
 """
 
-import numpy as np
+from qsylv import (MasterInstance, QMatrix, check_master, solve_master,
+                   solve_three_term_system)
+from qsylv.harness import DimensionProfile, gen_consistent, gen_planted
 
-from qsylv import (Inconsistent, MasterInstance, QMatrix, check_master,
-                   check_three_term, solve_master, solve_three_term_system)
-from qsylv.harness import (DimensionProfile, gen_consistent, gen_planted,
-                           gen_unsolvable, verify_solution)
-from qsylv.solvers.master import MASTER_PARAM_NAMES
-
-from tests.conftest import worst_rel
-
-
-def _same_bits(p, q):
-    return np.array_equal(p.a1, q.a1) and np.array_equal(p.a2, q.a2)
+from tests.conftest import same_bits
 
 
 class TestCheckMaster:
-    def test_planted_consistent(self):
-        inst, wit = gen_consistent(DimensionProfile.cube(2, seed=1))
-        rep = check_master(inst)
-        assert rep.consistent and rep.forms_agree
-        assert verify_solution(inst, wit).passed
-
     def test_all_empty_trivially_consistent(self):
         z = QMatrix.zeros(0, 0)
         inst = MasterInstance(*([z] * 24), Cc=z)
         rep = check_master(inst)
         assert rep.consistent
-
-    def test_fuzzed_inconsistent_forms_agree(self):
-        for seed in (1, 2, 3):
-            bad = gen_unsolvable("master", 2, seed)
-            rep = check_master(bad)
-            assert not rep.consistent
-            assert rep.forms_agree
 
     def test_report_shape(self):
         inst, _ = gen_consistent(DimensionProfile.cube(2, seed=4))
@@ -50,17 +28,6 @@ class TestCheckMaster:
 
 
 class TestSolveMaster:
-    def test_planted_roundtrip(self, rng):
-        for seed in range(5):
-            inst, _ = gen_consistent(DimensionProfile.cube(2, seed=seed))
-            fam = solve_master(inst)
-            assert not isinstance(fam, Inconsistent)
-            assert [p.name for p in fam.free_params] == \
-                list(MASTER_PARAM_NAMES)
-            for _ in range(3):
-                sol = fam.assemble(fam.random_params(rng))
-                assert worst_rel(inst, sol) <= 1e-8
-
     def test_single_identity_block(self, rand_q):
         c2 = rand_q(2, 2)
         e = QMatrix.zeros
@@ -75,14 +42,6 @@ class TestSolveMaster:
         u, v, x, y, z = fam.particular
         assert (x - c2).norm() == 0.0
         assert u.shape == (0, 3) and v.shape == (1, 0)
-
-    def test_solve_rejects_exactly_when_check_does(self):
-        good, _ = gen_consistent(DimensionProfile.cube(2, seed=6))
-        bad = gen_unsolvable("master", 2, 6)
-        assert not isinstance(solve_master(good), Inconsistent)
-        res = solve_master(bad)
-        assert isinstance(res, Inconsistent)
-        assert res.failing_conditions == check_master(bad).failing()
 
     def test_single_pair_block_reduces_to_solve_pair(self, rng, rand_q):
         # with everything else empty, the master solution of the one
@@ -102,7 +61,7 @@ class TestSolveMaster:
         pair = solve_pair(a, a @ x0, b, x0 @ b)
         x_master = fam.particular[2]
         (x_pair,) = pair.particular
-        assert _same_bits(x_master, x_pair)
+        assert same_bits(x_master, x_pair)
         # the pair freedom L_A U R_B is reachable through W-parameters:
         # both particular solutions already agree, and every master
         # assembly stays a pair solution
@@ -124,7 +83,7 @@ class TestSolveMaster:
             F1=e(0, 3), F2=e(0, 3), F3=e(0, 3), F4=e(0, 3), Cc=e(0, 3))
         u_master = solve_master(inst).particular[0]
         (u_left,) = solve_left(a, a @ u0).particular
-        assert _same_bits(u_master, u_left)
+        assert same_bits(u_master, u_left)
 
     def test_lone_right_side_equation_is_solve_right(self, rand_q):
         # V B1 = D1 alone: V is the one-sided solver's, bit for bit
@@ -140,7 +99,7 @@ class TestSolveMaster:
             F1=e(3, 0), F2=e(0, 0), F3=e(0, 0), F4=e(0, 0), Cc=e(4, 0))
         v_master = solve_master(inst).particular[1]
         (v_right,) = solve_right(b, v0 @ b).particular
-        assert _same_bits(v_master, v_right)
+        assert same_bits(v_master, v_right)
 
 
 class TestThreeTerm:
@@ -154,10 +113,3 @@ class TestThreeTerm:
         got = fam3.assemble(params)
         want = famm.assemble(params)[2:]
         assert all((a - b).norm() == 0.0 for a, b in zip(got, want))
-
-    def test_rank_list_equal_on_planted(self):
-        inst, _ = gen_planted("three-term", 2, seed=14)
-        rep = check_three_term(inst)
-        for cond in rep.rank_conditions:
-            assert cond.lhs == cond.rhs
-

@@ -6,6 +6,8 @@ from qsylv.qmatrix import Identity, Zero, embed_block
 from qsylv.qcore import (ETAS, I, J, K, quat_conj, quat_eta_conj,
                          quat_mul)
 
+from tests.conftest import same_bits
+
 
 def test_matmul_lifts_scalar_product():
     a = QMatrix.from_entries([[I]])
@@ -22,11 +24,6 @@ def test_identity_and_empty_products(rand_q):
     assert prod.shape == (3, 4) and prod.norm() == 0.0
 
 
-def _same(a, b) -> bool:
-    return (a.shape == b.shape and a.a1.tobytes() == b.a1.tobytes()
-            and a.a2.tobytes() == b.a2.tobytes())
-
-
 def test_identity_marker_products_are_the_operand(rand_q):
     a, b = rand_q(2, 3), rand_q(3, 2)
     i3 = Identity(3)
@@ -41,7 +38,7 @@ def test_identity_marker_products_are_the_operand(rand_q):
                       (-i3, -stored), (i3 * 0.5, stored * 0.5),
                       (i3.copy(), stored),
                       (i3.conj_transpose(), stored.conj_transpose())):
-        assert type(got) is QMatrix and _same(got, want)
+        assert type(got) is QMatrix and same_bits(got, want)
     assert i3.embed().tobytes() == stored.embed().tobytes()
     assert not (i3.a1.flags.writeable or i3.a2.flags.writeable)
     for bad in (lambda: a @ Identity(2), lambda: Identity(2) @ b):
@@ -57,7 +54,7 @@ def test_empty_products_are_zero_markers(rand_q):
         assert type(got) is Zero
         assert got.shape == (left.rows, right.cols)
         want = QMatrix._pair(left.a1 @ right.a1, left.a2 @ right.a2)
-        assert _same(got.copy(), want)
+        assert same_bits(got.copy(), want)
 
 
 def test_zero_marker_sums(rand_q):
@@ -67,7 +64,7 @@ def test_zero_marker_sums(rand_q):
     assert z.submatrix(slice(1, 2), slice(None)).shape == (1, 3)
     assert z.norm() == 0.0
     x = rand_q(2, 3)
-    assert type(z + x) is QMatrix and _same(z + x, x + QMatrix.zeros(2, 3))
+    assert type(z + x) is QMatrix and same_bits(z + x, x + QMatrix.zeros(2, 3))
     with pytest.raises(DimensionError):
         z + Zero(3, 2)
 

@@ -3,12 +3,13 @@ contract: identity and zero coefficients, planted one-sided and paired
 equations, the one-sided closed forms bit for bit, duality, a
 single-term two-term equation and named failing conditions."""
 
-import numpy as np
 import pytest
 
 from qsylv import (DimensionError, Inconsistent, PairInstance, QMatrix,
                    check_pair, pinv, solve_left, solve_pair, solve_right,
                    solve_two_term)
+
+from tests.conftest import same_bits
 
 
 class TestSolveLeft:
@@ -66,10 +67,6 @@ class TestSolveRight:
                           Inconsistent)
 
 
-def bitwise_equal(x, y):
-    return np.array_equal(x.a1, y.a1) and np.array_equal(x.a2, y.a2)
-
-
 # A wide (any C is consistent) and A tall (C planted in its range)
 @pytest.mark.parametrize("rows, cols", [(3, 5), (5, 3)])
 def test_one_sided_closed_forms_survive_the_empty_equation(rows, cols, rng,
@@ -79,7 +76,7 @@ def test_one_sided_closed_forms_survive_the_empty_equation(rows, cols, rng,
     # A X = C: X = A^+ C + L_A U1
     c = a @ rand_q(cols, 2)
     fam = solve_left(a, c)
-    assert bitwise_equal(fam.particular[0], ba.pinv @ c)
+    assert same_bits(fam.particular[0], ba.pinv @ c)
     assert fam.free_param_shapes == [(cols, 2)]
     (u1,) = fam.random_params(rng)
     (x,) = fam.assemble([u1])
@@ -87,7 +84,7 @@ def test_one_sided_closed_forms_survive_the_empty_equation(rows, cols, rng,
     # X A = C: X = C A^+ + U1 R_A
     c = rand_q(2, rows) @ a
     fam = solve_right(a, c)
-    assert bitwise_equal(fam.particular[0], c @ ba.pinv)
+    assert same_bits(fam.particular[0], c @ ba.pinv)
     assert fam.free_param_shapes == [(2, rows)]
     (u1,) = fam.random_params(rng)
     (x,) = fam.assemble([u1])
