@@ -3,15 +3,16 @@
 qsylv settles every rank it decides by one of four routes: an SVD of
 its embedding, the full-rank certificate (``decomp._full_rank``), its
 twin's rank when it is a mirror on the root of an eta lift, or the
-helper thread of ``decomp.ranks``.  The tests that prove each route
-gives the report an SVD would, and that pin what each call costs, share
-one instrument, kept here:
+helper thread of ``decomp.ranks``.  ``tests/test_routes.py`` proves that
+every route gives the report an SVD would, ``tests/test_counts.py`` pins
+what each call costs, and the route modules test each route's own
+mechanics.  They share one instrument, kept here:
 
 - the ``counter`` fixture records every SVD and every certificate;
-- the ``route`` fixture turns one route off, offers every grid to the
-  certificate or opens the helper's gates, so a test compares reports
-  with the route and without it; :func:`evict` turns the held work off
-  for the next call;
+- :func:`set_route` (the ``route`` fixture in a test) turns one route
+  off, offers every grid to the certificate or opens or shuts the
+  helper's gates; :func:`evict` turns the held work off for the next
+  call;
 - :func:`corpus` yields the labelled instances those tests run on.
 
 Hypothesis runs under one profile that derandomizes every property test
@@ -19,6 +20,7 @@ and keeps no example database, so a run's outcome depends on the tree
 alone.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -112,7 +114,7 @@ def evict():
     """Fill the work slot with an unrelated instance, so the next call
     on any test instance is cold."""
     e = QMatrix.identity(1)
-    qsylv.check_two_term(e, e, e, e, e)
+    qsylv.check(qsylv.TwoTermInstance(e, e, e, e, e))
 
 
 # -- scalings -----------------------------------------------------------------
@@ -136,6 +138,18 @@ def scaled_equations(inst, t, rhs_names):
                                     else t)
     return replace(inst, **{n: getattr(inst, n) * f
                             for n, f in scale.items()})
+
+
+def coupling_defect(inst, seed, rel):
+    """eta instance ``inst`` with a random anti-eta-Hermitian matrix,
+    drawn from ``seed``, of ``rel`` times the norm of its coupling right
+    side (its last) added to that side; ``require()`` accepts ``rel`` up
+    to 1e-9."""
+    name = inst.rhs_names()[-1]
+    c = getattr(inst, name)
+    r = rand_qmatrix(np.random.default_rng(seed), *c.shape)
+    anti = r - r.eta_conj_transpose(inst.eta)
+    return replace(inst, **{name: c + anti * (rel * c.norm() / anti.norm())})
 
 
 # -- the corpus ---------------------------------------------------------------
@@ -170,7 +184,7 @@ def _degenerate(variant, count=12):
 
 
 def corpus(variant, kinds=("planted", "twin"), sizes=(2,), seeds=(0,),
-           etas=None, scales=(1.0,)):
+           etas=None, scales=(1.0,), defect=0.0):
     """``(label, instance)`` pairs of ``variant``.  For each size, seed
     and eta (``etas``, by default i, j and k, for an eta variant;
     always i for the others, whose instances do not depend on it), and
@@ -182,9 +196,11 @@ def corpus(variant, kinds=("planted", "twin"), sizes=(2,), seeds=(0,),
     - "moved": the twin's base moved toward the twin by each d of
       ``MOVES``;
 
-    each with its right sides multiplied by every factor of ``scales``.
-    "degenerate" adds 24 instances of random shapes of sizes 0 to 3
-    (:func:`_degenerate`)."""
+    each with the :func:`coupling_defect` of relative norm ``defect``
+    (an eta variant's; drawn from the seed), if nonzero, and its right
+    sides multiplied by every factor of ``scales``.  "degenerate" adds
+    24 instances of random shapes of sizes 0 to 3 (:func:`_degenerate`).
+    """
     etas = (etas or "ijk") if variant.startswith("eta") else "i"
     for size, seed, eta in itertools.product(sizes, seeds, etas):
         where = f"{size} {seed} {eta}"
@@ -205,6 +221,10 @@ def corpus(variant, kinds=("planted", "twin"), sizes=(2,), seeds=(0,),
             found += [(f"moved {d:g}", replace(base, **{
                 n: getattr(base, n) + (getattr(twin, n) - getattr(base, n))
                 * d for n in base.rhs_names()})) for d in MOVES]
+        if defect:
+            found = [(f"{kind} defect {defect:g}",
+                      coupling_defect(inst, seed, defect))
+                     for kind, inst in found]
         for (kind, inst), scale in itertools.product(found, scales):
             label = f"{kind} {where}" + (f" x{scale:g}" if scale != 1 else "")
             yield label, inst if scale == 1 else scaled_rhs(inst, scale)
@@ -297,10 +317,8 @@ def set_gates(monkeypatch, blas="1", cpus=2, min_entries=0):
     monkeypatch.setattr(decomp, "_HELPER_MIN_ENTRIES", min_entries)
 
 
-@pytest.fixture
-def route(monkeypatch):
-    """``route(name)`` changes how ranks are settled for the rest of the
-    test:
+def set_route(monkeypatch, name):
+    """Change how ranks are settled until ``monkeypatch`` is undone:
 
     - "certificate": no grid is offered to the full-rank certificate;
     - "certificate-first": every grid of every rank list is offered to
@@ -308,27 +326,32 @@ def route(monkeypatch):
     - "mirrors": no root is a mirror (``work.mirrored = False``), so a
       mirror is ranked as its grid;
     - "helper": every gate of the rank helper is open
-      (:func:`set_gates`).
+      (:func:`set_gates`);
+    - "serial": the helper's size gate is shut, so no grid reaches it
+      whatever the BLAS thread setting.
     """
-    ranks = families.ranks
+    if name in ("certificate", "certificate-first"):
+        offer = name == "certificate-first"
+        monkeypatch.setattr(families, "ranks", lambda grids, floor,
+                            full_first: decomp.ranks(grids, floor, offer))
+    elif name == "mirrors":
+        root_work = families._root_work
 
-    def switch(name):
-        if name in ("certificate", "certificate-first"):
-            offer = name == "certificate-first"
-            monkeypatch.setattr(families, "ranks", lambda grids, floor,
-                                full_first: ranks(grids, floor, offer))
-        elif name == "mirrors":
-            root_work = families._root_work
+        def unmirrored(*args):
+            work = root_work(*args)
+            work.mirrored = False
+            return work
 
-            def unmirrored(*args):
-                work = root_work(*args)
-                work.mirrored = False
-                return work
+        monkeypatch.setattr(families, "_root_work", unmirrored)
+    elif name == "helper":
+        set_gates(monkeypatch)
+    elif name == "serial":
+        set_gates(monkeypatch, min_entries=1 << 62)
+    else:
+        raise ValueError(f"no route {name!r}")
 
-            monkeypatch.setattr(families, "_root_work", unmirrored)
-        elif name == "helper":
-            set_gates(monkeypatch)
-        else:
-            raise ValueError(f"no route {name!r}")
 
-    return switch
+@pytest.fixture
+def route(monkeypatch):
+    """``route(name)``: :func:`set_route` for the rest of the test."""
+    return functools.partial(set_route, monkeypatch)

@@ -88,6 +88,22 @@ COUNTS = [
      (2, 2, 0), (0, 2, 0), (0, 0, 0), (0, 2, 0)),
     ("pair", 4, 1, "j", "twin", "check check solve check",
      (2, 2, 1), (0, 2, 1), (0, 0, 0), (0, 2, 1)),
+    ("three-term", 4, 1, "j", "planted", "check check solve check",
+     (27, 15, 18), (0, 15, 0), (0, 0, 0), (0, 15, 0)),
+    ("three-term", 4, 1, "j", "twin", "check check solve check",
+     (27, 0, 33), (0, 0, 15), (0, 0, 0), (0, 0, 15)),
+    ("mixed", 4, 1, "j", "planted", "check check solve check",
+     (11, 13, 18), (0, 13, 0), (0, 0, 0), (0, 13, 0)),
+    ("mixed", 4, 1, "j", "twin", "check check solve check",
+     (11, 0, 31), (0, 0, 13), (0, 0, 0), (0, 0, 13)),
+    ("eta-three", 4, 1, "j", "planted", "check check solve check",
+     (27, 8, 10), (0, 8, 0), (0, 0, 0), (0, 8, 0)),
+    ("eta-three", 4, 1, "j", "twin", "check check solve check",
+     (27, 0, 18), (0, 0, 8), (0, 0, 0), (0, 0, 8)),
+    ("eta-mixed", 4, 1, "j", "planted", "check check solve check",
+     (11, 7, 10), (0, 7, 0), (0, 0, 0), (0, 7, 0)),
+    ("eta-mixed", 4, 1, "j", "twin", "check check solve check",
+     (11, 0, 17), (0, 0, 7), (0, 0, 0), (0, 0, 7)),
 ]
 
 

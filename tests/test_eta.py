@@ -4,15 +4,13 @@ scale and the coupling defects ``require()`` accepts.  The doubling
 both ways is acceptance criterion 8.
 """
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from qsylv import (ETAS, Inconsistent, QMatrix, check, check_eta_two,
                    check_two_term, solve, solve_eta_two, symmetrize)
 from qsylv.harness import gen_planted, verify_solution
-from qsylv.qmatrix import rand_qmatrix
+
+from tests.conftest import coupling_defect
 
 
 def herm_defect(m, eta):
@@ -107,12 +105,7 @@ def test_accepted_defect_splits_no_forms(variant, defect):
     for size in (1, 2):
         for seed in (0, 1, 2):
             inst, _ = gen_planted(variant, size, seed, eta="j")
-            name = inst.rhs_names()[-1]
-            c = getattr(inst, name)
-            a = rand_qmatrix(np.random.default_rng(seed), *c.shape)
-            anti = a - a.eta_conj_transpose("j")
-            moved = dataclasses.replace(
-                inst, **{name: c + anti * (defect * c.norm() / anti.norm())})
+            moved = coupling_defect(inst, seed, defect)
             report = check(moved)
             assert report.consistent and report.forms_agree, (size, seed)
             fam = solve(moved)

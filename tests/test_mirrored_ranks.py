@@ -9,83 +9,30 @@ mirror.  The works mark grids as ``families.Mirror`` s (master's side
 r(D;B) grids, R5-R8 and the right panels of R1-R8; two-term's second
 and fourth grids and the second's panel), and on such a root
 ``families._rank_list`` gives each its twin's rank, with no SVD or
-certificate; no mirror reaches ``decomp.ranks``.  The reports must
-equal those of ranking every grid by SVD, with the mirrors and the
-certificate off (the ``route`` fixture), also on degenerate shapes and
-with an accepted defect; the doubled blocks must stay bit-exact mirrors through
-equilibration, and a root that is no mirror must keep its shifts.
+certificate; no mirror reaches ``decomp.ranks``.  The doubled blocks
+must stay bit-exact mirrors through equilibration, and a root that is
+no mirror must keep its shifts.  That the reports equal those of
+ranking every grid by SVD, also on degenerate shapes and with an
+accepted defect, is the contract of ``tests/test_routes.py``.
 """
 
 from dataclasses import replace
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from qsylv import decomp
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
                            gen_unsolvable)
-from qsylv.qmatrix import rand_qmatrix
 from qsylv.solvers import families
 from qsylv.solvers.families import (ETA_STAR, Mirror, _rank_list, _reduced,
                                     max_exponents)
 
-from tests.conftest import (cold_check, corpus, counts, evict, planes,
-                            scaled_equations, scaled_rhs)
+from tests.conftest import (counts, evict, planes, scaled_equations,
+                            scaled_rhs)
 
 TOL = 1e-9
 ETA_VARIANTS = ("eta-full", "eta-three", "eta-mixed", "eta-two")
-SCALES = (1e-8, 1.0, 1e8)
-
-
-def _with_defect(inst, seed, rel):
-    """``inst`` with an anti-eta-Hermitian defect of ``rel`` times the
-    norm of its coupling right side added to it."""
-    rng = np.random.default_rng(seed)
-    r = rand_qmatrix(rng, *inst.Cc.shape)
-    anti = r - r.eta_conj_transpose(inst.eta)
-    return replace(inst, Cc=inst.Cc + anti * (rel * inst.Cc.norm()
-                                              / anti.norm()))
-
-
-def _compare(cases, counter, route):
-    """Each case's cold report is that of ranking every grid by SVD,
-    and it takes fewer SVDs and certificates of a non-empty embedding,
-    unless ranking by SVD takes none: an empty grid takes no SVD, but
-    may take a certificate."""
-    def cold(inst):
-        report, events = cold_check(inst, counter)
-        return report.to_dict(), sum(e.kind != "pinv" and 0 not in e.shape
-                                     for e in events)
-
-    mirrored = [cold(inst) for _, inst in cases]
-    route("mirrors")
-    route("certificate")
-    direct = [cold(inst) for _, inst in cases]
-    for (label, _), m, d in zip(cases, mirrored, direct):
-        assert m[0] == d[0], label
-        assert m[1] < d[1] or m[1] == d[1] == 0, label
-    return [report for report, _ in direct]
-
-
-@pytest.mark.parametrize("variant", ETA_VARIANTS)
-def test_mirrored_ranks_equal_direct_ones(variant, counter, route):
-    reports = _compare(list(corpus(variant, ("planted", "twin",
-                                             "degenerate"),
-                                   sizes=(1, 2, 3, 4, 8), scales=SCALES)),
-                       counter, route)
-    assert any(not r["consistent"] for r in reports)
-    assert any(r["consistent"] for r in reports)
-
-
-def test_an_accepted_coupling_defect_leaves_the_mirrors_equal(counter,
-                                                              route):
-    """A coupling right side 1e-11 (relative) off eta-Hermitian passes
-    the precondition, so the root's K differs from its mirror in R5-R8
-    by that much; the ranks still equal the direct ones."""
-    _compare([(label, _with_defect(inst, seed, 1e-11)) for seed in (0, 1)
-              for label, inst in corpus("eta-full", sizes=(1, 2, 4, 8),
-                                        seeds=(seed,))], counter, route)
 
 
 def _root(inst):

@@ -5,24 +5,25 @@ panels on the first list of a factorization, one for the other grids)
 ranks its largest matrix on one helper thread while the calling thread
 ranks the rest, when BLAS is pinned to one thread, two CPUs are allowed
 and the largest embedding is large.  The gates are opened here at small
-sizes (the ``route`` fixture): the reports must equal the serial ones,
-taken with the gates shut, from the same SVDs and certificates, the
-helper must be offered to the certificate as the calling thread is, its
-grid must be embedded on the calling thread, an error in it must reach
-the caller, and no thread may outlive a call.  No mirror reaches ``decomp.ranks``, so the helper
-ranks plain grids only (``tests/test_mirrored_ranks.py``).
+sizes (the ``route`` fixture): the helper's grid must be offered to the
+certificate as the calling thread's are, whatever that thread's
+certificate says, its grid must be embedded on the calling thread, an
+error in it must reach the caller with no thread left running, and no
+thread may start with a gate shut.  That the reports equal the serial
+ones, from the same SVDs and certificates, is the contract of
+``tests/test_routes.py``.  No mirror reaches ``decomp.ranks``, so the
+helper ranks plain grids only (``tests/test_mirrored_ranks.py``).
 """
 
 import threading
 
 import pytest
 
-import qsylv
 from qsylv import QMatrix, decomp
-from qsylv.harness import VARIANTS, gen_planted
+from qsylv.harness import gen_planted
 from qsylv.solvers.families import check
 
-from tests.conftest import Counter, cold_check, corpus, evict, set_gates
+from tests.conftest import Counter, evict, set_gates
 
 TOL = 1e-9
 
@@ -39,45 +40,11 @@ def _starts(monkeypatch):
     return started
 
 
-def _ranked(events):
-    """The shapes of the pinv SVDs, and of the grids ranked, each by the
-    SVD or the certificate that settled it."""
-    return sorted((e.kind == "pinv", e.shape) for e in events
-                  if e.settled is not False)
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_helper_reports_equal_serial_reports(variant, monkeypatch, counter,
-                                             route):
-    cases = list(corpus(variant, sizes=(2, 3, 4), seeds=(1, 2), etas="i"))
-    set_gates(monkeypatch, min_entries=1 << 62)
-    serial = [cold_check(inst, counter) for _, inst in cases]
-    route("helper")
-    before = threading.active_count()
-    helper = [cold_check(inst, counter) for _, inst in cases]
-    assert threading.active_count() == before
-    certified_on = set()
-    for (label, _), (s, s_events), (h, h_events) in zip(cases, serial,
-                                                        helper):
-        assert s == h and s.to_dict() == h.to_dict(), label
-        # the same grids ranked: each ends in one SVD or one certificate
-        # that settles it, whatever the thread
-        assert _ranked(s_events) == _ranked(h_events), label
-        # a cold list ranks its panels (pair has none) and its other
-        # grids in two ranks calls, each with a helper
-        assert sum(e.thread == "qsylv-rank" and e.settled is not False
-                   for e in h_events) == (1 if variant == "pair" else 2)
-        certified_on |= {e.thread for e in h_events
-                         if e.kind == "certificate"}
-    assert certified_on == {"MainThread", "qsylv-rank"}
-    assert any(not s.consistent for s, _ in serial)
-
-
 def test_helper_error_reaches_the_caller(monkeypatch, counter, route):
     inst, _ = gen_planted("master", 3, 1)
     evict()
     counter.take()
-    qsylv.check_master(inst)
+    check(inst, TOL)
     largest = max((e.shape for e in counter.take() if e.kind == "rank"),
                   key=lambda s: s[0] * s[1])
     failed, svd = [], decomp._svd
@@ -94,7 +61,7 @@ def test_helper_error_reaches_the_caller(monkeypatch, counter, route):
     before = threading.active_count()
     evict()
     with pytest.raises(decomp.NumericError, match="forced"):
-        qsylv.check_master(inst)
+        check(inst, TOL)
     assert failed == ["qsylv-rank"]
     assert threading.active_count() == before
     evict()
@@ -201,7 +168,7 @@ def test_helper_grid_is_embedded_on_the_calling_thread(monkeypatch, counter,
     evict()
     embeds.clear()
     counter.take()
-    qsylv.check_master(inst)
+    check(inst, TOL)
     svds = [e for e in counter.take() if e.kind == "rank"]
     largest = max(svds, key=lambda e: e.shape[0] * e.shape[1])
     assert largest.thread == "qsylv-rank"

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qsylv
 from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
                            gen_consistent, gen_planted, gen_unsolvable)
 from qsylv.solvers import basic, families, master, two_term
@@ -117,16 +116,16 @@ def test_in_place_edit_misses(counter):
     inst, _ = gen_consistent(DimensionProfile.cube(2, 2))
     evict()
     counter.take()
-    qsylv.solve_master(inst)
+    solve(inst)
     cold = counts(counter.take())[0]
     for block, pinvs in (("C2", 0), ("A2", cold)):
         evict()
-        qsylv.check_master(inst)
+        check(inst)
         getattr(inst, block).a1[0, 0] += 1.0
         counter.take()
-        solved = _solved(qsylv.solve_master(inst))
+        solved = _solved(solve(inst))
         assert counts(counter.take())[0] == pinvs, block
-        report = qsylv.check_master(inst).to_dict()
+        report = check(inst).to_dict()
         assert (report, solved) == _cold(inst), block
 
 
