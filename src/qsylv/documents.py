@@ -177,8 +177,16 @@ def solution_from_doc(doc: dict, variant: str | None = None) -> tuple:
     variant = variant or doc.get("variant")
     if variant not in VARIANT_TABLE:
         raise ParseError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if doc.get("variant", variant) != variant:
+        raise ParseError(f"solution is for variant {doc['variant']!r}, "
+                         f"not {variant!r}")
+    keys = VARIANT_TABLE[variant].unknowns
+    for key in doc:
+        if key not in keys and key not in _RESERVED:
+            raise ParseError(f"unknown matrix key {key!r} for variant "
+                             f"{variant!r}")
     out = []
-    for key in VARIANT_TABLE[variant].unknowns:
+    for key in keys:
         if key not in doc:
             raise ParseError(f"solution is missing matrix {key!r}")
         out.append(matrix_from_doc(doc[key], key))

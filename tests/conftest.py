@@ -110,6 +110,14 @@ def planes(sol):
     return [(m.shape, m.a1.tobytes(), m.a2.tobytes()) for m in sol]
 
 
+def equilibrated_root(inst):
+    """The root of ``inst`` as ``check`` builds it, and k: ``inst``
+    equilibrated at the exponents of its ``require()`` scan, then
+    lifted."""
+    scaled, k = families._equilibrated(inst, inst.require())
+    return families._reduced(scaled)[0], k
+
+
 def evict():
     """Fill the work slot with an unrelated instance, so the next call
     on any test instance is cold."""

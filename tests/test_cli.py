@@ -176,6 +176,20 @@ def test_parse_failures_exit_one(tmp_path, capsys):
     assert main(["check", str(badkey)]) == 1
     err = capsys.readouterr().err
     assert "Q7" in err
+    # a solution document is read as the instance's variant
+    ipath, spath = str(tmp_path / "pair.json"), str(tmp_path / "sol.json")
+    assert main(["gen", "--variant", "pair", "--out", ipath,
+                 "--witness-out", spath]) == 0
+    sol = docs.load_json(spath)
+    for edit, message in (
+            ({"bogus": sol["X"]}, "unknown matrix key 'bogus' for variant "
+                                  "'pair'"),
+            ({"variant": "master"}, "solution is for variant 'master', "
+                                    "not 'pair'")):
+        docs.dump_json(spath, {**sol, **edit})
+        capsys.readouterr()
+        assert main(["verify", ipath, spath]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_a_document_too_large_to_build_is_refused(tmp_path, capsys,

@@ -159,6 +159,16 @@ def test_solution_round_trip():
     with pytest.raises(docs.ParseError, match="X2"):
         del doc["X2"]
         docs.solution_from_doc(doc)
+    # a key that is no unknown of the variant, and a variant that is not
+    # the one the document is read as, are refused as in an instance
+    pair = docs.solution_to_doc("pair", gen_planted("pair", 1, 0)[1])
+    for edit, message in (
+            ({"bogus": pair["X"]},
+             "unknown matrix key 'bogus' for variant 'pair'"),
+            ({"variant": "master"},
+             "solution is for variant 'master', not 'pair'")):
+        with pytest.raises(docs.ParseError, match=f"^{re.escape(message)}$"):
+            docs.solution_from_doc({**pair, **edit}, "pair")
 
 
 def test_variant_dispatch_errors():

@@ -28,8 +28,8 @@ import pytest
 
 import qsylv
 from qsylv import QMatrix, block, decomp
-from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
-                           gen_consistent, gen_planted, gen_unsolvable)
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
+                           gen_unsolvable)
 from qsylv.qmatrix import Zero, embed_block
 from qsylv.solvers import families
 from qsylv.solvers.families import ETA_STAR, Inconsistent, max_exponents
@@ -84,7 +84,7 @@ def test_omitted_parameters_equal_explicit_zeros(variant, size):
 
 def test_partly_given_parameters_equal_explicit_zeros():
     inst, _ = gen_planted("master", 2, 3)
-    family = qsylv.solve_master(inst)
+    family = families.solve(inst)
     params = family.random_params(np.random.default_rng(5))
     given = {p.name: m for p, m in zip(family.free_params[::2], params[::2])}
     full = [given.get(p.name, QMatrix.zeros(*p.shape))
@@ -253,13 +253,13 @@ def test_lifts_map_right_sides_to_right_sides():
 def test_a_new_right_side_copies_only_the_right_sides():
     inst, _ = gen_planted("eta-full", 2, 1, "k")
     evict()
-    qsylv.check_eta_full(inst)
+    families.check(inst)
     held = families._SLOT[0].caller
     scaled = replace(inst, **{n: getattr(inst, n).copy()
                               for n in inst.rhs_names()})
     for name in scaled.rhs_names():
         getattr(scaled, name).a1[...] *= 3.0
-    qsylv.check_eta_full(scaled)
+    families.check(scaled)
     caller = families._SLOT[0].caller
     for name in inst.block_names():
         mine, theirs = getattr(caller, name), getattr(scaled, name)
@@ -290,17 +290,17 @@ def test_one_scan_checks_the_blocks_and_gives_their_exponents():
 # -- held norms and held products ----------------------------------------------
 
 def test_solve_after_check_forms_no_certificate_product(monkeypatch):
-    inst, _ = gen_consistent(DimensionProfile.cube(2, 0))
+    inst, _ = gen_planted("master", 2, 0)
     evict()
     calls = []
     for name in ("compat_terms", "mp_terms"):
         terms = getattr(_MasterWork, name)
         monkeypatch.setattr(_MasterWork, name, lambda self, terms=terms,
                             name=name: calls.append(name) or terms(self))
-    report = qsylv.check_master(inst)
+    report = families.check(inst)
     assert report.consistent
     products = _Products(monkeypatch)
-    family = qsylv.solve_master(inst)
+    family = families.solve(inst)
     family.assemble()
     assert sorted(calls) == ["compat_terms", "mp_terms"]
     # the particular solution's right-side products, then the
@@ -309,20 +309,20 @@ def test_solve_after_check_forms_no_certificate_product(monkeypatch):
     # Identity projector of a rank-0 block (the vw3 kernel's M and N),
     # or one of U's and V's empty halves cost no product
     assert products.n == 50
-    assert qsylv.check_master(inst) == report
+    assert families.check(inst) == report
     assert sorted(calls) == ["compat_terms", "mp_terms"]
 
 
 def test_thresholds_follow_tol_on_held_norms():
     inst = gen_unsolvable("two-term", 2, 0)
     evict()
-    loose = qsylv.check_two_term(*inst.blocks(), tol=1e3)
-    tight = qsylv.check_two_term(*inst.blocks(), tol=1e-9)
+    loose = families.check(inst, 1e3)
+    tight = families.check(inst, 1e-9)
     for a, b in zip(loose.mp_conditions, tight.mp_conditions):
         assert a.name == b.name and a.residual == b.residual
         assert (a.threshold, b.threshold) == (1e3, 1e-9)
     evict()
-    assert qsylv.check_two_term(*inst.blocks(), tol=1e3) == loose
+    assert families.check(inst, 1e3) == loose
 
 
 def test_held_prefixes_keep_the_bits_of_the_chains(rand_q):

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsylv.harness import (VARIANT_TABLE, VARIANTS, DimensionProfile,
-                           gen_consistent, gen_planted, gen_unsolvable)
+from qsylv.harness import (VARIANT_TABLE, VARIANTS, gen_planted,
+                           gen_unsolvable)
 from qsylv.solvers import basic, families, master, two_term
 from qsylv.solvers.families import Inconsistent, _reduced, check, solve
 
@@ -113,7 +113,7 @@ def test_in_place_edit_misses(counter):
     """An in-place edit of a right side misses the work but reuses its
     factorization; an edit of a coefficient block misses both, and takes
     the pinv SVDs of a cold solve."""
-    inst, _ = gen_consistent(DimensionProfile.cube(2, 2))
+    inst, _ = gen_planted("master", 2, 2)
     evict()
     counter.take()
     solve(inst)
